@@ -37,7 +37,7 @@ val loss : model -> Linalg.Mat.t -> Linalg.Mat.t -> float
 val loss_oracle :
   lambda:float -> Linalg.Mat.t -> bool array -> Optim.Newton.oracle
 (** The training objective over [θ = (w, bias)] — exposed so tests can
-    finite-difference it (see {!Optim.Gradcheck}). *)
+    finite-difference it (see [test/gradcheck.ml]). *)
 
 val to_fixed :
   fmt:Fixedpoint.Qformat.t -> scaling:Scaling.t -> model -> Fixed_classifier.t

@@ -17,10 +17,11 @@
     shared read-only problem qualify; region-local mutation is fine
     because each region is processed by exactly one domain, even after
     being stolen).  The incumbent cost and feasibility are identical to
-    the sequential search on a run-to-completion; the explored node
+    the one-domain search on a run-to-completion; the explored node
     {e count} and ordering are scheduling-dependent under stealing.
-    With [domains = 1] (the default) the code path is the sequential
-    driver, unchanged.
+    With [domains = 1] (the default) the same driver runs on a single
+    shard: nothing is spawned, stolen or seeded, and the search is plain
+    best-first order over one heap.
 
     {2 Fault containment}
 
@@ -73,7 +74,14 @@ type params = {
           mid-search) *)
   log_every : int;  (** emit a [Logs] debug line every n nodes; 0 = never *)
   domains : int;
-      (** number of domains exploring the tree; 1 = sequential driver *)
+      (** number of domains exploring the tree, one shard each; with
+          more than one, the calling domain first grows the root (or a
+          restored frontier) on its own shard until it holds
+          [4 * domains] regions, then deals them round-robin by bound
+          rank across the shards, so every worker starts with local
+          work.  That seeding honours every stop condition, the
+          certified-pruning contract and the frontier cap, and its
+          expansions count against [max_nodes] like any other node. *)
   max_frontier : int;
       (** bounded-memory frontier: when positive, the queued frontier is
           capped at this many regions (split evenly across shards when
@@ -85,24 +93,11 @@ type params = {
           merely fail to converge below the shed residue.  [0] (default)
           = unlimited.  Shed counts surface in
           {!stats.frontier_shed}. *)
-  seed_factor : int;
-      (** eager frontier seeding (only with [domains > 1]): before the
-          worker domains start, the calling domain best-first expands
-          the root (or a restored frontier) until it holds at least
-          [seed_factor * domains] regions, then deals them round-robin
-          by bound rank across the shards — so every worker starts
-          with local work instead of parking while shard 0 grows the
-          tree alone.  Seeding honours every stop condition, the
-          certified-pruning contract and the frontier cap, and its
-          expansions count against [max_nodes] like any other node.
-          [0] disables the expansion (the frontier is still dealt by
-          rank).  Default 4. *)
 }
 
 val default_params : params
 (** [max_nodes = 100_000], [rel_gap = 1e-6], [abs_gap = 1e-12],
-    no time limit, no logging, [domains = 1], unlimited frontier,
-    [seed_factor = 4]. *)
+    no time limit, no logging, [domains = 1], unlimited frontier. *)
 
 type ('region, 'sol) faults = {
   policy : Fault.policy;
@@ -141,20 +136,22 @@ type stats = {
   stale_pops : int;  (** queue entries dominated by a newer incumbent *)
   incumbent_updates : int;
   children_generated : int;
-  domains_used : int;  (** 1 for the sequential driver *)
+  domains_used : int;  (** shards searched: [params.domains], at least 1 *)
   idle_wakeups : int;
       (** times a worker domain ran out of local work, found nothing to
-          steal, and actually parked; 0 for the sequential driver *)
+          steal, and actually parked; 0 at one shard, where running dry
+          means the search is drained *)
   steals : int;
-      (** successful steal-half transfers between shards; 0 for the
-          sequential driver *)
+      (** successful steal-half transfers between shards; 0 at one
+          shard *)
   stolen_nodes : int;
-      (** total queued regions moved by steals *)
+      (** total queued regions moved by steals; 0 at one shard *)
   seed_nodes : int;
-      (** nodes expanded by the eager seeding phase (see
-          {!params.seed_factor}) before the worker domains started;
+      (** nodes expanded by the eager seeding step (see
+          {!params.domains}) before the other worker domains started;
           cumulative across a resume chain and persisted through
-          checkpoints; 0 for a purely sequential chain *)
+          checkpoints; 0 for a chain run entirely at one shard, which
+          never seeds *)
   seed_seconds : float;
       (** wall-clock duration of the seeding phase (expansion + dealing),
           cumulative across a resume chain and persisted through
@@ -162,12 +159,12 @@ type stats = {
   targeted_wakeups : int;
       (** single-worker wakeup signals sent by pushes to parked workers —
           each one would have been a whole-herd broadcast under the old
-          protocol; 0 for the sequential driver *)
+          protocol; 0 at one shard *)
   steals_best_victim : int;
       (** successful steals that landed on the thief's first-choice
           victim — the shard advertising the globally minimal mirrored
           bound; low against [steals] means the batched mirrors are too
-          stale to guide victim selection *)
+          stale to guide victim selection; 0 at one shard *)
   domain_targeted_wakeups : int array;
       (** current-run per-worker breakdown of [targeted_wakeups],
           indexed by the woken worker (length [domains_used]); not
@@ -216,8 +213,8 @@ type stats = {
           deliberately discarded a tainted warm point *)
   stolen_warm : int;
       (** stolen regions that carried usable warm-start state at steal
-          time (see [?carries_warm] on {!minimize}); 0 for the
-          sequential driver or without the predicate *)
+          time (see [?carries_warm] on {!minimize}); 0 at one shard or
+          without the predicate *)
   counters_reset : bool;
       (** the resume chain passed through a checkpoint written before
           the warm/miss counters existed: the warm counters restarted
@@ -405,12 +402,13 @@ val minimize :
 (** Explore from the root region, on [params.domains] domains.  The
     root is always bounded on the calling domain before workers start;
     with [domains > 1] the calling domain then runs the eager seeding
-    phase ({!params.seed_factor}) before spawning workers.
+    step (see {!params.domains}) before spawning workers.
     Termination semantics (gap, node budget, wall-clock limit) are
-    identical across domain counts; in parallel the gap test uses the
-    minimum bound over queued {e and} in-flight regions across all
-    shards (read from conservative atomic mirrors), so it is never
-    optimistic, and the node budget may overshoot by at most
+    identical across domain counts.  The gap test uses the minimum
+    bound over queued {e and} in-flight regions across all shards: a
+    worker reads its own shard exactly and the others through
+    conservative atomic mirrors, so the test is never optimistic and is
+    exact at one shard.  The node budget may overshoot by at most
     [domains - 1] nodes already claimed when the budget trips.
     [?interrupt] is polled between nodes by every worker, without any
     lock held; returning [true] stops the search with {!Interrupted} —
@@ -419,8 +417,9 @@ val minimize :
     when given (and [domains > 1]) stolen regions satisfying it are
     counted into [stats.stolen_warm], turning "warm state survives
     steals" into a measured fact.  [?progress] emits a throttled
-    search-wide status line (nodes/s, incumbent, bound, gap, steals,
-    per-domain oracle utilization) after node expansions; with
+    search-wide status line (nodes/s, incumbent, certified bound — shed
+    residue included — gap, steals, per-domain oracle utilization)
+    after node expansions; with
     [domains > 1] the workers share the reporter's rate limit, so the
     cadence is unchanged.
 
@@ -445,16 +444,8 @@ val resume :
     is re-queued at its certified keys (without re-bounding), the
     incumbent, node count, statistics and elapsed wall-clock time are
     restored, so [max_nodes] and [time_limit] budget the {e whole}
-    search across restarts.  A sequential ([domains = 1]) search killed
-    at any point and resumed reaches the same incumbent cost as the
+    search across restarts.  A search killed at any point and resumed,
+    at any domain count, reaches the same incumbent cost as the
     uninterrupted run (verified by property tests).  The caller is
     responsible for loading the state with a fingerprint check
     ({!Checkpoint.load}). *)
-
-val minimize_parallel :
-  ?params:params ->
-  domains:int ->
-  ('region, 'sol) oracle ->
-  'region ->
-  'sol result
-(** [minimize] with [params.domains] overridden by [domains]. *)

@@ -1,5 +1,5 @@
-(* Sharded work-stealing scheduler for the parallel branch-and-bound
-   driver.  Each worker owns a shard: a private best-first heap plus a
+(* Sharded work-stealing scheduler for the branch-and-bound driver.
+   Each worker owns a shard: a private best-first heap plus a
    single in-flight slot, both guarded by a per-shard lock.  A worker
    whose own heap runs dry steals the best half of a victim's heap
    instead of blocking on a central queue, so in steady state queue
@@ -166,17 +166,19 @@ let create ?carries_warm ~workers () =
 
 let workers t = Array.length t.shards
 
+(* min(queue min key, busy key): the exact bound of one shard's live
+   work.  Must hold [s.lock]. *)
+let shard_bound s =
+  match s.busy with
+  | Some (k, _) -> Float.min k (Pqueue.min_key s.queue)
+  | None -> Pqueue.min_key s.queue
+
 (* Exact mirror publication.  Must hold [s.lock].  The frontier-size
    gauge rides the same epoch batching: summing the length mirrors is
    [workers] atomic loads, paid only on exact publishes — never on the
    per-push/pop hot path — and nothing at all when metrics are off. *)
 let publish_mirrors t s =
-  let b =
-    match s.busy with
-    | Some (k, _) -> Float.min k (Pqueue.min_key s.queue)
-    | None -> Pqueue.min_key s.queue
-  in
-  Atomic.set s.bound_mirror b;
+  Atomic.set s.bound_mirror (shard_bound s);
   Atomic.set s.len_mirror (Pqueue.length s.queue);
   s.dirty <- 0;
   if Obs.Metrics.enabled () then begin
@@ -432,6 +434,22 @@ let snapshot t =
   Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
   acc
 
+(* Deal shard 0's queue round-robin by bound rank: consecutive ranks land
+   on different shards, so every worker starts with a comparably
+   promising slice of the frontier instead of queueing up to steal from
+   shard 0.  Setup-time only (no worker running), so no locks. *)
+let deal t =
+  let n = Array.length t.shards in
+  let hands = Array.make n [] in
+  Pqueue.drain t.shards.(0).queue (fun rank key v ->
+      hands.(rank mod n) <- (key, v) :: hands.(rank mod n));
+  Array.iteri
+    (fun i hand ->
+      let s = t.shards.(i) in
+      List.iter (fun (key, v) -> Pqueue.push s.queue key v) hand;
+      publish_mirrors t s)
+    hands
+
 (* Flush every shard's batched staleness: after this (and with no
    concurrent mutators) the mirrors are exact, not merely
    conservative.  The driver calls it once after the worker joins so
@@ -449,6 +467,23 @@ let frontier_bound t =
   Array.fold_left
     (fun acc s -> Float.min acc (Atomic.get s.bound_mirror))
     Float.infinity t.shards
+
+(* Own shard exact, then the others' mirrors — in that order.  Only the
+   owner moves work into its own shard, so an item can only leave it (to
+   a thief, whose mirror is published before the steal unlocks): read
+   after ours, the thief's mirror already covers it.  With one shard
+   this is the exact frontier minimum. *)
+let frontier_bound_for t ~worker =
+  let s = t.shards.(worker) in
+  Mutex.lock s.lock;
+  let own = shard_bound s in
+  Mutex.unlock s.lock;
+  let b = ref own in
+  Array.iteri
+    (fun i s ->
+      if i <> worker then b := Float.min !b (Atomic.get s.bound_mirror))
+    t.shards;
+  !b
 
 let live t = Atomic.get t.live
 let drained t = Atomic.get t.live = 0

@@ -1,5 +1,5 @@
-(** Sharded work-stealing scheduler for the parallel branch-and-bound
-    driver.
+(** Sharded work-stealing scheduler for the branch-and-bound driver
+    (one shard per domain; a one-domain search is a single shard).
 
     Each worker owns a {e shard}: a private best-first min-heap plus a
     single in-flight slot, guarded by a per-shard lock.  Workers push
@@ -23,9 +23,8 @@
     Concurrency contract:
     - [push]/[take]/[release] with a given [~worker] index must only be
       called by that worker (shard ownership); [try_steal ~thief]
-      likewise.  Exception: before any worker has started (e.g. while
-      the driver deals a seeded frontier across shards), the setup
-      thread may [push] to any shard.
+      likewise.  Exception: before any worker has started, the setup
+      thread may [push] to any shard and {!deal}.
     - Items must never be mutated after being pushed (the B&B contract),
       which is what makes {!snapshot} and node migration race-free.
     - [frontier_bound] is conservative: at every instant it is [<=] the
@@ -118,6 +117,18 @@ val frontier_bound : 'a t -> float
     mirrors: conservative (never above the true minimum) at every
     instant, exact at quiescence after {!sync_mirrors}.  [infinity]
     when drained. *)
+
+val frontier_bound_for : 'a t -> worker:int -> float
+(** {!frontier_bound} as [worker] sees it: its own shard read exactly
+    (under the shard lock), every other shard through its mirror.  Still
+    conservative at every instant, and exact with a single shard — the
+    gap test the driver runs, so a one-domain search stops exactly where
+    a plain best-first heap would. *)
+
+val deal : 'a t -> unit
+(** Move shard 0's queued items round-robin by bound rank across all
+    shards (rank 0 stays on shard 0) and publish exact mirrors.  Call
+    only before any worker has started. *)
 
 val live : 'a t -> int
 (** Queued + in-flight items across all shards. *)

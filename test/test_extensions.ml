@@ -10,7 +10,7 @@ let checkf tol msg = Alcotest.(check (float tol)) msg
 
 module Gradcheck_helpers = struct
   let check_grad ~f ~grad x =
-    (Optim.Gradcheck.check ~f ~grad x).Optim.Gradcheck.max_grad_error
+    (Gradcheck.check ~f ~grad x).Gradcheck.max_grad_error
 end
 
 let easy_dataset seed n =
@@ -337,13 +337,13 @@ let test_logreg_loss_oracle_derivatives () =
   let theta =
     Array.init (m + 1) (fun _ -> Stats.Rng.uniform rng ~lo:(-0.5) ~hi:0.5)
   in
-  match Optim.Gradcheck.check_oracle oracle theta with
+  match Gradcheck.check_oracle oracle theta with
   | None -> Alcotest.fail "oracle rejected interior point"
   | Some r ->
       checkb "gradient matches finite differences" true
-        (r.Optim.Gradcheck.max_grad_error < 1e-6);
+        (r.Gradcheck.max_grad_error < 1e-6);
       checkb "hessian matches finite differences" true
-        (r.Optim.Gradcheck.max_hess_error < 1e-5)
+        (r.Gradcheck.max_hess_error < 1e-5)
 
 let test_logreg_separates_easy_data () =
   let ds = easy_dataset 51 200 in

@@ -1307,12 +1307,12 @@ let prop_parallel_resume_matches_sequential =
               | _ -> QCheck.Test.fail_report "missing incumbent")))
 
 (* Eager frontier seeding must be invisible to the search's conclusion:
-   whatever the seed factor, the seeded parallel run lands on the
-   sequential incumbent with the same certified gap — under injected
-   bound faults, and through a kill that lands inside the seed phase
-   itself (a large [seed_factor] keeps the whole budgeted prefix inside
-   the seed loop, so a small [max_nodes] trips there; the snapshot taken
-   from the half-dealt frontier must resume to the same answer).
+   the seeded parallel run lands on the one-domain incumbent with the
+   same certified gap — under injected bound faults, and through a kill
+   at a node budget that lands inside the seed phase itself (seeding
+   grows 4 × domains regions, so budgets of a few nodes trip there; the
+   snapshot of the half-grown frontier must resume to the same answer)
+   or after it.
    Injection and kill/resume stay separate dimensions for the same
    reason as in [prop_ldafp_warm_cold_agree]: injection seeds are
    per-run. *)
@@ -1321,23 +1321,23 @@ let prop_seeded_parallel_agrees_with_sequential =
     ~name:"seeded parallel search matches sequential incumbent and gap"
     ~count:(qcheck_count 15)
     (QCheck.make
-       ~print:(fun (rate, seed, domains, target, seed_factor, resume) ->
+       ~print:(fun (rate, seed, domains, target, kill_after, resume) ->
          Printf.sprintf
-           "rate=%.3f seed=%d domains=%d target=%.2f seed_factor=%d resume=%b"
-           rate seed domains target seed_factor resume)
+           "rate=%.3f seed=%d domains=%d target=%.2f kill_after=%d resume=%b"
+           rate seed domains target kill_after resume)
        QCheck.Gen.(
          map3
-           (fun (rate, seed) (domains, target) (seed_factor, resume) ->
-             (rate, seed, domains, target, seed_factor, resume))
+           (fun (rate, seed) (domains, target) (kill_after, resume) ->
+             (rate, seed, domains, target, kill_after, resume))
            fault_rate_gen
            (pair (oneofl [ 2; 4 ]) (float_range (-20.0) 20.0))
-           (pair (oneofl [ 2; 8; 32 ]) bool)))
-    (fun (rate, seed, domains, target, seed_factor, resume) ->
+           (pair (oneofl [ 1; 2; 3; 4; 8; 32 ]) bool)))
+    (fun (rate, seed, domains, target, kill_after, resume) ->
       let clean = integer_quadratic_oracle target in
       let root = (-100, 100) in
       let exact = { Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 } in
       let seq = Bnb.minimize ~params:exact clean root in
-      let par_params = { exact with Bnb.domains; seed_factor } in
+      let par_params = { exact with Bnb.domains } in
       let run () =
         if resume then begin
           let path = temp_checkpoint () in
@@ -1345,7 +1345,6 @@ let prop_seeded_parallel_agrees_with_sequential =
             ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
             (fun () ->
               Sys.remove path;
-              let kill_after = 1 + (seed mod 4) in
               let killed =
                 Bnb.minimize
                   ~params:{ par_params with Bnb.max_nodes = kill_after }

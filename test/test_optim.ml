@@ -745,8 +745,9 @@ let test_bnb_parallel_matches_sequential () =
   List.iter
     (fun domains ->
       let r =
-        Bnb.minimize_parallel ~domains (integer_quadratic_oracle 7.3)
-          (-100, 100)
+        Bnb.minimize
+          ~params:{ Bnb.default_params with domains }
+          (integer_quadratic_oracle 7.3) (-100, 100)
       in
       (match r.Bnb.best with
       | Some (x, c) ->
@@ -760,25 +761,195 @@ let test_bnb_parallel_matches_sequential () =
         | _ -> false))
     [ 2; 4 ]
 
-let test_bnb_domains_one_identity () =
-  (* domains = 1 must route to the sequential driver: identical result,
-     node count and statistics, not merely an equivalent incumbent. *)
-  let a = Bnb.minimize (integer_quadratic_oracle 3.7) (-50, 50) in
-  let b =
-    Bnb.minimize_parallel ~domains:1 (integer_quadratic_oracle 3.7) (-50, 50)
+(* Weighted separable quadratic over the integer points of a 3-D box:
+   the bound is the continuous minimum, the candidate its rounding, and
+   branching halves the widest side. *)
+let box_quadratic_oracle ~weights ~center =
+  let cost x =
+    let s = ref 0.0 in
+    Array.iteri
+      (fun i w -> s := !s +. (w *. ((x.(i) -. center.(i)) ** 2.0)))
+      weights;
+    !s
   in
-  checkb "same best" true (a.Bnb.best = b.Bnb.best);
-  checki "same nodes" a.Bnb.nodes_explored b.Bnb.nodes_explored;
-  checkb "same stop reason" true (a.Bnb.stop_reason = b.Bnb.stop_reason);
-  (* oracle_seconds and wall_seconds are wall-clock and differ run to
-     run; every counting field must still be identical. *)
-  let scrub s =
-    { s with Bnb.oracle_seconds = 0.0; domain_oracle_seconds = [||];
-      wall_seconds = 0.0 }
+  {
+    Bnb.bound =
+      (fun (lo, hi) ->
+        let cont =
+          Array.mapi
+            (fun i c ->
+              Float.max (float_of_int lo.(i))
+                (Float.min (float_of_int hi.(i)) c))
+            center
+        in
+        let cand =
+          Array.mapi
+            (fun i c -> max lo.(i) (min hi.(i) (int_of_float (Float.round c))))
+            cont
+        in
+        Some
+          {
+            Bnb.lower = cost cont;
+            candidate = Some (cand, cost (Array.map float_of_int cand));
+          });
+    branch =
+      (fun (lo, hi) ->
+        let widest = ref 0 in
+        Array.iteri
+          (fun i l ->
+            if hi.(i) - l > hi.(!widest) - lo.(!widest) then widest := i)
+          lo;
+        let i = !widest in
+        if hi.(i) <= lo.(i) then []
+        else
+          let mid = (lo.(i) + hi.(i)) asr 1 in
+          let hi1 = Array.copy hi and lo2 = Array.copy lo in
+          hi1.(i) <- mid;
+          lo2.(i) <- mid + 1;
+          [ (lo, hi1); (lo2, hi) ]);
+  }
+
+(* One-domain searches pinned to the values a plain single-heap
+   best-first search produces: node count, stop reason, best cost and
+   bound as IEEE bits, and every counting field of [stats] ([counts]
+   lists the non-zero integers; every other integer must be 0,
+   [certified_sound] true, [counters_reset] false). *)
+let check_pinned name ~nodes ~stop ~cost ~bound ~counts (r_nodes, r_stop,
+    r_cost, r_bound, stats) =
+  let bits = Alcotest.(check int64) in
+  checki (name ^ ": nodes") nodes r_nodes;
+  Alcotest.(check string)
+    (name ^ ": stop reason") (Bnb.stop_reason_name stop)
+    (Bnb.stop_reason_name r_stop);
+  bits (name ^ ": cost bits") cost (Int64.bits_of_float r_cost);
+  bits (name ^ ": bound bits") bound (Int64.bits_of_float r_bound);
+  match Bnb.stats_to_json stats with
+  | Obs.Json.Obj fields ->
+      List.iter
+        (fun (k, v) ->
+          let what = Printf.sprintf "%s: %s" name k in
+          match v with
+          | Obs.Json.Int n ->
+              checki what (Option.value ~default:0 (List.assoc_opt k counts)) n
+          | Obs.Json.Bool b -> checkb what (k = "certified_sound") b
+          | Obs.Json.List (Obs.Json.Int _ :: _) ->
+              checkb what true (v = Obs.Json.List [ Obs.Json.Int 0 ])
+          | _ -> (* wall-clock times *) ())
+        fields
+  | _ -> Alcotest.fail "stats_to_json is not an object"
+
+let of_result (r : _ Bnb.result) =
+  let cost = match r.Bnb.best with Some (_, c) -> c | None -> Float.nan in
+  (r.Bnb.nodes_explored, r.Bnb.stop_reason, cost, r.Bnb.bound, r.Bnb.stats)
+
+let test_bnb_domains_one_pinned () =
+  (* (a) A search run to exhaustion. *)
+  let exact = { Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 } in
+  check_pinned "exact 1-D" ~nodes:5 ~stop:Bnb.Proved_optimal
+    ~cost:0x3fb70a3d70a3d703L ~bound:0x3fb70a3d70a3d703L
+    ~counts:
+      [ ("bound_pruned", 6); ("incumbent_updates", 1);
+        ("children_generated", 10); ("domains_used", 1) ]
+    (of_result
+       (Bnb.minimize ~params:exact (integer_quadratic_oracle 7.3) (-100, 100)));
+  (* (b) A search stopped by the gap tolerance.  It stops after 16 nodes
+     only if the gap test reads the frontier minimum exactly: a bound
+     left stale-low by batched mirror publication keeps it running to
+     19 nodes and a drained frontier. *)
+  let weights =
+    [| 0x1.13b5bdb5203fdp+0; 0x1.12449a0d4bcc7p+1; 0x1.a101f94b2669ap+0 |]
+  and center =
+    [| -0x1.163cf27987e3dp+4; 0x1.098e062fba698p+3; 0x1.7f2779f95fb7cp+3 |]
   in
-  checkb "same stats" true (scrub a.Bnb.stats = scrub b.Bnb.stats);
-  checki "one domain reported" 1 a.Bnb.stats.Bnb.domains_used;
-  checkf 1e-12 "same bound" a.Bnb.bound b.Bnb.bound
+  check_pinned "gap-stopped 3-D" ~nodes:16 ~stop:Bnb.Gap_reached
+    ~cost:0x3fd6c6bb759a809cL ~bound:0x3fd6b4166d58cb02L
+    ~counts:
+      [ ("bound_pruned", 16); ("incumbent_updates", 1);
+        ("children_generated", 32); ("domains_used", 1) ]
+    (of_result
+       (Bnb.minimize
+          ~params:{ exact with rel_gap = 1e-2 }
+          (box_quadratic_oracle ~weights ~center)
+          (Array.make 3 (-40), Array.make 3 40)));
+  (* (c) LDA-FP training at its default tolerance (rel_gap = 1e-3). *)
+  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:2 in
+  let ds =
+    Datasets.Synthetic.generate ~n_per_class:200 (Stats.Rng.create 42)
+  in
+  let prep = Ldafp_core.Pipeline.prepare ~fmt ds in
+  let pb =
+    Ldafp_core.Ldafp_problem.build ~fmt prep.Ldafp_core.Pipeline.scatter
+  in
+  match Ldafp_core.Lda_fp.solve pb with
+  | None -> Alcotest.fail "LDA-FP found no classifier"
+  | Some o ->
+      let d = o.Ldafp_core.Lda_fp.diagnostics in
+      check_pinned "LDA-FP" ~nodes:150 ~stop:Bnb.Gap_reached
+        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2b033b65f3470L
+        ~counts:
+          [ ("infeasible_regions", 143); ("bound_pruned", 7);
+            ("incumbent_updates", 1); ("children_generated", 300);
+            ("domains_used", 1); ("warm_start_hits", 137);
+            ("phase1_skipped", 137); ("warm_pull_ins", 36);
+            ("warm_miss_no_parent", 1); ("warm_miss_not_interior", 13);
+            ("cert_verified", 414) ]
+        ( d.Ldafp_core.Lda_fp.nodes, d.Ldafp_core.Lda_fp.stop_reason,
+          o.Ldafp_core.Lda_fp.cost, d.Ldafp_core.Lda_fp.bound,
+          d.Ldafp_core.Lda_fp.search )
+
+let test_bnb_progress_bound_folds_shed () =
+  (* A binary tree whose bounds grow with depth.  Capping the frontier at
+     one region sheds node 2 (bound 2); after node 1 expands, every queued
+     bound is above 2.  The progress line must print the certified bound,
+     shed residue folded in, never the raw frontier minimum above it. *)
+  let oracle =
+    {
+      Bnb.bound =
+        (fun n ->
+          let lower = float_of_int n in
+          let candidate = if n >= 7 then Some (n, 100.0 +. lower) else None in
+          Some { Bnb.lower; candidate });
+      branch = (fun n -> if n < 7 then [ (2 * n) + 1; (2 * n) + 2 ] else []);
+    }
+  in
+  let params =
+    { Bnb.default_params with max_frontier = 1; rel_gap = 0.0; abs_gap = 0.0 }
+  in
+  let path = Filename.temp_file "ldafp_progress" ".txt" in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Clock.use_monotonic ())
+      (fun () ->
+        (* Every clock read advances 2 s: the reporter is due after
+           every node. *)
+        let t = ref 0 in
+        Obs.Clock.set_source (fun () ->
+            t := !t + 2_000_000_000;
+            !t);
+        Out_channel.with_open_text path (fun channel ->
+            let progress = Obs.Progress.create ~channel () in
+            Bnb.minimize ~params ~progress oracle 0))
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove path;
+  checkb "frontier was shed" true (r.Bnb.stats.Bnb.frontier_shed > 0);
+  checki "one progress line per node" r.Bnb.nodes_explored (List.length lines);
+  let rec printed_bound = function
+    | "bound" :: v :: _ -> float_of_string v
+    | _ :: tl -> printed_bound tl
+    | [] -> Alcotest.fail "progress line without a bound"
+  in
+  List.iter
+    (fun line ->
+      let b = printed_bound (String.split_on_char ' ' line) in
+      if b > r.Bnb.bound then
+        Alcotest.failf "printed bound %g exceeds the certified %g: %s" b
+          r.Bnb.bound line)
+    lines
 
 let test_pqueue_drain () =
   let q = Pqueue.create () in
@@ -962,6 +1133,37 @@ let test_work_deque_last_node_stolen () =
   checkb "park after close" true (Work_deque.park d ~worker:0 = `Closed);
   checkb "closed flag" true (Work_deque.is_closed d)
 
+let test_work_deque_deal_and_own_bound () =
+  let d = Work_deque.create ~workers:2 () in
+  List.iter
+    (fun k -> Work_deque.push d ~worker:0 k (int_of_float k))
+    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
+  Work_deque.deal d;
+  let drain worker =
+    let rec go acc =
+      match Work_deque.take d ~worker with
+      | Some (k, _) ->
+          Work_deque.release d ~worker;
+          go (k :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  (* Take and release the best item of shard 0: its bound mirror now
+     lags low (batched publication), but its owner reads it exactly. *)
+  (match Work_deque.take d ~worker:0 with
+  | Some (k, _) -> checkf 1e-12 "rank 0 stays on shard 0" 1.0 k
+  | None -> Alcotest.fail "shard 0 should hold rank 0");
+  Work_deque.release d ~worker:0;
+  checkf 1e-12 "mirror stale low" 1.0 (Work_deque.frontier_bound d);
+  checkf 1e-12 "own shard exact, sibling mirrored" 2.0
+    (Work_deque.frontier_bound_for d ~worker:0);
+  Alcotest.(check (list (float 0.0))) "odd ranks dealt to shard 1"
+    [ 2.0; 4.0 ] (drain 1);
+  Alcotest.(check (list (float 0.0))) "even ranks kept on shard 0"
+    [ 3.0; 5.0 ] (drain 0);
+  checkb "nothing lost in the deal" true (Work_deque.drained d)
+
 (* Watchdog: run the search on a helper domain and poll, so a
    termination bug fails the test instead of hanging the suite (same
    scheme as test_fault.ml). *)
@@ -1034,7 +1236,7 @@ let test_bnb_seed_checkpoint_resume () =
   let full =
     Bnb.minimize ~params:exact (integer_quadratic_oracle target) (-100, 100)
   in
-  let params = { exact with Bnb.domains = 4; seed_factor = 8; max_nodes = 2 } in
+  let params = { exact with Bnb.domains = 4; max_nodes = 2 } in
   let ck = Bnb.checkpointing ~every_nodes:1 ~fingerprint:"seed-ck" path in
   let sliced =
     Bnb.minimize ~params ~checkpointing:ck (integer_quadratic_oracle target)
@@ -1074,8 +1276,9 @@ let prop_bnb_parallel_incumbent =
     (fun (target, domains) ->
       let seq = Bnb.minimize (integer_quadratic_oracle target) (-25, 25) in
       let par =
-        Bnb.minimize_parallel ~domains (integer_quadratic_oracle target)
-          (-25, 25)
+        Bnb.minimize
+          ~params:{ Bnb.default_params with domains }
+          (integer_quadratic_oracle target) (-25, 25)
       in
       let ok_stop r =
         match r.Bnb.stop_reason with
@@ -1424,6 +1627,8 @@ let () =
             test_work_deque_mirror_conservative;
           Alcotest.test_case "last node stolen mid-drain" `Quick
             test_work_deque_last_node_stolen;
+          Alcotest.test_case "deal by rank; own shard read exactly" `Quick
+            test_work_deque_deal_and_own_bound;
         ] );
       ( "newton",
         [
@@ -1494,12 +1699,14 @@ let () =
             test_bnb_wall_clock_time_limit;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_bnb_parallel_matches_sequential;
-          Alcotest.test_case "domains=1 identity" `Quick
-            test_bnb_domains_one_identity;
+          Alcotest.test_case "domains=1 pinned search" `Quick
+            test_bnb_domains_one_pinned;
           Alcotest.test_case "single-chain termination on 4 domains" `Quick
             test_bnb_chain_termination;
           Alcotest.test_case "checkpoint mid-seed resumes" `Quick
             test_bnb_seed_checkpoint_resume;
+          Alcotest.test_case "progress bound folds in shed residue" `Quick
+            test_bnb_progress_bound_folds_shed;
         ] );
       ("properties", qcheck_tests);
     ]
