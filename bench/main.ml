@@ -1085,9 +1085,10 @@ let run_fault_tolerance ~quick ?seed () =
 (* Throughput of the batched C-kernel datapath vs the scalar
    [Fixed_classifier] reference, plus a >= 10^5-input bit-exactness
    sweep (the CI gate checks [batch_vs_scalar_agreement] and
-   [agreement_inputs], never the timings).  Both timed paths run on
-   pre-quantised inputs: the comparison is steady-state MAC + threshold
-   throughput, not the (allocating) front-end conversion. *)
+   [agreement_inputs], never the timings).  The scalar and batched
+   figures run on pre-quantised inputs: steady-state MAC + threshold
+   throughput.  [load_preds_per_sec] is the same engine end to end, from
+   floats through the front-end quantiser ([load_rows]) to verdicts. *)
 let run_infer ~quick ?seed () =
   let seed = Option.value seed ~default:42 in
   print_newline ();
@@ -1173,6 +1174,11 @@ let run_infer ~quick ?seed () =
   let batched_pps =
     throughput (fun () -> Infer.Engine.predict_into engine batch out)
   in
+  let load_pps =
+    throughput (fun () ->
+        ignore (Infer.Engine.load_rows engine batch cols : int);
+        Infer.Engine.predict_into engine batch out)
+  in
   (* Sharded: independent engines chewing the same batch shape on 2 and
      4 domains — aggregate preds/sec over the joint wall time. *)
   let shard domains =
@@ -1226,6 +1232,8 @@ let run_infer ~quick ?seed () =
     scalar_pps;
   Printf.printf "  %-28s %12.3g preds/sec  (%.2fx scalar)\n" "batched (C MAC)"
     batched_pps (batched_pps /. scalar_pps);
+  Printf.printf "  %-28s %12.3g preds/sec\n" "batched from floats (load)"
+    load_pps;
   List.iter
     (fun (d, pps) ->
       Printf.printf "  %-28s %12.3g preds/sec\n"
@@ -1245,6 +1253,7 @@ let run_infer ~quick ?seed () =
       ("scalar_preds_per_sec", Json.Float scalar_pps);
       ("batched_preds_per_sec", Json.Float batched_pps);
       ("speedup", Json.Float (batched_pps /. scalar_pps));
+      ("load_preds_per_sec", Json.Float load_pps);
       ( "sharded",
         Json.List
           (List.map

@@ -4,8 +4,8 @@ type ba1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type ba2 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array2.t
 
 type t = {
-  fmt : Qformat.t;
-  data : ba2; (* (features, capacity), raw codes in [fmt] range *)
+  quant : Quantizer.t; (* the batch format, unscaled: [load_floats] *)
+  data : ba2; (* (features, capacity), raw codes in the format's range *)
   mutable len : int;
 }
 
@@ -14,9 +14,10 @@ let create ~fmt ~features ~capacity =
   if capacity < 1 then invalid_arg "Batch.create: capacity must be >= 1";
   let data = Bigarray.Array2.create Bigarray.int Bigarray.c_layout features capacity in
   Bigarray.Array2.fill data 0;
-  { fmt; data; len = 0 }
+  let quant = Quantizer.create fmt ~exponents:(Array.make features 0) in
+  { quant; data; len = 0 }
 
-let format t = t.fmt
+let format t = Quantizer.format t.quant
 let n_features t = Bigarray.Array2.dim1 t.data
 let capacity t = Bigarray.Array2.dim2 t.data
 let length t = t.len
@@ -26,14 +27,6 @@ let set_length t n =
   t.len <- n
 
 let data t = t.data
-let set_raw t ~feature ~col raw = t.data.{feature, col} <- Qformat.wrap_raw t.fmt raw
-let get_raw t ~feature ~col = t.data.{feature, col}
 
 let load_floats t ~col x =
-  let m = n_features t in
-  if Array.length x <> m then
-    invalid_arg "Batch.load_floats: dimension mismatch";
-  for j = 0 to m - 1 do
-    t.data.{j, col} <-
-      Fx.raw (Fx.of_float ~ov:Rounding.Saturate t.fmt (Array.unsafe_get x j))
-  done
+  Quantizer.into t.quant ~what:"Batch.load_floats" x t.data ~col

@@ -15,7 +15,7 @@ type t = {
   uniform : bool;
   thr_raw : int;
   polarity : bool;
-  exponents : int array; (* front-end scaling, x_j / 2^e_j *)
+  quant : Quantizer.t; (* front-end scaling x_j / 2^e_j and quantisation *)
   proj : Batch.ba1; (* scratch projections, one per batch column *)
   capacity : int;
   features : int;
@@ -55,7 +55,9 @@ let make ~fmt ~w_raws ~shifts ~uniform ~thr_raw ~polarity ~scaling ~capacity =
     uniform;
     thr_raw;
     polarity;
-    exponents = Array.init features (Scaling.exponent scaling);
+    quant =
+      Quantizer.create fmt
+        ~exponents:(Array.init features (Scaling.exponent scaling));
     proj;
     capacity;
     features;
@@ -94,21 +96,23 @@ let polarity t = t.polarity
 let threshold_raw t = t.thr_raw
 let make_batch t = Batch.create ~fmt:t.fmt ~features:t.features ~capacity:t.capacity
 
+let check_format what t batch =
+  if not (Qformat.equal (Batch.format batch) t.fmt) then
+    invalid_arg (what ^ ": batch format differs from the engine's")
+
 let load t batch ~col x =
-  if Array.length x <> t.features then
-    invalid_arg "Engine.load: dimension mismatch";
-  for j = 0 to t.features - 1 do
-    let v = ldexp (Array.unsafe_get x j) (-t.exponents.(j)) in
-    Batch.set_raw batch ~feature:j ~col
-      (Fx.raw (Fx.of_float ~ov:Rounding.Saturate t.fmt v))
-  done
+  check_format "Engine.load" t batch;
+  Quantizer.into t.quant ~what:"Engine.load" x (Batch.data batch) ~col
 
 let load_rows t batch ?(start = 0) ?n rows =
+  check_format "Engine.load_rows" t batch;
+  if start < 0 then invalid_arg "Engine.load_rows: negative start";
   let avail = max 0 (Array.length rows - start) in
   let fit = min avail (Batch.capacity batch) in
   let n = match n with Some n -> min (max n 0) fit | None -> fit in
+  let data = Batch.data batch in
   for c = 0 to n - 1 do
-    load t batch ~col:c rows.(start + c)
+    Quantizer.into t.quant ~what:"Engine.load_rows" rows.(start + c) data ~col:c
   done;
   Batch.set_length batch n;
   n

@@ -8,9 +8,10 @@
     identical to the scalar [predict]: same front-end quantisation, same
     wrapping multiply-accumulate, same threshold comparison.
 
-    The steady state allocates nothing: {!project_into} and
-    {!predict_into} on a warm batch perform zero minor-heap allocations
-    (unit-tested), so a long-lived server loop never pressures the GC.
+    The steady state allocates nothing: {!load}, {!load_rows},
+    {!project_into} and {!predict_into} on a warm batch perform zero
+    minor-heap allocations (unit-tested), so a long-lived server loop
+    never pressures the GC.
 
     Observability (both zero-cost when {!Obs.Metrics.enabled} is off):
     - [ldafp_infer_predictions_total] — predictions served;
@@ -45,17 +46,21 @@ val make_batch : t -> Batch.t
 (** A fresh batch in the engine's input format and capacity. *)
 
 val load : t -> Batch.t -> col:int -> float array -> unit
-(** Front-end conversion of one raw (unscaled) feature vector: apply
-    the model's power-of-two scaling, round to nearest (ties to even),
-    saturate into the engine format — exactly
-    [Fixed_classifier.quantize_input].  Does not touch the batch
-    length.  Loading allocates (it is the cold edge of the datapath);
-    the predict path does not. *)
+(** Front-end conversion of one raw (unscaled) feature vector into
+    column [col]: apply the model's power-of-two scaling, round to
+    nearest (ties to even), saturate into the engine format — bit for
+    bit [Fixed_classifier.quantize_input], through the allocation-free
+    {!Fixedpoint.Quantizer}.  Does not touch the batch length.
+    @raise Invalid_argument if the batch's format is not the engine's,
+    if [x] or the batch has the wrong feature count, if [col] is outside
+    [\[0, capacity)], or if a feature is NaN (the message names the
+    feature index). *)
 
 val load_rows : t -> Batch.t -> ?start:int -> ?n:int -> float array array -> int
 (** Load rows [start .. start+n-1] (clamped to what fits the batch
     capacity and the array), set the batch length, return the count
-    loaded. *)
+    loaded.  Checks as {!load}, per row.
+    @raise Invalid_argument also if [start < 0]. *)
 
 val project_into : t -> Batch.t -> unit
 (** Run the MAC kernel over the live columns; results are readable via

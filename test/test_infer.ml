@@ -32,9 +32,12 @@ let raw_gen fmt =
         (1, oneofl [ Qformat.min_raw fmt; Qformat.max_raw fmt; 0; -1; 1 ]);
       ])
 
-(* Inputs biased toward saturation (far outside any format range) and
-   format-boundary magnitudes. *)
-let input_gen fmt =
+(* Raw inputs for a feature scaled by 2^-e, biased toward saturation
+   (far outside any format range), format-boundary magnitudes and exact
+   ties (k + 1/2) 2^-f after scaling, plus the values whose scaling
+   overflows or underflows: +-max_float, +-infinity and subnormals. *)
+let input_gen ?(e = 0) fmt =
+  let unscale s = ldexp s (e - fmt.Qformat.f) in
   QCheck.Gen.(
     frequency
       [
@@ -48,7 +51,25 @@ let input_gen fmt =
               -.Qformat.min_value fmt;
               2.0 *. Qformat.max_value fmt;
             ] );
+        ( 2,
+          let* k =
+            int_range (Qformat.min_raw fmt - 2) (Qformat.max_raw fmt + 2)
+          in
+          return (unscale (float_of_int k +. 0.5)) );
+        ( 1,
+          oneofl
+            [ Float.max_float; -.Float.max_float; Float.infinity;
+              Float.neg_infinity; 4.9e-324; -0.0 ] );
       ])
+
+(* Mostly small scaling exponents, sometimes anywhere in +-1100, where
+   2^(f - e) is no longer a normal double. *)
+let exponent_gen =
+  QCheck.Gen.(frequency [ (6, int_range (-3) 3); (1, int_range (-1100) 1100) ])
+
+(* One row: feature j drawn for exponent [es.(j)]. *)
+let row_gen fmt es =
+  QCheck.Gen.flatten_a (Array.map (fun e -> input_gen ~e fmt) es)
 
 let fmt_gen =
   QCheck.Gen.(
@@ -66,9 +87,9 @@ let arb_uniform_case ~rows =
       let* m = int_range 1 8 in
       let* w_raws = array_size (return m) (raw_gen fmt) in
       let* thr_raw = raw_gen fmt in
-      let* exponents = array_size (return m) (int_range (-3) 3) in
+      let* exponents = array_size (return m) exponent_gen in
       let* polarity = bool in
-      let* xs = list_size (return rows) (array_size (return m) (input_gen fmt)) in
+      let* xs = list_size (return rows) (row_gen fmt exponents) in
       return
         (clf_of_raws ~polarity fmt ~w_raws ~thr_raw ~exponents, Array.of_list xs))
 
@@ -99,11 +120,9 @@ let arb_hetero_case ~rows =
         array_size (return m) (float_range (-3.0) 3.0)
       in
       let* threshold = float_range (-1.5) 1.5 in
-      let* exponents = array_size (return m) (int_range (-3) 3) in
+      let* exponents = array_size (return m) exponent_gen in
       let* polarity = bool in
-      let* xs =
-        list_size (return rows) (array_size (return m) (input_gen acc_fmt))
-      in
+      let* xs = list_size (return rows) (row_gen acc_fmt exponents) in
       let h =
         Hetero_classifier.create ~polarity ~acc_fmt ~formats:w_fmts ~weights
           ~threshold
@@ -213,25 +232,85 @@ let test_steady_state_no_alloc () =
     Array.init 256 (fun _ ->
         Array.init 4 (fun _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0))
   in
-  let n = Infer.Engine.load_rows engine batch rows in
-  checki "batch full" 256 n;
   let preds = Bytes.create 256 in
+  let serve () =
+    let n = Infer.Engine.load_rows engine batch rows in
+    Infer.Engine.predict_into engine batch preds;
+    n
+  in
+  checki "batch full" 256 (serve ());
   (* Warm up (first call may fault pages / build closures). *)
   for _ = 1 to 3 do
-    Infer.Engine.predict_into engine batch preds
+    ignore (serve () : int)
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    Infer.Engine.predict_into engine batch preds
+    ignore (serve () : int)
   done;
   let delta = Gc.minor_words () -. before in
-  (* 1000 calls x 256 predictions: anything beyond the Gc.minor_words
-     probe noise means a per-call allocation crept in. *)
+  (* 1000 calls x 256 rows x 4 features loaded and predicted: anything
+     beyond the Gc.minor_words probe noise means a per-call (let alone
+     per-value) allocation crept in. *)
   checkb
-    (Printf.sprintf "steady-state batched predict allocates nothing (%.0f \
-                     words)"
+    (Printf.sprintf "steady-state load_rows + predict allocates nothing \
+                     (%.0f words)"
        delta)
     true (delta < 256.0)
+
+(* ------------------------------------------------------------------ *)
+(* Front-end validation                                                *)
+(* ------------------------------------------------------------------ *)
+
+let validation_engine () =
+  let fmt = Qformat.make ~k:2 ~f:6 in
+  let clf =
+    clf_of_raws fmt ~w_raws:[| 3; -5; 7 |] ~thr_raw:1 ~exponents:[| 0; 2; -1 |]
+  in
+  Infer.Engine.of_fixed ~capacity:8 clf
+
+let raises_invalid label expected f =
+  match f () with
+  | exception Invalid_argument msg -> Alcotest.(check string) label expected msg
+  | _ -> Alcotest.failf "%s: expected Invalid_argument %S" label expected
+
+let test_load_rejects_other_format () =
+  let engine = validation_engine () in
+  let other =
+    Infer.Batch.create ~fmt:(Qformat.make ~k:2 ~f:5) ~features:3 ~capacity:8
+  in
+  raises_invalid "load" "Engine.load: batch format differs from the engine's"
+    (fun () -> Infer.Engine.load engine other ~col:0 [| 0.5; 0.25; -1.0 |]);
+  raises_invalid "load_rows"
+    "Engine.load_rows: batch format differs from the engine's" (fun () ->
+      ignore (Infer.Engine.load_rows engine other [| [| 0.5; 0.25; -1.0 |] |]))
+
+let test_load_rejects_column_outside_capacity () =
+  let engine = validation_engine () in
+  let batch = Infer.Engine.make_batch engine in
+  let x = [| 0.5; 0.25; -1.0 |] in
+  let outside = "Engine.load: column outside [0, capacity)" in
+  raises_invalid "col = capacity" outside (fun () ->
+      Infer.Engine.load engine batch ~col:8 x);
+  raises_invalid "col < 0" outside (fun () ->
+      Infer.Engine.load engine batch ~col:(-1) x);
+  Infer.Engine.load engine batch ~col:7 x
+
+let test_load_rows_rejects_negative_start () =
+  let engine = validation_engine () in
+  let batch = Infer.Engine.make_batch engine in
+  let rows = Array.make 4 [| 0.5; 0.25; -1.0 |] in
+  raises_invalid "start < 0" "Engine.load_rows: negative start" (fun () ->
+      ignore (Infer.Engine.load_rows engine batch ~start:(-1) rows));
+  checki "start past the end loads nothing" 0
+    (Infer.Engine.load_rows engine batch ~start:9 rows)
+
+let test_load_nan_names_feature () =
+  let engine = validation_engine () in
+  let batch = Infer.Engine.make_batch engine in
+  raises_invalid "load" "Engine.load: NaN in feature 1" (fun () ->
+      Infer.Engine.load engine batch ~col:0 [| 0.5; Float.nan; 1.0 |]);
+  raises_invalid "load_rows" "Engine.load_rows: NaN in feature 2" (fun () ->
+      ignore (Infer.Engine.load_rows engine batch [| [| 0.5; 0.0; Float.nan |] |]))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -546,6 +625,17 @@ let () =
         [
           Alcotest.test_case "batched predict allocates nothing" `Quick
             test_steady_state_no_alloc;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "batch in another format" `Quick
+            test_load_rejects_other_format;
+          Alcotest.test_case "column outside capacity" `Quick
+            test_load_rejects_column_outside_capacity;
+          Alcotest.test_case "negative start" `Quick
+            test_load_rows_rejects_negative_start;
+          Alcotest.test_case "NaN names the feature" `Quick
+            test_load_nan_names_feature;
         ] );
       ( "metrics",
         [
