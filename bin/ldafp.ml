@@ -385,11 +385,6 @@ let train_cmd =
                   s.Optim.Bnb.warm_miss_not_interior
                   s.Optim.Bnb.warm_miss_fault_cleared
               end;
-              if s.Optim.Bnb.counters_reset then
-                Fmt.pr
-                  "warning: resumed through a checkpoint written before \
-                   the warm counters existed — warm counts and \
-                   warm_hit_rate cover only part of this search@.";
               if s.Optim.Bnb.domains_used > 1 then begin
                 Fmt.pr
                   "scheduler: seeded %d node(s) in %.3fs, then %d steal(s) \
@@ -443,9 +438,10 @@ let train_cmd =
               if not s.Optim.Bnb.certified_sound then
                 Fmt.pr
                   "warning: at least one pruning decision trusted an \
-                   unverified primal objective (--no-certify, or a resume \
-                   through a pre-certificate checkpoint) — the reported \
-                   bound and gap are NOT independently certified@.";
+                   unverified primal objective (--no-certify, in this run \
+                   or an earlier slice of the resume chain) — the \
+                   reported bound and gap are NOT independently \
+                   certified@.";
               r.Pipeline.classifier)
             outcome
     in

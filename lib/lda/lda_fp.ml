@@ -76,7 +76,7 @@ type outcome = { w : Vec.t; cost : float; diagnostics : diagnostics }
    optimum (primal side) together with the barrier weight the producing
    solve terminated at (the dual side — what {!Socp.restart_levels}
    turns into a ladder-rung skip).  Plain floats and arrays, so it
-   marshals through {!Checkpoint} snapshots and migrates across
+   marshals through {!Bnb.snapshot}s and migrates across
    {!Work_deque} steals without any special handling. *)
 type warm_info = {
   point : Vec.t;
@@ -86,6 +86,8 @@ type warm_info = {
          a full ladder with only phase-I skipped *)
 }
 
+(* The search region, marshalled into every checkpoint: changing its
+   shape (or [warm_info]'s) bumps the format version in {!Checkpoint}. *)
 type node = {
   wbox : Fx_interval.t array;
   mutable trange : Interval.t;
@@ -554,16 +556,7 @@ let jittered_config cfg k =
 let solve ?(config = default_config) ?interrupt pb =
   (* Monotonic: [train_seconds] must be immune to NTP steps mid-run. *)
   let started = Obs.Clock.now () in
-  (* The suffix versions the snapshot semantics: [+warm2] covers the
-     marshalled node shape (nodes carry [warm_info], not a bare point);
-     [+cert1] covers certified pruning — frontier keys written by a
-     pre-certificate build were computed by the trusting formula, so
-     such snapshots must be rejected at load (fingerprint mismatch)
-     rather than silently resumed as if their bounds were verified.
-     (Same-schema snapshots merely {e stripped} of the cert counters
-     still load; {!Bnb} then raises the sticky [counters_reset] marker
-     and clears [certified_sound].) *)
-  let fingerprint = Ldafp_problem.fingerprint pb ^ "+warm2+cert1" in
+  let fingerprint = Ldafp_problem.fingerprint pb in
   (* A requested resume with no file on disk degrades to a fresh run (the
      natural first iteration of a kill/resume loop); an existing file
      that fails validation raises [Checkpoint.Corrupt] — silently
@@ -572,7 +565,9 @@ let solve ?(config = default_config) ?interrupt pb =
     match config.checkpoint with
     | Some spec when spec.resume && Sys.file_exists spec.path ->
         Log.info (fun m -> m "resuming from checkpoint %s" spec.path);
-        Some (Checkpoint.load ~expect_fingerprint:fingerprint ~path:spec.path ())
+        Some
+          (Checkpoint.load ~fingerprint ~path:spec.path
+            : (node, Vec.t) Bnb.snapshot)
     | _ -> None
   in
   let seed =
@@ -606,7 +601,7 @@ let solve ?(config = default_config) ?interrupt pb =
     Atomic.make
       (match restored with
       | Some state -> (
-          match state.Checkpoint.incumbent with
+          match state.Bnb.incumbent with
           | Some (_, c) -> c
           | None -> Float.infinity)
       | None -> (

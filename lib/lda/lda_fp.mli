@@ -138,4 +138,4 @@ val solve :
     [bnb_params.time_limit].
     @raise Optim.Checkpoint.Corrupt when [config.checkpoint] requests a
     resume and the file exists but fails validation (wrong problem,
-    torn write, garbage). *)
+    older format version, torn write, flipped bytes, garbage). *)

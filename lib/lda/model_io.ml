@@ -38,6 +38,12 @@ let ints_of_words words =
       | None -> raise (Parse_error (Printf.sprintf "bad integer %S" w)))
     words
 
+(* The C [ldexp] under [Scaling] truncates its exponent to 32 bits, so
+   past about ±2^31 even scalar [predict] returns garbage.  ±1100 spans
+   every finite double (2^-1074 .. 2^1024), so nothing usable lies
+   outside it. *)
+let max_exponent = 1100
+
 let of_string text =
   let lines =
     List.filter
@@ -73,6 +79,14 @@ let of_string text =
     | _ -> raise (Parse_error "bad polarity line")
   in
   let exponents = ints_of_words (get "exponents") in
+  List.iter
+    (fun e ->
+      if e < -max_exponent || e > max_exponent then
+        raise
+          (Parse_error
+             (Printf.sprintf "scaling exponent %d outside [-%d, %d]" e
+                max_exponent max_exponent)))
+    exponents;
   let weights = ints_of_words (get "weights") in
   if List.length exponents <> List.length weights then
     raise (Parse_error "exponents/weights length mismatch");
@@ -81,9 +95,6 @@ let of_string text =
     | [ v ] -> v
     | _ -> raise (Parse_error "bad threshold line")
   in
-  (* Rebuild the scaling through a synthetic fit: Scaling is private, so
-     reconstruct by scaling unit features — instead we expose exponents
-     via a dedicated constructor below. *)
   let scaling = Scaling.of_exponents (Array.of_list exponents) in
   let w =
     Fx_vector.of_fx

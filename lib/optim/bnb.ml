@@ -74,7 +74,6 @@ type stats = {
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
   stolen_warm : int;
-  counters_reset : bool;
   cert_verified : int;
   cert_repaired : int;
   cert_fallbacks : int;
@@ -128,7 +127,6 @@ let stats_to_json (s : stats) =
       ("warm_miss_not_interior", Int s.warm_miss_not_interior);
       ("warm_miss_fault_cleared", Int s.warm_miss_fault_cleared);
       ("stolen_warm", Int s.stolen_warm);
-      ("counters_reset", Bool s.counters_reset);
       ("cert_verified", Int s.cert_verified);
       ("cert_repaired", Int s.cert_repaired);
       ("cert_fallbacks", Int s.cert_fallbacks);
@@ -158,9 +156,8 @@ type oracle_counters = {
       (* True while every pruning decision of the search (including any
          resumed-from prefix) rested on a verified dual certificate or
          a certified interval fallback.  Cleared — never re-set — when
-         the oracle runs with certification disabled or the resume
-         chain passes through a pre-certificate snapshot whose frontier
-         keys have unknown provenance. *)
+         the oracle runs with certification disabled, or on resuming a
+         snapshot of a search that was not sound. *)
 }
 
 let oracle_counters () =
@@ -208,6 +205,42 @@ type checkpointing = {
 
 let checkpointing ?(every_nodes = 0) ?(save_on_stop = true) ~fingerprint path =
   { path; every_nodes; fingerprint; save_on_stop }
+
+(* The one checkpoint schema.  Any change here (or to a caller's region
+   or solution type) bumps the version line in Checkpoint. *)
+type ('region, 'sol) snapshot = {
+  frontier : (float * 'region) array;
+  incumbent : ('sol * float) option;
+  nodes_explored : int;
+  elapsed : float;
+  infeasible_regions : int;
+  bound_pruned : int;
+  stale_pops : int;
+  incumbent_updates : int;
+  children_generated : int;
+  seed_nodes : int;
+  seed_time_us : int;
+  oracle_failures : int;
+  retries : int;
+  degraded_bounds : int;
+  dropped_regions : int;
+  retry_budget_exhausted : int;
+  retry_backoff_ns : int;
+  warm_start_hits : int;
+  phase1_skipped : int;
+  warm_pull_ins : int;
+  warm_newton_corrections : int;
+  warm_miss_no_parent : int;
+  warm_miss_not_interior : int;
+  warm_miss_fault_cleared : int;
+  oracle_time_us : int;
+  cert_verified : int;
+  cert_repaired : int;
+  cert_fallbacks : int;
+  certified_sound : bool;
+  frontier_shed : int;
+  shed_bound : float;
+}
 
 let src = Logs.Src.create "ldafp.bnb" ~doc:"branch-and-bound driver"
 
@@ -491,145 +524,72 @@ let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) ~budget oracle
    a frontier whose entries were already bounded before the snapshot. *)
 type ('region, 'sol) source =
   | Root of 'region
-  | Restored of ('region, 'sol) Checkpoint.state
+  | Restored of ('region, 'sol) snapshot
 
-(* A shed-frontier bound is a float that must survive the int-counter
-   checkpoint schema bit-exactly (rounding it could claim a gap the
-   search did not prove).  Split the IEEE bit pattern across two
-   counters — each half fits comfortably in OCaml's 63-bit int. *)
-let float_to_counters x =
-  let bits = Int64.bits_of_float x in
-  ( Int64.to_int (Int64.shift_right_logical bits 32),
-    Int64.to_int (Int64.logand bits 0xFFFFFFFFL) )
+(* The snapshot a search from the root starts its totals from. *)
+let empty_snapshot =
+  {
+    frontier = [||];
+    incumbent = None;
+    nodes_explored = 0;
+    elapsed = 0.0;
+    infeasible_regions = 0;
+    bound_pruned = 0;
+    stale_pops = 0;
+    incumbent_updates = 0;
+    children_generated = 0;
+    seed_nodes = 0;
+    seed_time_us = 0;
+    oracle_failures = 0;
+    retries = 0;
+    degraded_bounds = 0;
+    dropped_regions = 0;
+    retry_budget_exhausted = 0;
+    retry_backoff_ns = 0;
+    warm_start_hits = 0;
+    phase1_skipped = 0;
+    warm_pull_ins = 0;
+    warm_newton_corrections = 0;
+    warm_miss_no_parent = 0;
+    warm_miss_not_interior = 0;
+    warm_miss_fault_cleared = 0;
+    oracle_time_us = 0;
+    cert_verified = 0;
+    cert_repaired = 0;
+    cert_fallbacks = 0;
+    certified_sound = true;
+    frontier_shed = 0;
+    shed_bound = Float.infinity;
+  }
 
-let float_of_counters hi lo =
-  Int64.float_of_bits
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int hi) 32)
-       (Int64.logand (Int64.of_int lo) 0xFFFFFFFFL))
-
-let counters_alist ~infeasible ~pruned ~stale ~updates ~children ~reset
-    ~shed ~shed_bound ~seed_nodes ~seed_us ~(fc : Fault.counters)
-    ~(oc : oracle_counters) =
-  let shed_hi, shed_lo = float_to_counters shed_bound in
-  [
-    (* Sticky: once a resume hit a pre-schema snapshot, every later
-       snapshot in the chain records that the warm counters restarted. *)
-    ("counters_reset", Bool.to_int reset);
-    ("infeasible_regions", infeasible);
-    ("bound_pruned", pruned);
-    ("stale_pops", stale);
-    ("incumbent_updates", updates);
-    ("children_generated", children);
-    ("oracle_failures", Atomic.get fc.Fault.failures);
-    ("retries", Atomic.get fc.Fault.retries);
-    ("degraded_bounds", Atomic.get fc.Fault.degraded);
-    ("dropped_regions", Atomic.get fc.Fault.dropped);
-    ("retry_budget_exhausted", Atomic.get fc.Fault.budget_exhausted);
-    ("retry_backoff_ns", Atomic.get fc.Fault.backoff_ns);
-    ("warm_start_hits", Atomic.get oc.warm_hits);
-    ("phase1_skipped", Atomic.get oc.phase1_skips);
-    ("warm_pull_ins", Atomic.get oc.pull_ins);
-    ("warm_newton_corrections", Atomic.get oc.corrections);
-    ("warm_miss_no_parent", Atomic.get oc.miss_no_parent);
-    ("warm_miss_not_interior", Atomic.get oc.miss_not_interior);
-    ("warm_miss_fault_cleared", Atomic.get oc.miss_fault_cleared);
-    ("oracle_time_us", Atomic.get oc.oracle_time_us);
-    ("cert_verified", Atomic.get oc.cert_verified);
-    ("cert_repaired", Atomic.get oc.cert_repaired);
-    ("cert_fallbacks", Atomic.get oc.cert_fallbacks);
-    ("certified_sound", Bool.to_int (Atomic.get oc.certified_sound));
-    ("frontier_shed", shed);
-    ("shed_bound_hi", shed_hi);
-    ("shed_bound_lo", shed_lo);
-    (* Seed-phase totals, cumulative across a resume chain.  Time in
-       integer microseconds: the counter schema is int-only, and a
-       microsecond of seeding is far below measurement noise. *)
-    ("seed_nodes", seed_nodes);
-    ("seed_time_us", seed_us);
-  ]
-
-(* The warm/miss counter keys whose absence marks a pre-oracle-counter
-   checkpoint.  [Checkpoint.counter] degrades each missing key to 0 so
-   such snapshots still resume — but then every rate computed over the
-   chain (warm_hit_rate above all) silently mixes a zeroed prefix with
-   live counts.  Resuming one therefore raises the explicit
-   [counters_reset] marker instead of merging silently; surfaced by
-   [ldafp train]. *)
-let warm_counter_keys =
-  [
-    "warm_start_hits"; "phase1_skipped"; "warm_pull_ins";
-    "warm_newton_corrections"; "warm_miss_no_parent";
-    "warm_miss_not_interior"; "warm_miss_fault_cleared";
-  ]
-
-(* The certificate-accounting keys.  A snapshot missing any of them
-   predates the certified-pruning schema: its frontier keys may have
-   been produced by the old trusting formula, so resuming through one
-   both raises the sticky [counters_reset] marker and clears
-   [certified_sound] for the rest of the chain. *)
-let cert_counter_keys =
-  [ "cert_verified"; "cert_repaired"; "cert_fallbacks"; "certified_sound" ]
-
-(* The seed-phase accounting keys.  A snapshot missing them predates the
-   eager-seeding scheduler; the totals restart at zero, so resuming one
-   raises the sticky [counters_reset] marker like the other schema
-   upgrades (seeding itself is unaffected — only the cumulative
-   accounting is). *)
-let seed_counter_keys = [ "seed_nodes"; "seed_time_us" ]
-
-(* Returned per-run restore state: plain counters, pre-resume elapsed
-   time, sticky reset marker, the shed-frontier residue
-   [(shed_count, shed_bound)] the resumed run must keep folding into
-   its reported bound, and the cumulative seed totals
-   [(seed_nodes, seed_us)]. *)
-let restore_counters (fc : Fault.counters) (oc : oracle_counters) = function
-  | Root _ -> (0, 0, 0, 0, 0, 0.0, false, (0, Float.infinity), (0, 0))
-  | Restored (s : _ Checkpoint.state) ->
-      let c = Checkpoint.counter s in
-      Atomic.set fc.Fault.failures (c "oracle_failures");
-      Atomic.set fc.Fault.retries (c "retries");
-      Atomic.set fc.Fault.degraded (c "degraded_bounds");
-      Atomic.set fc.Fault.dropped (c "dropped_regions");
-      Atomic.set fc.Fault.budget_exhausted (c "retry_budget_exhausted");
-      Atomic.set fc.Fault.backoff_ns (c "retry_backoff_ns");
-      Atomic.set oc.warm_hits (c "warm_start_hits");
-      Atomic.set oc.phase1_skips (c "phase1_skipped");
-      Atomic.set oc.pull_ins (c "warm_pull_ins");
-      Atomic.set oc.corrections (c "warm_newton_corrections");
-      Atomic.set oc.miss_no_parent (c "warm_miss_no_parent");
-      Atomic.set oc.miss_not_interior (c "warm_miss_not_interior");
-      Atomic.set oc.miss_fault_cleared (c "warm_miss_fault_cleared");
-      Atomic.set oc.oracle_time_us (c "oracle_time_us");
-      Atomic.set oc.cert_verified (c "cert_verified");
-      Atomic.set oc.cert_repaired (c "cert_repaired");
-      Atomic.set oc.cert_fallbacks (c "cert_fallbacks");
-      let cert_schema_ok =
-        List.for_all (Checkpoint.has_counter s) cert_counter_keys
-      in
-      (* Only ever clear: a caller that already marked the search
-         uncertified (certification disabled) must stay so. *)
-      if not (cert_schema_ok && c "certified_sound" <> 0) then
-        Atomic.set oc.certified_sound false;
-      let reset =
-        (not (List.for_all (Checkpoint.has_counter s) warm_counter_keys))
-        || (not cert_schema_ok)
-        || (not (List.for_all (Checkpoint.has_counter s) seed_counter_keys))
-        || c "counters_reset" <> 0
-      in
-      let shed = c "frontier_shed" in
-      let shed_bound =
-        if shed > 0 then float_of_counters (c "shed_bound_hi") (c "shed_bound_lo")
-        else Float.infinity
-      in
-      ( c "infeasible_regions", c "bound_pruned", c "stale_pops",
-        c "incumbent_updates", c "children_generated", s.Checkpoint.elapsed,
-        reset, (shed, shed_bound), (c "seed_nodes", c "seed_time_us") )
+(* Copy a snapshot's atomic counters back into the live ones; the plain
+   totals are read from the snapshot directly when the run merges. *)
+let restore (fc : Fault.counters) (oc : oracle_counters) s =
+  Atomic.set fc.Fault.failures s.oracle_failures;
+  Atomic.set fc.Fault.retries s.retries;
+  Atomic.set fc.Fault.degraded s.degraded_bounds;
+  Atomic.set fc.Fault.dropped s.dropped_regions;
+  Atomic.set fc.Fault.budget_exhausted s.retry_budget_exhausted;
+  Atomic.set fc.Fault.backoff_ns s.retry_backoff_ns;
+  Atomic.set oc.warm_hits s.warm_start_hits;
+  Atomic.set oc.phase1_skips s.phase1_skipped;
+  Atomic.set oc.pull_ins s.warm_pull_ins;
+  Atomic.set oc.corrections s.warm_newton_corrections;
+  Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
+  Atomic.set oc.miss_not_interior s.warm_miss_not_interior;
+  Atomic.set oc.miss_fault_cleared s.warm_miss_fault_cleared;
+  Atomic.set oc.oracle_time_us s.oracle_time_us;
+  Atomic.set oc.cert_verified s.cert_verified;
+  Atomic.set oc.cert_repaired s.cert_repaired;
+  Atomic.set oc.cert_fallbacks s.cert_fallbacks;
+  (* Only ever clear: a caller that already marked the search
+     uncertified (certification disabled) must stay so. *)
+  if not s.certified_sound then Atomic.set oc.certified_sound false
 
 (* A failed snapshot must not kill a multi-hour search: log and carry on
    (the previous checkpoint, if any, is intact thanks to tmp + rename). *)
-let try_save ck state =
-  try Checkpoint.save ~path:ck.path state
+let try_save ck snapshot =
+  try Checkpoint.save ~path:ck.path ~fingerprint:ck.fingerprint snapshot
   with Sys_error msg | Unix.Unix_error (_, msg, _) ->
     Log.warn (fun m -> m "checkpoint save to %s failed: %s" ck.path msg)
 
@@ -696,15 +656,20 @@ let run : type region sol.
   in
   let fc = Fault.fresh_counters () in
   let oc = match counters with Some c -> c | None -> oracle_counters () in
-  let ( infeasible0, pruned0, stale0, updates0, children0, elapsed0, reset0,
-        (shed0, shed_bound0), (seed0_nodes, seed0_us) ) =
-    restore_counters fc oc source
+  (* Totals carried in from the snapshot (zeros from the root); every
+     merged count below is [s0] plus this run's. *)
+  let s0 =
+    match source with
+    | Root _ -> empty_snapshot
+    | Restored s ->
+        restore fc oc s;
+        s
   in
   (* Bounded-memory frontier residue: nodes shed by the cap are gone,
      but their best possible subtree optimum survives here and is folded
      into every bound and gap the search reports.  CAS-min so any worker
      can fold its shard's shed bound in without a lock. *)
-  let shed_bound = Atomic.make shed_bound0 in
+  let shed_bound = Atomic.make s0.shed_bound in
   let rec fold_shed_bound b =
     let cur = Atomic.get shed_bound in
     if b < cur && not (Atomic.compare_and_set shed_bound cur b) then
@@ -720,20 +685,15 @@ let run : type region sol.
      mirrored in an Atomic read lock-free on every stale check, push
      decision and gap test. *)
   let inc_lock = Mutex.create () in
-  let incumbent =
-    ref (match source with Root _ -> None | Restored s -> s.Checkpoint.incumbent)
-  in
+  let incumbent = ref s0.incumbent in
   let incumbent_cost =
     Atomic.make
       (match !incumbent with Some (_, c) -> c | None -> Float.infinity)
   in
-  let nodes =
-    Atomic.make
-      (match source with Root _ -> 0 | Restored s -> s.Checkpoint.nodes_explored)
-  in
+  let nodes = Atomic.make s0.nodes_explored in
   let start_time = now () in
   let run_t0_ns = Obs.Clock.now_ns () in
-  let elapsed () = elapsed0 +. (now () -. start_time) in
+  let elapsed () = s0.elapsed +. (now () -. start_time) in
   let stop : stop_reason option Atomic.t = Atomic.make None in
   (* Current-run seed accounting; the restored totals are added on the
      way out (and into every checkpoint). *)
@@ -780,18 +740,42 @@ let run : type region sol.
      be stale by a few increments; fine for diagnostics.  The node
      counter, fault counters and oracle counters are atomics and exact. *)
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
-  let merged_counters () =
-    counters_alist
-      ~infeasible:(infeasible0 + sum (fun w -> w.W.infeasible))
-      ~pruned:(pruned0 + sum (fun w -> w.W.pruned))
-      ~stale:(stale0 + sum (fun w -> w.W.stale))
-      ~updates:(updates0 + sum (fun w -> w.W.updates))
-      ~children:(children0 + sum (fun w -> w.W.children))
-      ~reset:reset0
-      ~shed:(shed0 + sum (fun w -> w.W.shed))
-      ~shed_bound:(Atomic.get shed_bound)
-      ~seed_nodes:(seed0_nodes + !seed_nodes_run)
-      ~seed_us:(seed0_us + !seed_us_run) ~fc ~oc
+  (* The search-wide totals so far, around a given frontier and
+     incumbent: what a checkpoint saves and what [stats] reports. *)
+  let snapshot ~frontier ~incumbent =
+    {
+      frontier;
+      incumbent;
+      nodes_explored = Atomic.get nodes;
+      elapsed = elapsed ();
+      infeasible_regions = s0.infeasible_regions + sum (fun w -> w.W.infeasible);
+      bound_pruned = s0.bound_pruned + sum (fun w -> w.W.pruned);
+      stale_pops = s0.stale_pops + sum (fun w -> w.W.stale);
+      incumbent_updates = s0.incumbent_updates + sum (fun w -> w.W.updates);
+      children_generated = s0.children_generated + sum (fun w -> w.W.children);
+      seed_nodes = s0.seed_nodes + !seed_nodes_run;
+      seed_time_us = s0.seed_time_us + !seed_us_run;
+      oracle_failures = Atomic.get fc.Fault.failures;
+      retries = Atomic.get fc.Fault.retries;
+      degraded_bounds = Atomic.get fc.Fault.degraded;
+      dropped_regions = Atomic.get fc.Fault.dropped;
+      retry_budget_exhausted = Atomic.get fc.Fault.budget_exhausted;
+      retry_backoff_ns = Atomic.get fc.Fault.backoff_ns;
+      warm_start_hits = Atomic.get oc.warm_hits;
+      phase1_skipped = Atomic.get oc.phase1_skips;
+      warm_pull_ins = Atomic.get oc.pull_ins;
+      warm_newton_corrections = Atomic.get oc.corrections;
+      warm_miss_no_parent = Atomic.get oc.miss_no_parent;
+      warm_miss_not_interior = Atomic.get oc.miss_not_interior;
+      warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
+      oracle_time_us = Atomic.get oc.oracle_time_us;
+      cert_verified = Atomic.get oc.cert_verified;
+      cert_repaired = Atomic.get oc.cert_repaired;
+      cert_fallbacks = Atomic.get oc.cert_fallbacks;
+      certified_sound = Atomic.get oc.certified_sound;
+      frontier_shed = s0.frontier_shed + sum (fun w -> w.W.shed);
+      shed_bound = Atomic.get shed_bound;
+    }
   in
   let consider_candidate (w : W.t) = function
     | Some (sol, cost) when cost < Atomic.get incumbent_cost ->
@@ -836,22 +820,15 @@ let run : type region sol.
      dominator on resume.  The reverse order can lose the optimum:
      incumbent read, sibling improves it and prunes, frontier saved
      without the pruned region or the new incumbent. *)
-  let snapshot_state ck =
+  let save ck =
     let frontier = Array.of_list (Work_deque.snapshot deque) in
-    let inc =
+    let incumbent =
       Mutex.lock inc_lock;
       let i = !incumbent in
       Mutex.unlock inc_lock;
       i
     in
-    {
-      Checkpoint.fingerprint = ck.fingerprint;
-      frontier;
-      incumbent = inc;
-      nodes_explored = Atomic.get nodes;
-      counters = merged_counters ();
-      elapsed = elapsed ();
-    }
+    try_save ck (snapshot ~frontier ~incumbent)
   in
   (* The worker that claimed node [n] saves on the cadence; a save still
      in progress makes the next one skip (try_lock) rather than queue up
@@ -863,7 +840,7 @@ let run : type region sol.
         if Mutex.try_lock save_lock then
           Fun.protect
             ~finally:(fun () -> Mutex.unlock save_lock)
-            (fun () -> try_save ck (snapshot_state ck))
+            (fun () -> save ck)
     | _ -> ()
   in
   (* The certified frontier bound as [worker] sees it, shed subtrees
@@ -1054,7 +1031,7 @@ let run : type region sol.
          snapshot was taken early, even mid-seed). *)
       Array.iter
         (fun (lb, region) -> Work_deque.push deque ~worker:0 lb region)
-        s.Checkpoint.frontier;
+        s.frontier;
       shed ~worker:0 ~keep:params.max_frontier);
   if workers > 1 then begin
     if Obs.Telemetry.enabled () then Obs.Telemetry.set_phase "seeding";
@@ -1096,7 +1073,7 @@ let run : type region sol.
   | Some ck when ck.save_on_stop && stop_wants_save stop_reason ->
       (* All workers have joined: nothing is in flight, the shard queues
          are the complete frontier. *)
-      try_save ck (snapshot_state ck)
+      save ck
   | _ -> ());
   (* After the joins the deque is quiescent, but the batched mirrors may
      still be up to one publish epoch stale low: flush them so the
@@ -1115,27 +1092,28 @@ let run : type region sol.
     Float.min b (Atomic.get shed_bound)
   in
   let incumbent_cost = Atomic.get incumbent_cost in
+  let t = snapshot ~frontier:[||] ~incumbent:None in
   {
     best = !incumbent;
     bound;
     gap =
       (if incumbent_cost = Float.infinity then Float.infinity
        else incumbent_cost -. bound);
-    nodes_explored = Atomic.get nodes;
+    nodes_explored = t.nodes_explored;
     stop_reason;
     stats =
       {
-        infeasible_regions = infeasible0 + sum (fun w -> w.W.infeasible);
-        bound_pruned = pruned0 + sum (fun w -> w.W.pruned);
-        stale_pops = stale0 + sum (fun w -> w.W.stale);
-        incumbent_updates = updates0 + sum (fun w -> w.W.updates);
-        children_generated = children0 + sum (fun w -> w.W.children);
+        infeasible_regions = t.infeasible_regions;
+        bound_pruned = t.bound_pruned;
+        stale_pops = t.stale_pops;
+        incumbent_updates = t.incumbent_updates;
+        children_generated = t.children_generated;
         domains_used = workers;
         idle_wakeups = Work_deque.idle_wakeups deque;
         steals = Work_deque.steals deque;
         stolen_nodes = Work_deque.stolen_nodes deque;
-        seed_nodes = seed0_nodes + !seed_nodes_run;
-        seed_seconds = float_of_int (seed0_us + !seed_us_run) *. 1e-6;
+        seed_nodes = t.seed_nodes;
+        seed_seconds = float_of_int t.seed_time_us *. 1e-6;
         targeted_wakeups =
           Array.fold_left ( + ) 0 (Work_deque.targeted_wakeups deque);
         steals_best_victim =
@@ -1148,31 +1126,29 @@ let run : type region sol.
               if w.W.first_node_us < 0 then -1.0
               else float_of_int w.W.first_node_us *. 1e-6)
             ws;
-        oracle_failures = Atomic.get fc.Fault.failures;
-        retries = Atomic.get fc.Fault.retries;
-        degraded_bounds = Atomic.get fc.Fault.degraded;
-        dropped_regions = Atomic.get fc.Fault.dropped;
-        warm_start_hits = Atomic.get oc.warm_hits;
-        phase1_skipped = Atomic.get oc.phase1_skips;
-        warm_pull_ins = Atomic.get oc.pull_ins;
-        warm_newton_corrections = Atomic.get oc.corrections;
-        warm_miss_no_parent = Atomic.get oc.miss_no_parent;
-        warm_miss_not_interior = Atomic.get oc.miss_not_interior;
-        warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
+        oracle_failures = t.oracle_failures;
+        retries = t.retries;
+        degraded_bounds = t.degraded_bounds;
+        dropped_regions = t.dropped_regions;
+        warm_start_hits = t.warm_start_hits;
+        phase1_skipped = t.phase1_skipped;
+        warm_pull_ins = t.warm_pull_ins;
+        warm_newton_corrections = t.warm_newton_corrections;
+        warm_miss_no_parent = t.warm_miss_no_parent;
+        warm_miss_not_interior = t.warm_miss_not_interior;
+        warm_miss_fault_cleared = t.warm_miss_fault_cleared;
         stolen_warm = Work_deque.stolen_warm deque;
-        counters_reset = reset0;
-        cert_verified = Atomic.get oc.cert_verified;
-        cert_repaired = Atomic.get oc.cert_repaired;
-        cert_fallbacks = Atomic.get oc.cert_fallbacks;
-        certified_sound = Atomic.get oc.certified_sound;
-        frontier_shed = shed0 + sum (fun w -> w.W.shed);
-        retry_budget_exhausted = Atomic.get fc.Fault.budget_exhausted;
-        retry_backoff_seconds =
-          float_of_int (Atomic.get fc.Fault.backoff_ns) *. 1e-9;
-        oracle_seconds = float_of_int (Atomic.get oc.oracle_time_us) *. 1e-6;
+        cert_verified = t.cert_verified;
+        cert_repaired = t.cert_repaired;
+        cert_fallbacks = t.cert_fallbacks;
+        certified_sound = t.certified_sound;
+        frontier_shed = t.frontier_shed;
+        retry_budget_exhausted = t.retry_budget_exhausted;
+        retry_backoff_seconds = float_of_int t.retry_backoff_ns *. 1e-9;
+        oracle_seconds = float_of_int t.oracle_time_us *. 1e-6;
         domain_oracle_seconds =
           Array.map (fun w -> float_of_int !(w.W.oracle_cell) *. 1e-6) ws;
-        wall_seconds = elapsed ();
+        wall_seconds = t.elapsed;
       };
   }
 

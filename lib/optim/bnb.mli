@@ -40,12 +40,12 @@
 
     With [?checkpointing] the driver periodically (every
     [every_nodes] explored nodes, and on any budget/interrupt stop)
-    serialises the live frontier, incumbent and statistics to disk via
-    {!Checkpoint} — atomically, tmp + rename — and {!resume} restarts
-    from such a snapshot instead of the root.  The contract required for
-    parallel snapshots: [branch] must not mutate the region it splits
-    (both the LDA-FP oracle and anything purely functional satisfy
-    this). *)
+    serialises the live frontier, incumbent and statistics — one
+    {!snapshot} — to disk via {!Checkpoint} (atomically, tmp + rename,
+    digest-checked) and {!resume} restarts from such a snapshot instead
+    of the root.  The contract required for parallel snapshots: [branch]
+    must not mutate the region it splits (both the LDA-FP oracle and
+    anything purely functional satisfy this). *)
 
 type 'sol bound_info = {
   lower : float;
@@ -215,13 +215,6 @@ type stats = {
       (** stolen regions that carried usable warm-start state at steal
           time (see [?carries_warm] on {!minimize}); 0 at one shard or
           without the predicate *)
-  counters_reset : bool;
-      (** the resume chain passed through a checkpoint written before
-          the warm/miss counters existed: the warm counters restarted
-          from zero mid-chain, so any rate computed over them
-          (warm_hit_rate above all) covers only part of the search.
-          Sticky — once raised it is persisted into every later
-          snapshot of the chain.  Surfaced by [ldafp train]. *)
   cert_verified : int;
       (** bound solves whose dual certificate verified without repair —
           see {!Socp.certify_lower_bound}; 0 unless the oracle reports
@@ -242,9 +235,9 @@ type stats = {
           chain — compared the incumbent against a verified dual
           certificate or a certified interval fallback, never a raw
           primal objective.  [false] when the oracle ran with
-          certification disabled ({!mark_uncertified}) or the chain
-          passed through a pre-certificate snapshot.  Sticky once
-          cleared; persisted through checkpoints. *)
+          certification disabled ({!mark_uncertified}) in this run or
+          in any earlier run of the resume chain.  Sticky once cleared;
+          persisted through checkpoints. *)
   frontier_shed : int;
       (** queued regions shed by {!params.max_frontier}; their residual
           bound is already folded into [bound] and [gap] *)
@@ -280,9 +273,8 @@ type stats = {
     [domain_targeted_wakeups], [domain_steals_best_victim],
     [domain_first_node_seconds]) and the scheduler diagnostics
     ([idle_wakeups], [steals], [stolen_nodes], [targeted_wakeups],
-    [steals_best_victim]) survive a checkpoint/resume cycle; snapshots
-    taken before the warm-start, warm-miss or seed fields existed
-    restore them as 0. *)
+    [steals_best_victim]) survive a checkpoint/resume cycle, carried by
+    the typed fields of {!snapshot}. *)
 
 val stats_to_json : stats -> Obs.Json.t
 (** Every {!stats} field as a flat JSON object (per-domain arrays as
@@ -341,27 +333,6 @@ val mark_uncertified : oracle_counters -> unit
     prune on unverified primal objectives (certification explicitly
     disabled).  There is deliberately no way to set it back. *)
 
-val warm_counter_keys : string list
-(** The checkpoint counter keys the warm/miss accounting lives under.  A
-    snapshot that lacks any of them predates the oracle-counter schema;
-    resuming through one raises the sticky [counters_reset] marker in
-    {!stats}.  Exposed so tests (and migration tooling) can construct
-    such snapshots deliberately. *)
-
-val cert_counter_keys : string list
-(** The checkpoint counter keys the certificate accounting lives under.
-    A snapshot lacking any of them predates certified pruning: its
-    frontier keys may have been computed by the old trusting formula,
-    so resuming through one raises the sticky [counters_reset] marker
-    {e and} clears [certified_sound] for the rest of the chain. *)
-
-val seed_counter_keys : string list
-(** The checkpoint counter keys the seed-phase accounting lives under
-    ([seed_nodes], [seed_time_us]).  A snapshot lacking them predates
-    the eager-seeding scheduler; resuming through one raises the sticky
-    [counters_reset] marker (the cumulative seed totals restart at
-    zero — seeding itself still works on the restored frontier). *)
-
 type 'sol result = {
   best : ('sol * float) option;  (** incumbent and its cost *)
   bound : float;  (** greatest certified global lower bound *)
@@ -387,6 +358,55 @@ val checkpointing : ?every_nodes:int -> ?save_on_stop:bool ->
   fingerprint:string -> string -> checkpointing
 (** [checkpointing ~fingerprint path] with [every_nodes = 0] and
     [save_on_stop = true] by default. *)
+
+type ('region, 'sol) snapshot = {
+  frontier : (float * 'region) array;
+      (** live regions keyed by certified lower bound — every region
+          that was queued or in flight at snapshot time *)
+  incumbent : ('sol * float) option;
+  nodes_explored : int;
+  elapsed : float;  (** wall-clock seconds consumed before the snapshot *)
+  infeasible_regions : int;
+  bound_pruned : int;
+  stale_pops : int;
+  incumbent_updates : int;
+  children_generated : int;
+  seed_nodes : int;
+  seed_time_us : int;
+  oracle_failures : int;
+  retries : int;
+  degraded_bounds : int;
+  dropped_regions : int;
+  retry_budget_exhausted : int;
+  retry_backoff_ns : int;
+  warm_start_hits : int;
+  phase1_skipped : int;
+  warm_pull_ins : int;
+  warm_newton_corrections : int;
+  warm_miss_no_parent : int;
+  warm_miss_not_interior : int;
+  warm_miss_fault_cleared : int;
+  oracle_time_us : int;
+  cert_verified : int;
+  cert_repaired : int;
+  cert_fallbacks : int;
+  certified_sound : bool;
+      (** {!resume} can only clear the live flag from this, never set
+          it: a chain is sound only if every run in it was *)
+  frontier_shed : int;
+  shed_bound : float;
+      (** best bound over the shed subtrees, stored bit-exact;
+          [infinity] while nothing was shed *)
+}
+(** The one checkpoint schema: everything {!resume} needs to continue a
+    search, as typed fields.  The counters are the cumulative totals of
+    the matching {!stats} fields (times in integer micro- or
+    nanoseconds).  The driver writes one through {!Checkpoint.save}
+    under [checkpointing.fingerprint]; read it back with
+    [(Checkpoint.load ~fingerprint ~path : (_, _) snapshot)].  There is
+    no migration: changing this record (or a region/solution type stored
+    in it) bumps {!Checkpoint}'s format version, so older files are
+    rejected with {!Checkpoint.Corrupt}. *)
 
 val minimize :
   ?params:params ->
@@ -438,14 +458,15 @@ val resume :
   ?progress:Obs.Progress.t ->
   ?carries_warm:('region -> bool) ->
   ('region, 'sol) oracle ->
-  ('region, 'sol) Checkpoint.state ->
+  ('region, 'sol) snapshot ->
   'sol result
-(** Continue a search from a {!Checkpoint} snapshot: the saved frontier
+(** Continue a search from a {!snapshot}: the saved frontier
     is re-queued at its certified keys (without re-bounding), the
     incumbent, node count, statistics and elapsed wall-clock time are
-    restored, so [max_nodes] and [time_limit] budget the {e whole}
-    search across restarts.  A search killed at any point and resumed,
-    at any domain count, reaches the same incumbent cost as the
-    uninterrupted run (verified by property tests).  The caller is
-    responsible for loading the state with a fingerprint check
-    ({!Checkpoint.load}). *)
+    copied back field by field, so [max_nodes] and [time_limit] budget
+    the {e whole} search across restarts.  A search killed at any point
+    and resumed, at any domain count, reaches the same incumbent cost
+    as the uninterrupted run (verified by property tests).  The caller
+    loads the snapshot with {!Checkpoint.load}, whose fingerprint,
+    version and digest checks stand between the file and this
+    function. *)

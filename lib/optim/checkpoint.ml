@@ -1,20 +1,6 @@
 exception Corrupt of string
 
-let magic = "ldafp-bnb-checkpoint v1"
-
-type ('region, 'sol) state = {
-  fingerprint : string;
-  frontier : (float * 'region) array;
-  incumbent : ('sol * float) option;
-  nodes_explored : int;
-  counters : (string * int) list;
-  elapsed : float;
-}
-
-let counter state name =
-  match List.assoc_opt name state.counters with Some n -> n | None -> 0
-
-let has_counter state name = List.mem_assoc name state.counters
+let magic = "ldafp-bnb-checkpoint v2"
 
 (* Snapshot metrics, registered eagerly at module init (see Obs). *)
 let m_save_total =
@@ -27,19 +13,23 @@ let m_save_seconds =
     ~help:"wall time of one checkpoint write (serialize + fsync + rename)"
     "ldafp_ckpt_save_seconds"
 
-let save ~path state =
+(* Binds the payload to the fingerprint without copying the payload. *)
+let digest ~fingerprint payload =
+  Digest.to_hex (Digest.string (fingerprint ^ "\n" ^ Digest.string payload))
+
+let save ~path ~fingerprint payload =
   let t0 = Obs.Clock.now_ns () in
+  let bytes = Marshal.to_string payload [] in
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc magic;
-      output_char oc '\n';
-      output_string oc state.fingerprint;
-      output_char oc '\n';
-      Marshal.to_channel oc state [];
+      List.iter
+        (fun line -> output_string oc line; output_char oc '\n')
+        [ magic; fingerprint; digest ~fingerprint bytes ];
+      output_string oc bytes;
       flush oc;
       Unix.fsync fd);
   Sys.rename tmp path;
@@ -50,15 +40,14 @@ let save ~path state =
   end;
   if Obs.Trace.enabled () then
     Obs.Trace.complete ~cat:"ckpt" "ckpt.save" ~t0_ns:t0 ~dur_ns:dns
-      ~args:
-        [
-          ("frontier", Obs.Trace.Int (Array.length state.frontier));
-          ("nodes", Obs.Trace.Int state.nodes_explored);
-        ]
+      ~args:[ ("bytes", Obs.Trace.Int (String.length bytes)) ]
 
-let load ?expect_fingerprint ~path () =
+let load ~fingerprint ~path =
   if not (Sys.file_exists path) then
     raise (Corrupt (Printf.sprintf "no checkpoint at %s" path));
+  let corrupt fmt =
+    Printf.ksprintf (fun s -> raise (Corrupt (path ^ ": " ^ s))) fmt
+  in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -66,25 +55,19 @@ let load ?expect_fingerprint ~path () =
       let line () = try input_line ic with End_of_file -> "" in
       let got_magic = line () in
       if got_magic <> magic then
-        raise
-          (Corrupt
-             (Printf.sprintf "%s: bad header %S (expected %S)" path got_magic
-                magic));
-      let fingerprint = line () in
-      (match expect_fingerprint with
-      | Some expected when expected <> fingerprint ->
-          raise
-            (Corrupt
-               (Printf.sprintf
-                  "%s: checkpoint is for a different problem (fingerprint %s, \
-                   expected %s)"
-                  path fingerprint expected))
-      | _ -> ());
-      let state =
-        try (Marshal.from_channel ic : ('region, 'sol) state)
-        with End_of_file | Failure _ ->
-          raise (Corrupt (Printf.sprintf "%s: truncated or corrupt payload" path))
-      in
-      if state.fingerprint <> fingerprint then
-        raise (Corrupt (Printf.sprintf "%s: header/payload fingerprint mismatch" path));
-      state)
+        corrupt "bad header %S (expected %S): corrupt or older checkpoint"
+          got_magic magic;
+      let got_fingerprint = line () in
+      if got_fingerprint <> fingerprint then
+        corrupt
+          "checkpoint is for a different problem (fingerprint %s, expected \
+           %s)"
+          got_fingerprint fingerprint;
+      let want = line () in
+      let bytes = In_channel.input_all ic in
+      (* Nothing reaches [Marshal] unless it is byte-for-byte what [save]
+         wrote: a flipped or truncated payload is caught here, not by a
+         segfault inside the unmarshaller. *)
+      if digest ~fingerprint bytes <> want then
+        corrupt "corrupt payload (digest mismatch)";
+      Marshal.from_string bytes 0)

@@ -1,68 +1,47 @@
-(** Atomic on-disk snapshots of a branch-and-bound search.
+(** Atomic, digest-checked snapshot files.
 
-    A checkpoint captures everything the driver needs to restart a
-    search where it left off: the live frontier (queued {e and}
-    in-flight regions, each with its certified lower-bound key), the
-    incumbent, the node count, the statistics counters and a caller
-    fingerprint binding the file to one specific problem instance.
+    This module owns the file format only; what a snapshot contains is
+    {!Bnb.snapshot}.
 
     {2 File format and atomicity}
 
-    A checkpoint file is a text header followed by a [Marshal] blob:
+    A checkpoint file is three text lines followed by a [Marshal] blob:
 
-    {v ldafp-bnb-checkpoint v1
+    {v ldafp-bnb-checkpoint v2
        <fingerprint>
-       <marshalled state> v}
+       <MD5 hex of (fingerprint ^ "\n" ^ MD5 of payload)>
+       <marshalled payload> v}
 
-    The header is validated {e before} anything is unmarshalled, so a
-    garbage file or a checkpoint from a different problem fails with
-    {!Corrupt} instead of undefined behaviour.  [save] writes to
-    [path ^ ".tmp"], flushes and fsyncs, then [Sys.rename]s over the
-    target — on POSIX filesystems the checkpoint at [path] is therefore
-    always either the complete previous snapshot or the complete new
-    one, never a torn write, even if the process is killed mid-save.
+    The version in the first line is bumped on any change to a
+    marshalled type — {!Bnb.snapshot} or a region/solution type stored
+    in it.  Files with any other header, including every older version,
+    are rejected rather than migrated.
 
-    Regions and solutions are serialised with [Marshal]; they must not
-    contain closures (the search regions of the LDA-FP solver are plain
-    records of floats and arrays). *)
+    {!load} checks the header, then the fingerprint, then the digest,
+    {e before} anything is unmarshalled.  A garbage file, a checkpoint
+    from a different problem, or a payload with any byte flipped or
+    missing therefore fails with {!Corrupt} instead of undefined
+    behaviour.  [save] writes to [path ^ ".tmp"], flushes and fsyncs,
+    then [Sys.rename]s over the target — on POSIX filesystems the
+    checkpoint at [path] is therefore always either the complete
+    previous snapshot or the complete new one, never a torn write, even
+    if the process is killed mid-save.
+
+    Payloads must not contain closures (the search regions of the
+    LDA-FP solver are plain records of floats and arrays). *)
 
 exception Corrupt of string
-(** Missing file, bad magic, version mismatch, fingerprint mismatch, or
-    truncated payload. *)
+(** Missing file, bad magic or version, fingerprint mismatch, or a
+    payload that fails its digest (truncated, bit-flipped). *)
 
-type ('region, 'sol) state = {
-  fingerprint : string;
-      (** problem identity; {!load} rejects the file when it does not
-          match the expectation *)
-  frontier : (float * 'region) array;
-      (** live regions keyed by certified lower bound — every region
-          that was queued or in flight at snapshot time *)
-  incumbent : ('sol * float) option;
-  nodes_explored : int;
-  counters : (string * int) list;
-      (** statistics snapshot keyed by counter name (schema-agnostic so
-          old checkpoints survive new counters) *)
-  elapsed : float;  (** wall-clock seconds consumed before the snapshot *)
-}
-
-val counter : ('region, 'sol) state -> string -> int
-(** Named counter from the snapshot; 0 when absent. *)
-
-val has_counter : ('region, 'sol) state -> string -> bool
-(** Whether the snapshot actually recorded the named counter.  {!counter}
-    deliberately degrades missing keys to 0 so old snapshots resume; this
-    is how a consumer tells "recorded as zero" from "written before the
-    counter existed" — silently merging the latter skews any rate
-    computed across the resume (see the [counters_reset] marker in
-    {!Bnb.stats}). *)
-
-val save : path:string -> ('region, 'sol) state -> unit
-(** Atomically (tmp + fsync + rename) persist the state.
+val save : path:string -> fingerprint:string -> 'a -> unit
+(** Atomically (tmp + fsync + rename) persist [payload] under the
+    single-line [fingerprint] that names the problem instance.
     @raise Sys_error on I/O failure. *)
 
-val load : ?expect_fingerprint:string -> path:string -> unit ->
-  ('region, 'sol) state
-(** Read a checkpoint back.  The caller is responsible for instantiating
-    ['region]/['sol] at the same types that were saved — the
-    [fingerprint] check is the guard rail for that.
+val load : fingerprint:string -> path:string -> 'a
+(** Read a checkpoint back, checking it was saved under [fingerprint].
+    The caller must instantiate ['a] at the type that was saved: the
+    fingerprint and format version are the guard rails for that, the
+    digest guards the bytes.
     @raise Corrupt on any validation failure. *)

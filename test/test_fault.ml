@@ -417,92 +417,110 @@ let test_deadlock_regression_nan () = deadlock_regression `Nan ()
 (* Checkpoint file format                                              *)
 (* ------------------------------------------------------------------ *)
 
-let sample_state () =
+let sample_snapshot () : (int * int, int) Bnb.snapshot =
   {
-    Checkpoint.fingerprint = "fp-test";
-    frontier = [| (1.5, (0, 10)); (2.5, (11, 20)) |];
-    incumbent = Some (7, 0.09);
+    Bnb.frontier = [| (1.5, (0, 10)); (2.5, (11, 20)) |];
+    incumbent = Some (7, 9.5);
     nodes_explored = 12;
-    counters = [ ("oracle_failures", 3); ("retries", 1) ];
     elapsed = 0.25;
+    infeasible_regions = 1;
+    bound_pruned = 2;
+    stale_pops = 3;
+    incumbent_updates = 4;
+    children_generated = 5;
+    seed_nodes = 6;
+    seed_time_us = 7;
+    oracle_failures = 8;
+    retries = 9;
+    degraded_bounds = 10;
+    dropped_regions = 11;
+    retry_budget_exhausted = 12;
+    retry_backoff_ns = 13;
+    warm_start_hits = 14;
+    phase1_skipped = 15;
+    warm_pull_ins = 16;
+    warm_newton_corrections = 17;
+    warm_miss_no_parent = 18;
+    warm_miss_not_interior = 19;
+    warm_miss_fault_cleared = 20;
+    oracle_time_us = 21;
+    cert_verified = 22;
+    cert_repaired = 23;
+    cert_fallbacks = 24;
+    certified_sound = false;
+    frontier_shed = 25;
+    shed_bound = 0.1 +. 0.2;
   }
+
+let load_sample ~fingerprint path : (int * int, int) Bnb.snapshot =
+  Checkpoint.load ~fingerprint ~path
+
+let raises_corrupt f =
+  match f () with exception Checkpoint.Corrupt _ -> true | _ -> false
 
 let test_checkpoint_roundtrip () =
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let state = sample_state () in
-      Checkpoint.save ~path state;
-      let loaded : (int * int, int) Checkpoint.state =
-        Checkpoint.load ~expect_fingerprint:"fp-test" ~path ()
-      in
-      checki "nodes" 12 loaded.Checkpoint.nodes_explored;
-      checkf 1e-12 "elapsed" 0.25 loaded.Checkpoint.elapsed;
-      checki "frontier size" 2 (Array.length loaded.Checkpoint.frontier);
-      checkb "frontier entry" true (loaded.Checkpoint.frontier.(0) = (1.5, (0, 10)));
-      checkb "incumbent" true (loaded.Checkpoint.incumbent = Some (7, 0.09));
-      checki "named counter" 3 (Checkpoint.counter loaded "oracle_failures");
-      checki "absent counter is 0" 0 (Checkpoint.counter loaded "no_such"))
+      let snapshot = sample_snapshot () in
+      Checkpoint.save ~path ~fingerprint:"fp-test" snapshot;
+      let loaded = load_sample ~fingerprint:"fp-test" path in
+      checkb "every field survives" true (loaded = snapshot);
+      Alcotest.(check int64)
+        "shed bound bit-exact"
+        (Int64.bits_of_float snapshot.Bnb.shed_bound)
+        (Int64.bits_of_float loaded.Bnb.shed_bound))
 
 let test_checkpoint_rejects_fingerprint_mismatch () =
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Checkpoint.save ~path (sample_state ());
+      Checkpoint.save ~path ~fingerprint:"fp-test" (sample_snapshot ());
       checkb "mismatched fingerprint rejected" true
-        (match
-           (Checkpoint.load ~expect_fingerprint:"other-problem" ~path ()
-             : (int * int, int) Checkpoint.state)
-         with
-        | exception Checkpoint.Corrupt _ -> true
-        | _ -> false))
+        (raises_corrupt (fun () -> load_sample ~fingerprint:"other-problem" path)))
 
 let test_checkpoint_rejects_garbage () =
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let oc = open_out path in
-      output_string oc "not a checkpoint at all\n";
-      close_out oc;
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "not a checkpoint at all\n");
       checkb "garbage rejected" true
-        (match
-           (Checkpoint.load ~path () : (int * int, int) Checkpoint.state)
-         with
-        | exception Checkpoint.Corrupt _ -> true
-        | _ -> false))
+        (raises_corrupt (fun () -> load_sample ~fingerprint:"fp-test" path)))
+
+(* There is one schema: a file under any other format version — here the
+   v1 layout, with the right fingerprint and a well-formed payload — is
+   refused rather than migrated. *)
+let test_checkpoint_rejects_old_version () =
+  let path = temp_checkpoint () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "ldafp-bnb-checkpoint v1\nfp-test\n";
+          Marshal.to_channel oc (sample_snapshot ()) []);
+      checkb "v1 header rejected" true
+        (raises_corrupt (fun () -> load_sample ~fingerprint:"fp-test" path)))
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Checkpoint.save ~path (sample_state ());
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let prefix = really_input_string ic (len - 7) in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc prefix;
-      close_out oc;
+      Checkpoint.save ~path ~fingerprint:"fp-test" (sample_snapshot ());
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub bytes 0 (String.length bytes - 7)));
       checkb "truncated payload rejected" true
-        (match
-           (Checkpoint.load ~expect_fingerprint:"fp-test" ~path ()
-             : (int * int, int) Checkpoint.state)
-         with
-        | exception Checkpoint.Corrupt _ -> true
-        | _ -> false))
+        (raises_corrupt (fun () -> load_sample ~fingerprint:"fp-test" path)))
 
 let test_checkpoint_missing_file () =
   checkb "missing file raises Corrupt" true
-    (match
-       (Checkpoint.load ~path:"/nonexistent/dir/ck.bnb" ()
-         : (int * int, int) Checkpoint.state)
-     with
-    | exception Checkpoint.Corrupt _ -> true
-    | _ -> false)
+    (raises_corrupt (fun () ->
+         load_sample ~fingerprint:"fp-test" "/nonexistent/dir/ck.bnb"))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume through the driver                                *)
@@ -538,10 +556,10 @@ let test_bnb_kill_and_resume () =
         (killed.Bnb.stop_reason = Bnb.Node_budget);
       checkb "checkpoint written on stop" true (Sys.file_exists path);
       (* Phase 2: resume with the full budget. *)
-      let state : ((int * int), int) Checkpoint.state =
-        Checkpoint.load ~expect_fingerprint:"toy-713.3" ~path ()
+      let state : ((int * int), int) Bnb.snapshot =
+        Checkpoint.load ~fingerprint:"toy-713.3" ~path
       in
-      checki "nodes restored" kill_at state.Checkpoint.nodes_explored;
+      checki "nodes restored" kill_at state.Bnb.nodes_explored;
       let resumed =
         Bnb.resume ~params:exact_params (integer_quadratic_oracle target) state
       in
@@ -556,6 +574,39 @@ let test_bnb_kill_and_resume () =
           checki "same incumbent" xu xr;
           checkf 1e-12 "same cost" cu cr
       | _ -> Alcotest.fail "missing incumbent")
+
+(* [resume] copies every field of the snapshot back: a resumed search
+   whose node budget is already spent saves a snapshot equal to the one
+   it started from (up to frontier order and the clock), so no counter
+   is dropped or crossed with another. *)
+let test_bnb_resume_restores_every_field () =
+  let snapshot = sample_snapshot () in
+  let path = temp_checkpoint () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let r =
+        Bnb.resume
+          ~params:
+            { Bnb.default_params with
+              max_nodes = snapshot.Bnb.nodes_explored }
+          ~checkpointing:(Bnb.checkpointing ~fingerprint:"fp-test" path)
+          (integer_quadratic_oracle 3.3)
+          snapshot
+      in
+      checkb "stopped before expanding a node" true
+        (r.Bnb.stop_reason = Bnb.Node_budget
+        && r.Bnb.nodes_explored = snapshot.Bnb.nodes_explored);
+      let saved = load_sample ~fingerprint:"fp-test" path in
+      checkb "clock carried forward" true
+        (saved.Bnb.elapsed >= snapshot.Bnb.elapsed);
+      let sorted f = List.sort compare (Array.to_list f) in
+      checkb "same frontier" true
+        (sorted saved.Bnb.frontier = sorted snapshot.Bnb.frontier);
+      checkb "every other field unchanged" true
+        ({ saved with Bnb.frontier = snapshot.Bnb.frontier;
+                      elapsed = snapshot.Bnb.elapsed }
+        = snapshot))
 
 let test_bnb_periodic_checkpoint () =
   (* [every_nodes = 2] on a weak-bound search: the file must exist while
@@ -577,13 +628,13 @@ let test_bnb_periodic_checkpoint () =
           (-25, 25)
       in
       checkb "periodic snapshot written" true (Sys.file_exists path);
-      let state : ((int * int), int) Checkpoint.state =
-        Checkpoint.load ~expect_fingerprint:"periodic" ~path ()
+      let state : ((int * int), int) Bnb.snapshot =
+        Checkpoint.load ~fingerprint:"periodic" ~path
       in
       checkb "snapshot from mid-search" true
-        (state.Checkpoint.nodes_explored <= r.Bnb.nodes_explored);
+        (state.Bnb.nodes_explored <= r.Bnb.nodes_explored);
       checkb "snapshot cadence respected" true
-        (state.Checkpoint.nodes_explored mod 2 = 0))
+        (state.Bnb.nodes_explored mod 2 = 0))
 
 let test_bnb_interrupt_stops_and_saves () =
   let calls = Atomic.make 0 in
@@ -732,8 +783,7 @@ let test_ldafp_faults_invalidate_warm_starts () =
   | _ -> Alcotest.fail "a faulty solve found nothing"
 
 (* Warm-start counters are part of the search statistics and must
-   survive a checkpoint/resume chain (old snapshots without the fields
-   restore them as zero; new ones carry them forward). *)
+   survive a checkpoint/resume chain as fields of the snapshot. *)
 let test_ldafp_warm_counters_survive_resume () =
   let open Ldafp_core in
   let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
@@ -775,58 +825,6 @@ let test_ldafp_warm_counters_survive_resume () =
       checki "phase-I skips survive the chain"
         full.Lda_fp.diagnostics.Lda_fp.search.Bnb.phase1_skipped
         resumed.Lda_fp.diagnostics.Lda_fp.search.Bnb.phase1_skipped)
-
-(* A checkpoint written before the oracle-counter schema existed lacks
-   the warm/miss keys; resuming through one restarts those counters from
-   zero mid-chain.  The search must say so — the sticky [counters_reset]
-   marker — instead of silently reporting a partial warm_hit_rate as if
-   it covered the whole run. *)
-let test_ldafp_counters_reset_marker () =
-  let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
-  let path = temp_checkpoint () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Sys.remove path;
-      let config budget =
-        {
-          (exact_lda_config budget) with
-          Lda_fp.checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path);
-        }
-      in
-      let slice budget =
-        match Lda_fp.solve ~config:(config budget) pb with
-        | Some o -> o
-        | None -> Alcotest.fail "slice found no incumbent"
-      in
-      let first = slice 6 in
-      checkb "fresh run is not flagged" false
-        first.Lda_fp.diagnostics.Lda_fp.search.Bnb.counters_reset;
-      checkb "first slice stopped on the node budget" true
-        (first.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget);
-      (* Rewrite the snapshot as a pre-schema checkpoint looked: same
-         frontier and incumbent, warm/miss accounting keys absent. *)
-      let st = Checkpoint.load ~path () in
-      Checkpoint.save ~path
-        {
-          st with
-          Checkpoint.counters =
-            List.filter
-              (fun (k, _) -> not (List.mem k Bnb.warm_counter_keys))
-              st.Checkpoint.counters;
-        };
-      let second = slice 12 in
-      checkb "resume through a pre-schema snapshot raises the marker" true
-        second.Lda_fp.diagnostics.Lda_fp.search.Bnb.counters_reset;
-      checkb "second slice stopped on the node budget" true
-        (second.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget);
-      (* Sticky: the marker survives later snapshots of the chain even
-         though those record every key. *)
-      let third = slice 4000 in
-      checkb "marker survives later, fully-keyed snapshots" true
-        third.Lda_fp.diagnostics.Lda_fp.search.Bnb.counters_reset)
 
 (* Certificate counters (and the soundness flag) ride the same
    checkpoint schema: a kill/resume chain must report the same
@@ -872,13 +870,11 @@ let test_ldafp_cert_counters_survive_resume () =
         rs.Bnb.cert_fallbacks;
       checkb "chain stays certified sound" true rs.Bnb.certified_sound)
 
-(* A snapshot written before the certificate schema (fingerprint without
-   [+cert1]) is rejected outright by the fingerprint check; the subtler
-   case is a same-schema snapshot whose cert counters were stripped —
-   resuming through it must raise the sticky [counters_reset] marker AND
-   clear [certified_sound]: some pruning decisions' certification status
-   is unknown, so the whole run can no longer claim soundness. *)
-let test_ldafp_cert_schema_reset_marker () =
+(* [certified_sound] only ever clears across a resume chain: a slice run
+   with certification disabled pruned on unverified bounds, and its
+   frontier keys carry that into every later slice, so a certified
+   resume of it must still report the whole search as unsound. *)
+let test_ldafp_uncertified_slice_taints_chain () =
   let open Ldafp_core in
   let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
   let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
@@ -887,39 +883,77 @@ let test_ldafp_cert_schema_reset_marker () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Sys.remove path;
-      let config budget =
-        {
-          (exact_lda_config budget) with
-          Lda_fp.checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path);
-        }
-      in
-      let slice budget =
-        match Lda_fp.solve ~config:(config budget) pb with
+      let slice ~certify budget =
+        let config =
+          {
+            (exact_lda_config budget) with
+            Lda_fp.certify;
+            checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path);
+          }
+        in
+        match Lda_fp.solve ~config pb with
         | Some o -> o
         | None -> Alcotest.fail "slice found no incumbent"
       in
-      let first = slice 6 in
-      checkb "fresh run is certified sound" true
+      let first = slice ~certify:false 6 in
+      checkb "first slice stopped on the node budget" true
+        (first.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget);
+      checkb "uncertified slice is flagged" false
         first.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound;
-      let st = Checkpoint.load ~path () in
-      Checkpoint.save ~path
+      let second = slice ~certify:true 4000 in
+      checkb "certified resume completed" true
+        (second.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Proved_optimal);
+      checkb "certified resume did verify bounds" true
+        (second.Lda_fp.diagnostics.Lda_fp.search.Bnb.cert_verified > 0);
+      checkb "chain through an uncertified slice stays unsound" false
+        second.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound)
+
+(* A real LDA-FP snapshot with any single byte damaged must fail with
+   [Corrupt] — never a crash inside the unmarshaller, never a resume of
+   an ill-typed frontier.  Every offset, with one bit and with all eight
+   bits flipped. *)
+let test_checkpoint_every_byte_flip () =
+  let open Ldafp_core in
+  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
+  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let path = temp_checkpoint () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Sys.remove path;
+      let config =
         {
-          st with
-          Checkpoint.counters =
-            List.filter
-              (fun (k, _) -> not (List.mem k Bnb.cert_counter_keys))
-              st.Checkpoint.counters;
-        };
-      let second = slice 12 in
-      checkb "stripped cert keys raise the reset marker" true
-        second.Lda_fp.diagnostics.Lda_fp.search.Bnb.counters_reset;
-      checkb "and clear certified_sound" false
-        second.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound;
-      (* Sticky through the rest of the chain, even though every later
-         snapshot carries the full schema. *)
-      let third = slice 4000 in
-      checkb "unsoundness survives later snapshots" false
-        third.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound)
+          (exact_lda_config 6) with
+          Lda_fp.checkpoint = Some (Lda_fp.checkpoint_spec path);
+        }
+      in
+      (match Lda_fp.solve ~config pb with
+      | Some o ->
+          checkb "stopped on the node budget" true
+            (o.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget)
+      | None -> Alcotest.fail "slice found no incumbent");
+      let fingerprint = Ldafp_problem.fingerprint pb in
+      let good = In_channel.with_open_bin path In_channel.input_all in
+      let load () =
+        (Checkpoint.load ~fingerprint ~path
+          : (_, Linalg.Vec.t) Bnb.snapshot)
+      in
+      checkb "intact snapshot loads" true
+        ((load ()).Bnb.nodes_explored >= 6);
+      let survivors = ref [] in
+      List.iter
+        (fun mask ->
+          for i = 0 to String.length good - 1 do
+            let bad = Bytes.of_string good in
+            Bytes.set bad i (Char.chr (Char.code good.[i] lxor mask));
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_bytes oc bad);
+            if not (raises_corrupt load) then
+              survivors := (i, mask) :: !survivors
+          done)
+        [ 0x01; 0xff ];
+      checki "offsets that loaded despite the flip" 0
+        (List.length !survivors))
 
 (* The --no-certify escape hatch: same incumbent on a healthy solver,
    but the run is flagged as trusting. *)
@@ -1194,8 +1228,8 @@ let prop_resume_reaches_same_incumbent =
           in
           let final =
             if killed.Bnb.stop_reason = Bnb.Node_budget then begin
-              let state : ((int * int), int) Checkpoint.state =
-                Checkpoint.load ~expect_fingerprint:"prop" ~path ()
+              let state : ((int * int), int) Bnb.snapshot =
+                Checkpoint.load ~fingerprint:"prop" ~path
               in
               Bnb.resume ~params:exact (integer_quadratic_oracle target) state
             end
@@ -1292,8 +1326,8 @@ let prop_parallel_resume_matches_sequential =
                   (* The snapshot was taken across all shards mid-steal;
                      resuming it — still on several domains — must
                      complete to the uninterrupted incumbent. *)
-                  let state : ((int * int), int) Checkpoint.state =
-                    Checkpoint.load ~expect_fingerprint:"steal-resume" ~path ()
+                  let state : ((int * int), int) Bnb.snapshot =
+                    Checkpoint.load ~fingerprint:"steal-resume" ~path
                   in
                   Bnb.resume ~params:par (integer_quadratic_oracle target)
                     state
@@ -1353,8 +1387,8 @@ let prop_seeded_parallel_agrees_with_sequential =
                   clean root
               in
               if killed.Bnb.stop_reason = Bnb.Node_budget then begin
-                let state : ((int * int), int) Checkpoint.state =
-                  Checkpoint.load ~expect_fingerprint:"seed-resume" ~path ()
+                let state : ((int * int), int) Bnb.snapshot =
+                  Checkpoint.load ~fingerprint:"seed-resume" ~path
                 in
                 Bnb.resume ~params:par_params clean state
               end
@@ -1455,12 +1489,18 @@ let () =
             test_checkpoint_rejects_garbage;
           Alcotest.test_case "truncated payload" `Quick
             test_checkpoint_rejects_truncation;
+          Alcotest.test_case "version mismatch" `Quick
+            test_checkpoint_rejects_old_version;
+          Alcotest.test_case "every byte flip raises Corrupt" `Quick
+            test_checkpoint_every_byte_flip;
           Alcotest.test_case "missing file" `Quick
             test_checkpoint_missing_file;
         ] );
       ( "resume",
         [
           Alcotest.test_case "kill and resume" `Quick test_bnb_kill_and_resume;
+          Alcotest.test_case "resume restores every field" `Quick
+            test_bnb_resume_restores_every_field;
           Alcotest.test_case "periodic snapshots" `Quick
             test_bnb_periodic_checkpoint;
           Alcotest.test_case "interrupt stops and saves" `Quick
@@ -1478,12 +1518,10 @@ let () =
             test_ldafp_faults_invalidate_warm_starts;
           Alcotest.test_case "warm counters survive resume" `Quick
             test_ldafp_warm_counters_survive_resume;
-          Alcotest.test_case "pre-schema snapshot flags counters_reset" `Quick
-            test_ldafp_counters_reset_marker;
           Alcotest.test_case "cert counters survive resume" `Quick
             test_ldafp_cert_counters_survive_resume;
-          Alcotest.test_case "stripped cert keys clear certified_sound"
-            `Quick test_ldafp_cert_schema_reset_marker;
+          Alcotest.test_case "uncertified slice taints the chain" `Quick
+            test_ldafp_uncertified_slice_taints_chain;
           Alcotest.test_case "no-certify flags the run as trusting" `Quick
             test_ldafp_no_certify_flags_unsound;
           Alcotest.test_case "certificates under faults and resume" `Quick

@@ -818,6 +818,31 @@ let test_model_io_errors () =
        "ldafp-model v1\nformat Q2.4\npolarity 1\nexponents 0 0\nweights \
         1\nthreshold 0\n")
 
+(* Exponents are accepted up to +-1100 inclusive and refused one past
+   either bound (and at the int extremes, where C [ldexp] truncates). *)
+let test_model_io_exponent_range () =
+  let model e =
+    Printf.sprintf
+      "ldafp-model v1\nformat Q2.4\npolarity 1\nexponents 0 %d\nweights 1 \
+       -2\nthreshold 0\n"
+      e
+  in
+  List.iter
+    (fun e ->
+      let clf = Model_io.of_string (model e) in
+      checki (Printf.sprintf "exponent %d kept" e) e
+        (Scaling.exponent clf.Fixed_classifier.scaling 1))
+    [ -1100; 0; 1100 ];
+  List.iter
+    (fun e ->
+      checkb
+        (Printf.sprintf "exponent %d rejected" e)
+        true
+        (match Model_io.of_string (model e) with
+        | exception Model_io.Parse_error _ -> true
+        | _ -> false))
+    [ -1101; 1101; min_int; max_int; 1 lsl 31 ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1022,6 +1047,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick
             test_model_io_file_roundtrip;
           Alcotest.test_case "errors" `Quick test_model_io_errors;
+          Alcotest.test_case "exponent range" `Quick
+            test_model_io_exponent_range;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -812,8 +812,8 @@ let box_quadratic_oracle ~weights ~center =
 (* One-domain searches pinned to the values a plain single-heap
    best-first search produces: node count, stop reason, best cost and
    bound as IEEE bits, and every counting field of [stats] ([counts]
-   lists the non-zero integers; every other integer must be 0,
-   [certified_sound] true, [counters_reset] false). *)
+   lists the non-zero integers; every other integer must be 0, and
+   [certified_sound] true). *)
 let check_pinned name ~nodes ~stop ~cost ~bound ~counts (r_nodes, r_stop,
     r_cost, r_bound, stats) =
   let bits = Alcotest.(check int64) in
@@ -1247,8 +1247,8 @@ let test_bnb_seed_checkpoint_resume () =
     && sliced.Bnb.stats.Bnb.seed_nodes >= 1
     && sliced.Bnb.stats.Bnb.seed_nodes = sliced.Bnb.nodes_explored);
   let state =
-    (Checkpoint.load ~expect_fingerprint:"seed-ck" ~path ()
-      : (int * int, int) Checkpoint.state)
+    (Checkpoint.load ~fingerprint:"seed-ck" ~path
+      : (int * int, int) Bnb.snapshot)
   in
   let resumed =
     Bnb.resume
