@@ -9,6 +9,19 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
+(* [reading path load] loads an input file.  A malformed one is the
+   user's error, so it ends the command with one line naming the file and
+   exit 1, not cmdliner's "internal error, uncaught exception" (exit
+   125). *)
+let reading path load =
+  try load path with
+  | Model_io.Parse_error msg ->
+      Fmt.epr "%s: %s@." path msg;
+      exit 1
+  | Datasets.Dataset_io.Parse_error { line; message } ->
+      Fmt.epr "%s:%d: %s@." path line message;
+      exit 1
+
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
@@ -284,7 +297,7 @@ let train_cmd =
         "WARNING: --no-certify prunes on the solver's primal objective \
          without independent verification — a bad solve can prune the \
          optimum.  Results are NOT certified.@.";
-    let ds = Datasets.Dataset_io.load data in
+    let ds = reading data Datasets.Dataset_io.load in
     let fmt = fmt_of ~wl ~k in
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
@@ -543,8 +556,8 @@ let model_arg =
 let eval_cmd =
   let run verbose model data =
     setup_logs verbose;
-    let clf = Model_io.load model in
-    let ds = Datasets.Dataset_io.load data in
+    let clf = reading model Model_io.load in
+    let ds = reading data Datasets.Dataset_io.load in
     let confusion = Eval.confusion_fixed clf ds in
     Fmt.pr "%a on %a@.error rate: %.2f%%  (sensitivity %.2f%%, specificity \
             %.2f%%)@."
@@ -576,7 +589,7 @@ let sweep_cmd =
   in
   let run verbose seed data k wls nodes domains folds =
     setup_logs verbose;
-    let ds = Datasets.Dataset_io.load data in
+    let ds = reading data Datasets.Dataset_io.load in
     let config = config_of_nodes ~domains nodes in
     let rows =
       List.map
@@ -654,7 +667,7 @@ let rtl_cmd =
   in
   let run verbose model out testbench data c_header =
     setup_logs verbose;
-    let clf = Model_io.load model in
+    let clf = reading model Model_io.load in
     Option.iter
       (fun path ->
         Model_io.save_c_header path clf;
@@ -679,7 +692,7 @@ let rtl_cmd =
     Fmt.pr "wrote %s@." out;
     match (testbench, data) with
     | Some tb_path, Some data_path ->
-        let ds = Datasets.Dataset_io.load data_path in
+        let ds = reading data_path Datasets.Dataset_io.load in
         let vectors =
           List.init
             (min 16 (Datasets.Dataset.n_trials ds))
@@ -728,7 +741,7 @@ let classify_cmd =
       Fmt.epr "--batch must be >= 1@.";
       exit 2
     end;
-    let clf = Model_io.load model in
+    let clf = reading model Model_io.load in
     let engine = Infer.Engine.of_fixed ~capacity:batch clf in
     let m = Fixed_classifier.n_features clf in
     let b = Infer.Engine.make_batch engine in
@@ -785,12 +798,8 @@ let classify_cmd =
       close_in_noerr ic;
       Option.iter close_out_noerr oc
     in
-    (match classify () with
-    | () -> finish ()
-    | exception Datasets.Dataset_io.Parse_error { line; message } ->
-        finish ();
-        Fmt.epr "%s:%d: %s@." data line message;
-        exit 1);
+    reading data (fun _ -> classify ());
+    finish ();
     let c = !confusion in
     if Stats.Confusion.total c = 0 then begin
       Fmt.epr "%s: no data rows@." data;
@@ -845,8 +854,8 @@ let classify_cmd =
 let analyze_cmd =
   let run verbose model data =
     setup_logs verbose;
-    let clf = Model_io.load model in
-    let ds = Datasets.Dataset_io.load data in
+    let clf = reading model Model_io.load in
+    let ds = reading data Datasets.Dataset_io.load in
     let fmt = Fixed_classifier.format clf in
     (* Quantisation-noise accounting against the dataset's statistics in
        the classifier's own scaled space. *)
@@ -893,7 +902,7 @@ let analyze_cmd =
 let info_cmd =
   let run verbose data =
     setup_logs verbose;
-    let ds = Datasets.Dataset_io.load data in
+    let ds = reading data Datasets.Dataset_io.load in
     Fmt.pr "%a@." Datasets.Dataset.pp_summary ds;
     let a, b = Datasets.Dataset.class_split ds in
     let scatter = Stats.Scatter.of_data a b in

@@ -21,18 +21,17 @@ type t = {
   features : int;
 }
 
-(* Registered eagerly at module init (before any domain is spawned);
-   every recording site is guarded by [Obs.Metrics.enabled] so the
-   disabled path is one atomic load and allocates nothing. *)
+(* Declared at module init, before any domain is spawned.  The
+   predictions counter counts columns, not batches, so it stays a plain
+   counter beside the batch probe. *)
 let m_predictions_total =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Predictions served by the batched inference engine"
     "ldafp_infer_predictions_total"
 
-let m_batch_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default
-    ~help:"Wall time of one batched predict_into call" ~lo:1e-8 ~hi:1.0
-    "ldafp_infer_batch_seconds"
+let p_batch =
+  Obs.Probe.v "infer.batch"
+    ~seconds:(1e-8, 1.0, "Wall time of one batched predict_into call")
 
 let ba1_of_array arr =
   let n = Array.length arr in
@@ -140,9 +139,8 @@ let predict_into t batch out =
   let n = Batch.length batch in
   if Bytes.length out < n then
     invalid_arg "Engine.predict_into: output buffer too short";
-  let metrics_on = Obs.Metrics.enabled () in
-  let trace_on = Obs.Trace.enabled () in
-  let t0 = if metrics_on || trace_on then Obs.Clock.now_ns () else 0 in
+  let observed = Obs.Probe.on () in
+  let t0 = if observed then Obs.Clock.now_ns () else 0 in
   project_into t batch;
   let thr = t.thr_raw in
   if t.polarity then
@@ -155,12 +153,8 @@ let predict_into t batch out =
       Bytes.unsafe_set out i
         (if Bigarray.Array1.unsafe_get t.proj i < thr then '\001' else '\000')
     done;
-  if metrics_on then begin
+  if observed then begin
     Obs.Metrics.add m_predictions_total n;
-    Obs.Metrics.observe m_batch_seconds
-      (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
-  end;
-  if trace_on then
-    Obs.Trace.complete ~cat:"infer" "infer.batch" ~t0_ns:t0
-      ~dur_ns:(Obs.Clock.now_ns () - t0)
+    Obs.Probe.span p_batch ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0)
       ~args:[ ("batch", Obs.Trace.Int n) ]
+  end

@@ -13,7 +13,7 @@
     minor-heap allocations (unit-tested), so a long-lived server loop
     never pressures the GC.
 
-    Observability (both zero-cost when {!Obs.Metrics.enabled} is off):
+    Observability (one atomic load when every sink is off):
     - [ldafp_infer_predictions_total] — predictions served;
     - [ldafp_infer_batch_seconds] — wall time of one batched call;
     - an [infer.batch] trace span per call when tracing is on. *)

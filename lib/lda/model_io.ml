@@ -26,9 +26,17 @@ let to_string clf =
   Buffer.contents buf
 
 let parse_format s =
-  try Scanf.sscanf s "Q%d.%d" (fun k f -> Qformat.make ~k ~f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+  try Scanf.sscanf s "Q%d.%d%!" (fun k f -> Qformat.make ~k ~f)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _ ->
     raise (Parse_error (Printf.sprintf "bad format %S" s))
+
+(* A code outside the format's range is refused, never wrapped. *)
+let code fmt r =
+  if r < Qformat.min_raw fmt || r > Qformat.max_raw fmt then
+    raise
+      (Parse_error
+         (Printf.sprintf "raw code %d outside %s" r (Qformat.to_string fmt)));
+  Fx.create fmt r
 
 let ints_of_words words =
   List.map
@@ -88,6 +96,7 @@ let of_string text =
                 max_exponent max_exponent)))
     exponents;
   let weights = ints_of_words (get "weights") in
+  if weights = [] then raise (Parse_error "no features");
   if List.length exponents <> List.length weights then
     raise (Parse_error "exponents/weights length mismatch");
   let threshold =
@@ -96,13 +105,8 @@ let of_string text =
     | _ -> raise (Parse_error "bad threshold line")
   in
   let scaling = Scaling.of_exponents (Array.of_list exponents) in
-  let w =
-    Fx_vector.of_fx
-      (Array.of_list (List.map (fun r -> Fx.create fmt r) weights))
-  in
-  Fixed_classifier.create ~polarity ~w
-    ~threshold:(Fx.create fmt threshold)
-    ~scaling ()
+  let w = Fx_vector.of_fx (Array.of_list (List.map (code fmt) weights)) in
+  Fixed_classifier.create ~polarity ~w ~threshold:(code fmt threshold) ~scaling ()
 
 let c_header_of ?(guard = "LDAFP_MODEL_FIXED_H") clf =
   let fmt = Fixed_classifier.format clf in

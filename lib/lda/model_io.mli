@@ -15,9 +15,11 @@ exception Parse_error of string
 
 val to_string : Fixed_classifier.t -> string
 val of_string : string -> Fixed_classifier.t
-(** @raise Parse_error on malformed input, including a scaling exponent
-    outside [[-1100, 1100]] (wider than any finite double needs; past
-    ±2{^31} the C [ldexp] would silently truncate it). *)
+(** @raise Parse_error on malformed input, including a format
+    {!Fixedpoint.Qformat.make} refuses, a raw code outside the format's
+    range, and a scaling exponent outside [[-1100, 1100]] (wider than
+    any finite double needs; past ±2{^31} the C [ldexp] would silently
+    truncate it). *)
 
 val save : string -> Fixed_classifier.t -> unit
 val load : string -> Fixed_classifier.t

@@ -38,9 +38,8 @@ type metric = C of counter | G of gauge | H of histogram
 
 type t = { r_lock : Mutex.t; mutable r_metrics : metric list (* newest first *) }
 
-let on = Atomic.make false
-let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
+let enabled () = Atomic.get Sink.mask land Sink.metrics <> 0
+let set_enabled b = Sink.set Sink.metrics b
 let create () = { r_lock = Mutex.create (); r_metrics = [] }
 let default = create ()
 
@@ -64,9 +63,9 @@ let counter ?(help = "") ?(labels = []) reg name =
   register reg (C c);
   c
 
-let gauge ?(help = "") ?(labels = []) reg name =
+let gauge ?(help = "") ?(labels = []) ?(init = 0.0) reg name =
   let g =
-    { g_name = name; g_help = help; g_labels = labels; g_value = Atomic.make 0.0 }
+    { g_name = name; g_help = help; g_labels = labels; g_value = Atomic.make init }
   in
   register reg (G g);
   g
@@ -103,13 +102,13 @@ let histogram ?(help = "") ?(labels = []) ?(bins = 24) ~lo ~hi reg name =
   register reg (H h);
   h
 
-let incr c = Atomic.incr c.c_value
-let add c n = ignore (Atomic.fetch_and_add c.c_value n)
-let set g v = Atomic.set g.g_value v
+let incr c = if enabled () then Atomic.incr c.c_value
+let add c n = if enabled () then ignore (Atomic.fetch_and_add c.c_value n)
+let set g v = if enabled () then Atomic.set g.g_value v
 let counter_value c = Atomic.get c.c_value
 let gauge_value g = Atomic.get g.g_value
 
-let observe h x =
+let record h x =
   let s = Domain.DLS.get h.h_key in
   if Float.is_nan x || x <= 0.0 then s.s_underflow <- s.s_underflow + 1
   else begin
@@ -126,6 +125,8 @@ let observe h x =
       s.s_counts.(i) <- s.s_counts.(i) + 1
     end
   end
+
+let observe h x = if enabled () then record h x
 
 let shards_of h =
   Mutex.lock h.h_lock;

@@ -5,13 +5,9 @@
     any domain is spawned) and are cheap enough to update from the
     solver's hot paths: counters and gauges are atomics; a histogram
     observation indexes a {e per-domain} single-writer shard, so no lock
-    or CAS contention is involved.  Recording is gated by a global
-    {!enabled} flag (one atomic load); call sites guard on it so the
-    disabled path allocates nothing:
-
-    {[
-      if Obs.Metrics.enabled () then Obs.Metrics.observe h seconds
-    ]}
+    or CAS contention is involved.  Every recorder is a no-op unless
+    metrics are enabled.  An event's metrics belong to its {!Probe};
+    only metrics with no event are recorded here directly.
 
     Histograms are log-bucketed: geometric bucket boundaries between
     [lo] and [hi], i.e. linear bins in [log10] space — which is exactly
@@ -37,10 +33,8 @@ val default : t
 val create : unit -> t
 (** A fresh registry (tests). *)
 
-val enabled : unit -> bool
-(** One atomic load; never allocates. *)
-
 val set_enabled : bool -> unit
+(** Sets the metrics bit of {!Sink.mask}. *)
 
 (** {1 Registration}
 
@@ -52,7 +46,9 @@ val counter :
   ?help:string -> ?labels:(string * string) list -> t -> string -> counter
 
 val gauge :
-  ?help:string -> ?labels:(string * string) list -> t -> string -> gauge
+  ?help:string -> ?labels:(string * string) list -> ?init:float ->
+  t -> string -> gauge
+(** [init] (default [0.]) is the value until the first {!set}. *)
 
 val histogram :
   ?help:string ->
@@ -78,22 +74,14 @@ val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 (** Record one observation on the calling domain's shard. *)
 
-(** {1 Reading (tests / sinks)} *)
-
-val counter_value : counter -> int
-val gauge_value : gauge -> float
+(** {1 Reading} *)
 
 val histogram_count : histogram -> int
 (** Total observations incl. under/overflow, summed across shards. *)
 
-val histogram_sum : histogram -> float
-
 val histogram_quantile : histogram -> float -> float option
 (** [p]-quantile estimate in {e value} space ([10 ** q] of the log-space
     {!Stats.Histogram.quantile}); [None] when empty. *)
-
-val snapshot : histogram -> Stats.Histogram.t
-(** Shards merged into one {!Stats.Histogram} over [log10 x]. *)
 
 (** {1 Export} *)
 

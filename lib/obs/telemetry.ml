@@ -20,18 +20,15 @@ let git_rev =
   | Some r when String.trim r <> "" -> String.trim r
   | _ -> "unknown"
 
-let build_info () =
-  [ ("version", version); ("ocaml", Sys.ocaml_version); ("git_rev", git_rev) ]
-
 (* Registered eagerly at module init, like every other metric in the
    repo (concurrent Lazy.force is unsafe on OCaml 5).  [ldafp_build_info]
    is the conventional constant-1 gauge whose labels carry the build
    identity; [ldafp_uptime_seconds] is refreshed on every scrape. *)
-let m_build_info =
-  Metrics.gauge Metrics.default ~labels:(build_info ())
+let (_ : Metrics.gauge) =
+  Metrics.gauge Metrics.default ~init:1.0
+    ~labels:
+      [ ("version", version); ("ocaml", Sys.ocaml_version); ("git_rev", git_rev) ]
     ~help:"constant 1; labels identify the build" "ldafp_build_info"
-
-let () = Metrics.set m_build_info 1.0
 
 let m_uptime =
   Metrics.gauge Metrics.default
@@ -43,16 +40,15 @@ let uptime_seconds () = float_of_int (Clock.now_ns () - start_ns) *. 1e-9
 
 (* ---- Health state ---- *)
 
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+let enabled () = Atomic.get Sink.mask land Sink.telemetry <> 0
 let phase = Atomic.make "idle"
 let nodes = Atomic.make 0
 let incumbent = Atomic.make Float.infinity
 let gap = Atomic.make Float.infinity
-let set_phase p = Atomic.set phase p
-let set_nodes n = Atomic.set nodes n
-let set_incumbent c = Atomic.set incumbent c
-let set_gap g = Atomic.set gap g
+let set_phase p = if enabled () then Atomic.set phase p
+let set_nodes n = if enabled () then Atomic.set nodes n
+let set_incumbent c = if enabled () then Atomic.set incumbent c
+let set_gap g = if enabled () then Atomic.set gap g
 
 let health_json () =
   (* The Json writer maps non-finite floats to [null], which is exactly
@@ -224,13 +220,13 @@ let start ?(registry = Metrics.default) ~addr () =
           in
           let stop_flag = Atomic.make false in
           let dom = Domain.spawn (accept_loop registry sock stop_flag) in
-          Atomic.set enabled_flag true;
+          Sink.set Sink.telemetry true;
           Ok { sock; bound_host; bound_port; stop_flag; dom; stopped = false })
 
 let stop s =
   if not s.stopped then begin
     s.stopped <- true;
-    Atomic.set enabled_flag false;
+    Sink.set Sink.telemetry false;
     Atomic.set s.stop_flag true;
     Domain.join s.dom;
     try Unix.close s.sock with _ -> ()

@@ -16,9 +16,8 @@
     enough for Prometheus, [curl] and CI, and a ready-made scrape
     surface for a future [ldafp serve].
 
-    Solver-side health updates are gated by {!enabled} exactly like
-    {!Metrics.enabled}: when no server is running, every update site
-    costs one atomic load and allocates nothing. *)
+    The health setters check {!enabled} themselves: with no server
+    running they are no-ops costing one atomic load. *)
 
 type server
 
@@ -45,11 +44,11 @@ val addr : server -> string
 (** {1:health Health state}
 
     Module-level atomics published by the solver and rendered by
-    [/healthz].  Setters are cheap (one atomic store; float boxing on
-    the enabled path only) and safe from any domain. *)
+    [/healthz].  Setters are safe from any domain; hot sites call them
+    behind {!Probe.on}, so no float argument is boxed for nothing. *)
 
 val enabled : unit -> bool
-(** One atomic load; never allocates.  True while a server is
+(** The telemetry bit of {!Sink.mask}: true while a server is
     running. *)
 
 val set_phase : string -> unit
@@ -64,10 +63,6 @@ val health_json : unit -> Json.t
 (** The [/healthz] body: [{status, phase, nodes_expanded, incumbent,
     certified_gap, uptime_seconds, pid}].  Non-finite floats render as
     [null] (no incumbent yet). *)
-
-val build_info : unit -> (string * string) list
-(** The [ldafp_build_info] labels: [version], [ocaml], [git_rev]
-    ([LDAFP_GIT_REV] env or ["unknown"]). *)
 
 (**/**)
 

@@ -31,9 +31,8 @@ type collector = {
 
 type t = collector
 
-(* The process-global sink.  [enabled] is one atomic load — the entire
-   cost of the disabled path, since call sites guard on it before
-   building any event arguments. *)
+(* The process-global sink; its presence is mirrored in the trace bit
+   of [Sink.mask], which is what probes read. *)
 let current : collector option Atomic.t = Atomic.make None
 
 (* Each domain caches its ring per collector (physical equality), so an
@@ -65,25 +64,26 @@ let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   { capacity; reg_lock = Mutex.create (); rings = [] }
 
-let install c = Atomic.set current (Some c)
-let uninstall () = Atomic.set current None
-let enabled () = Atomic.get current != None
+let install c =
+  Atomic.set current (Some c);
+  Sink.set Sink.trace true
+
+let uninstall () =
+  Sink.set Sink.trace false;
+  Atomic.set current None
+
+let emit ph args ~cat name ~t0_ns ~dur_ns =
+  match Atomic.get current with
+  | None -> ()
+  | Some c ->
+      let tid = (Domain.self () :> int) in
+      write (ring_for c) { name; cat; ph; ts_ns = t0_ns; dur_ns; tid; args }
 
 let instant ?(args = []) ~cat name =
-  match Atomic.get current with
-  | None -> ()
-  | Some c ->
-      let tid = (Domain.self () :> int) in
-      write (ring_for c)
-        { name; cat; ph = `Instant; ts_ns = Clock.now_ns (); dur_ns = 0; tid; args }
+  emit `Instant args ~cat name ~t0_ns:(Clock.now_ns ()) ~dur_ns:0
 
 let complete ?(args = []) ~cat name ~t0_ns ~dur_ns =
-  match Atomic.get current with
-  | None -> ()
-  | Some c ->
-      let tid = (Domain.self () :> int) in
-      write (ring_for c)
-        { name; cat; ph = `Complete; ts_ns = t0_ns; dur_ns; tid; args }
+  emit `Complete args ~cat name ~t0_ns ~dur_ns
 
 let ring_events r =
   let cap = Array.length r.buf in

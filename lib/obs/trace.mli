@@ -4,15 +4,8 @@
     domain.  Rings are single-writer (the owning domain) so emission
     takes no lock and performs one array store; when a ring is full the
     oldest event is overwritten and a per-ring drop counter advances.
-    With no collector installed, {!enabled} is a single [Atomic.get]
-    and returns [false] — call sites guard argument construction behind
-    it so the disabled path allocates nothing:
-
-    {[
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"sched" "sched.park"
-          ~args:[ ("shard", Obs.Trace.Int i) ]
-    ]}
+    Instrumented code emits through declared {!Probe}s rather than
+    calling {!instant}/{!complete} directly.
 
     Export ({!events}/{!to_json}/{!save}) merges all rings sorted by
     timestamp into the Chrome trace-event JSON object format (catapult
@@ -47,10 +40,7 @@ val install : t -> unit
     domain land in it. *)
 
 val uninstall : unit -> unit
-(** Disable tracing; {!enabled} returns [false] again. *)
-
-val enabled : unit -> bool
-(** One atomic load and a comparison; never allocates. *)
+(** Disable tracing. *)
 
 val instant : ?args:(string * arg) list -> cat:string -> string -> unit
 (** Emit a point event stamped with {!Clock.now_ns} on the calling

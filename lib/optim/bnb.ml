@@ -253,53 +253,44 @@ module Log = (val Logs.src_log src : Logs.LOG)
    or shrink the time budget (and could make [elapsed] negative). *)
 let now () = Obs.Clock.now ()
 
-(* Solver-stack metrics, registered eagerly at module init (single
-   threaded; concurrent [Lazy.force] is unsafe in OCaml 5).  They only
-   record when [Obs.Metrics.enabled ()] — call sites guard on it so the
-   disabled path allocates nothing.  Glossary: doc/observability.mld. *)
-let m_node_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-6 ~hi:100.0
-    ~help:"wall time to expand one B&B node (branch + bound all children)"
-    "ldafp_bnb_node_seconds"
+(* Search probes, declared at module init.  Glossary:
+   doc/observability.mld. *)
+let p_node =
+  Obs.Probe.v "bnb.node"
+    ~seconds:
+      (1e-6, 100.0, "wall time to expand one B&B node (branch + bound all children)")
 
-let m_bound_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-7 ~hi:100.0
-    ~help:"wall time of one policy-guarded bound-oracle call"
-    "ldafp_bnb_bound_seconds"
+let p_bound =
+  Obs.Probe.v "bnb.bound"
+    ~seconds:(1e-7, 100.0, "wall time of one policy-guarded bound-oracle call")
 
-let m_incumbents =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"incumbent improvements installed" "ldafp_bnb_incumbent_total"
+let p_incumbent =
+  Obs.Probe.v "bnb.incumbent" ~count:"incumbent improvements installed"
 
-let m_fault_retries =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"oracle calls retried by the containment policy"
-    "ldafp_fault_retry_total"
+let p_retry =
+  Obs.Probe.v "fault.retry" ~count:"oracle calls retried by the containment policy"
 
-let m_fault_degraded =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"regions degraded to the certified fallback bound"
-    "ldafp_fault_degrade_total"
+let p_degrade =
+  Obs.Probe.v "fault.degrade"
+    ~count:"regions degraded to the certified fallback bound"
 
-let m_fault_dropped =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"regions dropped after exhausting the containment policy"
-    "ldafp_fault_drop_total"
+let p_drop =
+  Obs.Probe.v "fault.drop"
+    ~count:"regions dropped after exhausting the containment policy"
 
-let m_cert_fallbacks =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"regions degraded or dropped because their dual certificate failed"
-    "ldafp_fault_cert_fallback_total"
+let p_cert_fallback =
+  Obs.Probe.v "fault.cert_fallback"
+    ~count:"regions degraded or dropped because their dual certificate failed"
 
-let m_frontier_shed =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"queued regions shed by the bounded-memory frontier cap"
-    "ldafp_bnb_frontier_shed_total"
+let p_frontier_shed =
+  Obs.Probe.v "bnb.frontier_shed"
+    ~count:"queued regions shed by the bounded-memory frontier cap"
 
-let m_seed_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-6 ~hi:100.0
-    ~help:"wall time of the pre-worker frontier seeding phase"
-    "ldafp_bnb_seed_seconds"
+let p_seed =
+  Obs.Probe.v "bnb.seed"
+    ~seconds:(1e-6, 100.0, "wall time of the pre-worker frontier seeding phase")
+
+let p_budget_exhausted = Obs.Probe.v "fault.budget_exhausted"
 
 (* One line for [Obs.Progress]: the search-wide picture an operator
    needs to decide whether a long run is still converging. *)
@@ -359,8 +350,7 @@ let budget_allows (fc : Fault.counters) budget =
     if !budget = 0 then begin
       budget := -1;
       Atomic.incr fc.Fault.budget_exhausted;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"fault" "fault.budget_exhausted"
+      Obs.Probe.hit p_budget_exhausted
     end;
     false
   end
@@ -396,10 +386,7 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
         if k < policy.Fault.max_retries && budget_allows fc budget then begin
           decr budget;
           Atomic.incr fc.Fault.retries;
-          if Obs.Metrics.enabled () then Obs.Metrics.incr m_fault_retries;
-          if Obs.Trace.enabled () then
-            Obs.Trace.instant ~cat:"fault" "fault.retry"
-              ~args:[ ("attempt", Obs.Trace.Int (k + 1)) ];
+          Obs.Probe.hit_int p_retry "attempt" (k + 1);
           sleep_backoff policy fc ~attempt:(k + 1);
           attempt (k + 1)
         end
@@ -414,9 +401,7 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
             match failure with
             | Fault.Certificate_failed _ ->
                 Atomic.incr oc.cert_fallbacks;
-                if Obs.Metrics.enabled () then Obs.Metrics.incr m_cert_fallbacks;
-                if Obs.Trace.enabled () then
-                  Obs.Trace.instant ~cat:"fault" "fault.cert_fallback"
+                Obs.Probe.hit p_cert_fallback
             | _ -> ()
           in
           let degraded =
@@ -438,9 +423,8 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
           | Some lb ->
               note_cert_fallback ();
               Atomic.incr fc.Fault.degraded;
-              if Obs.Metrics.enabled () then Obs.Metrics.incr m_fault_degraded;
-              if Obs.Trace.enabled () then
-                Obs.Trace.instant ~cat:"fault" "fault.degrade"
+              if Obs.Probe.on () then
+                Obs.Probe.hit p_degrade
                   ~args:[ ("fallback_bound", Obs.Trace.Float lb) ];
               Log.debug (fun m ->
                   m "degraded region to fallback bound %.6g after: %s" lb
@@ -454,10 +438,7 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
               else begin
                 note_cert_fallback ();
                 Atomic.incr fc.Fault.dropped;
-                if Obs.Metrics.enabled () then Obs.Metrics.incr m_fault_dropped;
-                if Obs.Trace.enabled () then
-                  Obs.Trace.instant ~cat:"fault" "fault.drop"
-                    ~args:[ ("attempts", Obs.Trace.Int (k + 1)) ];
+                Obs.Probe.hit_int p_drop "attempts" (k + 1);
                 Log.warn (fun m ->
                     m "dropping region after %d attempt(s): %s" (k + 1)
                       (Fault.describe failure));
@@ -482,10 +463,7 @@ let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) ~budget
       let dus = dns / 1000 in
       ignore (Atomic.fetch_and_add oc.oracle_time_us dus);
       (match cell with Some c -> c := !c + dus | None -> ());
-      if Obs.Trace.enabled () then
-        Obs.Trace.complete ~cat:"bnb" "bnb.bound" ~t0_ns:t0 ~dur_ns:dns;
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.observe m_bound_seconds (float_of_int dns *. 1e-9))
+      Obs.Probe.span p_bound ~t0_ns:t0 ~dur_ns:dns)
     (fun () -> guarded_bound ~faults ~fc ~oc ~budget oracle region)
 
 let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) ~budget oracle
@@ -787,11 +765,10 @@ let run : type region sol.
             incumbent := Some (sol, cost);
             Atomic.set incumbent_cost cost;
             w.W.updates <- w.W.updates + 1;
-            if Obs.Metrics.enabled () then Obs.Metrics.incr m_incumbents;
-            if Obs.Telemetry.enabled () then Obs.Telemetry.set_incumbent cost;
-            if Obs.Trace.enabled () then
-              Obs.Trace.instant ~cat:"bnb" "bnb.incumbent"
-                ~args:[ ("cost", Obs.Trace.Float cost) ]
+            if Obs.Probe.on () then begin
+              Obs.Telemetry.set_incumbent cost;
+              Obs.Probe.hit p_incumbent ~args:[ ("cost", Obs.Trace.Float cost) ]
+            end
           end;
           Mutex.unlock inc_lock;
           better
@@ -873,10 +850,8 @@ let run : type region sol.
           let w = ws.(worker) in
           w.W.shed <- w.W.shed + dropped;
           fold_shed_bound min_key;
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.add m_frontier_shed dropped;
-          if Obs.Trace.enabled () then
-            Obs.Trace.instant ~cat:"bnb" "bnb.frontier_shed"
+          if Obs.Probe.on () then
+            Obs.Probe.add p_frontier_shed dropped
               ~args:
                 [
                   ("worker", Obs.Trace.Int worker);
@@ -946,20 +921,16 @@ let run : type region sol.
            schema gate compares the histogram count against the reported
            node counts). *)
         let node_ns = Obs.Clock.now_ns () - t_node in
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"bnb" "bnb.node" ~t0_ns:t_node
-            ~dur_ns:node_ns
+        if Obs.Probe.on () then begin
+          Obs.Probe.span p_node ~t0_ns:t_node ~dur_ns:node_ns
             ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.observe m_node_seconds (float_of_int node_ns *. 1e-9);
-        if seeding then begin
-          incr seed_nodes_run;
-          seed_us_run := (Obs.Clock.now_ns () - !seed_t0_ns) / 1000
-        end;
-        if Obs.Telemetry.enabled () then begin
           Obs.Telemetry.set_nodes (Atomic.get nodes);
           Obs.Telemetry.set_gap
             (Atomic.get incumbent_cost -. frontier_bound ~worker:i)
+        end;
+        if seeding then begin
+          incr seed_nodes_run;
+          seed_us_run := (Obs.Clock.now_ns () - !seed_t0_ns) / 1000
         end;
         (match progress with
         | Some p when Obs.Progress.due p ->
@@ -1034,27 +1005,24 @@ let run : type region sol.
         s.frontier;
       shed ~worker:0 ~keep:params.max_frontier);
   if workers > 1 then begin
-    if Obs.Telemetry.enabled () then Obs.Telemetry.set_phase "seeding";
+    Obs.Telemetry.set_phase "seeding";
     seed_t0_ns := Obs.Clock.now_ns ();
     worker 0 ~seeding:true ();
     Work_deque.deal deque;
     let seed_dur_ns = Obs.Clock.now_ns () - !seed_t0_ns in
     seed_us_run := seed_dur_ns / 1000;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"bnb" "bnb.seed" ~t0_ns:!seed_t0_ns
-        ~dur_ns:seed_dur_ns
+    if Obs.Probe.on () then
+      Obs.Probe.span p_seed ~t0_ns:!seed_t0_ns ~dur_ns:seed_dur_ns
         ~args:
           [
             ("seed_nodes", Obs.Trace.Int !seed_nodes_run);
             ("frontier", Obs.Trace.Int (Work_deque.live deque));
-          ];
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.observe m_seed_seconds (float_of_int seed_dur_ns *. 1e-9)
+          ]
   end;
   (* A stop raised while seeding (or a search the seed step already
      exhausted) skips the other workers entirely. *)
   if Atomic.get stop = None then begin
-    if Obs.Telemetry.enabled () then Obs.Telemetry.set_phase "searching";
+    Obs.Telemetry.set_phase "searching";
     let spawned =
       Array.init (workers - 1) (fun i ->
           Domain.spawn (worker (i + 1) ~seeding:false))
@@ -1065,10 +1033,8 @@ let run : type region sol.
   let stop_reason =
     match Atomic.get stop with Some r -> r | None -> Proved_optimal
   in
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.set_nodes (Atomic.get nodes);
-    Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason)
-  end;
+  Obs.Telemetry.set_nodes (Atomic.get nodes);
+  Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason);
   (match checkpointing with
   | Some ck when ck.save_on_stop && stop_wants_save stop_reason ->
       (* All workers have joined: nothing is in flight, the shard queues

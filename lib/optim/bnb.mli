@@ -443,11 +443,11 @@ val minimize :
     [domains > 1] the workers share the reporter's rate limit, so the
     cadence is unchanged.
 
-    Tracing and metrics need no per-call wiring: when a {!Obs.Trace}
-    collector is installed / {!Obs.Metrics} is enabled, the driver
-    emits node and bound-oracle spans, incumbent and fault-containment
-    instants, and latency histograms (see {!page-observability});
-    disabled, each site costs one branch and allocates nothing. *)
+    Tracing and metrics need no per-call wiring: the driver's probes
+    emit node and bound-oracle spans, incumbent and fault-containment
+    instants, and latency histograms to whichever sinks are on (see
+    {!page-observability}); with none on, each site costs one atomic
+    load and allocates nothing. *)
 
 val resume :
   ?params:params ->

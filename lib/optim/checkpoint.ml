@@ -2,16 +2,11 @@ exception Corrupt of string
 
 let magic = "ldafp-bnb-checkpoint v2"
 
-(* Snapshot metrics, registered eagerly at module init (see Obs). *)
-let m_save_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"checkpoint snapshots written (tmp + fsync + rename)"
-    "ldafp_ckpt_save_total"
-
-let m_save_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-5 ~hi:100.0
-    ~help:"wall time of one checkpoint write (serialize + fsync + rename)"
-    "ldafp_ckpt_save_seconds"
+let p_save =
+  Obs.Probe.v "ckpt.save"
+    ~count:"checkpoint snapshots written (tmp + fsync + rename)"
+    ~seconds:
+      (1e-5, 100.0, "wall time of one checkpoint write (serialize + fsync + rename)")
 
 (* Binds the payload to the fingerprint without copying the payload. *)
 let digest ~fingerprint payload =
@@ -33,13 +28,8 @@ let save ~path ~fingerprint payload =
       flush oc;
       Unix.fsync fd);
   Sys.rename tmp path;
-  let dns = Obs.Clock.now_ns () - t0 in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr m_save_total;
-    Obs.Metrics.observe m_save_seconds (float_of_int dns *. 1e-9)
-  end;
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"ckpt" "ckpt.save" ~t0_ns:t0 ~dur_ns:dns
+  if Obs.Probe.on () then
+    Obs.Probe.span p_save ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0)
       ~args:[ ("bytes", Obs.Trace.Int (String.length bytes)) ]
 
 let load ~fingerprint ~path =

@@ -1,53 +1,42 @@
 open Linalg
 
-(* Barrier-solver metrics, registered eagerly at module init; recording
-   is guarded by [Obs.Metrics.enabled] at every site (see Obs).
-   Glossary: doc/observability.mld. *)
-let m_solve_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"barrier SOCP solves (warm or cold)" "ldafp_socp_solve_total"
+(* Barrier-solver probes, declared at module init.  Glossary:
+   doc/observability.mld. *)
+let p_solve =
+  Obs.Probe.v "socp.solve" ~count:"barrier SOCP solves (warm or cold)"
+    ~seconds:
+      (1e-7, 100.0, "wall time of one Socp.solve call (incl. any interior nudge)")
 
-let m_phase1_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"phase-I feasibility solves actually run (the path warm starts \
-           skip)"
-    "ldafp_socp_phase1_total"
+let p_phase1 =
+  Obs.Probe.v "socp.phase1"
+    ~count:"phase-I feasibility solves actually run (the path warm starts skip)"
 
-let m_warm_pull_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"warm starts repaired by the analytic-center pull-in"
-    "ldafp_socp_warm_pull_total"
+let p_warm_pull =
+  Obs.Probe.v "socp.warm_pull"
+    ~count:"warm starts repaired by the analytic-center pull-in"
 
-let m_warm_correct_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"warm starts repaired by the one-step Newton correction"
-    "ldafp_socp_warm_correct_total"
-
-let m_solve_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-7 ~hi:100.0
-    ~help:"wall time of one Socp.solve call (incl. any interior nudge)"
-    "ldafp_socp_solve_seconds"
+let p_warm_correct =
+  Obs.Probe.v "socp.warm_correct"
+    ~count:"warm starts repaired by the one-step Newton correction"
 
 let m_newton_iterations =
   Obs.Metrics.histogram Obs.Metrics.default ~lo:1.0 ~hi:1e4
     ~help:"Newton iterations per Socp.solve (summed over the tau ladder)"
     "ldafp_socp_newton_iterations"
 
-let m_cert_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"dual-certificate evaluations attempted" "ldafp_socp_cert_total"
+let p_cert =
+  Obs.Probe.v "socp.cert" ~count:"dual-certificate evaluations attempted"
 
-let m_cert_repaired_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"certificates whose multipliers needed the feasibility repair \
-           projection"
-    "ldafp_socp_cert_repaired_total"
+let p_cert_repaired =
+  Obs.Probe.v "socp.cert_repaired"
+    ~count:
+      "certificates whose multipliers needed the feasibility repair projection"
 
-let m_cert_failed_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"certificate evaluations that failed (repair impossible or \
-           primal-dual slack excessive)"
-    "ldafp_socp_cert_failed_total"
+let p_cert_failed =
+  Obs.Probe.v "socp.cert_failed"
+    ~count:
+      "certificate evaluations that failed (repair impossible or primal-dual \
+       slack excessive)"
 
 let m_cert_slack =
   Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-12 ~hi:1e3
@@ -556,10 +545,8 @@ let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
       | Some r -> r
       | None -> Unknown (Array.sub !z 0 pb.n)
     in
-    if Obs.Metrics.enabled () then Obs.Metrics.incr m_phase1_total;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"socp" "socp.phase1" ~t0_ns:t0
-        ~dur_ns:(Obs.Clock.now_ns () - t0)
+    if Obs.Probe.on () then
+      Obs.Probe.span p_phase1 ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0)
         ~args:
           [
             ("outer", Obs.Trace.Int !outer);
@@ -687,17 +674,12 @@ let prepare_warm_start ?(params = default_params) ?(margin = 1e-8) ?target pb
     in
     match pulled with
     | Some y ->
-        if Obs.Metrics.enabled () then Obs.Metrics.incr m_warm_pull_total;
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"socp" "socp.warm_pull";
+        Obs.Probe.hit p_warm_pull;
         Some (y, Warm_pulled)
     | None -> (
         match correct_to_interior ~params ~margin pb x with
         | Some y ->
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.incr m_warm_correct_total;
-            if Obs.Trace.enabled () then
-              Obs.Trace.instant ~cat:"socp" "socp.warm_correct";
+            Obs.Probe.hit p_warm_correct;
             Some (y, Warm_corrected)
         | None -> None)
   end
@@ -710,14 +692,10 @@ let solve ?(params = default_params) ?certificate pb ~start =
   let t0 = Obs.Clock.now_ns () in
   let finish sol =
     let dns = Obs.Clock.now_ns () - t0 in
-    if Obs.Metrics.enabled () then begin
-      Obs.Metrics.incr m_solve_total;
-      Obs.Metrics.observe m_solve_seconds (float_of_int dns *. 1e-9);
+    if Obs.Probe.on () then begin
       Obs.Metrics.observe m_newton_iterations
-        (float_of_int sol.newton_iterations)
-    end;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"socp" "socp.solve" ~t0_ns:t0 ~dur_ns:dns
+        (float_of_int sol.newton_iterations);
+      Obs.Probe.span p_solve ~t0_ns:t0 ~dur_ns:dns
         ~args:
           [
             ("outer", Obs.Trace.Int sol.outer_iterations);
@@ -727,7 +705,8 @@ let solve ?(params = default_params) ?certificate pb ~start =
                 (match sol.status with
                 | Optimal -> "optimal"
                 | Suboptimal -> "suboptimal") );
-          ];
+          ]
+    end;
     sol
   in
   let start =
@@ -912,9 +891,9 @@ let norm2_up z =
   dir_up (sqrt s)
 
 let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
-  if Obs.Metrics.enabled () then Obs.Metrics.incr m_cert_total;
+  Obs.Probe.hit p_cert;
   let fail reason =
-    if Obs.Metrics.enabled () then Obs.Metrics.incr m_cert_failed_total;
+    Obs.Probe.hit p_cert_failed;
     Error (Cert_repair_failed reason)
   in
   let x = sol.x in
@@ -1091,16 +1070,14 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
              coordinate)"
         else begin
           let slack = sol.objective -. dual_value in
-          if Obs.Metrics.enabled () then
+          if Obs.Probe.on () then
             Obs.Metrics.observe m_cert_slack (Float.max slack 1e-12);
           if slack > max_rel_slack *. (1.0 +. Float.abs sol.objective) then begin
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.incr m_cert_failed_total;
+            Obs.Probe.hit p_cert_failed;
             Error (Cert_gap_excessive slack)
           end
           else begin
-            if !repaired && Obs.Metrics.enabled () then
-              Obs.Metrics.incr m_cert_repaired_total;
+            if !repaired then Obs.Probe.hit p_cert_repaired;
             Ok { dual_value; slack; repaired = !repaired }
           end
         end

@@ -355,8 +355,8 @@ val certify_lower_bound :
     is typically {e tighter} than the heuristic
     [objective − 2·gap_bound].  [max_rel_slack] (default [0.1])
     triggers {!Cert_gap_excessive}, relative to [1 + |objective|].
-    Bumps the [ldafp_socp_cert_*] metrics and observes the slack
-    histogram when {!Obs.Metrics} is enabled.  Cost: one [P·x*] product
+    Emits the [socp.cert*] probes and observes the slack histogram.
+    Cost: one [P·x*] product
     plus one pass over the constraint data in interval arithmetic —
     O(n² + constraints·n), no factorisation. *)
 

@@ -44,33 +44,27 @@
    mirror cost disappears from profiles. *)
 let publish_epoch = 32
 
-(* Scheduler metrics, registered eagerly at module init; recording is
-   guarded by [Obs.Metrics.enabled] at every site (see Obs).  Glossary:
+(* Scheduler probes, declared at module init.  Glossary:
    doc/observability.mld. *)
-let m_steal_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"successful steal-half transfers between shards"
-    "ldafp_sched_steal_total"
+let p_steal =
+  Obs.Probe.v "sched.steal"
+    ~count:"successful steal-half transfers between shards"
+    ~seconds:
+      (1e-8, 1.0, "wall time of a successful steal (victim scan to acquisition)")
 
-let m_steal_miss_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"steal scans that found every sibling shard empty"
-    "ldafp_sched_steal_miss_total"
+let p_steal_miss =
+  Obs.Probe.v "sched.steal_miss"
+    ~count:"steal scans that found every sibling shard empty"
 
-let m_park_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"times a worker parked on its idle condvar"
-    "ldafp_sched_park_total"
+let p_park =
+  Obs.Probe.v "sched.park" ~count:"times a worker parked on its idle condvar"
 
-let m_targeted_wakeup_total =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"pushes that woke exactly one parked worker (targeted signal)"
-    "ldafp_sched_targeted_wakeup_total"
+let p_targeted_wakeup =
+  Obs.Probe.v "sched.targeted_wakeup"
+    ~count:"pushes that woke exactly one parked worker (targeted signal)"
 
-let m_steal_seconds =
-  Obs.Metrics.histogram Obs.Metrics.default ~lo:1e-8 ~hi:1.0
-    ~help:"wall time of a successful steal (victim scan to acquisition)"
-    "ldafp_sched_steal_seconds"
+let p_wake = Obs.Probe.v "sched.wake"
+let p_drain = Obs.Probe.v "sched.drain"
 
 let m_queue_depth =
   Obs.Metrics.histogram Obs.Metrics.default ~lo:1.0 ~hi:1e6
@@ -176,12 +170,12 @@ let shard_bound s =
 (* Exact mirror publication.  Must hold [s.lock].  The frontier-size
    gauge rides the same epoch batching: summing the length mirrors is
    [workers] atomic loads, paid only on exact publishes — never on the
-   per-push/pop hot path — and nothing at all when metrics are off. *)
+   per-push/pop hot path — and nothing at all when every sink is off. *)
 let publish_mirrors t s =
   Atomic.set s.bound_mirror (shard_bound s);
   Atomic.set s.len_mirror (Pqueue.length s.queue);
   s.dirty <- 0;
-  if Obs.Metrics.enabled () then begin
+  if Obs.Probe.on () then begin
     let total =
       Array.fold_left
         (fun acc sh -> acc + Atomic.get sh.len_mirror)
@@ -212,8 +206,7 @@ let signal_work t =
     | w :: rest ->
         t.idler_stack <- rest;
         Atomic.incr t.targeted_wakeups.(w);
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.incr m_targeted_wakeup_total;
+        Obs.Probe.hit_int p_targeted_wakeup "worker" w;
         Condition.signal t.park_conds.(w));
     Mutex.unlock t.park_lock
   end
@@ -233,7 +226,7 @@ let push t ~worker key value =
     Atomic.set s.len_mirror (Pqueue.length s.queue);
   note_mutation t s;
   Mutex.unlock s.lock;
-  if Obs.Metrics.enabled () then
+  if Obs.Probe.on () then
     Obs.Metrics.observe m_queue_depth (float_of_int (Atomic.get s.len_mirror));
   signal_work t
 
@@ -361,13 +354,8 @@ let try_steal t ~thief =
         | None -> attempt ~first:false
         | Some _ as some ->
             let dns = Obs.Clock.now_ns () - t0 in
-            if Obs.Metrics.enabled () then begin
-              Obs.Metrics.incr m_steal_total;
-              Obs.Metrics.observe m_steal_seconds (float_of_int dns *. 1e-9)
-            end;
-            if Obs.Trace.enabled () then
-              Obs.Trace.complete ~cat:"sched" "sched.steal" ~t0_ns:t0
-                ~dur_ns:dns
+            if Obs.Probe.on () then
+              Obs.Probe.span p_steal ~t0_ns:t0 ~dur_ns:dns
                 ~args:
                   [
                     ("thief", Obs.Trace.Int thief);
@@ -380,10 +368,7 @@ let try_steal t ~thief =
   let r = attempt ~first:true in
   (match r with
   | None ->
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_steal_miss_total;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"sched" "sched.steal_miss"
-          ~args:[ ("thief", Obs.Trace.Int thief) ]
+      Obs.Probe.hit_int p_steal_miss "thief" thief
   | Some _ -> ());
   r
 
@@ -516,25 +501,19 @@ let park t ~worker =
     then `Work
     else begin
       Atomic.incr t.idle_wakeups;
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_park_total;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"sched" "sched.park"
-          ~args:[ ("worker", Obs.Trace.Int worker) ];
+      Obs.Probe.hit_int p_park "worker" worker;
       t.idler_stack <- worker :: t.idler_stack;
       Condition.wait t.park_conds.(worker) t.park_lock;
       (* A close broadcast or a spurious wake can return with our stack
          entry still present; drop it so a later targeted signal is
          not spent on a worker that is already awake. *)
       t.idler_stack <- List.filter (fun w -> w <> worker) t.idler_stack;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"sched" "sched.wake"
-          ~args:[ ("worker", Obs.Trace.Int worker) ];
+      Obs.Probe.hit_int p_wake "worker" worker;
       wait_loop ()
     end
   in
   let outcome = wait_loop () in
-  if outcome = `Drained && Obs.Trace.enabled () then
-    Obs.Trace.instant ~cat:"sched" "sched.drain";
+  if outcome = `Drained then Obs.Probe.hit p_drain;
   Atomic.decr t.idlers;
   Mutex.unlock t.park_lock;
   outcome

@@ -816,7 +816,11 @@ let test_model_io_errors () =
   checkb "length mismatch" true
     (bad
        "ldafp-model v1\nformat Q2.4\npolarity 1\nexponents 0 0\nweights \
-        1\nthreshold 0\n")
+        1\nthreshold 0\n");
+  checkb "no features" true
+    (bad
+       "ldafp-model v1\nformat Q2.4\npolarity 1\nexponents\nweights\n\
+        threshold 0\n")
 
 (* Exponents are accepted up to +-1100 inclusive and refused one past
    either bound (and at the int extremes, where C [ldexp] truncates). *)
@@ -842,6 +846,59 @@ let test_model_io_exponent_range () =
         | exception Model_io.Parse_error _ -> true
         | _ -> false))
     [ -1101; 1101; min_int; max_int; 1 lsl 31 ]
+
+(* A raw code outside the format's range, or a format [Qformat.make]
+   refuses, is a malformed file, not a model to wrap into range. *)
+let test_model_io_code_range () =
+  let model ~fmt ~weights ~threshold =
+    Printf.sprintf
+      "ldafp-model v1\nformat %s\npolarity 1\nexponents 3 3 2\nweights \
+       %s\nthreshold %d\n"
+      fmt weights threshold
+  in
+  let refused text =
+    match Model_io.of_string text with
+    | exception Model_io.Parse_error _ -> true
+    | _ -> false
+  in
+  let clf = Model_io.of_string (model ~fmt:"Q2.4" ~weights:"-32 31 3" ~threshold:(-32)) in
+  checki "weight at max_raw kept" 31
+    (Fx.raw (Fx_vector.get clf.Fixed_classifier.w 1));
+  checkb "weight above max_raw" true
+    (refused (model ~fmt:"Q2.4" ~weights:"-7 92 3" ~threshold:5));
+  checkb "weight below min_raw" true
+    (refused (model ~fmt:"Q2.4" ~weights:"-33 1 3" ~threshold:5));
+  checkb "threshold above max_raw" true
+    (refused (model ~fmt:"Q2.4" ~weights:"-7 1 3" ~threshold:32));
+  List.iter
+    (fun fmt ->
+      checkb ("format " ^ fmt) true
+        (refused (model ~fmt ~weights:"-7 1 3" ~threshold:5)))
+    [ "Q0.4"; "Q2.-1"; "Q40.40"; "Q2.4x" ]
+
+(* Every byte of a model file XORed with every mask 0x01..0xff: each
+   result must be refused with [Parse_error] or load as a model whose
+   own serialisation loads back to the same text. *)
+let test_model_io_byte_flips () =
+  let text =
+    "ldafp-model v1\nformat Q2.4\npolarity 1\nexponents 3 3 2\nweights -7 \
+     12 3\nthreshold 5\n"
+  in
+  for i = 0 to String.length text - 1 do
+    for mask = 1 to 255 do
+      let b = Bytes.of_string text in
+      Bytes.set b i (Char.chr (Char.code text.[i] lxor mask));
+      match Model_io.of_string (Bytes.to_string b) with
+      | exception Model_io.Parse_error _ -> ()
+      | exception e ->
+          Alcotest.failf "offset %d mask 0x%02x: %s" i mask
+            (Printexc.to_string e)
+      | clf ->
+          let s = Model_io.to_string clf in
+          if Model_io.to_string (Model_io.of_string s) <> s then
+            Alcotest.failf "offset %d mask 0x%02x: no round trip" i mask
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -1049,6 +1106,9 @@ let () =
           Alcotest.test_case "errors" `Quick test_model_io_errors;
           Alcotest.test_case "exponent range" `Quick
             test_model_io_exponent_range;
+          Alcotest.test_case "code range" `Quick test_model_io_code_range;
+          Alcotest.test_case "every byte flip" `Quick
+            test_model_io_byte_flips;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -1,9 +1,11 @@
 (* Observability layer: monotonic clock (real and mocked), per-domain
    trace rings (wraparound, concurrent emission, Chrome trace-event
    round-trip), metric export (Prometheus escaping, cumulative le
-   buckets), the zero-allocation disabled path, progress throttling,
-   and an end-to-end solve that must leave events from every
-   instrumented layer in the trace. *)
+   buckets), the zero-allocation disabled path of every declared probe,
+   progress throttling, an end-to-end solve that must leave events from
+   every instrumented layer in the trace, trace / metrics / Bnb.stats
+   agreement on fault-heavy solves, and the observability page naming
+   every declared event and metric. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -123,32 +125,50 @@ let test_concurrent_emission_round_trip () =
 (* Disabled path                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Every declared production probe, every emitter shape, all sinks
+   off.  [emit] is one closure allocated before the measurement; the
+   calls it makes pass only ints and statically allocated values, as a
+   disabled hot site does. *)
 let test_disabled_path_no_alloc () =
   Obs.Trace.uninstall ();
   Obs.Metrics.set_enabled false;
-  let reg = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram reg ~lo:1e-6 ~hi:1.0 "test_disabled_seconds" in
-  let cnt = Obs.Metrics.counter reg "test_disabled_total" in
-  (* The production guard pattern: one enabled check, arguments built
-     only behind it.  1000 iterations must stay within noise of zero
-     minor-heap words (a handful for the Gc.minor_words probes
-     themselves). *)
+  checkb "every sink off" false (Obs.Probe.on ());
+  let probes = Obs.Probe.declared () in
+  checkb "production probes declared" true (List.length probes >= 20);
+  let before_metrics = Obs.Metrics.to_prometheus Obs.Metrics.default in
+  let rec emit i = function
+    | [] -> ()
+    | p :: rest ->
+        Obs.Probe.hit p;
+        Obs.Probe.hit_int p "i" i;
+        Obs.Probe.add p i;
+        Obs.Probe.span p ~t0_ns:i ~dur_ns:i;
+        emit i rest
+  in
   let before = Gc.minor_words () in
   for i = 0 to 999 do
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"test" "never"
-        ~args:[ ("i", Obs.Trace.Int i) ];
-    if Obs.Metrics.enabled () then begin
-      Obs.Metrics.incr cnt;
-      Obs.Metrics.observe h (float_of_int i *. 1e-6)
-    end
+    emit i probes
   done;
   let delta = Gc.minor_words () -. before in
   checkb
-    (Printf.sprintf "disabled path allocates nothing (%.0f words)" delta)
+    (Printf.sprintf "disabled probes allocate nothing (%.0f words)" delta)
     true (delta < 256.0);
-  checki "counter untouched" 0 (Obs.Metrics.counter_value cnt);
-  checki "histogram untouched" 0 (Obs.Metrics.histogram_count h)
+  Alcotest.(check string)
+    "no metric moved" before_metrics
+    (Obs.Metrics.to_prometheus Obs.Metrics.default)
+
+(* A probe name is a new "cat.event"; a bad one is refused before
+   anything is registered. *)
+let test_probe_names () =
+  let declared = List.length (Obs.Probe.declared ()) in
+  List.iter
+    (fun name ->
+      checkb (Printf.sprintf "%S refused" name) true
+        (match Obs.Probe.v ~count:"never registered" name with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ "nodot"; ".event"; "cat."; "bnb.node" ];
+  checki "nothing declared" declared (List.length (Obs.Probe.declared ()))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                      *)
@@ -336,6 +356,263 @@ let test_solve_traces_all_layers () =
           checki "one sched.park instant per idle wakeup"
             stats.Optim.Bnb.idle_wakeups (count "sched.park")))
 
+(* ------------------------------------------------------------------ *)
+(* Cross-sink consistency                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A counter's value or a histogram's count in the default registry. *)
+let metric_count name =
+  let metrics = member_exn "metrics" (Obs.Metrics.to_json Obs.Metrics.default) in
+  match Obs.Json.member name metrics with
+  | None -> None
+  | Some m -> (
+      match (Obs.Json.member "value" m, Obs.Json.member "count" m) with
+      | Some (Obs.Json.Int v), _ | _, Some (Obs.Json.Int v) -> Some v
+      | _ -> Alcotest.failf "metric %s has no integer count" name)
+
+let metric_of_probe p suffix =
+  "ldafp_"
+  ^ String.map (function '.' -> '_' | c -> c) (Obs.Probe.name p)
+  ^ suffix
+
+let events_named events name =
+  List.filter (fun e -> e.Obs.Trace.name = name) events
+
+let int_arg key e =
+  match List.assoc_opt key e.Obs.Trace.args with
+  | Some (Obs.Trace.Int v) -> v
+  | _ -> Alcotest.failf "%s has no int arg %S" e.Obs.Trace.name key
+
+(* A 2-domain LDA-FP solve tuned so every containment path fires:
+   injected bound faults with a retry budget of one per expansion (a
+   second failure in one expansion skips straight to degrade or drop),
+   a barrier tolerance loose enough that some dual certificates fail,
+   and a frontier capped at a few regions so it sheds.  [killed] first
+   runs 12 nodes with no cap and checkpoints, then resumes under the
+   cap, so one shed drops many regions at once. *)
+let fault_heavy_solve ~degrade ~killed =
+  let open Ldafp_core in
+  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
+  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let path = Filename.temp_file "ldafp-test-obs" ".ck" in
+  Sys.remove path;
+  let solve ~max_nodes ~max_frontier =
+    let config =
+      {
+        Lda_fp.quick_config with
+        bnb_params =
+          {
+            Optim.Bnb.default_params with
+            max_nodes;
+            rel_gap = 0.0;
+            abs_gap = 0.0;
+            domains = 2;
+            max_frontier;
+          };
+        socp_params = { Optim.Socp.default_params with gap_tol = 0.05 };
+        fault_policy =
+          {
+            Optim.Fault.default_policy with
+            degrade;
+            retry_budget = 1;
+            backoff_base = 0.0;
+          };
+        inject_faults =
+          Some
+            (Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3
+               ~bound_nan_prob:0.1 ());
+        checkpoint =
+          (if killed then Some (Lda_fp.checkpoint_spec ~resume:true path)
+           else None);
+      }
+    in
+    match Lda_fp.solve ~config pb with
+    | Some o -> o.Lda_fp.diagnostics
+    | None -> Alcotest.fail "fault-heavy solve found no solution"
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      if killed then ignore (solve ~max_nodes:12 ~max_frontier:0);
+      solve ~max_nodes:400 ~max_frontier:6)
+
+(* Each row: the quantity, its probe, and its [Bnb.stats] value. *)
+let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
+  let s = d.Ldafp_core.Lda_fp.search in
+  Optim.Bnb.
+    [
+      ("nodes", "bnb.node", d.Ldafp_core.Lda_fp.nodes);
+      ("incumbents", "bnb.incumbent", s.incumbent_updates);
+      ("steals", "sched.steal", s.steals);
+      ("parks", "sched.park", s.idle_wakeups);
+      ("targeted wakeups", "sched.targeted_wakeup", s.targeted_wakeups);
+      ("retries", "fault.retry", s.retries);
+      ("degrades", "fault.degrade", s.degraded_bounds);
+      ("drops", "fault.drop", s.dropped_regions);
+      ("cert fallbacks", "fault.cert_fallback", s.cert_fallbacks);
+      ("budget exhaustions", "fault.budget_exhausted", s.retry_budget_exhausted);
+      ("warm pulls", "socp.warm_pull", s.warm_pull_ins);
+      ("warm corrections", "socp.warm_correct", s.warm_newton_corrections);
+      ("shed", "bnb.frontier_shed", s.frontier_shed);
+    ]
+
+(* What a probe's metric says happened: its counter, else its
+   histogram's count; [None] for a trace-only probe. *)
+let probe_metric p =
+  match metric_count (metric_of_probe p "_total") with
+  | Some v -> Some v
+  | None -> metric_count (metric_of_probe p "_seconds")
+
+let probe_named name =
+  match List.find_opt (fun p -> Obs.Probe.name p = name) (Obs.Probe.declared ()) with
+  | Some p -> p
+  | None -> Alcotest.failf "no probe %s declared" name
+
+(* The trace's count of an event: instants and spans, except the shed
+   event, whose [dropped] argument is what it counts. *)
+let trace_count events name =
+  let evs = events_named events name in
+  if name = "bnb.frontier_shed" then
+    List.fold_left (fun acc e -> acc + int_arg "dropped" e) 0 evs
+  else List.length evs
+
+let test_cross_sink_consistency () =
+  let fired = Hashtbl.create 16 in
+  List.iter
+    (fun (degrade, killed) ->
+      Obs.Metrics.reset Obs.Metrics.default;
+      Obs.Metrics.set_enabled true;
+      let d, events =
+        Fun.protect
+          ~finally:(fun () -> Obs.Metrics.set_enabled false)
+          (fun () ->
+            with_collector (fun c ->
+                let d = fault_heavy_solve ~degrade ~killed in
+                checki "trace dropped nothing" 0 (Obs.Trace.dropped c);
+                (d, Obs.Trace.events c)))
+      in
+      (* Trace against metrics, for every declared probe. *)
+      List.iter
+        (fun p ->
+          match probe_metric p with
+          | None -> ()
+          | Some m ->
+              checki
+                (Printf.sprintf "%s: trace = metric" (Obs.Probe.name p))
+                m
+                (trace_count events (Obs.Probe.name p)))
+        (Obs.Probe.declared ());
+      (* Trace and metric against the driver's own counts. *)
+      List.iter
+        (fun (what, name, stat) ->
+          let tag =
+            Printf.sprintf "%s (degrade=%b, killed=%b)" what degrade killed
+          in
+          checki (tag ^ ": trace = stats") stat (trace_count events name);
+          Option.iter
+            (checki (tag ^ ": metric = stats") stat)
+            (probe_metric (probe_named name));
+          if stat > 0 then Hashtbl.replace fired what ())
+        (stats_rows d);
+      if
+        List.exists
+          (fun e -> int_arg "dropped" e > 1)
+          (events_named events "bnb.frontier_shed")
+      then Hashtbl.replace fired "multi-region shed" ())
+    [ (true, false); (false, false); (true, true) ];
+  List.iter
+    (fun what ->
+      checkb (Printf.sprintf "%s fired" what) true (Hashtbl.mem fired what))
+    [
+      "retries"; "degrades"; "drops"; "cert fallbacks"; "budget exhaustions";
+      "shed"; "multi-region shed"; "warm pulls";
+    ]
+
+let test_one_sink_at_a_time () =
+  (* Only tracing: no metric moves. *)
+  Obs.Metrics.set_enabled false;
+  let before = Obs.Metrics.to_prometheus Obs.Metrics.default in
+  let traced =
+    with_collector (fun c ->
+        ignore (fault_heavy_solve ~degrade:true ~killed:false);
+        List.length (Obs.Trace.events c))
+  in
+  checkb "tracing alone wrote events" true (traced > 0);
+  Alcotest.(check string)
+    "tracing alone moves no metric" before
+    (Obs.Metrics.to_prometheus Obs.Metrics.default);
+  (* Only metrics: no event is written, and the metrics still agree
+     with the driver's counts. *)
+  let c = with_collector Fun.id in
+  Obs.Metrics.reset Obs.Metrics.default;
+  Obs.Metrics.set_enabled true;
+  let d =
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled false)
+      (fun () -> fault_heavy_solve ~degrade:true ~killed:false)
+  in
+  checki "metrics alone write no event" 0 (List.length (Obs.Trace.events c));
+  List.iter
+    (fun (what, name, stat) ->
+      Option.iter
+        (checki (what ^ ": metric = stats, metrics alone") stat)
+        (probe_metric (probe_named name)))
+    (stats_rows d)
+
+(* ------------------------------------------------------------------ *)
+(* Docs match declarations                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Referenced so the inference engine, and its probe, is linked in. *)
+let _ = Infer.Engine.of_fixed
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Every declared event and every registered metric is named, in
+   brackets, in the observability page. *)
+(* dune runtest runs in _build/default/test, where the deps are staged;
+   dune exec runs from the workspace root. *)
+let read_staged paths =
+  In_channel.with_open_bin (List.find Sys.file_exists paths)
+    In_channel.input_all
+
+let test_docs_match_declarations () =
+  let doc = read_staged [ "../doc/observability.mld"; "doc/observability.mld" ] in
+  let probes = List.map Obs.Probe.name (Obs.Probe.declared ()) in
+  checkb "inference probe linked" true (List.mem "infer.batch" probes);
+  let metrics =
+    String.split_on_char '\n' (Obs.Metrics.to_prometheus Obs.Metrics.default)
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "#"; "TYPE"; name; _ ] -> Some name
+           | _ -> None)
+  in
+  List.iter
+    (fun name ->
+      checkb (name ^ " documented") true (contains ~sub:("[" ^ name ^ "]") doc))
+    (probes @ metrics)
+
+(* Declaring events as probes renamed no metric and changed no help
+   text: the sorted HELP/TYPE lines match the registry before probes. *)
+let test_metric_help_unchanged () =
+  let lines =
+    String.split_on_char '\n' (Obs.Metrics.to_prometheus Obs.Metrics.default)
+    |> List.filter (fun l -> String.length l > 0 && l.[0] = '#')
+    |> List.sort compare
+  in
+  let golden =
+    read_staged
+      [ "golden/metrics_help.txt.golden"; "test/golden/metrics_help.txt.golden" ]
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "HELP/TYPE lines" golden lines
+
 let () =
   Alcotest.run "obs"
     [
@@ -354,6 +631,7 @@ let () =
         [
           Alcotest.test_case "disabled path allocates nothing" `Quick
             test_disabled_path_no_alloc;
+          Alcotest.test_case "probe names" `Quick test_probe_names;
         ] );
       ( "metrics",
         [
@@ -363,9 +641,20 @@ let () =
         ] );
       ( "progress",
         [ Alcotest.test_case "throttle" `Quick test_progress_throttle ] );
+      ( "docs",
+        [
+          Alcotest.test_case "docs match declarations" `Quick
+            test_docs_match_declarations;
+          Alcotest.test_case "metric help unchanged" `Quick
+            test_metric_help_unchanged;
+        ] );
       ( "end-to-end",
         [
           Alcotest.test_case "solve traces all layers" `Quick
             test_solve_traces_all_layers;
+          Alcotest.test_case "cross-sink consistency" `Quick
+            test_cross_sink_consistency;
+          Alcotest.test_case "one sink at a time" `Quick
+            test_one_sink_at_a_time;
         ] );
     ]

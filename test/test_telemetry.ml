@@ -92,27 +92,40 @@ let test_routes () =
       in
       checkb "non-GET is 405" true (contains ~sub:"405" hdr))
 
+(* The setters are no-ops with no server running, so they are
+   exercised under one (the server itself is not scraped here). *)
 let test_health_setters () =
-  Obs.Telemetry.set_phase "searching";
-  Obs.Telemetry.set_nodes 42;
-  Obs.Telemetry.set_incumbent 1.5;
-  Obs.Telemetry.set_gap 0.25;
-  let h = Obs.Telemetry.health_json () in
-  Alcotest.(check string) "phase" "searching" (json_str (member_exn "phase" h));
-  (match member_exn "nodes_expanded" h with
-  | Obs.Json.Int 42 -> ()
-  | j -> Alcotest.failf "nodes_expanded = %s" (Obs.Json.to_string j));
-  (match member_exn "incumbent" h with
-  | Obs.Json.Float f -> checkb "incumbent" true (abs_float (f -. 1.5) < 1e-12)
-  | j -> Alcotest.failf "incumbent = %s" (Obs.Json.to_string j));
-  (* A non-finite gap must render as null in the serialised body. *)
-  Obs.Telemetry.set_gap Float.infinity;
-  let s = Obs.Json.to_string (Obs.Telemetry.health_json ()) in
-  checkb "non-finite gap renders null" true
-    (contains ~sub:"\"certified_gap\":null" s);
-  Obs.Telemetry.set_phase "idle";
-  Obs.Telemetry.set_nodes 0;
-  Obs.Telemetry.set_incumbent Float.infinity
+  match Obs.Telemetry.start ~addr:"127.0.0.1:0" () with
+  | Error e -> Alcotest.failf "start failed: %s" e
+  | Ok srv ->
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Telemetry.set_phase "idle";
+          Obs.Telemetry.set_nodes 0;
+          Obs.Telemetry.set_incumbent Float.infinity;
+          Obs.Telemetry.set_gap Float.infinity;
+          Obs.Telemetry.stop srv)
+        (fun () ->
+          Obs.Telemetry.set_phase "searching";
+          Obs.Telemetry.set_nodes 42;
+          Obs.Telemetry.set_incumbent 1.5;
+          Obs.Telemetry.set_gap 0.25;
+          let h = Obs.Telemetry.health_json () in
+          Alcotest.(check string)
+            "phase" "searching"
+            (json_str (member_exn "phase" h));
+          (match member_exn "nodes_expanded" h with
+          | Obs.Json.Int 42 -> ()
+          | j -> Alcotest.failf "nodes_expanded = %s" (Obs.Json.to_string j));
+          (match member_exn "incumbent" h with
+          | Obs.Json.Float f ->
+              checkb "incumbent" true (abs_float (f -. 1.5) < 1e-12)
+          | j -> Alcotest.failf "incumbent = %s" (Obs.Json.to_string j));
+          (* A non-finite gap must render as null in the serialised body. *)
+          Obs.Telemetry.set_gap Float.infinity;
+          let s = Obs.Json.to_string (Obs.Telemetry.health_json ()) in
+          checkb "non-finite gap renders null" true
+            (contains ~sub:"\"certified_gap\":null" s))
 
 (* ------------------------------------------------------------------ *)
 (* Live server over real sockets                                       *)
@@ -267,25 +280,30 @@ let test_concurrent_scrapes () =
 (* Disabled path allocates nothing                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* With no server the setters check the sink mask themselves: calling
+   them allocates nothing and changes nothing. *)
 let test_disabled_setters_no_alloc () =
   checkb "telemetry off" false (Obs.Telemetry.enabled ());
-  let guarded i =
-    if Obs.Telemetry.enabled () then begin
-      Obs.Telemetry.set_nodes i;
-      Obs.Telemetry.set_incumbent (float_of_int i);
-      Obs.Telemetry.set_gap 0.5;
-      Obs.Telemetry.set_phase "searching"
-    end
+  let health () =
+    let h = Obs.Telemetry.health_json () in
+    List.map
+      (fun k -> Obs.Json.to_string (member_exn k h))
+      [ "phase"; "nodes_expanded"; "incumbent"; "certified_gap" ]
   in
-  guarded 0;
+  let before_health = health () in
   let before = Gc.minor_words () in
   for i = 1 to 1000 do
-    guarded i
+    Obs.Telemetry.set_nodes i;
+    Obs.Telemetry.set_incumbent 0.5;
+    Obs.Telemetry.set_gap 0.25;
+    Obs.Telemetry.set_phase "searching"
   done;
   let delta = Gc.minor_words () -. before in
   checkb
     (Printf.sprintf "disabled setters allocate nothing (delta=%.0f)" delta)
-    true (delta < 256.0)
+    true (delta < 256.0);
+  Alcotest.(check (list string))
+    "disabled setters change nothing" before_health (health ())
 
 (* ------------------------------------------------------------------ *)
 (* Run ledger: append / load                                           *)
