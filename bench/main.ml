@@ -1203,31 +1203,6 @@ let run_infer ~quick ?seed () =
     float_of_int total /. (Unix.gettimeofday () -. t0)
   in
   let sharded = List.map (fun d -> (d, shard d)) [ 2; 4 ] in
-  (* Staged datapath: standardise + square projection in front of the
-     classifier, all stages in the engine's own format. *)
-  let means = Array.make m 0.0 in
-  Array.iter (fun col -> Array.iteri (fun j v -> means.(j) <- means.(j) +. v) col) cols;
-  Array.iteri (fun j s -> means.(j) <- s /. float_of_int batch_cap) means;
-  let identity =
-    Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0))
-  in
-  let pipeline =
-    Infer.Pipeline.create ~capacity:batch_cap
-      ~stages:
-        [
-          Infer.Pipeline.standardize ~in_fmt:fmt ~scale_fmt:fmt ~out_fmt:fmt
-            ~means ~inv_stds:(Array.make m 1.0);
-          Infer.Pipeline.project ~in_fmt:fmt ~mat_fmt:fmt ~out_fmt:fmt
-            ~matrix:identity;
-        ]
-      (Infer.Engine.Uniform clf)
-  in
-  let pbatch = Infer.Pipeline.make_batch pipeline in
-  Array.iteri (fun c col -> Infer.Batch.load_floats pbatch ~col:c col) cols;
-  Infer.Batch.set_length pbatch batch_cap;
-  let pipeline_pps =
-    throughput (fun () -> Infer.Pipeline.run pipeline pbatch out)
-  in
   Printf.printf "  %-28s %12.3g preds/sec\n" "scalar (predict_quantized)"
     scalar_pps;
   Printf.printf "  %-28s %12.3g preds/sec  (%.2fx scalar)\n" "batched (C MAC)"
@@ -1240,7 +1215,7 @@ let run_infer ~quick ?seed () =
         (Printf.sprintf "sharded x%d domains" d)
         pps)
     sharded;
-  Printf.printf "  %-28s %12.3g preds/sec\n%!" "3-stage pipeline" pipeline_pps;
+  flush stdout;
   Json.Obj
     [
       ("problem", Json.Str "synthetic");
@@ -1261,7 +1236,6 @@ let run_infer ~quick ?seed () =
                Json.Obj
                  [ ("domains", Json.Int d); ("preds_per_sec", Json.Float pps) ])
              sharded) );
-      ("pipeline_preds_per_sec", Json.Float pipeline_pps);
     ]
 
 let () =

@@ -19,7 +19,6 @@ let of_fx arr =
   { fmt; raws = Array.map Fx.raw arr }
 
 let to_floats { fmt; raws } = Array.map (Qformat.value_of_raw fmt) raws
-let to_fx { fmt; raws } = Array.map (Fx.create fmt) raws
 let length t = Array.length t.raws
 let format t = t.fmt
 let get t i = Fx.create t.fmt t.raws.(i)

@@ -21,7 +21,6 @@ val of_fx : Fx.t array -> t
 (** @raise Invalid_argument on an empty array or mixed formats. *)
 
 val to_floats : t -> float array
-val to_fx : t -> Fx.t array
 val length : t -> int
 val format : t -> Qformat.t
 val get : t -> int -> Fx.t

@@ -21,7 +21,6 @@ let create fmt ~exponents =
     hi = float_of_int (Qformat.max_raw fmt);
   }
 
-let format t = t.fmt
 let dim t = Array.length t.scales
 
 let nan_at what j =

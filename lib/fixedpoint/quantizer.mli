@@ -24,8 +24,6 @@ val create : Qformat.t -> exponents:int array -> t
 (** Bake the per-feature scales for quantising [x_j / 2^exponents.(j)]
     into [fmt].  [exponents] is copied. *)
 
-val format : t -> Qformat.t
-
 val into :
   t ->
   what:string ->

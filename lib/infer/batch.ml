@@ -4,7 +4,7 @@ type ba1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type ba2 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array2.t
 
 type t = {
-  quant : Quantizer.t; (* the batch format, unscaled: [load_floats] *)
+  fmt : Qformat.t;
   data : ba2; (* (features, capacity), raw codes in the format's range *)
   mutable len : int;
 }
@@ -14,10 +14,9 @@ let create ~fmt ~features ~capacity =
   if capacity < 1 then invalid_arg "Batch.create: capacity must be >= 1";
   let data = Bigarray.Array2.create Bigarray.int Bigarray.c_layout features capacity in
   Bigarray.Array2.fill data 0;
-  let quant = Quantizer.create fmt ~exponents:(Array.make features 0) in
-  { quant; data; len = 0 }
+  { fmt; data; len = 0 }
 
-let format t = Quantizer.format t.quant
+let format t = t.fmt
 let n_features t = Bigarray.Array2.dim1 t.data
 let capacity t = Bigarray.Array2.dim2 t.data
 let length t = t.len
@@ -27,6 +26,3 @@ let set_length t n =
   t.len <- n
 
 let data t = t.data
-
-let load_floats t ~col x =
-  Quantizer.into t.quant ~what:"Batch.load_floats" x t.data ~col

@@ -4,13 +4,13 @@
     feature-major — dims [(features, capacity)] in C layout — so the C
     MAC kernels stream each feature row contiguously across the batch.
     Column [c] holds the [c]-th input vector's raw codes; every code
-    lies in the raw range of the batch's {!Fixedpoint.Qformat.t} (the
-    writers, {!load_floats} and [Engine.load], saturate on the way in
-    through {!Fixedpoint.Quantizer}).
+    lies in the raw range of the batch's {!Fixedpoint.Qformat.t}: the
+    writer, [Engine.load], saturates on the way in through
+    {!Fixedpoint.Quantizer}.
 
     A batch is a reusable buffer: [capacity] columns are allocated once,
-    [length] says how many are live.  Refilling a warm batch, from
-    floats or through the engine's front end, allocates nothing. *)
+    [length] says how many are live.  Refilling a warm batch through the
+    engine's front end allocates nothing. *)
 
 type ba1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type ba2 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array2.t
@@ -31,11 +31,3 @@ val set_length : t -> int -> unit
 
 val data : t -> ba2
 (** The raw storage (kernels, the quantiser and tests). *)
-
-val load_floats : t -> col:int -> float array -> unit
-(** Quantise one real-valued vector into column [col]: round to nearest
-    (ties to even) and {e saturate} into the batch format — bit-for-bit
-    [Fx_vector.of_floats ~ov:Saturate], without allocating.  Does not
-    touch [length].
-    @raise Invalid_argument on dimension mismatch, on [col] outside
-    [\[0, capacity)], or on a NaN component. *)

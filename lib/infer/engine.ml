@@ -1,18 +1,11 @@
 open Fixedpoint
 module Fixed_classifier = Ldafp_core.Fixed_classifier
-module Hetero_classifier = Ldafp_core.Hetero_classifier
 module Scaling = Ldafp_core.Scaling
 
-type model =
-  | Uniform of Fixed_classifier.t
-  | Hetero of Hetero_classifier.t
-
 type t = {
-  fmt : Qformat.t; (* accumulator / feature format *)
+  fmt : Qformat.t; (* weight / feature / accumulator format *)
   bits : int; (* word_length fmt *)
   w : Batch.ba1; (* weight raw codes *)
-  shifts : Batch.ba1; (* per-feature product shift (hetero kernel) *)
-  uniform : bool;
   thr_raw : int;
   polarity : bool;
   quant : Quantizer.t; (* front-end scaling x_j / 2^e_j and quantisation *)
@@ -33,60 +26,32 @@ let p_batch =
   Obs.Probe.v "infer.batch"
     ~seconds:(1e-8, 1.0, "Wall time of one batched predict_into call")
 
-let ba1_of_array arr =
-  let n = Array.length arr in
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n 1) in
-  Bigarray.Array1.fill b 0;
-  Array.iteri (fun i v -> b.{i} <- v) arr;
-  b
-
-let make ~fmt ~w_raws ~shifts ~uniform ~thr_raw ~polarity ~scaling ~capacity =
-  if capacity < 1 then invalid_arg "Engine.create: capacity must be >= 1";
-  let features = Array.length w_raws in
-  if features < 1 then invalid_arg "Engine.create: model has no features";
+let of_fixed ?(capacity = 1024) (clf : Fixed_classifier.t) =
+  if capacity < 1 then invalid_arg "Engine.of_fixed: capacity must be >= 1";
+  let fmt = Fixed_classifier.format clf in
+  let wv = clf.Fixed_classifier.w in
+  let features = Fx_vector.length wv in
+  if features < 1 then invalid_arg "Engine.of_fixed: model has no features";
+  let w =
+    Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout
+      (Array.init features (fun i -> Fx.raw (Fx_vector.get wv i)))
+  in
   let proj = Bigarray.Array1.create Bigarray.int Bigarray.c_layout capacity in
   Bigarray.Array1.fill proj 0;
   {
     fmt;
     bits = Qformat.word_length fmt;
-    w = ba1_of_array w_raws;
-    shifts = ba1_of_array shifts;
-    uniform;
-    thr_raw;
-    polarity;
+    w;
+    thr_raw = Fx.raw clf.Fixed_classifier.threshold;
+    polarity = clf.Fixed_classifier.polarity;
     quant =
       Quantizer.create fmt
-        ~exponents:(Array.init features (Scaling.exponent scaling));
+        ~exponents:
+          (Array.init features (Scaling.exponent clf.Fixed_classifier.scaling));
     proj;
     capacity;
     features;
   }
-
-let of_fixed ?(capacity = 1024) (clf : Fixed_classifier.t) =
-  let fmt = Fixed_classifier.format clf in
-  let w = clf.Fixed_classifier.w in
-  let w_raws =
-    Array.init (Fx_vector.length w) (fun i -> Fx.raw (Fx_vector.get w i))
-  in
-  make ~fmt ~w_raws
-    ~shifts:(Array.make (Array.length w_raws) fmt.Qformat.f)
-    ~uniform:true
-    ~thr_raw:(Fx.raw clf.Fixed_classifier.threshold)
-    ~polarity:clf.Fixed_classifier.polarity
-    ~scaling:clf.Fixed_classifier.scaling ~capacity
-
-let of_hetero ?(capacity = 1024) (h : Hetero_classifier.t) =
-  make ~fmt:h.Hetero_classifier.acc_fmt
-    ~w_raws:(Array.copy h.Hetero_classifier.w_raws)
-    ~shifts:(Array.map (fun f -> f.Qformat.f) h.Hetero_classifier.w_fmts)
-    ~uniform:false
-    ~thr_raw:(Fx.raw h.Hetero_classifier.threshold)
-    ~polarity:h.Hetero_classifier.polarity
-    ~scaling:h.Hetero_classifier.scaling ~capacity
-
-let create ?capacity = function
-  | Uniform clf -> of_fixed ?capacity clf
-  | Hetero h -> of_hetero ?capacity h
 
 let n_features t = t.features
 let capacity t = t.capacity
@@ -124,9 +89,7 @@ let project_into t batch =
   let n = Batch.length batch in
   if n > t.capacity then
     invalid_arg "Engine.project_into: batch longer than engine capacity";
-  if t.uniform then
-    Kernels.mac_uniform t.w (Batch.data batch) t.proj n t.fmt.Qformat.f t.bits
-  else Kernels.mac_hetero t.w t.shifts (Batch.data batch) t.proj n t.bits
+  Kernels.mac_uniform t.w (Batch.data batch) t.proj n t.fmt.Qformat.f t.bits
 
 let projection_raw t i = Bigarray.Array1.get t.proj i
 

@@ -1,10 +1,9 @@
-(** Batched, allocation-free inference over trained classifiers.
+(** Batched, allocation-free inference over a trained classifier.
 
-    An engine bakes a {!Ldafp_core.Fixed_classifier} or
-    {!Ldafp_core.Hetero_classifier} into Bigarray tables (weight codes,
-    per-feature product shifts, threshold code, scaling exponents) plus
-    one scratch projection row, and serves predictions over {!Batch}es
-    through the C MAC kernels.  The batched path is bit-for-bit
+    An engine bakes a {!Ldafp_core.Fixed_classifier} into Bigarray
+    tables (weight codes, threshold code, scaling exponents) plus one
+    scratch projection row, and serves predictions over {!Batch}es
+    through the C MAC kernel.  The batched path is bit-for-bit
     identical to the scalar [predict]: same front-end quantisation, same
     wrapping multiply-accumulate, same threshold comparison.
 
@@ -18,26 +17,19 @@
     - [ldafp_infer_batch_seconds] — wall time of one batched call;
     - an [infer.batch] trace span per call when tracing is on. *)
 
-type model =
-  | Uniform of Ldafp_core.Fixed_classifier.t
-  | Hetero of Ldafp_core.Hetero_classifier.t
-
 type t
 
-val create : ?capacity:int -> model -> t
-(** Bake the model's tables.  [capacity] (default [1024]) bounds the
-    batch size served per call.
-    @raise Invalid_argument if [capacity < 1]. *)
-
 val of_fixed : ?capacity:int -> Ldafp_core.Fixed_classifier.t -> t
-val of_hetero : ?capacity:int -> Ldafp_core.Hetero_classifier.t -> t
+(** Bake the classifier's tables.  [capacity] (default [1024]) bounds
+    the batch size served per call.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val n_features : t -> int
 val capacity : t -> int
 
 val format : t -> Fixedpoint.Qformat.t
-(** Accumulator / feature format (the uniform format, or the hetero
-    model's [acc_fmt]). *)
+(** The classifier's format: weights, features and accumulator share
+    it. *)
 
 val polarity : t -> bool
 val threshold_raw : t -> int

@@ -1,6 +1,6 @@
-/* Batched fixed-point inference kernels for Infer.Engine / Infer.Pipeline.
+/* Batched fixed-point inference kernel for Infer.Engine.
  *
- * Every kernel reproduces the scalar OCaml datapath bit-for-bit:
+ * The kernel reproduces the scalar OCaml datapath bit-for-bit:
  *
  *   - products wrap modulo 2^63 (OCaml native-int multiplication), so a
  *     product is computed in uint64 (wraps mod 2^64) and then folded
@@ -11,8 +11,8 @@
  *   - accumulators wrap into the target word length after every add
  *     (Qformat.wrap_raw: mask to wl bits, then sign-extend).
  *
- * All kernels are [@@noalloc]: they never allocate, raise, or call back
- * into the runtime, and operate on untagged Bigarray int data
+ * The kernel is [@@noalloc]: it never allocates, raises, or calls back
+ * into the runtime, and operates on untagged Bigarray int data
  * (Caml_ba_data_val) plus immediate int arguments (Long_val).  Batches
  * are laid out feature-major — Array2 of dims (features, capacity) in C
  * layout — so the per-feature inner loop over batch columns is
@@ -61,14 +61,6 @@ static inline int64_t wrap_bits(int64_t r, intnat bits)
   return w;
 }
 
-/* Qformat.saturate_raw. */
-static inline int64_t sat_bits(int64_t r, intnat bits)
-{
-  int64_t hi = ((int64_t)1 << (bits - 1)) - 1;
-  int64_t lo = -((int64_t)1 << (bits - 1));
-  return r < lo ? lo : (r > hi ? hi : r);
-}
-
 /* Uniform MAC (Fx_vector.dot): out[c] = sum_j w[j] * x[j][c], with a
  * constant fractional shift f and wrap into bits after every step.
  *   w   : Array1 (features)            raw weight codes
@@ -107,132 +99,4 @@ CAMLprim value ldafp_infer_mac_uniform_bytes(value *argv, int argn)
   (void)argn;
   return ldafp_infer_mac_uniform(argv[0], argv[1], argv[2], argv[3], argv[4],
                                  argv[5]);
-}
-
-/* Heterogeneous MAC (Hetero_classifier.project): per-feature weight
- * formats, so the product shift is shifts[j] (= f of weight j's format)
- * and the product is wrapped into the accumulator format before the
- * accumulate.  Inputs are already quantised into the accumulator
- * format. */
-CAMLprim value ldafp_infer_mac_hetero(value vw, value vshifts, value vx,
-                                      value vout, value vlen, value vbits)
-{
-  const intnat *w = (const intnat *)Caml_ba_data_val(vw);
-  const intnat *shifts = (const intnat *)Caml_ba_data_val(vshifts);
-  const intnat *x = (const intnat *)Caml_ba_data_val(vx);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat features = Caml_ba_array_val(vx)->dim[0];
-  intnat cap = Caml_ba_array_val(vx)->dim[1];
-  intnat len = Long_val(vlen);
-  intnat bits = Long_val(vbits);
-  intnat j, c;
-
-  for (c = 0; c < len; c++) out[c] = 0;
-  for (j = 0; j < features; j++) {
-    int64_t wj = (int64_t)w[j];
-    intnat fj = shifts[j];
-    const intnat *row = x + j * cap;
-    for (c = 0; c < len; c++) {
-      int64_t p = mul_wrap63(wj, (int64_t)row[c]);
-      p = shr_round_even(p, fj);
-      p = wrap_bits(p, bits);
-      out[c] = (intnat)wrap_bits((int64_t)out[c] + p, bits);
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value ldafp_infer_mac_hetero_bytes(value *argv, int argn)
-{
-  (void)argn;
-  return ldafp_infer_mac_hetero(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                argv[5]);
-}
-
-/* Standardize stage: out[j][c] = sat((x[j][c] - mean[j]) * inv[j] >>r
- * shift).  The subtraction is exact (both operands share the input
- * format, so the difference fits 63 bits); the product is in units
- * 2^-(f_in + f_scale) and is shifted back to the output format with
- * round-half-even, then SATURATED (front-end semantics, like the
- * quantising ADC) into the output word length. */
-CAMLprim value ldafp_infer_affine(value vmean, value vinv, value vx,
-                                  value vout, value vlen, value vshift,
-                                  value vbits)
-{
-  const intnat *mean = (const intnat *)Caml_ba_data_val(vmean);
-  const intnat *inv = (const intnat *)Caml_ba_data_val(vinv);
-  const intnat *x = (const intnat *)Caml_ba_data_val(vx);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat features = Caml_ba_array_val(vx)->dim[0];
-  intnat cap_in = Caml_ba_array_val(vx)->dim[1];
-  intnat cap_out = Caml_ba_array_val(vout)->dim[1];
-  intnat len = Long_val(vlen);
-  intnat shift = Long_val(vshift);
-  intnat bits = Long_val(vbits);
-  intnat j, c;
-
-  for (j = 0; j < features; j++) {
-    int64_t mj = (int64_t)mean[j];
-    int64_t ij = (int64_t)inv[j];
-    const intnat *row = x + j * cap_in;
-    intnat *orow = out + j * cap_out;
-    for (c = 0; c < len; c++) {
-      int64_t d = (int64_t)row[c] - mj;
-      int64_t p = mul_wrap63(d, ij);
-      p = shr_round_even(p, shift);
-      orow[c] = (intnat)sat_bits(p, bits);
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value ldafp_infer_affine_bytes(value *argv, int argn)
-{
-  (void)argn;
-  return ldafp_infer_affine(argv[0], argv[1], argv[2], argv[3], argv[4],
-                            argv[5], argv[6]);
-}
-
-/* Projection stage (PCA): out[o][c] = MAC_j mat[o][j] * x[j][c], the
- * same wrapping MAC as the classifier but with a rectangular matrix
- * (out_features, in_features) and an explicit shift back to the output
- * format. */
-CAMLprim value ldafp_infer_matmul(value vmat, value vx, value vout, value vlen,
-                                  value vshift, value vbits)
-{
-  const intnat *mat = (const intnat *)Caml_ba_data_val(vmat);
-  const intnat *x = (const intnat *)Caml_ba_data_val(vx);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat out_features = Caml_ba_array_val(vmat)->dim[0];
-  intnat in_features = Caml_ba_array_val(vmat)->dim[1];
-  intnat cap_in = Caml_ba_array_val(vx)->dim[1];
-  intnat cap_out = Caml_ba_array_val(vout)->dim[1];
-  intnat len = Long_val(vlen);
-  intnat shift = Long_val(vshift);
-  intnat bits = Long_val(vbits);
-  intnat o, j, c;
-
-  for (o = 0; o < out_features; o++) {
-    const intnat *mrow = mat + o * in_features;
-    intnat *orow = out + o * cap_out;
-    for (c = 0; c < len; c++) orow[c] = 0;
-    for (j = 0; j < in_features; j++) {
-      int64_t mj = (int64_t)mrow[j];
-      const intnat *row = x + j * cap_in;
-      for (c = 0; c < len; c++) {
-        int64_t p = mul_wrap63(mj, (int64_t)row[c]);
-        p = shr_round_even(p, shift);
-        p = wrap_bits(p, bits);
-        orow[c] = (intnat)wrap_bits((int64_t)orow[c] + p, bits);
-      }
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value ldafp_infer_matmul_bytes(value *argv, int argn)
-{
-  (void)argn;
-  return ldafp_infer_matmul(argv[0], argv[1], argv[2], argv[3], argv[4],
-                            argv[5]);
 }

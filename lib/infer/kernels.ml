@@ -1,6 +1,6 @@
-(* Raw bindings to the C MAC/stage kernels in infer_stubs.c.  All are
+(* Raw binding to the C MAC kernel in infer_stubs.c.  It is
    [@@noalloc]: no allocation, no exceptions, no callbacks.  Shape and
-   length validation is the caller's job (Engine / Pipeline). *)
+   length validation is the caller's job (Engine). *)
 
 type ba1 = Batch.ba1
 type ba2 = Batch.ba2
@@ -9,18 +9,3 @@ external mac_uniform : ba1 -> ba2 -> ba1 -> int -> int -> int -> unit
   = "ldafp_infer_mac_uniform_bytes" "ldafp_infer_mac_uniform"
 [@@noalloc]
 (* mac_uniform w x out len f bits *)
-
-external mac_hetero : ba1 -> ba1 -> ba2 -> ba1 -> int -> int -> unit
-  = "ldafp_infer_mac_hetero_bytes" "ldafp_infer_mac_hetero"
-[@@noalloc]
-(* mac_hetero w shifts x out len bits *)
-
-external affine : ba1 -> ba1 -> ba2 -> ba2 -> int -> int -> int -> unit
-  = "ldafp_infer_affine_bytes" "ldafp_infer_affine"
-[@@noalloc]
-(* affine mean inv x out len shift bits *)
-
-external matmul : ba2 -> ba2 -> ba2 -> int -> int -> int -> unit
-  = "ldafp_infer_matmul_bytes" "ldafp_infer_matmul"
-[@@noalloc]
-(* matmul mat x out len shift bits *)

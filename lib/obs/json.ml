@@ -99,9 +99,19 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let utf8_add buf cp =
     (* Encode a Unicode code point as UTF-8 bytes. *)

@@ -364,6 +364,28 @@ let test_csv_rejects_non_finite () =
   let ds = Dataset_io.of_lines ~name:"big" [ "A,1e300"; "B,-1e300" ] in
   checkf 1.0 "finite extreme kept" 1e300 ds.Dataset.features.(0).(0)
 
+(* Every byte of a small two-class CSV XORed with every mask
+   0x01..0xff: each result must parse to a dataset or be refused with
+   [Parse_error]; no other exception may escape.  A flipped byte that
+   becomes a newline splits its line, as reading the file would. *)
+let test_csv_byte_flips () =
+  let text = "label,x1,x2\nA,0.5,-1.25\nB,-0.75,2e-3\n1,12,0\n" in
+  for i = 0 to String.length text - 1 do
+    for mask = 1 to 255 do
+      let b = Bytes.of_string text in
+      Bytes.set b i (Char.chr (Char.code text.[i] lxor mask));
+      match
+        Dataset_io.of_lines ~name:"flip"
+          (String.split_on_char '\n' (Bytes.to_string b))
+      with
+      | exception Dataset_io.Parse_error _ -> ()
+      | exception e ->
+          Alcotest.failf "offset %d mask 0x%02x: %s" i mask
+            (Printexc.to_string e)
+      | (_ : Dataset.t) -> ()
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -452,6 +474,7 @@ let () =
             test_csv_error_line_numbers;
           Alcotest.test_case "rejects non-finite features" `Quick
             test_csv_rejects_non_finite;
+          Alcotest.test_case "every byte flip" `Quick test_csv_byte_flips;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -1,5 +1,5 @@
 (* Tests for the extension modules: greedy sequential rounding,
-   word-length selection, multi-class voting, ROC analysis. *)
+   logistic regression, quantisation analysis, ROC analysis. *)
 
 open Ldafp_core
 open Fixedpoint
@@ -75,161 +75,6 @@ let test_greedy_weights_on_grid () =
   match Greedy_round.train pb with
   | None -> Alcotest.fail "nothing"
   | Some (w, _) -> checkb "on grid" true (Ldafp_problem.on_grid pb w)
-
-(* ------------------------------------------------------------------ *)
-(* Wordlength                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let fake_frontier () =
-  (* Build classifier stubs cheaply. *)
-  let clf wl =
-    let fmt = Qformat.make ~k:2 ~f:(wl - 2) in
-    Fixed_classifier.of_weights ~fmt ~scaling:(Scaling.identity 1)
-      ~weights:[| 1.0 |] ~threshold:0.0 ()
-  in
-  List.map
-    (fun (wl, error) ->
-      {
-        Wordlength.wl;
-        classifier = clf wl;
-        error;
-        power = Hw.Power_model.quadratic_relative ~word_length:wl;
-      })
-    [ (4, 0.30); (6, 0.22); (8, 0.21); (10, 0.23); (12, 0.205) ]
-
-let test_wordlength_minimal () =
-  let f = fake_frontier () in
-  (match Wordlength.minimal_word_length ~slack:0.02 f with
-  | Some p -> checki "first within slack of best (0.205)" 6 p.Wordlength.wl
-  | None -> Alcotest.fail "none");
-  match Wordlength.minimal_word_length ~slack:0.0 f with
-  | Some p -> checki "exact best" 12 p.Wordlength.wl
-  | None -> Alcotest.fail "none"
-
-let test_wordlength_cheapest_within () =
-  let f = fake_frontier () in
-  (match Wordlength.cheapest_within ~max_error:0.25 f with
-  | Some p -> checki "cheapest under budget" 6 p.Wordlength.wl
-  | None -> Alcotest.fail "none");
-  checkb "impossible budget" true
-    (Wordlength.cheapest_within ~max_error:0.01 f = None)
-
-let test_wordlength_reduction () =
-  let baseline =
-    List.map
-      (fun p ->
-        { p with Wordlength.error = (if p.Wordlength.wl >= 12 then 0.2 else 0.5) })
-      (fake_frontier ())
-  in
-  let improved =
-    List.map
-      (fun p -> { p with Wordlength.error = 0.2 })
-      (fake_frontier ())
-  in
-  match Wordlength.word_length_reduction ~baseline ~improved () with
-  | Some (b, i, ratio) ->
-      checki "baseline needs 12" 12 b;
-      checki "improved needs 4" 4 i;
-      checkf 1e-9 "power ratio 9x" 9.0 ratio
-  | None -> Alcotest.fail "none"
-
-let test_wordlength_sweep_end_to_end () =
-  let ds = easy_dataset 22 120 in
-  let frontier =
-    Wordlength.sweep ~wls:[ 4; 6; 8 ]
-      ~policy:Fixedpoint.Format_policy.default
-      ~train:(fun ~fmt d -> Some (Pipeline.train_conventional ~fmt d))
-      ~validate:(fun clf -> Eval.error_fixed clf ds)
-      ds
-  in
-  checki "all word lengths trained" 3 (List.length frontier);
-  List.iter
-    (fun p -> checkb "low error on easy data" true (p.Wordlength.error < 0.1))
-    frontier;
-  (* ascending order and power monotone *)
-  let wls = List.map (fun p -> p.Wordlength.wl) frontier in
-  checkb "sorted" true (wls = List.sort compare wls)
-
-(* ------------------------------------------------------------------ *)
-(* Multiclass                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let three_class_dataset seed n =
-  let rng = Stats.Rng.create seed in
-  let centers = [| (1.2, 0.0); (-0.6, 1.0); (-0.6, -1.0) |] in
-  let features = ref [] and labels = ref [] in
-  Array.iteri
-    (fun c (cx, cy) ->
-      for _ = 1 to n do
-        features :=
-          [|
-            cx +. (0.3 *. Stats.Sampler.std_normal rng);
-            cy +. (0.3 *. Stats.Sampler.std_normal rng);
-          |]
-          :: !features;
-        labels := c :: !labels
-      done)
-    centers;
-  Multiclass.create ~name:"three"
-    ~features:(Array.of_list (List.rev !features))
-    ~labels:(Array.of_list (List.rev !labels))
-
-let test_multiclass_create_validation () =
-  checkb "negative label" true
-    (match
-       Multiclass.create ~name:"x" ~features:[| [| 1.0 |] |] ~labels:[| -1 |]
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "empty class" true
-    (match
-       Multiclass.create ~name:"x"
-         ~features:[| [| 1.0 |]; [| 2.0 |] |]
-         ~labels:[| 0; 2 |]
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_multiclass_pairwise () =
-  let ds = three_class_dataset 30 5 in
-  let pair = Multiclass.pairwise ds ~a:0 ~b:2 in
-  checki "10 trials" 10 (Datasets.Dataset.n_trials pair);
-  let na, nb = Datasets.Dataset.class_counts pair in
-  checki "5 as A" 5 na;
-  checki "5 as B" 5 nb
-
-let test_multiclass_train_predict () =
-  let ds = three_class_dataset 31 40 in
-  let fmt = Qformat.make ~k:2 ~f:4 in
-  match
-    Multiclass.train
-      ~train:(fun d -> Some (Pipeline.train_conventional ~fmt d))
-      ds
-  with
-  | None -> Alcotest.fail "training failed"
-  | Some mc ->
-      checki "three machines for three classes" 3
-        (List.length mc.Multiclass.machines);
-      checkb "low training error" true (Multiclass.error mc ds < 0.05);
-      (* votes sum to K(K-1)/2 *)
-      let v = Multiclass.votes mc [| 1.2; 0.0 |] in
-      checki "votes total" 3 (Array.fold_left ( + ) 0 v);
-      checki "center of class 0 predicted 0" 0 (Multiclass.predict mc [| 1.2; 0.0 |]);
-      checki "center of class 1 predicted 1" 1 (Multiclass.predict mc [| -0.6; 1.0 |]);
-      checki "center of class 2 predicted 2" 2
-        (Multiclass.predict mc [| -0.6; -1.0 |]);
-      let m = Multiclass.confusion_matrix mc ds in
-      let total =
-        Array.fold_left
-          (fun acc row -> Array.fold_left ( + ) acc row)
-          0 m
-      in
-      checki "confusion totals trials" (Multiclass.n_trials ds) total
-
-let test_multiclass_training_failure_propagates () =
-  let ds = three_class_dataset 32 10 in
-  checkb "failure propagates" true
-    (Multiclass.train ~train:(fun _ -> None) ds = None)
 
 (* ------------------------------------------------------------------ *)
 (* ROC                                                                 *)
@@ -384,120 +229,6 @@ let test_logreg_regularisation_shrinks () =
     (Linalg.Vec.norm2 heavy.Logreg.w < Linalg.Vec.norm2 light.Logreg.w)
 
 (* ------------------------------------------------------------------ *)
-(* Hetero_classifier / Bit_alloc                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_hetero_of_uniform_equivalent () =
-  (* Embedding a uniform classifier must be behaviourally identical. *)
-  let rng = Stats.Rng.create 40 in
-  let fmt = Qformat.make ~k:2 ~f:4 in
-  let clf =
-    Fixed_classifier.of_weights ~fmt ~scaling:(Scaling.of_exponents [| 1; 0; 2 |])
-      ~weights:[| 0.75; -1.25; 0.5 |] ~threshold:0.125 ()
-  in
-  let h = Hetero_classifier.of_uniform clf in
-  for _ = 1 to 300 do
-    let x = Array.init 3 (fun _ -> Stats.Rng.uniform rng ~lo:(-4.0) ~hi:4.0) in
-    checkb "same prediction" (Fixed_classifier.predict clf x)
-      (Hetero_classifier.predict h x);
-    checkb "same projection" true
-      (Fixedpoint.Fx.equal
-         (Fixed_classifier.project clf x)
-         (Hetero_classifier.project h x))
-  done
-
-let test_hetero_narrow_weight_quantizes () =
-  (* A weight stored with fewer fractional bits must behave as its
-     coarser rounding. *)
-  let acc_fmt = Qformat.make ~k:2 ~f:6 in
-  let narrow = Qformat.make ~k:2 ~f:1 in
-  let h =
-    Hetero_classifier.create ~acc_fmt
-      ~formats:[| narrow |]
-      ~weights:[| 0.8 |] (* rounds to 1.0 on the f=1 grid *)
-      ~threshold:0.0 ~scaling:(Scaling.identity 1) ()
-  in
-  Alcotest.(check (array (float 1e-12)))
-    "coarse value" [| 1.0 |] (Hetero_classifier.weights h);
-  Alcotest.(check (array int)) "bits" [| 3 |] (Hetero_classifier.weight_bits h);
-  checki "total bits" 3 (Hetero_classifier.total_weight_bits h);
-  (* projection of x = 0.5: 1.0 * 0.5 = 0.5 in the accumulator format *)
-  checkf 1e-12 "projection" 0.5
-    (Fixedpoint.Fx.to_float (Hetero_classifier.project h [| 0.5 |]))
-
-let test_hetero_multiplier_cost () =
-  let acc_fmt = Qformat.make ~k:2 ~f:6 in
-  let h =
-    Hetero_classifier.create ~acc_fmt
-      ~formats:[| Qformat.make ~k:2 ~f:2; Qformat.make ~k:2 ~f:6 |]
-      ~weights:[| 0.5; 0.5 |] ~threshold:0.0 ~scaling:(Scaling.identity 2) ()
-  in
-  (* (4 + 8) * 8 = 96 partial products *)
-  checkf 1e-12 "multiplier cost" 96.0 (Hetero_classifier.multiplier_cost h)
-
-let test_bit_alloc_saves_bits_and_respects_tolerance () =
-  let pb = Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:6) (small_scatter ()) in
-  match Lda_fp.solve ~config:Lda_fp.quick_config pb with
-  | None -> Alcotest.fail "no solver outcome"
-  | Some o -> (
-      match Bit_alloc.allocate ~max_cost_increase:0.10 pb o.Lda_fp.w with
-      | None -> Alcotest.fail "allocation failed on a feasible start"
-      | Some a ->
-          checkb "saves at least one bit" true (a.Bit_alloc.bits_saved > 0);
-          checkb "cost within tolerance" true
-            (a.Bit_alloc.cost <= a.Bit_alloc.start_cost *. 1.10 +. 1e-12);
-          checkb "weights still feasible" true
-            (Ldafp_problem.feasible pb a.Bit_alloc.weights);
-          (* every assigned format is no wider than the base *)
-          Array.iter
-            (fun f ->
-              checkb "not wider than base" true
-                (Qformat.word_length f
-                <= Qformat.word_length pb.Ldafp_problem.fmt))
-            a.Bit_alloc.formats)
-
-let test_bit_alloc_zero_tolerance_keeps_feasible () =
-  let pb = Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:5) (small_scatter ()) in
-  match Ldafp_heuristics.seed_incumbent pb with
-  | None -> Alcotest.fail "no seed"
-  | Some (w, c) -> (
-      match Bit_alloc.allocate ~max_cost_increase:0.0 pb w with
-      | None -> Alcotest.fail "allocation failed"
-      | Some a ->
-          (* zero tolerance: cost must not increase at all *)
-          checkb "cost unchanged" true (a.Bit_alloc.cost <= c +. 1e-12))
-
-let test_bit_alloc_rejects_infeasible_start () =
-  let pb = Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:4) (small_scatter ()) in
-  checkb "off-grid start rejected" true
-    (Bit_alloc.allocate pb [| 0.3; 0.3 |] = None)
-
-let test_bit_alloc_classifier_runs () =
-  let ds = easy_dataset 41 150 in
-  let fmt = Qformat.make ~k:2 ~f:6 in
-  let prep = Pipeline.prepare ~fmt ds in
-  let pb = Ldafp_problem.build ~fmt prep.Pipeline.scatter in
-  match Lda_fp.solve ~config:Lda_fp.quick_config pb with
-  | None -> Alcotest.fail "no outcome"
-  | Some o -> (
-      match Bit_alloc.allocate pb o.Lda_fp.w with
-      | None -> Alcotest.fail "no allocation"
-      | Some a ->
-          let h = Bit_alloc.classifier ~prepared:prep a in
-          let errors = ref 0 in
-          Array.iteri
-            (fun i row ->
-              if
-                Hetero_classifier.predict h row
-                <> ds.Datasets.Dataset.labels.(i)
-              then incr errors)
-            ds.Datasets.Dataset.features;
-          checkb "classifies easy data" true
-            (float_of_int !errors
-             /. float_of_int (Datasets.Dataset.n_trials ds)
-            < 0.05))
-
-(* ------------------------------------------------------------------ *)
 (* Quant_analysis                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -599,25 +330,6 @@ let () =
             test_greedy_between_conventional_and_optimal;
           Alcotest.test_case "on grid" `Quick test_greedy_weights_on_grid;
         ] );
-      ( "wordlength",
-        [
-          Alcotest.test_case "minimal" `Quick test_wordlength_minimal;
-          Alcotest.test_case "cheapest within" `Quick
-            test_wordlength_cheapest_within;
-          Alcotest.test_case "reduction ratio" `Quick test_wordlength_reduction;
-          Alcotest.test_case "sweep end-to-end" `Quick
-            test_wordlength_sweep_end_to_end;
-        ] );
-      ( "multiclass",
-        [
-          Alcotest.test_case "validation" `Quick
-            test_multiclass_create_validation;
-          Alcotest.test_case "pairwise" `Quick test_multiclass_pairwise;
-          Alcotest.test_case "train/predict" `Quick
-            test_multiclass_train_predict;
-          Alcotest.test_case "failure propagates" `Quick
-            test_multiclass_training_failure_propagates;
-        ] );
       ( "gradcheck/logreg",
         [
           Alcotest.test_case "gradcheck discriminates" `Quick
@@ -631,23 +343,6 @@ let () =
           Alcotest.test_case "fixed pipeline" `Quick test_logreg_fixed_pipeline;
           Alcotest.test_case "regularisation shrinks" `Quick
             test_logreg_regularisation_shrinks;
-        ] );
-      ( "hetero/bit_alloc",
-        [
-          Alcotest.test_case "uniform embedding equivalent" `Quick
-            test_hetero_of_uniform_equivalent;
-          Alcotest.test_case "narrow weight quantises" `Quick
-            test_hetero_narrow_weight_quantizes;
-          Alcotest.test_case "multiplier cost" `Quick
-            test_hetero_multiplier_cost;
-          Alcotest.test_case "allocation saves bits" `Quick
-            test_bit_alloc_saves_bits_and_respects_tolerance;
-          Alcotest.test_case "zero tolerance" `Quick
-            test_bit_alloc_zero_tolerance_keeps_feasible;
-          Alcotest.test_case "rejects infeasible" `Quick
-            test_bit_alloc_rejects_infeasible_start;
-          Alcotest.test_case "classifier runs" `Quick
-            test_bit_alloc_classifier_runs;
         ] );
       ( "quant_analysis",
         [

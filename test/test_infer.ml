@@ -1,9 +1,8 @@
-(* Batched inference engine: bit-exactness of the C MAC kernels against
+(* Batched inference engine: bit-exactness of the C MAC kernel against
    the scalar datapath (QCheck, including saturation-boundary and
-   63-bit product-wraparound inputs, and per-feature hetero formats),
-   the zero-allocation steady state, the staged pipeline against its
-   scalar lockstep reference, the C model-header golden file and table
-   round-trip, and the infer metrics. *)
+   63-bit product-wraparound inputs), the zero-allocation steady state,
+   the C model-header golden file and table round-trip, and the infer
+   metrics. *)
 
 open Ldafp_core
 open Fixedpoint
@@ -108,41 +107,6 @@ let prop_uniform_bit_exact =
           let x = xs.(i) in
           Bytes.get preds i = '\001' = Fixed_classifier.predict clf x
           && Infer.Engine.margin engine i = Fixed_classifier.margin clf x)
-        (Array.init n Fun.id))
-
-let arb_hetero_case ~rows =
-  QCheck.make
-    QCheck.Gen.(
-      let* acc_fmt = fmt_gen in
-      let* m = int_range 1 6 in
-      let* w_fmts = array_size (return m) fmt_gen in
-      let* weights =
-        array_size (return m) (float_range (-3.0) 3.0)
-      in
-      let* threshold = float_range (-1.5) 1.5 in
-      let* exponents = array_size (return m) exponent_gen in
-      let* polarity = bool in
-      let* xs = list_size (return rows) (row_gen acc_fmt exponents) in
-      let h =
-        Hetero_classifier.create ~polarity ~acc_fmt ~formats:w_fmts ~weights
-          ~threshold
-          ~scaling:(Scaling.of_exponents exponents)
-          ()
-      in
-      return (h, Array.of_list xs))
-
-let prop_hetero_bit_exact =
-  QCheck.Test.make
-    ~name:"batched kernel == scalar predict (hetero per-feature formats)"
-    ~count:200 (arb_hetero_case ~rows:128)
-    (fun (h, xs) ->
-      let engine = Infer.Engine.of_hetero ~capacity:(Array.length xs) h in
-      let batch = Infer.Engine.make_batch engine in
-      let n = Infer.Engine.load_rows engine batch xs in
-      let preds = Bytes.create n in
-      Infer.Engine.predict_into engine batch preds;
-      Array.for_all
-        (fun i -> Bytes.get preds i = '\001' = Hetero_classifier.predict h xs.(i))
         (Array.init n Fun.id))
 
 (* ------------------------------------------------------------------ *)
@@ -350,153 +314,6 @@ let test_metrics_count_predictions () =
   checki "one count per prediction" (before + 37) (read ())
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_pipeline_identity_stages () =
-  (* mean 0, inv_std 1, identity projection: the staged pipeline must
-     equal the bare classifier (identity scaling, so the classifier's
-     front end matches the pipeline's plain input quantisation). *)
-  let fmt = Qformat.make ~k:2 ~f:6 in
-  let m = 3 in
-  let clf =
-    clf_of_raws fmt ~w_raws:[| -31; 12; 7 |] ~thr_raw:(-5)
-      ~exponents:(Array.make m 0)
-  in
-  let eye = Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0)) in
-  let stages =
-    [
-      Infer.Pipeline.standardize ~in_fmt:fmt ~scale_fmt:(Qformat.make ~k:2 ~f:6)
-        ~out_fmt:fmt ~means:(Array.make m 0.0)
-        ~inv_stds:(Array.make m 1.0);
-      Infer.Pipeline.project ~in_fmt:fmt ~mat_fmt:(Qformat.make ~k:2 ~f:6)
-        ~out_fmt:fmt ~matrix:eye;
-    ]
-  in
-  let pipe =
-    Infer.Pipeline.create ~capacity:128 ~stages (Infer.Engine.Uniform clf)
-  in
-  let batch = Infer.Pipeline.make_batch pipe in
-  let rng = Stats.Rng.create 11 in
-  let rows =
-    Array.init 128 (fun _ ->
-        Array.init m (fun _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0))
-  in
-  Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) rows;
-  Infer.Batch.set_length batch 128;
-  let preds = Bytes.create 128 in
-  Infer.Pipeline.run pipe batch preds;
-  Array.iteri
-    (fun i x ->
-      checkb
-        (Printf.sprintf "identity pipeline row %d" i)
-        (Fixed_classifier.predict clf x)
-        (Bytes.get preds i = '\001'))
-    rows
-
-let arb_pipeline_case ~rows =
-  QCheck.make
-    QCheck.Gen.(
-      let* in_fmt = fmt_gen in
-      let* scale_fmt = fmt_gen in
-      let* mat_fmt = fmt_gen in
-      (* Output fractional bits bounded by the available product bits,
-         so every stage shift is non-negative by construction. *)
-      let* mid_k = int_range 1 4 in
-      let* mid_f =
-        int_range 0 (min 8 (in_fmt.Qformat.f + scale_fmt.Qformat.f))
-      in
-      let mid_fmt = Qformat.make ~k:mid_k ~f:mid_f in
-      let* acc_k = int_range 1 4 in
-      let* acc_f =
-        int_range 0 (min 8 (mid_fmt.Qformat.f + mat_fmt.Qformat.f))
-      in
-      let acc_fmt = Qformat.make ~k:acc_k ~f:acc_f in
-      let* m_in = int_range 1 6 in
-      let* m_out = int_range 1 4 in
-      let* means = array_size (return m_in) (float_range (-2.0) 2.0) in
-      let* inv_stds = array_size (return m_in) (float_range (-2.0) 2.0) in
-      let* matrix =
-        array_size (return m_out)
-          (array_size (return m_in) (float_range (-2.0) 2.0))
-      in
-      let* w_raws = array_size (return m_out) (raw_gen acc_fmt) in
-      let* thr_raw = raw_gen acc_fmt in
-      let* polarity = bool in
-      let* xs =
-        list_size (return rows) (array_size (return m_in) (input_gen in_fmt))
-      in
-      let clf =
-        clf_of_raws ~polarity acc_fmt ~w_raws ~thr_raw
-          ~exponents:(Array.make m_out 0)
-      in
-      let stages =
-        [
-          Infer.Pipeline.standardize ~in_fmt ~scale_fmt ~out_fmt:mid_fmt
-            ~means ~inv_stds;
-          Infer.Pipeline.project ~in_fmt:mid_fmt ~mat_fmt ~out_fmt:acc_fmt
-            ~matrix;
-        ]
-      in
-      return
-        ( Infer.Pipeline.create ~capacity:rows ~stages
-            (Infer.Engine.Uniform clf),
-          Array.of_list xs ))
-
-let prop_pipeline_lockstep =
-  QCheck.Test.make
-    ~name:"staged pipeline == scalar lockstep reference" ~count:200
-    (arb_pipeline_case ~rows:64)
-    (fun (pipe, xs) ->
-      let batch = Infer.Pipeline.make_batch pipe in
-      Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) xs;
-      Infer.Batch.set_length batch (Array.length xs);
-      let preds = Bytes.create (Array.length xs) in
-      Infer.Pipeline.run pipe batch preds;
-      Array.for_all
-        (fun i ->
-          Bytes.get preds i = '\001'
-          = Infer.Pipeline.reference_predict pipe xs.(i))
-        (Array.init (Array.length xs) Fun.id))
-
-let test_pipeline_hetero_tail () =
-  let acc_fmt = Qformat.make ~k:2 ~f:5 in
-  let h =
-    Hetero_classifier.create ~acc_fmt
-      ~formats:[| Qformat.make ~k:2 ~f:3; Qformat.make ~k:1 ~f:7 |]
-      ~weights:[| 1.25; -0.4 |] ~threshold:0.1
-      ~scaling:(Scaling.of_exponents [| 0; 0 |])
-      ()
-  in
-  let stages =
-    [
-      Infer.Pipeline.standardize ~in_fmt:acc_fmt
-        ~scale_fmt:(Qformat.make ~k:2 ~f:4) ~out_fmt:acc_fmt
-        ~means:[| 0.25; -0.125 |] ~inv_stds:[| 1.5; 0.75 |];
-    ]
-  in
-  let pipe =
-    Infer.Pipeline.create ~capacity:64 ~stages (Infer.Engine.Hetero h)
-  in
-  let batch = Infer.Pipeline.make_batch pipe in
-  let rng = Stats.Rng.create 3 in
-  let xs =
-    Array.init 64 (fun _ ->
-        Array.init 2 (fun _ -> Stats.Rng.uniform rng ~lo:(-4.0) ~hi:4.0))
-  in
-  Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) xs;
-  Infer.Batch.set_length batch 64;
-  let preds = Bytes.create 64 in
-  Infer.Pipeline.run pipe batch preds;
-  Array.iteri
-    (fun i x ->
-      checkb
-        (Printf.sprintf "hetero tail row %d" i)
-        (Infer.Pipeline.reference_predict pipe x)
-        (Bytes.get preds i = '\001'))
-    xs
-
-(* ------------------------------------------------------------------ *)
 (* C model header                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,7 +425,7 @@ let test_header_rejects_wide_words () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_uniform_bit_exact; prop_hetero_bit_exact; prop_pipeline_lockstep ]
+    [ prop_uniform_bit_exact ]
 
 let () =
   Alcotest.run "infer"
@@ -641,13 +458,6 @@ let () =
         [
           Alcotest.test_case "predictions counter" `Quick
             test_metrics_count_predictions;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "identity stages equal bare classifier" `Quick
-            test_pipeline_identity_stages;
-          Alcotest.test_case "hetero classifier tail" `Quick
-            test_pipeline_hetero_tail;
         ] );
       ( "c header",
         [

@@ -322,95 +322,9 @@ let test_lu_inverse_condition () =
   checkb "cond of identity is 1" true
     (Float.abs (Lu.condition_estimate (Mat.identity 3) -. 1.0) < 1e-9)
 
-(* ------------------------------------------------------------------ *)
-(* Sym_eig                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_jacobi_diag () =
-  let d = Mat.diag [| 3.0; 1.0; 2.0 |] in
-  let { Sym_eig.eigenvalues; _ } = Sym_eig.decompose d in
-  checkfa "sorted eigenvalues" [| 3.0; 2.0; 1.0 |] eigenvalues
-
-let test_jacobi_2x2_analytic () =
-  let { Sym_eig.eigenvalues; eigenvectors } =
-    Sym_eig.decompose [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |]
-  in
-  checkf "l1" 3.0 eigenvalues.(0);
-  checkf "l2" 1.0 eigenvalues.(1);
-  let v = Mat.col eigenvectors 0 in
-  checkf "eigvec ratio" 1.0 (v.(0) /. v.(1))
-
-let test_jacobi_reconstruction () =
-  let rng = Stats.Rng.create 4 in
-  for n = 2 to 8 do
-    let a = random_spd rng n in
-    let { Sym_eig.eigenvalues; eigenvectors = v } = Sym_eig.decompose a in
-    let recon =
-      Mat.mul (Mat.mul v (Mat.diag eigenvalues)) (Mat.transpose v)
-    in
-    checkb
-      (Printf.sprintf "reconstruction n=%d" n)
-      true
-      (Mat.approx_equal ~tol:1e-7 a recon);
-    checkb "VtV = I" true
-      (Mat.approx_equal ~tol:1e-8 (Mat.identity n)
-         (Mat.mul (Mat.transpose v) v))
-  done
-
-let test_sqrt_psd () =
-  let rng = Stats.Rng.create 5 in
-  let a = random_spd rng 5 in
-  let s = Sym_eig.sqrt_psd a in
-  checkb "S S = A" true (Mat.approx_equal ~tol:1e-7 a (Mat.mul s s));
-  checkb "S symmetric" true (Mat.is_symmetric ~tol:1e-8 s)
-
-let test_spectral_bounds () =
-  let a = [| [| 2.0; 0.0 |]; [| 0.0; -5.0 |] |] in
-  checkf "spectral radius" 5.0 (Sym_eig.spectral_radius a);
-  checkf "min eig" (-5.0) (Sym_eig.min_eigenvalue a)
-
-(* ------------------------------------------------------------------ *)
-(* QR                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_qr_reconstruct () =
-  let rng = Stats.Rng.create 7 in
-  List.iter
-    (fun (m, n) ->
-      let a =
-        Mat.init m n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
-      in
-      let { Qr.q; r } = Qr.factor a in
-      checkb
-        (Printf.sprintf "QR = A (%dx%d)" m n)
-        true
-        (Mat.approx_equal ~tol:1e-9 a (Mat.mul q r));
-      checkb "Q orthonormal columns" true
-        (Mat.approx_equal ~tol:1e-9 (Mat.identity n)
-           (Mat.mul (Mat.transpose q) q));
-      (* R upper triangular *)
-      for i = 0 to n - 1 do
-        for j = 0 to i - 1 do
-          checkf "r lower zero" 0.0 r.(i).(j)
-        done
-      done)
-    [ (3, 3); (6, 3); (10, 5); (4, 1) ]
-
-let test_qr_least_squares () =
-  (* Overdetermined line fit y = 2x + 1 with known residuals. *)
-  let a = [| [| 0.0; 1.0 |]; [| 1.0; 1.0 |]; [| 2.0; 1.0 |]; [| 3.0; 1.0 |] |] in
-  let b = [| 1.0; 3.0; 5.0; 7.0 |] in
-  let x = Qr.solve_least_squares a b in
-  checkfa "exact fit" [| 2.0; 1.0 |] x;
-  (* perturbed: solution minimises the residual, check against normal
-     equations *)
-  let b2 = [| 1.1; 2.9; 5.2; 6.8 |] in
-  let x2 = Qr.solve_least_squares a b2 in
-  let at = Mat.transpose a in
-  let normal = Cholesky.solve (Mat.mul at a) (Mat.mul_vec at b2) in
-  checkb "matches normal equations" true (Vec.approx_equal ~tol:1e-9 x2 normal)
-
-let test_qr_square_solve_matches_lu () =
+(* Backward-stable solve: the residual of the computed solution is small
+   relative to the data, ‖A·x − b‖∞ ≤ 1e-9 (‖A‖∞‖x‖∞ + ‖b‖∞). *)
+let test_lu_residual () =
   let rng = Stats.Rng.create 8 in
   for n = 1 to 8 do
     let a =
@@ -418,24 +332,14 @@ let test_qr_square_solve_matches_lu () =
         (Mat.init n n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
     in
     let b = Array.init n (fun i -> float_of_int (i - 2)) in
-    match (Qr.solve_square a b, Lu.solve a b) with
-    | xq, xl ->
-        checkb
-          (Printf.sprintf "QR and LU agree (n=%d)" n)
-          true
-          (Vec.approx_equal ~tol:1e-7 xq xl)
-    | exception Tri.Singular _ -> ()
+    let x = Lu.solve a b in
+    let a_inf = Array.fold_left (fun m row -> Float.max m (Vec.norm1 row)) 0.0 a in
+    let residual = Vec.norm_inf (Vec.sub (Mat.mul_vec a x) b) in
+    checkb
+      (Printf.sprintf "LU residual (n=%d)" n)
+      true
+      (residual <= 1e-9 *. ((a_inf *. Vec.norm_inf x) +. Vec.norm_inf b))
   done
-
-let test_qr_rejects_wide_and_dependent () =
-  checkb "wide rejected" true
-    (match Qr.factor [| [| 1.0; 2.0; 3.0 |] |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "dependent columns rejected" true
-    (match Qr.factor [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |]; [| 3.0; 6.0 |] |] with
-    | exception Tri.Singular _ -> true
-    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Linsys                                                              *)
@@ -572,24 +476,7 @@ let () =
           Alcotest.test_case "determinant" `Quick test_lu_det;
           Alcotest.test_case "inverse/condition" `Quick
             test_lu_inverse_condition;
-        ] );
-      ( "sym_eig",
-        [
-          Alcotest.test_case "diagonal" `Quick test_jacobi_diag;
-          Alcotest.test_case "2x2 analytic" `Quick test_jacobi_2x2_analytic;
-          Alcotest.test_case "reconstruction" `Quick
-            test_jacobi_reconstruction;
-          Alcotest.test_case "sqrt_psd" `Quick test_sqrt_psd;
-          Alcotest.test_case "spectral bounds" `Quick test_spectral_bounds;
-        ] );
-      ( "qr",
-        [
-          Alcotest.test_case "reconstruct" `Quick test_qr_reconstruct;
-          Alcotest.test_case "least squares" `Quick test_qr_least_squares;
-          Alcotest.test_case "square solve" `Quick
-            test_qr_square_solve_matches_lu;
-          Alcotest.test_case "rejects degenerate" `Quick
-            test_qr_rejects_wide_and_dependent;
+          Alcotest.test_case "residual" `Quick test_lu_residual;
         ] );
       ( "linsys",
         [

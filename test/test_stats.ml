@@ -225,7 +225,10 @@ let test_scatter_within_class_psd () =
   let s = two_class_data () in
   let sw = Scatter.within_class s in
   checkb "symmetric" true (Linalg.Mat.is_symmetric sw);
-  checkb "psd" true (Linalg.Sym_eig.min_eigenvalue sw >= -1e-12)
+  (* S + tol·I factorises only if λ_min(S) > −tol. *)
+  checkb "psd" true
+    (Linalg.Cholesky.is_positive_definite
+       (Linalg.Mat.add_scaled_identity 1e-12 sw))
 
 let test_fisher_ratio () =
   let s = two_class_data () in
@@ -464,7 +467,8 @@ let prop_covariance_psd =
         Array.init n (fun _ ->
             Array.init 4 (fun _ -> Rng.uniform rng ~lo:(-5.0) ~hi:5.0))
       in
-      Linalg.Sym_eig.min_eigenvalue (Moments.covariance x) >= -1e-9)
+      Linalg.Cholesky.is_positive_definite
+        (Linalg.Mat.add_scaled_identity 1e-9 (Moments.covariance x)))
 
 let prop_fisher_scale_invariant =
   QCheck.Test.make ~name:"fisher ratio scale invariant" ~count:200

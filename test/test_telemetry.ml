@@ -395,6 +395,48 @@ let test_ledger_missing_file () =
       checki "and clean" 0 malformed
   | Error e -> Alcotest.failf "missing file errored: %s" e
 
+(* Every byte of one ledger line XORed with every mask 0x01..0xff: the
+   flipped ledger must load, and diffing each record it yields against
+   the unflipped record must return findings; no exception may escape.
+   [load] parses each line on its own, so the 255 variants of one
+   offset share one ledger file, one per line. *)
+let test_ledger_byte_flips () =
+  let line =
+    {|{"schema":"ldafp-run/1","kind":"bench","argv":["bench","--infer"],"stats":{"certified_sound":true,"cert_fallbacks":0,"warm_hit_rate":0.9,"ns_per_run":1.5e2,"batched_preds_per_sec":-2.5e6,"sharded":[{"domains":2},null]}}|}
+  in
+  let good =
+    match Obs.Json.parse line with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "unflipped line: %s" e
+  in
+  with_temp_ledger (fun path ->
+      for i = 0 to String.length line - 1 do
+        let oc = open_out_bin path in
+        for mask = 1 to 255 do
+          let b = Bytes.of_string line in
+          Bytes.set b i (Char.chr (Char.code line.[i] lxor mask));
+          output_bytes oc b;
+          output_char oc '\n'
+        done;
+        close_out oc;
+        match Obs.Run_ledger.load ~path with
+        | exception e ->
+            Alcotest.failf "offset %d: load raised %s" i (Printexc.to_string e)
+        | Error e -> Alcotest.failf "offset %d: %s" i e
+        | Ok (records, _) ->
+            List.iter
+              (fun r ->
+                match
+                  Obs.Run_ledger.findings_json
+                    (Obs.Run_ledger.diff ~baseline:good ~candidate:r ())
+                with
+                | exception e ->
+                    Alcotest.failf "offset %d: diff raised %s" i
+                      (Printexc.to_string e)
+                | (_ : Obs.Json.t) -> ())
+              records
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Regression diff                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -521,6 +563,7 @@ let () =
             test_ledger_torn_tail;
           Alcotest.test_case "missing file errors" `Quick
             test_ledger_missing_file;
+          Alcotest.test_case "every byte flip" `Quick test_ledger_byte_flips;
         ] );
       ( "diff",
         [
