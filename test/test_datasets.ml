@@ -386,6 +386,187 @@ let test_csv_byte_flips () =
     done
   done
 
+(* The split-based row parser [Dataset_io.parse_row] replaced, kept as
+   the oracle: trim the line, split on commas, [float_of_string_opt]
+   each trimmed field, then the label. *)
+let oracle_parse_row lineno line =
+  let fail message = raise (Dataset_io.Parse_error { line = lineno; message }) in
+  match String.split_on_char ',' (String.trim line) with
+  | [] | [ "" ] -> None
+  | label :: feats ->
+      if String.lowercase_ascii label = "label" then None
+      else begin
+        if feats = [] then fail "no features";
+        let values =
+          List.map
+            (fun s ->
+              match float_of_string_opt (String.trim s) with
+              | Some v when Float.is_finite v -> v
+              | Some _ -> fail (Printf.sprintf "non-finite feature %S" s)
+              | None -> fail (Printf.sprintf "bad number %S" s))
+            feats
+        in
+        let label =
+          match label with
+          | "A" | "a" | "1" | "true" -> true
+          | "B" | "b" | "0" | "false" -> false
+          | other -> fail (Printf.sprintf "unknown label %S" other)
+        in
+        Some (label, Array.of_list values)
+      end
+
+type row_outcome =
+  | Row of (bool * int64 array) option
+  | Failed of int * string
+
+let outcome parse lineno line =
+  match parse lineno line with
+  | None -> Row None
+  | Some (label, feats) -> Row (Some (label, Array.map Int64.bits_of_float feats))
+  | exception Dataset_io.Parse_error { line; message } -> Failed (line, message)
+
+let same_as_oracle lineno line =
+  outcome Dataset_io.parse_row lineno line = outcome oracle_parse_row lineno line
+
+let gen_digits n = QCheck.Gen.(string_size ~gen:(char_range '0' '9') (return n))
+
+(* A plain decimal: 1-20 significant digits, 0-26 fractional digits,
+   optional leading zeros, sign and missing integer part. *)
+let gen_decimal =
+  QCheck.Gen.(
+    let* sign = oneofl [ ""; ""; "-"; "+" ] in
+    let* first = char_range '1' '9' in
+    let* rest = int_range 0 19 >>= gen_digits in
+    let sig_digits = String.make 1 first ^ rest in
+    let n = String.length sig_digits in
+    let* point = int_range 0 n in
+    let* zeros = int_range 0 6 in
+    let* int_part =
+      if point > 0 then return (String.sub sig_digits 0 point)
+      else oneofl [ "0"; ""; "000" ]
+    in
+    let frac =
+      String.make (if point = 0 then zeros else 0) '0'
+      ^ String.sub sig_digits point (n - point)
+    in
+    let* with_dot =
+      if frac = "" then oneofl [ false; false; true ] else return true
+    in
+    return (sign ^ int_part ^ (if with_dot then "." ^ frac else frac)))
+
+let gen_field =
+  QCheck.Gen.(
+    let* body =
+      frequency
+        [
+          (4, gen_decimal);
+          (3, map (Printf.sprintf "%.17g") (float_range (-3.0) 3.0));
+          (1, map (Printf.sprintf "%.17g") float);
+          (1, map (Printf.sprintf "%.17e") (float_range (-1e6) 1e6));
+          (1, map (Printf.sprintf "%h") (float_range (-10.0) 10.0));
+          (1, map (fun s -> "-" ^ s) (oneofl [ "0"; "0.0"; "0.000"; "00" ]));
+          ( 1,
+            oneofl
+              [ "1_000.5"; "0x1p-2"; "nan"; "inf"; "-inf"; "infinity"; "1e999";
+                "-1e999"; "1e5"; "1E-5"; "2.5e+3"; ""; "."; "-"; "+"; "-.";
+                "1."; ".5"; "+.5"; "1.2.3"; "abc"; "1e"; "0x"; "--1"; "+-1";
+                "1 2"; "1e-400"; "4.9e-324"; "1.7976931348623157e308" ] );
+        ]
+    in
+    let* pre = oneofl [ ""; ""; ""; " "; "\t"; "\r"; "  " ] in
+    let* post = oneofl [ ""; ""; ""; " "; "\t"; "\r"; " \r" ] in
+    return (pre ^ body ^ post))
+
+let gen_row_line =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          let* label =
+            oneofl
+              [ "A"; "B"; "a"; "b"; "1"; "0"; "true"; "false"; "X"; ""; " A";
+                "A "; "TRUE"; "label"; "LABEL"; "Label"; " label" ]
+          in
+          let* fields = list_size (int_range 0 4) gen_field in
+          let* trailing = oneofl [ ""; ""; ""; ","; " " ] in
+          return (String.concat "," (label :: fields) ^ trailing) );
+        ( 1,
+          oneofl
+            [ ""; " "; "\t\r"; "A"; "label"; "label,x1,x2"; "Label, x1";
+              ","; "A,"; ",1.5"; "A,,1" ] );
+      ])
+
+let prop_parse_row_bit_identical =
+  QCheck.Test.make ~name:"parse_row bit-identical to float_of_string"
+    ~count:20_000
+    (QCheck.make
+       ~print:(fun (lineno, line) -> Printf.sprintf "line %d: %S" lineno line)
+       QCheck.Gen.(pair (int_range 1 9) gen_row_line))
+    (fun (lineno, line) -> same_as_oracle lineno line)
+
+(* Exact decimal midpoints between adjacent doubles: each must round to
+   even exactly as [float_of_string] does (the fast path declines them).
+   a.5 for a in [2^52, 2^53): halfway between integers at spacing 1;
+   odd b in [2^53, 2^54): halfway at spacing 2; d.25 / d.75 for d in
+   [2^51, 2^52): halfway at spacing 1/2. *)
+let test_csv_tie_corpus () =
+  let st = Random.State.make [| 17 |] in
+  let p51 = 1 lsl 51 and p52 = 1 lsl 52 and p53 = 1 lsl 53 in
+  let draw lo n = lo + Random.State.full_int st n in
+  let ties = ref [] in
+  let add fmt x = ties := Printf.sprintf fmt x :: !ties in
+  List.iter (add "%d.5") [ p52; p53 - 1 ];
+  List.iter (add "%d.0") [ p53 + 1; (2 * p53) - 1 ];
+  List.iter (add "%d.25") [ p51; p52 - 1 ];
+  List.iter (add "%d.75") [ p51; p52 - 1 ];
+  for _ = 1 to 5_000 do
+    add "%d.5" (draw p52 p52);
+    add "%d.0" (draw p53 p53 lor 1);
+    add "%d.25" (draw p51 p51);
+    add "%d.75" (draw p51 p51)
+  done;
+  List.iter
+    (fun tie ->
+      List.iter
+        (fun line ->
+          if not (same_as_oracle 3 line) then
+            Alcotest.failf "%S differs from float_of_string" line)
+        [ "A," ^ tie; "B,-" ^ tie ])
+    !ties
+
+let test_csv_byte_order_mark () =
+  let bom = "\xEF\xBB\xBF" in
+  let ds = Dataset_io.of_lines ~name:"bom" [ bom ^ "label,x1"; "A,1.5"; "B,-2" ] in
+  checki "header skipped after the mark" 2 (Dataset.n_trials ds);
+  let ds = Dataset_io.of_lines ~name:"bom" [ bom ^ "A,1.5"; "B,-2" ] in
+  checkf 0.0 "first row read after the mark" 1.5 ds.Dataset.features.(0).(0);
+  let path = Filename.temp_file "ldafp_bom" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (bom ^ "label,x1,x2\r\nA,0.5,1\r\nB,2,-1\r\n"));
+      let ds = Dataset_io.load path in
+      checki "file with a mark and CRLF" 2 (Dataset.n_trials ds));
+  (* Only line 1 may carry the mark. *)
+  checkb "mark on line 2 rejected" true
+    (match Dataset_io.of_lines ~name:"bom" [ "A,1.5"; bom ^ "B,-2" ] with
+    | exception Dataset_io.Parse_error { line = 2; _ } -> true
+    | _ -> false)
+
+let test_csv_load_line_numbers () =
+  (* [load] streams the file through the same fold as [of_lines]. *)
+  let path = Filename.temp_file "ldafp_lines" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "label,x1,x2\n\nA,1,2\nB,1\nA,oops,1\n");
+      checkb "parse error before ragged row" true
+        (match Dataset_io.load path with
+        | exception Dataset_io.Parse_error { line = 5; _ } -> true
+        | _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -413,7 +594,8 @@ let prop_csv_roundtrip =
       && ds.Dataset.labels = ds2.Dataset.labels)
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_folds_partition; prop_csv_roundtrip ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_folds_partition; prop_csv_roundtrip; prop_parse_row_bit_identical ]
 
 let () =
   Alcotest.run "datasets"
@@ -475,6 +657,10 @@ let () =
           Alcotest.test_case "rejects non-finite features" `Quick
             test_csv_rejects_non_finite;
           Alcotest.test_case "every byte flip" `Quick test_csv_byte_flips;
+          Alcotest.test_case "tie corpus" `Quick test_csv_tie_corpus;
+          Alcotest.test_case "byte-order mark" `Quick test_csv_byte_order_mark;
+          Alcotest.test_case "load line numbers" `Quick
+            test_csv_load_line_numbers;
         ] );
       ("properties", qcheck_tests);
     ]
