@@ -423,6 +423,54 @@ let test_header_rejects_wide_words () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Independent engines on several domains                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Engines are independent values: one per domain, each loading the
+   same rows, must return verdicts byte-identical to scalar [predict].
+   The conventional Q2.6 model of the Table-1 synthetic data, on inputs
+   with a heavy tail that saturates the front end. *)
+let test_sharded_engines_agree () =
+  let rng = Stats.Rng.create 42 in
+  let ds = Datasets.Synthetic.generate ~n_per_class:300 rng in
+  let clf = Pipeline.train_conventional ~fmt:(Qformat.make ~k:2 ~f:6) ds in
+  let m = Fixed_classifier.n_features clf in
+  let rows =
+    Array.init 256 (fun _ ->
+        Array.init m (fun _ ->
+            match Stats.Rng.int rng 10 with
+            | 0 -> Stats.Rng.uniform rng ~lo:(-64.0) ~hi:64.0
+            | 1 -> Stats.Rng.uniform rng ~lo:(-8.0) ~hi:8.0
+            | _ -> Stats.Rng.uniform rng ~lo:(-2.5) ~hi:2.5))
+  in
+  let scalar =
+    Bytes.init (Array.length rows) (fun i ->
+        if Fixed_classifier.predict clf rows.(i) then '\001' else '\000')
+  in
+  checkb "rows reach both verdicts" true
+    (Bytes.contains scalar '\001' && Bytes.contains scalar '\000');
+  List.iter
+    (fun domains ->
+      let workers =
+        List.init domains (fun _ ->
+            Domain.spawn (fun () ->
+                let e = Infer.Engine.of_fixed ~capacity:(Array.length rows) clf in
+                let b = Infer.Engine.make_batch e in
+                let n = Infer.Engine.load_rows e b rows in
+                let out = Bytes.create n in
+                Infer.Engine.predict_into e b out;
+                out))
+      in
+      List.iteri
+        (fun w d ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains=%d, worker %d: verdicts = scalar" domains w)
+            (Bytes.to_string scalar)
+            (Bytes.to_string (Domain.join d)))
+        workers)
+    [ 2; 4 ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_uniform_bit_exact ]
@@ -431,6 +479,11 @@ let () =
   Alcotest.run "infer"
     [
       ("bit-exact", qcheck_tests);
+      ( "domains",
+        [
+          Alcotest.test_case "independent engines agree with scalar" `Quick
+            test_sharded_engines_agree;
+        ] );
       ( "adversarial",
         [
           Alcotest.test_case "63-bit product wraparound" `Quick

@@ -133,6 +133,13 @@ let small_scatter () =
   in
   Stats.Scatter.of_data a b
 
+(* The Table-1 synthetic problem (seed 42) at [n_per_class] trials per
+   class in format Q2.[f]. *)
+let synthetic_problem ~n_per_class ~f =
+  let fmt = Qformat.make ~k:2 ~f in
+  let ds = Datasets.Synthetic.generate ~n_per_class (Stats.Rng.create 42) in
+  Ldafp_problem.build ~fmt (Pipeline.prepare ~fmt ds).Pipeline.scatter
+
 let test_problem_beta () =
   let pb = Ldafp_problem.build ~rho:0.99 ~fmt:(Qformat.make ~k:2 ~f:4) (small_scatter ()) in
   checkf 1e-6 "beta = probit(0.995)" 2.5758293035489004 pb.Ldafp_problem.beta
@@ -360,34 +367,53 @@ let test_warm_prepare_repairs_branch_cut () =
      optimum's own projection.  The inherited point lands exactly on the
      child's branch-cut half-space — not strictly interior — and
      [prepare_warm_start] must repair it (pull-in toward the
-     analytic-center proxy) rather than go cold. *)
-  let fmt = Qformat.make ~k:2 ~f:2 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
-  let wbox = pb.Ldafp_problem.elem_box in
-  let relax trange =
-    Ldafp_problem.relaxation pb ~wbox ~trange
-      ~eta:(Optim.Interval.sup_sq trange)
+     analytic-center proxy) rather than go cold.  The warm solve from
+     the repaired point must then reach the cold solve's objective
+     within the sum of their certified gap bounds. *)
+  let check name pb =
+    let wbox = pb.Ldafp_problem.elem_box in
+    let relax trange =
+      Ldafp_problem.relaxation pb ~wbox ~trange
+        ~eta:(Optim.Interval.sup_sq trange)
+    in
+    let solve_cold p =
+      match Optim.Socp.solve_auto p ~start:(Array.map Fx_interval.mid wbox) with
+      | Some s -> s
+      | None -> Alcotest.failf "%s: relaxation infeasible" name
+    in
+    let root = solve_cold (relax pb.Ldafp_problem.t_root) in
+    let t_opt = Ldafp_problem.t_of pb root.Optim.Socp.x in
+    let left, _ = Optim.Interval.split ~at:t_opt pb.Ldafp_problem.t_root in
+    let child = relax left in
+    checkb (name ^ ": parent optimum sits on the cut") false
+      (Optim.Socp.is_strictly_interior ~margin:1e-8 child root.Optim.Socp.x);
+    let target = Ldafp_problem.center_point pb ~wbox ~trange:left in
+    checkb (name ^ ": center-point target is strictly interior") true
+      (Optim.Socp.is_strictly_interior child target);
+    match Optim.Socp.prepare_warm_start ~target child root.Optim.Socp.x with
+    | None -> Alcotest.failf "%s: branch-cut point must be repairable" name
+    | Some (y, prep) ->
+        checkb (name ^ ": repaired point certifiably interior") true
+          (Optim.Socp.min_relative_slack child y > 0.0);
+        checkb (name ^ ": repair actually ran") true
+          (prep <> Optim.Socp.Warm_interior);
+        let warm =
+          Optim.Socp.solve
+            ~params:(Optim.Socp.warm_start_params Optim.Socp.default_params)
+            child ~start:y
+        in
+        let cold = solve_cold child in
+        let tol =
+          cold.Optim.Socp.gap_bound +. warm.Optim.Socp.gap_bound
+          +. (1e-9 *. (1.0 +. Float.abs cold.Optim.Socp.objective))
+        in
+        checkb (name ^ ": warm objective agrees with cold") true
+          (Float.abs (cold.Optim.Socp.objective -. warm.Optim.Socp.objective)
+          <= tol)
   in
-  let start = Array.map Fx_interval.mid wbox in
-  let root =
-    match Optim.Socp.solve_auto (relax pb.Ldafp_problem.t_root) ~start with
-    | Some s -> s
-    | None -> Alcotest.fail "root relaxation infeasible"
-  in
-  let t_opt = Ldafp_problem.t_of pb root.Optim.Socp.x in
-  let left, _ = Optim.Interval.split ~at:t_opt pb.Ldafp_problem.t_root in
-  let child = relax left in
-  checkb "parent optimum sits on the cut" false
-    (Optim.Socp.is_strictly_interior ~margin:1e-8 child root.Optim.Socp.x);
-  let target = Ldafp_problem.center_point pb ~wbox ~trange:left in
-  checkb "center-point target is strictly interior" true
-    (Optim.Socp.is_strictly_interior child target);
-  match Optim.Socp.prepare_warm_start ~target child root.Optim.Socp.x with
-  | None -> Alcotest.fail "branch-cut point must be repairable"
-  | Some (y, prep) ->
-      checkb "repaired point certifiably interior" true
-        (Optim.Socp.min_relative_slack child y > 0.0);
-      checkb "repair actually ran" true (prep <> Optim.Socp.Warm_interior)
+  check "small Q2.2"
+    (Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:2) (small_scatter ()));
+  check "table-1 Q2.6" (synthetic_problem ~n_per_class:300 ~f:6)
 
 (* ------------------------------------------------------------------ *)
 (* Heuristics                                                          *)
@@ -997,6 +1023,100 @@ let prop_parallel_solver_matches_sequential =
                  <= 2.0 *. rel_gap *. (1.0 +. Float.abs s.Lda_fp.cost)
           | _ -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Table-1 synthetic searches                                          *)
+(* ------------------------------------------------------------------ *)
+
+let solve_exn config pb =
+  match Lda_fp.solve ~config pb with
+  | Some o -> o
+  | None -> Alcotest.fail "no feasible solution"
+
+(* The 150-node Q2.4 search on one domain: warm starts must actually
+   hit, and neither warm starting nor certification may change what the
+   search concludes.  Warm and cold runs share the incumbent and the
+   certified gap bit for bit; pruning on certificates lands on the same
+   incumbent as trusting the primal objective (gaps differ by the dual
+   slack, so only the incumbent is compared). *)
+let test_quick_search_warm_and_certified () =
+  let pb = synthetic_problem ~n_per_class:300 ~f:4 in
+  let config ~warm_start ~certify =
+    {
+      Lda_fp.default_config with
+      bnb_params =
+        { Optim.Bnb.default_params with max_nodes = 150; rel_gap = 1e-6 };
+      warm_start;
+      certify;
+    }
+  in
+  let warm = solve_exn (config ~warm_start:true ~certify:true) pb in
+  let cold = solve_exn (config ~warm_start:false ~certify:true) pb in
+  let trusting = solve_exn (config ~warm_start:true ~certify:false) pb in
+  let s = warm.Lda_fp.diagnostics.Lda_fp.search in
+  let hits = s.Optim.Bnb.warm_start_hits in
+  let misses =
+    s.Optim.Bnb.warm_miss_no_parent + s.Optim.Bnb.warm_miss_not_interior
+    + s.Optim.Bnb.warm_miss_fault_cleared
+  in
+  checkb "warm hit rate >= 0.5" true
+    (float_of_int hits /. float_of_int (max 1 (hits + misses)) >= 0.5);
+  checkb "warm and cold: same incumbent" true
+    (warm.Lda_fp.cost = cold.Lda_fp.cost);
+  checkb "warm and cold: same certified gap" true
+    (warm.Lda_fp.diagnostics.Lda_fp.gap = cold.Lda_fp.diagnostics.Lda_fp.gap);
+  checkb "certified and trusting: same incumbent" true
+    (warm.Lda_fp.cost = trusting.Lda_fp.cost);
+  checkb "certified sound" true s.Optim.Bnb.certified_sound;
+  checkb "certificates verified" true (s.Optim.Bnb.cert_verified >= 1);
+  checki "no certificate fallbacks" 0 s.Optim.Bnb.cert_fallbacks
+
+(* An exact run-to-drain search of more than 10^4 nodes (Q2.5, 200 per
+   class) at 1, 2 and 4 domains.  However nodes were seeded and stolen,
+   every domain count proves the same optimum with a zero certified
+   gap, bit for bit, fully certified.  Only multi-domain runs seed the
+   frontier, and every worker records its first expansion. *)
+let test_exact_search_domain_invariant () =
+  let pb = synthetic_problem ~n_per_class:200 ~f:5 in
+  let solve domains =
+    let config =
+      {
+        Lda_fp.default_config with
+        bnb_params =
+          {
+            Optim.Bnb.default_params with
+            max_nodes = 5_000_000 (* runaway stop only *);
+            rel_gap = 0.0;
+            abs_gap = 0.0;
+            domains;
+          };
+      }
+    in
+    solve_exn config pb
+  in
+  let seq = solve 1 in
+  checkb ">= 10^4 nodes on one domain" true
+    (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
+  List.iter
+    (fun domains ->
+      let o = if domains = 1 then seq else solve domains in
+      let d = o.Lda_fp.diagnostics in
+      let s = d.Lda_fp.search in
+      let tag what = Printf.sprintf "domains=%d: %s" domains what in
+      checkb (tag "same cost bits") true
+        (Int64.bits_of_float o.Lda_fp.cost
+        = Int64.bits_of_float seq.Lda_fp.cost);
+      checkb (tag "zero certified gap") true (d.Lda_fp.gap = 0.0);
+      checkb (tag "certified sound") true s.Optim.Bnb.certified_sound;
+      checki (tag "no certificate fallbacks") 0 s.Optim.Bnb.cert_fallbacks;
+      if domains = 1 then checki (tag "no seeding") 0 s.Optim.Bnb.seed_nodes
+      else begin
+        checkb (tag "seeded the frontier") true (s.Optim.Bnb.seed_nodes >= 1);
+        checkb (tag "seed time measured") true (s.Optim.Bnb.seed_seconds >= 0.0)
+      end;
+      checki (tag "first-node time per worker") domains
+        (Array.length s.Optim.Bnb.domain_first_node_seconds))
+    [ 1; 2; 4 ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1109,6 +1229,13 @@ let () =
           Alcotest.test_case "code range" `Quick test_model_io_code_range;
           Alcotest.test_case "every byte flip" `Quick
             test_model_io_byte_flips;
+        ] );
+      ( "table-1",
+        [
+          Alcotest.test_case "warm and certified searches agree" `Quick
+            test_quick_search_warm_and_certified;
+          Alcotest.test_case "exact search agrees across domains" `Quick
+            test_exact_search_domain_invariant;
         ] );
       ("properties", qcheck_tests);
     ]

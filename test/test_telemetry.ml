@@ -176,7 +176,9 @@ let test_live_server () =
       let hdr, body = split_response r in
       checkb "live metrics 200" true (contains ~sub:"200 OK" hdr);
       checkb "live metrics has build_info" true
-        (contains ~sub:"ldafp_build_info" body))
+        (contains ~sub:"ldafp_build_info{" body);
+      checkb "live metrics has uptime" true
+        (contains ~sub:"\nldafp_uptime_seconds " body))
 
 let test_stop_idempotent () =
   match Obs.Telemetry.start ~addr:"127.0.0.1:0" () with
