@@ -10,7 +10,7 @@ type t = {
   sw : Mat.t;
   d : Vec.t;
   elem_box : Fx_interval.t array;
-  socs : Socp.soc array;
+  cones : Socp.cones;
   t_root : Interval.t;
   restrict_t_positive : bool;
   (* Relaxation template, shared by every branch-and-bound node: the
@@ -95,8 +95,10 @@ let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
       { Socp.l; g = zero_g; c = Vec.neg mu; d = hi_bound +. slack };
     ]
   in
-  let socs =
-    Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b)
+  (* Each class's two cones share one [l], so two Grams serve all four,
+     computed here once and shared by every node's relaxation. *)
+  let cones =
+    Socp.cones (Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b))
   in
   (* Root t-interval: eq. (29) tightened by the element boxes. *)
   let t_lo = ref 0.0 and t_hi = ref 0.0 in
@@ -112,7 +114,7 @@ let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
     else Interval.make ~lo:!t_lo ~hi:!t_hi
   in
   {
-    fmt; rho; beta; scatter; sw; d; elem_box; socs; t_root;
+    fmt; rho; beta; scatter; sw; d; elem_box; cones; t_root;
     restrict_t_positive;
     p_base = Mat.scale 2.0 sw;
     q_zero = Vec.zeros m;
@@ -206,7 +208,7 @@ let relaxation t ~wbox ~trange ~eta =
      cones serve every node (and eta_inf upper solves) unchanged. *)
   Socp.of_parts ~obj_scale:(1.0 /. eta) ~p:t.p_base ~q:t.q_zero
     ~lins:(box_and_t_lins t ~wbox ~trange)
-    ~socs:t.socs (dim t)
+    ~cones:t.cones (dim t)
 
 let secant_relaxation t ~wbox ~trange ~theta =
   if theta < 0.0 then
@@ -219,7 +221,7 @@ let secant_relaxation t ~wbox ~trange ~theta =
   let problem =
     Socp.of_parts ~p:t.p_base ~q
       ~lins:(box_and_t_lins t ~wbox ~trange)
-      ~socs:t.socs m
+      ~cones:t.cones m
   in
   (problem, theta *. l *. u)
 

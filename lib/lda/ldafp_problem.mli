@@ -22,10 +22,12 @@ type t = private {
   d : Linalg.Vec.t;  (** μ_A − μ_B *)
   elem_box : Fixedpoint.Fx_interval.t array;
       (** per-element grid interval: (13) ∩ (18) ∩ (28) *)
-  socs : Optim.Socp.soc array;
+  cones : Optim.Socp.cones;
       (** the four cones of (20), with a slack compensating the Cholesky
           jitter so the relaxation never cuts off an exactly-feasible
-          grid point *)
+          grid point; each class's pair shares one [l], so two Grams
+          ({!Optim.Socp.val-cones}), computed once here, serve every
+          node's relaxation *)
   t_root : Optim.Interval.t;  (** initial range of t = dᵀw, eq. 29 *)
   restrict_t_positive : bool;
       (** heuristic H3: exploit the w ↦ −w symmetry of the cost by

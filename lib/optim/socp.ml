@@ -47,6 +47,16 @@ let m_cert_slack =
 type lin = { a : Vec.t; b : float }
 type soc = { l : Mat.t; g : Vec.t; c : Vec.t; d : float }
 
+(* The barrier Hessian of a cone needs LᵀL, which never changes for the
+   life of a problem, so it is computed once here instead of on every
+   oracle call (O(n²) per cone per call instead of O(rows·n²)).
+   [grams.(k)] is the Gram of cone k's source [l]; cones built from one
+   physically shared [l] share one matrix.  [gidx] maps each variable of
+   the problem the cones belong to onto a Gram row/column: the identity
+   for {!cones}, composed with the free-coordinate map by {!restrict},
+   and −1 for the phase-I slack column, whose Gram row is exactly 0. *)
+type cones = { socs : soc array; grams : Mat.t array; gidx : int array }
+
 type problem = {
   n : int;
   p : Mat.t;
@@ -54,9 +64,89 @@ type problem = {
   lins : lin array;
   socs : soc array;
   obj_scale : float;
+  cones : cones;
+  lin_support : int array;
 }
 
-let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~socs n =
+(* G = LᵀL, each entry summed r-ascending from +0: the order of the
+   textbook Σ_r l(r)(i)·l(r)(j), so barrier Hessians match it bit for
+   bit.  Row-contiguous over the upper triangle, then mirrored; a skipped
+   l(r)(i) = 0 would only have added a ±0 product to a running sum that
+   is never −0, so no bit changes — and a triangular L costs ≈ n³/6. *)
+let gram l =
+  let n = Mat.cols l in
+  if Array.exists (fun lr -> Array.length lr <> n) l then
+    invalid_arg "Socp.cones: ragged cone matrix";
+  let g = Mat.zeros n n in
+  Array.iter
+    (fun lr ->
+      for i = 0 to n - 1 do
+        let lri = lr.(i) in
+        if lri <> 0.0 then begin
+          let gi = g.(i) in
+          (* i <= j < n = length of [gi] and of [lr], checked above: the
+             unchecked accesses halve the build, which is set-up time. *)
+          for j = i to n - 1 do
+            Array.unsafe_set gi j
+              (Array.unsafe_get gi j +. (lri *. Array.unsafe_get lr j))
+          done
+        end
+      done)
+    l;
+  for i = 1 to n - 1 do
+    for j = 0 to i - 1 do
+      g.(i).(j) <- g.(j).(i)
+    done
+  done;
+  g
+
+let cones socs =
+  let n = if Array.length socs = 0 then 0 else Mat.cols socs.(0).l in
+  let seen = ref [] in
+  let grams =
+    Array.map
+      (fun { l; _ } ->
+        match List.assq_opt l !seen with
+        | Some g -> g
+        | None ->
+            let g = gram l in
+            seen := (l, g) :: !seen;
+            g)
+      socs
+  in
+  { socs; grams; gidx = Array.init n Fun.id }
+
+(* The cones [socs] of a problem derived from [cs]'s (restricted or
+   phase-I augmented): same Grams, variable k reading Gram index
+   [gidx_of k]. *)
+let derived_cones cs socs ~n gidx_of =
+  {
+    socs;
+    grams = cs.grams;
+    gidx = (if Array.length socs = 0 then [||] else Array.init n gidx_of);
+  }
+
+(* The index of [a]'s only nonzero entry, or −1 when it has several or
+   none: the ±eᵢ box rows get an O(1) path in the oracle and feed the
+   certificate's coordinate box. *)
+let support a =
+  let idx = ref (-1) and count = ref 0 in
+  Array.iteri
+    (fun i ai ->
+      if ai <> 0.0 then begin
+        incr count;
+        idx := i
+      end)
+    a;
+  if !count = 1 then !idx else -1
+
+let make ~obj_scale ~p ~q ~lins ~(cones : cones) n =
+  {
+    n; p; q; lins; socs = cones.socs; obj_scale; cones;
+    lin_support = Array.map (fun { a; _ } -> support a) lins;
+  }
+
+let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~(cones : cones) n =
   if n <= 0 then invalid_arg "Socp.of_parts: n must be positive";
   if Mat.dims p <> (n, n) then invalid_arg "Socp.of_parts: P must be n x n";
   if Vec.dim q <> n then invalid_arg "Socp.of_parts: q must have length n";
@@ -69,8 +159,8 @@ let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~socs n =
     (fun { l; g; c; _ } ->
       if Mat.cols l <> n || Vec.dim c <> n || Vec.dim g <> Mat.rows l then
         invalid_arg "Socp.of_parts: cone constraint dimension mismatch")
-    socs;
-  { n; p; q; lins; socs; obj_scale }
+    cones.socs;
+  make ~obj_scale ~p ~q ~lins ~cones n
 
 let with_objective_scale pb obj_scale = { pb with obj_scale }
 
@@ -166,7 +256,12 @@ let restrict pb ~fixed =
         full_n = pb.n;
         free;
         pinned = v;
-        reduced = { n = nf; p; q; lins; socs; obj_scale = pb.obj_scale };
+        reduced =
+          make ~obj_scale:pb.obj_scale ~p ~q ~lins
+            ~cones:
+              (derived_cones pb.cones socs ~n:nf (fun i ->
+                   pb.cones.gidx.(free.(i))))
+            nf;
         obj_const;
       }
 
@@ -192,7 +287,7 @@ let problem ?p ?q ?(lins = []) ?(socs = []) n =
   if not (Mat.is_symmetric ~tol:1e-8 p) then
     invalid_arg "Socp.problem: P must be symmetric";
   of_parts ~p:(Mat.symmetrize p) ~q ~lins:(Array.of_list lins)
-    ~socs:(Array.of_list socs) n
+    ~cones:(cones (Array.of_list socs)) n
 
 let box_constraints lo hi =
   if Vec.dim lo <> Vec.dim hi then
@@ -330,26 +425,39 @@ let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
   Mat.scale_into s_obj pb.p ~dst:hess;
   let value = ref (s_obj *. fx) in
   let ok = ref true in
-  Array.iter
-    (fun { a; b } ->
+  Array.iteri
+    (fun k { a; b } ->
       if !ok then begin
-        let s = b +. relax -. Vec.dot a x in
+        (* A single-nonzero row (the ±eᵢ box rows) costs O(1): off its
+           support the dense terms are ±0 products, which change no
+           value for a finite iterate. *)
+        let sk = pb.lin_support.(k) in
+        let ax = if sk >= 0 then a.(sk) *. x.(sk) else Vec.dot a x in
+        let s = b +. relax -. ax in
         if s <= 0.0 then ok := false
         else begin
           value := !value -. log s;
           let inv_s = 1.0 /. s in
-          for i = 0 to n - 1 do
-            grad.(i) <- grad.(i) +. (a.(i) *. inv_s);
-            if a.(i) <> 0.0 then
-              for j = 0 to n - 1 do
-                hess.(i).(j) <- hess.(i).(j) +. (a.(i) *. a.(j) *. inv_s *. inv_s)
-              done
-          done
+          if sk >= 0 then begin
+            let ai = a.(sk) in
+            grad.(sk) <- grad.(sk) +. (ai *. inv_s);
+            hess.(sk).(sk) <- hess.(sk).(sk) +. (ai *. ai *. inv_s *. inv_s)
+          end
+          else
+            for i = 0 to n - 1 do
+              grad.(i) <- grad.(i) +. (a.(i) *. inv_s);
+              if a.(i) <> 0.0 then
+                for j = 0 to n - 1 do
+                  hess.(i).(j) <-
+                    hess.(i).(j) +. (a.(i) *. a.(j) *. inv_s *. inv_s)
+                done
+            done
         end
       end)
     pb.lins;
-  Array.iter
-    (fun { l; g; c; d } ->
+  let gidx = pb.cones.gidx in
+  Array.iteri
+    (fun k { l; g; c; d } ->
       if !ok then begin
         let u = Vec.dot c x +. d +. relax in
         let rows_l = Mat.rows l in
@@ -380,17 +488,19 @@ let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
           for i = 0 to n - 1 do
             grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
           done;
-          (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h *)
+          (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
+             the precomputed Gram *)
+          let gram = pb.cones.grams.(k) and gh = sc.gh in
           for i = 0 to n - 1 do
+            let gi = gidx.(i) and hi = hess.(i) in
+            let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
             for j = 0 to n - 1 do
-              let ltl = ref 0.0 in
-              for r = 0 to rows_l - 1 do
-                ltl := !ltl +. (l.(r).(i) *. l.(r).(j))
-              done;
-              hess.(i).(j) <-
-                hess.(i).(j)
-                +. (sc.gh.(i) *. sc.gh.(j) *. inv_h *. inv_h)
-                -. (((2.0 *. c.(i) *. c.(j)) -. (2.0 *. !ltl)) *. inv_h)
+              let gj = gidx.(j) in
+              let ltl = if gi < 0 || gj < 0 then 0.0 else gram.(gi).(gj) in
+              hi.(j) <-
+                hi.(j)
+                +. (ghi *. gh.(j) *. inv_h *. inv_h)
+                -. (((c2i *. c.(j)) -. (2.0 *. ltl)) *. inv_h)
             done
           done
         end
@@ -473,21 +583,24 @@ type feasibility =
 let phase1_problem pb =
   let n = pb.n in
   let extend v extra = Array.append v [| extra |] in
-  let lins =
-    Array.to_list
-      (Array.map (fun { a; b } -> { a = extend a (-1.0); b }) pb.lins)
-  in
+  let lins = Array.map (fun { a; b } -> { a = extend a (-1.0); b }) pb.lins in
   let socs =
-    Array.to_list
-      (Array.map
-         (fun { l; g; c; d } ->
-           let l' = Mat.init (Mat.rows l) (n + 1) (fun i j ->
-               if j < n then l.(i).(j) else 0.0)
-           in
-           { l = l'; g; c = extend c 1.0; d })
-         pb.socs)
+    Array.map
+      (fun { l; g; c; d } ->
+        let l' = Mat.init (Mat.rows l) (n + 1) (fun i j ->
+            if j < n then l.(i).(j) else 0.0)
+        in
+        { l = l'; g; c = extend c 1.0; d })
+      pb.socs
   in
-  problem ~q:(extend (Vec.zeros n) 1.0) ~lins ~socs (n + 1)
+  make ~obj_scale:1.0
+    ~p:(Mat.zeros (n + 1) (n + 1))
+    ~q:(extend (Vec.zeros n) 1.0)
+    ~lins
+    ~cones:
+      (derived_cones pb.cones socs ~n:(n + 1) (fun i ->
+           if i < n then pb.cones.gidx.(i) else -1))
+    (n + 1)
 
 let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
     ~start =
@@ -804,6 +917,7 @@ let solve ?(params = default_params) ?certificate pb ~start =
   end
 
 let centering_oracle_for_tests = centering_oracle
+let phase1_problem_for_tests = phase1_problem
 
 let solve_auto ?(params = default_params) pb ~start =
   match find_strictly_feasible ~params pb ~start with
@@ -1027,24 +1141,16 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
             Interval.wide_add spxi r.(i))
       in
       (* Coordinate box containing the feasible set, harvested from the
-         single-nonzero half-space rows (the ±eᵢ box rows every LDA-FP
-         relaxation carries; restriction preserves the shape).  Directed
+         single-nonzero half-space rows ([lin_support]: the ±eᵢ box rows
+         every LDA-FP relaxation carries; restriction preserves the
+         shape).  Directed
          division keeps the harvested box outer. *)
       let xlo = Array.make n Float.neg_infinity in
       let xhi = Array.make n Float.infinity in
-      Array.iter
-        (fun { a; b } ->
-          let idx = ref (-1) in
-          let count = ref 0 in
-          Array.iteri
-            (fun i ai ->
-              if ai <> 0.0 then begin
-                incr count;
-                idx := i
-              end)
-            a;
-          if !count = 1 then begin
-            let i = !idx in
+      Array.iteri
+        (fun k { a; b } ->
+          let i = pb.lin_support.(k) in
+          if i >= 0 then begin
             let ai = a.(i) in
             if ai > 0.0 then xhi.(i) <- Float.min xhi.(i) (dir_up (b /. ai))
             else xlo.(i) <- Float.max xlo.(i) (dir_down (b /. ai))

@@ -22,6 +22,23 @@ type soc = {
 }
 (** The cone [‖l x + g‖₂ <= cᵀx + d]. *)
 
+type cones
+(** A cone array with the Gram matrix [LᵀL] of each cone's [l], computed
+    once: the barrier Hessian reads it instead of re-forming [LᵀL] on
+    every oracle call.  Problems built from one [cones] value — and the
+    restricted and phase-I problems derived from them, through an index
+    map rather than copied sub-matrices — share the matrices. *)
+
+val cones : soc array -> cones
+(** One Gram per {e physically} distinct [l] (cones built from the same
+    [l] share it), each entry summed over the rows of [l] in ascending
+    order from +0, so the barrier Hessians are bit-identical to the
+    textbook [Σ_r l(r)(i)·l(r)(j)].  O(rows·n²) per distinct [l]
+    (≈ n³/6 for a triangular one).  {b Shares} the array: callers must
+    not mutate it or its cones afterwards.  Dimensions against the
+    problem are checked by {!of_parts}.
+    @raise Invalid_argument when some [l] has rows of unequal length. *)
+
 type problem = private {
   n : int;  (** number of variables *)
   p : Linalg.Mat.t;  (** quadratic term; symmetric PSD, [n × n] *)
@@ -32,6 +49,12 @@ type problem = private {
       (** the objective is [obj_scale · ((1/2)xᵀPx + qᵀx)]; lets callers
           share one [P] across a family of problems that differ only by a
           positive scalar (the per-node [1/η] of paper eq. 26) *)
+  cones : cones;  (** [socs] with their Grams *)
+  lin_support : int array;
+      (** per half-space: the index of the only nonzero entry of its [a],
+          or [−1] when there are several or none.  Such rows (the [±eᵢ]
+          box rows) cost O(1) in the barrier oracle and bound the
+          coordinate box of {!certify_lower_bound}. *)
 }
 
 val problem :
@@ -42,7 +65,8 @@ val problem :
   int ->
   problem
 (** [problem n] with omitted pieces defaulting to zero and
-    [obj_scale = 1].  Copies and symmetrises [P].
+    [obj_scale = 1].  Copies and symmetrises [P]; computes the cone
+    Grams ({!val-cones}).
     @raise Invalid_argument on any dimension mismatch. *)
 
 val of_parts :
@@ -50,13 +74,15 @@ val of_parts :
   p:Linalg.Mat.t ->
   q:Linalg.Vec.t ->
   lins:lin array ->
-  socs:soc array ->
+  cones:cones ->
   int ->
   problem
 (** Allocation-lean constructor for callers assembling many problems from
     shared pieces (the branch-and-bound bound oracle): dimension-checks
-    only, {b shares} the given arrays instead of copying, and trusts [p]
-    to be symmetric.  Callers must not mutate the parts afterwards.
+    only, {b shares} the given arrays and the cones' Grams instead of
+    copying or recomputing them, and trusts [p] to be symmetric.  Its one
+    O(constraints·n) pass records {!field-lin_support}.  Callers must not
+    mutate the parts afterwards.
     @raise Invalid_argument on any dimension mismatch. *)
 
 val with_objective_scale : problem -> float -> problem
@@ -91,6 +117,9 @@ val restrict : problem -> fixed:(int * float) array -> restriction option
 (** Substitute [x_j = value] for every [(j, value)] in [fixed] — exactly,
     so the reduced optimum embeds back ({!restriction_embed}) to the
     full-space optimum of the pinned slice with the same certified gap.
+    The reduced cones read the parent's Grams through the free-coordinate
+    map (the Gram of a column subset is the parent's sub-matrix, bit for
+    bit), so a restriction copies no Gram.
     Constraints left without any free variable become constants: the
     satisfied ones (a pinned pair's own half-spaces, slack exactly 0)
     are dropped, and one that is violated makes the slice empty —
@@ -365,4 +394,12 @@ val certify_lower_bound :
 val centering_oracle_for_tests : problem -> float -> Newton.oracle
 (** The centering objective [τ·f + barrier] — exposed so the test suite
     can finite-difference the hand-derived cone calculus. Not part of the
-    stable API. *)
+    stable API.  Per call: O(n²) per cone (the Hessian term reads the
+    cone's Gram; forming the residual [Lx+g] and [Lᵀv] is O(rows·n)),
+    O(1) per single-nonzero half-space, O(n²) per other half-space. *)
+
+val phase1_problem_for_tests : problem -> problem
+(** The phase-I augmented problem {!find_strictly_feasible} solves:
+    variable [n] is the slack [s], every half-space becomes
+    [aᵀx − s <= b], every cone [‖Lx+g‖ <= cᵀx + d + s], minimise [s].
+    Its cones share the original's Grams. *)

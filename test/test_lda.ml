@@ -327,16 +327,17 @@ let test_relative_margins_scale_invariant () =
            (fun { Optim.Socp.a; b } ->
              { Optim.Socp.a = Linalg.Vec.scale s a; b = s *. b })
            relax.Optim.Socp.lins)
-      ~socs:
-        (Array.map
-           (fun { Optim.Socp.l; g; c; d } ->
-             {
-               Optim.Socp.l = Linalg.Mat.scale s l;
-               g = Linalg.Vec.scale s g;
-               c = Linalg.Vec.scale s c;
-               d = s *. d;
-             })
-           relax.Optim.Socp.socs)
+      ~cones:
+        (Optim.Socp.cones
+           (Array.map
+              (fun { Optim.Socp.l; g; c; d } ->
+                {
+                  Optim.Socp.l = Linalg.Mat.scale s l;
+                  g = Linalg.Vec.scale s g;
+                  c = Linalg.Vec.scale s c;
+                  d = s *. d;
+                })
+              relax.Optim.Socp.socs))
       relax.Optim.Socp.n
   in
   let agree label x =
@@ -1096,6 +1097,12 @@ let test_exact_search_domain_invariant () =
   let seq = solve 1 in
   checkb ">= 10^4 nodes on one domain" true
     (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
+  (* Pinned: a rewrite of the solver arithmetic that claims
+     bit-identity must leave this search where it is. *)
+  checki "pinned node count" 11_641 seq.Lda_fp.diagnostics.Lda_fp.nodes;
+  Alcotest.(check string)
+    "pinned cost bits" "3fe1254547599450"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float seq.Lda_fp.cost));
   List.iter
     (fun domains ->
       let o = if domains = 1 then seq else solve domains in
@@ -1116,6 +1123,41 @@ let test_exact_search_domain_invariant () =
       checki (tag "first-node time per worker") domains
         (Array.length s.Optim.Bnb.domain_first_node_seconds))
     [ 1; 2; 4 ]
+
+(* Table-2 ECoG at WL 6 on a 2-node budget per fold, d = 1: the
+   [ecog_cv] benchmark instance (Ecog_sim seed 7, folds seed 1007).
+   Fold costs pinned like the synthetic search above, on the 42-dim
+   relaxations.  A search can absorb a last-bit change in the oracle;
+   test_optim's bitwise oracle test guards those bits. *)
+let test_ecog_fold_costs_pinned () =
+  let base = Datasets.Ecog_sim.generate (Stats.Rng.create 7) in
+  let folds =
+    Datasets.Dataset.stratified_folds (Stats.Rng.create 1007) ~k:5 base
+  in
+  let fmt = Format_policy.default 6 in
+  let config =
+    {
+      Lda_fp.default_config with
+      bnb_params =
+        { Optim.Bnb.default_params with max_nodes = 2; rel_gap = 1e-3 };
+    }
+  in
+  let bits =
+    Array.map
+      (fun (train, _) ->
+        let pb =
+          Ldafp_problem.build ~fmt (Pipeline.prepare ~fmt train).Pipeline.scatter
+        in
+        Printf.sprintf "%Lx" (Int64.bits_of_float (solve_exn config pb).Lda_fp.cost))
+      folds
+  in
+  Alcotest.(check (array string))
+    "fold cost bits"
+    [|
+      "3fb624a8135c1f9d"; "3fb73af3a75045c8"; "3fb9672547d2fca1";
+      "3fb6fdde56cf47a2"; "3fb452e0463e87ec";
+    |]
+    bits
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -1236,6 +1278,11 @@ let () =
             test_quick_search_warm_and_certified;
           Alcotest.test_case "exact search agrees across domains" `Quick
             test_exact_search_domain_invariant;
+        ] );
+      ( "table-2",
+        [
+          Alcotest.test_case "ECoG WL-6 fold costs pinned" `Quick
+            test_ecog_fold_costs_pinned;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -574,6 +574,23 @@ let test_socp_dimension_checks () =
   checkb "bad lin" true
     (match Socp.problem ~lins:[ { Socp.a = [| 1.0 |]; b = 0.0 } ] 2 with
     | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* The Gram build reads rows unchecked once their lengths agree. *)
+  checkb "ragged cone" true
+    (match
+       Socp.problem
+         ~socs:
+           [
+             {
+               Socp.l = [| [| 1.0; 0.0 |]; [| 1.0 |] |];
+               g = Vec.zeros 2;
+               c = Vec.zeros 2;
+               d = 1.0;
+             };
+           ]
+         2
+     with
+    | exception Invalid_argument _ -> true
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -1295,47 +1312,181 @@ let prop_bnb_parallel_incumbent =
 (* Gradcheck on the barrier calculus                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Toy barrier problem over 3 variables: box rows (single-nonzero
+   half-spaces), one dense half-space, a cone with its own 2 × 3 [l] and
+   two cones sharing one 6 × 3 [l] with exact zeros (rows ≠ n).  The
+   shared [l] is large enough that its Gram dominates the Hessian at
+   small tau, so a last-bit change in [LᵀL] shows in the bitwise test
+   (summing its rows in reverse order does). *)
+let oracle_toy_problem () =
+  let rng = Stats.Rng.create 77 in
+  let n = 3 in
+  let u () = Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0 in
+  let p =
+    let b = Mat.init n n (fun _ _ -> u ()) in
+    Mat.add_scaled_identity 1.0 (Mat.mul b (Mat.transpose b))
+  in
+  let q = Array.init n (fun _ -> u ()) in
+  let lins =
+    Socp.box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0)
+    @ [ { Socp.a = [| 0.3; -0.2; 0.1 |]; b = 1.5 } ]
+  in
+  let shared =
+    Mat.init 6 n (fun i j -> if (i + j) mod 4 = 3 then 0.0 else 3.0 *. u ())
+  in
+  let socs =
+    [
+      {
+        Socp.l = Mat.init 2 n (fun i j -> if i = j then 0.5 else 0.1);
+        g = [| 0.05; -0.05 |];
+        c = Vec.make n 0.2;
+        d = 1.5;
+      };
+      { Socp.l = shared; g = Vec.zeros 6; c = Vec.zeros n; d = 1.2 };
+      {
+        Socp.l = shared;
+        g = [| 0.0; 0.1; 0.0; -0.1; 0.05; 0.0 |];
+        c = [| -0.1; 0.2; 0.0 |];
+        d = 2.0;
+      };
+    ]
+  in
+  Socp.problem ~p ~q ~lins ~socs n
+
+let interior_point problem =
+  match Socp.find_strictly_feasible problem ~start:(Vec.zeros problem.Socp.n) with
+  | Socp.Strictly_feasible x -> x
+  | Socp.Unknown _ | Socp.Infeasible _ -> Alcotest.fail "toy problem is feasible"
+
+(* The toy problem with coordinate 1 pinned at its interior value, and
+   the reduced interior point. *)
+let restricted_toy problem x0 =
+  match Socp.restrict problem ~fixed:[| (1, x0.(1)) |] with
+  | None -> Alcotest.fail "pinning an interior value left the slice empty"
+  | Some r -> (r.Socp.reduced, Socp.restriction_project r x0)
+
 let test_socp_barrier_derivatives () =
   (* The hand-derived gradient/Hessian of the log-barrier (half-spaces +
      second-order cones) against finite differences, via the centering
-     oracle at tau = 1. This is the calculus every Newton step relies
-     on. *)
-  let rng = Stats.Rng.create 77 in
-  let n = 3 in
-  let p =
-    let b = Mat.init n n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
-    Mat.add_scaled_identity 1.0 (Mat.mul b (Mat.transpose b))
+     oracle at tau = 1 — on the full problem and on a restriction, whose
+     cones read the parent's Grams through the free-coordinate map.
+     This is the calculus every Newton step relies on. *)
+  let problem = oracle_toy_problem () in
+  let x0 = interior_point problem in
+  let check label pb x =
+    let oracle = Socp.centering_oracle_for_tests pb 1.0 in
+    match Gradcheck.check_oracle oracle x with
+    | None -> Alcotest.fail (label ^ ": interior point rejected by the oracle")
+    | Some r ->
+        checkb
+          (Printf.sprintf "%s: barrier gradient matches FD (err %.2e)" label
+             r.Gradcheck.max_grad_error)
+          true
+          (r.Gradcheck.max_grad_error < 1e-5);
+        checkb
+          (Printf.sprintf "%s: barrier hessian matches FD (err %.2e)" label
+             r.Gradcheck.max_hess_error)
+          true
+          (r.Gradcheck.max_hess_error < 1e-4)
   in
-  let q = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
-  let lins = Socp.box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0) in
-  let cone =
-    {
-      Socp.l = Mat.init 2 n (fun i j -> if i = j then 0.5 else 0.1);
-      g = [| 0.05; -0.05 |];
-      c = Vec.make n 0.2;
-      d = 1.5;
-    }
+  check "full" problem x0;
+  let reduced, y0 = restricted_toy problem x0 in
+  check "restricted" reduced y0
+
+(* The centering oracle as it was before cone Grams were precomputed:
+   every half-space through the dense loop, and LᵀL re-formed entry by
+   entry from the problem's own [l], r ascending. *)
+let reference_centering pb tau x =
+  let n = pb.Socp.n in
+  let s_obj = tau *. pb.Socp.obj_scale in
+  let px = Mat.mul_vec pb.Socp.p x in
+  let fx = (0.5 *. Vec.dot x px) +. Vec.dot pb.Socp.q x in
+  let grad = Array.init n (fun i -> s_obj *. (px.(i) +. pb.Socp.q.(i))) in
+  let hess = Mat.init n n (fun i j -> s_obj *. pb.Socp.p.(i).(j)) in
+  let value = ref (s_obj *. fx) in
+  Array.iter
+    (fun { Socp.a; b } ->
+      let s = b -. Vec.dot a x in
+      value := !value -. log s;
+      let inv_s = 1.0 /. s in
+      for i = 0 to n - 1 do
+        grad.(i) <- grad.(i) +. (a.(i) *. inv_s);
+        if a.(i) <> 0.0 then
+          for j = 0 to n - 1 do
+            hess.(i).(j) <- hess.(i).(j) +. (a.(i) *. a.(j) *. inv_s *. inv_s)
+          done
+      done)
+    pb.Socp.lins;
+  Array.iter
+    (fun { Socp.l; g; c; d } ->
+      let u = Vec.dot c x +. d in
+      let rows = Mat.rows l in
+      let v = Array.init rows (fun r -> Vec.dot l.(r) x +. g.(r)) in
+      let h = (u *. u) -. Vec.dot v v in
+      value := !value -. log h;
+      let ltv = Vec.zeros n in
+      for r = 0 to rows - 1 do
+        if v.(r) <> 0.0 then
+          for j = 0 to n - 1 do
+            ltv.(j) <- ltv.(j) +. (v.(r) *. l.(r).(j))
+          done
+      done;
+      let gh = Array.init n (fun i -> (2.0 *. u *. c.(i)) -. (2.0 *. ltv.(i))) in
+      let inv_h = 1.0 /. h in
+      for i = 0 to n - 1 do
+        grad.(i) <- grad.(i) -. (gh.(i) *. inv_h)
+      done;
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let ltl = ref 0.0 in
+          for r = 0 to rows - 1 do
+            ltl := !ltl +. (l.(r).(i) *. l.(r).(j))
+          done;
+          hess.(i).(j) <-
+            hess.(i).(j)
+            +. (gh.(i) *. gh.(j) *. inv_h *. inv_h)
+            -. (((2.0 *. c.(i) *. c.(j)) -. (2.0 *. !ltl)) *. inv_h)
+        done
+      done)
+    pb.Socp.socs;
+  (!value, grad, hess)
+
+let test_socp_oracle_bitwise () =
+  (* The oracle reads each cone's precomputed Gram (shared, through an
+     index map, by restricted and phase-I problems) and takes an O(1)
+     path for single-nonzero half-spaces.  Neither may move a bit. *)
+  let problem = oracle_toy_problem () in
+  let x0 = interior_point problem in
+  let reduced, y0 = restricted_toy problem x0 in
+  let phase1 = Socp.phase1_problem_for_tests problem in
+  let phase1_r = Socp.phase1_problem_for_tests reduced in
+  let bits = Int64.bits_of_float in
+  let same label a b = checkb label true (bits a = bits b) in
+  let check label pb x =
+    List.iter
+      (fun tau ->
+        match Socp.centering_oracle_for_tests pb tau x with
+        | None -> Alcotest.fail (label ^ ": interior point rejected")
+        | Some (value, grad, hess) ->
+            let rvalue, rgrad, rhess = reference_centering pb tau x in
+            let tag what = Printf.sprintf "%s, tau %g: %s" label tau what in
+            same (tag "value") rvalue value;
+            Array.iteri
+              (fun i g -> same (tag (Printf.sprintf "grad %d" i)) rgrad.(i) g)
+              grad;
+            Array.iteri
+              (fun i row ->
+                Array.iteri
+                  (fun j h ->
+                    same (tag (Printf.sprintf "hess %d,%d" i j)) rhess.(i).(j) h)
+                  row)
+              hess)
+      [ 1e-6; 1.0; 37.5 ]
   in
-  let problem = Socp.problem ~p ~q ~lins ~socs:[ cone ] n in
-  (* Probe the centering objective through a tiny wrapper solve: we use
-     find_strictly_feasible's interior point as the test point. *)
-  match Socp.find_strictly_feasible problem ~start:(Vec.zeros n) with
-  | Socp.Strictly_feasible x0 | Socp.Unknown x0 -> (
-      let oracle = Socp.centering_oracle_for_tests problem 1.0 in
-      match Gradcheck.check_oracle oracle x0 with
-      | None -> Alcotest.fail "interior point rejected by the oracle"
-      | Some r ->
-          checkb
-            (Printf.sprintf "barrier gradient matches FD (err %.2e)"
-               r.Gradcheck.max_grad_error)
-            true
-            (r.Gradcheck.max_grad_error < 1e-5);
-          checkb
-            (Printf.sprintf "barrier hessian matches FD (err %.2e)"
-               r.Gradcheck.max_hess_error)
-            true
-            (r.Gradcheck.max_hess_error < 1e-4))
-  | Socp.Infeasible _ -> Alcotest.fail "toy problem is feasible"
+  check "full" problem x0;
+  check "restricted" reduced y0;
+  check "phase-I" phase1 (Array.append x0 [| 0.5 |]);
+  check "restricted phase-I" phase1_r (Array.append y0 [| 0.5 |])
 
 (* ------------------------------------------------------------------ *)
 (* Admm_qp                                                             *)
@@ -1675,6 +1826,8 @@ let () =
         [
           Alcotest.test_case "SOC barrier derivatives" `Quick
             test_socp_barrier_derivatives;
+          Alcotest.test_case "SOC oracle bitwise vs per-call LᵀL" `Quick
+            test_socp_oracle_bitwise;
         ] );
       ( "admm",
         [
