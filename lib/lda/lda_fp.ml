@@ -14,12 +14,7 @@ let checkpoint_spec ?(every_nodes = 0) ?(resume = false) path =
 type config = {
   seed_incumbent : bool;
   sweep_steps : int;
-  polish_nodes : bool;
   polish_rounds : int;
-  upper_via_socp : bool;
-  t_min_width : float;
-  t_branch_bias : float;
-  secant_prune : bool;
   warm_start : bool;
   certify : bool;
   socp_params : Socp.params;
@@ -34,12 +29,7 @@ let default_config =
   {
     seed_incumbent = true;
     sweep_steps = 200;
-    polish_nodes = true;
     polish_rounds = 2;
-    upper_via_socp = false;
-    t_min_width = 1e-4;
-    t_branch_bias = 3.0;
-    secant_prune = true;
     warm_start = true;
     certify = true;
     socp_params =
@@ -114,29 +104,21 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let is_atomic node = Array.for_all Fx_interval.is_singleton node.wbox
 
 (* Candidate generation: round a continuous point into the node box,
-   evaluate exactly, optionally polish. *)
-let candidate_of_point pb node point =
+   evaluate exactly, then polish by H2. *)
+let candidate_of_point cfg pb node point =
   let rounded = Ldafp_heuristics.round_into pb ~wbox:node.wbox point in
-  match Ldafp_heuristics.evaluate pb rounded with
-  | None ->
-      (* The node-box rounding may violate (20); retry in the full
-         element box, which can only move components toward zero. *)
-      let loose = Ldafp_heuristics.round_into pb point in
-      Ldafp_heuristics.evaluate pb loose
-  | some -> some
-
-let polish_candidate cfg pb = function
-  | Some (w, _) when cfg.polish_nodes ->
-      let w', c' =
-        Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w
-      in
-      Some (w', c')
-  | other -> other
-
-let better a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some (_, ca), Some (_, cb) -> if ca <= cb then a else b
+  let cand =
+    match Ldafp_heuristics.evaluate pb rounded with
+    | None ->
+        (* The node-box rounding may violate (20); retry in the full
+           element box, which can only move components toward zero. *)
+        Ldafp_heuristics.evaluate pb (Ldafp_heuristics.round_into pb point)
+    | some -> some
+  in
+  Option.map
+    (fun (w, _) ->
+      Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
+    cand
 
 (* Secant pruning test: can this region contain a point at least as good
    as the incumbent [theta]?  Certifies "no" when the minimum of
@@ -152,7 +134,7 @@ let better a b =
    the verified dual certificate of the secant program, never from its
    primal objective.  A failed certificate declines the prune (sound —
    the main bound still runs) rather than failing the node. *)
-let secant_prunes cfg pb ~counters ?warm ~fixed node theta =
+let secant_excludes cfg pb ~counters ?warm ~fixed node theta =
   theta < Float.infinity
   && Interval.lo node.trange >= 0.0
   &&
@@ -259,9 +241,8 @@ let bound_node cfg pb incumbent counters node =
           else None
         in
         if
-          cfg.secant_prune
-          && secant_prunes cfg pb ~counters ?warm:(Option.map fst warm) ~fixed
-               node (Atomic.get incumbent)
+          secant_excludes cfg pb ~counters ?warm:(Option.map fst warm) ~fixed
+            node (Atomic.get incumbent)
         then None
         else
           let eta = Interval.sup_sq node.trange in
@@ -332,56 +313,8 @@ let bound_node cfg pb incumbent counters node =
                     (obj_const +. sol.Socp.objective
                     -. (2.0 *. sol.Socp.gap_bound))
               in
-              let cand = candidate_of_point pb node x_full in
-              let cand =
-                if cfg.upper_via_socp then begin
-                  (* The paper's upper-bound estimation: re-solve with the
-                     denominator frozen at inf t² and round that optimum.
-                     Same constraints, only the objective scale changes —
-                     and the lower solve's optimum is a barrier iterate,
-                     strictly interior, so the re-solve starts from it
-                     with no phase-I. *)
-                  let eta_inf = Interval.inf_sq node.trange in
-                  if eta_inf > 0.0 then
-                    let ub_problem =
-                      Socp.with_objective_scale socp (1.0 /. eta_inf)
-                    in
-                    if Socp.is_strictly_interior ub_problem sol.Socp.x then begin
-                      Bnb.count_phase1_skipped counters;
-                      (* Same constraints, objective rescaled: the lower
-                         optimum already minimises it, so skip as many
-                         ladder rungs as its terminal tau certifies. *)
-                      let levels =
-                        Socp.restart_levels cfg.socp_params
-                          ~tau_final:sol.Socp.tau_final
-                      in
-                      let ub_sol =
-                        Socp.solve
-                          ~params:(Socp.warm_start_params ~levels
-                                     cfg.socp_params)
-                          ub_problem ~start:sol.Socp.x
-                      in
-                      better cand
-                        (candidate_of_point pb node (embed ub_sol.Socp.x))
-                    end
-                    else
-                      let start =
-                        project (Array.map Fx_interval.mid node.wbox)
-                      in
-                      match
-                        Socp.solve_auto ~params:cfg.socp_params ub_problem
-                          ~start
-                      with
-                      | Some ub_sol ->
-                          better cand
-                            (candidate_of_point pb node (embed ub_sol.Socp.x))
-                      | None -> cand
-                  else cand
-                end
-                else cand
-              in
-              let cand = polish_candidate cfg pb cand in
-              Some { Bnb.lower; candidate = cand }
+              Some
+                { Bnb.lower; candidate = candidate_of_point cfg pb node x_full }
             in
             (* Warm preparation: accept the clipped parent optimum as-is
                when it is margin-interior, else pull it toward the
@@ -460,18 +393,23 @@ let bound_node cfg pb incumbent counters node =
                     let x_full = embed x in
                     node.relax_w <-
                       Some { point = x_full; tau_final = Float.nan };
-                    let cand =
-                      polish_candidate cfg pb
-                        (candidate_of_point pb node x_full)
-                    in
-                    Some { Bnb.lower = 0.0; candidate = cand }
+                    Some
+                      { Bnb.lower = 0.0;
+                        candidate = candidate_of_point cfg pb node x_full }
                 | Socp.Strictly_feasible x0 ->
                     solved (Socp.solve ~params:cfg.socp_params socp ~start:x0)
                 )))
 
+(* The η = sup t² bound only tightens as the t-interval shrinks, so t
+   competes for the split with its relative width scaled up by
+   [t_weight], and stops competing once narrower than [t_floor] of its
+   root width. *)
+let t_weight = 3.0
+let t_floor = 1e-4
+
 (* Branching rule: most relative width among the splittable dimensions,
    cut at the cached relaxation optimum. *)
-let branch_node cfg pb node =
+let branch_node pb node =
   let m = Array.length node.wbox in
   let root = pb.Ldafp_problem.elem_box in
   let best_dim = ref (-1) in
@@ -489,8 +427,8 @@ let branch_node cfg pb node =
   let t_width = Interval.width node.trange in
   let t_score =
     if node.root_t_width <= 0.0 then 0.0
-    else if t_width <= cfg.t_min_width *. node.root_t_width then 0.0
-    else cfg.t_branch_bias *. t_width /. node.root_t_width
+    else if t_width <= t_floor *. node.root_t_width then 0.0
+    else t_weight *. t_width /. node.root_t_width
   in
   let copy_box () = Array.copy node.wbox in
   if t_score > !best_score then begin
@@ -628,7 +566,10 @@ let solve ?(config = default_config) ?interrupt pb =
         let info =
           match Atomic.exchange first None with
           | Some _ as cand ->
-              { info with Bnb.candidate = better cand info.Bnb.candidate }
+              let candidate =
+                Ldafp_heuristics.better cand info.Bnb.candidate
+              in
+              { info with Bnb.candidate }
           | None -> info
         in
         note_candidate info.Bnb.candidate;
@@ -642,7 +583,7 @@ let solve ?(config = default_config) ?interrupt pb =
     {
       Bnb.bound =
         (fun node -> with_seed (bound_node config pb incumbent counters node));
-      branch = (fun node -> branch_node config pb node);
+      branch = branch_node pb;
     }
   in
   let oracle =

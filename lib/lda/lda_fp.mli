@@ -4,14 +4,20 @@
     The search region pairs a grid-aligned box for [w] with an interval
     for the auxiliary [t = (μ_A − μ_B)ᵀ w].  Per region:
 
+    - {e secant test}: over [t ∈ [l, u]], [t² <= (l+u)t − lu], so a
+      positive minimum of [wᵀS_W w − θ((l+u)t − lu)] proves no point of
+      the region beats the incumbent θ.  Unlike the η bound this couples
+      numerator and denominator, and it is what lets the search close
+      regions whose boxes still contain w = 0;
     - {e lower bound}: solve the convex SOCP relaxation (eq. 25) with the
       denominator frozen at [η = sup t²] (eq. 26); prune when infeasible
       (phase-I certificate) or when the bound beats the incumbent;
     - {e upper bound}: round the relaxation optimum onto the grid, check
-      (18)/(20) exactly, optionally re-solve with [η = inf t²] (eq. 27)
-      and polish by ±1-ulp coordinate descent;
+      (18)/(20) exactly and polish by ±1-ulp coordinate descent (H2);
+      the paper's [η = inf t²] re-solve (eq. 27) is not implemented;
     - {e branch}: split the most-relative-width dimension (one of the
-      [w_m], or [t]) at the relaxation optimum, grid-aligned for weights.
+      [w_m], or [t], whose width counts three times) at the relaxation
+      optimum, grid-aligned for weights.
 
     The incumbent is seeded before the search by the H1/H2 heuristics
     (see {!Ldafp_heuristics}), so even a node budget of zero reproduces a
@@ -35,34 +41,16 @@ val checkpoint_spec :
 type config = {
   seed_incumbent : bool;  (** run H1+H2 before the search (default true) *)
   sweep_steps : int;  (** H1 scaling count (default 200) *)
-  polish_nodes : bool;  (** H2 polish on per-node candidates *)
   polish_rounds : int;
-  upper_via_socp : bool;
-      (** also solve the η = inf t² problem per node, as in the paper's
-          upper-bound estimation (slower; default false because H1/H2
-          rounding reaches the same incumbents in practice) *)
-  t_min_width : float;
-      (** stop branching on [t] below this fraction of its root width *)
-  t_branch_bias : float;
-      (** branching preference multiplier for the [t] dimension — the
-          η = sup t² bound only tightens as the t-interval shrinks, so t
-          should split earlier than the weights (default 3) *)
-  secant_prune : bool;
-      (** per-node incumbent-pruning certificate: over [t ∈ [l, u]],
-          [t² <= (l+u)t − lu], so a positive minimum of
-          [wᵀS_W w − θ((l+u)t − lu)] proves no point of the region beats
-          the incumbent θ.  Unlike the η bound this couples numerator and
-          denominator, and it is what lets the search close regions whose
-          boxes still contain w = 0 (default true) *)
+      (** H2 passes over the coordinates for each node candidate
+          (default 2); the seed polishes with [max 4 polish_rounds] *)
   warm_start : bool;
       (** start each child's relaxation from the parent's optimum,
           clipped strictly inside the child box — when the clipped point
           is strictly interior the phase-I feasibility solve is skipped
-          entirely, and the lower-bound optimum in turn warm-starts the
-          [η = inf t²] re-solve.  Bounds stay certified either way (the
-          barrier solve runs to the same tolerances from any interior
-          start); disable to reproduce cold-start behaviour exactly
-          (default true) *)
+          entirely.  Bounds stay certified either way (the barrier solve
+          runs to the same tolerances from any interior start); disable
+          to reproduce cold-start behaviour exactly (default true) *)
   certify : bool;
       (** derive every pruning bound from an independently verified dual
           certificate ({!Optim.Socp.certify_lower_bound}) instead of the

@@ -28,6 +28,13 @@ val round_into :
 val evaluate : Ldafp_problem.t -> Linalg.Vec.t -> (Linalg.Vec.t * float) option
 (** [Some (w, cost)] when [w] is exactly feasible with finite cost. *)
 
+val better :
+  (Linalg.Vec.t * float) option ->
+  (Linalg.Vec.t * float) option ->
+  (Linalg.Vec.t * float) option
+(** The lower-cost candidate; [None] loses to any point, and a tie keeps
+    the first argument. *)
+
 val scaled_rounding_sweep :
   ?steps:int ->
   Ldafp_problem.t ->

@@ -205,7 +205,7 @@ let relaxation t ~wbox ~trange ~eta =
   if eta <= 0.0 then invalid_arg "Ldafp_problem.relaxation: eta must be > 0";
   (* wᵀ S_W w / eta = (1/eta) · (1/2) wᵀ (2 S_W) w: the eta-dependence
      lives entirely in the objective scale, so the shared [p_base] and
-     cones serve every node (and eta_inf upper solves) unchanged. *)
+     cones serve every node unchanged. *)
   Socp.of_parts ~obj_scale:(1.0 /. eta) ~p:t.p_base ~q:t.q_zero
     ~lins:(box_and_t_lins t ~wbox ~trange)
     ~cones:t.cones (dim t)

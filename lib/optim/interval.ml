@@ -19,10 +19,6 @@ let clamp t x =
 
 let sup_sq t = Float.max (t.lo *. t.lo) (t.hi *. t.hi)
 
-let inf_sq t =
-  if t.lo <= 0.0 && t.hi >= 0.0 then 0.0
-  else Float.min (t.lo *. t.lo) (t.hi *. t.hi)
-
 let split ?at t =
   let c = match at with None -> mid t | Some x -> x in
   let c = Float.max t.lo (Float.min t.hi c) in

@@ -2,8 +2,7 @@
 
     Used for the auxiliary branch-and-bound variable [t = (μ_A−μ_B)ᵀw]
     (paper eq. 22) and as the continuous relaxation of weight boxes.  The
-    bound constants of eqs. (26)–(27) — [sup t²] and [inf t²] over an
-    interval — live here. *)
+    bound constant of eq. (26), [sup t²] over an interval, lives here. *)
 
 type t = private { lo : float; hi : float }
 
@@ -20,10 +19,6 @@ val clamp : t -> float -> float
 
 val sup_sq : t -> float
 (** [sup { t² : t ∈ iv }] — eq. (26): the larger endpoint squared. *)
-
-val inf_sq : t -> float
-(** [inf { t² : t ∈ iv }] — eq. (27): zero if the interval straddles 0,
-    otherwise the smaller endpoint-magnitude squared. *)
 
 val split : ?at:float -> t -> t * t
 (** Split at [at] (default the midpoint), clamped strictly inside. *)

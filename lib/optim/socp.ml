@@ -162,8 +162,6 @@ let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~(cones : cones) n =
     cones.socs;
   make ~obj_scale ~p ~q ~lins ~cones n
 
-let with_objective_scale pb obj_scale = { pb with obj_scale }
-
 (* ------------------------------------------------------------------ *)
 (* Variable fixing (restriction to a coordinate subspace)              *)
 (* ------------------------------------------------------------------ *)

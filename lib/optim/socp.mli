@@ -46,9 +46,10 @@ type problem = private {
   lins : lin array;
   socs : soc array;
   obj_scale : float;
-      (** the objective is [obj_scale · ((1/2)xᵀPx + qᵀx)]; lets callers
-          share one [P] across a family of problems that differ only by a
-          positive scalar (the per-node [1/η] of paper eq. 26) *)
+      (** the objective is [obj_scale · ((1/2)xᵀPx + qᵀx)]; lets every
+          branch-and-bound node's relaxation share one [P], since the
+          nodes differ only by the positive scalar [1/η] of paper
+          eq. 26 *)
   cones : cones;  (** [socs] with their Grams *)
   lin_support : int array;
       (** per half-space: the index of the only nonzero entry of its [a],
@@ -84,11 +85,6 @@ val of_parts :
     O(constraints·n) pass records {!field-lin_support}.  Callers must not
     mutate the parts afterwards.
     @raise Invalid_argument on any dimension mismatch. *)
-
-val with_objective_scale : problem -> float -> problem
-(** O(1) copy with a different {!field-obj_scale}; constraints and [P]
-    are shared.  This is how one relaxation template serves both the
-    lower bound ([1/η]) and the upper estimate ([1/η_inf]). *)
 
 val box_constraints : Linalg.Vec.t -> Linalg.Vec.t -> lin list
 (** [box_constraints lo hi] is the [2n] half-spaces of [lo <= x <= hi]. *)

@@ -625,11 +625,6 @@ let ablation_solver ?(quick = false) ?(seed = 42) () =
       ("full solver", base);
       ("no incumbent seeding (H1/H2)",
        { base with Lda_fp.seed_incumbent = false });
-      ("no secant prune", { base with Lda_fp.secant_prune = false });
-      ("no t-branching", { base with Lda_fp.t_branch_bias = 0.0 });
-      ("no node polish", { base with Lda_fp.polish_nodes = false });
-      ("upper bound via eta=inf t^2 SOCP (paper's)",
-       { base with Lda_fp.upper_via_socp = true });
     ]
 
 let print_ablation ~title rows =

@@ -135,7 +135,9 @@ val ablation_kf : ?quick:bool -> ?seed:int -> unit -> ablation_row list
 (** K/F split policy sweep on the synthetic task. *)
 
 val ablation_solver : ?quick:bool -> ?seed:int -> unit -> ablation_row list
-(** Solver-feature ablation: full vs no-seed vs no-secant-prune vs
-    no-t-branching, on the synthetic task at a mid word length. *)
+(** Solver ablation on the synthetic task at a mid word length: the
+    full solver vs the search without H1/H2 incumbent seeding.  The
+    other heuristics (secant test, t-branching, per-node polish) are
+    not switches; EXPERIMENTS.md records what each one pays. *)
 
 val print_ablation : title:string -> ablation_row list -> unit

@@ -25,17 +25,14 @@ let test_interval_basics () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_interval_sup_inf_sq () =
-  (* eq. 26/27: sup/inf of t² over the interval. *)
+let test_interval_sup_sq () =
+  (* eq. 26: sup of t² over the interval. *)
   let straddle = Interval.make ~lo:(-2.0) ~hi:3.0 in
   checkf 1e-12 "sup straddling" 9.0 (Interval.sup_sq straddle);
-  checkf 1e-12 "inf straddling" 0.0 (Interval.inf_sq straddle);
   let pos = Interval.make ~lo:1.0 ~hi:4.0 in
   checkf 1e-12 "sup positive" 16.0 (Interval.sup_sq pos);
-  checkf 1e-12 "inf positive" 1.0 (Interval.inf_sq pos);
   let neg = Interval.make ~lo:(-5.0) ~hi:(-2.0) in
-  checkf 1e-12 "sup negative" 25.0 (Interval.sup_sq neg);
-  checkf 1e-12 "inf negative" 4.0 (Interval.inf_sq neg)
+  checkf 1e-12 "sup negative" 25.0 (Interval.sup_sq neg)
 
 let test_interval_split_intersect () =
   let iv = Interval.make ~lo:0.0 ~hi:10.0 in
@@ -1748,8 +1745,7 @@ let () =
       ( "interval",
         [
           Alcotest.test_case "basics" `Quick test_interval_basics;
-          Alcotest.test_case "sup/inf squared (eq 26-27)" `Quick
-            test_interval_sup_inf_sq;
+          Alcotest.test_case "sup squared (eq 26)" `Quick test_interval_sup_sq;
           Alcotest.test_case "split/intersect" `Quick
             test_interval_split_intersect;
           Alcotest.test_case "scale/shift" `Quick test_interval_scale_shift;
