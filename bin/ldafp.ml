@@ -61,10 +61,20 @@ let rho_arg =
     & info [ "rho" ] ~docv:"RHO"
         ~doc:"Confidence level of the overflow constraints (eq. 16).")
 
+(* A count that must be at least 1: anything else is a usage error
+   (cmdliner's exit 124) before any work starts. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Worker domains for the branch-and-bound search (OCaml 5 \
@@ -264,8 +274,8 @@ let train_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record a Chrome trace-event timeline of the search \
-             (branch-and-bound nodes, relaxation solves, steals, \
-             checkpoints) and write it to $(docv) — load it in \
+             (branch-and-bound nodes, relaxation solves, scheduler \
+             parks, checkpoints) and write it to $(docv) — load it in \
              $(b,https://ui.perfetto.dev) or $(b,chrome://tracing).")
   in
   let metrics_arg =
@@ -286,7 +296,7 @@ let train_cmd =
           ~doc:
             "Print a throttled (at most one line per second) progress \
              line to stderr: incumbent, certified bound, gap, node \
-             rate, steals and oracle utilisation.")
+             rate and oracle utilisation.")
   in
   let run verbose data wl k method_ nodes domains no_warm_start no_certify rho
       checkpoint checkpoint_every resume trace metrics progress telemetry_addr
@@ -398,25 +408,11 @@ let train_cmd =
                   s.Optim.Bnb.warm_miss_not_interior
                   s.Optim.Bnb.warm_miss_fault_cleared
               end;
-              if s.Optim.Bnb.domains_used > 1 then begin
+              if s.Optim.Bnb.domains_used > 1 then
                 Fmt.pr
-                  "scheduler: seeded %d node(s) in %.3fs, then %d steal(s) \
-                   moved %d node(s) (%d carrying warm state), %d idle \
+                  "scheduler: %d domains shared one frontier heap, %d idle \
                    wakeup(s)@."
-                  s.Optim.Bnb.seed_nodes s.Optim.Bnb.seed_seconds
-                  s.Optim.Bnb.steals s.Optim.Bnb.stolen_nodes
-                  s.Optim.Bnb.stolen_warm s.Optim.Bnb.idle_wakeups;
-                let join sep fmt_one a =
-                  String.concat sep
-                    (Array.to_list (Array.map fmt_one a))
-                in
-                Fmt.pr
-                  "scheduler: targeted wakeups per shard [%s], steals that \
-                   took the best-bound victim per thief [%s]@."
-                  (join "; " string_of_int s.Optim.Bnb.domain_targeted_wakeups)
-                  (join "; " string_of_int
-                     s.Optim.Bnb.domain_steals_best_victim)
-              end;
+                  s.Optim.Bnb.domains_used s.Optim.Bnb.idle_wakeups;
               if s.Optim.Bnb.oracle_failures > 0 then
                 Fmt.pr
                   "oracle faults: %d failure(s), %d retried, %d degraded \

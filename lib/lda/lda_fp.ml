@@ -66,8 +66,8 @@ type outcome = { w : Vec.t; cost : float; diagnostics : diagnostics }
    optimum (primal side) together with the barrier weight the producing
    solve terminated at (the dual side — what {!Socp.restart_levels}
    turns into a ladder-rung skip).  Plain floats and arrays, so it
-   marshals through {!Bnb.snapshot}s and migrates across
-   {!Work_deque} steals without any special handling. *)
+   marshals through {!Bnb.snapshot}s and is read by whichever worker
+   domain takes the child, without any special handling. *)
 type warm_info = {
   point : Vec.t;
   tau_final : float;
@@ -494,7 +494,8 @@ let jittered_config cfg k =
 let solve ?(config = default_config) ?interrupt pb =
   (* Monotonic: [train_seconds] must be immune to NTP steps mid-run. *)
   let started = Obs.Clock.now () in
-  let fingerprint = Ldafp_problem.fingerprint pb in
+  (* Only checkpointing needs it. *)
+  let fingerprint = lazy (Ldafp_problem.fingerprint pb) in
   (* A requested resume with no file on disk degrades to a fresh run (the
      natural first iteration of a kill/resume loop); an existing file
      that fails validation raises [Checkpoint.Corrupt] — silently
@@ -504,7 +505,8 @@ let solve ?(config = default_config) ?interrupt pb =
     | Some spec when spec.resume && Sys.file_exists spec.path ->
         Log.info (fun m -> m "resuming from checkpoint %s" spec.path);
         Some
-          (Checkpoint.load ~fingerprint ~path:spec.path
+          (Checkpoint.load ~fingerprint:(Lazy.force fingerprint)
+             ~path:spec.path
             : (node, Vec.t) Bnb.snapshot)
     | _ -> None
   in
@@ -615,20 +617,18 @@ let solve ?(config = default_config) ?interrupt pb =
   let checkpointing =
     Option.map
       (fun spec ->
-        Bnb.checkpointing ~every_nodes:spec.every_nodes ~fingerprint spec.path)
+        Bnb.checkpointing ~every_nodes:spec.every_nodes
+          ~fingerprint:(Lazy.force fingerprint) spec.path)
       config.checkpoint
   in
-  (* Pure and O(1): counts stolen nodes that migrate with warm state. *)
-  let carries_warm node = node.warm <> None in
   let result =
     match restored with
     | Some state ->
         Bnb.resume ~params:config.bnb_params ~faults ?checkpointing ?interrupt
-          ~counters ?progress:config.progress ~carries_warm oracle state
+          ~counters ?progress:config.progress oracle state
     | None ->
         Bnb.minimize ~params:config.bnb_params ~faults ?checkpointing
-          ?interrupt ~counters ?progress:config.progress ~carries_warm oracle
-          root
+          ?interrupt ~counters ?progress:config.progress oracle root
   in
   let train_seconds = Obs.Clock.now () -. started in
   match result.Bnb.best with

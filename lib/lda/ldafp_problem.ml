@@ -255,7 +255,23 @@ let center_point t ~wbox ~trange =
       if t.d.(j) >= 0.0 then lo +. (theta *. (hi -. lo))
       else hi -. (theta *. (hi -. lo)))
 
-let fingerprint t = Digest.to_hex (Digest.string (Marshal.to_string t []))
+(* A canonical text of the inputs [build] derives everything else from,
+   with every float printed exactly ([%h]): independent of the record's
+   memory layout and of the derived data (boxes, cones, Grams). *)
+let fingerprint t =
+  let s = t.scatter in
+  let b = Buffer.create 1024 in
+  let row v =
+    Array.iter (Printf.bprintf b " %h") v;
+    Buffer.add_char b '\n'
+  in
+  Printf.bprintf b "%s rho %h t>0 %b n %d %d\n" (Qformat.to_string t.fmt) t.rho
+    t.restrict_t_positive s.Stats.Scatter.n_a s.Stats.Scatter.n_b;
+  row s.Stats.Scatter.mu_a;
+  row s.Stats.Scatter.mu_b;
+  Array.iter row s.Stats.Scatter.sigma_a;
+  Array.iter row s.Stats.Scatter.sigma_b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let interval_lower_bound t ~wbox ~trange =
   let m = dim t in

@@ -121,8 +121,11 @@ val secant_relaxation :
     side; mirror the region first otherwise). *)
 
 val fingerprint : t -> string
-(** Hex digest of the full problem data (format, confidence, scatter,
-    derived boxes and cones).  Two runs over the same training data and
+(** Hex digest of a canonical text of the problem's inputs: the format
+    ({!Fixedpoint.Qformat.to_string}), [rho], [restrict_t_positive] and
+    every {!Stats.Scatter.t} field, floats printed exactly ([%h]).  The
+    derived boxes and cones are not hashed, since [build] computes them
+    from these inputs.  Two runs over the same training data and
     configuration produce the same fingerprint; checkpoints record it so
     a resume against different data is rejected instead of silently
     producing garbage. *)

@@ -52,7 +52,7 @@ val enabled : unit -> bool
     running. *)
 
 val set_phase : string -> unit
-(** The current search phase: ["idle"], ["seeding"], ["searching"],
+(** The current search phase: ["idle"], ["searching"],
     ["done:<stop reason>"]. *)
 
 val set_nodes : int -> unit

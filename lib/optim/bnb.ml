@@ -53,14 +53,6 @@ type stats = {
   children_generated : int;
   domains_used : int;
   idle_wakeups : int;
-  steals : int;
-  stolen_nodes : int;
-  seed_nodes : int;
-  seed_seconds : float;
-  targeted_wakeups : int;
-  steals_best_victim : int;
-  domain_targeted_wakeups : int array;
-  domain_steals_best_victim : int array;
   domain_first_node_seconds : float array;
   oracle_failures : int;
   retries : int;
@@ -73,7 +65,6 @@ type stats = {
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
-  stolen_warm : int;
   cert_verified : int;
   cert_repaired : int;
   cert_fallbacks : int;
@@ -92,7 +83,6 @@ type stats = {
    diffed. *)
 let stats_to_json (s : stats) =
   let open Obs.Json in
-  let ints = List.map (fun v -> Int v) in
   let floats = List.map (fun v -> Float v) in
   Obj
     [
@@ -103,16 +93,6 @@ let stats_to_json (s : stats) =
       ("children_generated", Int s.children_generated);
       ("domains_used", Int s.domains_used);
       ("idle_wakeups", Int s.idle_wakeups);
-      ("steals", Int s.steals);
-      ("stolen_nodes", Int s.stolen_nodes);
-      ("seed_nodes", Int s.seed_nodes);
-      ("seed_seconds", Float s.seed_seconds);
-      ("targeted_wakeups", Int s.targeted_wakeups);
-      ("steals_best_victim", Int s.steals_best_victim);
-      ( "domain_targeted_wakeups",
-        List (ints (Array.to_list s.domain_targeted_wakeups)) );
-      ( "domain_steals_best_victim",
-        List (ints (Array.to_list s.domain_steals_best_victim)) );
       ( "domain_first_node_seconds",
         List (floats (Array.to_list s.domain_first_node_seconds)) );
       ("oracle_failures", Int s.oracle_failures);
@@ -126,7 +106,6 @@ let stats_to_json (s : stats) =
       ("warm_miss_no_parent", Int s.warm_miss_no_parent);
       ("warm_miss_not_interior", Int s.warm_miss_not_interior);
       ("warm_miss_fault_cleared", Int s.warm_miss_fault_cleared);
-      ("stolen_warm", Int s.stolen_warm);
       ("cert_verified", Int s.cert_verified);
       ("cert_repaired", Int s.cert_repaired);
       ("cert_fallbacks", Int s.cert_fallbacks);
@@ -218,8 +197,7 @@ type ('region, 'sol) snapshot = {
   stale_pops : int;
   incumbent_updates : int;
   children_generated : int;
-  seed_nodes : int;
-  seed_time_us : int;
+  idle_wakeups : int;
   oracle_failures : int;
   retries : int;
   degraded_bounds : int;
@@ -286,15 +264,11 @@ let p_frontier_shed =
   Obs.Probe.v "bnb.frontier_shed"
     ~count:"queued regions shed by the bounded-memory frontier cap"
 
-let p_seed =
-  Obs.Probe.v "bnb.seed"
-    ~seconds:(1e-6, 100.0, "wall time of the pre-worker frontier seeding phase")
-
 let p_budget_exhausted = Obs.Probe.v "fault.budget_exhausted"
 
 (* One line for [Obs.Progress]: the search-wide picture an operator
    needs to decide whether a long run is still converging. *)
-let progress_line ~nodes ~elapsed ~incumbent ~bound ~steals ~oracle_us =
+let progress_line ~nodes ~elapsed ~incumbent ~bound ~oracle_us =
   let rate = if elapsed > 0.0 then float_of_int nodes /. elapsed else 0.0 in
   let gap =
     if incumbent < Float.infinity then incumbent -. bound else Float.infinity
@@ -309,8 +283,8 @@ let progress_line ~nodes ~elapsed ~incumbent ~bound ~steals ~oracle_us =
   in
   Printf.sprintf
     "[bnb] %6.1fs  nodes %d (%.0f/s)  incumbent %.6g  bound %.6g  gap %.3g  \
-     steals %d  oracle-util %s"
-    elapsed nodes rate incumbent bound gap steals utils
+     oracle-util %s"
+    elapsed nodes rate incumbent bound gap utils
 
 (* ------------------------------------------------------------------ *)
 (* Fault containment around the oracle                                 *)
@@ -516,8 +490,7 @@ let empty_snapshot =
     stale_pops = 0;
     incumbent_updates = 0;
     children_generated = 0;
-    seed_nodes = 0;
-    seed_time_us = 0;
+    idle_wakeups = 0;
     oracle_failures = 0;
     retries = 0;
     degraded_bounds = 0;
@@ -579,18 +552,11 @@ let stop_wants_save = function
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* With more than one shard, the calling domain grows the frontier on
-   its own shard until it holds [seed_factor * domains] regions before
-   the other workers spawn. *)
-let seed_factor = 4
-
 (* The calling domain plus [params.domains - 1] spawned domains run the
-   same worker loop over a sharded work-stealing Work_deque: each worker
-   pushes its own expansions to its own shard and pops locally, stealing
-   the best half of a victim's shard only when dry, so in steady state no
-   lock or cache line is shared between workers.  With one domain this
-   is the whole search: one shard, nothing spawned, nothing to steal, no
-   seeding — best-first order over a single heap.
+   same worker loop over one shared best-first Frontier: take the
+   minimum-bound region, expand it, push its children, release it.  With
+   one domain nothing is spawned and the search is plain best-first
+   order over one heap.
 
    Search-wide state is synchronized through atomics: the incumbent cost
    mirror (CAS-checked under a dedicated incumbent mutex on update, read
@@ -601,18 +567,16 @@ let seed_factor = 4
    Termination.  [drained] is exact (children are pushed before their
    parent's in-flight slot is released) and is tested before the gap so
    an exhausted search reports Proved_optimal, not Gap_reached against
-   an infinite frontier bound.  The gap test reads the calling worker's
-   own shard exactly and every other shard through its conservative
-   mirror (see Work_deque.frontier_bound_for): exact at one shard, never
-   optimistic at any count.  The node budget is checked before claiming
-   a node; workers already mid-expansion finish, so the budget can
-   overshoot by at most [domains - 1] nodes — the price of not
-   serializing the hot path.
+   an infinite frontier bound.  The gap test reads Frontier.bound, the
+   exact minimum over queued and in-flight regions.  The node budget is
+   checked before claiming a node; workers already mid-expansion finish,
+   so the budget can overshoot by at most [domains - 1] nodes — the
+   price of not serializing the hot path.
 
    Fault containment: oracle calls are policy-guarded, and the in-flight
    slot of an expanding worker is released in a [Fun.protect] finaliser,
    so even a non-containable exception keeps the live count exact; the
-   worker then closes the deque (waking parked siblings) before the
+   worker then closes the frontier (waking parked siblings) before the
    exception propagates — one poisoned region can never hang the
    search. *)
 let run : type region sol.
@@ -622,16 +586,13 @@ let run : type region sol.
     interrupt:(unit -> bool) option ->
     counters:oracle_counters option ->
     progress:Obs.Progress.t option ->
-    carries_warm:(region -> bool) option ->
     (region, sol) oracle ->
     (region, sol) source ->
     sol result =
- fun ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-     ~carries_warm oracle source ->
+ fun ~params ~faults ~checkpointing ~interrupt ~counters ~progress oracle
+     source ->
   let workers = max 1 params.domains in
-  let deque : region Work_deque.t =
-    Work_deque.create ?carries_warm ~workers ()
-  in
+  let frontier : region Frontier.t = Frontier.create ~workers in
   let fc = Fault.fresh_counters () in
   let oc = match counters with Some c -> c | None -> oracle_counters () in
   (* Totals carried in from the snapshot (zeros from the root); every
@@ -646,18 +607,12 @@ let run : type region sol.
   (* Bounded-memory frontier residue: nodes shed by the cap are gone,
      but their best possible subtree optimum survives here and is folded
      into every bound and gap the search reports.  CAS-min so any worker
-     can fold its shard's shed bound in without a lock. *)
+     can fold a shed bound in without a lock. *)
   let shed_bound = Atomic.make s0.shed_bound in
   let rec fold_shed_bound b =
     let cur = Atomic.get shed_bound in
     if b < cur && not (Atomic.compare_and_set shed_bound cur b) then
       fold_shed_bound b
-  in
-  (* Per-shard queue cap: the global budget split evenly; each worker
-     polices only its own shard, so shedding needs no global lock. *)
-  let shard_cap =
-    if params.max_frontier <= 0 then 0
-    else max 1 (params.max_frontier / workers)
   in
   (* The incumbent solution is guarded by its own mutex; its cost is
      mirrored in an Atomic read lock-free on every stale check, push
@@ -673,11 +628,6 @@ let run : type region sol.
   let run_t0_ns = Obs.Clock.now_ns () in
   let elapsed () = s0.elapsed +. (now () -. start_time) in
   let stop : stop_reason option Atomic.t = Atomic.make None in
-  (* Current-run seed accounting; the restored totals are added on the
-     way out (and into every checkpoint). *)
-  let seed_nodes_run = ref 0 in
-  let seed_t0_ns = ref 0 in
-  let seed_us_run = ref 0 in
   (* Per-worker single-writer statistics; merged after the joins.
      Records (not an int array) so counters of one worker share no cache
      line with another's. *)
@@ -720,9 +670,9 @@ let run : type region sol.
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
   (* The search-wide totals so far, around a given frontier and
      incumbent: what a checkpoint saves and what [stats] reports. *)
-  let snapshot ~frontier ~incumbent =
+  let snapshot ~saved ~incumbent =
     {
-      frontier;
+      frontier = saved;
       incumbent;
       nodes_explored = Atomic.get nodes;
       elapsed = elapsed ();
@@ -731,8 +681,7 @@ let run : type region sol.
       stale_pops = s0.stale_pops + sum (fun w -> w.W.stale);
       incumbent_updates = s0.incumbent_updates + sum (fun w -> w.W.updates);
       children_generated = s0.children_generated + sum (fun w -> w.W.children);
-      seed_nodes = s0.seed_nodes + !seed_nodes_run;
-      seed_time_us = s0.seed_time_us + !seed_us_run;
+      idle_wakeups = s0.idle_wakeups + Frontier.idle_wakeups frontier;
       oracle_failures = Atomic.get fc.Fault.failures;
       retries = Atomic.get fc.Fault.retries;
       degraded_bounds = Atomic.get fc.Fault.degraded;
@@ -774,38 +723,36 @@ let run : type region sol.
           better
         in
         (* New incumbent: drop queued regions it dominates.  Outside
-           inc_lock: shard locks are leaves, but keeping inc_lock out of
-           any nesting makes the no-deadlock argument one-line.
-           Concurrent pruning passes compose (both only remove dominated
-           entries). *)
-        if improved then Work_deque.prune deque (fun lb _ -> lb < cost)
+           inc_lock, so the two locks never nest.  Concurrent pruning
+           passes compose (both only remove dominated entries). *)
+        if improved then Frontier.prune frontier (fun lb _ -> lb < cost)
     | _ -> ()
   in
-  let record_bounded ~worker (w : W.t) region = function
+  let record_bounded (w : W.t) region = function
     | None -> w.W.infeasible <- w.W.infeasible + 1
     | Some { lower; candidate } ->
         consider_candidate w candidate;
         if lower < Atomic.get incumbent_cost then
-          Work_deque.push deque ~worker lower region
+          Frontier.push frontier lower region
         else w.W.pruned <- w.W.pruned + 1
   in
   (* Checkpoint snapshot ordering: frontier FIRST, then incumbent.  The
-     frontier snapshot holds all shard locks, so it is internally
-     consistent; reading the incumbent afterwards guarantees it is at
-     least as good as whatever incumbent pruned that frontier — so no
-     region dominated only by an unsaved incumbent can be missing its
-     dominator on resume.  The reverse order can lose the optimum:
+     frontier snapshot is taken under the frontier lock, so it is
+     internally consistent; reading the incumbent afterwards guarantees
+     it is at least as good as whatever incumbent pruned that frontier —
+     so no region dominated only by an unsaved incumbent can be missing
+     its dominator on resume.  The reverse order can lose the optimum:
      incumbent read, sibling improves it and prunes, frontier saved
      without the pruned region or the new incumbent. *)
   let save ck =
-    let frontier = Array.of_list (Work_deque.snapshot deque) in
+    let saved = Array.of_list (Frontier.snapshot frontier) in
     let incumbent =
       Mutex.lock inc_lock;
       let i = !incumbent in
       Mutex.unlock inc_lock;
       i
     in
-    try_save ck (snapshot ~frontier ~incumbent)
+    try_save ck (snapshot ~saved ~incumbent)
   in
   (* The worker that claimed node [n] saves on the cadence; a save still
      in progress makes the next one skip (try_lock) rather than queue up
@@ -820,19 +767,16 @@ let run : type region sol.
             (fun () -> save ck)
     | _ -> ()
   in
-  (* The certified frontier bound as [worker] sees it, shed subtrees
-     included: the search cannot declare a tolerance it only reached by
-     throwing work away. *)
-  let frontier_bound ~worker =
-    Float.min
-      (Work_deque.frontier_bound_for deque ~worker)
-      (Atomic.get shed_bound)
+  (* The certified frontier bound, shed subtrees included: the search
+     cannot declare a tolerance it only reached by throwing work away. *)
+  let frontier_bound () =
+    Float.min (Frontier.bound frontier) (Atomic.get shed_bound)
   in
-  let gap_ok ~worker =
+  let gap_ok () =
     let inc = Atomic.get incumbent_cost in
     inc < Float.infinity
     &&
-    let gap = inc -. frontier_bound ~worker in
+    let gap = inc -. frontier_bound () in
     gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
   in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
@@ -840,45 +784,30 @@ let run : type region sol.
      parked sibling. *)
   let halt reason =
     ignore (Atomic.compare_and_set stop None (Some reason));
-    Work_deque.close deque
+    Frontier.close frontier
   in
-  let shed ~worker ~keep =
-    if keep > 0 then
-      match Work_deque.shed deque ~worker ~keep with
-      | None -> ()
-      | Some (dropped, min_key) ->
-          let w = ws.(worker) in
+  let shed (w : W.t) =
+    if params.max_frontier > 0 then
+      match Frontier.shed frontier ~keep:params.max_frontier with
+      | 0, _ -> ()
+      | dropped, min_key ->
           w.W.shed <- w.W.shed + dropped;
           fold_shed_bound min_key;
           if Obs.Probe.on () then
             Obs.Probe.add p_frontier_shed dropped
               ~args:
                 [
-                  ("worker", Obs.Trace.Int worker);
                   ("dropped", Obs.Trace.Int dropped);
                   ("shed_bound", Obs.Trace.Float (Atomic.get shed_bound));
                 ]
   in
-  (* Eager frontier seeding, with more than one shard: worker 0 runs
-     alone on its own shard until that holds enough regions to give
-     every shard a meaningful slice, and [Work_deque.deal] spreads them
-     by bound rank before the other domains spawn.  Without this the
-     search begins with a single root node and the first milliseconds
-     are pure startup serialization: one shard works while the others
-     park, wake, and thrash half-empty steals.  The cap keeps a tree
-     that prunes as fast as it branches from pinning the whole search in
-     the serial phase. *)
-  let seed_target = seed_factor * workers in
-  let seed_cap = max 64 (8 * seed_target) in
-  let worker i ~seeding () =
+  let worker i () =
     let w = ws.(i) in
-    (* While seeding, worker 0's shard is the whole frontier. *)
-    let keep = if seeding then params.max_frontier else shard_cap in
     let expand lb region =
       if lb >= Atomic.get incumbent_cost then begin
         (* Stale entry dominated by a newer incumbent. *)
         w.W.stale <- w.W.stale + 1;
-        Work_deque.release deque ~worker:i
+        Frontier.release frontier ~worker:i
       end
       else begin
         let n = 1 + Atomic.fetch_and_add nodes 1 in
@@ -887,14 +816,14 @@ let run : type region sol.
           Log.debug (fun m ->
               m "node %d [w%d]: bound %.6g incumbent %.6g queued %d" n i lb
                 (Atomic.get incumbent_cost)
-                (Work_deque.queue_length deque));
+                (Frontier.queue_length frontier));
         (* The in-flight slot is released in a finaliser: even if an
            exception escapes the guards (non-containable, or a [reraise]
            policy), the live count stays exact and the region's children
            — pushed before this finaliser runs — are never lost. *)
         let t_node = Obs.Clock.now_ns () in
         Fun.protect
-          ~finally:(fun () -> Work_deque.release deque ~worker:i)
+          ~finally:(fun () -> Frontier.release frontier ~worker:i)
           (fun () ->
             (* One retry budget per node expansion: the branch call and
                all child bounds draw from it, capping the worst-case time
@@ -902,11 +831,8 @@ let run : type region sol.
             let budget = ref faults.policy.Fault.retry_budget in
             let children = guarded_branch ~faults ~fc ~budget oracle region in
             w.W.children <- w.W.children + List.length children;
-            (* Bound each child outside any lock; push to our own shard
-               immediately so siblings can steal fresh work and prune
-               against fresh incumbents.  Warm-start state lives inside
-               the region values, so it migrates with steals for
-               free. *)
+            (* Bound each child outside any lock and push it at once, so
+               idle siblings get fresh work. *)
             List.iter
               (fun child ->
                 match
@@ -914,9 +840,9 @@ let run : type region sol.
                     ~budget oracle child
                 with
                 | Dropped_bound -> ()
-                | Bounded info -> record_bounded ~worker:i w child info)
+                | Bounded info -> record_bounded w child info)
               children;
-            shed ~worker:i ~keep);
+            shed w);
         (* Exactly one node-seconds observation per explored node (the CI
            schema gate compares the histogram count against the reported
            node counts). *)
@@ -925,29 +851,23 @@ let run : type region sol.
           Obs.Probe.span p_node ~t0_ns:t_node ~dur_ns:node_ns
             ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
           Obs.Telemetry.set_nodes (Atomic.get nodes);
-          Obs.Telemetry.set_gap
-            (Atomic.get incumbent_cost -. frontier_bound ~worker:i)
-        end;
-        if seeding then begin
-          incr seed_nodes_run;
-          seed_us_run := (Obs.Clock.now_ns () - !seed_t0_ns) / 1000
+          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. frontier_bound ())
         end;
         (match progress with
         | Some p when Obs.Progress.due p ->
             Obs.Progress.emit p
               (progress_line ~nodes:(Atomic.get nodes) ~elapsed:(elapsed ())
                  ~incumbent:(Atomic.get incumbent_cost)
-                 ~bound:(frontier_bound ~worker:i)
-                 ~steals:(Work_deque.steals deque)
+                 ~bound:(frontier_bound ())
                  ~oracle_us:(Array.map (fun w -> !(w.W.oracle_cell)) ws))
         | _ -> ());
         maybe_periodic_save n
       end
     in
     let rec loop () =
-      if Work_deque.is_closed deque then ()
-      else if Work_deque.drained deque then halt Proved_optimal
-      else if gap_ok ~worker:i then halt Gap_reached
+      if Frontier.is_closed frontier then ()
+      else if Frontier.drained frontier then halt Proved_optimal
+      else if gap_ok () then halt Gap_reached
       else if Atomic.get nodes >= params.max_nodes then halt Node_budget
       else if
         match params.time_limit with
@@ -955,34 +875,24 @@ let run : type region sol.
         | None -> false
       then halt Time_budget
       else if interrupted () then halt Interrupted
-      else if
-        seeding
-        && (Work_deque.live deque >= seed_target || !seed_nodes_run >= seed_cap)
-      then ()
-      else begin
-        let item =
-          match Work_deque.take deque ~worker:i with
-          | Some _ as it -> it
-          | None -> Work_deque.try_steal deque ~thief:i
-        in
-        match item with
+      else
+        match Frontier.take frontier ~worker:i with
         | Some (lb, region) ->
             expand lb region;
             loop ()
         | None -> (
-            (* Nothing local, nothing to steal: park until a sibling
-               pushes, the search drains, or someone halts. *)
-            match Work_deque.park deque ~worker:i with
+            (* Nothing queued: park until a sibling pushes, the search
+               drains, or someone halts. *)
+            match Frontier.park frontier ~worker:i with
             | `Drained -> halt Proved_optimal
             | `Closed -> ()
             | `Work -> loop ())
-      end
     in
     (* An oracle exception must not leave sibling domains parked: close
-       the deque, then re-raise (Domain.join propagates). *)
+       the frontier, then re-raise (Domain.join propagates). *)
     try loop ()
     with e ->
-      Work_deque.close deque;
+      Frontier.close frontier;
       raise e
   in
   (match source with
@@ -995,41 +905,16 @@ let run : type region sol.
           ~budget:(ref faults.policy.Fault.retry_budget) oracle root
       with
       | Dropped_bound -> ()
-      | Bounded info -> record_bounded ~worker:0 ws.(0) root info)
+      | Bounded info -> record_bounded ws.(0) root info)
   | Restored s ->
-      (* A restored frontier lands on shard 0, like a grown seed: with
-         more shards the seed step deals it out (growing it first if the
-         snapshot was taken early, even mid-seed). *)
-      Array.iter
-        (fun (lb, region) -> Work_deque.push deque ~worker:0 lb region)
-        s.frontier;
-      shed ~worker:0 ~keep:params.max_frontier);
-  if workers > 1 then begin
-    Obs.Telemetry.set_phase "seeding";
-    seed_t0_ns := Obs.Clock.now_ns ();
-    worker 0 ~seeding:true ();
-    Work_deque.deal deque;
-    let seed_dur_ns = Obs.Clock.now_ns () - !seed_t0_ns in
-    seed_us_run := seed_dur_ns / 1000;
-    if Obs.Probe.on () then
-      Obs.Probe.span p_seed ~t0_ns:!seed_t0_ns ~dur_ns:seed_dur_ns
-        ~args:
-          [
-            ("seed_nodes", Obs.Trace.Int !seed_nodes_run);
-            ("frontier", Obs.Trace.Int (Work_deque.live deque));
-          ]
-  end;
-  (* A stop raised while seeding (or a search the seed step already
-     exhausted) skips the other workers entirely. *)
-  if Atomic.get stop = None then begin
-    Obs.Telemetry.set_phase "searching";
-    let spawned =
-      Array.init (workers - 1) (fun i ->
-          Domain.spawn (worker (i + 1) ~seeding:false))
-    in
-    worker 0 ~seeding:false ();
-    Array.iter Domain.join spawned
-  end;
+      Array.iter (fun (lb, region) -> Frontier.push frontier lb region) s.frontier;
+      shed ws.(0));
+  Obs.Telemetry.set_phase "searching";
+  let spawned =
+    Array.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
+  in
+  worker 0 ();
+  Array.iter Domain.join spawned;
   let stop_reason =
     match Atomic.get stop with Some r -> r | None -> Proved_optimal
   in
@@ -1037,19 +922,14 @@ let run : type region sol.
   Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason);
   (match checkpointing with
   | Some ck when ck.save_on_stop && stop_wants_save stop_reason ->
-      (* All workers have joined: nothing is in flight, the shard queues
-         are the complete frontier. *)
+      (* All workers have joined: nothing is in flight, the heap is the
+         complete frontier. *)
       save ck
   | _ -> ());
-  (* After the joins the deque is quiescent, but the batched mirrors may
-     still be up to one publish epoch stale low: flush them so the
-     reported bound/gap is the true frontier minimum, not a
-     conservative under-estimate. *)
-  Work_deque.sync_mirrors deque;
   let bound =
-    let fb = Work_deque.frontier_bound deque in
+    let fb = Frontier.bound frontier in
     let b =
-      if Work_deque.drained deque then
+      if Frontier.drained frontier then
         (* Everything explored or pruned: the incumbent is optimal —
            unless subtrees were shed, whose residue caps the claim. *)
         Float.min (Atomic.get incumbent_cost) fb
@@ -1058,7 +938,7 @@ let run : type region sol.
     Float.min b (Atomic.get shed_bound)
   in
   let incumbent_cost = Atomic.get incumbent_cost in
-  let t = snapshot ~frontier:[||] ~incumbent:None in
+  let t = snapshot ~saved:[||] ~incumbent:None in
   {
     best = !incumbent;
     bound;
@@ -1075,17 +955,7 @@ let run : type region sol.
         incumbent_updates = t.incumbent_updates;
         children_generated = t.children_generated;
         domains_used = workers;
-        idle_wakeups = Work_deque.idle_wakeups deque;
-        steals = Work_deque.steals deque;
-        stolen_nodes = Work_deque.stolen_nodes deque;
-        seed_nodes = t.seed_nodes;
-        seed_seconds = float_of_int t.seed_time_us *. 1e-6;
-        targeted_wakeups =
-          Array.fold_left ( + ) 0 (Work_deque.targeted_wakeups deque);
-        steals_best_victim =
-          Array.fold_left ( + ) 0 (Work_deque.steals_best_victim deque);
-        domain_targeted_wakeups = Work_deque.targeted_wakeups deque;
-        domain_steals_best_victim = Work_deque.steals_best_victim deque;
+        idle_wakeups = t.idle_wakeups;
         domain_first_node_seconds =
           Array.map
             (fun w ->
@@ -1103,7 +973,6 @@ let run : type region sol.
         warm_miss_no_parent = t.warm_miss_no_parent;
         warm_miss_not_interior = t.warm_miss_not_interior;
         warm_miss_fault_cleared = t.warm_miss_fault_cleared;
-        stolen_warm = Work_deque.stolen_warm deque;
         cert_verified = t.cert_verified;
         cert_repaired = t.cert_repaired;
         cert_fallbacks = t.cert_fallbacks;
@@ -1119,11 +988,11 @@ let run : type region sol.
   }
 
 let minimize ?(params = default_params) ?(faults = default_faults)
-    ?checkpointing ?interrupt ?counters ?progress ?carries_warm oracle root =
-  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-    ~carries_warm oracle (Root root)
+    ?checkpointing ?interrupt ?counters ?progress oracle root =
+  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress oracle
+    (Root root)
 
 let resume ?(params = default_params) ?(faults = default_faults)
-    ?checkpointing ?interrupt ?counters ?progress ?carries_warm oracle state =
-  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-    ~carries_warm oracle (Restored state)
+    ?checkpointing ?interrupt ?counters ?progress oracle state =
+  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress oracle
+    (Restored state)

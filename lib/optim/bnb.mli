@@ -9,19 +9,17 @@
     and stops on proof of optimality, a gap tolerance, or a budget.
 
     With [params.domains > 1] the driver runs the same search across
-    that many OCaml 5 domains over a sharded work-stealing scheduler
-    (see {!Work_deque}): each domain expands nodes from its own
-    best-first shard and steals the best half of a sibling's shard when
-    dry.  The oracle must be safe to call concurrently from several
-    domains on {e distinct} regions (pure per-node functions of the
-    shared read-only problem qualify; region-local mutation is fine
-    because each region is processed by exactly one domain, even after
-    being stolen).  The incumbent cost and feasibility are identical to
-    the one-domain search on a run-to-completion; the explored node
-    {e count} and ordering are scheduling-dependent under stealing.
-    With [domains = 1] (the default) the same driver runs on a single
-    shard: nothing is spawned, stolen or seeded, and the search is plain
-    best-first order over one heap.
+    that many OCaml 5 domains sharing one best-first heap (see
+    {!Frontier}): each domain takes the minimum-bound region, expands
+    it and pushes the children back.  The oracle must be safe to call
+    concurrently from several domains on {e distinct} regions (pure
+    per-node functions of the shared read-only problem qualify;
+    region-local mutation is fine because each region is processed by
+    exactly one domain).  The incumbent cost and feasibility are
+    identical to the one-domain search on a run-to-completion; the
+    explored node {e count} and ordering depend on scheduling.  With
+    [domains = 1] (the default) nothing is spawned and the search is
+    plain best-first order over the heap.
 
     {2 Fault containment}
 
@@ -74,19 +72,12 @@ type params = {
           mid-search) *)
   log_every : int;  (** emit a [Logs] debug line every n nodes; 0 = never *)
   domains : int;
-      (** number of domains exploring the tree, one shard each; with
-          more than one, the calling domain first grows the root (or a
-          restored frontier) on its own shard until it holds
-          [4 * domains] regions, then deals them round-robin by bound
-          rank across the shards, so every worker starts with local
-          work.  That seeding honours every stop condition, the
-          certified-pruning contract and the frontier cap, and its
-          expansions count against [max_nodes] like any other node. *)
+      (** number of domains exploring the tree, all taking work from
+          the one shared frontier heap; values below 1 count as 1 *)
   max_frontier : int;
       (** bounded-memory frontier: when positive, the queued frontier is
-          capped at this many regions (split evenly across shards when
-          [domains > 1]) and the {e worst}-bound regions are shed on
-          overflow.  Shedding stays {e sound}: the best bound among shed
+          capped at this many regions, at every domain count, and the
+          {e worst}-bound regions are shed on overflow.  Shedding stays {e sound}: the best bound among shed
           regions is folded into every reported [bound] and [gap] (and
           into the gap-tolerance test), so the anytime result never
           claims a tolerance it reached by discarding work — it may
@@ -136,48 +127,16 @@ type stats = {
   stale_pops : int;  (** queue entries dominated by a newer incumbent *)
   incumbent_updates : int;
   children_generated : int;
-  domains_used : int;  (** shards searched: [params.domains], at least 1 *)
+  domains_used : int;  (** worker domains: [params.domains], at least 1 *)
   idle_wakeups : int;
-      (** times a worker domain ran out of local work, found nothing to
-          steal, and actually parked; 0 at one shard, where running dry
-          means the search is drained *)
-  steals : int;
-      (** successful steal-half transfers between shards; 0 at one
-          shard *)
-  stolen_nodes : int;
-      (** total queued regions moved by steals; 0 at one shard *)
-  seed_nodes : int;
-      (** nodes expanded by the eager seeding step (see
-          {!params.domains}) before the other worker domains started;
-          cumulative across a resume chain and persisted through
-          checkpoints; 0 for a chain run entirely at one shard, which
-          never seeds *)
-  seed_seconds : float;
-      (** wall-clock duration of the seeding phase (expansion + dealing),
-          cumulative across a resume chain and persisted through
-          checkpoints (microsecond resolution) *)
-  targeted_wakeups : int;
-      (** single-worker wakeup signals sent by pushes to parked workers —
-          each one would have been a whole-herd broadcast under the old
-          protocol; 0 at one shard *)
-  steals_best_victim : int;
-      (** successful steals that landed on the thief's first-choice
-          victim — the shard advertising the globally minimal mirrored
-          bound; low against [steals] means the batched mirrors are too
-          stale to guide victim selection; 0 at one shard *)
-  domain_targeted_wakeups : int array;
-      (** current-run per-worker breakdown of [targeted_wakeups],
-          indexed by the woken worker (length [domains_used]); not
-          persisted across checkpoints *)
-  domain_steals_best_victim : int array;
-      (** current-run per-thief breakdown of [steals_best_victim]
-          (length [domains_used]); not persisted across checkpoints *)
+      (** times a worker domain found the frontier heap empty while
+          siblings still held regions in flight, and parked; 0 at one
+          domain, where an empty heap means the search is drained *)
   domain_first_node_seconds : float array;
       (** current-run time from search start until each worker expanded
           its first node (length [domains_used]; [-1.0] for a worker
           that never expanded one) — the time-to-first-node startup
-          diagnostic the seeding phase exists to shrink.  Not persisted
-          across checkpoints. *)
+          diagnostic.  Not persisted across checkpoints. *)
   oracle_failures : int;
       (** failing oracle invocations (exceptions and non-finite bounds),
           including failing retry attempts *)
@@ -211,10 +170,6 @@ type stats = {
   warm_miss_fault_cleared : int;
       (** bound solves that went cold because a fault retry had
           deliberately discarded a tainted warm point *)
-  stolen_warm : int;
-      (** stolen regions that carried usable warm-start state at steal
-          time (see [?carries_warm] on {!minimize}); 0 at one shard or
-          without the predicate *)
   cert_verified : int;
       (** bound solves whose dual certificate verified without repair —
           see {!Socp.certify_lower_bound}; 0 unless the oracle reports
@@ -270,11 +225,8 @@ type stats = {
 }
 (** Search statistics — the observability the ablation benches report.
     All fields except the per-domain arrays ([domain_oracle_seconds],
-    [domain_targeted_wakeups], [domain_steals_best_victim],
-    [domain_first_node_seconds]) and the scheduler diagnostics
-    ([idle_wakeups], [steals], [stolen_nodes], [targeted_wakeups],
-    [steals_best_victim]) survive a checkpoint/resume cycle, carried by
-    the typed fields of {!snapshot}. *)
+    [domain_first_node_seconds]) survive a checkpoint/resume cycle,
+    carried by the typed fields of {!snapshot}. *)
 
 val stats_to_json : stats -> Obs.Json.t
 (** Every {!stats} field as a flat JSON object (per-domain arrays as
@@ -371,8 +323,7 @@ type ('region, 'sol) snapshot = {
   stale_pops : int;
   incumbent_updates : int;
   children_generated : int;
-  seed_nodes : int;
-  seed_time_us : int;
+  idle_wakeups : int;
   oracle_failures : int;
   retries : int;
   degraded_bounds : int;
@@ -415,31 +366,23 @@ val minimize :
   ?interrupt:(unit -> bool) ->
   ?counters:oracle_counters ->
   ?progress:Obs.Progress.t ->
-  ?carries_warm:('region -> bool) ->
   ('region, 'sol) oracle ->
   'region ->
   'sol result
 (** Explore from the root region, on [params.domains] domains.  The
-    root is always bounded on the calling domain before workers start;
-    with [domains > 1] the calling domain then runs the eager seeding
-    step (see {!params.domains}) before spawning workers.
-    Termination semantics (gap, node budget, wall-clock limit) are
-    identical across domain counts.  The gap test uses the minimum
-    bound over queued {e and} in-flight regions across all shards: a
-    worker reads its own shard exactly and the others through
-    conservative atomic mirrors, so the test is never optimistic and is
-    exact at one shard.  The node budget may overshoot by at most
-    [domains - 1] nodes already claimed when the budget trips.
-    [?interrupt] is polled between nodes by every worker, without any
-    lock held; returning [true] stops the search with {!Interrupted} —
-    the hook for signal handlers.  [?carries_warm] is a pure O(1)
-    predicate for "this region migrates with usable warm-start state";
-    when given (and [domains > 1]) stolen regions satisfying it are
-    counted into [stats.stolen_warm], turning "warm state survives
-    steals" into a measured fact.  [?progress] emits a throttled
-    search-wide status line (nodes/s, incumbent, certified bound — shed
-    residue included — gap, steals, per-domain oracle utilization)
-    after node expansions; with
+    root is always bounded on the calling domain before the other
+    workers spawn.  Termination semantics (gap, node budget, wall-clock
+    limit) are identical across domain counts.  The gap test uses the
+    exact minimum bound over queued {e and} in-flight regions, read
+    under the frontier lock, so it is never optimistic at any domain
+    count.  The node budget may overshoot by at most [domains - 1]
+    nodes already claimed when the budget trips.  [?interrupt] is
+    polled between nodes by every worker, without any lock held;
+    returning [true] stops the search with {!Interrupted} — the hook
+    for signal handlers.  [?progress] emits a throttled search-wide
+    status line (nodes/s, incumbent, certified bound — shed residue
+    included — gap, per-domain oracle utilization) after node
+    expansions; with
     [domains > 1] the workers share the reporter's rate limit, so the
     cadence is unchanged.
 
@@ -456,7 +399,6 @@ val resume :
   ?interrupt:(unit -> bool) ->
   ?counters:oracle_counters ->
   ?progress:Obs.Progress.t ->
-  ?carries_warm:('region -> bool) ->
   ('region, 'sol) oracle ->
   ('region, 'sol) snapshot ->
   'sol result

@@ -94,21 +94,6 @@ let filter_in_place t pred =
     heapify t
   end
 
-(* Move the ceil(n/2) smallest-key entries of [src] into [dst] — the
-   work-stealing transfer.  Best keys first: the thief inherits the most
-   promising half of the victim's frontier, which keeps the global
-   exploration order close to best-first even while nodes migrate.
-   O(k log n) pops + pushes; steals are rare enough that this never
-   shows up in profiles. *)
-let steal_half src dst =
-  let k = (src.size + 1) / 2 in
-  for _ = 1 to k do
-    match pop src with
-    | Some (key, value) -> push dst key value
-    | None -> assert false (* k <= src.size by construction *)
-  done;
-  k
-
 (* Shed the largest-key entries until at most [keep] remain — the
    bounded-memory frontier cap.  Shedding is rare (only on overflow),
    so a full sort is fine; a sorted-ascending array is already a valid
@@ -131,22 +116,6 @@ let drop_worst t ~keep =
     end;
     (dropped, min_dropped)
   end
-
-(* Drain the heap in ascending key order, handing each entry its rank.
-   The seed-phase dealer uses the rank to place nodes round-robin
-   across shards, so consecutive bound ranks land on different workers
-   and every shard starts with a comparably promising slice of the
-   frontier.  O(n log n) pops; runs once per search, before workers
-   start. *)
-let drain t f =
-  let rec go rank =
-    match pop t with
-    | None -> ()
-    | Some (key, value) ->
-        f rank key value;
-        go (rank + 1)
-  in
-  go 0
 
 let fold f acc t =
   let acc = ref acc in

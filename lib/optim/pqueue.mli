@@ -19,12 +19,6 @@ val filter_in_place : 'a t -> (float -> 'a -> bool) -> unit
     O(n): compacts survivors in place and re-heapifies bottom-up; dead
     slots are cleared so dropped values do not stay pinned in memory. *)
 
-val steal_half : 'a t -> 'a t -> int
-(** [steal_half src dst] moves the ⌈n/2⌉ {e smallest}-key entries of
-    [src] into [dst] (best keys first) and returns how many moved; 0
-    when [src] is empty.  Heap order is restored on both sides.  The
-    work-stealing batch transfer of {!Work_deque}. *)
-
 val drop_worst : 'a t -> keep:int -> int * float
 (** [drop_worst t ~keep] sheds the {e largest}-key entries until at most
     [keep] remain, returning [(dropped, min_dropped_key)] —
@@ -34,12 +28,6 @@ val drop_worst : 'a t -> keep:int -> int * float
     [min (frontier_bound, min_dropped_key)] stays a true global lower
     bound even though the nodes are gone.  O(n log n); called only on
     overflow. *)
-
-val drain : 'a t -> (int -> float -> 'a -> unit) -> unit
-(** [drain t f] pops every entry in ascending key order, calling
-    [f rank key value] with [rank] counting up from 0; the heap is
-    empty afterwards.  Used by the seed-phase dealer to place the
-    seeded frontier round-robin by bound rank across shards. *)
 
 val fold : ('acc -> float -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val min_key : 'a t -> float

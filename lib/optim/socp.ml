@@ -366,8 +366,8 @@ let barrier_nu pb = Array.length pb.lins + (2 * Array.length pb.socs)
 
 (* Per-domain scratch for the centering oracle and the Newton solver,
    keyed by problem dimension.  Domain-local (Domain.DLS), so workers of
-   the parallel B&B driver never share buffers even when regions migrate
-   between shards (Work_deque); the phase-I augmented problem has
+   the parallel B&B driver never share buffers, whichever worker takes a
+   region from the shared frontier; the phase-I augmented problem has
    dimension n+1 and therefore its own entry, so phase-I and phase-II
    never clobber each other either. *)
 type scratch = {

@@ -281,8 +281,8 @@ type solution = {
           [gap_bound = ν / tau_final]; [infinity] for an unconstrained
           problem (no ladder).  The dual-side warm information a child
           solve feeds to {!restart_levels} — carrying it with the point
-          is what lets stolen and checkpoint-restored nodes skip the
-          early rungs too. *)
+          is what lets checkpoint-restored nodes skip the early rungs
+          too, whichever worker domain solves them. *)
   outer_iterations : int;
   newton_iterations : int;
   status : status;

@@ -428,8 +428,7 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
     stale_pops = 3;
     incumbent_updates = 4;
     children_generated = 5;
-    seed_nodes = 6;
-    seed_time_us = 7;
+    idle_wakeups = 6;
     oracle_failures = 8;
     retries = 9;
     degraded_bounds = 10;
@@ -493,7 +492,10 @@ let test_checkpoint_rejects_garbage () =
 
 (* There is one schema: a file under any other format version — here the
    v1 layout, with the right fingerprint and a well-formed payload — is
-   refused rather than migrated. *)
+   refused rather than migrated.  A v2 file (the snapshot layout before
+   the scheduler's seed counters were dropped) is complete and
+   digest-valid, so only the header can refuse it: it must, rather than
+   unmarshal into the v3 type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -503,7 +505,19 @@ let test_checkpoint_rejects_old_version () =
           output_string oc "ldafp-bnb-checkpoint v1\nfp-test\n";
           Marshal.to_channel oc (sample_snapshot ()) []);
       checkb "v1 header rejected" true
-        (raises_corrupt (fun () -> load_sample ~fingerprint:"fp-test" path)))
+        (raises_corrupt (fun () -> load_sample ~fingerprint:"fp-test" path));
+      let payload = Marshal.to_string (sample_snapshot ()) [] in
+      let digest =
+        Digest.to_hex (Digest.string ("fp-test\n" ^ Digest.string payload))
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (output_string oc)
+            [ "ldafp-bnb-checkpoint v2\nfp-test\n"; digest; "\n"; payload ]);
+      match load_sample ~fingerprint:"fp-test" path with
+      | exception Checkpoint.Corrupt msg ->
+          checkb "v2 refused at the header" true
+            (String.starts_with ~prefix:(path ^ ": bad header") msg)
+      | _ -> Alcotest.fail "a v2 checkpoint was loaded")
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -1026,7 +1040,7 @@ let test_ldafp_cert_with_faults_and_resume () =
 (* The warm-start contract: a repaired start changes where the barrier
    starts, never what the search concludes.  Warm and cold runs of the
    same budgeted search must pick the identical incumbent — across
-   domain counts (work stealing migrates the inherited points), under
+   domain counts (any worker may take a child and its inherited point), under
    injected bound faults, and through a kill/resume chain. *)
 let prop_ldafp_warm_cold_agree =
   QCheck.Test.make
@@ -1241,12 +1255,12 @@ let prop_resume_reaches_same_incumbent =
           | _ -> false))
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing agreement properties                                  *)
+(* Multi-domain agreement properties                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Retries consult the clean oracle, so every injected bound fault is
    recoverable: no region is ever degraded or dropped, and the search —
-   sequential or stolen across any number of domains — must land on the
+   sequential or shared across any number of domains — must land on the
    fault-free incumbent.  Branch faults are deliberately excluded here:
    a failed branch is treated as atomic (its children are
    unrecoverable), which legitimately changes the reachable tree. *)
@@ -1257,7 +1271,9 @@ let recovering_faults (clean : (int * int, int) Bnb.oracle) =
     fallback_bound = Some weak_fallback;
   }
 
-let prop_stealing_agrees_with_sequential =
+(* The display name predates the shared frontier; it is kept so the
+   test's identity stays stable. *)
+let prop_parallel_agrees_with_sequential =
   QCheck.Test.make
     ~name:"work-stealing matches the sequential incumbent under injection"
     ~count:(qcheck_count 20) arb_fault_run
@@ -1275,7 +1291,7 @@ let prop_stealing_agrees_with_sequential =
               ~params:{ Bnb.default_params with domains }
               ~faults:(recovering_faults clean) oracle (-25, 25))
       with
-      | None -> QCheck.Test.fail_report "stealing search did not terminate"
+      | None -> QCheck.Test.fail_report "parallel search did not terminate"
       | Some par -> (
           if par.Bnb.stats.Bnb.dropped_regions <> 0 then
             QCheck.Test.fail_report "recoverable fault dropped a region"
@@ -1289,7 +1305,7 @@ let prop_stealing_agrees_with_sequential =
                 else if Float.abs (cs -. cp) > 1e-9 *. (1.0 +. Float.abs cs)
                 then
                   QCheck.Test.fail_reportf
-                    "sequential %.17g (at %d) <> stolen %.17g (at %d) with %d \
+                    "sequential %.17g (at %d) <> parallel %.17g (at %d) with %d \
                      injected faults"
                     cs xs cp xp (injected ())
                 else true
@@ -1318,16 +1334,17 @@ let prop_parallel_resume_matches_sequential =
                   Bnb.minimize
                     ~params:{ par with Bnb.max_nodes = kill_after }
                     ~checkpointing:
-                      (Bnb.checkpointing ~fingerprint:"steal-resume" path)
+                      (Bnb.checkpointing ~fingerprint:"parallel-resume" path)
                     (integer_quadratic_oracle target)
                     (-100, 100)
                 in
                 if killed.Bnb.stop_reason = Bnb.Node_budget then begin
-                  (* The snapshot was taken across all shards mid-steal;
-                     resuming it — still on several domains — must
-                     complete to the uninterrupted incumbent. *)
+                  (* The snapshot holds the queued and the in-flight
+                     regions of several workers; resuming it — still on
+                     several domains — must complete to the
+                     uninterrupted incumbent. *)
                   let state : ((int * int), int) Bnb.snapshot =
-                    Checkpoint.load ~fingerprint:"steal-resume" ~path
+                    Checkpoint.load ~fingerprint:"parallel-resume" ~path
                   in
                   Bnb.resume ~params:par (integer_quadratic_oracle target)
                     state
@@ -1340,17 +1357,15 @@ let prop_parallel_resume_matches_sequential =
               | Some (_, cf), Some (_, cr) -> Float.abs (cf -. cr) <= 1e-12
               | _ -> QCheck.Test.fail_report "missing incumbent")))
 
-(* Eager frontier seeding must be invisible to the search's conclusion:
-   the seeded parallel run lands on the one-domain incumbent with the
-   same certified gap — under injected bound faults, and through a kill
-   at a node budget that lands inside the seed phase itself (seeding
-   grows 4 × domains regions, so budgets of a few nodes trip there; the
-   snapshot of the half-grown frontier must resume to the same answer)
-   or after it.
-   Injection and kill/resume stay separate dimensions for the same
-   reason as in [prop_ldafp_warm_cold_agree]: injection seeds are
-   per-run. *)
-let prop_seeded_parallel_agrees_with_sequential =
+(* The domain count must be invisible to the search's conclusion: the
+   parallel run lands on the one-domain incumbent with the same
+   certified gap — under injected bound faults, and through a kill at a
+   node budget of a few nodes (the snapshot of a barely grown frontier
+   must resume to the same answer) or later.  Injection and kill/resume
+   stay separate dimensions for the same reason as in
+   [prop_ldafp_warm_cold_agree]: injection seeds are per-run.  The
+   display name predates the shared frontier and is kept. *)
+let prop_parallel_gap_agrees_with_sequential =
   QCheck.Test.make
     ~name:"seeded parallel search matches sequential incumbent and gap"
     ~count:(qcheck_count 15)
@@ -1383,12 +1398,12 @@ let prop_seeded_parallel_agrees_with_sequential =
                 Bnb.minimize
                   ~params:{ par_params with Bnb.max_nodes = kill_after }
                   ~checkpointing:
-                    (Bnb.checkpointing ~fingerprint:"seed-resume" path)
+                    (Bnb.checkpointing ~fingerprint:"parallel-resume" path)
                   clean root
               in
               if killed.Bnb.stop_reason = Bnb.Node_budget then begin
                 let state : ((int * int), int) Bnb.snapshot =
-                  Checkpoint.load ~fingerprint:"seed-resume" ~path
+                  Checkpoint.load ~fingerprint:"parallel-resume" ~path
                 in
                 Bnb.resume ~params:par_params clean state
               end
@@ -1404,19 +1419,19 @@ let prop_seeded_parallel_agrees_with_sequential =
             oracle root
       in
       match run_with_timeout ~seconds:60.0 run with
-      | None -> QCheck.Test.fail_report "seeded parallel search hung"
+      | None -> QCheck.Test.fail_report "parallel search hung"
       | Some par -> (
           match (seq.Bnb.best, par.Bnb.best) with
           | Some (_, cs), Some (_, cp) ->
               if Float.abs (cs -. cp) > 1e-12 then
                 QCheck.Test.fail_reportf
-                  "sequential incumbent %.17g <> seeded %.17g" cs cp
+                  "sequential incumbent %.17g <> parallel %.17g" cs cp
               else begin
                 let gap r best_cost = best_cost -. r.Bnb.bound in
                 let gs = gap seq cs and gp = gap par cp in
                 if Float.abs (gs -. gp) > 1e-9 *. (1.0 +. Float.abs gs) then
                   QCheck.Test.fail_reportf
-                    "certified gaps diverge: sequential %.17g seeded %.17g" gs
+                    "certified gaps diverge: sequential %.17g parallel %.17g" gs
                     gp
                 else true
               end
@@ -1429,9 +1444,9 @@ let qcheck_tests =
       prop_faulty_search_terminates;
       prop_fault_free_wrap_is_identity;
       prop_resume_reaches_same_incumbent;
-      prop_stealing_agrees_with_sequential;
+      prop_parallel_agrees_with_sequential;
       prop_parallel_resume_matches_sequential;
-      prop_seeded_parallel_agrees_with_sequential;
+      prop_parallel_gap_agrees_with_sequential;
       prop_ldafp_warm_cold_agree;
     ]
 

@@ -180,6 +180,23 @@ let test_problem_elem_box_matches_bruteforce () =
         (Qformat.values fmt))
     pb.Ldafp_problem.elem_box
 
+(* The fingerprint hashes the inputs, not the built record: two builds
+   of one scatter agree, and a one-ulp move of one covariance entry is
+   a different problem. *)
+let test_problem_fingerprint () =
+  let fmt = Qformat.make ~k:2 ~f:4 in
+  let fp scatter = Ldafp_problem.fingerprint (Ldafp_problem.build ~fmt scatter) in
+  let base = fp (small_scatter ()) in
+  Alcotest.(check string) "two builds agree" base (fp (small_scatter ()));
+  let moved = small_scatter () in
+  let sa = moved.Stats.Scatter.sigma_a in
+  sa.(0).(1) <- Float.succ sa.(0).(1);
+  checkb "one ulp of sigma_a changes it" true (fp moved <> base);
+  checkb "rho is hashed" true
+    (Ldafp_problem.fingerprint
+       (Ldafp_problem.build ~rho:0.95 ~fmt (small_scatter ()))
+    <> base)
+
 let test_problem_cost () =
   let pb = Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:4) (small_scatter ()) in
   checkb "zero weight infinite cost" true
@@ -1072,10 +1089,10 @@ let test_quick_search_warm_and_certified () =
   checki "no certificate fallbacks" 0 s.Optim.Bnb.cert_fallbacks
 
 (* An exact run-to-drain search of more than 10^4 nodes (Q2.5, 200 per
-   class) at 1, 2 and 4 domains.  However nodes were seeded and stolen,
-   every domain count proves the same optimum with a zero certified
-   gap, bit for bit, fully certified.  Only multi-domain runs seed the
-   frontier, and every worker records its first expansion. *)
+   class) at 1, 2 and 4 domains.  However the workers interleave on the
+   shared frontier, every domain count proves the same optimum with a
+   zero certified gap, bit for bit, fully certified, and every worker
+   records its first expansion. *)
 let test_exact_search_domain_invariant () =
   let pb = synthetic_problem ~n_per_class:200 ~f:5 in
   let solve domains =
@@ -1115,11 +1132,6 @@ let test_exact_search_domain_invariant () =
       checkb (tag "zero certified gap") true (d.Lda_fp.gap = 0.0);
       checkb (tag "certified sound") true s.Optim.Bnb.certified_sound;
       checki (tag "no certificate fallbacks") 0 s.Optim.Bnb.cert_fallbacks;
-      if domains = 1 then checki (tag "no seeding") 0 s.Optim.Bnb.seed_nodes
-      else begin
-        checkb (tag "seeded the frontier") true (s.Optim.Bnb.seed_nodes >= 1);
-        checkb (tag "seed time measured") true (s.Optim.Bnb.seed_seconds >= 0.0)
-      end;
       checki (tag "first-node time per worker") domains
         (Array.length s.Optim.Bnb.domain_first_node_seconds))
     [ 1; 2; 4 ]
@@ -1198,6 +1210,8 @@ let () =
             test_problem_elem_box_contains_zero;
           Alcotest.test_case "element box vs brute force (eq 18)" `Quick
             test_problem_elem_box_matches_bruteforce;
+          Alcotest.test_case "fingerprint hashes the inputs" `Quick
+            test_problem_fingerprint;
           Alcotest.test_case "cost (eq 21)" `Quick test_problem_cost;
           Alcotest.test_case "grid membership (eq 13)" `Quick
             test_problem_on_grid;

@@ -344,15 +344,14 @@ let test_solve_traces_all_layers () =
               checkb (Printf.sprintf "trace has %s events" cat) true
                 (Hashtbl.mem cats cat))
             [ "bnb"; "socp"; "ckpt" ];
-          (* Scheduler events fire only when a worker runs dry, which a
-             2-domain search need not do at all — so match them against
-             the driver's own counts instead of requiring any. *)
+          (* Scheduler events fire only when a worker finds the heap
+             empty, which a 2-domain search need not do at all — so match
+             them against the driver's own counts instead of requiring
+             any. *)
           let count name =
             List.length
               (List.filter (fun e -> e.Obs.Trace.name = name) events)
           in
-          checki "one sched.steal span per steal" stats.Optim.Bnb.steals
-            (count "sched.steal");
           checki "one sched.park instant per idle wakeup"
             stats.Optim.Bnb.idle_wakeups (count "sched.park")))
 
@@ -443,9 +442,7 @@ let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
     [
       ("nodes", "bnb.node", d.Ldafp_core.Lda_fp.nodes);
       ("incumbents", "bnb.incumbent", s.incumbent_updates);
-      ("steals", "sched.steal", s.steals);
       ("parks", "sched.park", s.idle_wakeups);
-      ("targeted wakeups", "sched.targeted_wakeup", s.targeted_wakeups);
       ("retries", "fault.retry", s.retries);
       ("degrades", "fault.degrade", s.degraded_bounds);
       ("drops", "fault.drop", s.dropped_regions);

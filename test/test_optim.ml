@@ -187,52 +187,6 @@ let test_pqueue_filter_releases_dropped () =
     [ 0.0; 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0 ]
     (List.rev !popped)
 
-let drain_keys q =
-  let rec go acc =
-    match Pqueue.pop q with
-    | Some (k, _) -> go (k :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-let test_pqueue_steal_half () =
-  let src = Pqueue.create () and dst = Pqueue.create () in
-  List.iter
-    (fun k -> Pqueue.push src k (int_of_float k))
-    [ 7.0; 3.0; 9.0; 1.0; 5.0; 8.0; 2.0 ];
-  let moved = Pqueue.steal_half src dst in
-  checki "moves ceil(n/2)" 4 moved;
-  checki "dst length" 4 (Pqueue.length dst);
-  checki "src length" 3 (Pqueue.length src);
-  (* The transfer must take exactly the smallest keys — a thief that
-     walks away with the worst half defeats best-first search — and
-     both heaps must still pop in ascending order afterwards. *)
-  Alcotest.(check (list (float 0.0)))
-    "dst got the smallest keys" [ 1.0; 2.0; 3.0; 5.0 ] (drain_keys dst);
-  Alcotest.(check (list (float 0.0)))
-    "src kept the rest in order" [ 7.0; 8.0; 9.0 ] (drain_keys src)
-
-let test_pqueue_steal_half_edges () =
-  let src = Pqueue.create () and dst = Pqueue.create () in
-  checki "empty source steals nothing" 0 (Pqueue.steal_half src dst);
-  checkb "dst untouched" true (Pqueue.is_empty dst);
-  Pqueue.push src 4.2 0;
-  checki "a single entry moves" 1 (Pqueue.steal_half src dst);
-  checkb "source drained" true (Pqueue.is_empty src);
-  checkf 1e-12 "entry arrived" 4.2 (Pqueue.min_key dst)
-
-let prop_pqueue_steal_half =
-  QCheck.Test.make ~name:"steal_half takes exactly the smallest half"
-    ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 60) (float_range (-50.0) 50.0))
-    (fun keys ->
-      let src = Pqueue.create () and dst = Pqueue.create () in
-      List.iter (fun k -> Pqueue.push src k k) keys;
-      let moved = Pqueue.steal_half src dst in
-      let stolen = drain_keys dst and kept = drain_keys src in
-      moved = (List.length keys + 1) / 2
-      && stolen @ kept = List.sort compare keys)
-
 let prop_pqueue_filter_heap =
   QCheck.Test.make ~name:"filter_in_place preserves heap order" ~count:200
     QCheck.(
@@ -868,8 +822,8 @@ let test_bnb_domains_one_pinned () =
        (Bnb.minimize ~params:exact (integer_quadratic_oracle 7.3) (-100, 100)));
   (* (b) A search stopped by the gap tolerance.  It stops after 16 nodes
      only if the gap test reads the frontier minimum exactly: a bound
-     left stale-low by batched mirror publication keeps it running to
-     19 nodes and a drained frontier. *)
+     that lags low keeps it running to 19 nodes and a drained
+     frontier. *)
   let weights =
     [| 0x1.13b5bdb5203fdp+0; 0x1.12449a0d4bcc7p+1; 0x1.a101f94b2669ap+0 |]
   and center =
@@ -965,219 +919,6 @@ let test_bnb_progress_bound_folds_shed () =
           r.Bnb.bound line)
     lines
 
-let test_pqueue_drain () =
-  let q = Pqueue.create () in
-  List.iter
-    (fun k -> Pqueue.push q k (int_of_float k))
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let seen = ref [] in
-  Pqueue.drain q (fun rank k v -> seen := (rank, k, v) :: !seen);
-  Alcotest.(check (list (triple int (float 0.0) int)))
-    "ascending key order with dense ranks"
-    [ (0, 1.0, 1); (1, 2.0, 2); (2, 3.0, 3); (3, 4.0, 4); (4, 5.0, 5) ]
-    (List.rev !seen);
-  checkb "empty after drain" true (Pqueue.is_empty q);
-  Pqueue.drain q (fun _ _ _ -> Alcotest.fail "drain of empty heap called f")
-
-(* ------------------------------------------------------------------ *)
-(* Work_deque                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Shard ownership in the scheduler is a calling convention, not thread
-   identity, so one thread can play every worker role in turn and
-   exercise the whole protocol deterministically. *)
-
-let test_work_deque_basic () =
-  let d = Work_deque.create ~workers:2 () in
-  checki "workers" 2 (Work_deque.workers d);
-  checkb "fresh deque is drained" true (Work_deque.drained d);
-  checkf 1e-12 "empty frontier bound" Float.infinity
-    (Work_deque.frontier_bound d);
-  Work_deque.push d ~worker:0 3.0 "b";
-  Work_deque.push d ~worker:0 1.0 "a";
-  checki "live counts queued work" 2 (Work_deque.live d);
-  checkf 1e-12 "frontier bound is the min key" 1.0
-    (Work_deque.frontier_bound d);
-  (match Work_deque.take d ~worker:0 with
-  | Some (k, v) ->
-      checkf 1e-12 "takes the best key" 1.0 k;
-      Alcotest.(check string) "takes the best value" "a" v
-  | None -> Alcotest.fail "expected work");
-  checki "in-flight work is still live" 2 (Work_deque.live d);
-  checkf 1e-12 "bound covers the in-flight node" 1.0
-    (Work_deque.frontier_bound d);
-  Work_deque.release d ~worker:0;
-  checki "release retires one node" 1 (Work_deque.live d);
-  (* Mirror publication is batched: after a release the bound mirror may
-     lag (stale low — conservative), and [sync_mirrors] makes it exact. *)
-  checkb "stale mirror stays conservative" true
-    (Work_deque.frontier_bound d <= 3.0);
-  Work_deque.sync_mirrors d;
-  checkf 1e-12 "bound exact after sync" 3.0 (Work_deque.frontier_bound d);
-  checkb "invalid worker count rejected" true
-    (match Work_deque.create ~workers:0 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_work_deque_steal_ordering () =
-  let d = Work_deque.create ~workers:2 () in
-  List.iter
-    (fun k -> Work_deque.push d ~worker:0 k (int_of_float k))
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  (match Work_deque.try_steal d ~thief:1 with
-  | Some (k, _) -> checkf 1e-12 "thief gets the global minimum" 1.0 k
-  | None -> Alcotest.fail "steal should find worker 0's shard");
-  checki "one steal recorded" 1 (Work_deque.steals d);
-  checki "ceil(5/2) nodes moved" 3 (Work_deque.stolen_nodes d);
-  checki "nothing lost in transit" 5 (Work_deque.live d);
-  Work_deque.release d ~worker:1;
-  let drain worker =
-    let rec go acc =
-      match Work_deque.take d ~worker with
-      | Some (k, _) ->
-          Work_deque.release d ~worker;
-          go (k :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  Alcotest.(check (list (float 0.0)))
-    "surplus of the stolen half queued on the thief" [ 2.0; 3.0 ] (drain 1);
-  Alcotest.(check (list (float 0.0)))
-    "victim kept the larger half" [ 4.0; 5.0 ] (drain 0);
-  checkb "exhausted after the drain" true (Work_deque.drained d);
-  checkb "nothing left to steal" true (Work_deque.try_steal d ~thief:1 = None)
-
-let test_work_deque_mirror_conservative () =
-  (* Batched mirror publication must never report a frontier bound
-     tighter (greater) than the true minimum over live work: drive an
-     adversarial push/take/steal/release mix against a shadow model of
-     the live key multiset and check the one-sided staleness invariant
-     after every operation, then exactness after [sync_mirrors] at
-     quiescence. *)
-  let d = Work_deque.create ~workers:2 () in
-  let busy = [| None; None |] in
-  let live = ref [] in
-  let remove_one k l =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | x :: tl -> if x = k then List.rev_append acc tl else go (x :: acc) tl
-    in
-    go [] l
-  in
-  let true_min () = List.fold_left Float.min Float.infinity !live in
-  (* Deterministic LCG so a failure reproduces. *)
-  let state = ref 12345 in
-  let rand () =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    float_of_int (!state mod 1000) /. 10.0
-  in
-  for i = 0 to 499 do
-    let w = i land 1 in
-    (match i mod 5 with
-    | 0 | 1 ->
-        let k = rand () in
-        Work_deque.push d ~worker:w k ();
-        live := k :: !live
-    | 2 -> (
-        if busy.(w) = None then
-          match Work_deque.take d ~worker:w with
-          | Some (k, ()) -> busy.(w) <- Some k
-          | None -> ())
-    | 3 -> (
-        if busy.(w) = None then
-          match Work_deque.try_steal d ~thief:w with
-          | Some (k, ()) -> busy.(w) <- Some k
-          | None -> ())
-    | _ -> (
-        match busy.(w) with
-        | Some k ->
-            Work_deque.release d ~worker:w;
-            live := remove_one k !live;
-            busy.(w) <- None
-        | None -> ()));
-    if not (Work_deque.frontier_bound d <= true_min ()) then
-      Alcotest.failf "mirror overshot at step %d: bound %g > true min %g" i
-        (Work_deque.frontier_bound d)
-        (true_min ())
-  done;
-  Array.iteri
-    (fun w b ->
-      match b with
-      | Some k ->
-          Work_deque.release d ~worker:w;
-          live := remove_one k !live;
-          busy.(w) <- None
-      | None -> ())
-    busy;
-  Work_deque.sync_mirrors d;
-  checkf 1e-12 "exact after sync at quiescence" (true_min ())
-    (Work_deque.frontier_bound d);
-  checki "shadow and deque agree on live count" (List.length !live)
-    (Work_deque.live d)
-
-let test_work_deque_last_node_stolen () =
-  (* The termination race the live count exists for: worker 1 steals
-     worker 0's only node, so every shard heap is empty while the search
-     space is not exhausted.  Declaring the drain here would abandon the
-     stolen node's whole subtree. *)
-  let d = Work_deque.create ~workers:2 () in
-  Work_deque.push d ~worker:0 1.0 ();
-  (match Work_deque.try_steal d ~thief:1 with
-  | Some (k, ()) -> checkf 1e-12 "stole the last node" 1.0 k
-  | None -> Alcotest.fail "expected to steal the only node");
-  checkb "owner's shard is empty" true (Work_deque.take d ~worker:0 = None);
-  checkb "not drained: the node is in flight on the thief" false
-    (Work_deque.drained d);
-  checki "snapshot still sees the in-flight node" 1
-    (List.length (Work_deque.snapshot d));
-  (* The thief expands it: the child must be pushed before the parent is
-     released, so live never dips to zero mid-expansion. *)
-  Work_deque.push d ~worker:1 2.0 ();
-  Work_deque.release d ~worker:1;
-  checkb "child keeps the search alive" false (Work_deque.drained d);
-  (match Work_deque.take d ~worker:1 with
-  | Some (k, ()) -> checkf 1e-12 "child is takeable" 2.0 k
-  | None -> Alcotest.fail "child should be queued on the thief");
-  Work_deque.release d ~worker:1;
-  checkb "drained once the leaf retires" true (Work_deque.drained d);
-  checkb "park reports the drain instead of blocking" true
-    (Work_deque.park d ~worker:0 = `Drained);
-  Work_deque.close d;
-  checkb "park after close" true (Work_deque.park d ~worker:0 = `Closed);
-  checkb "closed flag" true (Work_deque.is_closed d)
-
-let test_work_deque_deal_and_own_bound () =
-  let d = Work_deque.create ~workers:2 () in
-  List.iter
-    (fun k -> Work_deque.push d ~worker:0 k (int_of_float k))
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  Work_deque.deal d;
-  let drain worker =
-    let rec go acc =
-      match Work_deque.take d ~worker with
-      | Some (k, _) ->
-          Work_deque.release d ~worker;
-          go (k :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  (* Take and release the best item of shard 0: its bound mirror now
-     lags low (batched publication), but its owner reads it exactly. *)
-  (match Work_deque.take d ~worker:0 with
-  | Some (k, _) -> checkf 1e-12 "rank 0 stays on shard 0" 1.0 k
-  | None -> Alcotest.fail "shard 0 should hold rank 0");
-  Work_deque.release d ~worker:0;
-  checkf 1e-12 "mirror stale low" 1.0 (Work_deque.frontier_bound d);
-  checkf 1e-12 "own shard exact, sibling mirrored" 2.0
-    (Work_deque.frontier_bound_for d ~worker:0);
-  Alcotest.(check (list (float 0.0))) "odd ranks dealt to shard 1"
-    [ 2.0; 4.0 ] (drain 1);
-  Alcotest.(check (list (float 0.0))) "even ranks kept on shard 0"
-    [ 3.0; 5.0 ] (drain 0);
-  checkb "nothing lost in the deal" true (Work_deque.drained d)
-
 (* Watchdog: run the search on a helper domain and poll, so a
    termination bug fails the test instead of hanging the suite (same
    scheme as test_fault.ml). *)
@@ -1199,12 +940,194 @@ let bnb_with_timeout ~seconds f =
   in
   wait ()
 
+(* ------------------------------------------------------------------ *)
+(* Frontier                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Worker slots are a calling convention, not thread identity, so one
+   thread can play every worker in turn; only the park and stress tests
+   need real domains. *)
+
+let test_frontier_basic () =
+  let f = Frontier.create ~workers:2 in
+  checkb "fresh frontier is drained" true (Frontier.drained f);
+  checkf 1e-12 "empty frontier bound" Float.infinity (Frontier.bound f);
+  Frontier.push f 3.0 "b";
+  Frontier.push f 1.0 "a";
+  checki "live counts queued work" 2 (Frontier.live f);
+  checkf 1e-12 "bound is the min key" 1.0 (Frontier.bound f);
+  (match Frontier.take f ~worker:0 with
+  | Some (k, v) ->
+      checkf 1e-12 "takes the best key" 1.0 k;
+      Alcotest.(check string) "takes the best value" "a" v
+  | None -> Alcotest.fail "expected work");
+  checki "in-flight work is still live" 2 (Frontier.live f);
+  checki "one item queued" 1 (Frontier.queue_length f);
+  Frontier.release f ~worker:0;
+  checki "release retires one item" 1 (Frontier.live f);
+  checkf 1e-12 "bound exact after a release" 3.0 (Frontier.bound f);
+  checkb "invalid worker count rejected" true
+    (match Frontier.create ~workers:0 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+let test_frontier_bound_in_flight () =
+  let f = Frontier.create ~workers:3 in
+  List.iter (fun k -> Frontier.push f k ()) [ 4.0; 2.0; 1.0; 3.0 ];
+  for worker = 0 to 2 do
+    ignore (Frontier.take f ~worker)
+  done;
+  (* Keys 1, 2 and 3 are in flight on three workers; only 4 is queued. *)
+  checkf 1e-12 "min over three in-flight slots" 1.0 (Frontier.bound f);
+  checki "snapshot holds queued and in-flight items" 4
+    (List.length (Frontier.snapshot f));
+  Frontier.release f ~worker:0;
+  checkf 1e-12 "next in-flight key" 2.0 (Frontier.bound f);
+  Frontier.push f 1.5 ();
+  checkf 1e-12 "a child below every in-flight key" 1.5 (Frontier.bound f);
+  Frontier.release f ~worker:1;
+  Frontier.release f ~worker:2;
+  checkf 1e-12 "queued keys only" 1.5 (Frontier.bound f);
+  ignore (Frontier.take f ~worker:1);
+  ignore (Frontier.take f ~worker:2);
+  checki "heap empty" 0 (Frontier.queue_length f);
+  checkf 1e-12 "in-flight keys only" 1.5 (Frontier.bound f);
+  Frontier.release f ~worker:1;
+  Frontier.release f ~worker:2;
+  checkb "drained" true (Frontier.drained f)
+
+(* Poll [cond] for up to 10 s. *)
+let eventually cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < 10.0 do
+    Unix.sleepf 0.005
+  done;
+  cond ()
+
+(* Three workers park while worker 0 holds the only live item; [finish]
+   then ends the wait, and every parker must return [expected]. *)
+let parked_outcomes ~finish ~expected =
+  let f = Frontier.create ~workers:4 in
+  Frontier.push f 1.0 ();
+  ignore (Frontier.take f ~worker:0);
+  let outcomes = Array.init 3 (fun _ -> Atomic.make None) in
+  let parkers =
+    Array.init 3 (fun i ->
+        Domain.spawn (fun () ->
+            Atomic.set outcomes.(i) (Some (Frontier.park f ~worker:(i + 1)))))
+  in
+  checkb "three workers parked" true
+    (eventually (fun () -> Frontier.idle_wakeups f = 3));
+  checkb "no drain while an item is in flight" true
+    (Array.for_all (fun o -> Atomic.get o = None) outcomes);
+  finish f;
+  checkb "every parker woke" true
+    (eventually (fun () ->
+         Array.for_all (fun o -> Atomic.get o = Some expected) outcomes));
+  Array.iter Domain.join parkers
+
+let test_frontier_park () =
+  let f = Frontier.create ~workers:2 in
+  checkb "empty frontier: drained at once" true (Frontier.park f ~worker:0 = `Drained);
+  Frontier.push f 1.0 ();
+  checkb "queued work: at once" true (Frontier.park f ~worker:1 = `Work);
+  parked_outcomes ~expected:`Drained ~finish:(fun f ->
+      Frontier.release f ~worker:0);
+  parked_outcomes ~expected:`Closed ~finish:Frontier.close
+
+let test_frontier_prune_shed_live () =
+  let f = Frontier.create ~workers:1 in
+  for k = 1 to 10 do
+    Frontier.push f (float_of_int k) ()
+  done;
+  ignore (Frontier.take f ~worker:0);
+  Frontier.prune f (fun k () -> k < 6.0);
+  checki "prune drops 6..10, keeps the in-flight 1" 5 (Frontier.live f);
+  checki "queued after prune" 4 (Frontier.queue_length f);
+  let dropped, min_key = Frontier.shed f ~keep:2 in
+  checki "shed two" 2 dropped;
+  checkf 1e-12 "best shed key" 4.0 min_key;
+  checki "live after shed" 3 (Frontier.live f);
+  checki "within the cap: nothing shed" 0 (fst (Frontier.shed f ~keep:2));
+  checkf 1e-12 "bound still covers the in-flight key" 1.0 (Frontier.bound f);
+  Frontier.release f ~worker:0;
+  let rec drain n =
+    match Frontier.take f ~worker:0 with
+    | Some _ ->
+        Frontier.release f ~worker:0;
+        drain (n + 1)
+    | None -> n
+  in
+  checki "exactly the live items remain" 2 (drain 0);
+  checkb "drained" true (Frontier.drained f)
+
+(* Four domains push, take and release at random.  While a worker holds
+   an item in flight that item is live, so every bound it reads must be
+   at or below the item's key. *)
+let test_frontier_stress () =
+  let workers = 4 and steps = 3000 in
+  let f = Frontier.create ~workers in
+  for k = 0 to 15 do
+    Frontier.push f (float_of_int k) ()
+  done;
+  let pushed = Atomic.make 16 and released = Atomic.make 0 in
+  let run worker () =
+    let state = ref (worker + 1) in
+    let rand n =
+      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+      !state mod n
+    in
+    let held = ref None and bad = ref None in
+    let check () =
+      match !held with
+      | Some k ->
+          let b = Frontier.bound f in
+          if b > k && !bad = None then bad := Some (b, k)
+      | None -> ()
+    in
+    for _ = 1 to steps do
+      (match (rand 3, !held) with
+      | 0, _ ->
+          Frontier.push f (float_of_int (rand 100)) ();
+          Atomic.incr pushed
+      | 1, None -> held := Option.map fst (Frontier.take f ~worker)
+      | _, Some _ ->
+          check ();
+          Frontier.release f ~worker;
+          Atomic.incr released;
+          held := None
+      | _ -> ());
+      check ()
+    done;
+    if !held <> None then begin
+      Frontier.release f ~worker;
+      Atomic.incr released
+    end;
+    !bad
+  in
+  let ds = Array.init (workers - 1) (fun i -> Domain.spawn (run (i + 1))) in
+  let results = run 0 () :: Array.to_list (Array.map Domain.join ds) in
+  List.iter
+    (function
+      | Some (b, k) -> Alcotest.failf "bound %g above an in-flight key %g" b k
+      | None -> ())
+    results;
+  checki "live = pushed - released" (Atomic.get pushed - Atomic.get released)
+    (Frontier.live f);
+  checki "nothing in flight at quiescence" (Frontier.live f)
+    (Frontier.queue_length f);
+  let b = Frontier.bound f in
+  match Frontier.take f ~worker:0 with
+  | Some (k, ()) -> checkf 0.0 "quiescent bound is the heap minimum" k b
+  | None -> checkf 0.0 "empty frontier" Float.infinity b
+
 let test_bnb_chain_termination () =
   (* A degenerate tree with exactly one live node at every instant: a
      chain of single-child nodes.  Four workers fight over that node —
-     maximal park/steal/drain churn — and the search must still
-     terminate with the deepest node as incumbent.  This is the stress
-     test for the last-node-stolen-mid-drain race at the driver level. *)
+     maximal park/wake/drain churn — and the search must still
+     terminate with the deepest node as incumbent.  Three workers park
+     while the fourth holds the only node, so a drain declared at an
+     empty heap instead of at live = 0 would end the search early. *)
   let depth = 2000 in
   let fdepth = float_of_int depth in
   let oracle =
@@ -1240,28 +1163,25 @@ let test_bnb_chain_termination () =
           checkf 1e-12 "its cost" 1.0 c
       | None -> Alcotest.fail "no incumbent")
 
-let test_bnb_seed_checkpoint_resume () =
-  (* A checkpoint written during the seed phase (cadence 1, node budget
-     small enough to trip before seeding finishes growing the frontier)
-     must resume to the same optimum as an uninterrupted run. *)
+let test_bnb_parallel_checkpoint_resume () =
+  (* A checkpoint written after every node of a 4-domain search stopped
+     by a 2-node budget must resume to the same optimum as an
+     uninterrupted run. *)
   let target = 7.3 in
-  let path = Filename.temp_file "ldafp_seed" ".ck" in
+  let path = Filename.temp_file "ldafp_parallel" ".ck" in
   let exact = { Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 } in
   let full =
     Bnb.minimize ~params:exact (integer_quadratic_oracle target) (-100, 100)
   in
   let params = { exact with Bnb.domains = 4; max_nodes = 2 } in
-  let ck = Bnb.checkpointing ~every_nodes:1 ~fingerprint:"seed-ck" path in
+  let ck = Bnb.checkpointing ~every_nodes:1 ~fingerprint:"parallel-ck" path in
   let sliced =
     Bnb.minimize ~params ~checkpointing:ck (integer_quadratic_oracle target)
       (-100, 100)
   in
-  checkb "budget tripped inside the seed phase" true
-    (sliced.Bnb.stop_reason = Bnb.Node_budget
-    && sliced.Bnb.stats.Bnb.seed_nodes >= 1
-    && sliced.Bnb.stats.Bnb.seed_nodes = sliced.Bnb.nodes_explored);
+  checkb "budget tripped" true (sliced.Bnb.stop_reason = Bnb.Node_budget);
   let state =
-    (Checkpoint.load ~fingerprint:"seed-ck" ~path
+    (Checkpoint.load ~fingerprint:"parallel-ck" ~path
       : (int * int, int) Bnb.snapshot)
   in
   let resumed =
@@ -1276,12 +1196,10 @@ let test_bnb_seed_checkpoint_resume () =
     (match resumed.Bnb.stop_reason with
     | Bnb.Proved_optimal | Bnb.Gap_reached -> true
     | _ -> false);
-  (match (full.Bnb.best, resumed.Bnb.best) with
+  match (full.Bnb.best, resumed.Bnb.best) with
   | Some (_, cf), Some (_, cr) ->
       checkf 0.0 "resumed run reaches the uninterrupted optimum" cf cr
-  | _ -> Alcotest.fail "expected incumbents on both runs");
-  checkb "seed accounting is cumulative across the chain" true
-    (resumed.Bnb.stats.Bnb.seed_nodes >= sliced.Bnb.stats.Bnb.seed_nodes)
+  | _ -> Alcotest.fail "expected incumbents on both runs"
 
 let prop_bnb_parallel_incumbent =
   QCheck.Test.make ~name:"parallel B&B matches sequential incumbent"
@@ -1731,7 +1649,6 @@ let qcheck_tests =
     [
       prop_pqueue_sorted;
       prop_pqueue_filter_heap;
-      prop_pqueue_steal_half;
       prop_cert_lower_bounds_reference;
       prop_admm_agrees_with_barrier;
       prop_warm_start_agrees_with_cold;
@@ -1760,22 +1677,18 @@ let () =
           Alcotest.test_case "drop worst" `Quick test_pqueue_drop_worst;
           Alcotest.test_case "filter releases dropped values" `Quick
             test_pqueue_filter_releases_dropped;
-          Alcotest.test_case "steal half" `Quick test_pqueue_steal_half;
-          Alcotest.test_case "steal half edge cases" `Quick
-            test_pqueue_steal_half_edges;
-          Alcotest.test_case "drain by rank" `Quick test_pqueue_drain;
         ] );
-      ( "work_deque",
+      ( "frontier",
         [
-          Alcotest.test_case "push/take/release" `Quick test_work_deque_basic;
-          Alcotest.test_case "steal-half ordering" `Quick
-            test_work_deque_steal_ordering;
-          Alcotest.test_case "batched mirrors stay conservative" `Quick
-            test_work_deque_mirror_conservative;
-          Alcotest.test_case "last node stolen mid-drain" `Quick
-            test_work_deque_last_node_stolen;
-          Alcotest.test_case "deal by rank; own shard read exactly" `Quick
-            test_work_deque_deal_and_own_bound;
+          Alcotest.test_case "push/take/release" `Quick test_frontier_basic;
+          Alcotest.test_case "bound covers in-flight keys" `Quick
+            test_frontier_bound_in_flight;
+          Alcotest.test_case "park, drain and close" `Quick
+            test_frontier_park;
+          Alcotest.test_case "prune/shed keep live exact" `Quick
+            test_frontier_prune_shed_live;
+          Alcotest.test_case "4-domain bound stress" `Quick
+            test_frontier_stress;
         ] );
       ( "newton",
         [
@@ -1852,8 +1765,8 @@ let () =
             test_bnb_domains_one_pinned;
           Alcotest.test_case "single-chain termination on 4 domains" `Quick
             test_bnb_chain_termination;
-          Alcotest.test_case "checkpoint mid-seed resumes" `Quick
-            test_bnb_seed_checkpoint_resume;
+          Alcotest.test_case "4-domain checkpoint resumes" `Quick
+            test_bnb_parallel_checkpoint_resume;
           Alcotest.test_case "progress bound folds in shed residue" `Quick
             test_bnb_progress_bound_folds_shed;
         ] );
