@@ -27,15 +27,28 @@ let factor a =
   factor_into a ~dst:l;
   l
 
+(* Largest |a(i)(j)| over the lower triangle, diagonal included: the
+   part of [a] the factorisation reads. *)
+let lower_max_abs a =
+  let s = ref 0.0 in
+  for i = 0 to Mat.rows a - 1 do
+    for j = 0 to i do
+      s := Float.max !s (Float.abs a.(i).(j))
+    done
+  done;
+  !s
+
 let factor_jittered_into ?(max_tries = 20) a ~dst =
-  let scale = Float.max (Mat.max_abs a) 1e-300 in
   let rec go jitter tries =
     if tries > max_tries then raise (Not_positive_definite (-1))
     else
       match factor_into ~jitter a ~dst with
       | () -> jitter
       | exception Not_positive_definite _ ->
-          let next = if jitter = 0.0 then 1e-12 *. scale else 10.0 *. jitter in
+          let next =
+            if jitter = 0.0 then 1e-12 *. Float.max (lower_max_abs a) 1e-300
+            else 10.0 *. jitter
+          in
           go next (tries + 1)
   in
   go 0.0 0

@@ -26,11 +26,15 @@ val factor_jittered : ?max_tries:int -> Mat.t -> Mat.t * float
     powers of ten starting at [1e-12 * max_abs a] until the factorisation
     succeeds; returns the factor and the jitter used.  This regularises the
     rank-deficient covariances that arise from small training sets.
+    Only the lower triangle of [a] is read, the jitter scale included
+    ([max_abs] over the lower triangle, computed only when the first
+    attempt fails): for a symmetric [a] that is [Mat.max_abs a], and the
+    strict upper triangle may hold anything, NaN included.
     @raise Not_positive_definite after [max_tries] (default 20). *)
 
 val factor_jittered_into : ?max_tries:int -> Mat.t -> dst:Mat.t -> float
 (** In-place {!factor_jittered}: writes the factor into [dst] and returns
-    the jitter used.  [dst] must {b not} alias [a] — failed attempts leave
+    the jitter used, reading only [a]'s lower triangle.  [dst] must {b not} alias [a] — failed attempts leave
     partial factors in [dst] and retry from the pristine [a].
     @raise Not_positive_definite after [max_tries] (default 20). *)
 

@@ -58,15 +58,6 @@ let sub a b =
 
 let scale c a = Array.map (Array.map (fun x -> c *. x)) a
 
-let scale_into c a ~dst =
-  check_same "scale_into" a dst;
-  for i = 0 to rows a - 1 do
-    let ai = a.(i) and di = dst.(i) in
-    for j = 0 to cols a - 1 do
-      di.(j) <- c *. ai.(j)
-    done
-  done
-
 let mul a b =
   if cols a <> rows b then
     invalid_arg
@@ -164,19 +155,6 @@ let is_symmetric ?(tol = 1e-9) a =
 let symmetrize a =
   if not (is_square a) then invalid_arg "Mat.symmetrize: not square";
   init (rows a) (cols a) (fun i j -> 0.5 *. (a.(i).(j) +. a.(j).(i)))
-
-let symmetrize_into a ~dst =
-  if not (is_square a) then invalid_arg "Mat.symmetrize_into: not square";
-  check_same "symmetrize_into" a dst;
-  let n = rows a in
-  for i = 0 to n - 1 do
-    dst.(i).(i) <- a.(i).(i);
-    for j = i + 1 to n - 1 do
-      let m = 0.5 *. (a.(i).(j) +. a.(j).(i)) in
-      dst.(i).(j) <- m;
-      dst.(j).(i) <- m
-    done
-  done
 
 let max_abs a =
   Array.fold_left

@@ -31,9 +31,6 @@ val transpose : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val scale_into : float -> t -> dst:t -> unit
-(** [scale_into c a ~dst] writes [c a] into [dst] without allocating.
-    [dst] may alias [a]. *)
 
 val mul : t -> t -> t
 (** Matrix product. *)
@@ -67,11 +64,6 @@ val is_square : t -> bool
 val is_symmetric : ?tol:float -> t -> bool
 val symmetrize : t -> t
 (** [(a + aᵀ)/2]. *)
-
-val symmetrize_into : t -> dst:t -> unit
-(** [symmetrize_into a ~dst] writes [(a + aᵀ)/2] into [dst] without
-    allocating.  [dst] may alias [a] (each symmetric pair is read before
-    either half is written). *)
 
 val max_abs : t -> float
 val approx_equal : ?tol:float -> t -> t -> bool

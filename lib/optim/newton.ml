@@ -16,13 +16,15 @@ type result = {
   status : status;
 }
 
-type oracle_into = Vec.t -> grad:Vec.t -> hess:Mat.t -> float option
+type oracle_into = {
+  value : Vec.t -> float option;
+  derivs : grad:Vec.t -> hess:Mat.t -> unit;
+}
 
 type workspace = {
   n : int;
   grad : Vec.t;
-  hess : Mat.t;
-  sym : Mat.t;  (* symmetrized Hessian, input to the factorisation *)
+  hess : Mat.t;  (* lower triangle written by [derivs], read by Cholesky *)
   chol : Mat.t;  (* Cholesky factor scratch *)
   dir : Vec.t;  (* Newton direction *)
   mutable xa : Vec.t;  (* current iterate *)
@@ -35,7 +37,6 @@ let workspace n =
     n;
     grad = Vec.zeros n;
     hess = Mat.zeros n n;
-    sym = Mat.zeros n n;
     chol = Mat.zeros n n;
     dir = Vec.zeros n;
     xa = Vec.zeros n;
@@ -44,13 +45,45 @@ let workspace n =
 
 let workspace_dim ws = ws.n
 
+(* Newton direction H d = -g at the point of the last [derivs] call, via
+   jittered Cholesky into scratch (the barrier Hessian is positive
+   definite in the domain interior but may be numerically semidefinite
+   near the analytic center of a thin box); returns g·d. *)
+let direction ws =
+  let (_ : float) = Cholesky.factor_jittered_into ws.hess ~dst:ws.chol in
+  for i = 0 to ws.n - 1 do
+    ws.dir.(i) <- -.ws.grad.(i)
+  done;
+  Cholesky.solve_factored_into ws.chol ws.dir ~dst:ws.dir;
+  Vec.dot ws.grad ws.dir
+
+(* Backtracking line search on f with domain rejection, from ws.xa along
+   ws.dir: value-only trials, so a rejected one costs no derivatives.
+   On acceptance the candidate is in ws.xb, and it was the oracle's last
+   [value] call; returns its value. *)
+let line_search params ws oracle ~f0 ~gd =
+  let t = ref 1.0 in
+  let accepted = ref None in
+  let tries = ref 0 in
+  while Option.is_none !accepted && !tries < 60 do
+    incr tries;
+    Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
+    match oracle.value ws.xb with
+    | Some fc
+      when fc <= f0 +. (params.alpha *. !t *. gd) && not (Float.is_nan fc) ->
+        accepted := Some fc
+    | _ -> t := params.beta *. !t
+  done;
+  !accepted
+
 let minimize_into ?(params = default_params) ws oracle x0 =
   if Vec.dim x0 <> ws.n then
     invalid_arg "Newton.minimize_into: dimension mismatch";
   Array.blit x0 0 ws.xa 0 ws.n;
-  match oracle ws.xa ~grad:ws.grad ~hess:ws.hess with
+  match oracle.value ws.xa with
   | None -> invalid_arg "Newton.minimize: start point outside domain"
   | Some f0 ->
+      oracle.derivs ~grad:ws.grad ~hess:ws.hess;
       let fx = ref f0 in
       let iter = ref 0 in
       let dec = ref Float.infinity in
@@ -58,22 +91,8 @@ let minimize_into ?(params = default_params) ws oracle x0 =
       let continue = ref true in
       while !continue && !iter < params.max_iter do
         incr iter;
-        (* Newton direction H d = -g, via jittered Cholesky into scratch:
-           the barrier Hessian is positive definite in the domain interior
-           but may be numerically semidefinite near the analytic center of
-           a thin box. *)
-        Mat.symmetrize_into ws.hess ~dst:ws.sym;
-        let (_ : float) = Cholesky.factor_jittered_into ws.sym ~dst:ws.chol in
-        for i = 0 to ws.n - 1 do
-          ws.dir.(i) <- -.ws.grad.(i)
-        done;
-        Cholesky.solve_factored_into ws.chol ws.dir ~dst:ws.dir;
-        (* gd = g·d must be taken now: candidate evaluations below clobber
-           the shared gradient buffer, and the line-search test needs the
-           current point's directional derivative on every try. *)
-        let gd = Vec.dot ws.grad ws.dir in
-        let lambda_sq = -.gd in
-        dec := 0.5 *. lambda_sq;
+        let gd = direction ws in
+        dec := 0.5 *. -.gd;
         if Float.is_nan !dec then begin
           (* A NaN decrement (NaN gradient/Hessian entries, or a Newton
              system solved into NaNs) used to be reported as Converged,
@@ -86,30 +105,17 @@ let minimize_into ?(params = default_params) ws oracle x0 =
           status := Converged;
           continue := false
         end
-        else begin
-          (* Backtracking line search on f with domain rejection. *)
-          let t = ref 1.0 in
-          let accepted = ref false in
-          let tries = ref 0 in
-          while (not !accepted) && !tries < 60 do
-            incr tries;
-            Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
-            (match oracle ws.xb ~grad:ws.grad ~hess:ws.hess with
-            | Some fc
-              when fc <= !fx +. (params.alpha *. !t *. gd)
-                   && not (Float.is_nan fc) ->
-                let tmp = ws.xa in
-                ws.xa <- ws.xb;
-                ws.xb <- tmp;
-                fx := fc;
-                accepted := true
-            | _ -> t := params.beta *. !t)
-          done;
-          if not !accepted then begin
-            status := Stalled;
-            continue := false
-          end
-        end
+        else
+          match line_search params ws oracle ~f0:!fx ~gd with
+          | Some fc ->
+              let tmp = ws.xa in
+              ws.xa <- ws.xb;
+              ws.xb <- tmp;
+              fx := fc;
+              oracle.derivs ~grad:ws.grad ~hess:ws.hess
+          | None ->
+              status := Stalled;
+              continue := false
       done;
       { x = Vec.copy ws.xa; value = !fx; iterations = !iter; decrement = !dec;
         status = !status }
@@ -118,48 +124,47 @@ let step_into ?(params = default_params) ws oracle x0 ~dst =
   if Vec.dim x0 <> ws.n || Vec.dim dst <> ws.n then
     invalid_arg "Newton.step_into: dimension mismatch";
   Array.blit x0 0 ws.xa 0 ws.n;
-  match oracle ws.xa ~grad:ws.grad ~hess:ws.hess with
+  match oracle.value ws.xa with
   | None -> false
-  | Some f0 ->
-      Mat.symmetrize_into ws.hess ~dst:ws.sym;
-      let (_ : float) = Cholesky.factor_jittered_into ws.sym ~dst:ws.chol in
-      for i = 0 to ws.n - 1 do
-        ws.dir.(i) <- -.ws.grad.(i)
-      done;
-      Cholesky.solve_factored_into ws.chol ws.dir ~dst:ws.dir;
-      let gd = Vec.dot ws.grad ws.dir in
+  | Some f0 -> (
+      oracle.derivs ~grad:ws.grad ~hess:ws.hess;
+      let gd = direction ws in
       if Float.is_nan gd then false
-      else begin
-        (* Backtracking with domain rejection, exactly as in
-           [minimize_into]; the first accepted candidate is the step. *)
-        let t = ref 1.0 in
-        let accepted = ref false in
-        let tries = ref 0 in
-        while (not !accepted) && !tries < 60 do
-          incr tries;
-          Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
-          (match oracle ws.xb ~grad:ws.grad ~hess:ws.hess with
-          | Some fc
-            when fc <= f0 +. (params.alpha *. !t *. gd)
-                 && not (Float.is_nan fc) ->
-              Array.blit ws.xb 0 dst 0 ws.n;
-              accepted := true
-          | _ -> t := params.beta *. !t)
-        done;
-        !accepted
-      end
+      else
+        (* The first accepted candidate is the step; its derivatives are
+           never needed. *)
+        match line_search params ws oracle ~f0 ~gd with
+        | Some _ ->
+            Array.blit ws.xb 0 dst 0 ws.n;
+            true
+        | None -> false)
 
-let oracle_into_of_oracle n oracle : oracle_into =
- fun x ~grad ~hess ->
-  match oracle x with
-  | None -> None
-  | Some (f, g, h) ->
-      Array.blit g 0 grad 0 n;
-      for i = 0 to n - 1 do
-        Array.blit h.(i) 0 hess.(i) 0 n
-      done;
-      Some f
+(* The combined oracle's last in-domain evaluation, handed out by
+   [derivs] with the Hessian symmetrised as it is copied (the loop
+   factors the lower triangle as given). *)
+let oracle_into_of_oracle oracle =
+  let last = ref None in
+  let value x =
+    match oracle x with
+    | None -> None
+    | Some (f, g, h) ->
+        last := Some (g, h);
+        Some f
+  in
+  let derivs ~grad ~hess =
+    match !last with
+    | None -> invalid_arg "Newton: derivs before an in-domain value"
+    | Some (g, h) ->
+        Array.blit g 0 grad 0 (Vec.dim grad);
+        for i = 0 to Vec.dim grad - 1 do
+          hess.(i).(i) <- h.(i).(i);
+          for j = 0 to i - 1 do
+            hess.(i).(j) <- 0.5 *. (h.(i).(j) +. h.(j).(i))
+          done
+        done
+  in
+  { value; derivs }
 
 let minimize ?params oracle x0 =
   let n = Vec.dim x0 in
-  minimize_into ?params (workspace n) (oracle_into_of_oracle n oracle) x0
+  minimize_into ?params (workspace n) (oracle_into_of_oracle oracle) x0

@@ -1,9 +1,10 @@
 (** Damped Newton minimisation of smooth strictly convex functions.
 
     The inner loop of the barrier method: minimise [f] given a combined
-    value/gradient/Hessian oracle.  The oracle returns [None] outside the
-    function's domain (e.g. outside the barrier's cone), which the
-    backtracking line search treats as [+∞]. *)
+    value/gradient/Hessian oracle ({!minimize}) or a split value /
+    derivative oracle ({!minimize_into}).  The oracle returns [None]
+    outside the function's domain (e.g. outside the barrier's cone),
+    which the backtracking line search treats as [+∞]. *)
 
 type oracle = Linalg.Vec.t -> (float * Linalg.Vec.t * Linalg.Mat.t) option
 
@@ -34,7 +35,10 @@ type result = {
 }
 
 val minimize : ?params:params -> oracle -> Linalg.Vec.t -> result
-(** @raise Invalid_argument if the starting point is outside the domain. *)
+(** {!minimize_into} in a fresh workspace.  The combined oracle runs at
+    every trial point; the Hessian of the accepted one is symmetrised,
+    [(H + Hᵀ)/2], as it is copied into the workspace.
+    @raise Invalid_argument if the starting point is outside the domain. *)
 
 (** {2 Allocation-lean interface}
 
@@ -44,16 +48,28 @@ val minimize : ?params:params -> oracle -> Linalg.Vec.t -> result
     {b not} thread-safe: share one per domain (e.g. via [Domain.DLS]),
     never across domains. *)
 
-type oracle_into = Linalg.Vec.t -> grad:Linalg.Vec.t -> hess:Linalg.Mat.t -> float option
-(** Like {!oracle}, but writes the gradient and Hessian into the supplied
-    buffers and returns only the value ([None] outside the domain, in
-    which case the buffers' contents are unspecified).  The buffers are
-    owned by the solver and clobbered on every evaluation — oracles must
-    not retain them. *)
+type oracle_into = {
+  value : Linalg.Vec.t -> float option;
+      (** The domain test and the function value at a point, without
+          derivatives ([None] outside the domain).  The line search
+          calls only this, once per trial point. *)
+  derivs : grad:Linalg.Vec.t -> hess:Linalg.Mat.t -> unit;
+      (** The gradient, and the Hessian's lower triangle (diagonal
+          included), at the point of the most recent [value] call, which
+          must have returned [Some].  The strict upper triangle of [hess]
+          is neither written nor read: the Cholesky factorisation reads
+          only the lower one.  Called once at the start point and once per
+          accepted step, never at a rejected trial. *)
+}
+(** A split oracle: the value pass and the derivative pass of {!oracle}.
+    An implementation may cache intermediate results of [value] (slacks,
+    residuals) for [derivs], so the two must be called in that order on
+    the same point.  The buffers are owned by the solver and clobbered
+    on every call — oracles must not retain them. *)
 
 type workspace
 (** Reusable scratch for {!minimize_into}: iterate double-buffer,
-    gradient, Hessian, symmetrisation and Cholesky scratch, direction. *)
+    gradient, Hessian (lower triangle), Cholesky scratch, direction. *)
 
 val workspace : int -> workspace
 (** [workspace n] allocates scratch for [n]-dimensional problems. *)
@@ -63,7 +79,8 @@ val workspace_dim : workspace -> int
 val minimize_into : ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> result
 (** Same algorithm and same results as {!minimize}, but all inner-loop
     temporaries live in the workspace, so each iteration allocates O(1)
-    words.  [x0] is not mutated; the returned iterate is freshly
+    words.  Calls [value] once per trial point and [derivs] at [x0] and
+    once per accepted step.  [x0] is not mutated; the returned iterate is freshly
     allocated.
     @raise Invalid_argument if the starting point is outside the domain
     or its dimension does not match the workspace. *)
@@ -76,8 +93,9 @@ val step_into :
     accepted candidate.  Returns [false] — leaving [dst] unspecified —
     when [x0] is outside the oracle's domain, the Newton system is
     degenerate (NaN decrement) or the line search cannot find an
-    acceptable point.  Heap-allocation-free: all temporaries live in the
-    workspace.  This is the engine of the warm-start interiority
+    acceptable point.  Calls [derivs] once, at [x0]: the accepted
+    candidate needs only its value.  Heap-allocation-free: all
+    temporaries live in the workspace.  This is the engine of the warm-start interiority
     correction (see {!Socp.correct_to_interior}), where a single pure
     barrier step from a slightly-relaxed start is enough to clear the
     boundary and a full {!minimize_into} would waste the budget.

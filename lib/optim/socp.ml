@@ -149,6 +149,8 @@ let make ~obj_scale ~p ~q ~lins ~(cones : cones) n =
 let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~(cones : cones) n =
   if n <= 0 then invalid_arg "Socp.of_parts: n must be positive";
   if Mat.dims p <> (n, n) then invalid_arg "Socp.of_parts: P must be n x n";
+  if not (Mat.is_symmetric ~tol:0.0 p) then
+    invalid_arg "Socp.of_parts: P must be exactly symmetric";
   if Vec.dim q <> n then invalid_arg "Socp.of_parts: q must have length n";
   Array.iter
     (fun { a; _ } ->
@@ -369,11 +371,15 @@ let barrier_nu pb = Array.length pb.lins + (2 * Array.length pb.socs)
    the parallel B&B driver never share buffers, whichever worker takes a
    region from the shared frontier; the phase-I augmented problem has
    dimension n+1 and therefore its own entry, so phase-I and phase-II
-   never clobber each other either. *)
+   never clobber each other either.  [slack], [u], [h] and [v] carry the
+   value pass's per-constraint results over to the derivative pass. *)
 type scratch = {
   ws : Newton.workspace;
   px : Vec.t;  (* P x *)
-  mutable v : Vec.t;  (* cone residual Lx + g; sized to the largest cone *)
+  mutable slack : Vec.t;  (* per half-space: b + relax − aᵀx *)
+  mutable u : Vec.t;  (* per cone: cᵀx + d + relax *)
+  mutable h : Vec.t;  (* per cone: u² − ‖v‖² *)
+  mutable v : Vec.t;  (* every cone's residual Lx + g, cone after cone *)
   ltv : Vec.t;  (* Lᵀ v *)
   gh : Vec.t;  (* gradient of the cone slack h *)
 }
@@ -383,9 +389,8 @@ let scratch_key : (int, scratch) Hashtbl.t Domain.DLS.key =
 
 let scratch_for pb =
   let tbl = Domain.DLS.get scratch_key in
-  let max_rows =
-    Array.fold_left (fun m { l; _ } -> max m (Mat.rows l)) 0 pb.socs
-  in
+  let n_lins = Array.length pb.lins and n_socs = Array.length pb.socs in
+  let rows = Array.fold_left (fun m { l; _ } -> m + Mat.rows l) 0 pb.socs in
   let sc =
     match Hashtbl.find_opt tbl pb.n with
     | Some sc -> sc
@@ -394,7 +399,10 @@ let scratch_for pb =
           {
             ws = Newton.workspace pb.n;
             px = Vec.zeros pb.n;
-            v = Vec.zeros max_rows;
+            slack = Vec.zeros n_lins;
+            u = Vec.zeros n_socs;
+            h = Vec.zeros n_socs;
+            v = Vec.zeros rows;
             ltv = Vec.zeros pb.n;
             gh = Vec.zeros pb.n;
           }
@@ -402,119 +410,139 @@ let scratch_for pb =
         Hashtbl.replace tbl pb.n sc;
         sc
   in
-  if Vec.dim sc.v < max_rows then sc.v <- Vec.zeros max_rows;
+  if Vec.dim sc.slack < n_lins then sc.slack <- Vec.zeros n_lins;
+  if Vec.dim sc.u < n_socs then begin
+    sc.u <- Vec.zeros n_socs;
+    sc.h <- Vec.zeros n_socs
+  end;
+  if Vec.dim sc.v < rows then sc.v <- Vec.zeros rows;
   sc
 
-(* In-place oracle for tau * f(x) + phi(x); None outside the barrier
-   domain.  All temporaries live in [sc]; [grad]/[hess] are the Newton
-   workspace buffers.  [relax] loosens every constraint offset by that
-   absolute amount (b ← b + relax, d ← d + relax): the δ-relaxed barrier
-   of the one-step interiority correction, whose domain contains points
-   just outside the true feasible set. *)
+(* In-place oracle for tau * f(x) + phi(x), split for the Newton line
+   search.  [value] is the domain test and the barrier value, O(1) per
+   box row and O(rows·n) per cone; it leaves the slacks and each cone's
+   u, v, h in [sc].  [derivs] reads them back — no second Lx — and adds
+   the P, half-space and cone terms to the Hessian's lower triangle
+   only, each entry in the order the full matrix used to be summed in.
+   [relax] loosens every constraint offset by that absolute amount
+   (b ← b + relax, d ← d + relax): the δ-relaxed barrier of the one-step
+   interiority correction, whose domain contains points just outside
+   the true feasible set. *)
 let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
- fun x ~grad ~hess ->
   let n = pb.n in
   let s_obj = tau *. pb.obj_scale in
-  Mat.mul_vec_into pb.p x ~dst:sc.px;
-  let fx = (0.5 *. Vec.dot x sc.px) +. Vec.dot pb.q x in
-  for i = 0 to n - 1 do
-    grad.(i) <- s_obj *. (sc.px.(i) +. pb.q.(i))
-  done;
-  Mat.scale_into s_obj pb.p ~dst:hess;
-  let value = ref (s_obj *. fx) in
-  let ok = ref true in
-  Array.iteri
-    (fun k { a; b } ->
+  let value x =
+    Mat.mul_vec_into pb.p x ~dst:sc.px;
+    let fx = (0.5 *. Vec.dot x sc.px) +. Vec.dot pb.q x in
+    let value = ref (s_obj *. fx) in
+    let ok = ref true in
+    for k = 0 to Array.length pb.lins - 1 do
       if !ok then begin
         (* A single-nonzero row (the ±eᵢ box rows) costs O(1): off its
            support the dense terms are ±0 products, which change no
            value for a finite iterate. *)
-        let sk = pb.lin_support.(k) in
+        let { a; b } = pb.lins.(k) and sk = pb.lin_support.(k) in
         let ax = if sk >= 0 then a.(sk) *. x.(sk) else Vec.dot a x in
         let s = b +. relax -. ax in
         if s <= 0.0 then ok := false
         else begin
-          value := !value -. log s;
-          let inv_s = 1.0 /. s in
-          if sk >= 0 then begin
-            let ai = a.(sk) in
-            grad.(sk) <- grad.(sk) +. (ai *. inv_s);
-            hess.(sk).(sk) <- hess.(sk).(sk) +. (ai *. ai *. inv_s *. inv_s)
-          end
-          else
-            for i = 0 to n - 1 do
-              grad.(i) <- grad.(i) +. (a.(i) *. inv_s);
-              if a.(i) <> 0.0 then
-                for j = 0 to n - 1 do
-                  hess.(i).(j) <-
-                    hess.(i).(j) +. (a.(i) *. a.(j) *. inv_s *. inv_s)
-                done
-            done
+          sc.slack.(k) <- s;
+          value := !value -. log s
         end
-      end)
-    pb.lins;
-  let gidx = pb.cones.gidx in
-  Array.iteri
-    (fun k { l; g; c; d } ->
+      end
+    done;
+    let off = ref 0 in
+    for k = 0 to Array.length pb.socs - 1 do
       if !ok then begin
+        let { l; g; c; d } = pb.socs.(k) in
         let u = Vec.dot c x +. d +. relax in
         let rows_l = Mat.rows l in
         let vv = ref 0.0 in
         for r = 0 to rows_l - 1 do
           let vr = Vec.dot l.(r) x +. g.(r) in
-          sc.v.(r) <- vr;
+          sc.v.(!off + r) <- vr;
           vv := !vv +. (vr *. vr)
         done;
         let h = (u *. u) -. !vv in
         if u <= 0.0 || h <= 0.0 then ok := false
         else begin
+          sc.u.(k) <- u;
+          sc.h.(k) <- h;
           value := !value -. log h;
-          (* grad h = 2u c - 2 Lᵀ v *)
-          Array.fill sc.ltv 0 n 0.0;
-          for r = 0 to rows_l - 1 do
-            let vr = sc.v.(r) in
-            if vr <> 0.0 then
-              let lr = l.(r) in
-              for j = 0 to n - 1 do
-                sc.ltv.(j) <- sc.ltv.(j) +. (vr *. lr.(j))
-              done
-          done;
-          for i = 0 to n - 1 do
-            sc.gh.(i) <- (2.0 *. u *. c.(i)) -. (2.0 *. sc.ltv.(i))
-          done;
-          let inv_h = 1.0 /. h in
-          for i = 0 to n - 1 do
-            grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
-          done;
-          (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
-             the precomputed Gram *)
-          let gram = pb.cones.grams.(k) and gh = sc.gh in
-          for i = 0 to n - 1 do
-            let gi = gidx.(i) and hi = hess.(i) in
-            let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
-            for j = 0 to n - 1 do
-              let gj = gidx.(j) in
-              let ltl = if gi < 0 || gj < 0 then 0.0 else gram.(gi).(gj) in
-              hi.(j) <-
-                hi.(j)
-                +. (ghi *. gh.(j) *. inv_h *. inv_h)
-                -. (((c2i *. c.(j)) -. (2.0 *. ltl)) *. inv_h)
-            done
-          done
+          off := !off + rows_l
         end
-      end)
-    pb.socs;
-  if !ok && not (Float.is_nan !value) then Some !value else None
-
-(* Allocating wrapper, kept for the derivative tests. *)
-let centering_oracle pb tau : Newton.oracle =
- fun x ->
-  let sc = scratch_for pb in
-  let grad = Vec.zeros pb.n in
-  let hess = Mat.zeros pb.n pb.n in
-  match centering_into pb sc tau x ~grad ~hess with
-  | Some value -> Some (value, grad, hess)
-  | None -> None
+      end
+    done;
+    if !ok && not (Float.is_nan !value) then Some !value else None
+  in
+  let derivs ~grad ~hess =
+    for i = 0 to n - 1 do
+      grad.(i) <- s_obj *. (sc.px.(i) +. pb.q.(i));
+      let hi = hess.(i) and pi = pb.p.(i) in
+      for j = 0 to i do
+        hi.(j) <- s_obj *. pi.(j)
+      done
+    done;
+    Array.iteri
+      (fun k { a; _ } ->
+        let sk = pb.lin_support.(k) in
+        let inv_s = 1.0 /. sc.slack.(k) in
+        if sk >= 0 then begin
+          let ai = a.(sk) in
+          grad.(sk) <- grad.(sk) +. (ai *. inv_s);
+          hess.(sk).(sk) <- hess.(sk).(sk) +. (ai *. ai *. inv_s *. inv_s)
+        end
+        else
+          for i = 0 to n - 1 do
+            grad.(i) <- grad.(i) +. (a.(i) *. inv_s);
+            if a.(i) <> 0.0 then
+              for j = 0 to i do
+                hess.(i).(j) <-
+                  hess.(i).(j) +. (a.(i) *. a.(j) *. inv_s *. inv_s)
+              done
+          done)
+      pb.lins;
+    let gidx = pb.cones.gidx in
+    let off = ref 0 in
+    Array.iteri
+      (fun k { l; c; _ } ->
+        let u = sc.u.(k) and rows_l = Mat.rows l in
+        (* grad h = 2u c - 2 Lᵀ v *)
+        Array.fill sc.ltv 0 n 0.0;
+        for r = 0 to rows_l - 1 do
+          let vr = sc.v.(!off + r) in
+          if vr <> 0.0 then
+            let lr = l.(r) in
+            for j = 0 to n - 1 do
+              sc.ltv.(j) <- sc.ltv.(j) +. (vr *. lr.(j))
+            done
+        done;
+        off := !off + rows_l;
+        for i = 0 to n - 1 do
+          sc.gh.(i) <- (2.0 *. u *. c.(i)) -. (2.0 *. sc.ltv.(i))
+        done;
+        let inv_h = 1.0 /. sc.h.(k) in
+        for i = 0 to n - 1 do
+          grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
+        done;
+        (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
+           the precomputed Gram *)
+        let gram = pb.cones.grams.(k) and gh = sc.gh in
+        for i = 0 to n - 1 do
+          let gi = gidx.(i) and hi = hess.(i) in
+          let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
+          for j = 0 to i do
+            let gj = gidx.(j) in
+            let ltl = if gi < 0 || gj < 0 then 0.0 else gram.(gi).(gj) in
+            hi.(j) <-
+              hi.(j)
+              +. (ghi *. gh.(j) *. inv_h *. inv_h)
+              -. (((c2i *. c.(j)) -. (2.0 *. ltl)) *. inv_h)
+          done
+        done)
+      pb.socs
+  in
+  { Newton.value; derivs }
 
 (* Residual scale of one half-space at x: the natural size of the
    numbers whose difference is the slack.  Dividing a slack by it turns
@@ -914,7 +942,26 @@ let solve ?(params = default_params) ?certificate pb ~start =
         outer_iterations = !outer; newton_iterations = !newton_total; status }
   end
 
-let centering_oracle_for_tests = centering_oracle
+let centering_for_tests ?relax pb tau =
+  centering_into ?relax pb (scratch_for pb) tau
+
+(* Allocating wrapper for the derivative tests: the full Hessian, its
+   upper triangle mirrored from the lower one. *)
+let centering_oracle_for_tests pb tau : Newton.oracle =
+ fun x ->
+  let oracle = centering_for_tests pb tau in
+  match oracle.value x with
+  | None -> None
+  | Some value ->
+      let grad = Vec.zeros pb.n and hess = Mat.zeros pb.n pb.n in
+      oracle.derivs ~grad ~hess;
+      for i = 0 to pb.n - 1 do
+        for j = i + 1 to pb.n - 1 do
+          hess.(i).(j) <- hess.(j).(i)
+        done
+      done;
+      Some (value, grad, hess)
+
 let phase1_problem_for_tests = phase1_problem
 
 let solve_auto ?(params = default_params) pb ~start =

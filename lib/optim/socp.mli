@@ -79,12 +79,17 @@ val of_parts :
   int ->
   problem
 (** Allocation-lean constructor for callers assembling many problems from
-    shared pieces (the branch-and-bound bound oracle): dimension-checks
-    only, {b shares} the given arrays and the cones' Grams instead of
-    copying or recomputing them, and trusts [p] to be symmetric.  Its one
+    shared pieces (the branch-and-bound bound oracle): checks dimensions
+    and that [p] is {e exactly} symmetric, then {b shares} the given
+    arrays and the cones' Grams instead of copying or recomputing them.
+    The barrier Hessian reads only [p]'s lower triangle, while the
+    gradient and the certificate's tangent step use [P x], so a [p] off
+    by one ulp across the diagonal would give a wrong optimum and an
+    overstated bound.  The symmetry test is O(n²); the one
     O(constraints·n) pass records {!field-lin_support}.  Callers must not
     mutate the parts afterwards.
-    @raise Invalid_argument on any dimension mismatch. *)
+    @raise Invalid_argument on any dimension mismatch or an asymmetric
+    [p]. *)
 
 val box_constraints : Linalg.Vec.t -> Linalg.Vec.t -> lin list
 (** [box_constraints lo hi] is the [2n] half-spaces of [lo <= x <= hi]. *)
@@ -387,12 +392,21 @@ val certify_lower_bound :
 
 (**/**)
 
+val centering_for_tests : ?relax:float -> problem -> float -> Newton.oracle_into
+(** The split centering oracle of [τ·f + barrier] that every barrier
+    solve runs, in the per-domain scratch; [relax] (default 0) loosens
+    every constraint offset by that amount, as in the warm-start
+    correction.  Not part of the stable API.  [value]: O(n²) for [P x],
+    O(rows·n) per cone (the residual [Lx+g]), O(1) per single-nonzero
+    half-space, O(n) per other half-space.  [derivs]: the gradient and
+    the Hessian's lower triangle, O(n²) per cone (reading the cone's
+    Gram; [Lᵀv] is O(rows·n)), O(1) per single-nonzero half-space,
+    O(n²) per other half-space. *)
+
 val centering_oracle_for_tests : problem -> float -> Newton.oracle
-(** The centering objective [τ·f + barrier] — exposed so the test suite
-    can finite-difference the hand-derived cone calculus. Not part of the
-    stable API.  Per call: O(n²) per cone (the Hessian term reads the
-    cone's Gram; forming the residual [Lx+g] and [Lᵀv] is O(rows·n)),
-    O(1) per single-nonzero half-space, O(n²) per other half-space. *)
+(** {!centering_for_tests} as one combined call, with the Hessian's
+    upper triangle mirrored from the lower one — exposed so the test
+    suite can finite-difference the hand-derived cone calculus. *)
 
 val phase1_problem_for_tests : problem -> problem
 (** The phase-I augmented problem {!find_strictly_feasible} solves:

@@ -204,23 +204,6 @@ let test_mat_vec_into () =
       checkfa "tmul_vec_into sparse" (Mat.tmul_vec a sparse) dstt)
     [ (1, 1); (3, 2); (2, 5); (4, 4) ]
 
-let test_mat_scale_symmetrize_into () =
-  let rng = Stats.Rng.create 13 in
-  let a = Mat.init 4 4 (fun _ _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
-  let expect = Mat.scale 0.25 a in
-  let dst = Mat.init 4 4 (fun _ _ -> Float.nan) in
-  Mat.scale_into 0.25 a ~dst;
-  checkb "scale_into" true (Mat.approx_equal expect dst);
-  let a' = Mat.copy a in
-  Mat.scale_into 0.25 a' ~dst:a';
-  checkb "scale_into aliased" true (Mat.approx_equal expect a');
-  let expect = Mat.symmetrize a in
-  Mat.symmetrize_into a ~dst;
-  checkb "symmetrize_into" true (Mat.approx_equal expect dst);
-  let a' = Mat.copy a in
-  Mat.symmetrize_into a' ~dst:a';
-  checkb "symmetrize_into aliased" true (Mat.approx_equal expect a')
-
 let test_tri_into () =
   let rng = Stats.Rng.create 14 in
   for n = 1 to 6 do
@@ -278,6 +261,30 @@ let test_factor_jittered_into_rank_deficient () =
   checkf "jitter agrees" expect_j j;
   checkb "factor agrees" true (Mat.approx_equal ~tol:1e-12 expect_l dst);
   checkb "input untouched" true (Mat.approx_equal ~tol:0.0 keep a)
+
+let test_factor_jittered_into_reads_lower () =
+  (* The Newton loop hands over a Hessian whose strict upper triangle is
+     never written: the factor and the jitter (its scale included) must
+     come from the lower triangle alone.  A NaN above the diagonal would
+     poison either if it were read. *)
+  let bits = Int64.bits_of_float in
+  let check label a =
+    let n = Mat.rows a in
+    let masked = Mat.init n n (fun i j -> if j > i then Float.nan else a.(i).(j)) in
+    let dst = Mat.zeros n n and dst' = Mat.zeros n n in
+    let j = Cholesky.factor_jittered_into a ~dst in
+    let j' = Cholesky.factor_jittered_into masked ~dst:dst' in
+    checkb (label ^ ": same jitter bits") true (bits j = bits j');
+    checkb (label ^ ": same factor bits") true
+      (Array.for_all2 (Array.for_all2 (fun x y -> bits x = bits y)) dst dst');
+    j
+  in
+  let rng = Stats.Rng.create 21 in
+  checkf "spd: no jitter" 0.0 (check "spd" (random_spd rng 5));
+  (* Rank 1: the first attempt fails, so the retry loop runs and takes
+     its jitter scale from the lower triangle. *)
+  let rank1 = Mat.outer [| 1.0; -3.0; 2.0 |] [| 1.0; -3.0; 2.0 |] in
+  checkb "rank-deficient: jittered" true (check "rank-deficient" rank1 > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* LU                                                                  *)
@@ -462,12 +469,12 @@ let () =
         [
           Alcotest.test_case "axpy_into" `Quick test_axpy_into;
           Alcotest.test_case "mat-vec into" `Quick test_mat_vec_into;
-          Alcotest.test_case "scale/symmetrize into" `Quick
-            test_mat_scale_symmetrize_into;
           Alcotest.test_case "triangular into" `Quick test_tri_into;
           Alcotest.test_case "cholesky into" `Quick test_cholesky_into;
           Alcotest.test_case "jittered retry pristine" `Quick
             test_factor_jittered_into_rank_deficient;
+          Alcotest.test_case "jittered reads the lower triangle" `Quick
+            test_factor_jittered_into_reads_lower;
         ] );
       ( "lu",
         [

@@ -282,6 +282,109 @@ let test_newton_nan_decrement_is_diverged () =
   checkb "decrement is NaN" true (Float.is_nan r.Newton.decrement);
   checkf 1e-12 "last finite iterate returned" 3.0 r.Newton.x.(0)
 
+(* f(x) = x − log x on x > 0 (minimum at 1) as a split oracle that logs
+   every call: [`Value (x, in_domain)] and [`Derivs x], where [derivs]
+   works at the most recent in-domain [value] point.  From x0 = 3 the
+   full Newton step lands near −3 and the half step near 0, outside the
+   domain or far uphill, and from 1.5 the full step to 0.75 is in the
+   domain but fails the sufficient-decrease test: rejected trials of
+   both kinds. *)
+let logged_oracle () =
+  let events = ref [] and last = ref Float.nan in
+  let value x =
+    let v = x.(0) in
+    let inside = v > 0.0 in
+    events := `Value (v, inside) :: !events;
+    if inside then begin
+      last := v;
+      Some (v -. log v)
+    end
+    else None
+  in
+  let derivs ~grad ~hess =
+    events := `Derivs !last :: !events;
+    grad.(0) <- 1.0 -. (1.0 /. !last);
+    hess.(0).(0) <- 1.0 /. (!last *. !last)
+  in
+  ({ Newton.value; derivs }, fun () -> List.rev !events)
+
+(* Each [`Derivs] directly follows an in-domain [`Value] at its point. *)
+let derivs_follow_values events =
+  let rec go prev = function
+    | `Derivs x :: rest -> (
+        match prev with
+        | Some (`Value (v, true)) -> v = x && go None rest
+        | _ -> false)
+    | e :: rest -> go (Some e) rest
+    | [] -> true
+  in
+  go None events
+
+let test_newton_split_oracle_calls () =
+  let oracle, events = logged_oracle () in
+  let r = Newton.minimize_into (Newton.workspace 1) oracle [| 3.0 |] in
+  let ev = events () in
+  checkb "converged" true (r.Newton.status = Newton.Converged);
+  checkf 1e-4 "minimum at 1" 1.0 r.Newton.x.(0);
+  checkb "starts with value then derivs at x0" true
+    (match ev with `Value (3.0, true) :: `Derivs 3.0 :: _ -> true | _ -> false);
+  checkb "derivs only right after an in-domain value at that point" true
+    (derivs_follow_values ev);
+  (* Converged: every iteration but the last accepted a step, so
+     derivatives ran at x0 and at each accepted point — no more. *)
+  let derivs = List.filter_map (function `Derivs x -> Some x | _ -> None) ev in
+  checki "derivs calls = x0 + accepted steps" r.Newton.iterations
+    (List.length derivs);
+  checkb "last derivs at the returned iterate" true
+    (List.nth derivs (List.length derivs - 1) = r.Newton.x.(0));
+  (* One value call per trial: within a step the trial points are
+     x + t·d for t = 1, β, β², …, so each offset halves the last. *)
+  let rec segments base acc = function
+    | `Derivs x :: rest -> (base, List.rev acc) :: segments x [] rest
+    | `Value (v, _) :: rest -> segments base (v :: acc) rest
+    | [] -> [ (base, List.rev acc) ]
+  in
+  let steps = List.tl (segments 3.0 [] (List.tl ev)) in
+  List.iter
+    (fun (base, trials) ->
+      ignore
+        (List.fold_left
+           (fun prev v ->
+             let off = v -. base in
+             (match prev with
+             | Some p ->
+                 checkf 1e-9 "trial offset halves" 0.5 (off /. p)
+             | None -> ());
+             Some off)
+           None trials))
+    steps;
+  checki "first step: two rejected trials, then 1.5" 3
+    (List.length (snd (List.hd steps)));
+  checkb "a trial outside the domain was rejected" true
+    (List.exists (function `Value (_, false) -> true | _ -> false) ev);
+  let values = List.length (List.filter (function `Value _ -> true | _ -> false) ev) in
+  checki "value calls = x0 + trials"
+    (1 + List.fold_left (fun n (_, t) -> n + List.length t) 0 steps)
+    values;
+  checkb "an in-domain trial was rejected (sufficient decrease)" true
+    (values - 1 > (List.length derivs - 1)
+                  + List.length
+                      (List.filter (function `Value (_, false) -> true | _ -> false) ev))
+
+let test_newton_step_into_derivs_once () =
+  let oracle, events = logged_oracle () in
+  let dst = [| Float.nan |] in
+  checkb "step accepted" true
+    (Newton.step_into (Newton.workspace 1) oracle [| 3.0 |] ~dst);
+  let ev = events () in
+  checki "derivs exactly once" 1
+    (List.length (List.filter (function `Derivs _ -> true | _ -> false) ev));
+  checkb "at x0, before any trial" true
+    (match ev with `Value (3.0, true) :: `Derivs 3.0 :: _ -> true | _ -> false);
+  checkb "dst is the last (accepted) trial" true
+    (match List.rev ev with `Value (v, true) :: _ -> v = dst.(0) | _ -> false);
+  checkf 1e-9 "the quarter step" 1.5 dst.(0)
+
 (* ------------------------------------------------------------------ *)
 (* Socp                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -543,6 +646,30 @@ let test_socp_dimension_checks () =
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+let test_socp_of_parts_rejects_asymmetric_p () =
+  (* The barrier Hessian reads P's lower triangle while the gradient and
+     the certificate use P x, so of_parts must refuse a P that is off by
+     even one ulp across the diagonal. *)
+  let p = [| [| 2.0; 0.3; -0.1 |]; [| 0.3; 1.0; 0.2 |]; [| -0.1; 0.2; 1.5 |] |] in
+  let build p =
+    Socp.of_parts ~p ~q:(Vec.zeros 3)
+      ~lins:(Array.of_list (Socp.box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0)))
+      ~cones:(Socp.cones [||]) 3
+  in
+  checkb "symmetric P accepted" true
+    (match build p with _ -> true | exception Invalid_argument _ -> false);
+  List.iter
+    (fun (i, j) ->
+      let p' = Mat.copy p in
+      p'.(i).(j) <- Float.succ p'.(i).(j);
+      checkb
+        (Printf.sprintf "one ulp at %d,%d raises" i j)
+        true
+        (match build p' with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ (0, 1); (2, 0); (1, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bnb                                                                 *)
@@ -1311,7 +1438,7 @@ let test_socp_barrier_derivatives () =
 (* The centering oracle as it was before cone Grams were precomputed:
    every half-space through the dense loop, and LᵀL re-formed entry by
    entry from the problem's own [l], r ascending. *)
-let reference_centering pb tau x =
+let reference_centering ?(relax = 0.0) pb tau x =
   let n = pb.Socp.n in
   let s_obj = tau *. pb.Socp.obj_scale in
   let px = Mat.mul_vec pb.Socp.p x in
@@ -1321,7 +1448,7 @@ let reference_centering pb tau x =
   let value = ref (s_obj *. fx) in
   Array.iter
     (fun { Socp.a; b } ->
-      let s = b -. Vec.dot a x in
+      let s = b +. relax -. Vec.dot a x in
       value := !value -. log s;
       let inv_s = 1.0 /. s in
       for i = 0 to n - 1 do
@@ -1334,7 +1461,7 @@ let reference_centering pb tau x =
     pb.Socp.lins;
   Array.iter
     (fun { Socp.l; g; c; d } ->
-      let u = Vec.dot c x +. d in
+      let u = Vec.dot c x +. d +. relax in
       let rows = Mat.rows l in
       let v = Array.init rows (fun r -> Vec.dot l.(r) x +. g.(r)) in
       let h = (u *. u) -. Vec.dot v v in
@@ -1377,10 +1504,44 @@ let test_socp_oracle_bitwise () =
   let phase1_r = Socp.phase1_problem_for_tests reduced in
   let bits = Int64.bits_of_float in
   let same label a b = checkb label true (bits a = bits b) in
+  (* The split oracle the solver runs: the value pass alone, then the
+     derivative pass into NaN-filled buffers — its gradient and lower
+     triangle against the symmetrised reference, its upper triangle
+     never written. *)
+  let check_split ~relax label pb x tau =
+    let rvalue, rgrad, rhess = reference_centering ~relax pb tau x in
+    let tag what =
+      Printf.sprintf "%s, tau %g, relax %g, split: %s" label tau relax what
+    in
+    let oracle = Socp.centering_for_tests ~relax pb tau in
+    match oracle.Newton.value x with
+    | None -> Alcotest.fail (tag "point rejected by the value pass")
+    | Some value ->
+        same (tag "value") rvalue value;
+        let n = pb.Socp.n in
+        let grad = Vec.make n Float.nan and hess = Mat.make n n Float.nan in
+        oracle.Newton.derivs ~grad ~hess;
+        Array.iteri
+          (fun i g -> same (tag (Printf.sprintf "grad %d" i)) rgrad.(i) g)
+          grad;
+        let rsym = Mat.symmetrize rhess in
+        for i = 0 to n - 1 do
+          for j = 0 to i do
+            same (tag (Printf.sprintf "hess %d,%d" i j)) rsym.(i).(j)
+              hess.(i).(j)
+          done;
+          for j = i + 1 to n - 1 do
+            checkb
+              (tag (Printf.sprintf "upper %d,%d untouched" i j))
+              true
+              (Float.is_nan hess.(i).(j))
+          done
+        done
+  in
   let check label pb x =
     List.iter
       (fun tau ->
-        match Socp.centering_oracle_for_tests pb tau x with
+        (match Socp.centering_oracle_for_tests pb tau x with
         | None -> Alcotest.fail (label ^ ": interior point rejected")
         | Some (value, grad, hess) ->
             let rvalue, rgrad, rhess = reference_centering pb tau x in
@@ -1395,8 +1556,20 @@ let test_socp_oracle_bitwise () =
                   (fun j h ->
                     same (tag (Printf.sprintf "hess %d,%d" i j)) rhess.(i).(j) h)
                   row)
-              hess)
-      [ 1e-6; 1.0; 37.5 ]
+              hess);
+        check_split ~relax:0.0 label pb x tau)
+      [ 1e-6; 1.0; 37.5 ];
+    (* The δ-relaxed pure barrier of the one-step warm correction
+       (τ = 0), at the interior point and at the first point along a ray
+       that leaves the true feasible set: inside the relaxed one. *)
+    let rec leave t =
+      let p = Array.map (fun xi -> xi +. t) x in
+      if Socp.max_violation pb p > 0.0 then p else leave (t +. 1e-3)
+    in
+    let outside = leave 0.0 in
+    List.iter
+      (fun (tau, x) -> check_split ~relax:0.05 (label ^ " relaxed") pb x tau)
+      [ (0.0, x); (1.0, x); (0.0, outside) ]
   in
   check "full" problem x0;
   check "restricted" reduced y0;
@@ -1699,6 +1872,10 @@ let () =
             test_newton_rejects_infeasible_start;
           Alcotest.test_case "NaN decrement diverges" `Quick
             test_newton_nan_decrement_is_diverged;
+          Alcotest.test_case "split oracle: derivs at accepted points only"
+            `Quick test_newton_split_oracle_calls;
+          Alcotest.test_case "step_into: derivs once" `Quick
+            test_newton_step_into_derivs_once;
         ] );
       ( "socp",
         [
@@ -1730,6 +1907,8 @@ let () =
             test_socp_correct_to_interior;
           Alcotest.test_case "dimension checks" `Quick
             test_socp_dimension_checks;
+          Alcotest.test_case "of_parts rejects asymmetric P" `Quick
+            test_socp_of_parts_rejects_asymmetric_p;
         ] );
       ( "gradcheck",
         [
