@@ -9,10 +9,19 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
-(* [reading path load] loads an input file.  A malformed one is the
-   user's error, so it ends the command with one line naming the file and
-   exit 1, not cmdliner's "internal error, uncaught exception" (exit
-   125). *)
+(* A file the command cannot open, read or write (a directory, a
+   missing parent, no permission) ends it with one line naming the file
+   and exit 1.  [open_in]/[open_out] errors already start with the path;
+   read errors do not. *)
+let file_error path msg =
+  if String.starts_with ~prefix:path msg then Fmt.epr "%s@." msg
+  else Fmt.epr "%s: %s@." path msg;
+  exit 1
+
+(* [reading path load] loads an input file.  A malformed or unreadable
+   one is the user's error, so it ends the command with one line naming
+   the file and exit 1, not cmdliner's "internal error, uncaught
+   exception" (exit 125). *)
 let reading path load =
   try load path with
   | Model_io.Parse_error msg ->
@@ -21,6 +30,12 @@ let reading path load =
   | Datasets.Dataset_io.Parse_error { line; message } ->
       Fmt.epr "%s:%d: %s@." path line message;
       exit 1
+  | Sys_error msg -> file_error path msg
+
+(* [writing path save] writes an output file, with the same one-line
+   exit 1 when [path] cannot be written. *)
+let writing path save =
+  try save path with Sys_error msg -> file_error path msg
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
@@ -45,7 +60,16 @@ let k_arg =
     & info [ "k" ] ~docv:"BITS"
         ~doc:"Integer bits (including sign) of the QK.F format.")
 
-let fmt_of ~wl ~k = Fixedpoint.Format_policy.fixed_k ~k wl
+(* The QK.F format of a word length ([flag], default [--wl]) and [-k].
+   The two are only valid together (1 <= k < wl <= 62), so a bad pair is
+   a usage error checked here, before any work starts: one line, exit
+   2. *)
+let fmt_of ?(flag = "--wl") ~wl ~k () =
+  if k < 1 || wl <= k || wl > 62 then begin
+    Fmt.epr "%s %d with -k %d: need 1 <= k < wl <= 62@." flag wl k;
+    exit 2
+  end;
+  Fixedpoint.Format_policy.fixed_k ~k wl
 
 let nodes_arg =
   Arg.(
@@ -54,27 +78,39 @@ let nodes_arg =
     & info [ "nodes" ] ~docv:"N"
         ~doc:"Branch-and-bound node budget for LDA-FP training.")
 
+(* Single-flag ranges: a value outside one is a usage error (cmdliner's
+   exit 124) before any work starts. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A confidence level in [0, 1); NaN is outside every range. *)
+let confidence =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r >= 0.0 && r < 1.0 -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "expected a number in [0, 1), got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let rho_arg =
   Arg.(
     value
-    & opt float 0.99
+    & opt confidence 0.99
     & info [ "rho" ] ~docv:"RHO"
-        ~doc:"Confidence level of the overflow constraints (eq. 16).")
-
-(* A count that must be at least 1: anything else is a usage error
-   (cmdliner's exit 124) before any work starts. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+        ~doc:
+          "Confidence level of the overflow constraints (eq. 16), in \
+           [0, 1).")
 
 let domains_arg =
   Arg.(
     value
-    & opt positive_int 1
+    & opt (int_at_least 1) 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Worker domains for the branch-and-bound search (OCaml 5 \
@@ -208,7 +244,7 @@ let generate_cmd =
       | `Synthetic -> Datasets.Synthetic.generate ~n_per_class:n rng
       | `Ecog -> Datasets.Ecog_sim.generate rng
     in
-    Datasets.Dataset_io.save out ds;
+    writing out (fun path -> Datasets.Dataset_io.save path ds);
     Fmt.pr "wrote %a to %s@." Datasets.Dataset.pp_summary ds out
   in
   Cmd.v
@@ -307,8 +343,8 @@ let train_cmd =
         "WARNING: --no-certify prunes on the solver's primal objective \
          without independent verification — a bad solve can prune the \
          optimum.  Results are NOT certified.@.";
+    let fmt = fmt_of ~wl ~k () in
     let ds = reading data Datasets.Dataset_io.load in
-    let fmt = fmt_of ~wl ~k in
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
       exit 2
@@ -336,7 +372,7 @@ let train_cmd =
       (match (trace, collector) with
       | Some path, Some c ->
           Obs.Trace.uninstall ();
-          Obs.Trace.save c path;
+          writing path (Obs.Trace.save c);
           Fmt.pr "wrote trace to %s (%d events, %d dropped)@." path
             (List.length (Obs.Trace.events c))
             (Obs.Trace.dropped c)
@@ -344,9 +380,10 @@ let train_cmd =
       match metrics with
       | Some path ->
           Obs.Metrics.set_enabled false;
-          if Filename.check_suffix path ".json" then
-            Obs.Metrics.save_json Obs.Metrics.default path
-          else Obs.Metrics.save_prometheus Obs.Metrics.default path;
+          writing path
+            (if Filename.check_suffix path ".json" then
+               Obs.Metrics.save_json Obs.Metrics.default
+             else Obs.Metrics.save_prometheus Obs.Metrics.default);
           Fmt.pr "wrote metrics to %s@." path
       | None -> ()
     in
@@ -395,11 +432,9 @@ let train_cmd =
               in
               if s.Optim.Bnb.warm_start_hits > 0 || misses > 0 then begin
                 Fmt.pr
-                  "warm starts: %d hit(s) (%d pulled to interior, %d \
-                   Newton-corrected), %d phase-I solve(s) skipped, %.2fs \
-                   in the bound oracle@."
+                  "warm starts: %d hit(s) (%d pulled to interior), %d \
+                   phase-I solve(s) skipped, %.2fs in the bound oracle@."
                   s.Optim.Bnb.warm_start_hits s.Optim.Bnb.warm_pull_ins
-                  s.Optim.Bnb.warm_newton_corrections
                   s.Optim.Bnb.phase1_skipped s.Optim.Bnb.oracle_seconds;
                 Fmt.pr
                   "warm misses: %d (no parent point %d, irreparably not \
@@ -428,12 +463,6 @@ let train_cmd =
                    per-node retry budget@."
                   s.Optim.Bnb.retry_backoff_seconds
                   s.Optim.Bnb.retry_budget_exhausted;
-              if s.Optim.Bnb.frontier_shed > 0 then
-                Fmt.pr
-                  "frontier: shed %d node(s) to stay within the memory \
-                   cap (their best bound is folded into the reported \
-                   gap)@."
-                  s.Optim.Bnb.frontier_shed;
               if
                 s.Optim.Bnb.cert_verified > 0
                 || s.Optim.Bnb.cert_repaired > 0
@@ -461,7 +490,7 @@ let train_cmd =
         Fmt.epr "no feasible fixed-point classifier found@.";
         exit 1
     | Some clf ->
-        Model_io.save out clf;
+        writing out (fun path -> Model_io.save path clf);
         let train_error = Eval.error_fixed clf ds in
         Fmt.pr "trained %a classifier on %a; training error %.2f%%; saved \
                 to %s@."
@@ -580,17 +609,23 @@ let sweep_cmd =
   let folds =
     Arg.(
       value
-      & opt int 5
-      & info [ "folds" ] ~docv:"K" ~doc:"Cross-validation folds.")
+      & opt (int_at_least 2) 5
+      & info [ "folds" ] ~docv:"K" ~doc:"Cross-validation folds (>= 2).")
   in
   let run verbose seed data k wls nodes domains folds =
     setup_logs verbose;
+    let fmts = List.map (fun wl -> (wl, fmt_of ~flag:"--wls" ~wl ~k ())) wls in
     let ds = reading data Datasets.Dataset_io.load in
+    let a, b = Datasets.Dataset.class_split ds in
+    if Array.length a < folds || Array.length b < folds then begin
+      Fmt.epr "--folds %d: %s has a class with fewer than %d trials@." folds
+        data folds;
+      exit 2
+    end;
     let config = config_of_nodes ~domains nodes in
     let rows =
       List.map
-        (fun wl ->
-          let fmt = fmt_of ~wl ~k in
+        (fun (wl, fmt) ->
           let cv_rng () = Stats.Rng.create (seed + 1) in
           let lda =
             Eval.kfold_error_fixed ~rng:(cv_rng ()) ~k:folds
@@ -610,7 +645,7 @@ let sweep_cmd =
             | None -> "n/a"
           in
           [ string_of_int wl; cell lda; cell ldafp ])
-        wls
+        fmts
     in
     Report.Table.print
       ~title:(Printf.sprintf "%d-fold CV error vs word length (K=%d)" folds k)
@@ -666,7 +701,7 @@ let rtl_cmd =
     let clf = reading model Model_io.load in
     Option.iter
       (fun path ->
-        Model_io.save_c_header path clf;
+        writing path (fun path -> Model_io.save_c_header path clf);
         Fmt.pr "wrote %s@." path)
       c_header;
     let spec =
@@ -679,10 +714,11 @@ let rtl_cmd =
       }
     in
     let write path text =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc text)
+      writing path (fun path ->
+          let oc = open_out path in
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () -> output_string oc text))
     in
     write out (Hw.Verilog_gen.module_source spec);
     Fmt.pr "wrote %s@." out;
@@ -745,8 +781,8 @@ let classify_cmd =
     let truths = Array.make batch false in
     let confusion = ref Stats.Confusion.empty in
     let pending = ref 0 in
-    let ic = open_in data in
-    let oc = Option.map open_out out in
+    let ic = reading data open_in in
+    let oc = Option.map (fun path -> writing path open_out) out in
     let flush () =
       let n = !pending in
       if n > 0 then begin

@@ -321,9 +321,8 @@ let bound_node cfg pb incumbent counters node =
                child's analytic-center proxy (the branch rule splits at
                the parent optimum's projection, so clipped points land
                {e on} the branch-cut half-space — a pull along the
-               segment toward the box/t center is almost always enough),
-               else take one damped Newton correction.  Only a point
-               that survives all three repairs goes cold. *)
+               segment toward the box/t center is almost always enough).
+               A point that defeats the pull-in goes cold. *)
             let prepared =
               match warm with
               | None -> None
@@ -333,12 +332,9 @@ let bound_node cfg pb incumbent counters node =
                       (Ldafp_problem.center_point pb ~wbox:node.wbox
                          ~trange:node.trange)
                   in
-                  match
-                    Socp.prepare_warm_start ~params:cfg.socp_params ~target
-                      socp (project x0)
-                  with
-                  | Some (x, prep) -> Some (x, prep, tau_parent)
-                  | None -> None)
+                  Option.map
+                    (fun (x, prep) -> (x, prep, tau_parent))
+                    (Socp.prepare_warm_start ~target socp (project x0)))
             in
             match prepared with
             | Some (x0, prep, tau_parent) ->
@@ -349,12 +345,9 @@ let bound_node cfg pb incumbent counters node =
                    centerings are redundant — the final tau and the
                    certified gap are unchanged). *)
                 Bnb.count_warm_start_hit counters;
-                Bnb.count_phase1_skipped counters;
                 (match prep with
                 | Socp.Warm_interior -> ()
-                | Socp.Warm_pulled -> Bnb.count_warm_pull_in counters
-                | Socp.Warm_corrected ->
-                    Bnb.count_warm_newton_correction counters);
+                | Socp.Warm_pulled -> Bnb.count_warm_pull_in counters);
                 let levels =
                   Socp.restart_levels cfg.socp_params ~tau_final:tau_parent
                 in
@@ -369,8 +362,8 @@ let bound_node cfg pb incumbent counters node =
                    counters together partition the relaxation solves that
                    actually ran, so warm_hit_rate = hits/(hits + misses)
                    diagnoses exactly the solves that paid for phase-I.
-                   [warm_miss_not_interior] now means the parent point
-                   defeated the pull-in {e and} the Newton correction. *)
+                   [warm_miss_not_interior] means the parent point
+                   defeated the pull-in. *)
                 if cfg.warm_start then
                   (match node.warm with
                   | None ->

@@ -13,14 +13,12 @@ type params = {
   rel_gap : float;
   abs_gap : float;
   time_limit : float option;
-  log_every : int;
   domains : int;
-  max_frontier : int;
 }
 
 let default_params =
   { max_nodes = 100_000; rel_gap = 1e-6; abs_gap = 1e-12; time_limit = None;
-    log_every = 0; domains = 1; max_frontier = 0 }
+    domains = 1 }
 
 type ('region, 'sol) faults = {
   policy : Fault.policy;
@@ -61,7 +59,6 @@ type stats = {
   warm_start_hits : int;
   phase1_skipped : int;
   warm_pull_ins : int;
-  warm_newton_corrections : int;
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
@@ -69,7 +66,6 @@ type stats = {
   cert_repaired : int;
   cert_fallbacks : int;
   certified_sound : bool;
-  frontier_shed : int;
   retry_budget_exhausted : int;
   retry_backoff_seconds : float;
   oracle_seconds : float;
@@ -102,7 +98,6 @@ let stats_to_json (s : stats) =
       ("warm_start_hits", Int s.warm_start_hits);
       ("phase1_skipped", Int s.phase1_skipped);
       ("warm_pull_ins", Int s.warm_pull_ins);
-      ("warm_newton_corrections", Int s.warm_newton_corrections);
       ("warm_miss_no_parent", Int s.warm_miss_no_parent);
       ("warm_miss_not_interior", Int s.warm_miss_not_interior);
       ("warm_miss_fault_cleared", Int s.warm_miss_fault_cleared);
@@ -110,7 +105,6 @@ let stats_to_json (s : stats) =
       ("cert_repaired", Int s.cert_repaired);
       ("cert_fallbacks", Int s.cert_fallbacks);
       ("certified_sound", Bool s.certified_sound);
-      ("frontier_shed", Int s.frontier_shed);
       ("retry_budget_exhausted", Int s.retry_budget_exhausted);
       ("retry_backoff_seconds", Float s.retry_backoff_seconds);
       ("oracle_seconds", Float s.oracle_seconds);
@@ -121,9 +115,7 @@ let stats_to_json (s : stats) =
 
 type oracle_counters = {
   warm_hits : int Atomic.t;
-  phase1_skips : int Atomic.t;
   pull_ins : int Atomic.t;
-  corrections : int Atomic.t;
   miss_no_parent : int Atomic.t;
   miss_not_interior : int Atomic.t;
   miss_fault_cleared : int Atomic.t;
@@ -142,9 +134,7 @@ type oracle_counters = {
 let oracle_counters () =
   {
     warm_hits = Atomic.make 0;
-    phase1_skips = Atomic.make 0;
     pull_ins = Atomic.make 0;
-    corrections = Atomic.make 0;
     miss_no_parent = Atomic.make 0;
     miss_not_interior = Atomic.make 0;
     miss_fault_cleared = Atomic.make 0;
@@ -156,9 +146,7 @@ let oracle_counters () =
   }
 
 let count_warm_start_hit oc = Atomic.incr oc.warm_hits
-let count_phase1_skipped oc = Atomic.incr oc.phase1_skips
 let count_warm_pull_in oc = Atomic.incr oc.pull_ins
-let count_warm_newton_correction oc = Atomic.incr oc.corrections
 let count_warm_miss_no_parent oc = Atomic.incr oc.miss_no_parent
 let count_warm_miss_not_interior oc = Atomic.incr oc.miss_not_interior
 let count_warm_miss_fault_cleared oc = Atomic.incr oc.miss_fault_cleared
@@ -179,11 +167,10 @@ type checkpointing = {
   path : string;
   every_nodes : int;
   fingerprint : string;
-  save_on_stop : bool;
 }
 
-let checkpointing ?(every_nodes = 0) ?(save_on_stop = true) ~fingerprint path =
-  { path; every_nodes; fingerprint; save_on_stop }
+let checkpointing ?(every_nodes = 0) ~fingerprint path =
+  { path; every_nodes; fingerprint }
 
 (* The one checkpoint schema.  Any change here (or to a caller's region
    or solution type) bumps the version line in Checkpoint. *)
@@ -205,9 +192,7 @@ type ('region, 'sol) snapshot = {
   retry_budget_exhausted : int;
   retry_backoff_ns : int;
   warm_start_hits : int;
-  phase1_skipped : int;
   warm_pull_ins : int;
-  warm_newton_corrections : int;
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
@@ -216,8 +201,6 @@ type ('region, 'sol) snapshot = {
   cert_repaired : int;
   cert_fallbacks : int;
   certified_sound : bool;
-  frontier_shed : int;
-  shed_bound : float;
 }
 
 let src = Logs.Src.create "ldafp.bnb" ~doc:"branch-and-bound driver"
@@ -259,10 +242,6 @@ let p_drop =
 let p_cert_fallback =
   Obs.Probe.v "fault.cert_fallback"
     ~count:"regions degraded or dropped because their dual certificate failed"
-
-let p_frontier_shed =
-  Obs.Probe.v "bnb.frontier_shed"
-    ~count:"queued regions shed by the bounded-memory frontier cap"
 
 let p_budget_exhausted = Obs.Probe.v "fault.budget_exhausted"
 
@@ -498,9 +477,7 @@ let empty_snapshot =
     retry_budget_exhausted = 0;
     retry_backoff_ns = 0;
     warm_start_hits = 0;
-    phase1_skipped = 0;
     warm_pull_ins = 0;
-    warm_newton_corrections = 0;
     warm_miss_no_parent = 0;
     warm_miss_not_interior = 0;
     warm_miss_fault_cleared = 0;
@@ -509,8 +486,6 @@ let empty_snapshot =
     cert_repaired = 0;
     cert_fallbacks = 0;
     certified_sound = true;
-    frontier_shed = 0;
-    shed_bound = Float.infinity;
   }
 
 (* Copy a snapshot's atomic counters back into the live ones; the plain
@@ -523,9 +498,7 @@ let restore (fc : Fault.counters) (oc : oracle_counters) s =
   Atomic.set fc.Fault.budget_exhausted s.retry_budget_exhausted;
   Atomic.set fc.Fault.backoff_ns s.retry_backoff_ns;
   Atomic.set oc.warm_hits s.warm_start_hits;
-  Atomic.set oc.phase1_skips s.phase1_skipped;
   Atomic.set oc.pull_ins s.warm_pull_ins;
-  Atomic.set oc.corrections s.warm_newton_corrections;
   Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
   Atomic.set oc.miss_not_interior s.warm_miss_not_interior;
   Atomic.set oc.miss_fault_cleared s.warm_miss_fault_cleared;
@@ -604,16 +577,6 @@ let run : type region sol.
         restore fc oc s;
         s
   in
-  (* Bounded-memory frontier residue: nodes shed by the cap are gone,
-     but their best possible subtree optimum survives here and is folded
-     into every bound and gap the search reports.  CAS-min so any worker
-     can fold a shed bound in without a lock. *)
-  let shed_bound = Atomic.make s0.shed_bound in
-  let rec fold_shed_bound b =
-    let cur = Atomic.get shed_bound in
-    if b < cur && not (Atomic.compare_and_set shed_bound cur b) then
-      fold_shed_bound b
-  in
   (* The incumbent solution is guarded by its own mutex; its cost is
      mirrored in an Atomic read lock-free on every stale check, push
      decision and gap test. *)
@@ -638,7 +601,6 @@ let run : type region sol.
       mutable stale : int;
       mutable updates : int;
       mutable children : int;
-      mutable shed : int;
       mutable first_node_us : int;
           (* run start -> this worker's first node expansion; -1 while
              none — the time-to-first-node startup diagnostic *)
@@ -655,7 +617,6 @@ let run : type region sol.
           stale = 0;
           updates = 0;
           children = 0;
-          shed = 0;
           first_node_us = -1;
           oracle_cell = ref 0;
         })
@@ -689,9 +650,7 @@ let run : type region sol.
       retry_budget_exhausted = Atomic.get fc.Fault.budget_exhausted;
       retry_backoff_ns = Atomic.get fc.Fault.backoff_ns;
       warm_start_hits = Atomic.get oc.warm_hits;
-      phase1_skipped = Atomic.get oc.phase1_skips;
       warm_pull_ins = Atomic.get oc.pull_ins;
-      warm_newton_corrections = Atomic.get oc.corrections;
       warm_miss_no_parent = Atomic.get oc.miss_no_parent;
       warm_miss_not_interior = Atomic.get oc.miss_not_interior;
       warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
@@ -700,8 +659,6 @@ let run : type region sol.
       cert_repaired = Atomic.get oc.cert_repaired;
       cert_fallbacks = Atomic.get oc.cert_fallbacks;
       certified_sound = Atomic.get oc.certified_sound;
-      frontier_shed = s0.frontier_shed + sum (fun w -> w.W.shed);
-      shed_bound = Atomic.get shed_bound;
     }
   in
   let consider_candidate (w : W.t) = function
@@ -767,16 +724,11 @@ let run : type region sol.
             (fun () -> save ck)
     | _ -> ()
   in
-  (* The certified frontier bound, shed subtrees included: the search
-     cannot declare a tolerance it only reached by throwing work away. *)
-  let frontier_bound () =
-    Float.min (Frontier.bound frontier) (Atomic.get shed_bound)
-  in
   let gap_ok () =
     let inc = Atomic.get incumbent_cost in
     inc < Float.infinity
     &&
-    let gap = inc -. frontier_bound () in
+    let gap = inc -. Frontier.bound frontier in
     gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
   in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
@@ -785,21 +737,6 @@ let run : type region sol.
   let halt reason =
     ignore (Atomic.compare_and_set stop None (Some reason));
     Frontier.close frontier
-  in
-  let shed (w : W.t) =
-    if params.max_frontier > 0 then
-      match Frontier.shed frontier ~keep:params.max_frontier with
-      | 0, _ -> ()
-      | dropped, min_key ->
-          w.W.shed <- w.W.shed + dropped;
-          fold_shed_bound min_key;
-          if Obs.Probe.on () then
-            Obs.Probe.add p_frontier_shed dropped
-              ~args:
-                [
-                  ("dropped", Obs.Trace.Int dropped);
-                  ("shed_bound", Obs.Trace.Float (Atomic.get shed_bound));
-                ]
   in
   let worker i () =
     let w = ws.(i) in
@@ -812,11 +749,6 @@ let run : type region sol.
       else begin
         let n = 1 + Atomic.fetch_and_add nodes 1 in
         note_first_node w;
-        if params.log_every > 0 && n mod params.log_every = 0 then
-          Log.debug (fun m ->
-              m "node %d [w%d]: bound %.6g incumbent %.6g queued %d" n i lb
-                (Atomic.get incumbent_cost)
-                (Frontier.queue_length frontier));
         (* The in-flight slot is released in a finaliser: even if an
            exception escapes the guards (non-containable, or a [reraise]
            policy), the live count stays exact and the region's children
@@ -841,8 +773,7 @@ let run : type region sol.
                 with
                 | Dropped_bound -> ()
                 | Bounded info -> record_bounded w child info)
-              children;
-            shed w);
+              children);
         (* Exactly one node-seconds observation per explored node (the CI
            schema gate compares the histogram count against the reported
            node counts). *)
@@ -851,14 +782,14 @@ let run : type region sol.
           Obs.Probe.span p_node ~t0_ns:t_node ~dur_ns:node_ns
             ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
           Obs.Telemetry.set_nodes (Atomic.get nodes);
-          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. frontier_bound ())
+          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. Frontier.bound frontier)
         end;
         (match progress with
         | Some p when Obs.Progress.due p ->
             Obs.Progress.emit p
               (progress_line ~nodes:(Atomic.get nodes) ~elapsed:(elapsed ())
                  ~incumbent:(Atomic.get incumbent_cost)
-                 ~bound:(frontier_bound ())
+                 ~bound:(Frontier.bound frontier)
                  ~oracle_us:(Array.map (fun w -> !(w.W.oracle_cell)) ws))
         | _ -> ());
         maybe_periodic_save n
@@ -907,8 +838,7 @@ let run : type region sol.
       | Dropped_bound -> ()
       | Bounded info -> record_bounded ws.(0) root info)
   | Restored s ->
-      Array.iter (fun (lb, region) -> Frontier.push frontier lb region) s.frontier;
-      shed ws.(0));
+      Array.iter (fun (lb, region) -> Frontier.push frontier lb region) s.frontier);
   Obs.Telemetry.set_phase "searching";
   let spawned =
     Array.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
@@ -921,21 +851,17 @@ let run : type region sol.
   Obs.Telemetry.set_nodes (Atomic.get nodes);
   Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason);
   (match checkpointing with
-  | Some ck when ck.save_on_stop && stop_wants_save stop_reason ->
+  | Some ck when stop_wants_save stop_reason ->
       (* All workers have joined: nothing is in flight, the heap is the
          complete frontier. *)
       save ck
   | _ -> ());
   let bound =
     let fb = Frontier.bound frontier in
-    let b =
-      if Frontier.drained frontier then
-        (* Everything explored or pruned: the incumbent is optimal —
-           unless subtrees were shed, whose residue caps the claim. *)
-        Float.min (Atomic.get incumbent_cost) fb
-      else fb
-    in
-    Float.min b (Atomic.get shed_bound)
+    if Frontier.drained frontier then
+      (* Everything explored or pruned: the incumbent is optimal. *)
+      Float.min (Atomic.get incumbent_cost) fb
+    else fb
   in
   let incumbent_cost = Atomic.get incumbent_cost in
   let t = snapshot ~saved:[||] ~incumbent:None in
@@ -967,9 +893,9 @@ let run : type region sol.
         degraded_bounds = t.degraded_bounds;
         dropped_regions = t.dropped_regions;
         warm_start_hits = t.warm_start_hits;
-        phase1_skipped = t.phase1_skipped;
+        (* A warm hit is exactly a phase-I solve skipped. *)
+        phase1_skipped = t.warm_start_hits;
         warm_pull_ins = t.warm_pull_ins;
-        warm_newton_corrections = t.warm_newton_corrections;
         warm_miss_no_parent = t.warm_miss_no_parent;
         warm_miss_not_interior = t.warm_miss_not_interior;
         warm_miss_fault_cleared = t.warm_miss_fault_cleared;
@@ -977,7 +903,6 @@ let run : type region sol.
         cert_repaired = t.cert_repaired;
         cert_fallbacks = t.cert_fallbacks;
         certified_sound = t.certified_sound;
-        frontier_shed = t.frontier_shed;
         retry_budget_exhausted = t.retry_budget_exhausted;
         retry_backoff_seconds = float_of_int t.retry_backoff_ns *. 1e-9;
         oracle_seconds = float_of_int t.oracle_time_us *. 1e-6;

@@ -70,25 +70,14 @@ type params = {
           (CPU time would overshoot the budget and scale ~N× wrong
           across N domains; [Unix.gettimeofday] is NTP-steppable
           mid-search) *)
-  log_every : int;  (** emit a [Logs] debug line every n nodes; 0 = never *)
   domains : int;
       (** number of domains exploring the tree, all taking work from
           the one shared frontier heap; values below 1 count as 1 *)
-  max_frontier : int;
-      (** bounded-memory frontier: when positive, the queued frontier is
-          capped at this many regions, at every domain count, and the
-          {e worst}-bound regions are shed on overflow.  Shedding stays {e sound}: the best bound among shed
-          regions is folded into every reported [bound] and [gap] (and
-          into the gap-tolerance test), so the anytime result never
-          claims a tolerance it reached by discarding work — it may
-          merely fail to converge below the shed residue.  [0] (default)
-          = unlimited.  Shed counts surface in
-          {!stats.frontier_shed}. *)
 }
 
 val default_params : params
 (** [max_nodes = 100_000], [rel_gap = 1e-6], [abs_gap = 1e-12],
-    no time limit, no logging, [domains = 1], unlimited frontier. *)
+    no time limit, [domains = 1]. *)
 
 type ('region, 'sol) faults = {
   policy : Fault.policy;
@@ -152,15 +141,12 @@ type stats = {
           {!oracle_counters}; 0 unless the oracle reports them *)
   phase1_skipped : int;
       (** phase-I feasibility solves avoided because a warm start was
-          already strictly interior; 0 unless the oracle reports them *)
+          strictly interior (as-is or after repair): one per
+          [warm_start_hits], which it always equals *)
   warm_pull_ins : int;
       (** inherited optima repaired by the analytic-center pull-in
           ({!Socp.pull_to_interior}) before warm-starting — each one is
           a would-have-been [warm_miss_not_interior] *)
-  warm_newton_corrections : int;
-      (** inherited optima repaired by the one-step infeasible-start
-          Newton correction ({!Socp.correct_to_interior}) after the
-          pull-in failed *)
   warm_miss_no_parent : int;
       (** bound solves that went cold because the region carried no
           parent optimum (root, restored frontier, or never solved) *)
@@ -193,9 +179,6 @@ type stats = {
           certification disabled ({!mark_uncertified}) in this run or
           in any earlier run of the resume chain.  Sticky once cleared;
           persisted through checkpoints. *)
-  frontier_shed : int;
-      (** queued regions shed by {!params.max_frontier}; their residual
-          bound is already folded into [bound] and [gap] *)
   retry_budget_exhausted : int;
       (** node expansions whose {!Fault.policy.retry_budget} ran out, so
           later failures inside them skipped straight to
@@ -250,17 +233,9 @@ val oracle_counters : unit -> oracle_counters
 val count_warm_start_hit : oracle_counters -> unit
 (** Record one bound solve started from an inherited optimum. *)
 
-val count_phase1_skipped : oracle_counters -> unit
-(** Record one phase-I solve skipped thanks to a strictly interior warm
-    start. *)
-
 val count_warm_pull_in : oracle_counters -> unit
 (** Record one inherited optimum repaired by the analytic-center
     pull-in before warm-starting. *)
-
-val count_warm_newton_correction : oracle_counters -> unit
-(** Record one inherited optimum repaired by the one-step Newton
-    correction after the pull-in failed. *)
 
 val count_warm_miss_no_parent : oracle_counters -> unit
 (** Record one cold bound solve on a region with no inherited optimum. *)
@@ -300,16 +275,14 @@ type checkpointing = {
       (** snapshot cadence in explored nodes; [0] = only on stop *)
   fingerprint : string;
       (** problem identity written into the file and verified on load *)
-  save_on_stop : bool;
-      (** also snapshot when stopping on [Node_budget] / [Time_budget] /
-          [Interrupted] (never on a completed search — a finished run
-          needs no resume) *)
 }
+(** The driver also snapshots when it stops on [Node_budget] /
+    [Time_budget] / [Interrupted], never on a completed search (a
+    finished run needs no resume). *)
 
-val checkpointing : ?every_nodes:int -> ?save_on_stop:bool ->
-  fingerprint:string -> string -> checkpointing
-(** [checkpointing ~fingerprint path] with [every_nodes = 0] and
-    [save_on_stop = true] by default. *)
+val checkpointing : ?every_nodes:int -> fingerprint:string -> string -> checkpointing
+(** [checkpointing ~fingerprint path] with [every_nodes = 0] by
+    default. *)
 
 type ('region, 'sol) snapshot = {
   frontier : (float * 'region) array;
@@ -331,9 +304,7 @@ type ('region, 'sol) snapshot = {
   retry_budget_exhausted : int;
   retry_backoff_ns : int;
   warm_start_hits : int;
-  phase1_skipped : int;
   warm_pull_ins : int;
-  warm_newton_corrections : int;
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
@@ -344,10 +315,6 @@ type ('region, 'sol) snapshot = {
   certified_sound : bool;
       (** {!resume} can only clear the live flag from this, never set
           it: a chain is sound only if every run in it was *)
-  frontier_shed : int;
-  shed_bound : float;
-      (** best bound over the shed subtrees, stored bit-exact;
-          [infinity] while nothing was shed *)
 }
 (** The one checkpoint schema: everything {!resume} needs to continue a
     search, as typed fields.  The counters are the cumulative totals of
@@ -380,9 +347,8 @@ val minimize :
     polled between nodes by every worker, without any lock held;
     returning [true] stops the search with {!Interrupted} — the hook
     for signal handlers.  [?progress] emits a throttled search-wide
-    status line (nodes/s, incumbent, certified bound — shed residue
-    included — gap, per-domain oracle utilization) after node
-    expansions; with
+    status line (nodes/s, incumbent, certified bound, gap, per-domain
+    oracle utilization) after node expansions; with
     [domains > 1] the workers share the reporter's rate limit, so the
     cadence is unchanged.
 

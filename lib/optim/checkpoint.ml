@@ -1,6 +1,6 @@
 exception Corrupt of string
 
-let magic = "ldafp-bnb-checkpoint v3"
+let magic = "ldafp-bnb-checkpoint v4"
 
 let p_save =
   Obs.Probe.v "ckpt.save"
@@ -38,26 +38,32 @@ let load ~fingerprint ~path =
   let corrupt fmt =
     Printf.ksprintf (fun s -> raise (Corrupt (path ^ ": " ^ s))) fmt
   in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let line () = try input_line ic with End_of_file -> "" in
-      let got_magic = line () in
-      if got_magic <> magic then
-        corrupt "bad header %S (expected %S): corrupt or older checkpoint"
-          got_magic magic;
-      let got_fingerprint = line () in
-      if got_fingerprint <> fingerprint then
-        corrupt
-          "checkpoint is for a different problem (fingerprint %s, expected \
-           %s)"
-          got_fingerprint fingerprint;
-      let want = line () in
-      let bytes = In_channel.input_all ic in
-      (* Nothing reaches [Marshal] unless it is byte-for-byte what [save]
-         wrote: a flipped or truncated payload is caught here, not by a
-         segfault inside the unmarshaller. *)
-      if digest ~fingerprint bytes <> want then
-        corrupt "corrupt payload (digest mismatch)";
-      Marshal.from_string bytes 0)
+  let read ic =
+    let line () = try input_line ic with End_of_file -> "" in
+    let got_magic = line () in
+    if got_magic <> magic then
+      corrupt "bad header %S (expected %S): corrupt or older checkpoint"
+        got_magic magic;
+    let got_fingerprint = line () in
+    if got_fingerprint <> fingerprint then
+      corrupt
+        "checkpoint is for a different problem (fingerprint %s, expected %s)"
+        got_fingerprint fingerprint;
+    let want = line () in
+    let bytes = In_channel.input_all ic in
+    (* Nothing reaches [Marshal] unless it is byte-for-byte what [save]
+       wrote: a flipped or truncated payload is caught here, not by a
+       segfault inside the unmarshaller. *)
+    if digest ~fingerprint bytes <> want then
+      corrupt "corrupt payload (digest mismatch)";
+    Marshal.from_string bytes 0
+  in
+  (* A path that cannot be opened or read (a directory, no permission,
+     an I/O error) is a bad checkpoint like any other, not a crash. *)
+  match open_in_bin path with
+  | exception Sys_error msg -> corrupt "cannot read: %s" msg
+  | ic -> (
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          try read ic with Sys_error msg -> corrupt "cannot read: %s" msg))

@@ -7,7 +7,7 @@
 
     A checkpoint file is three text lines followed by a [Marshal] blob:
 
-    {v ldafp-bnb-checkpoint v3
+    {v ldafp-bnb-checkpoint v4
        <fingerprint>
        <MD5 hex of (fingerprint ^ "\n" ^ MD5 of payload)>
        <marshalled payload> v}
@@ -31,7 +31,8 @@
     LDA-FP solver are plain records of floats and arrays). *)
 
 exception Corrupt of string
-(** Missing file, bad magic or version, fingerprint mismatch, or a
+(** Missing file, a path that cannot be opened or read (a directory, no
+    permission), bad magic or version, fingerprint mismatch, or a
     payload that fails its digest (truncated, bit-flipped). *)
 
 val save : path:string -> fingerprint:string -> 'a -> unit

@@ -84,21 +84,16 @@ let release t ~worker =
 
 (* [live] drops by the number of queued items removed, so it stays
    exact.  Callers hold an in-flight item (or run before any worker), so
-   a removal never drains the search: the [release] after it does. *)
-let remove t f =
+   a prune never drains the search: the [release] after it does. *)
+let prune t pred =
   Mutex.protect t.lock (fun () ->
       let before = Pqueue.length t.heap in
-      let r = f t.heap in
+      Pqueue.filter_in_place t.heap pred;
       let dropped = before - Pqueue.length t.heap in
       if dropped > 0 then begin
         ignore (Atomic.fetch_and_add t.live (-dropped));
         note_size t
-      end;
-      r)
-
-let prune t pred = remove t (fun heap -> Pqueue.filter_in_place heap pred)
-
-let shed t ~keep = remove t (fun heap -> Pqueue.drop_worst heap ~keep)
+      end)
 
 let snapshot t =
   Mutex.protect t.lock (fun () ->

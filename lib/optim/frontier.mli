@@ -14,7 +14,7 @@
     - A worker pushes an item's children {e before} releasing the item,
       so the live count reaches 0 only when the search space is
       exhausted.
-    - {!prune} and {!shed} are called by a worker that holds an
+    - {!prune} is called by a worker that holds an
       in-flight item, or before any worker starts.
     - Items are never mutated after being pushed (the B&B contract), so
       {!snapshot} may hand them to a checkpoint writer.
@@ -43,14 +43,6 @@ val release : 'a t -> worker:int -> unit
 val prune : 'a t -> (float -> 'a -> bool) -> unit
 (** Drop queued items that fail the predicate; in-flight items are
     kept.  The live count stays exact. *)
-
-val shed : 'a t -> keep:int -> int * float
-(** [shed t ~keep] drops the {e largest}-key queued items until at most
-    [keep] remain, returning [(dropped, min_dropped_key)], or
-    [(0, infinity)] when the queue was already within [keep].  The
-    bounded-memory frontier primitive: shed items are gone for good, so
-    the caller must fold [min_dropped_key] into every bound and gap it
-    reports ({!Pqueue.drop_worst} explains why that suffices). *)
 
 val snapshot : 'a t -> (float * 'a) list
 (** Every live item with its key, queued {e and} in flight — the whole

@@ -120,25 +120,6 @@ let minimize_into ?(params = default_params) ws oracle x0 =
       { x = Vec.copy ws.xa; value = !fx; iterations = !iter; decrement = !dec;
         status = !status }
 
-let step_into ?(params = default_params) ws oracle x0 ~dst =
-  if Vec.dim x0 <> ws.n || Vec.dim dst <> ws.n then
-    invalid_arg "Newton.step_into: dimension mismatch";
-  Array.blit x0 0 ws.xa 0 ws.n;
-  match oracle.value ws.xa with
-  | None -> false
-  | Some f0 -> (
-      oracle.derivs ~grad:ws.grad ~hess:ws.hess;
-      let gd = direction ws in
-      if Float.is_nan gd then false
-      else
-        (* The first accepted candidate is the step; its derivatives are
-           never needed. *)
-        match line_search params ws oracle ~f0 ~gd with
-        | Some _ ->
-            Array.blit ws.xb 0 dst 0 ws.n;
-            true
-        | None -> false)
-
 (* The combined oracle's last in-domain evaluation, handed out by
    [derivs] with the Hessian symmetrised as it is copied (the loop
    factors the lower triangle as given). *)

@@ -84,20 +84,3 @@ val minimize_into : ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -
     allocated.
     @raise Invalid_argument if the starting point is outside the domain
     or its dimension does not match the workspace. *)
-
-val step_into :
-  ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> dst:Linalg.Vec.t -> bool
-(** One damped Newton step from [x0], written into [dst]: direction via
-    the jittered Cholesky, then the same backtracking line search (with
-    domain rejection) as {!minimize_into}, stopping at the first
-    accepted candidate.  Returns [false] — leaving [dst] unspecified —
-    when [x0] is outside the oracle's domain, the Newton system is
-    degenerate (NaN decrement) or the line search cannot find an
-    acceptable point.  Calls [derivs] once, at [x0]: the accepted
-    candidate needs only its value.  Heap-allocation-free: all
-    temporaries live in the workspace.  This is the engine of the warm-start interiority
-    correction (see {!Socp.correct_to_interior}), where a single pure
-    barrier step from a slightly-relaxed start is enough to clear the
-    boundary and a full {!minimize_into} would waste the budget.
-    [dst] may alias [x0]; it must not alias the workspace buffers.
-    @raise Invalid_argument on a dimension mismatch. *)

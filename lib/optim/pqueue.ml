@@ -94,29 +94,6 @@ let filter_in_place t pred =
     heapify t
   end
 
-(* Shed the largest-key entries until at most [keep] remain — the
-   bounded-memory frontier cap.  Shedding is rare (only on overflow),
-   so a full sort is fine; a sorted-ascending array is already a valid
-   min-heap, and the fresh backing array releases the shed values. *)
-let drop_worst t ~keep =
-  let keep = max 0 keep in
-  if t.size <= keep then (0, Float.infinity)
-  else begin
-    let entries = Array.sub t.data 0 t.size in
-    Array.sort (fun a b -> Float.compare a.key b.key) entries;
-    let dropped = t.size - keep in
-    let min_dropped = entries.(keep).key in
-    if keep = 0 then begin
-      t.size <- 0;
-      t.data <- [||]
-    end
-    else begin
-      t.size <- keep;
-      t.data <- Array.sub entries 0 keep
-    end;
-    (dropped, min_dropped)
-  end
-
 let fold f acc t =
   let acc = ref acc in
   for i = 0 to t.size - 1 do

@@ -15,10 +15,6 @@ let p_warm_pull =
   Obs.Probe.v "socp.warm_pull"
     ~count:"warm starts repaired by the analytic-center pull-in"
 
-let p_warm_correct =
-  Obs.Probe.v "socp.warm_correct"
-    ~count:"warm starts repaired by the one-step Newton correction"
-
 let m_newton_iterations =
   Obs.Metrics.histogram Obs.Metrics.default ~lo:1.0 ~hi:1e4
     ~help:"Newton iterations per Socp.solve (summed over the tau ladder)"
@@ -376,8 +372,8 @@ let barrier_nu pb = Array.length pb.lins + (2 * Array.length pb.socs)
 type scratch = {
   ws : Newton.workspace;
   px : Vec.t;  (* P x *)
-  mutable slack : Vec.t;  (* per half-space: b + relax − aᵀx *)
-  mutable u : Vec.t;  (* per cone: cᵀx + d + relax *)
+  mutable slack : Vec.t;  (* per half-space: b − aᵀx *)
+  mutable u : Vec.t;  (* per cone: cᵀx + d *)
   mutable h : Vec.t;  (* per cone: u² − ‖v‖² *)
   mutable v : Vec.t;  (* every cone's residual Lx + g, cone after cone *)
   ltv : Vec.t;  (* Lᵀ v *)
@@ -423,12 +419,8 @@ let scratch_for pb =
    box row and O(rows·n) per cone; it leaves the slacks and each cone's
    u, v, h in [sc].  [derivs] reads them back — no second Lx — and adds
    the P, half-space and cone terms to the Hessian's lower triangle
-   only, each entry in the order the full matrix used to be summed in.
-   [relax] loosens every constraint offset by that absolute amount
-   (b ← b + relax, d ← d + relax): the δ-relaxed barrier of the one-step
-   interiority correction, whose domain contains points just outside
-   the true feasible set. *)
-let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
+   only, each entry in the order the full matrix used to be summed in. *)
+let centering_into pb sc tau : Newton.oracle_into =
   let n = pb.n in
   let s_obj = tau *. pb.obj_scale in
   let value x =
@@ -443,7 +435,7 @@ let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
            value for a finite iterate. *)
         let { a; b } = pb.lins.(k) and sk = pb.lin_support.(k) in
         let ax = if sk >= 0 then a.(sk) *. x.(sk) else Vec.dot a x in
-        let s = b +. relax -. ax in
+        let s = b -. ax in
         if s <= 0.0 then ok := false
         else begin
           sc.slack.(k) <- s;
@@ -455,7 +447,7 @@ let centering_into ?(relax = 0.0) pb sc tau : Newton.oracle_into =
     for k = 0 to Array.length pb.socs - 1 do
       if !ok then begin
         let { l; g; c; d } = pb.socs.(k) in
-        let u = Vec.dot c x +. d +. relax in
+        let u = Vec.dot c x +. d in
         let rows_l = Mat.rows l in
         let vv = ref 0.0 in
         for r = 0 to rows_l - 1 do
@@ -711,7 +703,7 @@ let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
    a blend clearing the chord bound clears the true slack.  The residual
    scales are likewise bounded by their endpoint maxima (|aᵀ·|, |u| and
    ‖v‖ are convex).  [None] when the target itself does not clear the
-   margin — the caller falls back to the Newton correction. *)
+   margin — the caller then solves cold. *)
 let pull_to_interior ?(margin = 1e-8) pb ~target x =
   if Vec.dim x <> pb.n || Vec.dim target <> pb.n then None
   else begin
@@ -755,75 +747,25 @@ let pull_to_interior ?(margin = 1e-8) pb ~target x =
     end
   end
 
-(* One-step infeasible-start Newton correction: relax every constraint
-   by the smallest absolute δ that makes x clear margin × scale on the
-   relaxed problem (so x is certifiably inside the relaxed barrier's
-   domain), take a single damped Newton step on the relaxed pure barrier
-   (τ = 0 — the step aims at the relaxed analytic center, i.e. straight
-   inward), and keep the result iff it is strictly interior to the
-   {e true} constraints.  O(1) heap allocation beyond the returned
-   vector: the oracle and the step run in the per-domain scratch. *)
-let correct_to_interior ?(params = default_params) ?(margin = 1e-8) pb x =
-  if Vec.dim x <> pb.n then None
-  else begin
-    let delta = ref 0.0 in
-    Array.iter
-      (fun { a; b } ->
-        let ax = Vec.dot a x in
-        let need = (margin *. lin_scale b ax) -. (b -. ax) in
-        delta := Float.max !delta need)
-      pb.lins;
-    Array.iter
-      (fun ({ c; d; _ } as s) ->
-        let u = Vec.dot c x +. d in
-        let nv = sqrt (soc_vv s x) in
-        let need = (margin *. soc_scale u nv) -. (u -. nv) in
-        delta := Float.max !delta need)
-      pb.socs;
-    if not (Float.is_finite !delta) then None
-    else if !delta <= 0.0 then Some (Vec.copy x)
-    else begin
-      let sc = scratch_for pb in
-      let dst = Vec.zeros pb.n in
-      if
-        Newton.step_into ~params:params.newton sc.ws
-          (centering_into ~relax:!delta pb sc 0.0)
-          x ~dst
-        && is_strictly_interior ~margin:(0.25 *. margin) pb dst
-      then Some dst
-      else None
-    end
-  end
-
-type warm_prep = Warm_interior | Warm_pulled | Warm_corrected
+type warm_prep = Warm_interior | Warm_pulled
 
 (* The warm-start decision tree (doc/solver.mld): accept a certifiably
    interior start as-is; otherwise pull it toward the caller's interior
-   target; otherwise take one corrective Newton step.  [None] means the
-   caller must solve cold (phase-I). *)
-let prepare_warm_start ?(params = default_params) ?(margin = 1e-8) ?target pb
-    x =
+   target.  [None] means the caller must solve cold (phase-I). *)
+let prepare_warm_start ?(margin = 1e-8) ?target pb x =
   if Vec.dim x <> pb.n then None
   else if is_strictly_interior ~margin pb x then Some (x, Warm_interior)
-  else begin
-    let pulled =
-      match target with
-      | Some t -> pull_to_interior ~margin pb ~target:t x
-      | None -> None
-    in
-    match pulled with
-    | Some y ->
-        Obs.Probe.hit p_warm_pull;
-        Some (y, Warm_pulled)
-    | None -> (
-        match correct_to_interior ~params ~margin pb x with
+  else
+    match target with
+    | None -> None
+    | Some t -> (
+        match pull_to_interior ~margin pb ~target:t x with
         | Some y ->
-            Obs.Probe.hit p_warm_correct;
-            Some (y, Warm_corrected)
+            Obs.Probe.hit p_warm_pull;
+            Some (y, Warm_pulled)
         | None -> None)
-  end
 
-let solve ?(params = default_params) ?certificate pb ~start =
+let solve ?(params = default_params) pb ~start =
   if Vec.dim start <> pb.n then invalid_arg "Socp.solve: start dimension";
   (* The span covers the whole solve including any interior nudge, so a
      phase-I span nested inside it shows up as exactly the overhead the
@@ -852,42 +794,17 @@ let solve ?(params = default_params) ?certificate pb ~start =
     if is_strictly_interior pb start then start
     else begin
       (* The start sits on (or within roundoff of) the constraint
-         boundary — common when a caller clips a warm start to the box. *)
-      let blended =
-        match certificate with
-        | Some cert when Vec.dim cert = pb.n && is_strictly_interior pb cert
-          ->
-            (* Pull the start toward a point the caller certifies as
-               strictly interior (a phase-I output or a previous barrier
-               iterate): by convexity some blend is interior, so no
-               phase-I solve is needed.  Small alphas first to stay close
-               to the warm start; alpha = 1 recovers the certificate. *)
-            let rec go = function
-              | [] -> None
-              | alpha :: rest ->
-                  let cand =
-                    Vec.init pb.n (fun i ->
-                        start.(i) +. (alpha *. (cert.(i) -. start.(i))))
-                  in
-                  if is_strictly_interior pb cand then Some cand else go rest
-            in
-            go [ 0.01; 0.1; 0.5; 1.0 ]
-        | _ -> None
-      in
-      match blended with
-      | Some x -> x
-      | None ->
-          (* Relative test: a start violating every constraint by at most
-             start_margin × its residual scale is repairable regardless
-             of how the problem is scaled. *)
-          if min_relative_slack pb start >= -.params.start_margin then
-            (* No certificate: nudge into the interior with a phase-I
-               solve rather than rejecting. *)
-            match find_strictly_feasible ~params pb ~start with
-            | Strictly_feasible x -> x
-            | Infeasible _ | Unknown _ ->
-                invalid_arg "Socp.solve: start point not strictly feasible"
-          else invalid_arg "Socp.solve: start point not strictly feasible"
+         boundary — common when a caller clips a warm start to the box.
+         Relative test: a start violating every constraint by at most
+         start_margin × its residual scale is repairable regardless of
+         how the problem is scaled, so nudge it into the interior with a
+         phase-I solve rather than rejecting it. *)
+      if min_relative_slack pb start >= -.params.start_margin then
+        match find_strictly_feasible ~params pb ~start with
+        | Strictly_feasible x -> x
+        | Infeasible _ | Unknown _ ->
+            invalid_arg "Socp.solve: start point not strictly feasible"
+      else invalid_arg "Socp.solve: start point not strictly feasible"
     end
   in
   let sc = scratch_for pb in
@@ -942,8 +859,7 @@ let solve ?(params = default_params) ?certificate pb ~start =
         outer_iterations = !outer; newton_iterations = !newton_total; status }
   end
 
-let centering_for_tests ?relax pb tau =
-  centering_into ?relax pb (scratch_for pb) tau
+let centering_for_tests pb tau = centering_into pb (scratch_for pb) tau
 
 (* Allocating wrapper for the derivative tests: the full Hessian, its
    upper triangle mirrored from the lower one. *)

@@ -205,7 +205,7 @@ val restart_levels : ?back:int -> params -> tau_final:float -> int
     tau — and the certified gap — is exactly what a cold solve reaches;
     a start that skipped {e too} far would run zero centering steps and
     return the parent's point unrefined, which the clamp rules out.
-    Callers pass a larger [back] for starts that were repaired
+    Callers may pass a larger [back] for starts that were repaired
     ({!prepare_warm_start}) rather than inherited verbatim.  0 when
     [tau_final] is not finite (no ladder ran) or does not exceed
     [tau0]. *)
@@ -236,26 +236,11 @@ val pull_to_interior :
     result is within the segment [x]–[target], so any convex constraint
     set containing both contains it. *)
 
-val correct_to_interior :
-  ?params:params -> ?margin:float -> problem -> Linalg.Vec.t -> Linalg.Vec.t option
-(** One-step infeasible-start Newton correction: relax every constraint
-    offset by the smallest absolute δ that makes [x] clear
-    [margin × scale] on the relaxed problem, take a single damped
-    Newton step ({!Newton.step_into}, in the per-domain scratch — O(1)
-    heap allocation beyond the returned vector) on the relaxed pure
-    barrier (τ = 0, so the step aims at the relaxed analytic center,
-    i.e. straight inward), and return the result iff it is strictly
-    interior to the {e true} constraints.  The backstop of
-    {!prepare_warm_start} when no pull-in target is available or the
-    pull failed; [None] sends the caller to phase-I. *)
-
 type warm_prep =
   | Warm_interior  (** accepted as-is: already margin-interior *)
   | Warm_pulled  (** repaired by {!pull_to_interior} *)
-  | Warm_corrected  (** repaired by {!correct_to_interior} *)
 
 val prepare_warm_start :
-  ?params:params ->
   ?margin:float ->
   ?target:Linalg.Vec.t ->
   problem ->
@@ -263,14 +248,11 @@ val prepare_warm_start :
   (Linalg.Vec.t * warm_prep) option
 (** The warm-start decision tree: [x] if it is already certifiably
     interior ([margin] relative, default [1e-8]); else the
-    analytic-center pull-in toward [?target]; else the one-step Newton
-    correction; else [None] — solve cold.  The returned point is safe to
-    pass to {!solve} as [start] with a {!warm_start_params} schedule
-    advance ({!restart_levels}); callers should budget more [back]
-    rungs for [Warm_pulled] / [Warm_corrected] starts, which moved away
-    from the parent optimum.  Emits the [socp.warm_pull] /
-    [socp.warm_correct] trace instants and bumps the matching metrics
-    counters when repair runs. *)
+    analytic-center pull-in toward [?target]; else [None] — solve cold.
+    The returned point is safe to pass to {!solve} as [start] with a
+    {!warm_start_params} schedule advance ({!restart_levels}).  Emits
+    the [socp.warm_pull] trace instant and bumps its metrics counter
+    when the pull-in repairs a start. *)
 
 type status = Optimal | Suboptimal
 (** [Suboptimal]: an outer-iteration limit, a stalled centering step, or
@@ -295,25 +277,14 @@ type solution = {
 
 val solve :
   ?params:params ->
-  ?certificate:Linalg.Vec.t ->
   problem ->
   start:Linalg.Vec.t ->
   solution
 (** Path-following from a strictly feasible [start].  A start that is
     feasible only up to roundoff — violating no constraint by more than
-    [params.start_margin] × its residual scale — is repaired before the
-    barrier loop runs:
-
-    - with [?certificate] (a point the caller knows to be strictly
-      interior, e.g. a phase-I output or a previous barrier solution for
-      the same constraints), the start is blended toward the certificate
-      until strictly interior — no phase-I solve, so warm starts clipped
-      to a box boundary do not silently pay the cold cost;
-    - otherwise it is nudged into the interior via
-      {!find_strictly_feasible} (a full phase-I solve).
-
-    An invalid certificate (wrong dimension or not interior) is ignored.
-    [start] is never mutated and no longer copied up front.
+    [params.start_margin] × its residual scale — is first nudged into
+    the interior via {!find_strictly_feasible} (a full phase-I solve).
+    [start] is never mutated and not copied up front.
     @raise Invalid_argument if [start] violates a constraint by more
     than [params.start_margin], or the phase-I nudge fails. *)
 
@@ -392,11 +363,10 @@ val certify_lower_bound :
 
 (**/**)
 
-val centering_for_tests : ?relax:float -> problem -> float -> Newton.oracle_into
+val centering_for_tests : problem -> float -> Newton.oracle_into
 (** The split centering oracle of [τ·f + barrier] that every barrier
-    solve runs, in the per-domain scratch; [relax] (default 0) loosens
-    every constraint offset by that amount, as in the warm-start
-    correction.  Not part of the stable API.  [value]: O(n²) for [P x],
+    solve runs, in the per-domain scratch.  Not part of the stable
+    API.  [value]: O(n²) for [P x],
     O(rows·n) per cone (the residual [Lx+g]), O(1) per single-nonzero
     half-space, O(n) per other half-space.  [derivs]: the gradient and
     the Hessian's lower triangle, O(n²) per cone (reading the cone's

@@ -231,85 +231,6 @@ let test_retry_budget_exhausted () =
   checki "region degraded, not dropped" 1 r.Bnb.stats.Bnb.degraded_bounds
 
 (* ------------------------------------------------------------------ *)
-(* Bounded-memory frontier                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A deliberately unprunable oracle: trivial lower bound, candidates
-   only at singletons — nothing prunes, so the frontier grows with the
-   tree and a memory cap must shed.  A shed region may well hold the
-   optimum; the promise under test is that the reported bound stays
-   below it regardless. *)
-let unprunable_oracle target =
-  let cost x = (x -. target) ** 2.0 in
-  {
-    Bnb.bound =
-      (fun (lo, hi) ->
-        if lo > hi then None
-        else
-          Some
-            {
-              Bnb.lower = 0.0;
-              candidate =
-                (if lo = hi then Some (lo, cost (float_of_int lo)) else None);
-            });
-    branch =
-      (fun (lo, hi) ->
-        if lo >= hi then []
-        else
-          let mid = (lo + hi) asr 1 in
-          [ (lo, mid); (mid + 1, hi) ]);
-  }
-
-let test_frontier_shed_stays_sound () =
-  let target = 7.3 in
-  let params =
-    { Bnb.default_params with
-      max_frontier = 8; rel_gap = 0.0; abs_gap = 0.0 }
-  in
-  let r = Bnb.minimize ~params (unprunable_oracle target) (-25, 25) in
-  checkb "shedding occurred" true (r.Bnb.stats.Bnb.frontier_shed > 0);
-  (* Anytime soundness: dropped nodes were never explored, so the
-     reported bound must fold their best key in and stay below the true
-     optimal cost — and below whatever incumbent was kept. *)
-  checkb "bound below the true optimum" true
-    (r.Bnb.bound <= cost_of target 7 +. 1e-12);
-  (match r.Bnb.best with
-  | Some (_, c) ->
-      checkb "bound below the incumbent" true (r.Bnb.bound <= c +. 1e-12)
-  | None -> Alcotest.fail "no incumbent");
-  checkb "shedding does not invalidate certification" true
-    r.Bnb.stats.Bnb.certified_sound;
-  (* No cap: nothing sheds, and the exact search closes as usual. *)
-  let r0 =
-    Bnb.minimize
-      ~params:{ params with Bnb.max_frontier = 0 }
-      (unprunable_oracle target) (-25, 25)
-  in
-  checki "uncapped search sheds nothing" 0 r0.Bnb.stats.Bnb.frontier_shed;
-  (match r0.Bnb.best with
-  | Some (x, _) -> checki "uncapped search finds the optimum" 7 x
-  | None -> Alcotest.fail "uncapped search found no incumbent")
-
-let test_frontier_shed_parallel_sound () =
-  let target = 7.3 in
-  let params =
-    { Bnb.default_params with
-      max_frontier = 8; domains = 4; rel_gap = 0.0; abs_gap = 0.0 }
-  in
-  match
-    run_with_timeout ~seconds:30.0 (fun () ->
-        Bnb.minimize ~params (unprunable_oracle target) (-25, 25))
-  with
-  | None -> Alcotest.fail "capped parallel search hung"
-  | Some r ->
-      checkb "bound below the true optimum" true
-        (r.Bnb.bound <= cost_of target 7 +. 1e-12);
-      (match r.Bnb.best with
-      | Some (_, c) ->
-          checkb "bound below the incumbent" true (r.Bnb.bound <= c +. 1e-12)
-      | None -> Alcotest.fail "no incumbent")
-
-(* ------------------------------------------------------------------ *)
 (* Certified vs trusting pruning                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -436,9 +357,7 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
     retry_budget_exhausted = 12;
     retry_backoff_ns = 13;
     warm_start_hits = 14;
-    phase1_skipped = 15;
     warm_pull_ins = 16;
-    warm_newton_corrections = 17;
     warm_miss_no_parent = 18;
     warm_miss_not_interior = 19;
     warm_miss_fault_cleared = 20;
@@ -447,8 +366,6 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
     cert_repaired = 23;
     cert_fallbacks = 24;
     certified_sound = false;
-    frontier_shed = 25;
-    shed_bound = 0.1 +. 0.2;
   }
 
 let load_sample ~fingerprint path : (int * int, int) Bnb.snapshot =
@@ -465,11 +382,7 @@ let test_checkpoint_roundtrip () =
       let snapshot = sample_snapshot () in
       Checkpoint.save ~path ~fingerprint:"fp-test" snapshot;
       let loaded = load_sample ~fingerprint:"fp-test" path in
-      checkb "every field survives" true (loaded = snapshot);
-      Alcotest.(check int64)
-        "shed bound bit-exact"
-        (Int64.bits_of_float snapshot.Bnb.shed_bound)
-        (Int64.bits_of_float loaded.Bnb.shed_bound))
+      checkb "every field survives" true (loaded = snapshot))
 
 let test_checkpoint_rejects_fingerprint_mismatch () =
   let path = temp_checkpoint () in
@@ -492,10 +405,11 @@ let test_checkpoint_rejects_garbage () =
 
 (* There is one schema: a file under any other format version — here the
    v1 layout, with the right fingerprint and a well-formed payload — is
-   refused rather than migrated.  A v2 file (the snapshot layout before
-   the scheduler's seed counters were dropped) is complete and
-   digest-valid, so only the header can refuse it: it must, rather than
-   unmarshal into the v3 type. *)
+   refused rather than migrated.  A v2 or v3 file (the snapshot layouts
+   before the scheduler's seed counters, then the frontier-cap and
+   warm-correction fields, were dropped) is complete and digest-valid,
+   so only the header can refuse it: it must, rather than unmarshal
+   into the v4 type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -510,14 +424,18 @@ let test_checkpoint_rejects_old_version () =
       let digest =
         Digest.to_hex (Digest.string ("fp-test\n" ^ Digest.string payload))
       in
-      Out_channel.with_open_bin path (fun oc ->
-          List.iter (output_string oc)
-            [ "ldafp-bnb-checkpoint v2\nfp-test\n"; digest; "\n"; payload ]);
-      match load_sample ~fingerprint:"fp-test" path with
-      | exception Checkpoint.Corrupt msg ->
-          checkb "v2 refused at the header" true
-            (String.starts_with ~prefix:(path ^ ": bad header") msg)
-      | _ -> Alcotest.fail "a v2 checkpoint was loaded")
+      List.iter
+        (fun version ->
+          Out_channel.with_open_bin path (fun oc ->
+              List.iter (output_string oc)
+                [ "ldafp-bnb-checkpoint " ^ version ^ "\nfp-test\n"; digest;
+                  "\n"; payload ]);
+          match load_sample ~fingerprint:"fp-test" path with
+          | exception Checkpoint.Corrupt msg ->
+              checkb (version ^ " refused at the header") true
+                (String.starts_with ~prefix:(path ^ ": bad header") msg)
+          | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
+        [ "v2"; "v3" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -535,6 +453,21 @@ let test_checkpoint_missing_file () =
   checkb "missing file raises Corrupt" true
     (raises_corrupt (fun () ->
          load_sample ~fingerprint:"fp-test" "/nonexistent/dir/ck.bnb"))
+
+(* A path that exists but cannot be read as a file is a bad checkpoint,
+   not a [Sys_error] escaping to the caller. *)
+let test_checkpoint_directory () =
+  let dir = Filename.temp_dir "ldafp-test-checkpoint" ".d" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      match load_sample ~fingerprint:"fp-test" dir with
+      | exception Checkpoint.Corrupt msg ->
+          checkb "message names the path" true
+            (String.starts_with ~prefix:dir msg)
+      | exception e ->
+          Alcotest.failf "directory raised %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "a directory loaded as a checkpoint")
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume through the driver                                *)
@@ -623,9 +556,9 @@ let test_bnb_resume_restores_every_field () =
         = snapshot))
 
 let test_bnb_periodic_checkpoint () =
-  (* [every_nodes = 2] on a weak-bound search: the file must exist while
-     the search is still mid-tree (verified post-hoc by stopping on a
-     budget larger than the cadence). *)
+  (* [every_nodes = 2] on a search run to completion: a proved-optimal
+     stop never snapshots, so the file it leaves is the last periodic
+     snapshot, taken mid-tree. *)
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -633,14 +566,14 @@ let test_bnb_periodic_checkpoint () =
       Sys.remove path;
       let r =
         Bnb.minimize
-          ~params:{ Bnb.default_params with max_nodes = 9; rel_gap = 0.0;
-                    abs_gap = 0.0 }
+          ~params:{ Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 }
           ~checkpointing:
-            (Bnb.checkpointing ~every_nodes:2 ~save_on_stop:false
-               ~fingerprint:"periodic" path)
+            (Bnb.checkpointing ~every_nodes:2 ~fingerprint:"periodic" path)
           (integer_quadratic_oracle 3.3)
           (-25, 25)
       in
+      checkb "search ran to completion" true
+        (r.Bnb.stop_reason = Bnb.Proved_optimal);
       checkb "periodic snapshot written" true (Sys.file_exists path);
       let state : ((int * int), int) Bnb.snapshot =
         Checkpoint.load ~fingerprint:"periodic" ~path
@@ -1271,11 +1204,9 @@ let recovering_faults (clean : (int * int, int) Bnb.oracle) =
     fallback_bound = Some weak_fallback;
   }
 
-(* The display name predates the shared frontier; it is kept so the
-   test's identity stays stable. *)
 let prop_parallel_agrees_with_sequential =
   QCheck.Test.make
-    ~name:"work-stealing matches the sequential incumbent under injection"
+    ~name:"shared heap matches the sequential incumbent under injection"
     ~count:(qcheck_count 20) arb_fault_run
     (fun (rate, seed, domains, target) ->
       let clean = integer_quadratic_oracle target in
@@ -1363,11 +1294,10 @@ let prop_parallel_resume_matches_sequential =
    node budget of a few nodes (the snapshot of a barely grown frontier
    must resume to the same answer) or later.  Injection and kill/resume
    stay separate dimensions for the same reason as in
-   [prop_ldafp_warm_cold_agree]: injection seeds are per-run.  The
-   display name predates the shared frontier and is kept. *)
+   [prop_ldafp_warm_cold_agree]: injection seeds are per-run. *)
 let prop_parallel_gap_agrees_with_sequential =
   QCheck.Test.make
-    ~name:"seeded parallel search matches sequential incumbent and gap"
+    ~name:"domain count changes neither incumbent nor gap"
     ~count:(qcheck_count 15)
     (QCheck.make
        ~print:(fun (rate, seed, domains, target, kill_after, resume) ->
@@ -1476,13 +1406,6 @@ let () =
           Alcotest.test_case "per-expansion budget" `Quick
             test_retry_budget_exhausted;
         ] );
-      ( "frontier",
-        [
-          Alcotest.test_case "shed stays sound" `Quick
-            test_frontier_shed_stays_sound;
-          Alcotest.test_case "shed stays sound, domains=4" `Quick
-            test_frontier_shed_parallel_sound;
-        ] );
       ( "certificate",
         [
           Alcotest.test_case "trusting misprunes, certified does not" `Quick
@@ -1510,6 +1433,8 @@ let () =
             test_checkpoint_every_byte_flip;
           Alcotest.test_case "missing file" `Quick
             test_checkpoint_missing_file;
+          Alcotest.test_case "directory raises Corrupt" `Quick
+            test_checkpoint_directory;
         ] );
       ( "resume",
         [

@@ -134,7 +134,7 @@ let test_disabled_path_no_alloc () =
   Obs.Metrics.set_enabled false;
   checkb "every sink off" false (Obs.Probe.on ());
   let probes = Obs.Probe.declared () in
-  checkb "production probes declared" true (List.length probes >= 20);
+  checkb "production probes declared" true (List.length probes >= 19);
   let before_metrics = Obs.Metrics.to_prometheus Obs.Metrics.default in
   let rec emit i = function
     | [] -> ()
@@ -377,25 +377,18 @@ let metric_of_probe p suffix =
 let events_named events name =
   List.filter (fun e -> e.Obs.Trace.name = name) events
 
-let int_arg key e =
-  match List.assoc_opt key e.Obs.Trace.args with
-  | Some (Obs.Trace.Int v) -> v
-  | _ -> Alcotest.failf "%s has no int arg %S" e.Obs.Trace.name key
-
 (* A 2-domain LDA-FP solve tuned so every containment path fires:
    injected bound faults with a retry budget of one per expansion (a
    second failure in one expansion skips straight to degrade or drop),
-   a barrier tolerance loose enough that some dual certificates fail,
-   and a frontier capped at a few regions so it sheds.  [killed] first
-   runs 12 nodes with no cap and checkpoints, then resumes under the
-   cap, so one shed drops many regions at once. *)
+   and a barrier tolerance loose enough that some dual certificates
+   fail.  [killed] first runs 12 nodes and checkpoints, then resumes. *)
 let fault_heavy_solve ~degrade ~killed =
   let open Ldafp_core in
   let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
   let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
   let path = Filename.temp_file "ldafp-test-obs" ".ck" in
   Sys.remove path;
-  let solve ~max_nodes ~max_frontier =
+  let solve ~max_nodes =
     let config =
       {
         Lda_fp.quick_config with
@@ -406,7 +399,6 @@ let fault_heavy_solve ~degrade ~killed =
             rel_gap = 0.0;
             abs_gap = 0.0;
             domains = 2;
-            max_frontier;
           };
         socp_params = { Optim.Socp.default_params with gap_tol = 0.05 };
         fault_policy =
@@ -432,8 +424,8 @@ let fault_heavy_solve ~degrade ~killed =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      if killed then ignore (solve ~max_nodes:12 ~max_frontier:0);
-      solve ~max_nodes:400 ~max_frontier:6)
+      if killed then ignore (solve ~max_nodes:12);
+      solve ~max_nodes:400)
 
 (* Each row: the quantity, its probe, and its [Bnb.stats] value. *)
 let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
@@ -449,8 +441,6 @@ let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
       ("cert fallbacks", "fault.cert_fallback", s.cert_fallbacks);
       ("budget exhaustions", "fault.budget_exhausted", s.retry_budget_exhausted);
       ("warm pulls", "socp.warm_pull", s.warm_pull_ins);
-      ("warm corrections", "socp.warm_correct", s.warm_newton_corrections);
-      ("shed", "bnb.frontier_shed", s.frontier_shed);
     ]
 
 (* What a probe's metric says happened: its counter, else its
@@ -465,13 +455,8 @@ let probe_named name =
   | Some p -> p
   | None -> Alcotest.failf "no probe %s declared" name
 
-(* The trace's count of an event: instants and spans, except the shed
-   event, whose [dropped] argument is what it counts. *)
-let trace_count events name =
-  let evs = events_named events name in
-  if name = "bnb.frontier_shed" then
-    List.fold_left (fun acc e -> acc + int_arg "dropped" e) 0 evs
-  else List.length evs
+(* The trace's count of an event: instants and spans. *)
+let trace_count events name = List.length (events_named events name)
 
 let test_cross_sink_consistency () =
   let fired = Hashtbl.create 16 in
@@ -510,19 +495,14 @@ let test_cross_sink_consistency () =
             (checki (tag ^ ": metric = stats") stat)
             (probe_metric (probe_named name));
           if stat > 0 then Hashtbl.replace fired what ())
-        (stats_rows d);
-      if
-        List.exists
-          (fun e -> int_arg "dropped" e > 1)
-          (events_named events "bnb.frontier_shed")
-      then Hashtbl.replace fired "multi-region shed" ())
+        (stats_rows d))
     [ (true, false); (false, false); (true, true) ];
   List.iter
     (fun what ->
       checkb (Printf.sprintf "%s fired" what) true (Hashtbl.mem fired what))
     [
       "retries"; "degrades"; "drops"; "cert fallbacks"; "budget exhaustions";
-      "shed"; "multi-region shed"; "warm pulls";
+      "warm pulls";
     ]
 
 let test_one_sink_at_a_time () =

@@ -126,32 +126,6 @@ let test_pqueue_empty () =
   checkb "pop none" true (Pqueue.pop q = None);
   checkf 1e-12 "min of empty is inf" Float.infinity (Pqueue.min_key q)
 
-let test_pqueue_drop_worst () =
-  let q = Pqueue.create () in
-  List.iter (fun k -> Pqueue.push q k (int_of_float k))
-    [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  (* Within budget: nothing dropped, infinity folds harmlessly. *)
-  let d, m = Pqueue.drop_worst q ~keep:10 in
-  checki "no drop" 0 d;
-  checkb "no-drop bound is inf" true (m = Float.infinity);
-  (* Over budget: the two largest keys go, and the smallest dropped key
-     is reported (the value soundness folds into the gap). *)
-  let d, m = Pqueue.drop_worst q ~keep:3 in
-  checki "dropped count" 2 d;
-  checkf 1e-12 "min dropped key" 4.0 m;
-  checki "kept" 3 (Pqueue.length q);
-  let popped = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (k, _) ->
-        popped := k :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.0)))
-    "survivors are the best, in order" [ 1.0; 2.0; 3.0 ] (List.rev !popped)
-
 let test_pqueue_filter_releases_dropped () =
   (* [filter_in_place] must clear dead slots so dropped payloads become
      collectable — in the solver those payloads are whole search regions,
@@ -370,20 +344,6 @@ let test_newton_split_oracle_calls () =
     (values - 1 > (List.length derivs - 1)
                   + List.length
                       (List.filter (function `Value (_, false) -> true | _ -> false) ev))
-
-let test_newton_step_into_derivs_once () =
-  let oracle, events = logged_oracle () in
-  let dst = [| Float.nan |] in
-  checkb "step accepted" true
-    (Newton.step_into (Newton.workspace 1) oracle [| 3.0 |] ~dst);
-  let ev = events () in
-  checki "derivs exactly once" 1
-    (List.length (List.filter (function `Derivs _ -> true | _ -> false) ev));
-  checkb "at x0, before any trial" true
-    (match ev with `Value (3.0, true) :: `Derivs 3.0 :: _ -> true | _ -> false);
-  checkb "dst is the last (accepted) trial" true
-    (match List.rev ev with `Value (v, true) :: _ -> v = dst.(0) | _ -> false);
-  checkf 1e-9 "the quarter step" 1.5 dst.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Socp                                                                *)
@@ -992,11 +952,10 @@ let test_bnb_domains_one_pinned () =
           o.Ldafp_core.Lda_fp.cost, d.Ldafp_core.Lda_fp.bound,
           d.Ldafp_core.Lda_fp.search )
 
-let test_bnb_progress_bound_folds_shed () =
-  (* A binary tree whose bounds grow with depth.  Capping the frontier at
-     one region sheds node 2 (bound 2); after node 1 expands, every queued
-     bound is above 2.  The progress line must print the certified bound,
-     shed residue folded in, never the raw frontier minimum above it. *)
+let test_bnb_progress_line_per_node () =
+  (* A binary tree whose bounds grow with depth, run to drain.  With a
+     clock that makes the reporter due after every node, the search
+     prints exactly one progress line per explored node. *)
   let oracle =
     {
       Bnb.bound =
@@ -1007,9 +966,7 @@ let test_bnb_progress_bound_folds_shed () =
       branch = (fun n -> if n < 7 then [ (2 * n) + 1; (2 * n) + 2 ] else []);
     }
   in
-  let params =
-    { Bnb.default_params with max_frontier = 1; rel_gap = 0.0; abs_gap = 0.0 }
-  in
+  let params = { Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 } in
   let path = Filename.temp_file "ldafp_progress" ".txt" in
   let r =
     Fun.protect
@@ -1031,20 +988,8 @@ let test_bnb_progress_bound_folds_shed () =
     |> List.filter (fun l -> l <> "")
   in
   Sys.remove path;
-  checkb "frontier was shed" true (r.Bnb.stats.Bnb.frontier_shed > 0);
-  checki "one progress line per node" r.Bnb.nodes_explored (List.length lines);
-  let rec printed_bound = function
-    | "bound" :: v :: _ -> float_of_string v
-    | _ :: tl -> printed_bound tl
-    | [] -> Alcotest.fail "progress line without a bound"
-  in
-  List.iter
-    (fun line ->
-      let b = printed_bound (String.split_on_char ' ' line) in
-      if b > r.Bnb.bound then
-        Alcotest.failf "printed bound %g exceeds the certified %g: %s" b
-          r.Bnb.bound line)
-    lines
+  checkb "search drained" true (r.Bnb.stop_reason = Bnb.Proved_optimal);
+  checki "one progress line per node" r.Bnb.nodes_explored (List.length lines)
 
 (* Watchdog: run the search on a helper domain and poll, so a
    termination bug fails the test instead of hanging the suite (same
@@ -1162,7 +1107,7 @@ let test_frontier_park () =
       Frontier.release f ~worker:0);
   parked_outcomes ~expected:`Closed ~finish:Frontier.close
 
-let test_frontier_prune_shed_live () =
+let test_frontier_prune_live () =
   let f = Frontier.create ~workers:1 in
   for k = 1 to 10 do
     Frontier.push f (float_of_int k) ()
@@ -1171,11 +1116,10 @@ let test_frontier_prune_shed_live () =
   Frontier.prune f (fun k () -> k < 6.0);
   checki "prune drops 6..10, keeps the in-flight 1" 5 (Frontier.live f);
   checki "queued after prune" 4 (Frontier.queue_length f);
-  let dropped, min_key = Frontier.shed f ~keep:2 in
-  checki "shed two" 2 dropped;
-  checkf 1e-12 "best shed key" 4.0 min_key;
-  checki "live after shed" 3 (Frontier.live f);
-  checki "within the cap: nothing shed" 0 (fst (Frontier.shed f ~keep:2));
+  Frontier.prune f (fun k () -> k < 4.0);
+  checki "live after a second prune" 3 (Frontier.live f);
+  Frontier.prune f (fun k () -> k < 4.0);
+  checki "a prune that drops nothing keeps live" 3 (Frontier.live f);
   checkf 1e-12 "bound still covers the in-flight key" 1.0 (Frontier.bound f);
   Frontier.release f ~worker:0;
   let rec drain n =
@@ -1438,7 +1382,7 @@ let test_socp_barrier_derivatives () =
 (* The centering oracle as it was before cone Grams were precomputed:
    every half-space through the dense loop, and LᵀL re-formed entry by
    entry from the problem's own [l], r ascending. *)
-let reference_centering ?(relax = 0.0) pb tau x =
+let reference_centering pb tau x =
   let n = pb.Socp.n in
   let s_obj = tau *. pb.Socp.obj_scale in
   let px = Mat.mul_vec pb.Socp.p x in
@@ -1448,7 +1392,7 @@ let reference_centering ?(relax = 0.0) pb tau x =
   let value = ref (s_obj *. fx) in
   Array.iter
     (fun { Socp.a; b } ->
-      let s = b +. relax -. Vec.dot a x in
+      let s = b -. Vec.dot a x in
       value := !value -. log s;
       let inv_s = 1.0 /. s in
       for i = 0 to n - 1 do
@@ -1461,7 +1405,7 @@ let reference_centering ?(relax = 0.0) pb tau x =
     pb.Socp.lins;
   Array.iter
     (fun { Socp.l; g; c; d } ->
-      let u = Vec.dot c x +. d +. relax in
+      let u = Vec.dot c x +. d in
       let rows = Mat.rows l in
       let v = Array.init rows (fun r -> Vec.dot l.(r) x +. g.(r)) in
       let h = (u *. u) -. Vec.dot v v in
@@ -1508,12 +1452,10 @@ let test_socp_oracle_bitwise () =
      derivative pass into NaN-filled buffers — its gradient and lower
      triangle against the symmetrised reference, its upper triangle
      never written. *)
-  let check_split ~relax label pb x tau =
-    let rvalue, rgrad, rhess = reference_centering ~relax pb tau x in
-    let tag what =
-      Printf.sprintf "%s, tau %g, relax %g, split: %s" label tau relax what
-    in
-    let oracle = Socp.centering_for_tests ~relax pb tau in
+  let check_split label pb x tau =
+    let rvalue, rgrad, rhess = reference_centering pb tau x in
+    let tag what = Printf.sprintf "%s, tau %g, split: %s" label tau what in
+    let oracle = Socp.centering_for_tests pb tau in
     match oracle.Newton.value x with
     | None -> Alcotest.fail (tag "point rejected by the value pass")
     | Some value ->
@@ -1557,19 +1499,8 @@ let test_socp_oracle_bitwise () =
                     same (tag (Printf.sprintf "hess %d,%d" i j)) rhess.(i).(j) h)
                   row)
               hess);
-        check_split ~relax:0.0 label pb x tau)
-      [ 1e-6; 1.0; 37.5 ];
-    (* The δ-relaxed pure barrier of the one-step warm correction
-       (τ = 0), at the interior point and at the first point along a ray
-       that leaves the true feasible set: inside the relaxed one. *)
-    let rec leave t =
-      let p = Array.map (fun xi -> xi +. t) x in
-      if Socp.max_violation pb p > 0.0 then p else leave (t +. 1e-3)
-    in
-    let outside = leave 0.0 in
-    List.iter
-      (fun (tau, x) -> check_split ~relax:0.05 (label ^ " relaxed") pb x tau)
-      [ (0.0, x); (1.0, x); (0.0, outside) ]
+        check_split label pb x tau)
+      [ 1e-6; 1.0; 37.5 ]
   in
   check "full" problem x0;
   check "restricted" reduced y0;
@@ -1763,19 +1694,6 @@ let test_socp_restrict_validation () =
   checkb "out-of-range index rejected" true (raises (fun () ->
       Socp.restrict pb ~fixed:[| (3, 0.0) |]))
 
-let test_socp_correct_to_interior () =
-  (* A point exactly on a box face has zero slack — the pull-free repair
-     of last resort must move it strictly inside. *)
-  let lins = Socp.box_constraints (Vec.zeros 2) (Vec.make 2 1.0) in
-  let pb = Socp.problem ~p:(Mat.identity 2) ~lins 2 in
-  let x = [| 1.0; 0.5 |] in
-  checkb "starts on the boundary" false (Socp.is_strictly_interior pb x);
-  match Socp.correct_to_interior pb x with
-  | None -> Alcotest.fail "one Newton step should repair a boundary point"
-  | Some y ->
-      checkb "corrected point strictly interior" true
-        (Socp.min_relative_slack pb y > 0.0)
-
 (* The tentpole property: pulling a clipped parent optimum toward a
    strictly interior target always lands certifiably inside — on random
    box-and-ball problems with the start pushed onto a random box face,
@@ -1847,7 +1765,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "filter" `Quick test_pqueue_filter;
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "drop worst" `Quick test_pqueue_drop_worst;
           Alcotest.test_case "filter releases dropped values" `Quick
             test_pqueue_filter_releases_dropped;
         ] );
@@ -1858,8 +1775,8 @@ let () =
             test_frontier_bound_in_flight;
           Alcotest.test_case "park, drain and close" `Quick
             test_frontier_park;
-          Alcotest.test_case "prune/shed keep live exact" `Quick
-            test_frontier_prune_shed_live;
+          Alcotest.test_case "prune keeps live exact" `Quick
+            test_frontier_prune_live;
           Alcotest.test_case "4-domain bound stress" `Quick
             test_frontier_stress;
         ] );
@@ -1874,8 +1791,6 @@ let () =
             test_newton_nan_decrement_is_diverged;
           Alcotest.test_case "split oracle: derivs at accepted points only"
             `Quick test_newton_split_oracle_calls;
-          Alcotest.test_case "step_into: derivs once" `Quick
-            test_newton_step_into_derivs_once;
         ] );
       ( "socp",
         [
@@ -1903,8 +1818,6 @@ let () =
             test_socp_restrict_substitution;
           Alcotest.test_case "restrict validation" `Quick
             test_socp_restrict_validation;
-          Alcotest.test_case "Newton correction repairs boundary" `Quick
-            test_socp_correct_to_interior;
           Alcotest.test_case "dimension checks" `Quick
             test_socp_dimension_checks;
           Alcotest.test_case "of_parts rejects asymmetric P" `Quick
@@ -1946,8 +1859,8 @@ let () =
             test_bnb_chain_termination;
           Alcotest.test_case "4-domain checkpoint resumes" `Quick
             test_bnb_parallel_checkpoint_resume;
-          Alcotest.test_case "progress bound folds in shed residue" `Quick
-            test_bnb_progress_bound_folds_shed;
+          Alcotest.test_case "progress line per node" `Quick
+            test_bnb_progress_line_per_node;
         ] );
       ("properties", qcheck_tests);
     ]
