@@ -37,6 +37,20 @@ let reading path load =
 let writing path save =
   try save path with Sys_error msg -> file_error path msg
 
+(* [writable path] fails like [writing] when [path] cannot be opened for
+   writing, and leaves the file system as it found it: an existing file
+   is opened without truncation, a new one is created and removed.  For
+   outputs written only after a long run, checked before it starts. *)
+let writable path =
+  writing path (fun path ->
+      if Sys.file_exists path then
+        close_out (open_out_gen [ Open_wronly ] 0 path)
+      else begin
+        close_out
+          (open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 path);
+        Sys.remove path
+      end)
+
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
@@ -344,6 +358,7 @@ let train_cmd =
          without independent verification — a bad solve can prune the \
          optimum.  Results are NOT certified.@.";
     let fmt = fmt_of ~wl ~k () in
+    List.iter writable (out :: List.filter_map Fun.id [ metrics; trace ]);
     let ds = reading data Datasets.Dataset_io.load in
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
@@ -432,10 +447,11 @@ let train_cmd =
               in
               if s.Optim.Bnb.warm_start_hits > 0 || misses > 0 then begin
                 Fmt.pr
-                  "warm starts: %d hit(s) (%d pulled to interior), %d \
-                   phase-I solve(s) skipped, %.2fs in the bound oracle@."
-                  s.Optim.Bnb.warm_start_hits s.Optim.Bnb.warm_pull_ins
-                  s.Optim.Bnb.phase1_skipped s.Optim.Bnb.oracle_seconds;
+                  "warm starts: %d hit(s), %d phase-I solve(s) skipped, %d \
+                   pull-in(s) over both node programs, %.2fs in the bound \
+                   oracle@."
+                  s.Optim.Bnb.warm_start_hits s.Optim.Bnb.phase1_skipped
+                  s.Optim.Bnb.warm_pull_ins s.Optim.Bnb.oracle_seconds;
                 Fmt.pr
                   "warm misses: %d (no parent point %d, irreparably not \
                    interior %d, cleared after fault %d)@."

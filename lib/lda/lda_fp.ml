@@ -120,6 +120,62 @@ let candidate_of_point cfg pb node point =
       Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
     cand
 
+(* How one node program was solved. *)
+type program_solve =
+  | Warm of Socp.solution  (* from the parent optimum, rungs skipped *)
+  | Cold of Socp.solution  (* phase-I, then the whole barrier ladder *)
+  | Phase1_unknown of Vec.t
+      (* phase-I found no interior point and proved nothing *)
+  | Phase1_infeasible
+
+(* The one solve path of both node programs, the secant test and the
+   η-bound.  They share every half-space and cone of the node and differ
+   only in the objective, so the parent's clipped optimum [warm] is a
+   start for both; and they end on the same terminal τ (same ν, same
+   [gap_tol]), so the parent's [tau_final] skips the same rungs in both.
+
+   Warm preparation: accept the clipped parent optimum as-is when it is
+   margin-interior, else pull it toward the node's analytic-center proxy
+   (the branch rule splits at the parent optimum's projection, so
+   clipped points land {e on} the branch-cut half-space — a pull along
+   the segment toward the box/t center is almost always enough).  A
+   point that defeats the pull-in goes cold.  [project] maps a full-space
+   point into [socp]'s free coordinates. *)
+let solve_program cfg pb ~counters ~warm ~project node socp =
+  let prepared =
+    Option.bind warm (fun (x0, tau_parent) ->
+        let target =
+          project
+            (Ldafp_problem.center_point pb ~wbox:node.wbox ~trange:node.trange)
+        in
+        Option.map
+          (fun (x, prep) ->
+            (match prep with
+            | Socp.Warm_interior -> ()
+            | Socp.Warm_pulled -> Bnb.count_warm_pull_in counters);
+            (x, tau_parent))
+          (Socp.prepare_warm_start ~target socp (project x0)))
+  in
+  match prepared with
+  | Some (x0, tau_parent) ->
+      (* Strictly interior (certifiably, after repair): skip phase-I
+         entirely and skip the ladder rungs the parent's terminal barrier
+         weight certifies (the start is near the optimum, so the early
+         low-tau centerings are redundant — the final tau and the
+         certified gap are unchanged). *)
+      let levels = Socp.restart_levels cfg.socp_params ~tau_final:tau_parent in
+      Warm
+        (Socp.solve
+           ~params:(Socp.warm_start_params ~levels cfg.socp_params)
+           socp ~start:x0)
+  | None -> (
+      let start = project (Array.map Fx_interval.mid node.wbox) in
+      match Socp.find_strictly_feasible ~params:cfg.socp_params socp ~start with
+      | Socp.Infeasible _ -> Phase1_infeasible
+      | Socp.Unknown x -> Phase1_unknown x
+      | Socp.Strictly_feasible x0 ->
+          Cold (Socp.solve ~params:cfg.socp_params socp ~start:x0))
+
 (* Secant pruning test: can this region contain a point at least as good
    as the incumbent [theta]?  Certifies "no" when the minimum of
    wᵀS_W w − θ(l+u)t + θlu over the relaxed region is positive (valid
@@ -134,7 +190,7 @@ let candidate_of_point cfg pb node point =
    the verified dual certificate of the secant program, never from its
    primal objective.  A failed certificate declines the prune (sound —
    the main bound still runs) rather than failing the node. *)
-let secant_excludes cfg pb ~counters ?warm ~fixed node theta =
+let secant_excludes cfg pb ~counters ~warm ~fixed node theta =
   theta < Float.infinity
   && Interval.lo node.trange >= 0.0
   &&
@@ -159,17 +215,10 @@ let secant_excludes cfg pb ~counters ?warm ~fixed node theta =
   match restricted with
   | None -> false (* pinned values infeasible; let the main bound certify *)
   | Some (problem, project, oconst) -> (
-      (* The secant program shares the relaxation's constraints, so a
-         clipped warm start short-circuits its phase-I too. *)
-      let start =
-        project
-          (match warm with
-          | Some x -> x
-          | None -> Array.map Fx_interval.mid node.wbox)
-      in
-      match Socp.solve_auto ~params:cfg.socp_params problem ~start with
-      | None -> false (* feasibility unclear; let the main bound decide *)
-      | Some sol ->
+      match solve_program cfg pb ~counters ~warm ~project node problem with
+      | Phase1_infeasible | Phase1_unknown _ ->
+          false (* feasibility unclear; let the main bound decide *)
+      | Warm sol | Cold sol ->
           if cfg.certify then
             match Socp.certify_lower_bound problem sol with
             | Ok cert ->
@@ -241,8 +290,8 @@ let bound_node cfg pb incumbent counters node =
           else None
         in
         if
-          secant_excludes cfg pb ~counters ?warm:(Option.map fst warm) ~fixed
-            node (Atomic.get incumbent)
+          secant_excludes cfg pb ~counters ~warm ~fixed node
+            (Atomic.get incumbent)
         then None
         else
           let eta = Interval.sup_sq node.trange in
@@ -276,9 +325,7 @@ let bound_node cfg pb incumbent counters node =
                    point of this region is feasible. *)
                 None
             | Some (socp, project, embed, obj_const) -> (
-            (* Shared continuation for warm and cold solves.
-
-               The node's lower bound — the value every pruning decision
+            (* The node's lower bound — the value every pruning decision
                compares against the incumbent — is {e never} the primal
                objective.  Certified mode derives it from the verified
                dual certificate (sound whatever the solve did; typically
@@ -316,82 +363,38 @@ let bound_node cfg pb incumbent counters node =
               Some
                 { Bnb.lower; candidate = candidate_of_point cfg pb node x_full }
             in
-            (* Warm preparation: accept the clipped parent optimum as-is
-               when it is margin-interior, else pull it toward the
-               child's analytic-center proxy (the branch rule splits at
-               the parent optimum's projection, so clipped points land
-               {e on} the branch-cut half-space — a pull along the
-               segment toward the box/t center is almost always enough).
-               A point that defeats the pull-in goes cold. *)
-            let prepared =
-              match warm with
-              | None -> None
-              | Some (x0, tau_parent) -> (
-                  let target =
-                    project
-                      (Ldafp_problem.center_point pb ~wbox:node.wbox
-                         ~trange:node.trange)
-                  in
-                  Option.map
-                    (fun (x, prep) -> (x, prep, tau_parent))
-                    (Socp.prepare_warm_start ~target socp (project x0)))
+            let result =
+              solve_program cfg pb ~counters ~warm ~project node socp
             in
-            match prepared with
-            | Some (x0, prep, tau_parent) ->
-                (* Strictly interior (certifiably, after repair): skip
-                   phase-I entirely and skip the ladder rungs the
-                   parent's terminal barrier weight certifies (the start
-                   is near the child optimum, so the early low-tau
-                   centerings are redundant — the final tau and the
-                   certified gap are unchanged). *)
-                Bnb.count_warm_start_hit counters;
-                (match prep with
-                | Socp.Warm_interior -> ()
-                | Socp.Warm_pulled -> Bnb.count_warm_pull_in counters);
-                let levels =
-                  Socp.restart_levels cfg.socp_params ~tau_final:tau_parent
-                in
-                solved
-                  (Socp.solve
-                     ~params:(Socp.warm_start_params ~levels cfg.socp_params)
-                     socp ~start:x0)
-            | None -> (
-                (* Cold solve.  Attribute the miss (only when warm starts
-                   are enabled at all — with [warm_start = false] every
-                   solve is cold by choice, not a miss): the hit and miss
-                   counters together partition the relaxation solves that
-                   actually ran, so warm_hit_rate = hits/(hits + misses)
-                   diagnoses exactly the solves that paid for phase-I.
-                   [warm_miss_not_interior] means the parent point
-                   defeated the pull-in. *)
-                if cfg.warm_start then
-                  (match node.warm with
-                  | None ->
-                      if node.warm_tainted then
-                        Bnb.count_warm_miss_fault_cleared counters
-                      else Bnb.count_warm_miss_no_parent counters
-                  | Some _ -> Bnb.count_warm_miss_not_interior counters);
-                let start = project (Array.map Fx_interval.mid node.wbox) in
-                match
-                  Socp.find_strictly_feasible ~params:cfg.socp_params socp
-                    ~start
-                with
-                | Socp.Infeasible _ -> None
-                | Socp.Unknown x ->
-                    (* Cannot certify anything better than cost >= 0 here,
-                       but the box may still contain the optimum: keep
-                       exploring.  The point was never centered on any
-                       ladder — NaN maps to restart_levels 0 in the
-                       children. *)
-                    let x_full = embed x in
-                    node.relax_w <-
-                      Some { point = x_full; tau_final = Float.nan };
-                    Some
-                      { Bnb.lower = 0.0;
-                        candidate = candidate_of_point cfg pb node x_full }
-                | Socp.Strictly_feasible x0 ->
-                    solved (Socp.solve ~params:cfg.socp_params socp ~start:x0)
-                )))
+            (* Attribute a cold solve (only when warm starts are enabled
+               at all — with [warm_start = false] every solve is cold by
+               choice, not a miss): the hit and miss counters together
+               partition the η-bound solves that actually ran, so
+               warm_hit_rate = hits/(hits + misses) diagnoses exactly the
+               solves that paid for phase-I.  [warm_miss_not_interior]
+               means the parent point defeated the pull-in. *)
+            (match (result, node.warm) with
+            | Warm _, _ -> Bnb.count_warm_start_hit counters
+            | _ when not cfg.warm_start -> ()
+            | _, Some _ -> Bnb.count_warm_miss_not_interior counters
+            | _, None ->
+                if node.warm_tainted then
+                  Bnb.count_warm_miss_fault_cleared counters
+                else Bnb.count_warm_miss_no_parent counters);
+            match result with
+            | Warm sol | Cold sol -> solved sol
+            | Phase1_infeasible -> None
+            | Phase1_unknown x ->
+                (* Cannot certify anything better than cost >= 0 here,
+                   but the box may still contain the optimum: keep
+                   exploring.  The point was never centered on any
+                   ladder — NaN maps to restart_levels 0 in the
+                   children. *)
+                let x_full = embed x in
+                node.relax_w <- Some { point = x_full; tau_final = Float.nan };
+                Some
+                  { Bnb.lower = 0.0;
+                    candidate = candidate_of_point cfg pb node x_full }))
 
 (* The η = sup t² bound only tightens as the t-interval shrinks, so t
    competes for the split with its relative width scaled up by

@@ -212,10 +212,7 @@ let save path clf =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_string clf))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+(* Read to end of file rather than sizing the file first: a directory
+   opens, but sizing it fails with EOVERFLOW, while reading it fails with
+   the EISDIR a user can act on. *)
+let load path = of_string (In_channel.with_open_text path In_channel.input_all)

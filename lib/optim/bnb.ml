@@ -731,6 +731,15 @@ let run : type region sol.
     let gap = inc -. Frontier.bound frontier in
     gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
   in
+  (* The certified global bound: the frontier minimum, or — once the
+     frontier has drained, everything explored or pruned — the
+     incumbent, which is then optimal.  What the result, the progress
+     line and the telemetry gap all report. *)
+  let global_bound () =
+    let fb = Frontier.bound frontier in
+    if Frontier.drained frontier then Float.min (Atomic.get incumbent_cost) fb
+    else fb
+  in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
   (* First halt wins the stop reason; close is idempotent and wakes any
      parked sibling. *)
@@ -782,14 +791,14 @@ let run : type region sol.
           Obs.Probe.span p_node ~t0_ns:t_node ~dur_ns:node_ns
             ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
           Obs.Telemetry.set_nodes (Atomic.get nodes);
-          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. Frontier.bound frontier)
+          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. global_bound ())
         end;
         (match progress with
         | Some p when Obs.Progress.due p ->
             Obs.Progress.emit p
               (progress_line ~nodes:(Atomic.get nodes) ~elapsed:(elapsed ())
                  ~incumbent:(Atomic.get incumbent_cost)
-                 ~bound:(Frontier.bound frontier)
+                 ~bound:(global_bound ())
                  ~oracle_us:(Array.map (fun w -> !(w.W.oracle_cell)) ws))
         | _ -> ());
         maybe_periodic_save n
@@ -856,13 +865,7 @@ let run : type region sol.
          complete frontier. *)
       save ck
   | _ -> ());
-  let bound =
-    let fb = Frontier.bound frontier in
-    if Frontier.drained frontier then
-      (* Everything explored or pruned: the incumbent is optimal. *)
-      Float.min (Atomic.get incumbent_cost) fb
-    else fb
-  in
+  let bound = global_bound () in
   let incumbent_cost = Atomic.get incumbent_cost in
   let t = snapshot ~saved:[||] ~incumbent:None in
   {

@@ -138,15 +138,20 @@ type stats = {
           counted rather than silent *)
   warm_start_hits : int;
       (** bound solves started from an inherited (parent) optimum — see
-          {!oracle_counters}; 0 unless the oracle reports them *)
+          {!oracle_counters}; 0 unless the oracle reports them.  With the
+          three [warm_miss_*] counters it partitions the main bound
+          solves only: an oracle that also solves a side program per
+          region (LDA-FP's secant test) counts none of those here *)
   phase1_skipped : int;
-      (** phase-I feasibility solves avoided because a warm start was
-          strictly interior (as-is or after repair): one per
+      (** main bound phase-I feasibility solves avoided because a warm
+          start was strictly interior (as-is or after repair): one per
           [warm_start_hits], which it always equals *)
   warm_pull_ins : int;
       (** inherited optima repaired by the analytic-center pull-in
-          ({!Socp.pull_to_interior}) before warm-starting — each one is
-          a would-have-been [warm_miss_not_interior] *)
+          ({!Socp.pull_to_interior}) before warm-starting, one per
+          [socp.warm_pull] event: every program the oracle warm-starts
+          counts, so with LDA-FP's secant test this exceeds the pull-ins
+          behind [warm_start_hits] and is not bounded by it *)
   warm_miss_no_parent : int;
       (** bound solves that went cold because the region carried no
           parent optimum (root, restored frontier, or never solved) *)
@@ -235,7 +240,9 @@ val count_warm_start_hit : oracle_counters -> unit
 
 val count_warm_pull_in : oracle_counters -> unit
 (** Record one inherited optimum repaired by the analytic-center
-    pull-in before warm-starting. *)
+    pull-in before warm-starting — for any program the oracle solves,
+    main bound or not, so the count matches the [socp.warm_pull]
+    events. *)
 
 val count_warm_miss_no_parent : oracle_counters -> unit
 (** Record one cold bound solve on a region with no inherited optimum. *)

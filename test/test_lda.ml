@@ -637,6 +637,73 @@ let test_solver_warm_matches_cold () =
       checkb "oracle time measured" true (ws.Optim.Bnb.oracle_seconds >= 0.0)
   | _ -> Alcotest.fail "a solve failed"
 
+(* Both node programs, the secant test and the η-bound, start warm from
+   the parent optimum.  A secant prune certified wrongly from a warm
+   start would cut the optimum out of the tree, so every exact solve
+   here must end on the brute-force optimum.  Instances: the first two
+   features of the Table-1 synthetic generator at three seeds, WL 4 and
+   5, small enough for [enumerate_feasible]. *)
+let test_exact_solve_matches_bruteforce_warm_and_cold () =
+  List.iter
+    (fun seed ->
+      let ds =
+        Datasets.Synthetic.generate ~n_per_class:100 (Stats.Rng.create seed)
+      in
+      let a, b = Datasets.Dataset.class_split ds in
+      let first_two = Array.map (fun row -> Array.sub row 0 2) in
+      let scatter = Stats.Scatter.of_data (first_two a) (first_two b) in
+      List.iter
+        (fun f ->
+          let fmt = Qformat.make ~k:2 ~f in
+          let pb = Ldafp_problem.build ~fmt scatter in
+          (* The search restricts to t = dᵀw >= 0 (H3). *)
+          let best =
+            List.fold_left
+              (fun acc (w, c) ->
+                if Ldafp_problem.t_of pb w >= 0.0 then Float.min acc c else acc)
+              Float.infinity (enumerate_feasible pb fmt)
+          in
+          checkb "instance has a feasible point" true (Float.is_finite best);
+          List.iter
+            (fun warm_start ->
+              let tag =
+                Printf.sprintf "seed %d, WL %d, warm %b" seed (2 + f) warm_start
+              in
+              let config =
+                {
+                  Lda_fp.default_config with
+                  warm_start;
+                  (* The H1/H2 seed already hits the optimum of these
+                     instances; without it the search must find the
+                     optimum itself, past every secant prune. *)
+                  seed_incumbent = false;
+                  bnb_params =
+                    { Optim.Bnb.default_params with
+                      max_nodes = 100_000; rel_gap = 0.0; abs_gap = 0.0 };
+                }
+              in
+              match Lda_fp.solve ~config pb with
+              | None -> Alcotest.failf "%s: no solution" tag
+              | Some o ->
+                  let d = o.Lda_fp.diagnostics in
+                  let s = d.Lda_fp.search in
+                  checkb (tag ^ ": drained") true
+                    (d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal);
+                  Alcotest.(check int64)
+                    (tag ^ ": brute-force optimum bits")
+                    (Int64.bits_of_float best)
+                    (Int64.bits_of_float o.Lda_fp.cost);
+                  checkb (tag ^ ": certified_sound") true
+                    s.Optim.Bnb.certified_sound;
+                  checki (tag ^ ": cert fallbacks") 0
+                    s.Optim.Bnb.cert_fallbacks;
+                  if warm_start then
+                    checkb (tag ^ ": warm starts ran") true
+                      (s.Optim.Bnb.warm_start_hits > 0))
+            [ true; false ])
+        [ 2; 3 ])
+    [ 1; 2; 3 ]
+
 let prop_warm_cold_same_search =
   QCheck.Test.make ~name:"warm and cold searches coincide on fixed seeds"
     ~count:15
@@ -1250,6 +1317,8 @@ let () =
           Alcotest.test_case "time budget" `Quick test_solver_time_budget;
           Alcotest.test_case "warm matches cold" `Quick
             test_solver_warm_matches_cold;
+          Alcotest.test_case "exact warm and cold match brute force" `Quick
+            test_exact_solve_matches_bruteforce_warm_and_cold;
         ] );
       ( "classifier",
         [

@@ -945,7 +945,7 @@ let test_bnb_domains_one_pinned () =
           [ ("infeasible_regions", 143); ("bound_pruned", 7);
             ("incumbent_updates", 1); ("children_generated", 300);
             ("domains_used", 1); ("warm_start_hits", 137);
-            ("phase1_skipped", 137); ("warm_pull_ins", 36);
+            ("phase1_skipped", 137); ("warm_pull_ins", 93);
             ("warm_miss_no_parent", 1); ("warm_miss_not_interior", 13);
             ("cert_verified", 414) ]
         ( d.Ldafp_core.Lda_fp.nodes, d.Ldafp_core.Lda_fp.stop_reason,
@@ -989,7 +989,21 @@ let test_bnb_progress_line_per_node () =
   in
   Sys.remove path;
   checkb "search drained" true (r.Bnb.stop_reason = Bnb.Proved_optimal);
-  checki "one progress line per node" r.Bnb.nodes_explored (List.length lines)
+  checki "one progress line per node" r.Bnb.nodes_explored (List.length lines);
+  (* The line printed after the last node, once the frontier has
+     drained, reports the returned bound (the incumbent), not the empty
+     heap's infinity. *)
+  let rec printed_bound = function
+    | "bound" :: v :: _ -> v
+    | _ :: tl -> printed_bound tl
+    | [] -> Alcotest.fail "progress line without a bound"
+  in
+  let last = List.nth lines (List.length lines - 1) in
+  Alcotest.(check string)
+    "last printed bound = returned bound"
+    (Printf.sprintf "%.6g" r.Bnb.bound)
+    (printed_bound
+       (List.filter (fun w -> w <> "") (String.split_on_char ' ' last)))
 
 (* Watchdog: run the search on a helper domain and poll, so a
    termination bug fails the test instead of hanging the suite (same
