@@ -247,22 +247,39 @@ let test_problem_trange_of_box () =
   checkf 1e-9 "tight lo" !worst_lo (Optim.Interval.lo tr);
   checkf 1e-9 "tight hi" !worst_hi (Optim.Interval.hi tr)
 
+(* All feasible grid points with finite cost, by brute force over the
+   whole grid (m <= 3 features). *)
 let enumerate_feasible pb fmt =
-  (* All feasible grid points with finite cost, by brute force. *)
   let values = Qformat.values fmt in
+  let m = Ldafp_problem.dim pb in
   let acc = ref [] in
-  Array.iter
-    (fun w0 ->
+  let rec go j w =
+    if j = m then begin
+      if Ldafp_problem.feasible pb w then begin
+        let c = Ldafp_problem.cost pb w in
+        if Float.is_finite c then acc := (Array.copy w, c) :: !acc
+      end
+    end
+    else
       Array.iter
-        (fun w1 ->
-          let w = [| w0; w1 |] in
-          if Ldafp_problem.feasible pb w then begin
-            let c = Ldafp_problem.cost pb w in
-            if Float.is_finite c then acc := (Array.copy w, c) :: !acc
-          end)
-        values)
-    values;
+        (fun v ->
+          w.(j) <- v;
+          go (j + 1) w)
+        values
+  in
+  go 0 (Array.make m 0.0);
   !acc
+
+(* The brute-force optimum over the grid points with t = dᵀw >= 0, the
+   half the search explores (H3), and over all of them; [infinity] when
+   no point has a finite cost. *)
+let bruteforce_optima pb fmt =
+  List.fold_left
+    (fun (pos, all) (w, c) ->
+      ( (if Ldafp_problem.t_of pb w >= 0.0 then Float.min pos c else pos),
+        Float.min all c ))
+    (Float.infinity, Float.infinity)
+    (enumerate_feasible pb fmt)
 
 let test_relaxation_lower_bounds_feasible_points () =
   (* Relaxation over the root box must lower-bound every feasible grid
@@ -1240,6 +1257,92 @@ let test_ecog_fold_costs_pinned () =
     |]
     bits
 
+(* Small random problems run to drain against brute force: m <= 3
+   features, WL <= 4 (Q2.1 and Q2.2), with the shapes that stress a
+   bound: a feature copied exactly (S_W singular), class means a hair
+   apart, and a range so wide that every weight rounds to 0 (no
+   feasible classifier).  Every exact search, on one domain and on two,
+   returns the cost bits of the brute-force optimum among the t >= 0
+   points, fully certified — or a better point on the t < 0 side (the
+   grid is not symmetric under w ↦ −w, and the seed sweep and the
+   polish may land there), which must then be a feasible grid point. *)
+let prop_exact_search_matches_bruteforce =
+  let shape = QCheck.Gen.oneofl [ `Plain; `Collinear; `Close_means; `Wide ] in
+  QCheck.Test.make ~name:"exact search matches brute force on small problems"
+    ~count:25
+    QCheck.(
+      make
+        ~print:(fun (seed, m, f, sh) ->
+          Printf.sprintf "seed %d, m %d, Q2.%d, %s" seed m f
+            (match sh with
+            | `Plain -> "plain"
+            | `Collinear -> "collinear"
+            | `Close_means -> "close means"
+            | `Wide -> "wide"))
+        Gen.(quad (int_range 0 1_000_000) (int_range 1 3) (int_range 1 2) shape))
+    (fun (seed, m, f, sh) ->
+      let rng = Stats.Rng.create seed in
+      let gap = match sh with `Close_means -> 1e-7 | _ -> 0.6 in
+      let spread = match sh with `Wide -> 1e6 | _ -> 0.5 in
+      let draw off =
+        Array.init 12 (fun _ ->
+            let row =
+              Array.init m (fun j ->
+                  (if j = 0 then off else 0.1 *. float_of_int j)
+                  +. (spread *. Stats.Sampler.std_normal rng))
+            in
+            if sh = `Collinear && m >= 2 then row.(m - 1) <- row.(0);
+            row)
+      in
+      let scatter = Stats.Scatter.of_data (draw gap) (draw (-.gap)) in
+      let fmt = Qformat.make ~k:2 ~f in
+      match Ldafp_problem.build ~fmt scatter with
+      | exception Ldafp_problem.No_feasible_box _ -> true
+      | pb ->
+          let best, best_all = bruteforce_optima pb fmt in
+          List.for_all
+            (fun domains ->
+              let config =
+                {
+                  Lda_fp.default_config with
+                  bnb_params =
+                    { Optim.Bnb.default_params with
+                      max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0;
+                      domains };
+                }
+              in
+              match Lda_fp.solve ~config pb with
+              | None ->
+                  (not (Float.is_finite best))
+                  || QCheck.Test.fail_reportf "domains %d: no solution, optimum %h"
+                       domains best
+              | Some o ->
+                  let d = o.Lda_fp.diagnostics in
+                  let s = d.Lda_fp.search in
+                  let w = o.Lda_fp.w in
+                  let other_side =
+                    o.Lda_fp.cost < best && o.Lda_fp.cost >= best_all
+                    && Ldafp_problem.t_of pb w < 0.0
+                    && Ldafp_problem.feasible pb w
+                    && Ldafp_problem.cost pb w = o.Lda_fp.cost
+                  in
+                  if
+                    Int64.bits_of_float o.Lda_fp.cost <> Int64.bits_of_float best
+                    && not other_side
+                  then
+                    QCheck.Test.fail_reportf "domains %d: cost %h, brute force %h"
+                      domains o.Lda_fp.cost best
+                  else
+                    (d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal
+                    && s.Optim.Bnb.certified_sound
+                    && s.Optim.Bnb.dropped_regions = 0)
+                    || QCheck.Test.fail_reportf
+                         "domains %d: stop %s, certified_sound %b, %d dropped"
+                         domains
+                         (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
+                         s.Optim.Bnb.certified_sound s.Optim.Bnb.dropped_regions)
+            [ 1; 2 ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1247,6 +1350,7 @@ let qcheck_tests =
       prop_seed_feasible;
       prop_parallel_solver_matches_sequential;
       prop_warm_cold_same_search;
+      prop_exact_search_matches_bruteforce;
     ]
 
 let () =
