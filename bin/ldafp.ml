@@ -358,7 +358,7 @@ let train_cmd =
          without independent verification — a bad solve can prune the \
          optimum.  Results are NOT certified.@.";
     let fmt = fmt_of ~wl ~k () in
-    List.iter writable (out :: List.filter_map Fun.id [ metrics; trace ]);
+    List.iter writable (out :: List.filter_map Fun.id [ metrics; trace; ledger ]);
     let ds = reading data Datasets.Dataset_io.load in
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
@@ -448,8 +448,7 @@ let train_cmd =
               if s.Optim.Bnb.warm_start_hits > 0 || misses > 0 then begin
                 Fmt.pr
                   "warm starts: %d hit(s), %d phase-I solve(s) skipped, %d \
-                   pull-in(s) over both node programs, %.2fs in the bound \
-                   oracle@."
+                   pull-in(s), %.2fs in the bound oracle@."
                   s.Optim.Bnb.warm_start_hits s.Optim.Bnb.phase1_skipped
                   s.Optim.Bnb.warm_pull_ins s.Optim.Bnb.oracle_seconds;
                 Fmt.pr
@@ -789,6 +788,7 @@ let classify_cmd =
       Fmt.epr "--batch must be >= 1@.";
       exit 2
     end;
+    Option.iter writable ledger;
     let clf = reading model Model_io.load in
     let engine = Infer.Engine.of_fixed ~capacity:batch clf in
     let m = Fixed_classifier.n_features clf in

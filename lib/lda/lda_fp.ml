@@ -63,11 +63,11 @@ type diagnostics = {
 type outcome = { w : Vec.t; cost : float; diagnostics : diagnostics }
 
 (* The warm state a node inherits from its parent: the relaxation
-   optimum (primal side) together with the barrier weight the producing
-   solve terminated at (the dual side — what {!Socp.restart_levels}
-   turns into a ladder-rung skip).  Plain floats and arrays, so it
-   marshals through {!Bnb.snapshot}s and is read by whichever worker
-   domain takes the child, without any special handling. *)
+   optimum as a full (y, z) point (primal side) and the barrier weight
+   its solve ended at (the dual side — what {!Socp.restart_levels} turns
+   into a ladder-rung skip).  Plain floats and arrays, so it marshals
+   through {!Bnb.snapshot}s to whichever worker domain takes the
+   child. *)
 type warm_info = {
   point : Vec.t;
   tau_final : float;
@@ -80,10 +80,6 @@ type warm_info = {
    shape (or [warm_info]'s) bumps the format version in {!Checkpoint}. *)
 type node = {
   wbox : Fx_interval.t array;
-  mutable trange : Interval.t;
-      (* mutable: [bound] tightens it in place so [branch] sees the
-         tightened interval *)
-  root_t_width : float;
   mutable relax_w : warm_info option;
       (* relaxation optimum, cached by [bound] to guide [branch] *)
   mutable warm : warm_info option;
@@ -104,8 +100,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let is_atomic node = Array.for_all Fx_interval.is_singleton node.wbox
 
 (* Candidate generation: round a continuous point into the node box,
-   evaluate exactly, then polish by H2. *)
+   evaluate exactly, then polish by H2.  A point with a non-finite
+   entry (a program point with z = 0) yields none. *)
 let candidate_of_point cfg pb node point =
+  if not (Array.for_all Float.is_finite point) then None
+  else
   let rounded = Ldafp_heuristics.round_into pb ~wbox:node.wbox point in
   let cand =
     match Ldafp_heuristics.evaluate pb rounded with
@@ -120,291 +119,127 @@ let candidate_of_point cfg pb node point =
       Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
     cand
 
-(* How one node program was solved. *)
+(* How the node program was solved. *)
 type program_solve =
   | Warm of Socp.solution  (* from the parent optimum, rungs skipped *)
   | Cold of Socp.solution  (* phase-I, then the whole barrier ladder *)
-  | Phase1_unknown of Vec.t
-      (* phase-I found no interior point and proved nothing *)
+  | Phase1_unknown of Vec.t  (* no interior point found, nothing proved *)
   | Phase1_infeasible
 
-(* The one solve path of both node programs, the secant test and the
-   η-bound.  They share every half-space and cone of the node and differ
-   only in the objective, so the parent's clipped optimum [warm] is a
-   start for both; and they end on the same terminal τ (same ν, same
-   [gap_tol]), so the parent's [tau_final] skips the same rungs in both.
-
-   Warm preparation: accept the clipped parent optimum as-is when it is
-   margin-interior, else pull it toward the node's analytic-center proxy
-   (the branch rule splits at the parent optimum's projection, so
-   clipped points land {e on} the branch-cut half-space — a pull along
-   the segment toward the box/t center is almost always enough).  A
-   point that defeats the pull-in goes cold.  [project] maps a full-space
-   point into [socp]'s free coordinates. *)
-let solve_program cfg pb ~counters ~warm ~project node socp =
-  let prepared =
-    Option.bind warm (fun (x0, tau_parent) ->
-        let target =
-          project
-            (Ldafp_problem.center_point pb ~wbox:node.wbox ~trange:node.trange)
-        in
-        Option.map
-          (fun (x, prep) ->
-            (match prep with
-            | Socp.Warm_interior -> ()
-            | Socp.Warm_pulled -> Bnb.count_warm_pull_in counters);
-            (x, tau_parent))
-          (Socp.prepare_warm_start ~target socp (project x0)))
+(* The node program's one solve path.  A warm start is the parent's
+   optimum clipped into the box: accepted as-is when margin-interior,
+   else pulled toward the center point (the branch rule cuts at the
+   parent optimum, so the clipped point lands on the cut); the parent
+   ended on the same terminal τ (same ν, same [gap_tol]), so its
+   [tau_final] says which rungs to skip — the final τ and the certified
+   gap are unchanged.  A point that defeats the pull-in goes cold:
+   phase-I from the center point, then the whole ladder. *)
+let solve_program cfg pb ~counters ~z_cap node (r : Ldafp_problem.relaxation) =
+  let socp = r.Ldafp_problem.socp and project = Ldafp_problem.project r in
+  let center = project (Ldafp_problem.center_point pb ~wbox:node.wbox ~z_cap) in
+  let warm =
+    if not cfg.warm_start then None
+    else
+      Option.bind node.warm (fun wi ->
+          Option.bind (Ldafp_problem.clip_into_box pb ~wbox:node.wbox wi.point)
+            (fun yz ->
+              Option.map
+                (fun (x, prep) ->
+                  if prep = Socp.Warm_pulled then Bnb.count_warm_pull_in counters;
+                  (x, wi.tau_final))
+                (Socp.prepare_warm_start ~target:center socp (project yz))))
   in
-  match prepared with
-  | Some (x0, tau_parent) ->
-      (* Strictly interior (certifiably, after repair): skip phase-I
-         entirely and skip the ladder rungs the parent's terminal barrier
-         weight certifies (the start is near the optimum, so the early
-         low-tau centerings are redundant — the final tau and the
-         certified gap are unchanged). *)
-      let levels = Socp.restart_levels cfg.socp_params ~tau_final:tau_parent in
+  match warm with
+  | Some (x0, tau_final) ->
+      let levels = Socp.restart_levels cfg.socp_params ~tau_final in
       Warm
-        (Socp.solve
-           ~params:(Socp.warm_start_params ~levels cfg.socp_params)
-           socp ~start:x0)
+        (Socp.solve ~params:(Socp.warm_start_params ~levels cfg.socp_params) socp
+           ~start:x0)
   | None -> (
-      let start = project (Array.map Fx_interval.mid node.wbox) in
-      match Socp.find_strictly_feasible ~params:cfg.socp_params socp ~start with
+      match Socp.find_strictly_feasible ~params:cfg.socp_params socp ~start:center with
       | Socp.Infeasible _ -> Phase1_infeasible
       | Socp.Unknown x -> Phase1_unknown x
-      | Socp.Strictly_feasible x0 ->
-          Cold (Socp.solve ~params:cfg.socp_params socp ~start:x0))
-
-(* Secant pruning test: can this region contain a point at least as good
-   as the incumbent [theta]?  Certifies "no" when the minimum of
-   wᵀS_W w − θ(l+u)t + θlu over the relaxed region is positive (valid
-   because t² <= (l+u)t − lu on [l, u]).  A much sharper knife than the
-   η = sup t² bound once an incumbent exists, since it couples numerator
-   and denominator. *)
-(* [theta] is read from the shared incumbent mirror (an Atomic when the
-   search runs on several domains); the test itself is pure.
-
-   A secant prune is a pruning decision like any other, so it obeys the
-   same rule: with [cfg.certify] the "minimum > 0" claim must come from
-   the verified dual certificate of the secant program, never from its
-   primal objective.  A failed certificate declines the prune (sound —
-   the main bound still runs) rather than failing the node. *)
-let secant_excludes cfg pb ~counters ~warm ~fixed node theta =
-  theta < Float.infinity
-  && Interval.lo node.trange >= 0.0
-  &&
-  let problem, constant =
-    Ldafp_problem.secant_relaxation pb ~wbox:node.wbox ~trange:node.trange
-      ~theta
-  in
-  (* Pinned (singleton) box dimensions leave the secant program with an
-     empty strict interior in the full space; substitute them out before
-     solving, exactly as [bound_node] does for the main relaxation. *)
-  let restricted =
-    if Array.length fixed = 0 then Some (problem, Fun.id, 0.0)
-    else
-      match Socp.restrict problem ~fixed with
-      | None -> None
-      | Some r ->
-          Some
-            ( r.Socp.reduced,
-              Socp.restriction_project r,
-              Socp.restriction_objective_const r )
-  in
-  match restricted with
-  | None -> false (* pinned values infeasible; let the main bound certify *)
-  | Some (problem, project, oconst) -> (
-      match solve_program cfg pb ~counters ~warm ~project node problem with
-      | Phase1_infeasible | Phase1_unknown _ ->
-          false (* feasibility unclear; let the main bound decide *)
-      | Warm sol | Cold sol ->
-          if cfg.certify then
-            match Socp.certify_lower_bound problem sol with
-            | Ok cert ->
-                if cert.Socp.repaired then Bnb.count_cert_repaired counters
-                else Bnb.count_cert_verified counters;
-                cert.Socp.dual_value +. oconst +. constant > 1e-12
-            | Error _ -> false (* unverified: decline the prune *)
-          else
-            sol.Socp.objective +. oconst +. constant
-            -. (2.0 *. sol.Socp.gap_bound)
-            > 1e-12)
-
-(* Clip an inherited relaxation optimum into this node's box, nudged a
-   fraction of each width inside so clipped coordinates do not land
-   exactly on the boundary (the barrier needs a strict interior; a
-   singleton dimension yields a boundary point that the interiority test
-   rejects, falling back to the cold path). *)
-let clip_warm_into_box node x =
-  let m = Array.length node.wbox in
-  if Vec.dim x <> m then None
-  else
-    Some
-      (Vec.init m (fun i ->
-           let iv = node.wbox.(i) in
-           let lo = Fx_interval.lo iv and hi = Fx_interval.hi iv in
-           let margin = 1e-3 *. (hi -. lo) in
-           Float.max (lo +. margin) (Float.min (hi -. margin) x.(i))))
+      | Socp.Strictly_feasible x0 -> Cold (Socp.solve ~params:cfg.socp_params socp ~start:x0))
 
 (* Lower bound + candidate for one region (the paper's steps 3 and 5). *)
 let bound_node cfg pb incumbent counters node =
-  (* Tighten the t-interval with interval arithmetic over the box; an
-     empty intersection means no grid point of this box pairs with this
-     t-slice (the complementary slice lives in a sibling node). *)
-  match
-    Interval.intersect node.trange (Ldafp_problem.trange_of_box pb node.wbox)
-  with
-  | None -> None
-  | Some trange -> (
-      node.trange <- trange;
-      if is_atomic node then begin
-        let w = Array.map Fx_interval.mid node.wbox in
-        match Ldafp_heuristics.evaluate pb w with
-        | Some (w, c) when Interval.mem node.trange (Ldafp_problem.t_of pb w)
-          ->
-            Some { Bnb.lower = c; candidate = Some (w, c) }
-        | _ -> None
-      end
+  if is_atomic node then
+    let w = Array.map Fx_interval.mid node.wbox in
+    match Ldafp_heuristics.evaluate pb w with
+    | Some (w, c) when Ldafp_problem.t_of pb w > 0.0 ->
+        Some { Bnb.lower = c; candidate = Some (w, c) }
+    | _ -> None
+  else if Interval.hi (Ldafp_problem.trange_of_box pb node.wbox) <= 0.0 then
+    None (* H3: the search keeps only t = dᵀw > 0 *)
+  else
+    (* θ caps z: the program bounds the box's points with cost <= θ, and
+       min(bound, θ) the whole box.  The incumbent read here only falls,
+       so the cap stays valid for every later one; before there is one,
+       the cost at the box's center point serves. *)
+    let incumbent = Atomic.get incumbent in
+    let theta =
+      if incumbent < Float.infinity then incumbent
       else
-        (* Dimensions the splitting has pinned to a single grid value.
-           In the full space each pins a pair of opposing half-spaces to
-           equality, so the strict interior is empty and the barrier
-           cannot run at all — these coordinates must be eliminated by
-           substitution, not handed to the solver. *)
-        let fixed =
-          let acc = ref [] in
-          Array.iteri
-            (fun j iv ->
-              if Fx_interval.is_singleton iv then
-                acc := (j, Fx_interval.lo iv) :: !acc)
-            node.wbox;
-          Array.of_list (List.rev !acc)
+        Ldafp_problem.cost pb
+          (Ldafp_problem.weights_of
+             (Ldafp_problem.center_point pb ~wbox:node.wbox ~z_cap:Float.infinity))
+    in
+    let z_cap = Ldafp_problem.z_cap pb ~theta in
+    (* Uncapped (no verified λ̲) the program is unbounded in z: the
+       certified interval fallback bounds the node instead. *)
+    if not (z_cap < Float.infinity) then
+      raise (Fault.Certificate_error "no cap on z: no verified λ̲ or no θ");
+    match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap with
+    | None -> if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None }
+    | Some relax -> (
+        let result = solve_program cfg pb ~counters ~z_cap node relax in
+        (* Hits and misses partition a warm-start run's solves. *)
+        (match (result, node.warm) with
+        | Warm _, _ -> Bnb.count_warm_start_hit counters
+        | _ when not cfg.warm_start -> ()
+        | _, Some _ -> Bnb.count_warm_miss_not_interior counters
+        | _, None ->
+            if node.warm_tainted then Bnb.count_warm_miss_fault_cleared counters
+            else Bnb.count_warm_miss_no_parent counters);
+        let finish x ~tau_final lower =
+          let yz = Ldafp_problem.embed relax x in
+          node.relax_w <- Some { point = yz; tau_final };
+          let lower = Float.min (lower ()) theta in
+          Some
+            { Bnb.lower;
+              candidate = candidate_of_point cfg pb node (Ldafp_problem.weights_of yz) }
         in
-        let warm =
-          if cfg.warm_start then
-            Option.bind node.warm (fun wi ->
-                Option.map
-                  (fun x -> (x, wi.tau_final))
-                  (clip_warm_into_box node wi.point))
-          else None
-        in
-        if
-          secant_excludes cfg pb ~counters ~warm ~fixed node
-            (Atomic.get incumbent)
-        then None
-        else
-          let eta = Interval.sup_sq node.trange in
-          if eta <= 0.0 then None
-          else
-            let relaxation =
-              Ldafp_problem.relaxation pb ~wbox:node.wbox ~trange:node.trange
-                ~eta
-            in
-            (* Substitute the pinned coordinates out.  [socp] ranges over
-               the free coordinates only; [project]/[embed] map between
-               the reduced and full spaces, and [obj_const] carries the
-               objective terms the substitution froze (already in the
-               relaxation's objective scale). *)
-            let restricted =
-              if Array.length fixed = 0 then
-                Some (relaxation, Fun.id, Fun.id, 0.0)
-              else
-                match Socp.restrict relaxation ~fixed with
-                | None -> None
-                | Some r ->
-                    Some
-                      ( r.Socp.reduced,
-                        Socp.restriction_project r,
-                        Socp.restriction_embed r,
-                        Socp.restriction_objective_const r )
-            in
-            match restricted with
-            | None ->
-                (* The pinned values violate a constraint outright: no
-                   point of this region is feasible. *)
-                None
-            | Some (socp, project, embed, obj_const) -> (
-            (* The node's lower bound — the value every pruning decision
-               compares against the incumbent — is {e never} the primal
-               objective.  Certified mode derives it from the verified
-               dual certificate (sound whatever the solve did; typically
-               also tighter, slack ≈ ν/τ instead of 2ν/τ); a failed
-               certificate raises {!Fault.Certificate_error}, which the
-               containment policy classifies, retries with jittered
-               parameters (the retry hook clears the warm state, giving
-               the re-solve a fresh certificate chance), and finally
-               degrades to the certified interval fallback.  The
-               trusting formula survives only behind [certify = false],
-               which also clears {!Bnb.stats.certified_sound}. *)
-            let solved sol =
-              let x_full = embed sol.Socp.x in
-              node.relax_w <-
-                Some { point = x_full; tau_final = sol.Socp.tau_final };
-              let lower =
-                if cfg.certify then
-                  match Socp.certify_lower_bound socp sol with
-                  | Ok cert ->
-                      if cert.Socp.repaired then
-                        Bnb.count_cert_repaired counters
-                      else Bnb.count_cert_verified counters;
-                      (* cost >= 0 always (the objective is a scaled
-                         PSD quadratic), so the clamp loses nothing and
-                         stays certified. *)
-                      Float.max 0.0 (obj_const +. cert.Socp.dual_value)
-                  | Error f ->
-                      raise
-                        (Fault.Certificate_error (Socp.describe_cert_failure f))
+        match result with
+        | Phase1_infeasible -> None
+        | Phase1_unknown x ->
+            (* Nothing better than cost >= 0 is proved, but the box may
+               hold the optimum: keep exploring.  The point was never
+               centered (NaN: restart_levels 0 in the children). *)
+            finish x ~tau_final:Float.nan (fun () -> 0.0)
+        | Warm sol | Cold sol ->
+            (* Prunes compare the verified dual certificate, never the
+               primal objective; a failed one raises
+               {!Fault.Certificate_error} (retried, then degraded to the
+               interval fallback).  [certify = false] keeps the trusting
+               formula and clears {!Bnb.stats.certified_sound}. *)
+            finish sol.Socp.x ~tau_final:sol.Socp.tau_final (fun () ->
+                if not cfg.certify then
+                  Ldafp_problem.cost_bound relax
+                    (sol.Socp.objective -. (2.0 *. sol.Socp.gap_bound))
                 else
-                  Float.max 0.0
-                    (obj_const +. sol.Socp.objective
-                    -. (2.0 *. sol.Socp.gap_bound))
-              in
-              Some
-                { Bnb.lower; candidate = candidate_of_point cfg pb node x_full }
-            in
-            let result =
-              solve_program cfg pb ~counters ~warm ~project node socp
-            in
-            (* Attribute a cold solve (only when warm starts are enabled
-               at all — with [warm_start = false] every solve is cold by
-               choice, not a miss): the hit and miss counters together
-               partition the η-bound solves that actually ran, so
-               warm_hit_rate = hits/(hits + misses) diagnoses exactly the
-               solves that paid for phase-I.  [warm_miss_not_interior]
-               means the parent point defeated the pull-in. *)
-            (match (result, node.warm) with
-            | Warm _, _ -> Bnb.count_warm_start_hit counters
-            | _ when not cfg.warm_start -> ()
-            | _, Some _ -> Bnb.count_warm_miss_not_interior counters
-            | _, None ->
-                if node.warm_tainted then
-                  Bnb.count_warm_miss_fault_cleared counters
-                else Bnb.count_warm_miss_no_parent counters);
-            match result with
-            | Warm sol | Cold sol -> solved sol
-            | Phase1_infeasible -> None
-            | Phase1_unknown x ->
-                (* Cannot certify anything better than cost >= 0 here,
-                   but the box may still contain the optimum: keep
-                   exploring.  The point was never centered on any
-                   ladder — NaN maps to restart_levels 0 in the
-                   children. *)
-                let x_full = embed x in
-                node.relax_w <- Some { point = x_full; tau_final = Float.nan };
-                Some
-                  { Bnb.lower = 0.0;
-                    candidate = candidate_of_point cfg pb node x_full }))
-
-(* The η = sup t² bound only tightens as the t-interval shrinks, so t
-   competes for the split with its relative width scaled up by
-   [t_weight], and stops competing once narrower than [t_floor] of its
-   root width. *)
-let t_weight = 3.0
-let t_floor = 1e-4
+                  match
+                    Socp.certify_lower_bound
+                      ?psd_block:(Ldafp_problem.psd_block pb relax)
+                      relax.Ldafp_problem.socp sol
+                  with
+                  | Ok cert ->
+                      if cert.Socp.repaired then Bnb.count_cert_repaired counters
+                      else Bnb.count_cert_verified counters;
+                      Ldafp_problem.cost_bound relax cert.Socp.dual_value
+                  | Error f -> raise (Fault.Certificate_error (Socp.describe_cert_failure f))))
 
 (* Branching rule: most relative width among the splittable dimensions,
-   cut at the cached relaxation optimum. *)
+   cut at the cached relaxation optimum's w = y/z. *)
 let branch_node pb node =
   let m = Array.length node.wbox in
   let root = pb.Ldafp_problem.elem_box in
@@ -420,51 +255,25 @@ let branch_node pb node =
       end
     end
   done;
-  let t_width = Interval.width node.trange in
-  let t_score =
-    if node.root_t_width <= 0.0 then 0.0
-    else if t_width <= t_floor *. node.root_t_width then 0.0
-    else t_weight *. t_width /. node.root_t_width
-  in
-  let copy_box () = Array.copy node.wbox in
-  if t_score > !best_score then begin
-    (* Split t at the relaxation optimum's projection, kept away from the
-       endpoints so both children shrink meaningfully. *)
-    let at =
-      match node.relax_w with
-      | Some wi -> Ldafp_problem.t_of pb wi.point
-      | None -> Interval.mid node.trange
-    in
-    let lo = Interval.lo node.trange and hi = Interval.hi node.trange in
-    let margin = 0.15 *. (hi -. lo) in
-    let at = Float.max (lo +. margin) (Float.min (hi -. margin) at) in
-    let left, right = Interval.split ~at node.trange in
-    (* Children inherit the parent's relaxation optimum as their warm
-       start (clipped into the child box at bound time). *)
-    [
-      { node with trange = left; wbox = copy_box (); relax_w = None;
-        warm = node.relax_w; warm_tainted = false };
-      { node with trange = right; wbox = copy_box (); relax_w = None;
-        warm = node.relax_w; warm_tainted = false };
-    ]
-  end
-  else if !best_dim >= 0 then begin
+  if !best_dim < 0 then []
+  else
     let j = !best_dim in
-    let at = Option.map (fun wi -> wi.point.(j)) node.relax_w in
+    let at =
+      Option.bind node.relax_w (fun wi ->
+          let w = wi.point.(j) /. wi.point.(m) in
+          if Float.is_finite w then Some w else None)
+    in
     match Fx_interval.split ?at node.wbox.(j) with
     | None -> []
     | Some (lo, hi) ->
-        let left = copy_box () and right = copy_box () in
-        left.(j) <- lo;
-        right.(j) <- hi;
-        [
-          { node with wbox = left; relax_w = None; warm = node.relax_w;
-            warm_tainted = false };
-          { node with wbox = right; relax_w = None; warm = node.relax_w;
-            warm_tainted = false };
-        ]
-  end
-  else []
+        (* Children inherit the parent's relaxation optimum as their
+           warm start (clipped into the child box at bound time). *)
+        List.map
+          (fun iv ->
+            let wbox = Array.copy node.wbox in
+            wbox.(j) <- iv;
+            { wbox; relax_w = None; warm = node.relax_w; warm_tainted = false })
+          [ lo; hi ]
 
 (* Retry attempt [k >= 1] of a failed relaxation: perturb the barrier
    start weight and loosen the tolerances by a decade per attempt —
@@ -520,8 +329,6 @@ let solve ?(config = default_config) ?interrupt pb =
   let root =
     {
       wbox = Array.copy pb.Ldafp_problem.elem_box;
-      trange = pb.Ldafp_problem.t_root;
-      root_t_width = Interval.width pb.Ldafp_problem.t_root;
       relax_w = None;
       warm = None;
       warm_tainted = false;
@@ -529,8 +336,8 @@ let solve ?(config = default_config) ?interrupt pb =
   in
   (* Wrap the seed into the oracle: the root's bound info carries it as a
      candidate so the B&B driver starts with the incumbent installed.  The
-     [incumbent] Atomic mirrors the driver's incumbent for the secant
-     test; Atomics (exchange for the one-shot seed, CAS-min for the
+     [incumbent] Atomic mirrors the driver's incumbent for the node
+     program's z cap; Atomics (exchange for the one-shot seed, CAS-min for the
      mirror) keep the oracle callable from several worker domains. *)
   let first = Atomic.make seed in
   let incumbent =
@@ -606,8 +413,7 @@ let solve ?(config = default_config) ?interrupt pb =
       fallback_bound =
         Some
           (fun node ->
-            Ldafp_problem.interval_lower_bound pb ~wbox:node.wbox
-              ~trange:node.trange);
+            Ldafp_problem.interval_lower_bound pb ~wbox:node.wbox);
     }
   in
   let checkpointing =

@@ -1,23 +1,18 @@
 (** The LDA-FP trainer: branch-and-bound over the QK.F weight grid
-    (paper Algorithm 1).
+    (paper Algorithm 1).  A search region is a grid-aligned box for [w].
+    Per region:
 
-    The search region pairs a grid-aligned box for [w] with an interval
-    for the auxiliary [t = (μ_A − μ_B)ᵀ w].  Per region:
-
-    - {e secant test}: over [t ∈ [l, u]], [t² <= (l+u)t − lu], so a
-      positive minimum of [wᵀS_W w − θ((l+u)t − lu)] proves no point of
-      the region beats the incumbent θ.  Unlike the η bound this couples
-      numerator and denominator, and it is what lets the search close
-      regions whose boxes still contain w = 0;
-    - {e lower bound}: solve the convex SOCP relaxation (eq. 25) with the
-      denominator frozen at [η = sup t²] (eq. 26); prune when infeasible
-      (phase-I certificate) or when the bound beats the incumbent;
+    - {e lower bound}: the exact linear-fractional relaxation
+      ({!Ldafp_problem.relaxation}), one SOCP whose optimum is the
+      minimum of the cost over the relaxed region (it replaces eq. 26's
+      frozen denominator [η = sup t²]), certified by its dual; prune
+      when infeasible (phase-I certificate) or when the bound beats the
+      incumbent;
     - {e upper bound}: round the relaxation optimum onto the grid, check
       (18)/(20) exactly and polish by ±1-ulp coordinate descent (H2);
       the paper's [η = inf t²] re-solve (eq. 27) is not implemented;
-    - {e branch}: split the most-relative-width dimension (one of the
-      [w_m], or [t], whose width counts three times) at the relaxation
-      optimum, grid-aligned for weights.
+    - {e branch}: split the most-relative-width weight at the relaxation
+      optimum, grid-aligned.
 
     The incumbent is seeded before the search by the H1/H2 heuristics
     (see {!Ldafp_heuristics}), so even a node budget of zero reproduces a
@@ -46,7 +41,7 @@ type config = {
           (default 2); the seed polishes with [max 4 polish_rounds] *)
   warm_start : bool;
       (** start each child's relaxation from the parent's optimum,
-          clipped strictly inside the child box — when the clipped point
+          clipped into the child box and pulled inside — when that point
           is strictly interior the phase-I feasibility solve is skipped
           entirely.  Bounds stay certified either way (the barrier solve
           runs to the same tolerances from any interior start); disable
@@ -59,8 +54,7 @@ type config = {
           dual-feasible set, and the dual objective is evaluated in
           outward-rounded interval arithmetic, so the bound is true
           {e whatever} the primal solve did — a stalled or corrupted
-          solve can cost nodes, never the optimum.  Applies to the main
-          relaxation bound {e and} the secant prune.  Certificate
+          solve can cost nodes, never the optimum.  Certificate
           failures flow through the fault policy (retry with jitter,
           then degrade to the certified
           {!Ldafp_problem.interval_lower_bound}) and are counted in

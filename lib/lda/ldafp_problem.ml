@@ -2,6 +2,10 @@ open Linalg
 open Fixedpoint
 open Optim
 
+(* The parts of a node program fixed by its pins: P, the direction of
+   dᵀy >= κ and the cones. *)
+type folded = { fp : Mat.t; fdt : Vec.t; fcones : Socp.cones }
+
 type t = {
   fmt : Qformat.t;
   rho : float;
@@ -11,17 +15,11 @@ type t = {
   d : Vec.t;
   elem_box : Fx_interval.t array;
   cones : Socp.cones;
-  t_root : Interval.t;
-  restrict_t_positive : bool;
-  (* Relaxation template, shared by every branch-and-bound node: the
-     quadratic term, the zero linear term and all constraint direction
-     vectors are node-independent — only the half-space offsets (box and
-     t-range) and the objective scale (1/eta) change per node. *)
-  p_base : Mat.t;  (* 2 S_W *)
-  q_zero : Vec.t;
-  box_pos : Vec.t array;  (* e_i,  for w_i <= hi_i *)
-  box_neg : Vec.t array;  (* -e_i, for -w_i <= -lo_i *)
-  d_neg : Vec.t;  (* -d, for -dᵀw <= -t_lo *)
+  p_base : Mat.t;
+  lambda_min : float;
+  lambda_grid : float;
+  norm : float;
+  unpinned : folded;
 }
 
 exception No_feasible_box of string
@@ -52,7 +50,49 @@ let elem_range ~beta ~lo_bound ~hi_bound stats =
     stats;
   (!neg_lo, !pos_hi)
 
-let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
+(* A pinned coordinate y_j = v_j·z folds into z's column: with
+   M = [the free unit columns | v], P = Mᵀ(2S_W)M (its free block
+   copied bit for bit), dᵀy = dᵀM·(y_F, z), and each cone
+   β‖Lᵀw‖ <= cᵀw + R becomes β‖LᵀM·‖ <= (Mᵀc + R·e_z)ᵀ·, its offset R
+   moved into z's coefficient.  The cones of one class keep sharing one
+   [l], and their Grams the free block ({!Socp.cones} [~share]). *)
+let fold_pins ~p_base ~d ~cones ~free ~v =
+  let nf = Array.length free in
+  let n = nf + 1 in
+  let pinned = List.filter (fun j -> v.(j) <> 0.0) (List.init (Vec.dim v) Fun.id) in
+  let fold row = List.fold_left (fun s p -> s +. (row.(p) *. v.(p))) 0.0 pinned in
+  let col a ~z = Vec.init n (fun i -> if i < nf then a.(free.(i)) else z) in
+  let pz = Array.map (fun j -> fold p_base.(j)) free in
+  let fp =
+    Mat.init n n (fun i k ->
+        if i < nf && k < nf then p_base.(free.(i)).(free.(k))
+        else if i < nf then pz.(i)
+        else if k < nf then pz.(k)
+        else List.fold_left (fun s p -> s +. (v.(p) *. fold p_base.(p))) 0.0 pinned)
+  in
+  let folded = ref [] in
+  let fold_l l =
+    match List.assq_opt l !folded with
+    | Some l' -> l'
+    | None ->
+        let l' = Array.map (fun lr -> col lr ~z:(fold lr)) l in
+        folded := (l, l') :: !folded;
+        l'
+  in
+  let socs =
+    Array.map
+      (fun { Socp.l; g; c; d } ->
+        { Socp.l = fold_l l; g; c = col c ~z:(fold c +. d); d = 0.0 })
+      (Socp.cone_socs cones)
+  in
+  {
+    fp;
+    fdt = Vec.neg (col d ~z:(fold d));
+    fcones =
+      Socp.cones ~share:(cones, Array.init n (fun i -> if i < nf then free.(i) else -1)) socs;
+  }
+
+let build ?(rho = 0.99) ~fmt scatter =
   let beta = Stats.Gaussian.beta_of_confidence rho in
   let m = Stats.Scatter.dim scatter in
   let sw = Mat.symmetrize (Stats.Scatter.within_class scatter) in
@@ -100,27 +140,44 @@ let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
   let cones =
     Socp.cones (Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b))
   in
-  (* Root t-interval: eq. (29) tightened by the element boxes. *)
-  let t_lo = ref 0.0 and t_hi = ref 0.0 in
-  Array.iteri
-    (fun j iv ->
-      let a = d.(j) *. Fx_interval.lo iv and b = d.(j) *. Fx_interval.hi iv in
-      t_lo := !t_lo +. Float.min a b;
-      t_hi := !t_hi +. Float.max a b)
-    elem_box;
+  let p_base = Mat.scale 2.0 sw in
+  (* The node programs' scale: 1/(√c*·t_hi) at the root, with the
+     float-LDA floor c* = 1/(dᵀS_W⁻¹d) = 1/(2·dᵀ(2S_W)⁻¹d), puts the
+     root optimum near 1. *)
   let t_root =
-    if restrict_t_positive then
-      Interval.make ~lo:(Float.max 0.0 !t_lo) ~hi:(Float.max 0.0 !t_hi)
-    else Interval.make ~lo:!t_lo ~hi:!t_hi
+    Array.fold_left ( +. ) 0.0
+      (Array.mapi
+         (fun j iv -> Float.max (d.(j) *. Fx_interval.lo iv) (d.(j) *. Fx_interval.hi iv))
+         elem_box)
   in
+  let norm =
+    match sqrt (2.0 *. Vec.dot d (Cholesky.solve p_base d)) /. t_root with
+    | g when Float.is_finite g && g > 0.0 -> g
+    | _ | (exception Cholesky.Not_positive_definite _) -> 1.0
+  in
+  (* The distinct coordinates: one whose row of S_W repeats a kept one's
+     with the same d_j (an exactly duplicated feature), or is zero with
+     d_j = 0 (a constant one), adds nothing to wᵀS_W w or to t.  Merging
+     such coordinates maps a grid point with t > 0 to a nonzero grid
+     point, so λ_min over the kept ones caps z ({!z_cap}) even when
+     S_W is singular through them. *)
+  let keep = Array.make m true in
+  for j = 0 to m - 1 do
+    let dup k = keep.(k) && p_base.(k) = p_base.(j) && d.(k) = d.(j) in
+    if (Array.for_all (( = ) 0.0) p_base.(j) && d.(j) = 0.0)
+       || List.exists dup (List.init j Fun.id)
+    then keep.(j) <- false
+  done;
+  let kept = Array.of_list (List.filter (fun j -> keep.(j)) (List.init m Fun.id)) in
+  let nk = Array.length kept in
+  let lambda_min = Psd.verified_lambda_min p_base in
   {
-    fmt; rho; beta; scatter; sw; d; elem_box; cones; t_root;
-    restrict_t_positive;
-    p_base = Mat.scale 2.0 sw;
-    q_zero = Vec.zeros m;
-    box_pos = Array.init m (Vec.basis m);
-    box_neg = Array.init m (fun i -> Vec.neg (Vec.basis m i));
-    d_neg = Vec.neg d;
+    fmt; rho; beta; scatter; sw; d; elem_box; cones; p_base; lambda_min; norm;
+    lambda_grid =
+      (if nk = m then lambda_min
+       else if nk = 0 then 0.0
+       else Psd.verified_lambda_min (Mat.init nk nk (fun i k -> p_base.(kept.(i)).(kept.(k)))));
+    unpinned = fold_pins ~p_base ~d ~cones ~free:(Array.init m Fun.id) ~v:(Vec.zeros m);
   }
 
 let dim t = Vec.dim t.d
@@ -175,85 +232,170 @@ let feasible ?(tol = 1e-9) t w =
 
 let t_of t w = Vec.dot t.d w
 
+(* Outward-rounded: every grid point of the box has dᵀw inside. *)
 let trange_of_box t wbox =
-  let lo = ref 0.0 and hi = ref 0.0 in
+  let acc = ref (Interval.point 0.0) in
   Array.iteri
     (fun j iv ->
-      let a = t.d.(j) *. Fx_interval.lo iv
-      and b = t.d.(j) *. Fx_interval.hi iv in
-      lo := !lo +. Float.min a b;
-      hi := !hi +. Float.max a b)
+      acc :=
+        Interval.wide_add !acc
+          (Interval.wide_mul (Interval.point t.d.(j))
+             (Interval.make ~lo:(Fx_interval.lo iv) ~hi:(Fx_interval.hi iv))))
     wbox;
-  Interval.make ~lo:!lo ~hi:!hi
+  !acc
 
-(* Only the offsets [b] are node-specific; every direction vector is
-   shared from the template, so a node's half-spaces cost 2M+2 small
-   records, not O(M²) fresh floats. *)
-let box_and_t_lins t ~wbox ~trange =
+(* Any grid point w with t > 0 and cost ≤ θ merges (over its distinct
+   coordinates) to a nonzero grid point w', so ‖w'‖ ≥ ulp and
+   t² ≥ wᵀS_W w/θ ≥ (λ̲/2)·ulp²/θ: z = 1/t ≤ 1/(ulp·√(λ̲/(2θ))).
+   Rounded up; infinite without an incumbent or a verified λ̲. *)
+let z_cap t ~theta =
+  if not (theta < Float.infinity && t.lambda_grid > 0.0) then Float.infinity
+  else if theta <= 0.0 then 0.0
+  else
+    Float.succ (Float.succ (1.0 /. (Qformat.ulp t.fmt *. sqrt (t.lambda_grid /. (2.0 *. theta)))))
+
+type relaxation = { socp : Socp.problem; free : int array; pinned : Vec.t; kappa : float }
+
+let relaxation t ~wbox ~z_cap =
   let m = dim t in
-  Array.init
-    ((2 * m) + 2)
-    (fun k ->
-      if k < m then { Socp.a = t.box_pos.(k); b = Fx_interval.hi wbox.(k) }
-      else if k < 2 * m then
-        let i = k - m in
-        { Socp.a = t.box_neg.(i); b = -.Fx_interval.lo wbox.(i) }
-      else if k = 2 * m then { Socp.a = t.d; b = Interval.hi trange }
-      else { Socp.a = t.d_neg; b = -.Interval.lo trange })
-
-let relaxation t ~wbox ~trange ~eta =
-  if eta <= 0.0 then invalid_arg "Ldafp_problem.relaxation: eta must be > 0";
-  (* wᵀ S_W w / eta = (1/eta) · (1/2) wᵀ (2 S_W) w: the eta-dependence
-     lives entirely in the objective scale, so the shared [p_base] and
-     cones serve every node unchanged. *)
-  Socp.of_parts ~obj_scale:(1.0 /. eta) ~p:t.p_base ~q:t.q_zero
-    ~lins:(box_and_t_lins t ~wbox ~trange)
-    ~cones:t.cones (dim t)
-
-let secant_relaxation t ~wbox ~trange ~theta =
-  if theta < 0.0 then
-    invalid_arg "Ldafp_problem.secant_relaxation: theta must be >= 0";
-  let l = Interval.lo trange and u = Interval.hi trange in
-  if l < 0.0 then
-    invalid_arg "Ldafp_problem.secant_relaxation: t-range must be >= 0";
-  let m = dim t in
-  let q = Vec.scale (-.theta *. (l +. u)) t.d in
-  let problem =
-    Socp.of_parts ~p:t.p_base ~q
-      ~lins:(box_and_t_lins t ~wbox ~trange)
-      ~cones:t.cones m
+  let free =
+    Array.of_list
+      (List.filter (fun j -> not (Fx_interval.is_singleton wbox.(j))) (List.init m Fun.id))
   in
-  (problem, theta *. l *. u)
+  let nf = Array.length free in
+  if nf = 0 then invalid_arg "Ldafp_problem.relaxation: every coordinate pinned";
+  (* y = κ·w/t and z = κ/t with κ = norm·t_hi keep y near norm·w at the
+     top of the box's t-range however small t_hi is: z >= κ/t_hi,
+     rounded down, and z <= κ·z_cap, rounded up.  No point of the box
+     has t > 0 when t_hi <= 0, and none with cost <= θ when the two ends
+     of z cross. *)
+  let t_hi = Interval.hi (trange_of_box t wbox) in
+  let kappa = t.norm *. t_hi in
+  let z_lo = Float.pred (kappa /. t_hi) in
+  let z_max = if z_cap < Float.infinity then Float.succ (kappa *. z_cap) else z_cap in
+  if not (t_hi > 0.0 && kappa > 0.0 && z_lo < z_max) then None
+  else begin
+    let n = nf + 1 in
+    let pinned =
+      Vec.init m (fun j ->
+          if Fx_interval.is_singleton wbox.(j) then Fx_interval.lo wbox.(j) else 0.0)
+    in
+    let f =
+      if nf = m then t.unpinned
+      else fold_pins ~p_base:t.p_base ~d:t.d ~cones:t.cones ~free ~v:pinned
+    in
+    let row i ~y ~z b =
+      let a = Vec.zeros n in
+      if i < nf then a.(i) <- y;
+      a.(nf) <- z;
+      { Socp.a; b }
+    in
+    (* y_j − hi_j·z <= 0 and lo_j·z − y_j <= 0, dᵀy >= κ, then z's rows *)
+    let lins =
+      Array.concat
+        [
+          Array.concat
+            (Array.to_list
+               (Array.mapi
+                  (fun i j ->
+                    [| row i ~y:1.0 ~z:(-.Fx_interval.hi wbox.(j)) 0.0;
+                       row i ~y:(-1.0) ~z:(Fx_interval.lo wbox.(j)) 0.0 |])
+                  free));
+          [| { Socp.a = f.fdt; b = -.kappa }; row nf ~y:0.0 ~z:(-1.0) (-.z_lo) |];
+          (if z_max < Float.infinity then [| row nf ~y:0.0 ~z:1.0 z_max |] else [||]);
+        ]
+    in
+    Some
+      { socp = Socp.of_parts ~p:f.fp ~q:(Vec.zeros n) ~lins ~cones:f.fcones n;
+        free; pinned; kappa }
+  end
 
-(* A certifiably box-and-t-interior point of a node's region, used as
-   the pull-in target for warm starts that landed on the child's branch
-   cut (Socp.pull_to_interior).  Corner blend: each coordinate moves the
-   fraction theta from the endpoint minimising d_j w_j to the one
-   maximising it, so d·w = (1−theta)·min(d·w over box) + theta·max and
-   choosing theta to hit mid(trange) puts d·w exactly at the t-slice
-   centre.  Because bound_node intersects trange with trange_of_box
-   first, theta lands in [0, 1]; strictly inside unless the region is
-   degenerate (a singleton box dimension or a width-zero t-slice), in
-   which case there is no strict interior for any point to find and the
-   caller's interiority check fails as it must. *)
-let center_point t ~wbox ~trange =
+(* Full (y, z) points are kept at κ = 1, (w, 1)/t, so that a point
+   stays meaningful in a child whose κ differs. *)
+let project r yz =
+  let nf = Array.length r.free in
+  Vec.init (nf + 1) (fun i -> r.kappa *. yz.(if i < nf then r.free.(i) else Vec.dim r.pinned))
+
+let embed r x =
+  let nf = Array.length r.free in
+  let z = x.(nf) /. r.kappa in
+  let yz = Vec.init (Vec.dim r.pinned + 1) (fun j ->
+      if j < Vec.dim r.pinned then r.pinned.(j) *. z else z) in
+  Array.iteri (fun i j -> yz.(j) <- x.(i) /. r.kappa) r.free;
+  yz
+
+let weights_of yz =
+  let m = Vec.dim yz - 1 in
+  Vec.init m (fun j -> yz.(j) /. yz.(m))
+
+(* The program's objective is κ²·cost: cost >= v/κ², rounded down; a
+   negative v only proves cost >= 0. *)
+let cost_bound r v =
+  if not (v > 0.0) then 0.0
+  else
+    Float.pred
+      (v /. Interval.hi (Interval.wide_mul (Interval.point r.kappa) (Interval.point r.kappa)))
+
+let psd_block t r =
+  if t.lambda_min > 0.0 then Some (Array.init (Array.length r.free) Fun.id, t.lambda_min)
+  else None
+
+(* (w, 1)·ratio/dᵀw: the full point standing for w with dᵀy = ratio;
+   z = 0 (outside every program) when dᵀw <= 0. *)
+let lift t w ~ratio =
+  let tw = Vec.dot t.d w in
+  let s = if tw > 0.0 then ratio /. tw else 0.0 in
+  Vec.init (Vec.dim w + 1) (fun j -> if j < Vec.dim w then s *. w.(j) else s)
+
+(* The pull-in target for warm starts stranded on a child's branch cut
+   (Socp.pull_to_interior), and the cold start.  The cones favour small
+   weights and the z cap a t not too small, so w runs from p0, the box
+   point nearest the origin, toward c, the corner maximising dᵀw, a
+   twentieth of the way from the smallest admissible t, max(dᵀp0,
+   1/z_cap), to dᵀc; both a thousandth of each width inside the box.
+   The lift puts dᵀy at r ∈ (1, 2] with r/t < z_cap, so the point is
+   strictly inside the box rows, dᵀy >= 1 and both z rows whenever the
+   box has such a t; the cones are not guaranteed, which the pull-in
+   checks before trusting the target. *)
+let center_point t ~wbox ~z_cap =
+  let inside j x =
+    let lo = Fx_interval.lo wbox.(j) and hi = Fx_interval.hi wbox.(j) in
+    let margin = 1e-3 *. (hi -. lo) in
+    Float.max (lo +. margin) (Float.min (hi -. margin) x)
+  in
+  let p0 = Array.mapi (fun j _ -> inside j 0.0) wbox in
+  let c =
+    Array.mapi
+      (fun j iv -> inside j (if t.d.(j) >= 0.0 then Fx_interval.hi iv else Fx_interval.lo iv))
+      wbox
+  in
+  let t0 = Vec.dot t.d p0 and t1 = Vec.dot t.d c in
+  let t_a = Float.max (Float.max t0 0.0) (1.0 /. z_cap) in
+  let theta =
+    if t1 -. t0 <= 0.0 then 1.0
+    else Float.min 1.0 (Float.max 0.0 ((t_a +. (0.05 *. (t1 -. t_a)) -. t0) /. (t1 -. t0)))
+  in
+  let w = Vec.init (dim t) (fun j -> p0.(j) +. (theta *. (c.(j) -. p0.(j)))) in
+  lift t w ~ratio:(Float.min 2.0 (sqrt (Vec.dot t.d w *. z_cap)))
+
+(* An inherited full point clipped into a child's box.  The branch rule
+   cuts at the point's own w_j, so the clipped point lands on the cut —
+   not strictly interior, which the pull-in toward the center point
+   repairs (Socp.prepare_warm_start).  The lift keeps the point's dᵀy,
+   at least 1 + 10⁻⁶: a barrier optimum leaves the normalisation row
+   dᵀy >= 1 slack by about 10⁻⁹ only, below the warm start's
+   interiority margin. *)
+let clip_into_box t ~wbox yz =
   let m = dim t in
-  let t_mid = Interval.mid trange in
-  let lo_t = ref 0.0 and hi_t = ref 0.0 in
-  Array.iteri
-    (fun j iv ->
-      let a = t.d.(j) *. Fx_interval.lo iv
-      and b = t.d.(j) *. Fx_interval.hi iv in
-      lo_t := !lo_t +. Float.min a b;
-      hi_t := !hi_t +. Float.max a b)
-    wbox;
-  let width = !hi_t -. !lo_t in
-  let theta = if width <= 0.0 then 0.5 else (t_mid -. !lo_t) /. width in
-  Vec.init m (fun j ->
-      let iv = wbox.(j) in
-      let lo = Fx_interval.lo iv and hi = Fx_interval.hi iv in
-      if t.d.(j) >= 0.0 then lo +. (theta *. (hi -. lo))
-      else hi -. (theta *. (hi -. lo)))
+  let ratio = if Vec.dim yz = m + 1 then Vec.dot t.d (Array.sub yz 0 m) else 0.0 in
+  if not (ratio > 0.0 && yz.(m) > 0.0) then None
+  else
+    let w =
+      Array.mapi
+        (fun j iv -> Float.max (Fx_interval.lo iv) (Float.min (Fx_interval.hi iv) (yz.(j) /. yz.(m))))
+        wbox
+    in
+    Some (lift t w ~ratio:(Float.max ratio (1.0 +. 1e-6)))
 
 (* A canonical text of the inputs [build] derives everything else from,
    with every float printed exactly ([%h]): independent of the record's
@@ -265,44 +407,32 @@ let fingerprint t =
     Array.iter (Printf.bprintf b " %h") v;
     Buffer.add_char b '\n'
   in
-  Printf.bprintf b "%s rho %h t>0 %b n %d %d\n" (Qformat.to_string t.fmt) t.rho
-    t.restrict_t_positive s.Stats.Scatter.n_a s.Stats.Scatter.n_b;
+  Printf.bprintf b "%s rho %h n %d %d\n" (Qformat.to_string t.fmt) t.rho
+    s.Stats.Scatter.n_a s.Stats.Scatter.n_b;
   row s.Stats.Scatter.mu_a;
   row s.Stats.Scatter.mu_b;
   Array.iter row s.Stats.Scatter.sigma_a;
   Array.iter row s.Stats.Scatter.sigma_b;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let interval_lower_bound t ~wbox ~trange =
-  let m = dim t in
-  let lo = Array.map Fx_interval.lo wbox in
-  let hi = Array.map Fx_interval.hi wbox in
-  (* Term-wise interval arithmetic on wᵀ S_W w: each product
-     s·wᵢ·wⱼ attains its extrema at box corners.  The sum of per-term
-     minima under-estimates the true minimum, which is exactly what a
-     fallback lower bound needs. *)
-  let qf_min = ref 0.0 in
-  for i = 0 to m - 1 do
-    for j = 0 to m - 1 do
-      let s = t.sw.(i).(j) in
-      if s <> 0.0 then begin
-        let p1 = lo.(i) *. lo.(j)
-        and p2 = lo.(i) *. hi.(j)
-        and p3 = hi.(i) *. lo.(j)
-        and p4 = hi.(i) *. hi.(j) in
-        let pmin = Float.min (Float.min p1 p2) (Float.min p3 p4) in
-        let pmax = Float.max (Float.max p1 p2) (Float.max p3 p4) in
-        qf_min := !qf_min +. (if s > 0.0 then s *. pmin else s *. pmax)
-      end
-    done
-  done;
-  let l = Interval.lo trange and u = Interval.hi trange in
-  let t2_sup = Float.max (l *. l) (u *. u) in
-  if t2_sup <= 0.0 then Float.infinity
-  else Float.max 0.0 (!qf_min /. t2_sup)
+let interval_lower_bound t ~wbox =
+  (* wᵀS_W w enclosed term by term over the box (outward rounded), over
+     t_hi²: the search keeps only t > 0, so sup t² over the region is
+     t_hi², and a t_hi² that underflows proves nothing. *)
+  let iv j = Interval.make ~lo:(Fx_interval.lo wbox.(j)) ~hi:(Fx_interval.hi wbox.(j)) in
+  let qf = ref (Interval.point 0.0) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j s ->
+          qf := Interval.wide_add !qf (Interval.wide_mul (Interval.point s) (Interval.wide_mul (iv i) (iv j))))
+        row)
+    t.sw;
+  let u = Interval.hi (trange_of_box t wbox) and q = Interval.lo !qf in
+  if u <= 0.0 then Float.infinity
+  else if q <= 0.0 || not (u *. u > 0.0) then 0.0
+  else Float.pred (q /. Float.succ (u *. u))
 
 let pp_summary ppf t =
-  Format.fprintf ppf
-    "LDA-FP problem: %a, M=%d, rho=%g (beta=%.3f), t in %a%s" Qformat.pp t.fmt
-    (dim t) t.rho t.beta Interval.pp t.t_root
-    (if t.restrict_t_positive then " [t>=0 heuristic]" else "")
+  Format.fprintf ppf "LDA-FP problem: %a, M=%d, rho=%g (beta=%.3f), λ̲=%g"
+    Qformat.pp t.fmt (dim t) t.rho t.beta t.lambda_min

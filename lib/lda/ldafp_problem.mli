@@ -13,6 +13,10 @@
     (computed here in closed form); the projection constraints (20) are the
     four second-order cones handed to the relaxation solver. *)
 
+type folded
+(** The parts of a node program fixed by its pinned coordinates: the
+    quadratic term, the direction of [dᵀy >= κ] and the cones. *)
+
 type t = private {
   fmt : Fixedpoint.Qformat.t;
   rho : float;  (** confidence level *)
@@ -28,30 +32,25 @@ type t = private {
           grid point; each class's pair shares one [l], so two Grams
           ({!Optim.Socp.val-cones}), computed once here, serve every
           node's relaxation *)
-  t_root : Optim.Interval.t;  (** initial range of t = dᵀw, eq. 29 *)
-  restrict_t_positive : bool;
-      (** heuristic H3: exploit the w ↦ −w symmetry of the cost by
-          searching only t >= 0 *)
-  p_base : Linalg.Mat.t;
-      (** [2 S_W] — the node-independent quadratic term every relaxation
-          shares (the per-node [1/η] is an {!Optim.Socp} objective scale) *)
-  q_zero : Linalg.Vec.t;  (** shared zero linear term *)
-  box_pos : Linalg.Vec.t array;  (** shared [e_i] box directions *)
-  box_neg : Linalg.Vec.t array;  (** shared [−e_i] box directions *)
-  d_neg : Linalg.Vec.t;  (** shared [−d] t-range direction *)
+  p_base : Linalg.Mat.t;  (** [2 S_W], the quadratic term of every node *)
+  lambda_min : float;
+      (** verified [λ̲ <= λ_min(2 S_W)] ({!Optim.Psd.verified_lambda_min}),
+          [0] when none is proved (a singular [S_W]) *)
+  lambda_grid : float;
+      (** [lambda_min] over the distinct coordinates, without exactly
+          duplicated or constant features; it caps [z] ({!z_cap}) *)
+  norm : float;
+      (** [1/(√c*·t_hi)] at the root, [c* = 1/(dᵀS_W⁻¹d)]: the root
+          program's optimum is near 1 *)
+  unpinned : folded;  (** shared by every node without pins *)
 }
 
 exception No_feasible_box of string
 (** Raised by {!build} when some element admits no grid point (can only
     happen with degenerate formats). *)
 
-val build :
-  ?rho:float ->
-  ?restrict_t_positive:bool ->
-  fmt:Fixedpoint.Qformat.t ->
-  Stats.Scatter.t ->
-  t
-(** [rho] defaults to 0.99; [restrict_t_positive] to [true]. *)
+val build : ?rho:float -> fmt:Fixedpoint.Qformat.t -> Stats.Scatter.t -> t
+(** [rho] defaults to 0.99.  Verifies [lambda_min] once. *)
 
 val dim : t -> int
 
@@ -74,70 +73,96 @@ val feasible : ?tol:float -> t -> Linalg.Vec.t -> bool
 val t_of : t -> Linalg.Vec.t -> float
 (** [t = (μ_A − μ_B)ᵀ w], eq. (22). *)
 
-val relaxation :
-  t ->
-  wbox:Fixedpoint.Fx_interval.t array ->
-  trange:Optim.Interval.t ->
-  eta:float ->
-  Optim.Socp.problem
-(** The convex relaxation (eq. 25) over a box: objective
-    [wᵀ S_W w / eta], box + t-range half-spaces, the four cones.
-    Allocation-lean: the quadratic term, cones and constraint directions
-    are shared from the problem template ([eta] is an objective scale,
-    not a rebuilt [P]); only the 2M+2 half-space offsets are fresh. *)
-
 val trange_of_box : t -> Fixedpoint.Fx_interval.t array -> Optim.Interval.t
-(** Interval-arithmetic range of [dᵀw] over a box (used to tighten and to
-    prune node t-ranges). *)
+(** Range of [t = dᵀw] over a box, eq. (29), in outward-rounded
+    interval arithmetic: every point of the box has [dᵀw] inside. *)
+
+val z_cap : t -> theta:float -> float
+(** The largest [z = 1/t] of a grid point with [t > 0] and cost
+    [<= theta]: merged over its distinct coordinates it is a nonzero
+    grid point, of norm [>= ulp], so [t >= ulp·√(λ̲/(2θ))] with
+    [λ̲ = lambda_grid].  Rounded up; [infinity] when [theta] is infinite
+    or [lambda_grid] is [0].  An incumbent only falls, so a cap from an
+    older one stays valid. *)
+
+type relaxation = private {
+  socp : Optim.Socp.problem;  (** over the free [y], then [z] *)
+  free : int array;  (** reduced index → coordinate *)
+  pinned : Linalg.Vec.t;  (** the singleton coordinates' values, else 0 *)
+  kappa : float;  (** [κ = norm·t_hi], [t_hi] from {!trange_of_box} *)
+}
+(** The exact linear-fractional relaxation of one box (Charnes & Cooper,
+    1962).  With [y = κw/t] and [z = κ/t] the cost over the box's relaxed
+    region becomes the convex program
+
+    {v minimize  yᵀ S_W y
+       s.t.      lo·z <= y <= hi·z,   dᵀy >= κ,
+                 β‖Lᵀy‖ <= ±μᵀy + R·z   (the four cones of (20)),
+                 κ/t_hi <= z <= κ·z_cap v}
+
+    whose optimum is κ² times the minimum cost over the region's points
+    with [t >= 1/z_cap] ([dᵀy >= κ] is heuristic H3).  A pinned
+    coordinate [y_j = v_j·z] folds into [z]'s column, so the program has
+    [free + 1] variables, no constant term and no cone offsets; its
+    quadratic term is [Mᵀ(2S_W)M] for the orthogonal columns
+    [M = [the free unit vectors | v]], so [lambda_min] bounds its
+    curvature on the [y] block at every node ({!psd_block}). *)
+
+val relaxation :
+  t -> wbox:Fixedpoint.Fx_interval.t array -> z_cap:float -> relaxation option
+(** The program of a box with a free coordinate, sharing [P]'s and the
+    Grams' free blocks with [t].  [None] when no point of the box has
+    [t >= 1/z_cap > 0]; [z_cap = infinity] drops [z]'s upper row.
+    @raise Invalid_argument when every coordinate is pinned. *)
+
+val project : relaxation -> Linalg.Vec.t -> Linalg.Vec.t
+(** A full [(y, z)] point ([dim + 1] entries, [z] last, at [κ = 1]:
+    [(w, 1)/t]) → the program's variables. *)
+
+val embed : relaxation -> Linalg.Vec.t -> Linalg.Vec.t
+(** The program's variables → the full [(y, z)] at [κ = 1]. *)
+
+val weights_of : Linalg.Vec.t -> Linalg.Vec.t
+(** [w = y/z] of a full point. *)
+
+val cost_bound : relaxation -> float -> float
+(** A lower bound [v] on the program's optimum as one on the cost,
+    [v/κ²] rounded down ([0] for [v <= 0]). *)
+
+val psd_block : t -> relaxation -> (int array * float) option
+(** The [~psd_block] for {!Optim.Socp.certify_lower_bound}: the [y]
+    coordinates and [lambda_min]; [None] when [lambda_min] is [0]. *)
+
+val clip_into_box :
+  t -> wbox:Fixedpoint.Fx_interval.t array -> Linalg.Vec.t -> Linalg.Vec.t option
+(** An inherited full point with [w = y/z] clamped into a child's box and
+    its own [dᵀy], at least [1 + 10⁻⁶], kept.  [None] for [z <= 0] or
+    [dᵀy <= 0]. *)
 
 val center_point :
-  t ->
-  wbox:Fixedpoint.Fx_interval.t array ->
-  trange:Optim.Interval.t ->
-  Linalg.Vec.t
-(** A certifiably box-and-t-interior point of the region: a corner
-    blend with [dᵀw] exactly at [mid trange] and every coordinate the
-    same relative depth into its box interval.  The pull-in target for
-    warm starts stranded on a child's branch cut
-    ({!Optim.Socp.pull_to_interior}) — strictly interior to the box and
-    t half-spaces whenever the region is non-degenerate and [trange]
-    has been intersected with {!trange_of_box} (which [bound] does
-    first).  Interiority w.r.t. the overflow cones is {e not}
-    guaranteed; the pull-in verifies the target before trusting it. *)
-
-val secant_relaxation :
-  t ->
-  wbox:Fixedpoint.Fx_interval.t array ->
-  trange:Optim.Interval.t ->
-  theta:float ->
-  Optim.Socp.problem * float
-(** Incumbent-pruning certificate: over [t ∈ [l, u]] the secant bound
-    [t² <= (l+u)t − lu] holds, so any point of the region with cost
-    [<= theta] satisfies [wᵀS_W w − θ(l+u)dᵀw + θlu <= 0].  Returns the
-    convex program minimising the left side (the constant [θlu] is
-    returned separately — add it to the solver's objective value); a
-    certified positive minimum proves no point of the region beats
-    [theta].  Requires [theta >= 0] and [l >= 0] (use on the positive-t
-    side; mirror the region first otherwise). *)
+  t -> wbox:Fixedpoint.Fx_interval.t array -> z_cap:float -> Linalg.Vec.t
+(** A full point strictly inside the box rows, [dᵀy >= 1] and both [z]
+    rows of the box's program whenever the box has a point with
+    [1/z_cap < t]: small weights, which the cones favour, at a
+    [t] a twentieth of the way up the box's admissible range.  The
+    pull-in target for warm starts stranded on a branch cut
+    ({!Optim.Socp.pull_to_interior}) and the cold start; interiority for
+    the cones is {e not} guaranteed, and the pull-in checks it. *)
 
 val fingerprint : t -> string
 (** Hex digest of a canonical text of the problem's inputs: the format
-    ({!Fixedpoint.Qformat.to_string}), [rho], [restrict_t_positive] and
-    every {!Stats.Scatter.t} field, floats printed exactly ([%h]).  The
+    ({!Fixedpoint.Qformat.to_string}), [rho] and every
+    {!Stats.Scatter.t} field, floats printed exactly ([%h]).  The
     derived boxes and cones are not hashed, since [build] computes them
     from these inputs.  Two runs over the same training data and
     configuration produce the same fingerprint; checkpoints record it so
     a resume against different data is rejected instead of silently
     producing garbage. *)
 
-val interval_lower_bound :
-  t ->
-  wbox:Fixedpoint.Fx_interval.t array ->
-  trange:Optim.Interval.t ->
-  float
-(** Cheap conservative lower bound on the cost over a box:
-    term-wise interval minimum of [wᵀ S_W w] divided by [sup t²],
-    clamped at 0 ([+∞] when the t-range is degenerate at 0).  Orders of
+val interval_lower_bound : t -> wbox:Fixedpoint.Fx_interval.t array -> float
+(** Cheap conservative lower bound on the cost over a box's points with
+    [t > 0]: term-wise interval minimum of [wᵀ S_W w] divided by
+    [t_hi²], clamped at 0 ([+∞] when no point has [t > 0]).  Orders of
     magnitude weaker than the SOCP relaxation but never raises and
     costs O(M²) — the degraded fallback when the relaxation solver
     fails on a region. *)

@@ -43,13 +43,11 @@ let record ~kind ?argv sections =
 (* Atomic append                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Read to EOF: a directory opens, but sizing it fails with EOVERFLOW
+   ("Value too large for defined data type"), while reading it fails
+   with the EISDIR a user can act on. *)
 let read_file path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
   else ""
 
 let append ~path record =

@@ -139,9 +139,7 @@ type stats = {
   warm_start_hits : int;
       (** bound solves started from an inherited (parent) optimum — see
           {!oracle_counters}; 0 unless the oracle reports them.  With the
-          three [warm_miss_*] counters it partitions the main bound
-          solves only: an oracle that also solves a side program per
-          region (LDA-FP's secant test) counts none of those here *)
+          three [warm_miss_*] counters it partitions the bound solves *)
   phase1_skipped : int;
       (** main bound phase-I feasibility solves avoided because a warm
           start was strictly interior (as-is or after repair): one per
@@ -149,9 +147,7 @@ type stats = {
   warm_pull_ins : int;
       (** inherited optima repaired by the analytic-center pull-in
           ({!Socp.pull_to_interior}) before warm-starting, one per
-          [socp.warm_pull] event: every program the oracle warm-starts
-          counts, so with LDA-FP's secant test this exceeds the pull-ins
-          behind [warm_start_hits] and is not bounded by it *)
+          [socp.warm_pull] event *)
   warm_miss_no_parent : int;
       (** bound solves that went cold because the region carried no
           parent optimum (root, restored frontier, or never solved) *)

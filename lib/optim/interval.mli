@@ -1,8 +1,9 @@
 (** Closed real intervals [[lo, hi]].
 
-    Used for the auxiliary branch-and-bound variable [t = (μ_A−μ_B)ᵀw]
-    (paper eq. 22) and as the continuous relaxation of weight boxes.  The
-    bound constant of eq. (26), [sup t²] over an interval, lives here. *)
+    Rigorous enclosures for the dual certificate
+    ({!Socp.certify_lower_bound}) and the verified eigenvalue bound
+    ({!Psd.verified_lambda_min}): the directed-rounding operations
+    below. *)
 
 type t = private { lo : float; hi : float }
 
@@ -12,23 +13,9 @@ val make : lo:float -> hi:float -> t
 val point : float -> t
 val lo : t -> float
 val hi : t -> float
-val width : t -> float
-val mid : t -> float
-val mem : t -> float -> bool
-val clamp : t -> float -> float
 
-val sup_sq : t -> float
-(** [sup { t² : t ∈ iv }] — eq. (26): the larger endpoint squared. *)
-
-val split : ?at:float -> t -> t * t
-(** Split at [at] (default the midpoint), clamped strictly inside. *)
-
-val intersect : t -> t -> t option
 val scale : float -> t -> t
 val shift : float -> t -> t
-val contains_zero : t -> bool
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {2 Directed (outward) rounding}
 

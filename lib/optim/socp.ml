@@ -49,9 +49,18 @@ type soc = { l : Mat.t; g : Vec.t; c : Vec.t; d : float }
    [grams.(k)] is the Gram of cone k's source [l]; cones built from one
    physically shared [l] share one matrix.  [gidx] maps each variable of
    the problem the cones belong to onto a Gram row/column: the identity
-   for {!cones}, composed with the free-coordinate map by {!restrict},
-   and −1 for the phase-I slack column, whose Gram row is exactly 0. *)
-type cones = { socs : soc array; grams : Mat.t array; gidx : int array }
+   for {!cones} without [~share], the kept-coordinate map with it, and
+   −1 outside the Gram.  At most one variable outside it, [own], has a
+   nonzero Gram column, stored per cone over every variable in
+   [own_cols] (the folded column of a node program); every other −1
+   variable (the phase-I slack) has a Gram row of exactly 0. *)
+type cones = {
+  socs : soc array;
+  grams : Mat.t array;
+  gidx : int array;
+  own : int;
+  own_cols : Vec.t array;
+}
 
 type problem = {
   n : int;
@@ -59,9 +68,9 @@ type problem = {
   q : Vec.t;
   lins : lin array;
   socs : soc array;
-  obj_scale : float;
   cones : cones;
   lin_support : int array;
+  lin_support2 : int array;
 }
 
 (* G = LᵀL, each entry summed r-ascending from +0: the order of the
@@ -96,53 +105,100 @@ let gram l =
   done;
   g
 
-let cones socs =
-  let n = if Array.length socs = 0 then 0 else Mat.cols socs.(0).l in
+(* One value per physically distinct [l], in cone order. *)
+let per_distinct_l socs f =
   let seen = ref [] in
-  let grams =
-    Array.map
-      (fun { l; _ } ->
-        match List.assq_opt l !seen with
-        | Some g -> g
-        | None ->
-            let g = gram l in
-            seen := (l, g) :: !seen;
-            g)
-      socs
-  in
-  { socs; grams; gidx = Array.init n Fun.id }
+  Array.map
+    (fun { l; _ } ->
+      match List.assq_opt l !seen with
+      | Some v -> v
+      | None ->
+          let v = f l in
+          seen := (l, v) :: !seen;
+          v)
+    socs
 
-(* The cones [socs] of a problem derived from [cs]'s (restricted or
-   phase-I augmented): same Grams, variable k reading Gram index
-   [gidx_of k]. *)
-let derived_cones cs socs ~n gidx_of =
+(* Column [e] of LᵀL over every variable, r-ascending from +0 like
+   [gram]: O(rows·n). *)
+let gram_column l e =
+  let n = Mat.cols l in
+  if Array.exists (fun lr -> Array.length lr <> n) l then
+    invalid_arg "Socp.cones: ragged cone matrix";
+  Vec.init n (fun i ->
+      let s = ref 0.0 in
+      Array.iter (fun lr -> s := !s +. (lr.(i) *. lr.(e))) l;
+      !s)
+
+let cones ?share socs =
+  let n = if Array.length socs = 0 then 0 else Mat.cols socs.(0).l in
+  match share with
+  | None ->
+      {
+        socs; grams = per_distinct_l socs gram; gidx = Array.init n Fun.id;
+        own = -1; own_cols = [||];
+      }
+  | Some ((parent : cones), gidx) ->
+      if Array.length socs <> Array.length parent.socs then
+        invalid_arg "Socp.cones: ~share needs one cone per parent cone";
+      if parent.own >= 0 then
+        invalid_arg "Socp.cones: ~share needs a parent without an own column";
+      if Array.length gidx <> n then
+        invalid_arg "Socp.cones: ~share map has the wrong length";
+      let gidx =
+        Array.map (fun g -> if g < 0 then -1 else parent.gidx.(g)) gidx
+      in
+      let own =
+        match List.filter (fun i -> gidx.(i) < 0) (List.init n Fun.id) with
+        | [] -> -1
+        | [ i ] -> i
+        | _ -> invalid_arg "Socp.cones: ~share leaves several own columns"
+      in
+      {
+        socs; grams = parent.grams; gidx; own;
+        own_cols =
+          (if own < 0 then [||]
+           else per_distinct_l socs (fun l -> gram_column l own));
+      }
+
+let cone_socs (cs : cones) = cs.socs
+
+(* The cones [socs] of the phase-I problem derived from [cs]: same
+   Grams and own column, the slack variable [n − 1] outside both. *)
+let phase1_cones cs socs ~n =
   {
     socs;
     grams = cs.grams;
-    gidx = (if Array.length socs = 0 then [||] else Array.init n gidx_of);
+    gidx = (if Array.length socs = 0 then [||]
+            else Array.init n (fun i -> if i < n - 1 then cs.gidx.(i) else -1));
+    own = cs.own;
+    own_cols = Array.map (fun col -> Array.append col [| 0.0 |]) cs.own_cols;
   }
 
-(* The index of [a]'s only nonzero entry, or −1 when it has several or
-   none: the ±eᵢ box rows get an O(1) path in the oracle and feed the
+(* The indices of [a]'s nonzero entries when it has one or two
+   ([(i, −1)] or [(i, j)] with i < j), else [(−1, −1)]: the ±eᵢ box
+   rows and the two-term rows [yᵢ − hᵢz] of a node program get an O(1)
+   path in the oracle, and the single-nonzero ones feed the
    certificate's coordinate box. *)
 let support a =
-  let idx = ref (-1) and count = ref 0 in
+  let first = ref (-1) and second = ref (-1) and count = ref 0 in
   Array.iteri
     (fun i ai ->
       if ai <> 0.0 then begin
         incr count;
-        idx := i
+        if !first < 0 then first := i else second := i
       end)
     a;
-  if !count = 1 then !idx else -1
+  if !count = 1 || !count = 2 then (!first, !second) else (-1, -1)
 
-let make ~obj_scale ~p ~q ~lins ~(cones : cones) n =
+let make ~p ~q ~lins ~(cones : cones) n =
+  let sup = Array.map (fun { a; _ } -> support a) lins in
   {
-    n; p; q; lins; socs = cones.socs; obj_scale; cones;
-    lin_support = Array.map (fun { a; _ } -> support a) lins;
+    n; p; q; lins; socs = cones.socs; cones;
+    lin_support = Array.map fst sup;
+    lin_support2 = Array.map snd sup;
   }
 
-let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~(cones : cones) n =
+let of_parts ~p ~q ~lins ~(cones : cones) n =
   if n <= 0 then invalid_arg "Socp.of_parts: n must be positive";
   if Mat.dims p <> (n, n) then invalid_arg "Socp.of_parts: P must be n x n";
   if not (Mat.is_symmetric ~tol:0.0 p) then
@@ -158,122 +214,9 @@ let of_parts ?(obj_scale = 1.0) ~p ~q ~lins ~(cones : cones) n =
       if Mat.cols l <> n || Vec.dim c <> n || Vec.dim g <> Mat.rows l then
         invalid_arg "Socp.of_parts: cone constraint dimension mismatch")
     cones.socs;
-  make ~obj_scale ~p ~q ~lins ~cones n
-
-(* ------------------------------------------------------------------ *)
-(* Variable fixing (restriction to a coordinate subspace)              *)
-(* ------------------------------------------------------------------ *)
-
-(* A box-split branch-and-bound search pins variables to singletons long
-   before its boxes become atomic, and a pinned coordinate pair
-   [x_j <= c, -x_j <= -c] has {e no} strict interior: the log barrier
-   cannot even evaluate there, so every such node used to fall through
-   phase-I to an uncertified lower bound of 0 — and every warm start on
-   one was unrepairable by construction.  Exact substitution fixes both:
-   eliminate the pinned coordinates, solve over the free ones (whose
-   strict interior is back), and embed the optimum. *)
-type restriction = {
-  full_n : int;
-  free : int array;  (* reduced index -> full index, ascending *)
-  pinned : Vec.t;  (* full-dimensional; free entries are 0 *)
-  reduced : problem;
-  obj_const : float;
-      (* unscaled objective offset of the substitution,
-         ½ vᵀPv + qᵀv over the pinned part *)
-}
-
-let restrict pb ~fixed =
-  if Array.length fixed = 0 then invalid_arg "Socp.restrict: nothing to fix";
-  let keep = Array.make pb.n true in
-  let v = Vec.zeros pb.n in
-  Array.iter
-    (fun (j, value) ->
-      if j < 0 || j >= pb.n then
-        invalid_arg "Socp.restrict: index out of range";
-      keep.(j) <- false;
-      v.(j) <- value)
-    fixed;
-  let free =
-    Array.of_list (List.filter (fun j -> keep.(j)) (List.init pb.n Fun.id))
-  in
-  let nf = Array.length free in
-  if nf = 0 then invalid_arg "Socp.restrict: every variable fixed";
-  (* Full x = y on the free coordinates, v on the fixed ones.  Every
-     part below is the exact substitution — no approximation — so the
-     reduced optimum embeds back to the optimum of the full problem
-     restricted to the pinned slice, with identical certified gaps. *)
-  let pv = Mat.mul_vec pb.p v in
-  let p = Mat.init nf nf (fun i j -> pb.p.(free.(i)).(free.(j))) in
-  let q = Vec.init nf (fun i -> pb.q.(free.(i)) +. pv.(free.(i))) in
-  let obj_const = (0.5 *. Mat.quadratic_form pb.p v) +. Vec.dot pb.q v in
-  let sub_vec a = Vec.init nf (fun i -> a.(free.(i))) in
-  let all_zero a = Array.for_all (fun x -> x = 0.0) a in
-  let infeasible = ref false in
-  let lins =
-    Array.to_list pb.lins
-    |> List.filter_map (fun { a; b } ->
-           let b = b -. Vec.dot a v in
-           let a = sub_vec a in
-           if all_zero a then begin
-             (* Fixed-variables-only constraint: now a constant.
-                Satisfied (the pinned pair's own half-spaces, with slack
-                exactly 0) — drop it; violated — the slice is empty. *)
-             if b < 0.0 then infeasible := true;
-             None
-           end
-           else Some { a; b })
-    |> Array.of_list
-  in
-  let socs =
-    Array.map
-      (fun { l; g; c; d } ->
-        let rows = Mat.rows l in
-        let lv = Mat.mul_vec l v in
-        {
-          l = Mat.init rows nf (fun r i -> l.(r).(free.(i)));
-          g = Vec.init rows (fun r -> g.(r) +. lv.(r));
-          c = sub_vec c;
-          d = d +. Vec.dot c v;
-        })
-      pb.socs
-  in
-  Array.iter
-    (fun { l; g; c; d } ->
-      if
-        all_zero c
-        && Array.for_all all_zero l
-        && Vec.norm2 g > d
-      then infeasible := true)
-    socs;
-  if !infeasible then None
-  else
-    Some
-      {
-        full_n = pb.n;
-        free;
-        pinned = v;
-        reduced =
-          make ~obj_scale:pb.obj_scale ~p ~q ~lins
-            ~cones:
-              (derived_cones pb.cones socs ~n:nf (fun i ->
-                   pb.cones.gidx.(free.(i))))
-            nf;
-        obj_const;
-      }
-
-let restriction_embed r y =
-  if Vec.dim y <> Array.length r.free then
-    invalid_arg "Socp.restriction_embed: dimension mismatch";
-  let x = Vec.copy r.pinned in
-  Array.iteri (fun i j -> x.(j) <- y.(i)) r.free;
-  x
-
-let restriction_project r x =
-  if Vec.dim x <> r.full_n then
-    invalid_arg "Socp.restriction_project: dimension mismatch";
-  Vec.init (Array.length r.free) (fun i -> x.(r.free.(i)))
-
-let restriction_objective_const r = r.reduced.obj_scale *. r.obj_const
+  if Array.length cones.socs > 0 && Array.length cones.gidx <> n then
+    invalid_arg "Socp.of_parts: cone Gram map dimension mismatch";
+  make ~p ~q ~lins ~cones n
 
 let problem ?p ?q ?(lins = []) ?(socs = []) n =
   if n <= 0 then invalid_arg "Socp.problem: n must be positive";
@@ -295,7 +238,7 @@ let box_constraints lo hi =
            { a = Vec.neg (Vec.basis n i); b = -.lo.(i) } ]))
 
 let objective_value pb x =
-  pb.obj_scale *. ((0.5 *. Mat.quadratic_form pb.p x) +. Vec.dot pb.q x)
+  (0.5 *. Mat.quadratic_form pb.p x) +. Vec.dot pb.q x
 
 let soc_violation { l; g; c; d } x =
   let v = Vec.add (Mat.mul_vec l x) g in
@@ -422,19 +365,23 @@ let scratch_for pb =
    only, each entry in the order the full matrix used to be summed in. *)
 let centering_into pb sc tau : Newton.oracle_into =
   let n = pb.n in
-  let s_obj = tau *. pb.obj_scale in
   let value x =
     Mat.mul_vec_into pb.p x ~dst:sc.px;
     let fx = (0.5 *. Vec.dot x sc.px) +. Vec.dot pb.q x in
-    let value = ref (s_obj *. fx) in
+    let value = ref (tau *. fx) in
     let ok = ref true in
     for k = 0 to Array.length pb.lins - 1 do
       if !ok then begin
-        (* A single-nonzero row (the ±eᵢ box rows) costs O(1): off its
-           support the dense terms are ±0 products, which change no
-           value for a finite iterate. *)
+        (* A row with one or two nonzeros (the box rows) costs O(1):
+           off its support the dense terms are ±0 products, which change
+           no value for a finite iterate. *)
         let { a; b } = pb.lins.(k) and sk = pb.lin_support.(k) in
-        let ax = if sk >= 0 then a.(sk) *. x.(sk) else Vec.dot a x in
+        let sk2 = pb.lin_support2.(k) in
+        let ax =
+          if sk < 0 then Vec.dot a x
+          else if sk2 < 0 then a.(sk) *. x.(sk)
+          else (a.(sk) *. x.(sk)) +. (a.(sk2) *. x.(sk2))
+        in
         let s = b -. ax in
         if s <= 0.0 then ok := false
         else begin
@@ -469,20 +416,28 @@ let centering_into pb sc tau : Newton.oracle_into =
   in
   let derivs ~grad ~hess =
     for i = 0 to n - 1 do
-      grad.(i) <- s_obj *. (sc.px.(i) +. pb.q.(i));
+      grad.(i) <- tau *. (sc.px.(i) +. pb.q.(i));
       let hi = hess.(i) and pi = pb.p.(i) in
       for j = 0 to i do
-        hi.(j) <- s_obj *. pi.(j)
+        hi.(j) <- tau *. pi.(j)
       done
     done;
     Array.iteri
       (fun k { a; _ } ->
-        let sk = pb.lin_support.(k) in
+        let sk = pb.lin_support.(k) and sk2 = pb.lin_support2.(k) in
         let inv_s = 1.0 /. sc.slack.(k) in
         if sk >= 0 then begin
           let ai = a.(sk) in
           grad.(sk) <- grad.(sk) +. (ai *. inv_s);
-          hess.(sk).(sk) <- hess.(sk).(sk) +. (ai *. ai *. inv_s *. inv_s)
+          hess.(sk).(sk) <- hess.(sk).(sk) +. (ai *. ai *. inv_s *. inv_s);
+          if sk2 >= 0 then begin
+            (* sk < sk2: the cross term lands in row sk2's lower part *)
+            let aj = a.(sk2) in
+            grad.(sk2) <- grad.(sk2) +. (aj *. inv_s);
+            hess.(sk2).(sk2) <-
+              hess.(sk2).(sk2) +. (aj *. aj *. inv_s *. inv_s);
+            hess.(sk2).(sk) <- hess.(sk2).(sk) +. (aj *. ai *. inv_s *. inv_s)
+          end
         end
         else
           for i = 0 to n - 1 do
@@ -494,7 +449,7 @@ let centering_into pb sc tau : Newton.oracle_into =
               done
           done)
       pb.lins;
-    let gidx = pb.cones.gidx in
+    let gidx = pb.cones.gidx and own = pb.cones.own in
     let off = ref 0 in
     Array.iteri
       (fun k { l; c; _ } ->
@@ -518,14 +473,20 @@ let centering_into pb sc tau : Newton.oracle_into =
           grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
         done;
         (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
-           the precomputed Gram *)
+           the precomputed Gram and the own column *)
         let gram = pb.cones.grams.(k) and gh = sc.gh in
+        let own_col = if own < 0 then [||] else pb.cones.own_cols.(k) in
         for i = 0 to n - 1 do
           let gi = gidx.(i) and hi = hess.(i) in
           let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
           for j = 0 to i do
             let gj = gidx.(j) in
-            let ltl = if gi < 0 || gj < 0 then 0.0 else gram.(gi).(gj) in
+            let ltl =
+              if gi >= 0 && gj >= 0 then gram.(gi).(gj)
+              else if i = own then own_col.(j)
+              else if j = own then own_col.(i)
+              else 0.0
+            in
             hi.(j) <-
               hi.(j)
               +. (ghi *. gh.(j) *. inv_h *. inv_h)
@@ -611,13 +572,11 @@ let phase1_problem pb =
         { l = l'; g; c = extend c 1.0; d })
       pb.socs
   in
-  make ~obj_scale:1.0
+  make
     ~p:(Mat.zeros (n + 1) (n + 1))
     ~q:(extend (Vec.zeros n) 1.0)
     ~lins
-    ~cones:
-      (derived_cones pb.cones socs ~n:(n + 1) (fun i ->
-           if i < n then pb.cones.gidx.(i) else -1))
+    ~cones:(phase1_cones pb.cones socs ~n:(n + 1))
     (n + 1)
 
 let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
@@ -861,29 +820,7 @@ let solve ?(params = default_params) pb ~start =
 
 let centering_for_tests pb tau = centering_into pb (scratch_for pb) tau
 
-(* Allocating wrapper for the derivative tests: the full Hessian, its
-   upper triangle mirrored from the lower one. *)
-let centering_oracle_for_tests pb tau : Newton.oracle =
- fun x ->
-  let oracle = centering_for_tests pb tau in
-  match oracle.value x with
-  | None -> None
-  | Some value ->
-      let grad = Vec.zeros pb.n and hess = Mat.zeros pb.n pb.n in
-      oracle.derivs ~grad ~hess;
-      for i = 0 to pb.n - 1 do
-        for j = i + 1 to pb.n - 1 do
-          hess.(i).(j) <- hess.(j).(i)
-        done
-      done;
-      Some (value, grad, hess)
-
 let phase1_problem_for_tests = phase1_problem
-
-let solve_auto ?(params = default_params) pb ~start =
-  match find_strictly_feasible ~params pb ~start with
-  | Strictly_feasible x -> Some (solve ~params pb ~start:x)
-  | Infeasible _ | Unknown _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Independent dual certificates (Neumaier–Shcherbina safe bounds)     *)
@@ -902,30 +839,44 @@ let solve_auto ?(params = default_params) pb ~start =
    lower bound {e whatever} the primal solve did.
 
    Derivation, in the sign convention of this file (minimise
-   f(x) = s·(½xᵀPx + qᵀx), s = [obj_scale] > 0, over aᵢᵀx ≤ bᵢ and
-   ‖Lⱼx+gⱼ‖ ≤ cⱼᵀx+dⱼ, P positive semidefinite):
+   f(x) = ½xᵀPx + qᵀx over aᵢᵀx ≤ bᵢ and ‖Lⱼx+gⱼ‖ ≤ cⱼᵀx+dⱼ, P positive
+   semidefinite):
 
    for any λ ≥ 0 and cone pairs (wⱼ, zⱼ) with ‖zⱼ‖ ≤ wⱼ, every
    feasible y satisfies
 
-     f(y) ≥ ½s·yᵀPy + rᵀy − κ,
-       r = s·q + Σᵢ λᵢaᵢ + Σⱼ (Lⱼᵀzⱼ − wⱼcⱼ),
+     f(y) ≥ ½yᵀPy + rᵀy − κ,
+       r = q + Σᵢ λᵢaᵢ + Σⱼ (Lⱼᵀzⱼ − wⱼcⱼ),
        κ = Σᵢ λᵢbᵢ + Σⱼ (wⱼdⱼ − zⱼᵀgⱼ)
 
    (each added term is ≤ 0 on the feasible set: λᵢ(aᵢᵀy − bᵢ) ≤ 0 and
-   zⱼᵀ(Lⱼy+gⱼ) − wⱼ(cⱼᵀy+dⱼ) ≤ 0 by cone self-duality).  Since s·P is
-   PSD, the quadratic supports its tangent plane at the primal iterate
-   x*:  ½s·yᵀPy ≥ [s·Px*]ᵀy − ½s·x*ᵀPx*.  Writing ρ = s·Px* + r — the
+   zⱼᵀ(Lⱼy+gⱼ) − wⱼ(cⱼᵀy+dⱼ) ≤ 0 by cone self-duality).  Write
+   y = x* + δ around the primal iterate x* and ρ = Px* + r — the
    Lagrangian stationarity residual, tiny at a centered iterate but
-   never assumed zero — gives, over any coordinate box [xlo, xhi]
-   containing the feasible set,
+   never assumed zero:
 
-     f(y) ≥ Σᵢ min(ρᵢ·xloᵢ, ρᵢ·xhiᵢ) − ½s·x*ᵀPx* − κ.
+     f(y) ≥ ρᵀx* − ½x*ᵀPx* − κ + ρᵀδ + ½δᵀPδ.
+
+   The box charge drops ½δᵀPδ ≥ 0 and takes ρᵀy = ρᵀ(x* + δ) at its
+   minimum over any coordinate box [xlo, xhi] containing the feasible
+   set:
+
+     f(y) ≥ Σᵢ min(ρᵢ·xloᵢ, ρᵢ·xhiᵢ) − ½x*ᵀPx* − κ.
+
+   An unbounded coordinate makes that charge −∞ unless its ρᵢ is 0.
+   The curvature charge keeps ½δᵀPδ on a block B: given λ̲ > 0 with
+   δᵀPδ ≥ λ̲‖δ_B‖² for every δ and any u supported on B (a float solve
+   of P_BB u = ρ_B), e = ρ − Pu and v = δ + u turn ρᵀδ + ½δᵀPδ into
+   ½vᵀPv + eᵀv + ½uᵀPu − ρ_Bᵀu ≥ −‖e_B‖²/(2λ̲) + e_Nᵀδ_N + ½uᵀPu − ρ_Bᵀu
+   (N off the block), with e_Nᵀδ_N charged over the box — about
+   −½ρ_BᵀP_BB⁻¹ρ_B however ill-conditioned P_BB is.  Both charges are
+   valid; the certificate reports the larger.
 
    Validity needs {e only} λ ≥ 0 and ‖zⱼ‖ ≤ wⱼ (both enforced exactly,
    with an upward-rounded norm for the cone test); the {e quality} of
    the bound — how close it lands to the primal objective — is what
-   depends on how well the solve actually converged.  At a τ-centered
+   depends on how well the solve actually converged (the curvature
+   charge's validity also rests on the caller's λ̲).  At a τ-centered
    point the multipliers below give a slack of about ν/τ, i.e. the
    certified bound is typically {e tighter} than the heuristic
    [objective − 2·gap_bound] it replaces.
@@ -965,7 +916,7 @@ let norm2_up z =
   let s = Array.fold_left (fun acc zi -> dir_up (acc +. dir_up (zi *. zi))) 0.0 z in
   dir_up (sqrt s)
 
-let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
+let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
   Obs.Probe.hit p_cert;
   let fail reason =
     Obs.Probe.hit p_cert_failed;
@@ -974,13 +925,18 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
   let x = sol.x in
   let tau = sol.tau_final in
   let n = pb.n in
-  let s_obj = pb.obj_scale in
   let constrained = Array.length pb.lins > 0 || Array.length pb.socs > 0 in
+  let block_ok =
+    match psd_block with
+    | None -> true
+    | Some (block, lambda) ->
+        Float.is_finite lambda && lambda > 0.0
+        && Array.for_all (fun i -> i >= 0 && i < n) block
+  in
   if Vec.dim x <> n then fail "solution dimension mismatch"
   else if not (Array.for_all Float.is_finite x) then
     fail "non-finite primal iterate"
-  else if not (Float.is_finite s_obj && s_obj > 0.0) then
-    fail "objective scale not positive"
+  else if not block_ok then fail "unusable positive-definite block"
   else if constrained && not (Float.is_finite tau && tau > 0.0) then
     fail (Printf.sprintf "unusable terminal barrier weight %h" tau)
   else begin
@@ -1046,8 +1002,8 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
        a bound). *)
     match
       let ip = Interval.point in
-      (* r = s·q + Σ λᵢaᵢ + Σ (Lⱼᵀzⱼ − wⱼcⱼ) *)
-      let r = Array.init n (fun i -> Interval.wide_mul (ip s_obj) (ip pb.q.(i))) in
+      (* r = q + Σ λᵢaᵢ + Σ (Lⱼᵀzⱼ − wⱼcⱼ) *)
+      let r = Array.init n (fun i -> ip pb.q.(i)) in
       let kappa = ref (ip 0.0) in
       Array.iteri
         (fun k { a; b } ->
@@ -1085,8 +1041,8 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
                       (Interval.wide_mul (ip z.(rr)) (ip g.(rr)))
               done)
         pb.socs;
-      (* ρ = s·Px* + r and the tangent offset ½s·x*ᵀPx*, sharing the
-         s·Px* enclosures. *)
+      (* ρ = Px* + r and the tangent offset ½x*ᵀPx*, sharing the Px*
+         enclosures. *)
       let quad = ref (ip 0.0) in
       let rho =
         Array.init n (fun i ->
@@ -1097,36 +1053,107 @@ let certify_lower_bound ?(max_rel_slack = 0.1) pb sol =
                   Interval.wide_add !pxi
                     (Interval.wide_mul (ip pb.p.(i).(j)) (ip x.(j)))
             done;
-            let spxi = Interval.wide_mul (ip s_obj) !pxi in
-            quad := Interval.wide_add !quad (Interval.wide_mul (ip x.(i)) spxi);
-            Interval.wide_add spxi r.(i))
+            quad := Interval.wide_add !quad (Interval.wide_mul (ip x.(i)) !pxi);
+            Interval.wide_add !pxi r.(i))
       in
       (* Coordinate box containing the feasible set, harvested from the
-         single-nonzero half-space rows ([lin_support]: the ±eᵢ box rows
-         every LDA-FP relaxation carries; restriction preserves the
-         shape).  Directed
-         division keeps the harvested box outer. *)
+         single-nonzero half-space rows (the ±eᵢ box rows), then carried
+         once through the two-nonzero rows: aᵢxᵢ + aⱼxⱼ <= b with xⱼ
+         boxed bounds xᵢ by (b − min aⱼxⱼ)/aᵢ.  Directed division keeps
+         the harvested box outer. *)
       let xlo = Array.make n Float.neg_infinity in
       let xhi = Array.make n Float.infinity in
+      let cut i ai b =
+        if ai > 0.0 then xhi.(i) <- Float.min xhi.(i) (dir_up (b /. ai))
+        else xlo.(i) <- Float.max xlo.(i) (dir_down (b /. ai))
+      in
       Array.iteri
         (fun k { a; b } ->
           let i = pb.lin_support.(k) in
-          if i >= 0 then begin
-            let ai = a.(i) in
-            if ai > 0.0 then xhi.(i) <- Float.min xhi.(i) (dir_up (b /. ai))
-            else xlo.(i) <- Float.max xlo.(i) (dir_down (b /. ai))
+          if i >= 0 && pb.lin_support2.(k) < 0 then cut i a.(i) b)
+        pb.lins;
+      let lo0 = Array.copy xlo and hi0 = Array.copy xhi in
+      Array.iteri
+        (fun k { a; b } ->
+          let i = pb.lin_support.(k) and j = pb.lin_support2.(k) in
+          let through i j =
+            if Float.is_finite lo0.(j) && Float.is_finite hi0.(j) then
+              cut i a.(i)
+                (Interval.hi
+                   (Interval.wide_sub (ip b)
+                      (Interval.wide_mul (ip a.(j))
+                         (Interval.make ~lo:lo0.(j) ~hi:hi0.(j)))))
+          in
+          if i >= 0 && j >= 0 then begin
+            through i j;
+            through j i
           end)
         pb.lins;
-      (* bound = Σ min over the box of ρᵢ·xᵢ − ½s·x*ᵀPx* − κ. *)
-      let lower =
-        ref (Interval.wide_sub (Interval.neg (Interval.scale 0.5 !quad)) !kappa)
+      (* Σ min over the box of resᵢ·xᵢ on the coordinates outside
+         [block], plus [extra], − ½x*ᵀPx* − κ. *)
+      let charge ~block ~res extra =
+        let lower =
+          ref (Interval.wide_add extra
+                 (Interval.wide_sub (Interval.neg (Interval.scale 0.5 !quad)) !kappa))
+        in
+        for i = 0 to n - 1 do
+          if not block.(i) then
+            lower :=
+              Interval.wide_add !lower
+                (Interval.wide_mul res.(i) (Interval.make ~lo:xlo.(i) ~hi:xhi.(i)))
+        done;
+        Interval.lo !lower
       in
-      for i = 0 to n - 1 do
-        lower :=
-          Interval.wide_add !lower
-            (Interval.wide_mul rho.(i) (Interval.make ~lo:xlo.(i) ~hi:xhi.(i)))
-      done;
-      Interval.lo !lower
+      let box_charge = charge ~block:(Array.make n false) ~res:rho (ip 0.0) in
+      match psd_block with
+      | None -> box_charge
+      | Some (idx, lambda) ->
+          (* The curvature charge, u = 0 when the solve fails; ‖e_B‖²
+             sums upward-rounded squares of each enclosure's larger
+             magnitude. *)
+          let block = Array.make n false in
+          Array.iter (fun i -> block.(i) <- true) idx;
+          let mid r = 0.5 *. (Interval.lo r +. Interval.hi r) in
+          let u =
+            match
+              Cholesky.solve
+                (Mat.init (Array.length idx) (Array.length idx) (fun a b ->
+                     pb.p.(idx.(a)).(idx.(b))))
+                (Array.map (fun i -> mid rho.(i)) idx)
+            with
+            | u when Array.for_all Float.is_finite u -> u
+            | _ | (exception Cholesky.Not_positive_definite _) -> Vec.zeros (Array.length idx)
+          in
+          let pu =
+            Array.init n (fun i ->
+                let acc = ref (ip 0.0) in
+                Array.iteri
+                  (fun a j ->
+                    acc := Interval.wide_add !acc (Interval.wide_mul (ip pb.p.(i).(j)) (ip u.(a))))
+                  idx;
+                !acc)
+          in
+          let e = Array.init n (fun i -> Interval.wide_sub rho.(i) pu.(i)) in
+          let lin = ref (ip 0.0) and sq = ref 0.0 in
+          Array.iteri
+            (fun a i ->
+              let ua = ip u.(a) in
+              lin :=
+                Interval.wide_add !lin
+                  (Interval.wide_add (Interval.wide_mul rho.(i) (ip x.(i)))
+                     (Interval.wide_sub (Interval.scale 0.5 (Interval.wide_mul ua pu.(i)))
+                        (Interval.wide_mul rho.(i) ua)));
+              let mag = Float.max (Float.abs (Interval.lo e.(i))) (Float.abs (Interval.hi e.(i))) in
+              sq := dir_up (!sq +. dir_up (mag *. mag)))
+            idx;
+          for i = 0 to n - 1 do
+            if not block.(i) then
+              lin := Interval.wide_add !lin (Interval.wide_mul pu.(i) (ip x.(i)))
+          done;
+          let inv = dir_up (1.0 /. (2.0 *. lambda)) in
+          Float.max box_charge
+            (charge ~block ~res:e
+               (Interval.wide_sub !lin (Interval.make ~lo:0.0 ~hi:(dir_up (!sq *. inv)))))
     with
     | exception Invalid_argument msg ->
         fail (Printf.sprintf "interval evaluation: %s" msg)

@@ -5,7 +5,7 @@
     (paper eq. 25): each branch-and-bound box yields a problem
 
     {v minimize (1/2) xᵀP x + qᵀx
-      s.t.  aᵢᵀx ≤ bᵢ                      (box, per-element overflow, t-range)
+      s.t.  aᵢᵀx ≤ bᵢ                      (box, dᵀy ≥ 1, range of 1/t)
             ‖Lⱼx + gⱼ‖₂ ≤ cⱼᵀx + dⱼ       (projection overflow, eq. 20) v}
 
     with [P] positive semidefinite.  The barrier for a second-order cone is
@@ -26,10 +26,10 @@ type cones
 (** A cone array with the Gram matrix [LᵀL] of each cone's [l], computed
     once: the barrier Hessian reads it instead of re-forming [LᵀL] on
     every oracle call.  Problems built from one [cones] value — and the
-    restricted and phase-I problems derived from them, through an index
-    map rather than copied sub-matrices — share the matrices. *)
+    derived ([~share]) and phase-I problems, through an index map rather
+    than copied sub-matrices — share the matrices. *)
 
-val cones : soc array -> cones
+val cones : ?share:cones * int array -> soc array -> cones
 (** One Gram per {e physically} distinct [l] (cones built from the same
     [l] share it), each entry summed over the rows of [l] in ascending
     order from +0, so the barrier Hessians are bit-identical to the
@@ -37,7 +37,20 @@ val cones : soc array -> cones
     (≈ n³/6 for a triangular one).  {b Shares} the array: callers must
     not mutate it or its cones afterwards.  Dimensions against the
     problem are checked by {!of_parts}.
-    @raise Invalid_argument when some [l] has rows of unequal length. *)
+
+    [~share:(parent, map)] builds no Gram: cone [k] of [socs] reads cone
+    [k]'s Gram of [parent] (which must have no own column itself), its
+    variable [i] at index [map.(i)].  The caller promises that column
+    [i] of each [l] equals column [map.(i)] of the parent's.  At most
+    one variable may have [map.(i) < 0]; its Gram column is computed
+    here from [l], O(rows·n) per distinct [l] — the folded column of a
+    node program whose pinned coordinates ride on one variable.
+    @raise Invalid_argument when some [l] has rows of unequal length,
+    or on a [~share] whose cone count or map length does not match, or
+    that leaves more than one variable outside the parent's Grams. *)
+
+val cone_socs : cones -> soc array
+(** The cones themselves (shared, not copied). *)
 
 type problem = private {
   n : int;  (** number of variables *)
@@ -45,17 +58,15 @@ type problem = private {
   q : Linalg.Vec.t;
   lins : lin array;
   socs : soc array;
-  obj_scale : float;
-      (** the objective is [obj_scale · ((1/2)xᵀPx + qᵀx)]; lets every
-          branch-and-bound node's relaxation share one [P], since the
-          nodes differ only by the positive scalar [1/η] of paper
-          eq. 26 *)
   cones : cones;  (** [socs] with their Grams *)
   lin_support : int array;
-      (** per half-space: the index of the only nonzero entry of its [a],
-          or [−1] when there are several or none.  Such rows (the [±eᵢ]
-          box rows) cost O(1) in the barrier oracle and bound the
-          coordinate box of {!certify_lower_bound}. *)
+      (** per half-space: the index of the first nonzero entry of its
+          [a] when it has one or two, or [−1] when it has more or none.
+          Such rows (the box rows) cost O(1) in the barrier oracle. *)
+  lin_support2 : int array;
+      (** per half-space: the index of the second nonzero entry when
+          there are exactly two, else [−1].  The rows with one nonzero
+          bound the coordinate box of {!certify_lower_bound}. *)
 }
 
 val problem :
@@ -65,13 +76,11 @@ val problem :
   ?socs:soc list ->
   int ->
   problem
-(** [problem n] with omitted pieces defaulting to zero and
-    [obj_scale = 1].  Copies and symmetrises [P]; computes the cone
+(** [problem n] with omitted pieces defaulting to zero.  Copies and symmetrises [P]; computes the cone
     Grams ({!val-cones}).
     @raise Invalid_argument on any dimension mismatch. *)
 
 val of_parts :
-  ?obj_scale:float ->
   p:Linalg.Mat.t ->
   q:Linalg.Vec.t ->
   lins:lin array ->
@@ -93,53 +102,6 @@ val of_parts :
 
 val box_constraints : Linalg.Vec.t -> Linalg.Vec.t -> lin list
 (** [box_constraints lo hi] is the [2n] half-spaces of [lo <= x <= hi]. *)
-
-(** {2 Variable fixing}
-
-    A problem whose constraints pin a coordinate exactly (the
-    [x_j <= c, -x_j <= -c] pair a branch-and-bound box split produces
-    once a dimension narrows to a singleton) has an {e empty} strict
-    interior: the log barrier cannot run and no warm start — repaired or
-    not — can ever pass the interiority test.  {!restrict} eliminates
-    such coordinates by exact substitution, restoring a nonempty strict
-    interior over the free ones. *)
-
-type restriction = private {
-  full_n : int;
-  free : int array;  (** reduced index → full index, ascending *)
-  pinned : Linalg.Vec.t;  (** full-dimensional; free entries are 0 *)
-  reduced : problem;  (** over the free coordinates only *)
-  obj_const : float;
-      (** unscaled objective offset of the substitution — see
-          {!restriction_objective_const} *)
-}
-
-val restrict : problem -> fixed:(int * float) array -> restriction option
-(** Substitute [x_j = value] for every [(j, value)] in [fixed] — exactly,
-    so the reduced optimum embeds back ({!restriction_embed}) to the
-    full-space optimum of the pinned slice with the same certified gap.
-    The reduced cones read the parent's Grams through the free-coordinate
-    map (the Gram of a column subset is the parent's sub-matrix, bit for
-    bit), so a restriction copies no Gram.
-    Constraints left without any free variable become constants: the
-    satisfied ones (a pinned pair's own half-spaces, slack exactly 0)
-    are dropped, and one that is violated makes the slice empty —
-    [None], which the caller should treat as region infeasibility.
-    @raise Invalid_argument when [fixed] is empty, fixes every variable,
-    or indexes out of range. *)
-
-val restriction_embed : restriction -> Linalg.Vec.t -> Linalg.Vec.t
-(** Reduced-space point → full-space point (free coordinates from the
-    argument, pinned ones from the restriction).  Fresh vector. *)
-
-val restriction_project : restriction -> Linalg.Vec.t -> Linalg.Vec.t
-(** Full-space point → its free coordinates.  Projection then embedding
-    is the identity on the pinned slice. *)
-
-val restriction_objective_const : restriction -> float
-(** The scaled objective offset: [objective_value reduced y +
-    restriction_objective_const r] equals [objective_value full (embed
-    r y)].  Tracks [reduced]'s current {!field-obj_scale}. *)
 
 val objective_value : problem -> Linalg.Vec.t -> float
 
@@ -300,10 +262,6 @@ val find_strictly_feasible :
     clears [margin] (default [1e-9]) × each constraint's residual scale
     (the relative-slack convention of {!is_strictly_interior}). *)
 
-val solve_auto : ?params:params -> problem -> start:Linalg.Vec.t -> solution option
-(** Phase-I then phase-II; [None] when phase-I proves or suspects
-    infeasibility. [start] need not be feasible. *)
-
 (** {2 Independent dual certificates}
 
     A barrier solve's primal objective is {e not} a safe lower bound on
@@ -318,15 +276,15 @@ val solve_auto : ?params:params -> problem -> start:Linalg.Vec.t -> solution opt
     evaluates the resulting dual objective in outward-rounded interval
     arithmetic ({!Interval.wide_add} and friends) with the Lagrangian
     stationarity residual absorbed over the problem's coordinate box
-    (Neumaier–Shcherbina).  Weak duality then makes the result a true
+    (Neumaier–Shcherbina) or, on a block where the caller vouches for
+    the curvature of [P], through that curvature.  Weak duality then makes the result a true
     lower bound regardless of primal solve quality — the certificate
     depends on the primal point only through the {e tightness} of the
     bound, never its {e validity}. *)
 
 type certificate = {
   dual_value : float;
-      (** verified lower bound on the problem optimum (includes
-          {!field-obj_scale}, like {!solution.objective}) *)
+      (** verified lower bound on the problem optimum *)
   slack : float;  (** [solution.objective − dual_value]; may be negative
                       when the primal iterate overshot *)
   repaired : bool;  (** at least one multiplier needed projection *)
@@ -348,18 +306,29 @@ type cert_failure =
 val describe_cert_failure : cert_failure -> string
 
 val certify_lower_bound :
-  ?max_rel_slack:float -> problem -> solution -> (certificate, cert_failure) result
-(** Requires what {!val-problem} already guarantees — [P] PSD and
-    [obj_scale > 0] (checked) — and nothing about the solution: the
-    primal point need not be feasible, only finite.  At a properly
-    centered iterate the certified slack is about [ν/τ], i.e. the bound
-    is typically {e tighter} than the heuristic
+  ?max_rel_slack:float ->
+  ?psd_block:int array * float ->
+  problem ->
+  solution ->
+  (certificate, cert_failure) result
+(** Requires what {!val-problem} already guarantees — [P] PSD — and
+    nothing about the solution: the primal point need not be feasible,
+    only finite.  The stationarity residual [ρ] is charged over the
+    coordinate box the half-spaces give — the single-nonzero rows, then
+    the two-nonzero rows through them (the box charge) — and, with
+    [~psd_block:(block, λ̲)], through [P]'s curvature on [block]
+    (about [−½ρ_BᵀP_BB⁻¹ρ_B]) and the box on the rest (the curvature
+    charge); the larger is the bound.  The curvature charge is valid
+    only if [δᵀPδ >= λ̲·‖δ_B‖²] for every [δ] — the caller's claim, not
+    checked here; it keeps the bound finite on coordinates no box row
+    bounds.  A [λ̲] that is not finite and positive is a
+    {!Cert_repair_failed}.  At a centered iterate the certified slack
+    is about [ν/τ], typically {e tighter} than the heuristic
     [objective − 2·gap_bound].  [max_rel_slack] (default [0.1])
     triggers {!Cert_gap_excessive}, relative to [1 + |objective|].
     Emits the [socp.cert*] probes and observes the slack histogram.
-    Cost: one [P·x*] product
-    plus one pass over the constraint data in interval arithmetic —
-    O(n² + constraints·n), no factorisation. *)
+    Cost: O(n² + constraints·n) in interval arithmetic, plus one
+    Cholesky factorisation of [P_BB] with [~psd_block]. *)
 
 (**/**)
 
@@ -373,13 +342,8 @@ val centering_for_tests : problem -> float -> Newton.oracle_into
     Gram; [Lᵀv] is O(rows·n)), O(1) per single-nonzero half-space,
     O(n²) per other half-space. *)
 
-val centering_oracle_for_tests : problem -> float -> Newton.oracle
-(** {!centering_for_tests} as one combined call, with the Hessian's
-    upper triangle mirrored from the lower one — exposed so the test
-    suite can finite-difference the hand-derived cone calculus. *)
-
 val phase1_problem_for_tests : problem -> problem
 (** The phase-I augmented problem {!find_strictly_feasible} solves:
     variable [n] is the slack [s], every half-space becomes
     [aᵀx − s <= b], every cone [‖Lx+g‖ <= cᵀx + d + s], minimise [s].
-    Its cones share the original's Grams. *)
+    Its cones share the original's Grams and own column. *)

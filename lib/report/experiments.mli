@@ -136,8 +136,7 @@ val ablation_kf : ?quick:bool -> ?seed:int -> unit -> ablation_row list
 
 val ablation_solver : ?quick:bool -> ?seed:int -> unit -> ablation_row list
 (** Solver ablation on the synthetic task at a mid word length: the
-    full solver vs the search without H1/H2 incumbent seeding.  The
-    other heuristics (secant test, t-branching, per-node polish) are
-    not switches; EXPERIMENTS.md records what each one pays. *)
+    full solver vs the search without H1/H2 incumbent seeding.  Per-node
+    polish is not a switch; EXPERIMENTS.md records what it pays. *)
 
 val print_ablation : title:string -> ablation_row list -> unit

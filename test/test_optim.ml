@@ -14,41 +14,13 @@ let checkf tol msg = Alcotest.(check (float tol)) msg
 
 let test_interval_basics () =
   let iv = Interval.make ~lo:(-2.0) ~hi:3.0 in
-  checkf 1e-12 "width" 5.0 (Interval.width iv);
-  checkf 1e-12 "mid" 0.5 (Interval.mid iv);
-  checkb "mem" true (Interval.mem iv 0.0);
-  checkb "not mem" false (Interval.mem iv 4.0);
-  checkf 1e-12 "clamp lo" (-2.0) (Interval.clamp iv (-9.0));
-  checkf 1e-12 "clamp hi" 3.0 (Interval.clamp iv 9.0);
+  checkf 1e-12 "lo" (-2.0) (Interval.lo iv);
+  checkf 1e-12 "hi" 3.0 (Interval.hi iv);
+  checkb "point" true (Interval.point 1.5 = Interval.make ~lo:1.5 ~hi:1.5);
   checkb "bad bounds rejected" true
     (match Interval.make ~lo:1.0 ~hi:0.0 with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-let test_interval_sup_sq () =
-  (* eq. 26: sup of t² over the interval. *)
-  let straddle = Interval.make ~lo:(-2.0) ~hi:3.0 in
-  checkf 1e-12 "sup straddling" 9.0 (Interval.sup_sq straddle);
-  let pos = Interval.make ~lo:1.0 ~hi:4.0 in
-  checkf 1e-12 "sup positive" 16.0 (Interval.sup_sq pos);
-  let neg = Interval.make ~lo:(-5.0) ~hi:(-2.0) in
-  checkf 1e-12 "sup negative" 25.0 (Interval.sup_sq neg)
-
-let test_interval_split_intersect () =
-  let iv = Interval.make ~lo:0.0 ~hi:10.0 in
-  let l, r = Interval.split iv in
-  checkf 1e-12 "left hi" 5.0 (Interval.hi l);
-  checkf 1e-12 "right lo" 5.0 (Interval.lo r);
-  let l, r = Interval.split ~at:2.0 iv in
-  checkf 1e-12 "custom cut left" 2.0 (Interval.hi l);
-  checkf 1e-12 "custom cut right" 2.0 (Interval.lo r);
-  (match Interval.intersect iv (Interval.make ~lo:8.0 ~hi:12.0) with
-  | Some i ->
-      checkf 1e-12 "intersection lo" 8.0 (Interval.lo i);
-      checkf 1e-12 "intersection hi" 10.0 (Interval.hi i)
-  | None -> Alcotest.fail "expected overlap");
-  checkb "disjoint" true
-    (Interval.intersect iv (Interval.make ~lo:11.0 ~hi:12.0) = None)
 
 let test_interval_scale_shift () =
   let iv = Interval.make ~lo:1.0 ~hi:2.0 in
@@ -496,9 +468,11 @@ let prop_cert_lower_bounds_reference =
         else []
       in
       let pb = Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs n in
-      match Socp.solve_auto pb ~start:(Vec.zeros n) with
-      | None -> false (* origin is always feasible here *)
-      | Some sol -> (
+      match Socp.find_strictly_feasible pb ~start:(Vec.zeros n) with
+      | Socp.Infeasible _ | Socp.Unknown _ ->
+          false (* origin is always feasible here *)
+      | Socp.Strictly_feasible x0 -> (
+          let sol = Socp.solve pb ~start:x0 in
           let reference =
             Socp.solve
               ~params:{ Socp.default_params with Socp.gap_tol = 1e-10 }
@@ -571,14 +545,17 @@ let test_phase1_detects_infeasible () =
   | Socp.Strictly_feasible _ -> Alcotest.fail "claimed feasible"
   | Socp.Unknown _ -> Alcotest.fail "should certify infeasibility"
 
-let test_solve_auto_pipeline () =
-  (* min x² over [3, 5]: phase-1 must move into the box first. *)
+let test_phase1_then_solve () =
+  (* min x² over [3, 5] from the infeasible start 0: phase-I must move
+     into the box first, then the barrier solve finds the bound. *)
   let p = Mat.scale 2.0 (Mat.identity 1) in
   let lins = Socp.box_constraints [| 3.0 |] [| 5.0 |] in
   let problem = Socp.problem ~p ~lins 1 in
-  match Socp.solve_auto problem ~start:[| 0.0 |] with
-  | Some sol -> checkf 1e-3 "optimum at lower bound" 3.0 sol.Socp.x.(0)
-  | None -> Alcotest.fail "expected solution"
+  match Socp.find_strictly_feasible problem ~start:[| 0.0 |] with
+  | Socp.Strictly_feasible x0 ->
+      let sol = Socp.solve problem ~start:x0 in
+      checkf 1e-3 "optimum at lower bound" 3.0 sol.Socp.x.(0)
+  | Socp.Infeasible _ | Socp.Unknown _ -> Alcotest.fail "expected solution"
 
 let test_socp_dimension_checks () =
   checkb "bad P" true
@@ -939,15 +916,14 @@ let test_bnb_domains_one_pinned () =
   | None -> Alcotest.fail "LDA-FP found no classifier"
   | Some o ->
       let d = o.Ldafp_core.Lda_fp.diagnostics in
-      check_pinned "LDA-FP" ~nodes:150 ~stop:Bnb.Gap_reached
-        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2b033b65f3470L
+      check_pinned "LDA-FP" ~nodes:30 ~stop:Bnb.Gap_reached
+        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac29b9117702L
         ~counts:
-          [ ("infeasible_regions", 143); ("bound_pruned", 7);
-            ("incumbent_updates", 1); ("children_generated", 300);
-            ("domains_used", 1); ("warm_start_hits", 137);
-            ("phase1_skipped", 137); ("warm_pull_ins", 93);
-            ("warm_miss_no_parent", 1); ("warm_miss_not_interior", 13);
-            ("cert_verified", 414) ]
+          [ ("infeasible_regions", 1); ("bound_pruned", 26);
+            ("incumbent_updates", 1); ("children_generated", 60);
+            ("domains_used", 1); ("warm_start_hits", 49);
+            ("phase1_skipped", 49); ("warm_pull_ins", 31);
+            ("warm_miss_no_parent", 1); ("cert_verified", 50) ]
         ( d.Ldafp_core.Lda_fp.nodes, d.Ldafp_core.Lda_fp.stop_reason,
           o.Ldafp_core.Lda_fp.cost, d.Ldafp_core.Lda_fp.bound,
           d.Ldafp_core.Lda_fp.search )
@@ -1329,7 +1305,8 @@ let oracle_toy_problem () =
   let q = Array.init n (fun _ -> u ()) in
   let lins =
     Socp.box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0)
-    @ [ { Socp.a = [| 0.3; -0.2; 0.1 |]; b = 1.5 } ]
+    @ [ { Socp.a = [| 0.3; -0.2; 0.1 |]; b = 1.5 };
+        { Socp.a = [| 0.0; -0.4; 0.7 |]; b = 1.2 } ]
   in
   let shared =
     Mat.init 6 n (fun i j -> if (i + j) mod 4 = 3 then 0.0 else 3.0 *. u ())
@@ -1358,23 +1335,73 @@ let interior_point problem =
   | Socp.Strictly_feasible x -> x
   | Socp.Unknown _ | Socp.Infeasible _ -> Alcotest.fail "toy problem is feasible"
 
-(* The toy problem with coordinate 1 pinned at its interior value, and
-   the reduced interior point. *)
-let restricted_toy problem x0 =
-  match Socp.restrict problem ~fixed:[| (1, x0.(1)) |] with
-  | None -> Alcotest.fail "pinning an interior value left the slice empty"
-  | Some r -> (r.Socp.reduced, Socp.restriction_project r x0)
+(* [problem] with coordinate [j] folded onto a new last variable s,
+   x_j = v·s, the others kept: x = M·x' for M = [kept unit columns |
+   v·e_j], so P' = MᵀPM, q' = Mᵀq, a' = Mᵀa, l' = lM, c' = Mᵀc.  The
+   folded cones read the parent's Grams for the kept coordinates and
+   compute s's column ({!Socp.cones} [~share]), as a node program's
+   pinned coordinates fold into z. *)
+let fold_toy problem ~j ~v =
+  let n = problem.Socp.n in
+  let keep = Array.of_list (List.filter (( <> ) j) (List.init n Fun.id)) in
+  let nk = Array.length keep in
+  let src i = if i < nk then keep.(i) else j in
+  let f i = if i < nk then 1.0 else v in
+  let mt a = Vec.init (nk + 1) (fun i -> f i *. a.(src i)) in
+  let p =
+    Mat.init (nk + 1) (nk + 1) (fun i k ->
+        f i *. f k *. problem.Socp.p.(src i).(src k))
+  in
+  let lins =
+    Array.map (fun { Socp.a; b } -> { Socp.a = mt a; b }) problem.Socp.lins
+  in
+  let socs =
+    Array.map
+      (fun { Socp.l; g; c; d } -> { Socp.l = Array.map mt l; g; c = mt c; d })
+      problem.Socp.socs
+  in
+  let cones =
+    Socp.cones
+      ~share:
+        (problem.Socp.cones, Array.init (nk + 1) (fun i -> if i < nk then keep.(i) else -1))
+      socs
+  in
+  Socp.of_parts ~p ~q:(mt problem.Socp.q) ~lins ~cones (nk + 1)
+
+(* The toy problem with coordinate 1 folded at its interior value, and
+   the folded interior point (s = 1). *)
+let folded_toy problem x0 =
+  ( fold_toy problem ~j:1 ~v:x0.(1),
+    [| x0.(0); x0.(2); 1.0 |] )
+
+(* The split centering oracle as one call, the Hessian's upper triangle
+   mirrored from the lower one: what the derivative tests compare. *)
+let centering_oracle pb tau : Newton.oracle =
+ fun x ->
+  let oracle = Socp.centering_for_tests pb tau in
+  match oracle.Newton.value x with
+  | None -> None
+  | Some value ->
+      let n = pb.Socp.n in
+      let grad = Vec.zeros n and hess = Mat.zeros n n in
+      oracle.Newton.derivs ~grad ~hess;
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          hess.(i).(j) <- hess.(j).(i)
+        done
+      done;
+      Some (value, grad, hess)
 
 let test_socp_barrier_derivatives () =
   (* The hand-derived gradient/Hessian of the log-barrier (half-spaces +
      second-order cones) against finite differences, via the centering
-     oracle at tau = 1 — on the full problem and on a restriction, whose
+     oracle at tau = 1 — on the full problem and on a fold, whose
      cones read the parent's Grams through the free-coordinate map.
      This is the calculus every Newton step relies on. *)
   let problem = oracle_toy_problem () in
   let x0 = interior_point problem in
   let check label pb x =
-    let oracle = Socp.centering_oracle_for_tests pb 1.0 in
+    let oracle = centering_oracle pb 1.0 in
     match Gradcheck.check_oracle oracle x with
     | None -> Alcotest.fail (label ^ ": interior point rejected by the oracle")
     | Some r ->
@@ -1390,15 +1417,15 @@ let test_socp_barrier_derivatives () =
           (r.Gradcheck.max_hess_error < 1e-4)
   in
   check "full" problem x0;
-  let reduced, y0 = restricted_toy problem x0 in
-  check "restricted" reduced y0
+  let reduced, y0 = folded_toy problem x0 in
+  check "folded" reduced y0
 
 (* The centering oracle as it was before cone Grams were precomputed:
    every half-space through the dense loop, and LᵀL re-formed entry by
    entry from the problem's own [l], r ascending. *)
 let reference_centering pb tau x =
   let n = pb.Socp.n in
-  let s_obj = tau *. pb.Socp.obj_scale in
+  let s_obj = tau in
   let px = Mat.mul_vec pb.Socp.p x in
   let fx = (0.5 *. Vec.dot x px) +. Vec.dot pb.Socp.q x in
   let grad = Array.init n (fun i -> s_obj *. (px.(i) +. pb.Socp.q.(i))) in
@@ -1457,7 +1484,7 @@ let test_socp_oracle_bitwise () =
      path for single-nonzero half-spaces.  Neither may move a bit. *)
   let problem = oracle_toy_problem () in
   let x0 = interior_point problem in
-  let reduced, y0 = restricted_toy problem x0 in
+  let reduced, y0 = folded_toy problem x0 in
   let phase1 = Socp.phase1_problem_for_tests problem in
   let phase1_r = Socp.phase1_problem_for_tests reduced in
   let bits = Int64.bits_of_float in
@@ -1497,7 +1524,7 @@ let test_socp_oracle_bitwise () =
   let check label pb x =
     List.iter
       (fun tau ->
-        (match Socp.centering_oracle_for_tests pb tau x with
+        (match centering_oracle pb tau x with
         | None -> Alcotest.fail (label ^ ": interior point rejected")
         | Some (value, grad, hess) ->
             let rvalue, rgrad, rhess = reference_centering pb tau x in
@@ -1517,9 +1544,9 @@ let test_socp_oracle_bitwise () =
       [ 1e-6; 1.0; 37.5 ]
   in
   check "full" problem x0;
-  check "restricted" reduced y0;
+  check "folded" reduced y0;
   check "phase-I" phase1 (Array.append x0 [| 0.5 |]);
-  check "restricted phase-I" phase1_r (Array.append y0 [| 0.5 |])
+  check "folded phase-I" phase1_r (Array.append y0 [| 0.5 |])
 
 (* ------------------------------------------------------------------ *)
 (* Admm_qp                                                             *)
@@ -1621,9 +1648,11 @@ let prop_warm_start_agrees_with_cold =
       let pb =
         Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs:[ cone ] n
       in
-      match Socp.solve_auto pb ~start:(Vec.zeros n) with
-      | None -> false (* origin is always feasible here *)
-      | Some cold ->
+      match Socp.find_strictly_feasible pb ~start:(Vec.zeros n) with
+      | Socp.Infeasible _ | Socp.Unknown _ ->
+          false (* origin is always feasible here *)
+      | Socp.Strictly_feasible x0 ->
+          let cold = Socp.solve pb ~start:x0 in
           QCheck.assume (Socp.is_strictly_interior pb cold.Socp.x);
           let warm =
             Socp.solve
@@ -1646,7 +1675,7 @@ let test_warm_start_params () =
 
 (* A shared 3-variable test problem: coupled quadratic, unit box, and a
    ball of radius 2 around the origin. *)
-let restrict_test_problem () =
+let fold_test_problem () =
   let p =
     [| [| 2.0; 1.0; 0.0 |]; [| 1.0; 2.0; 0.0 |]; [| 0.0; 0.0; 2.0 |] |]
   in
@@ -1657,56 +1686,57 @@ let restrict_test_problem () =
   in
   Socp.problem ~p ~q ~lins ~socs:[ ball ] 3
 
-let test_socp_restrict_substitution () =
-  let pb = restrict_test_problem () in
+let test_socp_fold_substitution () =
+  let pb = fold_test_problem () in
   let v = 0.25 in
-  match Socp.restrict pb ~fixed:[| (1, v) |] with
-  | None -> Alcotest.fail "restriction of an interior pin must exist"
-  | Some r ->
-      checki "full dimension" 3 r.Socp.full_n;
-      checki "reduced dimension" 2 r.Socp.reduced.Socp.n;
-      checkb "free indices" true (r.Socp.free = [| 0; 2 |]);
-      (* The substitution is exact: the reduced objective plus the frozen
-         offset equals the full objective at the embedded point, for any
-         reduced point. *)
-      let rng = Stats.Rng.create 5 in
-      for _ = 1 to 25 do
-        let y = Vec.init 2 (fun _ -> Stats.Rng.uniform rng ~lo:(-3.0) ~hi:3.0) in
-        let x = Socp.restriction_embed r y in
-        checkf 1e-12 "pinned coordinate embedded" v x.(1);
-        checkb "project . embed = id" true (Socp.restriction_project r x = y);
-        checkf 1e-10 "objective identity"
-          (Socp.objective_value pb x)
-          (Socp.objective_value r.Socp.reduced y
-          +. Socp.restriction_objective_const r)
-      done;
-      (* The reduced problem has a usable strict interior and its optimum
-         embeds to a full-space feasible point on the pinned slice. *)
-      let sol =
-        match Socp.solve_auto r.Socp.reduced ~start:(Vec.zeros 2) with
-        | Some s -> s
-        | None -> Alcotest.fail "reduced problem should be solvable"
-      in
-      let x = Socp.restriction_embed r sol.Socp.x in
-      checkb "embedded optimum feasible" true
-        (Socp.is_feasible ~tol:1e-7 pb x);
-      checkf 1e-12 "embedded optimum stays pinned" v x.(1)
+  let folded = fold_toy pb ~j:1 ~v in
+  let embed y = [| y.(0); v *. y.(2); y.(1) |] in
+  (* The fold is exact: the folded objective at any point equals the full
+     objective at its image, and so do the constraint slacks. *)
+  let rng = Stats.Rng.create 5 in
+  for _ = 1 to 25 do
+    let y = Vec.init 3 (fun _ -> Stats.Rng.uniform rng ~lo:(-3.0) ~hi:3.0) in
+    checkf 1e-10 "objective identity"
+      (Socp.objective_value pb (embed y))
+      (Socp.objective_value folded y);
+    checkf 1e-10 "violation identity"
+      (Socp.max_violation pb (embed y))
+      (Socp.max_violation folded y)
+  done;
+  (* At s = 1 the folded problem is the slice x_1 = v: its optimum maps
+     to a full-space feasible point on the slice. *)
+  let slice =
+    Socp.of_parts ~p:folded.Socp.p ~q:folded.Socp.q
+      ~lins:
+        (Array.append folded.Socp.lins
+           [| { Socp.a = [| 0.0; 0.0; 1.0 |]; b = 1.0 +. 1e-6 };
+              { Socp.a = [| 0.0; 0.0; -1.0 |]; b = -1.0 +. 1e-6 } |])
+      ~cones:folded.Socp.cones 3
+  in
+  match Socp.find_strictly_feasible slice ~start:[| 0.0; 0.0; 1.0 |] with
+  | Socp.Strictly_feasible y0 ->
+      let sol = Socp.solve slice ~start:y0 in
+      let x = embed sol.Socp.x in
+      checkb "embedded optimum feasible" true (Socp.is_feasible ~tol:1e-5 pb x);
+      checkf 1e-5 "embedded optimum on the slice" v x.(1)
+  | Socp.Infeasible _ | Socp.Unknown _ ->
+      Alcotest.fail "the slice has an interior"
 
-let test_socp_restrict_validation () =
-  let pb = restrict_test_problem () in
-  (* A pin outside the box contradicts the box half-spaces: the slice is
-     empty and restrict certifies it. *)
-  checkb "infeasible pin detected" true
-    (Socp.restrict pb ~fixed:[| (1, 5.0) |] = None);
+let test_socp_shared_cones_validation () =
+  let pb = fold_test_problem () in
+  let socs = Array.map (fun c -> c) pb.Socp.socs in
   let raises f =
     match f () with exception Invalid_argument _ -> true | _ -> false
   in
-  checkb "empty fixed rejected" true (raises (fun () ->
-      Socp.restrict pb ~fixed:[||]));
-  checkb "all-fixed rejected" true (raises (fun () ->
-      Socp.restrict pb ~fixed:[| (0, 0.0); (1, 0.0); (2, 0.0) |]));
-  checkb "out-of-range index rejected" true (raises (fun () ->
-      Socp.restrict pb ~fixed:[| (3, 0.0) |]))
+  checkb "cone count must match" true (raises (fun () ->
+      Socp.cones ~share:(pb.Socp.cones, [| 0; 1; 2 |]) [||]));
+  checkb "map length must match" true (raises (fun () ->
+      Socp.cones ~share:(pb.Socp.cones, [| 0; 1 |]) socs));
+  checkb "at most one own column" true (raises (fun () ->
+      Socp.cones ~share:(pb.Socp.cones, [| 0; -1; -1 |]) socs));
+  let folded = fold_toy pb ~j:1 ~v:0.5 in
+  checkb "no share of a folded parent" true (raises (fun () ->
+      Socp.cones ~share:(folded.Socp.cones, [| 0; 1; 2 |]) folded.Socp.socs))
 
 (* The tentpole property: pulling a clipped parent optimum toward a
    strictly interior target always lands certifiably inside — on random
@@ -1767,9 +1797,6 @@ let () =
       ( "interval",
         [
           Alcotest.test_case "basics" `Quick test_interval_basics;
-          Alcotest.test_case "sup squared (eq 26)" `Quick test_interval_sup_sq;
-          Alcotest.test_case "split/intersect" `Quick
-            test_interval_split_intersect;
           Alcotest.test_case "scale/shift" `Quick test_interval_scale_shift;
           Alcotest.test_case "directed rounding" `Quick
             test_interval_directed_rounding;
@@ -1826,12 +1853,12 @@ let () =
             test_phase1_finds_feasible;
           Alcotest.test_case "phase1 infeasible" `Quick
             test_phase1_detects_infeasible;
-          Alcotest.test_case "solve_auto" `Quick test_solve_auto_pipeline;
+          Alcotest.test_case "phase-I then solve" `Quick test_phase1_then_solve;
           Alcotest.test_case "warm-start params" `Quick test_warm_start_params;
           Alcotest.test_case "restrict substitutes exactly" `Quick
-            test_socp_restrict_substitution;
+            test_socp_fold_substitution;
           Alcotest.test_case "restrict validation" `Quick
-            test_socp_restrict_validation;
+            test_socp_shared_cones_validation;
           Alcotest.test_case "dimension checks" `Quick
             test_socp_dimension_checks;
           Alcotest.test_case "of_parts rejects asymmetric P" `Quick

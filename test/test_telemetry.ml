@@ -397,6 +397,32 @@ let test_ledger_missing_file () =
       checki "and clean" 0 malformed
   | Error e -> Alcotest.failf "missing file errored: %s" e
 
+(* A directory given as the ledger: loading and appending both fail
+   with the reason a user can act on, not the EOVERFLOW that sizing a
+   directory gives, and the append leaves no record anywhere. *)
+let test_ledger_directory () =
+  let dir = Filename.temp_file "ldafp-test-ledger" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      let is_a_directory what = function
+        | Error e ->
+            let sub = "Is a directory" in
+            let n = String.length sub in
+            checkb (what ^ ": " ^ e) true
+              (List.exists
+                 (fun i -> String.sub e i n = sub)
+                 (List.init (max 0 (String.length e - n + 1)) Fun.id))
+        | Ok _ -> Alcotest.failf "%s: a directory was accepted" what
+      in
+      is_a_directory "load" (Obs.Run_ledger.load ~path:dir);
+      is_a_directory "append"
+        (Obs.Run_ledger.append ~path:dir
+           (Obs.Run_ledger.record ~kind:"train" ~argv:[ "t" ] []));
+      checkb "nothing written" true (Sys.readdir dir = [||]))
+
 (* Every byte of one ledger line XORed with every mask 0x01..0xff: the
    flipped ledger must load, and diffing each record it yields against
    the unflipped record must return findings; no exception may escape.
@@ -565,6 +591,8 @@ let () =
             test_ledger_torn_tail;
           Alcotest.test_case "missing file errors" `Quick
             test_ledger_missing_file;
+          Alcotest.test_case "directory refused with its reason" `Quick
+            test_ledger_directory;
           Alcotest.test_case "every byte flip" `Quick test_ledger_byte_flips;
         ] );
       ( "diff",
