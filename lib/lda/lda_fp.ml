@@ -185,12 +185,20 @@ let bound_node cfg pb incumbent counters node =
              (Ldafp_problem.center_point pb ~wbox:node.wbox ~z_cap:Float.infinity))
     in
     let z_cap = Ldafp_problem.z_cap pb ~theta in
-    (* Uncapped (no verified λ̲) the program is unbounded in z: the
-       certified interval fallback bounds the node instead. *)
+    (* Nothing caps z without a verified λ̲ over the distinct coordinates
+       (S_W singular other than through duplicated or constant features)
+       or a finite θ, and uncapped the program's barrier is unbounded
+       below: the certified interval bound serves, at once, as a retry
+       could not help. *)
     if not (z_cap < Float.infinity) then
-      raise (Fault.Certificate_error "no cap on z: no verified λ̲ or no θ");
+      Some { Bnb.lower = Ldafp_problem.interval_lower_bound pb ~wbox:node.wbox; candidate = None }
+    else
+    (* An empty program proves only that no point of the box costs
+       <= θ: that prunes against the incumbent, but a θ from the center
+       point (which need not meet the cones) bounds the box by θ. *)
+    let empty () = if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None } in
     match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap with
-    | None -> if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None }
+    | None -> empty ()
     | Some relax -> (
         let result = solve_program cfg pb ~counters ~z_cap node relax in
         (* Hits and misses partition a warm-start run's solves. *)
@@ -210,7 +218,7 @@ let bound_node cfg pb incumbent counters node =
               candidate = candidate_of_point cfg pb node (Ldafp_problem.weights_of yz) }
         in
         match result with
-        | Phase1_infeasible -> None
+        | Phase1_infeasible -> empty ()
         | Phase1_unknown x ->
             (* Nothing better than cost >= 0 is proved, but the box may
                hold the optimum: keep exploring.  The point was never
@@ -322,6 +330,8 @@ let solve ?(config = default_config) ?interrupt pb =
         ~max_rounds:(max 4 config.polish_rounds) pb
   in
   let seed_cost = Option.map snd seed in
+  if not (pb.Ldafp_problem.lambda_grid > 0.0) then
+    Log.info (fun m -> m "no verified λ̲ over the distinct coordinates: every node takes the interval bound");
   Log.debug (fun m ->
       m "%a; seed cost: %a" Ldafp_problem.pp_summary pb
         Fmt.(option ~none:(any "none") float)

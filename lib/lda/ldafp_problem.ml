@@ -150,10 +150,11 @@ let build ?(rho = 0.99) ~fmt scatter =
          (fun j iv -> Float.max (d.(j) *. Fx_interval.lo iv) (d.(j) *. Fx_interval.hi iv))
          elem_box)
   in
+  let factor = try Some (Cholesky.factor p_base) with Cholesky.Not_positive_definite _ -> None in
   let norm =
-    match sqrt (2.0 *. Vec.dot d (Cholesky.solve p_base d)) /. t_root with
-    | g when Float.is_finite g && g > 0.0 -> g
-    | _ | (exception Cholesky.Not_positive_definite _) -> 1.0
+    match Option.map (fun l -> sqrt (2.0 *. Vec.dot d (Cholesky.solve_factored l d)) /. t_root) factor with
+    | Some g when Float.is_finite g && g > 0.0 -> g
+    | _ -> 1.0
   in
   (* The distinct coordinates: one whose row of S_W repeats a kept one's
      with the same d_j (an exactly duplicated feature), or is zero with
@@ -170,7 +171,7 @@ let build ?(rho = 0.99) ~fmt scatter =
   done;
   let kept = Array.of_list (List.filter (fun j -> keep.(j)) (List.init m Fun.id)) in
   let nk = Array.length kept in
-  let lambda_min = Psd.verified_lambda_min p_base in
+  let lambda_min = match factor with Some factor -> Psd.verified_lambda_min ~factor p_base | None -> 0.0 in
   {
     fmt; rho; beta; scatter; sw; d; elem_box; cones; p_base; lambda_min; norm;
     lambda_grid =

@@ -69,8 +69,8 @@ let verify a s =
       in
       Interval.lo (Interval.wide (Interval.wide_sub (Interval.point s) charge))
 
-let verified_lambda_min a =
-  match Cholesky.factor a with
+let verified_lambda_min ?factor a =
+  match match factor with Some l -> l | None -> Cholesky.factor a with
   | exception Cholesky.Not_positive_definite _ -> 0.0
   | l ->
       let est = estimate l (Mat.rows a) in

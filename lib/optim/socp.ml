@@ -228,15 +228,6 @@ let problem ?p ?q ?(lins = []) ?(socs = []) n =
   of_parts ~p:(Mat.symmetrize p) ~q ~lins:(Array.of_list lins)
     ~cones:(cones (Array.of_list socs)) n
 
-let box_constraints lo hi =
-  if Vec.dim lo <> Vec.dim hi then
-    invalid_arg "Socp.box_constraints: dimension mismatch";
-  let n = Vec.dim lo in
-  List.concat
-    (List.init n (fun i ->
-         [ { a = Vec.basis n i; b = hi.(i) };
-           { a = Vec.neg (Vec.basis n i); b = -.lo.(i) } ]))
-
 let objective_value pb x =
   (0.5 *. Mat.quadratic_form pb.p x) +. Vec.dot pb.q x
 

@@ -100,9 +100,6 @@ val of_parts :
     @raise Invalid_argument on any dimension mismatch or an asymmetric
     [p]. *)
 
-val box_constraints : Linalg.Vec.t -> Linalg.Vec.t -> lin list
-(** [box_constraints lo hi] is the [2n] half-spaces of [lo <= x <= hi]. *)
-
 val objective_value : problem -> Linalg.Vec.t -> float
 
 val max_violation : problem -> Linalg.Vec.t -> float

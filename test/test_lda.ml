@@ -609,12 +609,13 @@ let test_solver_respects_node_budget () =
         (o.Lda_fp.diagnostics.Lda_fp.nodes <= 6)
 
 (* Warm starting is a pure acceleration: on the same problem, warm and
-   cold searches run to drain must prove the same optimum.  The two end
-   their solves on iterates that differ in the last digits, so their
-   certified bounds do too; the exact relaxation puts the bounds of the
-   regions near the optimum within that of the incumbent, where one run
-   may prune what the other branches, so the node counts need not
-   match. *)
+   cold searches run to drain must prove the same optimum, and in the
+   same tree on the fixed instances.  The two end their solves on
+   iterates that differ in the last digits, and the branch rule cuts a
+   box at the optimum's w_j rounded to the grid: when w_j sits on a
+   rounding boundary the two runs split that box differently, so on some
+   random instances the trees differ by a few nodes (at most 6, or 10%,
+   over 400 Q2.3 instances). *)
 let warm_cold_pair pb =
   let config warm_start =
     {
@@ -635,6 +636,8 @@ let test_solver_warm_matches_cold () =
       checkb "same optimum bits" true
         (Int64.bits_of_float cold.Lda_fp.cost
         = Int64.bits_of_float warm.Lda_fp.cost);
+      checki "same node count" cold.Lda_fp.diagnostics.Lda_fp.nodes
+        warm.Lda_fp.diagnostics.Lda_fp.nodes;
       List.iter
         (fun o ->
           checkb "drained" true
@@ -717,6 +720,116 @@ let test_exact_solve_matches_bruteforce_warm_and_cold () =
         [ 2; 3 ])
     [ 1; 2; 3 ]
 
+(* Run to drain, one domain; [None] when the search finds nothing. *)
+let drain ?(seed_incumbent = true) ?(fault_policy = Optim.Fault.default_policy) pb =
+  Lda_fp.solve
+    ~config:
+      {
+        Lda_fp.default_config with
+        seed_incumbent;
+        fault_policy;
+        bnb_params =
+          { Optim.Bnb.default_params with
+            max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0 };
+      }
+    pb
+
+(* An exact search's answer against brute force: the cost bits of the
+   optimum among the t >= 0 points, or a better point on the t < 0 side
+   (the grid is not symmetric under w ↦ −w, and the seed sweep and the
+   polish may land there), which must then be a feasible grid point;
+   [None] only when no point has a finite cost. *)
+let bruteforce_verdict pb fmt result =
+  let best, best_all = bruteforce_optima pb fmt in
+  match result with
+  | None ->
+      if Float.is_finite best then Error (Printf.sprintf "no solution, optimum %h" best)
+      else Ok ()
+  | Some o ->
+      let w = o.Lda_fp.w in
+      let other_side =
+        o.Lda_fp.cost < best && o.Lda_fp.cost >= best_all
+        && Ldafp_problem.t_of pb w < 0.0
+        && Ldafp_problem.feasible pb w
+        && Ldafp_problem.cost pb w = o.Lda_fp.cost
+      in
+      if Int64.bits_of_float o.Lda_fp.cost = Int64.bits_of_float best || other_side
+      then Ok ()
+      else Error (Printf.sprintf "cost %h, brute force %h" o.Lda_fp.cost best)
+
+let check_bruteforce_optimum tag pb fmt result =
+  (match bruteforce_verdict pb fmt result with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" tag msg);
+  Option.iter
+    (fun o ->
+      checkb (tag ^ ": certified sound") true
+        o.Lda_fp.diagnostics.Lda_fp.search.Optim.Bnb.certified_sound)
+    result
+
+(* Before there is an incumbent the node program's z cap comes from the
+   cost at the box's center point, which need not meet the cones.  An
+   empty program then proves only that no point of the box costs less,
+   so the box must be kept at that bound, not dropped.  On this Q2.1
+   instance (class means near the top of the range, so the cones bind)
+   the box [-0.5, 0] × [-0.5, 0.5]² holds the optimum and its program
+   is empty: an unseeded search that drops it finds no classifier. *)
+let test_unseeded_search_keeps_capped_boxes () =
+  let scatter =
+    {
+      Stats.Scatter.mu_a = [| 0x1.1774aec6ac069p+1; 0x1.c938f757b0c9ep+0; 0x1.cc4cebd806bedp+0 |];
+      mu_b = [| 0x1.dca9401f03ad8p-1; 0x1.7af40c37c4604p+0; 0x1.8369e545ba9e6p+0 |];
+      sigma_a =
+        [|
+          [| 0x1.29aaa75fd8396p-2; 0x1.4162f2804d5p-9; -0x1.1c8afb67a2c84p-4 |];
+          [| 0x1.4162f2804d5p-9; 0x1.3934c1045248p-3; 0x1.26b79a845c25cp-4 |];
+          [| -0x1.1c8afb67a2c84p-4; 0x1.26b79a845c25cp-4; 0x1.30a8708edb95p-3 |];
+        |];
+      sigma_b =
+        [|
+          [| 0x1.f820e6592f732p-3; -0x1.2bceb90b96b0bp-5; 0x1.c01eee897e47bp-7 |];
+          [| -0x1.2bceb90b96b0bp-5; 0x1.00c1d0483dceap-2; -0x1.2c86ad14523e5p-5 |];
+          [| 0x1.c01eee897e47bp-7; -0x1.2c86ad14523e5p-5; 0x1.6ceb64d77ede2p-3 |];
+        |];
+      n_a = 16;
+      n_b = 16;
+    }
+  in
+  let fmt = Qformat.make ~k:2 ~f:1 in
+  let pb = Ldafp_problem.build ~fmt scatter in
+  check_bruteforce_optimum "unseeded" pb fmt (drain ~seed_incumbent:false pb)
+
+(* A third feature that is the sum of the first two (data on a 1/8 grid,
+   16 trials a class, so S_W is exactly singular and exactly positive
+   semidefinite): no λ̲ exists over the distinct coordinates, nothing
+   caps z, and every node takes the certified interval bound at once —
+   no failed program, no retry, so even a propagating fault policy runs
+   to drain on the brute-force optimum. *)
+let test_no_verified_lambda_takes_interval_bounds () =
+  let rng = Stats.Rng.create 5 in
+  let draw off =
+    Array.init 16 (fun _ ->
+        let x j = Float.round (8.0 *. (off +. (0.1 *. float_of_int j) +. (0.5 *. Stats.Sampler.std_normal rng))) /. 8.0 in
+        let a = x 0 and b = x 1 in
+        [| a; b; a +. b |])
+  in
+  let scatter = Stats.Scatter.of_data (draw 0.6) (draw (-0.6)) in
+  let fmt = Qformat.make ~k:2 ~f:2 in
+  let pb = Ldafp_problem.build ~fmt scatter in
+  checkb "no verified λ̲" true (pb.Ldafp_problem.lambda_grid = 0.0);
+  List.iter
+    (fun seed_incumbent ->
+      let tag = if seed_incumbent then "seeded" else "unseeded" in
+      let o = drain ~seed_incumbent ~fault_policy:Optim.Fault.propagate pb in
+      check_bruteforce_optimum tag pb fmt o;
+      Option.iter
+        (fun o ->
+          let s = o.Lda_fp.diagnostics.Lda_fp.search in
+          checki (tag ^ ": no oracle failures") 0 s.Optim.Bnb.oracle_failures;
+          checki (tag ^ ": no retries") 0 s.Optim.Bnb.retries)
+        o)
+    [ true; false ]
+
 let prop_warm_cold_same_search =
   QCheck.Test.make ~name:"warm and cold searches coincide on fixed seeds"
     ~count:15
@@ -733,8 +846,14 @@ let prop_warm_cold_same_search =
           match warm_cold_pair pb with
           | None, None -> true
           | Some warm, Some cold ->
-              Int64.bits_of_float warm.Lda_fp.cost
-              = Int64.bits_of_float cold.Lda_fp.cost
+              let nw = warm.Lda_fp.diagnostics.Lda_fp.nodes
+              and nc = cold.Lda_fp.diagnostics.Lda_fp.nodes in
+              (Int64.bits_of_float warm.Lda_fp.cost
+               = Int64.bits_of_float cold.Lda_fp.cost
+              || QCheck.Test.fail_reportf "warm cost %h, cold %h" warm.Lda_fp.cost
+                   cold.Lda_fp.cost)
+              && (abs (nw - nc) <= 2 + (max nw nc / 8)
+                 || QCheck.Test.fail_reportf "warm %d nodes, cold %d" nw nc)
           | _ -> false))
 
 (* ------------------------------------------------------------------ *)
@@ -1132,7 +1251,8 @@ let solve_exn config pb =
 (* The Q2.4 search on one domain, run to drain: warm starts must
    actually hit, and neither warm starting nor certification may change
    what the search concludes.  Warm, cold and trusting runs prove the
-   same optimum, bit for bit, with a zero gap.  Features 2 and 3 of this
+   same optimum, bit for bit, with a zero gap, and warm and cold runs
+   grow the same tree.  Features 2 and 3 of this
    instance quantise identically, so S_W is singular: the curvature
    charge is off and the z cap comes from the distinct coordinates. *)
 let test_quick_search_warm_and_certified () =
@@ -1162,6 +1282,8 @@ let test_quick_search_warm_and_certified () =
     (float_of_int hits /. float_of_int (max 1 (hits + misses)) >= 0.5);
   let bits o = Int64.bits_of_float o.Lda_fp.cost in
   checkb "warm and cold: same optimum" true (bits warm = bits cold);
+  checki "warm and cold: same node count" cold.Lda_fp.diagnostics.Lda_fp.nodes
+    warm.Lda_fp.diagnostics.Lda_fp.nodes;
   checkb "certified and trusting: same optimum" true (bits warm = bits trusting);
   List.iter
     (fun o -> checkb "zero gap" true (o.Lda_fp.diagnostics.Lda_fp.gap = 0.0))
@@ -1170,39 +1292,48 @@ let test_quick_search_warm_and_certified () =
   checkb "certificates verified" true (s.Optim.Bnb.cert_verified >= 1);
   checki "no certificate fallbacks" 0 s.Optim.Bnb.cert_fallbacks
 
-(* An exact run-to-drain search (Q2.5, 200 per class) at 1, 2 and 4
-   domains.  However the workers interleave on the shared frontier,
-   every domain count proves the same optimum with a zero certified gap,
-   bit for bit, fully certified, and every worker records its first
-   expansion. *)
-let test_exact_search_domain_invariant () =
-  let pb = synthetic_problem ~n_per_class:200 ~f:5 in
-  let solve domains =
-    let config =
-      {
-        Lda_fp.default_config with
-        bnb_params =
-          {
-            Optim.Bnb.default_params with
-            max_nodes = 5_000_000 (* runaway stop only *);
-            rel_gap = 0.0;
-            abs_gap = 0.0;
-            domains;
-          };
-      }
-    in
-    solve_exn config pb
-  in
-  let seq = solve 1 in
-  (* Pinned: a rewrite of the solver arithmetic that claims
-     bit-identity must leave this search where it is. *)
-  checki "pinned node count" 613 seq.Lda_fp.diagnostics.Lda_fp.nodes;
+let exact_search ~domains pb =
+  solve_exn
+    {
+      Lda_fp.default_config with
+      bnb_params =
+        {
+          Optim.Bnb.default_params with
+          max_nodes = 5_000_000 (* runaway stop only *);
+          rel_gap = 0.0;
+          abs_gap = 0.0;
+          domains;
+        };
+    }
+    pb
+
+(* Pinned exact searches on one domain: a rewrite of the solver
+   arithmetic that claims bit-identity must leave them where they
+   are. *)
+let check_pinned tag o ~nodes ~bits =
+  checki (tag ^ ": pinned node count") nodes o.Lda_fp.diagnostics.Lda_fp.nodes;
   Alcotest.(check string)
-    "pinned cost bits" "3fe1254547599450"
-    (Printf.sprintf "%Lx" (Int64.bits_of_float seq.Lda_fp.cost));
+    (tag ^ ": pinned cost bits") bits
+    (Printf.sprintf "%Lx" (Int64.bits_of_float o.Lda_fp.cost))
+
+(* An exact run-to-drain search of more than 10^4 nodes (Q2.9, 1000 per
+   class) at 1, 2 and 4 domains.  However the workers interleave on the
+   shared frontier, every domain count proves the same optimum with a
+   zero certified gap, bit for bit, fully certified, and every worker
+   records its first expansion.  The Q2.5, 200-per-class search is
+   pinned too. *)
+let test_exact_search_domain_invariant () =
+  check_pinned "Q2.5, 200 per class"
+    (exact_search ~domains:1 (synthetic_problem ~n_per_class:200 ~f:5))
+    ~nodes:613 ~bits:"3fe1254547599450";
+  let pb = synthetic_problem ~n_per_class:1000 ~f:9 in
+  let seq = exact_search ~domains:1 pb in
+  checkb ">= 10^4 nodes on one domain" true
+    (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
+  check_pinned "Q2.9, 1000 per class" seq ~nodes:10_625 ~bits:"3fe46cdfd09faf13";
   List.iter
     (fun domains ->
-      let o = if domains = 1 then seq else solve domains in
+      let o = if domains = 1 then seq else exact_search ~domains pb in
       let d = o.Lda_fp.diagnostics in
       let s = d.Lda_fp.search in
       let tag what = Printf.sprintf "domains=%d: %s" domains what in
@@ -1253,17 +1384,22 @@ let test_ecog_fold_costs_pinned () =
 
 (* Small random problems run to drain against brute force: m <= 3
    features, WL <= 4 (Q2.1 and Q2.2), with the shapes that stress a
-   bound: a feature copied exactly (S_W singular), class means a hair
-   apart, and a range so wide that every weight rounds to 0 (no
-   feasible classifier).  Every exact search, on one domain and on two,
-   returns the cost bits of the brute-force optimum among the t >= 0
-   points, fully certified — or a better point on the t < 0 side (the
-   grid is not symmetric under w ↦ −w, and the seed sweep and the
-   polish may land there), which must then be a feasible grid point. *)
+   bound: a feature copied exactly (S_W singular, the curvature charge
+   off), one that is the sum of two others (S_W singular with no z cap:
+   every node takes the interval bound), class means a hair apart, means
+   so large that the projection cones (20) bind inside the box (the
+   center point of a box may violate them), and a range so wide that
+   every weight rounds to 0 (no feasible classifier).  Every exact
+   search, seeded and unseeded (the node program's z cap then comes from
+   the center point's cost, not an incumbent), on one domain and on
+   two, agrees with brute force ([bruteforce_verdict]), fully
+   certified. *)
 let prop_exact_search_matches_bruteforce =
-  let shape = QCheck.Gen.oneofl [ `Plain; `Collinear; `Close_means; `Wide ] in
+  let shape =
+    QCheck.Gen.oneofl [ `Plain; `Collinear; `Sum; `Close_means; `Tight; `Wide ]
+  in
   QCheck.Test.make ~name:"exact search matches brute force on small problems"
-    ~count:25
+    ~count:40
     QCheck.(
       make
         ~print:(fun (seed, m, f, sh) ->
@@ -1271,21 +1407,34 @@ let prop_exact_search_matches_bruteforce =
             (match sh with
             | `Plain -> "plain"
             | `Collinear -> "collinear"
+            | `Sum -> "sum"
             | `Close_means -> "close means"
+            | `Tight -> "tight"
             | `Wide -> "wide"))
         Gen.(quad (int_range 0 1_000_000) (int_range 1 3) (int_range 1 2) shape))
     (fun (seed, m, f, sh) ->
       let rng = Stats.Rng.create seed in
       let gap = match sh with `Close_means -> 1e-7 | _ -> 0.6 in
       let spread = match sh with `Wide -> 1e6 | _ -> 0.5 in
+      let common = match sh with `Tight -> 1.5 | _ -> 0.0 in
+      (* The sum shape draws multiples of 1/8, 16 trials a class: every
+         step of the scatter is then exact, so S_W is singular but
+         exactly positive semidefinite.  Rounded, a sum of features
+         leaves S_W indefinite by an ulp, and grid points near its null
+         space have costs of -2^49. *)
       let draw off =
-        Array.init 12 (fun _ ->
+        Array.init 16 (fun _ ->
             let row =
               Array.init m (fun j ->
-                  (if j = 0 then off else 0.1 *. float_of_int j)
-                  +. (spread *. Stats.Sampler.std_normal rng))
+                  let x =
+                    common
+                    +. (if j = 0 then off else 0.1 *. float_of_int j)
+                    +. (spread *. Stats.Sampler.std_normal rng)
+                  in
+                  if sh = `Sum then Float.round (8.0 *. x) /. 8.0 else x)
             in
             if sh = `Collinear && m >= 2 then row.(m - 1) <- row.(0);
+            if sh = `Sum && m = 3 then row.(2) <- row.(0) +. row.(1);
             row)
       in
       let scatter = Stats.Scatter.of_data (draw gap) (draw (-.gap)) in
@@ -1293,49 +1442,41 @@ let prop_exact_search_matches_bruteforce =
       match Ldafp_problem.build ~fmt scatter with
       | exception Ldafp_problem.No_feasible_box _ -> true
       | pb ->
-          let best, best_all = bruteforce_optima pb fmt in
           List.for_all
-            (fun domains ->
+            (fun (seed_incumbent, domains) ->
+              let tag =
+                Printf.sprintf "domains %d, %s" domains
+                  (if seed_incumbent then "seeded" else "unseeded")
+              in
               let config =
                 {
                   Lda_fp.default_config with
+                  seed_incumbent;
                   bnb_params =
                     { Optim.Bnb.default_params with
                       max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0;
                       domains };
                 }
               in
-              match Lda_fp.solve ~config pb with
-              | None ->
-                  (not (Float.is_finite best))
-                  || QCheck.Test.fail_reportf "domains %d: no solution, optimum %h"
-                       domains best
-              | Some o ->
+              let result = Lda_fp.solve ~config pb in
+              match (bruteforce_verdict pb fmt result, result) with
+              | Error msg, _ -> QCheck.Test.fail_reportf "%s: %s" tag msg
+              | Ok (), None -> true
+              | Ok (), Some o ->
                   let d = o.Lda_fp.diagnostics in
                   let s = d.Lda_fp.search in
-                  let w = o.Lda_fp.w in
-                  let other_side =
-                    o.Lda_fp.cost < best && o.Lda_fp.cost >= best_all
-                    && Ldafp_problem.t_of pb w < 0.0
-                    && Ldafp_problem.feasible pb w
-                    && Ldafp_problem.cost pb w = o.Lda_fp.cost
-                  in
-                  if
-                    Int64.bits_of_float o.Lda_fp.cost <> Int64.bits_of_float best
-                    && not other_side
-                  then
-                    QCheck.Test.fail_reportf "domains %d: cost %h, brute force %h"
-                      domains o.Lda_fp.cost best
-                  else
-                    (d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal
-                    && s.Optim.Bnb.certified_sound
-                    && s.Optim.Bnb.dropped_regions = 0)
-                    || QCheck.Test.fail_reportf
-                         "domains %d: stop %s, certified_sound %b, %d dropped"
-                         domains
-                         (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
-                         s.Optim.Bnb.certified_sound s.Optim.Bnb.dropped_regions)
-            [ 1; 2 ])
+                  (* A zero certified gap proves the optimum as a drain
+                     does. *)
+                  ((d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal
+                   || (d.Lda_fp.stop_reason = Optim.Bnb.Gap_reached
+                      && d.Lda_fp.gap = 0.0))
+                  && s.Optim.Bnb.certified_sound
+                  && s.Optim.Bnb.dropped_regions = 0)
+                  || QCheck.Test.fail_reportf
+                       "%s: stop %s, certified_sound %b, %d dropped" tag
+                       (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
+                       s.Optim.Bnb.certified_sound s.Optim.Bnb.dropped_regions)
+            [ (true, 1); (true, 2); (false, 1); (false, 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* The exact linear-fractional relaxation                              *)
@@ -1554,6 +1695,10 @@ let () =
             test_solver_warm_matches_cold;
           Alcotest.test_case "exact warm and cold match brute force" `Quick
             test_exact_solve_matches_bruteforce_warm_and_cold;
+          Alcotest.test_case "unseeded search keeps capped boxes" `Quick
+            test_unseeded_search_keeps_capped_boxes;
+          Alcotest.test_case "no verified λ̲ takes interval bounds" `Quick
+            test_no_verified_lambda_takes_interval_bounds;
         ] );
       ( "classifier",
         [

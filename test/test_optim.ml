@@ -8,6 +8,14 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf tol msg = Alcotest.(check (float tol)) msg
 
+(* The 2n half-spaces of lo <= x <= hi. *)
+let box_constraints lo hi =
+  let n = Vec.dim lo in
+  List.concat
+    (List.init n (fun i ->
+         [ { Socp.a = Vec.basis n i; b = hi.(i) };
+           { Socp.a = Vec.neg (Vec.basis n i); b = -.lo.(i) } ]))
+
 (* ------------------------------------------------------------------ *)
 (* Interval                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -327,7 +335,7 @@ let test_socp_box_qp () =
      converges to the boundary within gap tolerance. *)
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = [| -6.0; 2.0 |] in
-  let lins = Socp.box_constraints [| -1.0; -1.0 |] [| 1.0; 1.0 |] in
+  let lins = box_constraints [| -1.0; -1.0 |] [| 1.0; 1.0 |] in
   let problem = Socp.problem ~p ~q ~lins 2 in
   let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
   checkf 1e-3 "x at bound" 1.0 sol.Socp.x.(0);
@@ -386,7 +394,7 @@ let test_socp_certificate_analytic () =
   in
   (* A box around the ball: the residual-absorption step needs bounded
      coordinates (every LDA-FP relaxation has its weight box). *)
-  let lins = Socp.box_constraints [| -2.0; -2.0 |] [| 2.0; 2.0 |] in
+  let lins = box_constraints [| -2.0; -2.0 |] [| 2.0; 2.0 |] in
   let problem = Socp.problem ~p ~q ~lins ~socs:[ cone ] 2 in
   let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
   let true_min = -5.0 in
@@ -412,7 +420,7 @@ let test_socp_certificate_survives_corrupt_primal () =
   let cone =
     { Socp.l = Mat.identity 2; g = Vec.zeros 2; c = Vec.zeros 2; d = 1.0 }
   in
-  let lins = Socp.box_constraints [| -2.0; -2.0 |] [| 2.0; 2.0 |] in
+  let lins = box_constraints [| -2.0; -2.0 |] [| 2.0; 2.0 |] in
   let problem = Socp.problem ~p ~q ~lins ~socs:[ cone ] 2 in
   let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
   let true_min = -5.0 in
@@ -467,7 +475,7 @@ let prop_cert_lower_bounds_reference =
               d = radius } ]
         else []
       in
-      let pb = Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs n in
+      let pb = Socp.problem ~p ~q ~lins:(box_constraints lo hi) ~socs n in
       match Socp.find_strictly_feasible pb ~start:(Vec.zeros n) with
       | Socp.Infeasible _ | Socp.Unknown _ ->
           false (* origin is always feasible here *)
@@ -494,7 +502,7 @@ let prop_cert_lower_bounds_reference =
               else true))
 
 let test_socp_rejects_infeasible_start () =
-  let lins = Socp.box_constraints [| 0.0 |] [| 1.0 |] in
+  let lins = box_constraints [| 0.0 |] [| 1.0 |] in
   let problem = Socp.problem ~lins 1 in
   checkb "raises on outside start" true
     (match Socp.solve problem ~start:[| 5.0 |] with
@@ -508,7 +516,7 @@ let test_socp_boundary_start_nudged () =
      boundary start x = 1: optimum stays at the boundary. *)
   let p = Mat.scale 2.0 (Mat.identity 1) in
   let q = [| -6.0 |] in
-  let lins = Socp.box_constraints [| 0.0 |] [| 1.0 |] in
+  let lins = box_constraints [| 0.0 |] [| 1.0 |] in
   let problem = Socp.problem ~p ~q ~lins 1 in
   let sol = Socp.solve problem ~start:[| 1.0 |] in
   checkf 1e-3 "optimum at the bound" 1.0 sol.Socp.x.(0);
@@ -524,7 +532,7 @@ let test_socp_boundary_start_nudged () =
 
 let test_phase1_finds_feasible () =
   (* Feasible region: a small box away from the start. *)
-  let lins = Socp.box_constraints [| 4.0; 4.0 |] [| 5.0; 5.0 |] in
+  let lins = box_constraints [| 4.0; 4.0 |] [| 5.0; 5.0 |] in
   let problem = Socp.problem ~lins 2 in
   match Socp.find_strictly_feasible problem ~start:[| 0.0; 0.0 |] with
   | Socp.Strictly_feasible x ->
@@ -549,7 +557,7 @@ let test_phase1_then_solve () =
   (* min x² over [3, 5] from the infeasible start 0: phase-I must move
      into the box first, then the barrier solve finds the bound. *)
   let p = Mat.scale 2.0 (Mat.identity 1) in
-  let lins = Socp.box_constraints [| 3.0 |] [| 5.0 |] in
+  let lins = box_constraints [| 3.0 |] [| 5.0 |] in
   let problem = Socp.problem ~p ~lins 1 in
   match Socp.find_strictly_feasible problem ~start:[| 0.0 |] with
   | Socp.Strictly_feasible x0 ->
@@ -591,7 +599,7 @@ let test_socp_of_parts_rejects_asymmetric_p () =
   let p = [| [| 2.0; 0.3; -0.1 |]; [| 0.3; 1.0; 0.2 |]; [| -0.1; 0.2; 1.5 |] |] in
   let build p =
     Socp.of_parts ~p ~q:(Vec.zeros 3)
-      ~lins:(Array.of_list (Socp.box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0)))
+      ~lins:(Array.of_list (box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0)))
       ~cones:(Socp.cones [||]) 3
   in
   checkb "symmetric P accepted" true
@@ -1304,7 +1312,7 @@ let oracle_toy_problem () =
   in
   let q = Array.init n (fun _ -> u ()) in
   let lins =
-    Socp.box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0)
+    box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0)
     @ [ { Socp.a = [| 0.3; -0.2; 0.1 |]; b = 1.5 };
         { Socp.a = [| 0.0; -0.4; 0.7 |]; b = 1.2 } ]
   in
@@ -1614,7 +1622,7 @@ let prop_admm_agrees_with_barrier =
       let admm = Admm_qp.solve (Admm_qp.box_problem ~p ~q ~lo ~hi ()) in
       let socp =
         Socp.solve
-          (Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) n)
+          (Socp.problem ~p ~q ~lins:(box_constraints lo hi) n)
           ~start:(Vec.zeros n)
       in
       Float.abs (admm.Admm_qp.objective -. socp.Socp.objective)
@@ -1646,7 +1654,7 @@ let prop_warm_start_agrees_with_cold =
           d = radius }
       in
       let pb =
-        Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs:[ cone ] n
+        Socp.problem ~p ~q ~lins:(box_constraints lo hi) ~socs:[ cone ] n
       in
       match Socp.find_strictly_feasible pb ~start:(Vec.zeros n) with
       | Socp.Infeasible _ | Socp.Unknown _ ->
@@ -1680,7 +1688,7 @@ let fold_test_problem () =
     [| [| 2.0; 1.0; 0.0 |]; [| 1.0; 2.0; 0.0 |]; [| 0.0; 0.0; 2.0 |] |]
   in
   let q = [| -1.0; 0.5; -2.0 |] in
-  let lins = Socp.box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0) in
+  let lins = box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0) in
   let ball =
     { Socp.l = Mat.identity 3; g = Vec.zeros 3; c = Vec.zeros 3; d = 2.0 }
   in
@@ -1755,7 +1763,7 @@ let prop_pull_in_strictly_interior =
         { Socp.l = Mat.identity n; g = Vec.zeros n; c = Vec.zeros n;
           d = radius }
       in
-      let pb = Socp.problem ~lins:(Socp.box_constraints lo hi) ~socs:[ cone ] n in
+      let pb = Socp.problem ~lins:(box_constraints lo hi) ~socs:[ cone ] n in
       let x0 =
         Array.init n (fun i -> Stats.Rng.uniform rng ~lo:lo.(i) ~hi:hi.(i))
       in
