@@ -1,6 +1,7 @@
 (* ldafp — command-line interface to the LDA-FP training system.
 
-   Subcommands: generate, train, eval, sweep, rtl, info. *)
+   Subcommands: generate, train, eval, classify, sweep, rtl, analyze,
+   info, runs (list, show, diff). *)
 
 open Cmdliner
 open Ldafp_core
@@ -470,15 +471,6 @@ let train_cmd =
                   s.Optim.Bnb.oracle_failures s.Optim.Bnb.retries
                   s.Optim.Bnb.degraded_bounds s.Optim.Bnb.dropped_regions;
               if
-                s.Optim.Bnb.retry_budget_exhausted > 0
-                || s.Optim.Bnb.retry_backoff_seconds > 0.0
-              then
-                Fmt.pr
-                  "fault retries: %.3fs in backoff, %d node(s) hit the \
-                   per-node retry budget@."
-                  s.Optim.Bnb.retry_backoff_seconds
-                  s.Optim.Bnb.retry_budget_exhausted;
-              if
                 s.Optim.Bnb.cert_verified > 0
                 || s.Optim.Bnb.cert_repaired > 0
                 || s.Optim.Bnb.cert_fallbacks > 0
@@ -593,11 +585,32 @@ let model_arg =
     & opt (some file) None
     & info [ "model" ] ~docv:"FILE" ~doc:"Trained model file.")
 
+(* [check_features ~model clf ~data ?line n] accepts rows of [data] with
+   [n] features only if the model [clf] takes [n].  A mismatch is
+   malformed input like any other: one line naming the data file (and
+   the row, when [line] is given) and exit 1, never
+   [Scaling.apply_vec]'s Invalid_argument. *)
+let check_features ~model clf ~data ?line n =
+  let m = Fixed_classifier.n_features clf in
+  if n <> m then begin
+    let where =
+      match line with Some l -> Printf.sprintf "%s:%d" data l | None -> data
+    in
+    Fmt.epr "%s: expected %d features (model %s), found %d@." where m model n;
+    exit 1
+  end
+
+(* [load_for ~model clf data] loads the dataset [clf] is run on. *)
+let load_for ~model clf data =
+  let ds = reading data Datasets.Dataset_io.load in
+  check_features ~model clf ~data (Datasets.Dataset.n_features ds);
+  ds
+
 let eval_cmd =
   let run verbose model data =
     setup_logs verbose;
     let clf = reading model Model_io.load in
-    let ds = reading data Datasets.Dataset_io.load in
+    let ds = load_for ~model clf data in
     let confusion = Eval.confusion_fixed clf ds in
     Fmt.pr "%a on %a@.error rate: %.2f%%  (sensitivity %.2f%%, specificity \
             %.2f%%)@."
@@ -714,6 +727,16 @@ let rtl_cmd =
   let run verbose model out testbench data c_header =
     setup_logs verbose;
     let clf = reading model Model_io.load in
+    (* The stimulus is read and checked before any output is written. *)
+    let stimulus =
+      match (testbench, data) with
+      | Some tb_path, Some data_path ->
+          Some (tb_path, load_for ~model clf data_path)
+      | Some _, None ->
+          Fmt.epr "--testbench requires --data for stimulus vectors@.";
+          exit 1
+      | None, _ -> None
+    in
     Option.iter
       (fun path ->
         writing path (fun path -> Model_io.save_c_header path clf);
@@ -737,9 +760,8 @@ let rtl_cmd =
     in
     write out (Hw.Verilog_gen.module_source spec);
     Fmt.pr "wrote %s@." out;
-    match (testbench, data) with
-    | Some tb_path, Some data_path ->
-        let ds = reading data_path Datasets.Dataset_io.load in
+    Option.iter
+      (fun (tb_path, ds) ->
         let vectors =
           List.init
             (min 16 (Datasets.Dataset.n_trials ds))
@@ -751,11 +773,8 @@ let rtl_cmd =
               })
         in
         write tb_path (Hw.Verilog_gen.testbench_source spec vectors);
-        Fmt.pr "wrote %s (%d vectors)@." tb_path (List.length vectors)
-    | Some _, None ->
-        Fmt.epr "--testbench requires --data for stimulus vectors@.";
-        exit 1
-    | None, _ -> ()
+        Fmt.pr "wrote %s (%d vectors)@." tb_path (List.length vectors))
+      stimulus
   in
   Cmd.v
     (Cmd.info "rtl" ~doc:"Emit synthesizable Verilog for a trained model.")
@@ -791,7 +810,6 @@ let classify_cmd =
     Option.iter writable ledger;
     let clf = reading model Model_io.load in
     let engine = Infer.Engine.of_fixed ~capacity:batch clf in
-    let m = Fixed_classifier.n_features clf in
     let b = Infer.Engine.make_batch engine in
     let preds = Bytes.create batch in
     let truths = Array.make batch false in
@@ -824,16 +842,8 @@ let classify_cmd =
            match Datasets.Dataset_io.parse_row !lineno line with
            | None -> ()
            | Some (label, feats) ->
-               if Array.length feats <> m then
-                 raise
-                   (Datasets.Dataset_io.Parse_error
-                      {
-                        line = !lineno;
-                        message =
-                          Printf.sprintf
-                            "expected %d features (model %s), found %d" m
-                            model (Array.length feats);
-                      });
+               check_features ~model clf ~data ~line:!lineno
+                 (Array.length feats);
                Infer.Engine.load engine b ~col:!pending feats;
                truths.(!pending) <- label;
                incr pending;
@@ -903,7 +913,7 @@ let analyze_cmd =
   let run verbose model data =
     setup_logs verbose;
     let clf = reading model Model_io.load in
-    let ds = reading data Datasets.Dataset_io.load in
+    let ds = load_for ~model clf data in
     let fmt = Fixed_classifier.format clf in
     (* Quantisation-noise accounting against the dataset's statistics in
        the classifier's own scaled space. *)

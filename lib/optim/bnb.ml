@@ -66,8 +66,6 @@ type stats = {
   cert_repaired : int;
   cert_fallbacks : int;
   certified_sound : bool;
-  retry_budget_exhausted : int;
-  retry_backoff_seconds : float;
   oracle_seconds : float;
   domain_oracle_seconds : float array;
   wall_seconds : float;
@@ -105,8 +103,6 @@ let stats_to_json (s : stats) =
       ("cert_repaired", Int s.cert_repaired);
       ("cert_fallbacks", Int s.cert_fallbacks);
       ("certified_sound", Bool s.certified_sound);
-      ("retry_budget_exhausted", Int s.retry_budget_exhausted);
-      ("retry_backoff_seconds", Float s.retry_backoff_seconds);
       ("oracle_seconds", Float s.oracle_seconds);
       ( "domain_oracle_seconds",
         List (floats (Array.to_list s.domain_oracle_seconds)) );
@@ -172,35 +168,14 @@ type checkpointing = {
 let checkpointing ?(every_nodes = 0) ~fingerprint path =
   { path; every_nodes; fingerprint }
 
-(* The one checkpoint schema.  Any change here (or to a caller's region
-   or solution type) bumps the version line in Checkpoint. *)
+(* The one checkpoint schema.  Any change here, to [stats] (or to a
+   caller's region or solution type) bumps the version line in
+   Checkpoint. *)
 type ('region, 'sol) snapshot = {
   frontier : (float * 'region) array;
   incumbent : ('sol * float) option;
   nodes_explored : int;
-  elapsed : float;
-  infeasible_regions : int;
-  bound_pruned : int;
-  stale_pops : int;
-  incumbent_updates : int;
-  children_generated : int;
-  idle_wakeups : int;
-  oracle_failures : int;
-  retries : int;
-  degraded_bounds : int;
-  dropped_regions : int;
-  retry_budget_exhausted : int;
-  retry_backoff_ns : int;
-  warm_start_hits : int;
-  warm_pull_ins : int;
-  warm_miss_no_parent : int;
-  warm_miss_not_interior : int;
-  warm_miss_fault_cleared : int;
-  oracle_time_us : int;
-  cert_verified : int;
-  cert_repaired : int;
-  cert_fallbacks : int;
-  certified_sound : bool;
+  stats : stats;
 }
 
 let src = Logs.Src.create "ldafp.bnb" ~doc:"branch-and-bound driver"
@@ -243,8 +218,6 @@ let p_cert_fallback =
   Obs.Probe.v "fault.cert_fallback"
     ~count:"regions degraded or dropped because their dual certificate failed"
 
-let p_budget_exhausted = Obs.Probe.v "fault.budget_exhausted"
-
 (* One line for [Obs.Progress]: the search-wide picture an operator
    needs to decide whether a long run is still converging. *)
 let progress_line ~nodes ~elapsed ~incumbent ~bound ~oracle_us =
@@ -284,32 +257,8 @@ let sanitize_candidate (fc : Fault.counters) = function
       Some { lower; candidate = None }
   | info -> info
 
-(* Capped-exponential backoff before a retry, charged to the shared
-   fault counters so operators can see how much wall-clock containment
-   cost.  Sleeping holds no lock (the caller's in-flight slot is not a
-   lock); siblings keep exploring. *)
-let sleep_backoff (policy : Fault.policy) (fc : Fault.counters) ~attempt =
-  let d = Fault.backoff_delay policy ~attempt in
-  if d > 0.0 then begin
-    Unix.sleepf d;
-    ignore (Atomic.fetch_and_add fc.Fault.backoff_ns (int_of_float (d *. 1e9)))
-  end
-
-(* Per-expansion retry budget: [!budget > 0] retries remain; [0] just
-   ran out (count the exhaustion once, then mark with -1). *)
-let budget_allows (fc : Fault.counters) budget =
-  if !budget > 0 then true
-  else begin
-    if !budget = 0 then begin
-      budget := -1;
-      Atomic.incr fc.Fault.budget_exhausted;
-      Obs.Probe.hit p_budget_exhausted
-    end;
-    false
-  end
-
 let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
-    ~(oc : oracle_counters) ~(budget : int ref) (oracle : _ oracle) region =
+    ~(oc : oracle_counters) (oracle : _ oracle) region =
   let policy = faults.policy in
   let call attempt =
     let f =
@@ -336,11 +285,9 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
         Atomic.incr fc.Fault.failures;
         Log.debug (fun m ->
             m "bound failure (attempt %d): %s" (k + 1) (Fault.describe failure));
-        if k < policy.Fault.max_retries && budget_allows fc budget then begin
-          decr budget;
+        if k < policy.Fault.max_retries then begin
           Atomic.incr fc.Fault.retries;
           Obs.Probe.hit_int p_retry "attempt" (k + 1);
-          sleep_backoff policy fc ~attempt:(k + 1);
           attempt (k + 1)
         end
         else begin
@@ -407,8 +354,8 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
    private accumulator — the per-domain utilization numbers.  Timed in
    integer nanoseconds off the monotonic clock, so the measurement
    itself never allocates. *)
-let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) ~budget
-    oracle region =
+let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) oracle
+    region =
   let t0 = Obs.Clock.now_ns () in
   Fun.protect
     ~finally:(fun () ->
@@ -417,10 +364,9 @@ let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) ~budget
       ignore (Atomic.fetch_and_add oc.oracle_time_us dus);
       (match cell with Some c -> c := !c + dus | None -> ());
       Obs.Probe.span p_bound ~t0_ns:t0 ~dur_ns:dns)
-    (fun () -> guarded_bound ~faults ~fc ~oc ~budget oracle region)
+    (fun () -> guarded_bound ~faults ~fc ~oc oracle region)
 
-let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) ~budget oracle
-    region =
+let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) oracle region =
   let policy = faults.policy in
   let rec attempt k =
     match oracle.branch region with
@@ -429,10 +375,8 @@ let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) ~budget oracle
         Atomic.incr fc.Fault.failures;
         Log.debug (fun m ->
             m "branch failure (attempt %d): %s" (k + 1) (Printexc.to_string e));
-        if k < policy.Fault.max_retries && budget_allows fc budget then begin
-          decr budget;
+        if k < policy.Fault.max_retries then begin
           Atomic.incr fc.Fault.retries;
-          sleep_backoff policy fc ~attempt:(k + 1);
           attempt (k + 1)
         end
         else if policy.Fault.reraise then raise e
@@ -457,52 +401,22 @@ type ('region, 'sol) source =
   | Root of 'region
   | Restored of ('region, 'sol) snapshot
 
-(* The snapshot a search from the root starts its totals from. *)
-let empty_snapshot =
-  {
-    frontier = [||];
-    incumbent = None;
-    nodes_explored = 0;
-    elapsed = 0.0;
-    infeasible_regions = 0;
-    bound_pruned = 0;
-    stale_pops = 0;
-    incumbent_updates = 0;
-    children_generated = 0;
-    idle_wakeups = 0;
-    oracle_failures = 0;
-    retries = 0;
-    degraded_bounds = 0;
-    dropped_regions = 0;
-    retry_budget_exhausted = 0;
-    retry_backoff_ns = 0;
-    warm_start_hits = 0;
-    warm_pull_ins = 0;
-    warm_miss_no_parent = 0;
-    warm_miss_not_interior = 0;
-    warm_miss_fault_cleared = 0;
-    oracle_time_us = 0;
-    cert_verified = 0;
-    cert_repaired = 0;
-    cert_fallbacks = 0;
-    certified_sound = true;
-  }
-
 (* Copy a snapshot's atomic counters back into the live ones; the plain
-   totals are read from the snapshot directly when the run merges. *)
-let restore (fc : Fault.counters) (oc : oracle_counters) s =
+   totals are read from the snapshot directly when the run builds its
+   stats.  The per-run fields ([domains_used] and the [domain_*] arrays)
+   are not restored, and [phase1_skipped] is derived. *)
+let restore (fc : Fault.counters) (oc : oracle_counters) (s : stats) =
   Atomic.set fc.Fault.failures s.oracle_failures;
   Atomic.set fc.Fault.retries s.retries;
   Atomic.set fc.Fault.degraded s.degraded_bounds;
   Atomic.set fc.Fault.dropped s.dropped_regions;
-  Atomic.set fc.Fault.budget_exhausted s.retry_budget_exhausted;
-  Atomic.set fc.Fault.backoff_ns s.retry_backoff_ns;
   Atomic.set oc.warm_hits s.warm_start_hits;
   Atomic.set oc.pull_ins s.warm_pull_ins;
   Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
   Atomic.set oc.miss_not_interior s.warm_miss_not_interior;
   Atomic.set oc.miss_fault_cleared s.warm_miss_fault_cleared;
-  Atomic.set oc.oracle_time_us s.oracle_time_us;
+  Atomic.set oc.oracle_time_us
+    (int_of_float (Float.round (s.oracle_seconds *. 1e6)));
   Atomic.set oc.cert_verified s.cert_verified;
   Atomic.set oc.cert_repaired s.cert_repaired;
   Atomic.set oc.cert_fallbacks s.cert_fallbacks;
@@ -568,28 +482,35 @@ let run : type region sol.
   let frontier : region Frontier.t = Frontier.create ~workers in
   let fc = Fault.fresh_counters () in
   let oc = match counters with Some c -> c | None -> oracle_counters () in
-  (* Totals carried in from the snapshot (zeros from the root); every
-     merged count below is [s0] plus this run's. *)
-  let s0 =
+  (* Totals carried in from a snapshot: the atomic counters are restored
+     in place, the plain ones are [prior] plus this run's.  A root
+     search carries none. *)
+  let carried =
     match source with
-    | Root _ -> empty_snapshot
+    | Root _ -> None
     | Restored s ->
-        restore fc oc s;
-        s
+        restore fc oc s.stats;
+        Some s
   in
+  let prior f = Option.fold ~none:0 ~some:(fun s -> f s.stats) carried in
   (* The incumbent solution is guarded by its own mutex; its cost is
      mirrored in an Atomic read lock-free on every stale check, push
      decision and gap test. *)
   let inc_lock = Mutex.create () in
-  let incumbent = ref s0.incumbent in
+  let incumbent = ref (Option.bind carried (fun s -> s.incumbent)) in
   let incumbent_cost =
     Atomic.make
       (match !incumbent with Some (_, c) -> c | None -> Float.infinity)
   in
-  let nodes = Atomic.make s0.nodes_explored in
+  let nodes =
+    Atomic.make (Option.fold ~none:0 ~some:(fun s -> s.nodes_explored) carried)
+  in
   let start_time = now () in
   let run_t0_ns = Obs.Clock.now_ns () in
-  let elapsed () = s0.elapsed +. (now () -. start_time) in
+  let elapsed0 =
+    Option.fold ~none:0.0 ~some:(fun s -> s.stats.wall_seconds) carried
+  in
+  let elapsed () = elapsed0 +. (now () -. start_time) in
   let stop : stop_reason option Atomic.t = Atomic.make None in
   (* Per-worker single-writer statistics; merged after the joins.
      Records (not an int array) so counters of one worker share no cache
@@ -629,36 +550,47 @@ let run : type region sol.
      be stale by a few increments; fine for diagnostics.  The node
      counter, fault counters and oracle counters are atomics and exact. *)
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
-  (* The search-wide totals so far, around a given frontier and
-     incumbent: what a checkpoint saves and what [stats] reports. *)
-  let snapshot ~saved ~incumbent =
+  (* The search-wide statistics so far: what a checkpoint saves and
+     what the result reports. *)
+  let stats () =
+    let seconds us = float_of_int us *. 1e-6 in
+    let warm_start_hits = Atomic.get oc.warm_hits in
     {
-      frontier = saved;
-      incumbent;
-      nodes_explored = Atomic.get nodes;
-      elapsed = elapsed ();
-      infeasible_regions = s0.infeasible_regions + sum (fun w -> w.W.infeasible);
-      bound_pruned = s0.bound_pruned + sum (fun w -> w.W.pruned);
-      stale_pops = s0.stale_pops + sum (fun w -> w.W.stale);
-      incumbent_updates = s0.incumbent_updates + sum (fun w -> w.W.updates);
-      children_generated = s0.children_generated + sum (fun w -> w.W.children);
-      idle_wakeups = s0.idle_wakeups + Frontier.idle_wakeups frontier;
+      infeasible_regions =
+        prior (fun s -> s.infeasible_regions) + sum (fun w -> w.W.infeasible);
+      bound_pruned = prior (fun s -> s.bound_pruned) + sum (fun w -> w.W.pruned);
+      stale_pops = prior (fun s -> s.stale_pops) + sum (fun w -> w.W.stale);
+      incumbent_updates =
+        prior (fun s -> s.incumbent_updates) + sum (fun w -> w.W.updates);
+      children_generated =
+        prior (fun s -> s.children_generated) + sum (fun w -> w.W.children);
+      domains_used = workers;
+      idle_wakeups =
+        prior (fun s -> s.idle_wakeups) + Frontier.idle_wakeups frontier;
+      domain_first_node_seconds =
+        Array.map
+          (fun w ->
+            if w.W.first_node_us < 0 then -1.0 else seconds w.W.first_node_us)
+          ws;
       oracle_failures = Atomic.get fc.Fault.failures;
       retries = Atomic.get fc.Fault.retries;
       degraded_bounds = Atomic.get fc.Fault.degraded;
       dropped_regions = Atomic.get fc.Fault.dropped;
-      retry_budget_exhausted = Atomic.get fc.Fault.budget_exhausted;
-      retry_backoff_ns = Atomic.get fc.Fault.backoff_ns;
-      warm_start_hits = Atomic.get oc.warm_hits;
+      warm_start_hits;
+      (* A warm hit is exactly a phase-I solve skipped. *)
+      phase1_skipped = warm_start_hits;
       warm_pull_ins = Atomic.get oc.pull_ins;
       warm_miss_no_parent = Atomic.get oc.miss_no_parent;
       warm_miss_not_interior = Atomic.get oc.miss_not_interior;
       warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
-      oracle_time_us = Atomic.get oc.oracle_time_us;
       cert_verified = Atomic.get oc.cert_verified;
       cert_repaired = Atomic.get oc.cert_repaired;
       cert_fallbacks = Atomic.get oc.cert_fallbacks;
       certified_sound = Atomic.get oc.certified_sound;
+      oracle_seconds = seconds (Atomic.get oc.oracle_time_us);
+      domain_oracle_seconds =
+        Array.map (fun w -> seconds !(w.W.oracle_cell)) ws;
+      wall_seconds = elapsed ();
     }
   in
   let consider_candidate (w : W.t) = function
@@ -709,7 +641,9 @@ let run : type region sol.
       Mutex.unlock inc_lock;
       i
     in
-    try_save ck (snapshot ~saved ~incumbent)
+    try_save ck
+      { frontier = saved; incumbent; nodes_explored = Atomic.get nodes;
+        stats = stats () }
   in
   (* The worker that claimed node [n] saves on the cadence; a save still
      in progress makes the next one skip (try_lock) rather than queue up
@@ -766,11 +700,7 @@ let run : type region sol.
         Fun.protect
           ~finally:(fun () -> Frontier.release frontier ~worker:i)
           (fun () ->
-            (* One retry budget per node expansion: the branch call and
-               all child bounds draw from it, capping the worst-case time
-               a pathological region can soak up. *)
-            let budget = ref faults.policy.Fault.retry_budget in
-            let children = guarded_branch ~faults ~fc ~budget oracle region in
+            let children = guarded_branch ~faults ~fc oracle region in
             w.W.children <- w.W.children + List.length children;
             (* Bound each child outside any lock and push it at once, so
                idle siblings get fresh work. *)
@@ -778,7 +708,7 @@ let run : type region sol.
               (fun child ->
                 match
                   timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~fc ~oc
-                    ~budget oracle child
+                    oracle child
                 with
                 | Dropped_bound -> ()
                 | Bounded info -> record_bounded w child info)
@@ -841,8 +771,8 @@ let run : type region sol.
          (callers may rely on the root bound running first, e.g. to
          install a seeded incumbent). *)
       match
-        timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~fc ~oc
-          ~budget:(ref faults.policy.Fault.retry_budget) oracle root
+        timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~fc ~oc oracle
+          root
       with
       | Dropped_bound -> ()
       | Bounded info -> record_bounded ws.(0) root info)
@@ -867,52 +797,15 @@ let run : type region sol.
   | _ -> ());
   let bound = global_bound () in
   let incumbent_cost = Atomic.get incumbent_cost in
-  let t = snapshot ~saved:[||] ~incumbent:None in
   {
     best = !incumbent;
     bound;
     gap =
       (if incumbent_cost = Float.infinity then Float.infinity
        else incumbent_cost -. bound);
-    nodes_explored = t.nodes_explored;
+    nodes_explored = Atomic.get nodes;
     stop_reason;
-    stats =
-      {
-        infeasible_regions = t.infeasible_regions;
-        bound_pruned = t.bound_pruned;
-        stale_pops = t.stale_pops;
-        incumbent_updates = t.incumbent_updates;
-        children_generated = t.children_generated;
-        domains_used = workers;
-        idle_wakeups = t.idle_wakeups;
-        domain_first_node_seconds =
-          Array.map
-            (fun w ->
-              if w.W.first_node_us < 0 then -1.0
-              else float_of_int w.W.first_node_us *. 1e-6)
-            ws;
-        oracle_failures = t.oracle_failures;
-        retries = t.retries;
-        degraded_bounds = t.degraded_bounds;
-        dropped_regions = t.dropped_regions;
-        warm_start_hits = t.warm_start_hits;
-        (* A warm hit is exactly a phase-I solve skipped. *)
-        phase1_skipped = t.warm_start_hits;
-        warm_pull_ins = t.warm_pull_ins;
-        warm_miss_no_parent = t.warm_miss_no_parent;
-        warm_miss_not_interior = t.warm_miss_not_interior;
-        warm_miss_fault_cleared = t.warm_miss_fault_cleared;
-        cert_verified = t.cert_verified;
-        cert_repaired = t.cert_repaired;
-        cert_fallbacks = t.cert_fallbacks;
-        certified_sound = t.certified_sound;
-        retry_budget_exhausted = t.retry_budget_exhausted;
-        retry_backoff_seconds = float_of_int t.retry_backoff_ns *. 1e-9;
-        oracle_seconds = float_of_int t.oracle_time_us *. 1e-6;
-        domain_oracle_seconds =
-          Array.map (fun w -> float_of_int !(w.W.oracle_cell) *. 1e-6) ws;
-        wall_seconds = t.elapsed;
-      };
+    stats = stats ();
   }
 
 let minimize ?(params = default_params) ?(faults = default_faults)

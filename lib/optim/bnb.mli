@@ -125,7 +125,7 @@ type stats = {
       (** current-run time from search start until each worker expanded
           its first node (length [domains_used]; [-1.0] for a worker
           that never expanded one) — the time-to-first-node startup
-          diagnostic.  Not persisted across checkpoints. *)
+          diagnostic.  Saved in a checkpoint, never restored. *)
   oracle_failures : int;
       (** failing oracle invocations (exceptions and non-finite bounds),
           including failing retry attempts *)
@@ -180,14 +180,6 @@ type stats = {
           certification disabled ({!mark_uncertified}) in this run or
           in any earlier run of the resume chain.  Sticky once cleared;
           persisted through checkpoints. *)
-  retry_budget_exhausted : int;
-      (** node expansions whose {!Fault.policy.retry_budget} ran out, so
-          later failures inside them skipped straight to
-          degrade/drop *)
-  retry_backoff_seconds : float;
-      (** total wall-clock the containment policy spent sleeping between
-          retries (capped exponential backoff; see
-          {!Fault.backoff_delay}) *)
   oracle_seconds : float;
       (** cumulative wall-clock time spent inside [oracle.bound] calls
           (including retries and fallbacks), summed across domains and
@@ -197,8 +189,8 @@ type stats = {
       (** current-run oracle wall-time attributed to each worker domain
           (length [domains_used]); each entry is bounded by the run's
           wall-clock, so per-domain utilization is
-          [domain_oracle_seconds.(i) / wall].  Not persisted across
-          checkpoints. *)
+          [domain_oracle_seconds.(i) / wall].  Saved in a checkpoint,
+          never restored. *)
   wall_seconds : float;
       (** wall-clock duration of the search on the monotonic
           {!Obs.Clock} — immune to NTP steps, unlike timing the call
@@ -208,9 +200,12 @@ type stats = {
           same clock. *)
 }
 (** Search statistics — the observability the ablation benches report.
-    All fields except the per-domain arrays ([domain_oracle_seconds],
-    [domain_first_node_seconds]) survive a checkpoint/resume cycle,
-    carried by the typed fields of {!snapshot}. *)
+    A {!snapshot} stores the record as it stood when saved, and
+    {!resume} carries every cumulative field forward.  The per-run
+    fields — [domains_used] and the per-domain arrays
+    ([domain_oracle_seconds], [domain_first_node_seconds]) — are saved
+    but never restored: they describe the run that reports them.
+    [phase1_skipped] is derived from [warm_start_hits]. *)
 
 val stats_to_json : stats -> Obs.Json.t
 (** Every {!stats} field as a flat JSON object (per-domain arrays as
@@ -293,41 +288,20 @@ type ('region, 'sol) snapshot = {
           that was queued or in flight at snapshot time *)
   incumbent : ('sol * float) option;
   nodes_explored : int;
-  elapsed : float;  (** wall-clock seconds consumed before the snapshot *)
-  infeasible_regions : int;
-  bound_pruned : int;
-  stale_pops : int;
-  incumbent_updates : int;
-  children_generated : int;
-  idle_wakeups : int;
-  oracle_failures : int;
-  retries : int;
-  degraded_bounds : int;
-  dropped_regions : int;
-  retry_budget_exhausted : int;
-  retry_backoff_ns : int;
-  warm_start_hits : int;
-  warm_pull_ins : int;
-  warm_miss_no_parent : int;
-  warm_miss_not_interior : int;
-  warm_miss_fault_cleared : int;
-  oracle_time_us : int;
-  cert_verified : int;
-  cert_repaired : int;
-  cert_fallbacks : int;
-  certified_sound : bool;
-      (** {!resume} can only clear the live flag from this, never set
-          it: a chain is sound only if every run in it was *)
+  stats : stats;
+      (** the search's statistics at snapshot time;
+          [stats.wall_seconds] is the wall-clock consumed so far.
+          {!resume} can only clear the live [certified_sound] flag from
+          this, never set it: a chain is sound only if every run in it
+          was *)
 }
 (** The one checkpoint schema: everything {!resume} needs to continue a
-    search, as typed fields.  The counters are the cumulative totals of
-    the matching {!stats} fields (times in integer micro- or
-    nanoseconds).  The driver writes one through {!Checkpoint.save}
-    under [checkpointing.fingerprint]; read it back with
+    search.  The driver writes one through {!Checkpoint.save} under
+    [checkpointing.fingerprint]; read it back with
     [(Checkpoint.load ~fingerprint ~path : (_, _) snapshot)].  There is
-    no migration: changing this record (or a region/solution type stored
-    in it) bumps {!Checkpoint}'s format version, so older files are
-    rejected with {!Checkpoint.Corrupt}. *)
+    no migration: changing this record, {!stats} (or a region/solution
+    type stored in it) bumps {!Checkpoint}'s format version, so older
+    files are rejected with {!Checkpoint.Corrupt}. *)
 
 val minimize :
   ?params:params ->
@@ -372,10 +346,11 @@ val resume :
   ('region, 'sol) snapshot ->
   'sol result
 (** Continue a search from a {!snapshot}: the saved frontier
-    is re-queued at its certified keys (without re-bounding), the
-    incumbent, node count, statistics and elapsed wall-clock time are
-    copied back field by field, so [max_nodes] and [time_limit] budget
-    the {e whole} search across restarts.  A search killed at any point
+    is re-queued at its certified keys (without re-bounding), and the
+    incumbent, node count, cumulative statistics and elapsed wall-clock
+    time carry forward (oracle time at whole-microsecond resolution),
+    so [max_nodes] and [time_limit] budget the {e whole} search across
+    restarts.  A search killed at any point
     and resumed, at any domain count, reaches the same incumbent cost
     as the uninterrupted run (verified by property tests).  The caller
     loads the snapshot with {!Checkpoint.load}, whose fingerprint,

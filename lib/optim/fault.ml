@@ -18,40 +18,17 @@ type policy = {
   max_retries : int;
   degrade : bool;
   reraise : bool;
-  backoff_base : float;
-  backoff_cap : float;
-  retry_budget : int;
 }
 
-let default_policy =
-  {
-    max_retries = 1;
-    degrade = true;
-    reraise = false;
-    backoff_base = 1e-3;
-    backoff_cap = 0.25;
-    retry_budget = 8;
-  }
+let default_policy = { max_retries = 1; degrade = true; reraise = false }
 
-let propagate = { default_policy with max_retries = 0; degrade = false;
-                  reraise = true }
-
-(* Capped exponential backoff: retry [k] (1-based) sleeps
-   [min (cap, base * 2^(k-1))].  A non-positive base disables sleeping
-   entirely (used by the fast test configurations). *)
-let backoff_delay policy ~attempt =
-  if policy.backoff_base <= 0.0 || attempt < 1 then 0.0
-  else
-    Float.min policy.backoff_cap
-      (policy.backoff_base *. Float.pow 2.0 (float_of_int (attempt - 1)))
+let propagate = { max_retries = 0; degrade = false; reraise = true }
 
 type counters = {
   failures : int Atomic.t;
   retries : int Atomic.t;
   degraded : int Atomic.t;
   dropped : int Atomic.t;
-  budget_exhausted : int Atomic.t;
-  backoff_ns : int Atomic.t;
 }
 
 let fresh_counters () =
@@ -60,6 +37,4 @@ let fresh_counters () =
     retries = Atomic.make 0;
     degraded = Atomic.make 0;
     dropped = Atomic.make 0;
-    budget_exhausted = Atomic.make 0;
-    backoff_ns = Atomic.make 0;
   }

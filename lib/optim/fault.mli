@@ -43,7 +43,10 @@ type policy = {
   max_retries : int;
       (** re-invocations of a failing oracle call before degrading
           (each may use jittered solver parameters via
-          {!Bnb.faults}[.retry_bound]) *)
+          {!Bnb.faults}[.retry_bound]).  Retries are immediate: a
+          failing solve is a deterministic function of its inputs (or
+          of an injected fault), so only the jitter, never waiting,
+          can change its outcome. *)
   degrade : bool;
       (** after retries are exhausted, fall back to the caller's cheap
           conservative bound ({!Bnb.faults}[.fallback_bound]) so the
@@ -52,46 +55,22 @@ type policy = {
       (** if no handling remains, re-raise the original exception
           instead of dropping the region — restores the
           pre-containment fail-fast behaviour *)
-  backoff_base : float;
-      (** first-retry sleep in seconds; retry [k] sleeps
-          [min (backoff_cap, backoff_base * 2^(k-1))].  Transient
-          failures (an OS-level memory spike, a noisy neighbour) often
-          clear if the re-solve is not immediate.  [<= 0] disables
-          sleeping. *)
-  backoff_cap : float;  (** upper bound on any single backoff sleep *)
-  retry_budget : int;
-      (** total retries allowed across one node {e expansion} (the
-          bound calls of all children plus the branching call).  A
-          pathological region that fails every jitter level would
-          otherwise pay [max_retries] on each of its children; the
-          budget caps the worst-case time spent on one node.
-          Exhaustion skips straight to degrade/drop and is counted in
-          {!Bnb.stats}[.retry_budget_exhausted]. *)
 }
 
 val default_policy : policy
 (** [max_retries = 1], [degrade = true], [reraise = false]: retry once,
     then degrade when a fallback bound exists, then drop (recorded in
-    {!Bnb.stats}[.dropped_regions]) as the last resort.  Backoff
-    [base = 1 ms], [cap = 0.25 s], [retry_budget = 8]. *)
+    {!Bnb.stats}[.dropped_regions]) as the last resort. *)
 
 val propagate : policy
 (** [max_retries = 0], [degrade = false], [reraise = true]: fail fast on
     the first oracle failure. *)
-
-val backoff_delay : policy -> attempt:int -> float
-(** Sleep before retry [attempt] (1-based), in seconds:
-    [min (cap, base * 2^(attempt-1))], or [0] when backoff is
-    disabled. *)
 
 type counters = {
   failures : int Atomic.t;  (** failing oracle invocations *)
   retries : int Atomic.t;  (** re-invocations made *)
   degraded : int Atomic.t;  (** regions kept alive via the fallback bound *)
   dropped : int Atomic.t;  (** regions (or branchings) abandoned *)
-  budget_exhausted : int Atomic.t;
-      (** expansions whose retry budget ran out before [max_retries] *)
-  backoff_ns : int Atomic.t;  (** total backoff sleep, nanoseconds *)
 }
 (** Shared fault telemetry, atomic so worker domains update them without
     the pool lock. *)

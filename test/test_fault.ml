@@ -179,58 +179,6 @@ let test_branch_failure_contained () =
   checkb "failures recorded" true (r.Bnb.stats.Bnb.oracle_failures >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Retry backoff and the per-expansion budget                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_backoff_delay () =
-  let p =
-    { Fault.default_policy with backoff_base = 1e-3; backoff_cap = 4e-3 }
-  in
-  checkf 1e-15 "attempt 0 never sleeps" 0.0 (Fault.backoff_delay p ~attempt:0);
-  checkf 1e-15 "attempt 1 = base" 1e-3 (Fault.backoff_delay p ~attempt:1);
-  checkf 1e-15 "attempt 2 doubles" 2e-3 (Fault.backoff_delay p ~attempt:2);
-  checkf 1e-15 "attempt 3 doubles again" 4e-3
-    (Fault.backoff_delay p ~attempt:3);
-  checkf 1e-15 "attempt 4 capped" 4e-3 (Fault.backoff_delay p ~attempt:4);
-  checkf 1e-15 "zero base disables" 0.0
-    (Fault.backoff_delay { p with Fault.backoff_base = 0.0 } ~attempt:3)
-
-let test_retry_backoff_charged () =
-  (* One poisoned region, one retry: the search must record the sleep it
-     paid before that retry. *)
-  let oracle = poisoned_oracle ~poison:(1, 13) ~mode:`Raise 7.3 in
-  let faults =
-    { retrying_faults with
-      policy =
-        { Fault.default_policy with backoff_base = 2e-3; backoff_cap = 2e-3 }
-    }
-  in
-  let r = Bnb.minimize ~faults oracle (-25, 25) in
-  checki "retried once" 1 r.Bnb.stats.Bnb.retries;
-  checkb "backoff time recorded" true
-    (r.Bnb.stats.Bnb.retry_backoff_seconds >= 2e-3)
-
-let test_retry_budget_exhausted () =
-  (* A region that fails every jitter level, with retries allowed per
-     failure but only [retry_budget] across its whole expansion: the
-     budget must stop the retry ladder early and be counted once. *)
-  let oracle = poisoned_oracle ~poison:(1, 13) ~mode:`Raise 7.3 in
-  let faults =
-    { retrying_faults with
-      policy =
-        { Fault.default_policy with
-          max_retries = 5; retry_budget = 2; backoff_base = 0.0 }
-    }
-  in
-  let r = Bnb.minimize ~faults oracle (-25, 25) in
-  (match r.Bnb.best with
-  | Some (x, _) -> checki "optimum still found" 7 x
-  | None -> Alcotest.fail "no incumbent");
-  checki "retries capped by the budget" 2 r.Bnb.stats.Bnb.retries;
-  checki "exhaustion counted once" 1 r.Bnb.stats.Bnb.retry_budget_exhausted;
-  checki "region degraded, not dropped" 1 r.Bnb.stats.Bnb.degraded_bounds
-
-(* ------------------------------------------------------------------ *)
 (* Certified vs trusting pruning                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -338,34 +286,43 @@ let test_deadlock_regression_nan () = deadlock_regression `Nan ()
 (* Checkpoint file format                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every field of the snapshot holds a distinct value (oracle time in
+   whole microseconds, as it is restored), so a dropped or swapped
+   counter changes the record.  The per-run fields describe a 3-domain
+   run, which a resume on one domain must not report as its own. *)
 let sample_snapshot () : (int * int, int) Bnb.snapshot =
   {
     Bnb.frontier = [| (1.5, (0, 10)); (2.5, (11, 20)) |];
     incumbent = Some (7, 9.5);
     nodes_explored = 12;
-    elapsed = 0.25;
-    infeasible_regions = 1;
-    bound_pruned = 2;
-    stale_pops = 3;
-    incumbent_updates = 4;
-    children_generated = 5;
-    idle_wakeups = 6;
-    oracle_failures = 8;
-    retries = 9;
-    degraded_bounds = 10;
-    dropped_regions = 11;
-    retry_budget_exhausted = 12;
-    retry_backoff_ns = 13;
-    warm_start_hits = 14;
-    warm_pull_ins = 16;
-    warm_miss_no_parent = 18;
-    warm_miss_not_interior = 19;
-    warm_miss_fault_cleared = 20;
-    oracle_time_us = 21;
-    cert_verified = 22;
-    cert_repaired = 23;
-    cert_fallbacks = 24;
-    certified_sound = false;
+    stats =
+      {
+        Bnb.infeasible_regions = 1;
+        bound_pruned = 2;
+        stale_pops = 3;
+        incumbent_updates = 4;
+        children_generated = 5;
+        domains_used = 3;
+        idle_wakeups = 6;
+        domain_first_node_seconds = [| 0.5; 1.5; -1.0 |];
+        oracle_failures = 8;
+        retries = 9;
+        degraded_bounds = 10;
+        dropped_regions = 11;
+        warm_start_hits = 14;
+        phase1_skipped = 14;
+        warm_pull_ins = 16;
+        warm_miss_no_parent = 18;
+        warm_miss_not_interior = 19;
+        warm_miss_fault_cleared = 20;
+        cert_verified = 22;
+        cert_repaired = 23;
+        cert_fallbacks = 24;
+        certified_sound = false;
+        oracle_seconds = 21e-6;
+        domain_oracle_seconds = [| 0.125; 0.0625; 0.0 |];
+        wall_seconds = 0.25;
+      };
   }
 
 let load_sample ~fingerprint path : (int * int, int) Bnb.snapshot =
@@ -405,12 +362,12 @@ let test_checkpoint_rejects_garbage () =
 
 (* There is one schema: a file under any other format version — here the
    v1 layout, with the right fingerprint and a well-formed payload — is
-   refused rather than migrated.  A v2, v3 or v4 file (the snapshot
+   refused rather than migrated.  A v2, v3, v4 or v5 file (the snapshot
    layouts before the scheduler's seed counters, then the frontier-cap
-   and warm-correction fields, were dropped, and before the search
-   region lost its t-interval) is complete and digest-valid, so only
-   the header can refuse it: it must, rather than unmarshal into the v5
-   type. *)
+   and warm-correction fields, were dropped, before the search region
+   lost its t-interval, and before the snapshot stored [Bnb.stats]
+   itself) is complete and digest-valid, so only the header can refuse
+   it: it must, rather than unmarshal into the v6 type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -436,7 +393,7 @@ let test_checkpoint_rejects_old_version () =
               checkb (version ^ " refused at the header") true
                 (String.starts_with ~prefix:(path ^ ": bad header") msg)
           | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
-        [ "v2"; "v3"; "v4" ])
+        [ "v2"; "v3"; "v4"; "v5" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -523,10 +480,11 @@ let test_bnb_kill_and_resume () =
           checkf 1e-12 "same cost" cu cr
       | _ -> Alcotest.fail "missing incumbent")
 
-(* [resume] copies every field of the snapshot back: a resumed search
-   whose node budget is already spent saves a snapshot equal to the one
-   it started from (up to frontier order and the clock), so no counter
-   is dropped or crossed with another. *)
+(* [resume] carries every cumulative field of the snapshot forward: a
+   resumed search whose node budget is already spent saves a snapshot
+   equal to the one it started from (up to frontier order, the clock and
+   the per-run fields), so no counter is dropped or crossed with
+   another. *)
 let test_bnb_resume_restores_every_field () =
   let snapshot = sample_snapshot () in
   let path = temp_checkpoint () in
@@ -546,14 +504,29 @@ let test_bnb_resume_restores_every_field () =
         (r.Bnb.stop_reason = Bnb.Node_budget
         && r.Bnb.nodes_explored = snapshot.Bnb.nodes_explored);
       let saved = load_sample ~fingerprint:"fp-test" path in
+      let s = saved.Bnb.stats and s0 = snapshot.Bnb.stats in
       checkb "clock carried forward" true
-        (saved.Bnb.elapsed >= snapshot.Bnb.elapsed);
+        (s.Bnb.wall_seconds >= s0.Bnb.wall_seconds);
       let sorted f = List.sort compare (Array.to_list f) in
       checkb "same frontier" true
         (sorted saved.Bnb.frontier = sorted snapshot.Bnb.frontier);
+      checkb "per-run fields describe the resumed run" true
+        (s.Bnb.domains_used = 1
+        && s.Bnb.domain_first_node_seconds = [| -1.0 |]
+        && s.Bnb.domain_oracle_seconds = [| 0.0 |]);
+      checkb "the result reports the saved stats" true
+        ({ r.Bnb.stats with Bnb.wall_seconds = s.Bnb.wall_seconds } = s);
       checkb "every other field unchanged" true
-        ({ saved with Bnb.frontier = snapshot.Bnb.frontier;
-                      elapsed = snapshot.Bnb.elapsed }
+        ({ saved with
+           Bnb.frontier = snapshot.Bnb.frontier;
+           stats =
+             { s with
+               Bnb.wall_seconds = s0.Bnb.wall_seconds;
+               domains_used = s0.Bnb.domains_used;
+               domain_first_node_seconds = s0.Bnb.domain_first_node_seconds;
+               domain_oracle_seconds = s0.Bnb.domain_oracle_seconds;
+             };
+         }
         = snapshot))
 
 let test_bnb_periodic_checkpoint () =
@@ -1396,14 +1369,6 @@ let () =
             test_propagate_policy_reraises;
           Alcotest.test_case "branch failure contained" `Quick
             test_branch_failure_contained;
-        ] );
-      ( "retry",
-        [
-          Alcotest.test_case "backoff schedule" `Quick test_backoff_delay;
-          Alcotest.test_case "backoff time charged" `Quick
-            test_retry_backoff_charged;
-          Alcotest.test_case "per-expansion budget" `Quick
-            test_retry_budget_exhausted;
         ] );
       ( "certificate",
         [

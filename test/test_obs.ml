@@ -134,7 +134,7 @@ let test_disabled_path_no_alloc () =
   Obs.Metrics.set_enabled false;
   checkb "every sink off" false (Obs.Probe.on ());
   let probes = Obs.Probe.declared () in
-  checkb "production probes declared" true (List.length probes >= 19);
+  checkb "production probes declared" true (List.length probes >= 18);
   let before_metrics = Obs.Metrics.to_prometheus Obs.Metrics.default in
   let rec emit i = function
     | [] -> ()
@@ -378,8 +378,7 @@ let events_named events name =
   List.filter (fun e -> e.Obs.Trace.name = name) events
 
 (* A 2-domain LDA-FP solve tuned so every containment path fires:
-   injected bound faults with a retry budget of one per expansion (a
-   second failure in one expansion skips straight to degrade or drop),
+   injected bound faults (a failing retry degrades or drops its region)
    and a barrier tolerance loose enough that some dual certificates
    fail.  [killed] first runs 12 nodes and checkpoints, then resumes. *)
 let fault_heavy_solve ~degrade ~killed =
@@ -402,12 +401,7 @@ let fault_heavy_solve ~degrade ~killed =
           };
         socp_params = { Optim.Socp.default_params with gap_tol = 0.05 };
         fault_policy =
-          {
-            Optim.Fault.default_policy with
-            degrade;
-            retry_budget = 1;
-            backoff_base = 0.0;
-          };
+          { Optim.Fault.default_policy with degrade };
         inject_faults =
           Some
             (Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3
@@ -439,7 +433,6 @@ let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
       ("degrades", "fault.degrade", s.degraded_bounds);
       ("drops", "fault.drop", s.dropped_regions);
       ("cert fallbacks", "fault.cert_fallback", s.cert_fallbacks);
-      ("budget exhaustions", "fault.budget_exhausted", s.retry_budget_exhausted);
       ("warm pulls", "socp.warm_pull", s.warm_pull_ins);
     ]
 
@@ -501,8 +494,7 @@ let test_cross_sink_consistency () =
     (fun what ->
       checkb (Printf.sprintf "%s fired" what) true (Hashtbl.mem fired what))
     [
-      "retries"; "degrades"; "drops"; "cert fallbacks"; "budget exhaustions";
-      "warm pulls";
+      "retries"; "degrades"; "drops"; "cert fallbacks"; "warm pulls";
     ]
 
 let test_one_sink_at_a_time () =
