@@ -808,6 +808,7 @@ let classify_cmd =
       exit 2
     end;
     Option.iter writable ledger;
+    Option.iter writable out;
     let clf = reading model Model_io.load in
     let engine = Infer.Engine.of_fixed ~capacity:batch clf in
     let b = Infer.Engine.make_batch engine in
@@ -816,7 +817,17 @@ let classify_cmd =
     let confusion = ref Stats.Confusion.empty in
     let pending = ref 0 in
     let ic = reading data open_in in
-    let oc = Option.map (fun path -> writing path open_out) out in
+    (* Predictions go to FILE.tmp, renamed over FILE only once the run
+       has succeeded: a run that exits 1 on a bad row leaves an earlier
+       FILE as it was. *)
+    let tmp path = path ^ ".tmp" in
+    let out =
+      Option.map
+        (fun path ->
+          at_exit (fun () -> try Sys.remove (tmp path) with Sys_error _ -> ());
+          (path, writing (tmp path) open_out))
+        out
+    in
     let flush () =
       let n = !pending in
       if n > 0 then begin
@@ -827,8 +838,8 @@ let classify_cmd =
           confusion := Stats.Confusion.add !confusion ~truth:truths.(i)
               ~predicted:p;
           Option.iter
-            (fun oc -> output_string oc (if p then "A\n" else "B\n"))
-            oc
+            (fun (_, oc) -> output_string oc (if p then "A\n" else "B\n"))
+            out
         done;
         pending := 0
       end
@@ -854,7 +865,9 @@ let classify_cmd =
     in
     let finish () =
       close_in_noerr ic;
-      Option.iter close_out_noerr oc
+      Option.iter
+        (fun (path, oc) -> writing (tmp path) (fun _ -> close_out oc))
+        out
     in
     reading data (fun _ -> classify ());
     finish ();
@@ -863,6 +876,9 @@ let classify_cmd =
       Fmt.epr "%s: no data rows@." data;
       exit 1
     end;
+    Option.iter
+      (fun (path, _) -> writing path (fun path -> Sys.rename (tmp path) path))
+      out;
     Fmt.pr "classified %d row(s) with the %a model: %d predicted A, %d \
             predicted B@."
       (Stats.Confusion.total c) Fixedpoint.Qformat.pp

@@ -19,7 +19,6 @@ type config = {
   certify : bool;
   socp_params : Socp.params;
   bnb_params : Bnb.params;
-  fault_policy : Fault.policy;
   checkpoint : checkpoint_spec option;
   inject_faults : Fault_inject.config option;
   progress : Obs.Progress.t option;
@@ -37,7 +36,6 @@ let default_config =
         newton = { Newton.default_params with tol = 1e-9; max_iter = 60 } };
     bnb_params =
       { Bnb.default_params with max_nodes = 2000; rel_gap = 1e-3 };
-    fault_policy = Fault.default_policy;
     checkpoint = None;
     inject_faults = None;
     progress = None;
@@ -162,7 +160,7 @@ let solve_program cfg pb ~counters ~z_cap node (r : Ldafp_problem.relaxation) =
       | Socp.Strictly_feasible x0 -> Cold (Socp.solve ~params:cfg.socp_params socp ~start:x0))
 
 (* Lower bound + candidate for one region (the paper's steps 3 and 5). *)
-let bound_node cfg pb incumbent counters node =
+let bound_node cfg pb counters node =
   if is_atomic node then
     let w = Array.map Fx_interval.mid node.wbox in
     match Ldafp_heuristics.evaluate pb w with
@@ -176,7 +174,7 @@ let bound_node cfg pb incumbent counters node =
        min(bound, θ) the whole box.  The incumbent read here only falls,
        so the cap stays valid for every later one; before there is one,
        the cost at the box's center point serves. *)
-    let incumbent = Atomic.get incumbent in
+    let incumbent = Bnb.incumbent_cost counters in
     let theta =
       if incumbent < Float.infinity then incumbent
       else
@@ -227,7 +225,7 @@ let bound_node cfg pb incumbent counters node =
         | Warm sol | Cold sol ->
             (* Prunes compare the verified dual certificate, never the
                primal objective; a failed one raises
-               {!Fault.Certificate_error} (retried, then degraded to the
+               {!Bnb.Certificate_error} (retried, then degraded to the
                interval fallback).  [certify = false] keeps the trusting
                formula and clears {!Bnb.stats.certified_sound}. *)
             finish sol.Socp.x ~tau_final:sol.Socp.tau_final (fun () ->
@@ -244,7 +242,7 @@ let bound_node cfg pb incumbent counters node =
                       if cert.Socp.repaired then Bnb.count_cert_repaired counters
                       else Bnb.count_cert_verified counters;
                       Ldafp_problem.cost_bound relax cert.Socp.dual_value
-                  | Error f -> raise (Fault.Certificate_error (Socp.describe_cert_failure f))))
+                  | Error f -> raise (Bnb.Certificate_error (Socp.describe_cert_failure f))))
 
 (* Branching rule: most relative width among the splittable dimensions,
    cut at the cached relaxation optimum's w = y/z. *)
@@ -344,62 +342,12 @@ let solve ?(config = default_config) ?interrupt pb =
       warm_tainted = false;
     }
   in
-  (* Wrap the seed into the oracle: the root's bound info carries it as a
-     candidate so the B&B driver starts with the incumbent installed.  The
-     [incumbent] Atomic mirrors the driver's incumbent for the node
-     program's z cap; Atomics (exchange for the one-shot seed, CAS-min for the
-     mirror) keep the oracle callable from several worker domains. *)
-  let first = Atomic.make seed in
-  let incumbent =
-    Atomic.make
-      (match restored with
-      | Some state -> (
-          match state.Bnb.incumbent with
-          | Some (_, c) -> c
-          | None -> Float.infinity)
-      | None -> (
-          match seed with Some (_, c) -> c | None -> Float.infinity))
-  in
-  let note_candidate = function
-    | Some (_, c) ->
-        let rec improve () =
-          let current = Atomic.get incumbent in
-          if c < current && not (Atomic.compare_and_set incumbent current c)
-          then improve ()
-        in
-        improve ()
-    | None -> ()
-  in
-  let with_seed = function
-    | None -> (
-        (* Even a pruned root must surface the seed incumbent. *)
-        match Atomic.exchange first None with
-        | Some _ as cand ->
-            Some { Bnb.lower = Float.infinity; candidate = cand }
-        | None -> None)
-    | Some info ->
-        let info =
-          match Atomic.exchange first None with
-          | Some _ as cand ->
-              let candidate =
-                Ldafp_heuristics.better cand info.Bnb.candidate
-              in
-              { info with Bnb.candidate }
-          | None -> info
-        in
-        note_candidate info.Bnb.candidate;
-        Some info
-  in
   let counters = Bnb.oracle_counters () in
   (* Running trusting-mode is a conscious, recorded choice: the result's
      [certified_sound] flag (and every checkpoint in the chain) says so. *)
   if not config.certify then Bnb.mark_uncertified counters;
   let oracle =
-    {
-      Bnb.bound =
-        (fun node -> with_seed (bound_node config pb incumbent counters node));
-      branch = branch_node pb;
-    }
+    { Bnb.bound = bound_node config pb counters; branch = branch_node pb }
   in
   let oracle =
     match config.inject_faults with
@@ -408,8 +356,7 @@ let solve ?(config = default_config) ?interrupt pb =
   in
   let faults =
     {
-      Bnb.policy = config.fault_policy;
-      retry_bound =
+      Bnb.retry_bound =
         Some
           (fun ~attempt node ->
             (* The previous attempt failed mid-solve: any cached point on
@@ -417,9 +364,7 @@ let solve ?(config = default_config) ?interrupt pb =
             if node.warm <> None then node.warm_tainted <- true;
             node.warm <- None;
             node.relax_w <- None;
-            with_seed
-              (bound_node (jittered_config config attempt) pb incumbent
-                 counters node));
+            bound_node (jittered_config config attempt) pb counters node);
       fallback_bound =
         Some
           (fun node ->
@@ -440,7 +385,8 @@ let solve ?(config = default_config) ?interrupt pb =
           ~counters ?progress:config.progress oracle state
     | None ->
         Bnb.minimize ~params:config.bnb_params ~faults ?checkpointing
-          ?interrupt ~counters ?progress:config.progress oracle root
+          ?interrupt ~counters ?progress:config.progress ?incumbent:seed oracle
+          root
   in
   let train_seconds = Obs.Clock.now () -. started in
   match result.Bnb.best with

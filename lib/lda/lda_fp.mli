@@ -15,8 +15,16 @@
       optimum, grid-aligned.
 
     The incumbent is seeded before the search by the H1/H2 heuristics
-    (see {!Ldafp_heuristics}), so even a node budget of zero reproduces a
-    usable classifier. *)
+    (see {!Ldafp_heuristics}) and handed to {!Optim.Bnb.minimize} as its
+    [?incumbent], so even a node budget of zero reproduces a usable
+    classifier.  The node program reads the search's live incumbent cost
+    ({!Optim.Bnb.incumbent_cost}) as θ, which caps the program's z.
+
+    A relaxation that fails on a region (an exception, a non-finite
+    bound, a certificate that cannot be established) is contained by
+    {!Optim.Bnb}'s one rule: one retry with jittered barrier parameters
+    (perturbed [tau0], tolerances loosened a decade), then the certified
+    {!Ldafp_problem.interval_lower_bound}. *)
 
 type checkpoint_spec = {
   path : string;  (** checkpoint file (written atomically, tmp + rename) *)
@@ -55,8 +63,8 @@ type config = {
           outward-rounded interval arithmetic, so the bound is true
           {e whatever} the primal solve did — a stalled or corrupted
           solve can cost nodes, never the optimum.  Certificate
-          failures flow through the fault policy (retry with jitter,
-          then degrade to the certified
+          failures are contained like any failed solve (retry with
+          jitter, then degrade to the certified
           {!Ldafp_problem.interval_lower_bound}) and are counted in
           {!Optim.Bnb.stats}[.cert_fallbacks].  Disabling restores the
           trusting [objective − 2·gap_bound] formula and clears the
@@ -66,13 +74,6 @@ type config = {
       (** includes [domains]: set it above 1 to explore the tree on
           several OCaml 5 domains — [bound_node]/[branch_node] are pure
           per node, so the oracle is safe to call concurrently *)
-  fault_policy : Optim.Fault.policy;
-      (** what to do when the relaxation solver fails on a region
-          (default {!Optim.Fault.default_policy}: one retry, then
-          degrade).  Retries re-solve with jittered barrier parameters
-          (perturbed [tau0], tolerances loosened a decade per attempt);
-          degradation falls back to
-          {!Ldafp_problem.interval_lower_bound} *)
   checkpoint : checkpoint_spec option;  (** periodic snapshots + resume *)
   inject_faults : Optim.Fault_inject.config option;
       (** deterministic fault injection on the oracle — test/bench

@@ -21,13 +21,13 @@ let default_params =
     domains = 1 }
 
 type ('region, 'sol) faults = {
-  policy : Fault.policy;
   retry_bound : (attempt:int -> 'region -> 'sol bound_info option) option;
   fallback_bound : ('region -> float) option;
 }
 
-let default_faults =
-  { policy = Fault.default_policy; retry_bound = None; fallback_bound = None }
+let default_faults = { retry_bound = None; fallback_bound = None }
+
+exception Certificate_error of string
 
 type stop_reason =
   | Proved_optimal
@@ -110,6 +110,14 @@ let stats_to_json (s : stats) =
     ]
 
 type oracle_counters = {
+  incumbent_cost : float Atomic.t;
+      (* The one incumbent cost: [run] installs it under its incumbent
+         mutex and reads it lock-free to prune; the oracle reads it as
+         its z cap. *)
+  failures : int Atomic.t;
+  retries : int Atomic.t;
+  degraded : int Atomic.t;
+  dropped : int Atomic.t;
   warm_hits : int Atomic.t;
   pull_ins : int Atomic.t;
   miss_no_parent : int Atomic.t;
@@ -129,6 +137,11 @@ type oracle_counters = {
 
 let oracle_counters () =
   {
+    incumbent_cost = Atomic.make Float.infinity;
+    failures = Atomic.make 0;
+    retries = Atomic.make 0;
+    degraded = Atomic.make 0;
+    dropped = Atomic.make 0;
     warm_hits = Atomic.make 0;
     pull_ins = Atomic.make 0;
     miss_no_parent = Atomic.make 0;
@@ -149,6 +162,7 @@ let count_warm_miss_fault_cleared oc = Atomic.incr oc.miss_fault_cleared
 let count_cert_verified oc = Atomic.incr oc.cert_verified
 let count_cert_repaired oc = Atomic.incr oc.cert_repaired
 let mark_uncertified oc = Atomic.set oc.certified_sound false
+let incumbent_cost oc = Atomic.get oc.incumbent_cost
 
 type 'sol result = {
   best : ('sol * float) option;
@@ -242,54 +256,80 @@ let progress_line ~nodes ~elapsed ~incumbent ~bound ~oracle_us =
 (* Fault containment around the oracle                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Outcome of a policy-guarded [bound] call: [Dropped_bound] means the
-   policy ran out of options and abandoned the region (already counted). *)
+(* Why one oracle call failed. *)
+type failure =
+  | Oracle_raised of string  (* [Printexc.to_string] of the exception *)
+  | Non_finite_bound of float  (* NaN or [-infinity]; [+infinity] prunes *)
+  | Certificate_failed of string  (* the oracle raised [Certificate_error] *)
+
+let describe = function
+  | Oracle_raised msg -> Printf.sprintf "oracle raised: %s" msg
+  | Non_finite_bound b -> Printf.sprintf "non-finite lower bound %h" b
+  | Certificate_failed msg -> Printf.sprintf "bound certificate failed: %s" msg
+
+(* Resource exhaustion and user interrupts are never contained. *)
+let containable = function
+  | Out_of_memory | Stack_overflow | Sys.Break -> false
+  | _ -> true
+
+(* One failing call: counted, and retried once (a failing solve is a
+   deterministic function of its inputs or of an injected fault, so only
+   the retry's jitter, never waiting, can change its outcome).  [true]
+   when the retry is due. *)
+let note_failure (oc : oracle_counters) ~attempt what reason =
+  Atomic.incr oc.failures;
+  Log.debug (fun m -> m "%s failure (attempt %d): %s" what (attempt + 1) reason);
+  let retry = attempt = 0 in
+  if retry then begin
+    Atomic.incr oc.retries;
+    Obs.Probe.hit_int p_retry "attempt" 1
+  end;
+  retry
+
+let note_drop (oc : oracle_counters) what reason =
+  Atomic.incr oc.dropped;
+  Obs.Probe.hit_int p_drop "attempts" 2;
+  Log.warn (fun m -> m "dropping %s after 2 attempts: %s" what reason)
+
+(* Outcome of a guarded [bound] call: [Dropped_bound] means the region
+   was abandoned (already counted). *)
 type 'sol guarded = Bounded of 'sol bound_info option | Dropped_bound
 
 (* A NaN candidate cost is poison: it compares false with everything, so
    it can neither be installed nor pruned coherently.  Strip it, keep the
    (valid) bound, and count the bad invocation.  [+infinity] candidates
    pass through — they are merely useless, never winning a comparison. *)
-let sanitize_candidate (fc : Fault.counters) = function
+let sanitize_candidate (oc : oracle_counters) = function
   | Some { lower; candidate = Some (_, c) } when Float.is_nan c ->
-      Atomic.incr fc.Fault.failures;
+      Atomic.incr oc.failures;
       Log.warn (fun m -> m "discarding candidate with NaN cost");
       Some { lower; candidate = None }
   | info -> info
 
-let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
-    ~(oc : oracle_counters) (oracle : _ oracle) region =
-  let policy = faults.policy in
+(* The containment rule: retry once (through [faults.retry_bound] when
+   given), then degrade to [faults.fallback_bound], then drop. *)
+let guarded_bound ~(faults : _ faults) ~(oc : oracle_counters)
+    (oracle : _ oracle) region =
   let call attempt =
     let f =
-      if attempt = 0 then oracle.bound
-      else
-        match faults.retry_bound with
-        | Some retry -> retry ~attempt
-        | None -> oracle.bound
+      match faults.retry_bound with
+      | Some retry when attempt > 0 -> retry ~attempt
+      | _ -> oracle.bound
     in
     match f region with
     | Some { lower; _ }
       when Float.is_nan lower || lower = Float.neg_infinity ->
-        Error (Fault.Non_finite_bound lower, None)
+        Error (Non_finite_bound lower)
     | info -> Ok info
-    | exception (Fault.Certificate_error msg as e) ->
-        Error (Fault.Certificate_failed msg, Some e)
-    | exception e when Fault.containable e ->
-        Error (Fault.Oracle_raised (Printexc.to_string e), Some e)
+    | exception Certificate_error msg -> Error (Certificate_failed msg)
+    | exception e when containable e -> Error (Oracle_raised (Printexc.to_string e))
   in
   let rec attempt k =
     match call k with
-    | Ok info -> Bounded (sanitize_candidate fc info)
-    | Error (failure, original) ->
-        Atomic.incr fc.Fault.failures;
-        Log.debug (fun m ->
-            m "bound failure (attempt %d): %s" (k + 1) (Fault.describe failure));
-        if k < policy.Fault.max_retries then begin
-          Atomic.incr fc.Fault.retries;
-          Obs.Probe.hit_int p_retry "attempt" (k + 1);
+    | Ok info -> Bounded (sanitize_candidate oc info)
+    | Error failure ->
+        if note_failure oc ~attempt:k "bound" (describe failure) then
           attempt (k + 1)
-        end
         else begin
           (* A certificate failure that ends in degrade or drop is a
              certified-fallback event: the primal solve's bound was
@@ -297,53 +337,37 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
              or the region died.  Either way the search never pruned on
              an unverified value — count it, don't poison
              [certified_sound]. *)
-          let note_cert_fallback () =
-            match failure with
-            | Fault.Certificate_failed _ ->
-                Atomic.incr oc.cert_fallbacks;
-                Obs.Probe.hit p_cert_fallback
-            | _ -> ()
-          in
+          (match failure with
+          | Certificate_failed _ ->
+              Atomic.incr oc.cert_fallbacks;
+              Obs.Probe.hit p_cert_fallback
+          | Oracle_raised _ | Non_finite_bound _ -> ());
           let degraded =
-            if not policy.Fault.degrade then None
-            else
-              match faults.fallback_bound with
-              | None -> None
-              | Some fb -> (
-                  match fb region with
-                  | lb when Float.is_nan lb || lb = Float.neg_infinity -> None
-                  | lb -> Some lb
-                  | exception e when Fault.containable e ->
-                      Log.warn (fun m ->
-                          m "fallback bound itself failed: %s"
-                            (Printexc.to_string e));
-                      None)
+            match faults.fallback_bound with
+            | None -> None
+            | Some fb -> (
+                match fb region with
+                | lb when Float.is_nan lb || lb = Float.neg_infinity -> None
+                | lb -> Some lb
+                | exception e when containable e ->
+                    Log.warn (fun m ->
+                        m "fallback bound itself failed: %s"
+                          (Printexc.to_string e));
+                    None)
           in
           match degraded with
           | Some lb ->
-              note_cert_fallback ();
-              Atomic.incr fc.Fault.degraded;
+              Atomic.incr oc.degraded;
               if Obs.Probe.on () then
                 Obs.Probe.hit p_degrade
                   ~args:[ ("fallback_bound", Obs.Trace.Float lb) ];
               Log.debug (fun m ->
                   m "degraded region to fallback bound %.6g after: %s" lb
-                    (Fault.describe failure));
+                    (describe failure));
               Bounded (Some { lower = lb; candidate = None })
           | None ->
-              if policy.Fault.reraise then
-                match original with
-                | Some e -> raise e
-                | None -> failwith ("Bnb: " ^ Fault.describe failure)
-              else begin
-                note_cert_fallback ();
-                Atomic.incr fc.Fault.dropped;
-                Obs.Probe.hit_int p_drop "attempts" (k + 1);
-                Log.warn (fun m ->
-                    m "dropping region after %d attempt(s): %s" (k + 1)
-                      (Fault.describe failure));
-                Dropped_bound
-              end
+              note_drop oc "region" (describe failure);
+              Dropped_bound
         end
   in
   attempt 0
@@ -354,8 +378,7 @@ let guarded_bound ~(faults : _ faults) ~(fc : Fault.counters)
    private accumulator — the per-domain utilization numbers.  Timed in
    integer nanoseconds off the monotonic clock, so the measurement
    itself never allocates. *)
-let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) oracle
-    region =
+let timed_guarded_bound ?cell ~faults ~(oc : oracle_counters) oracle region =
   let t0 = Obs.Clock.now_ns () in
   Fun.protect
     ~finally:(fun () ->
@@ -364,27 +387,20 @@ let timed_guarded_bound ?cell ~faults ~fc ~(oc : oracle_counters) oracle
       ignore (Atomic.fetch_and_add oc.oracle_time_us dus);
       (match cell with Some c -> c := !c + dus | None -> ());
       Obs.Probe.span p_bound ~t0_ns:t0 ~dur_ns:dns)
-    (fun () -> guarded_bound ~faults ~fc ~oc oracle region)
+    (fun () -> guarded_bound ~faults ~oc oracle region)
 
-let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) oracle region =
-  let policy = faults.policy in
+(* A split has no fallback: a region whose [branch] fails twice is
+   treated as atomic (its own candidate was already surfaced by
+   [bound]). *)
+let guarded_branch ~(oc : oracle_counters) oracle region =
   let rec attempt k =
     match oracle.branch region with
     | children -> children
-    | exception e when Fault.containable e ->
-        Atomic.incr fc.Fault.failures;
-        Log.debug (fun m ->
-            m "branch failure (attempt %d): %s" (k + 1) (Printexc.to_string e));
-        if k < policy.Fault.max_retries then begin
-          Atomic.incr fc.Fault.retries;
-          attempt (k + 1)
-        end
-        else if policy.Fault.reraise then raise e
+    | exception e when containable e ->
+        let reason = Printexc.to_string e in
+        if note_failure oc ~attempt:k "branch" reason then attempt (k + 1)
         else begin
-          Atomic.incr fc.Fault.dropped;
-          Log.warn (fun m ->
-              m "dropping unsplittable region after %d attempt(s): %s" (k + 1)
-                (Printexc.to_string e));
+          note_drop oc "unsplittable region" reason;
           []
         end
   in
@@ -394,22 +410,22 @@ let guarded_branch ~(faults : _ faults) ~(fc : Fault.counters) oracle region =
 (* Checkpoint plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The search either starts fresh from a root region (bounded first, as
-   callers may rely on — e.g. to install a seeded incumbent) or restores
-   a frontier whose entries were already bounded before the snapshot. *)
+(* The search either starts fresh from a root region, with an optional
+   seed incumbent installed before the root is bounded, or restores a
+   frontier whose entries were already bounded before the snapshot. *)
 type ('region, 'sol) source =
-  | Root of 'region
+  | Root of 'region * ('sol * float) option
   | Restored of ('region, 'sol) snapshot
 
 (* Copy a snapshot's atomic counters back into the live ones; the plain
    totals are read from the snapshot directly when the run builds its
    stats.  The per-run fields ([domains_used] and the [domain_*] arrays)
    are not restored, and [phase1_skipped] is derived. *)
-let restore (fc : Fault.counters) (oc : oracle_counters) (s : stats) =
-  Atomic.set fc.Fault.failures s.oracle_failures;
-  Atomic.set fc.Fault.retries s.retries;
-  Atomic.set fc.Fault.degraded s.degraded_bounds;
-  Atomic.set fc.Fault.dropped s.dropped_regions;
+let restore (oc : oracle_counters) (s : stats) =
+  Atomic.set oc.failures s.oracle_failures;
+  Atomic.set oc.retries s.retries;
+  Atomic.set oc.degraded s.degraded_bounds;
+  Atomic.set oc.dropped s.dropped_regions;
   Atomic.set oc.warm_hits s.warm_start_hits;
   Atomic.set oc.pull_ins s.warm_pull_ins;
   Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
@@ -446,8 +462,8 @@ let stop_wants_save = function
    order over one heap.
 
    Search-wide state is synchronized through atomics: the incumbent cost
-   mirror (CAS-checked under a dedicated incumbent mutex on update, read
-   lock-free for pruning), the explored-node counter, and a write-once
+   (set under a dedicated incumbent mutex, read lock-free for pruning and
+   by the oracle through [incumbent_cost]), the explored-node counter, and a write-once
    stop reason.  Per-worker statistics live in single-writer records
    merged after the joins, so hot-path counter bumps are plain stores.
 
@@ -460,7 +476,7 @@ let stop_wants_save = function
    so the budget can overshoot by at most [domains - 1] nodes — the
    price of not serializing the hot path.
 
-   Fault containment: oracle calls are policy-guarded, and the in-flight
+   Fault containment: oracle calls are guarded, and the in-flight
    slot of an expanding worker is released in a [Fun.protect] finaliser,
    so even a non-containable exception keeps the live count exact; the
    worker then closes the frontier (waking parked siblings) before the
@@ -480,7 +496,6 @@ let run : type region sol.
      source ->
   let workers = max 1 params.domains in
   let frontier : region Frontier.t = Frontier.create ~workers in
-  let fc = Fault.fresh_counters () in
   let oc = match counters with Some c -> c | None -> oracle_counters () in
   (* Totals carried in from a snapshot: the atomic counters are restored
      in place, the plain ones are [prior] plus this run's.  A root
@@ -489,19 +504,18 @@ let run : type region sol.
     match source with
     | Root _ -> None
     | Restored s ->
-        restore fc oc s.stats;
+        restore oc s.stats;
         Some s
   in
   let prior f = Option.fold ~none:0 ~some:(fun s -> f s.stats) carried in
-  (* The incumbent solution is guarded by its own mutex; its cost is
-     mirrored in an Atomic read lock-free on every stale check, push
-     decision and gap test. *)
+  (* The incumbent solution is guarded by its own mutex; its cost lives
+     in [oc], read lock-free on every stale check, push decision and gap
+     test, and by the oracle. *)
   let inc_lock = Mutex.create () in
   let incumbent = ref (Option.bind carried (fun s -> s.incumbent)) in
-  let incumbent_cost =
-    Atomic.make
-      (match !incumbent with Some (_, c) -> c | None -> Float.infinity)
-  in
+  let incumbent_cost = oc.incumbent_cost in
+  Atomic.set incumbent_cost
+    (match !incumbent with Some (_, c) -> c | None -> Float.infinity);
   let nodes =
     Atomic.make (Option.fold ~none:0 ~some:(fun s -> s.nodes_explored) carried)
   in
@@ -572,10 +586,10 @@ let run : type region sol.
           (fun w ->
             if w.W.first_node_us < 0 then -1.0 else seconds w.W.first_node_us)
           ws;
-      oracle_failures = Atomic.get fc.Fault.failures;
-      retries = Atomic.get fc.Fault.retries;
-      degraded_bounds = Atomic.get fc.Fault.degraded;
-      dropped_regions = Atomic.get fc.Fault.dropped;
+      oracle_failures = Atomic.get oc.failures;
+      retries = Atomic.get oc.retries;
+      degraded_bounds = Atomic.get oc.degraded;
+      dropped_regions = Atomic.get oc.dropped;
       warm_start_hits;
       (* A warm hit is exactly a phase-I solve skipped. *)
       phase1_skipped = warm_start_hits;
@@ -693,22 +707,22 @@ let run : type region sol.
         let n = 1 + Atomic.fetch_and_add nodes 1 in
         note_first_node w;
         (* The in-flight slot is released in a finaliser: even if an
-           exception escapes the guards (non-containable, or a [reraise]
-           policy), the live count stays exact and the region's children
+           exception escapes the guards (a non-containable one), the
+           live count stays exact and the region's children
            — pushed before this finaliser runs — are never lost. *)
         let t_node = Obs.Clock.now_ns () in
         Fun.protect
           ~finally:(fun () -> Frontier.release frontier ~worker:i)
           (fun () ->
-            let children = guarded_branch ~faults ~fc oracle region in
+            let children = guarded_branch ~oc oracle region in
             w.W.children <- w.W.children + List.length children;
             (* Bound each child outside any lock and push it at once, so
                idle siblings get fresh work. *)
             List.iter
               (fun child ->
                 match
-                  timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~fc ~oc
-                    oracle child
+                  timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~oc oracle
+                    child
                 with
                 | Dropped_bound -> ()
                 | Bounded info -> record_bounded w child info)
@@ -766,13 +780,13 @@ let run : type region sol.
       raise e
   in
   (match source with
-  | Root root -> (
-      (* The root is bounded on the calling domain before anything else
-         (callers may rely on the root bound running first, e.g. to
-         install a seeded incumbent). *)
+  | Root (root, seed) -> (
+      (* The seed is installed, then the root bounded, on the calling
+         domain before anything else: the root's bound already prunes
+         against the seed. *)
+      consider_candidate ws.(0) seed;
       match
-        timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~fc ~oc oracle
-          root
+        timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~oc oracle root
       with
       | Dropped_bound -> ()
       | Bounded info -> record_bounded ws.(0) root info)
@@ -809,9 +823,9 @@ let run : type region sol.
   }
 
 let minimize ?(params = default_params) ?(faults = default_faults)
-    ?checkpointing ?interrupt ?counters ?progress oracle root =
+    ?checkpointing ?interrupt ?counters ?progress ?incumbent oracle root =
   run ~params ~faults ~checkpointing ~interrupt ~counters ~progress oracle
-    (Root root)
+    (Root (root, incumbent))
 
 let resume ?(params = default_params) ?(faults = default_faults)
     ?checkpointing ?interrupt ?counters ?progress oracle state =

@@ -23,16 +23,18 @@
 
     {2 Fault containment}
 
-    Every [oracle.bound] / [oracle.branch] invocation is guarded: an
-    escaping exception or a non-finite (NaN / [-infinity]) lower bound is
-    classified (see {!Fault}) and handled by the configured policy —
-    retried, degraded to the caller's cheap conservative fallback bound,
-    or, as a recorded last resort, dropped.  A worker domain always
+    Every [oracle.bound] / [oracle.branch] invocation is guarded by one
+    fixed rule.  An escaping exception, a non-finite (NaN / [-infinity])
+    lower bound or a {!Certificate_error} is a failure: the call is
+    retried once (through [faults.retry_bound] when given), then the
+    region is degraded to [faults.fallback_bound], and as a recorded
+    last resort dropped.  A failing [branch] is retried once, then the
+    region is treated as atomic (dropped).  Every step is counted in
+    {!stats}.  [Out_of_memory], [Stack_overflow] and [Sys.Break] are
+    never contained: they escape {!minimize}.  A worker domain always
     releases its in-flight slot in a finaliser and closes the scheduler
     before an exception escapes, so one poisoned region can neither
-    hang parked siblings nor corrupt the live-work count; with
-    {!Fault.propagate} the pre-containment fail-fast behaviour is
-    restored.
+    hang parked siblings nor corrupt the live-work count.
 
     {2 Checkpointing}
 
@@ -80,23 +82,32 @@ val default_params : params
     no time limit, [domains = 1]. *)
 
 type ('region, 'sol) faults = {
-  policy : Fault.policy;
   retry_bound : (attempt:int -> 'region -> 'sol bound_info option) option;
-      (** used instead of [oracle.bound] for retry attempt [attempt >= 1]
-          — the hook for jittered solver parameters (loosened barrier
-          tolerances, perturbed start).  [None]: retries re-call
+      (** used instead of [oracle.bound] for the retry ([attempt = 1]) —
+          the hook for jittered solver parameters (loosened barrier
+          tolerances, perturbed start).  [None]: the retry re-calls
           [oracle.bound] unchanged (still useful against transient /
           injected faults). *)
   fallback_bound : ('region -> float) option;
       (** cheap {e certified} conservative lower bound (e.g. interval
           arithmetic) used to keep a region alive when its real bound
           keeps failing; must return a finite value or [+infinity].
-          [None] disables degradation even when [policy.degrade]. *)
+          [None]: a region whose retry fails too is dropped. *)
 }
+(** The caller's side of the containment rule. *)
 
 val default_faults : ('region, 'sol) faults
-(** {!Fault.default_policy} with no retry override and no fallback:
-    failures are retried once and then dropped (recorded). *)
+(** No retry override and no fallback: failures are retried once and
+    then dropped (recorded). *)
+
+exception Certificate_error of string
+(** Raised by a bound oracle when the independent dual certificate of
+    an otherwise successful solve cannot be established
+    ({!Socp.certify_lower_bound} returned an error): the bound is
+    unverified and must not be used.  Contained like any other failure
+    (a jittered retry gets a fresh certificate chance, then the region
+    degrades to the fallback bound) and counted in
+    {!stats}[.cert_fallbacks] when the retry fails too. *)
 
 type stop_reason =
   | Proved_optimal  (** queue exhausted or bound met incumbent *)
@@ -129,13 +140,13 @@ type stats = {
   oracle_failures : int;
       (** failing oracle invocations (exceptions and non-finite bounds),
           including failing retry attempts *)
-  retries : int;  (** oracle re-invocations made by the fault policy *)
+  retries : int;  (** oracle re-invocations made by the containment rule *)
   degraded_bounds : int;
       (** regions kept alive with the conservative fallback bound *)
   dropped_regions : int;
-      (** regions abandoned after the policy ran out of options — each
-          one weakens the optimality claim, which is why they are
-          counted rather than silent *)
+      (** regions abandoned after the containment rule ran out of
+          options — each one weakens the optimality claim, which is why
+          they are counted rather than silent *)
   warm_start_hits : int;
       (** bound solves started from an inherited (parent) optimum — see
           {!oracle_counters}; 0 unless the oracle reports them.  With the
@@ -215,12 +226,13 @@ val stats_to_json : stats -> Obs.Json.t
     ([certified_sound], [cert_fallbacks], ...). *)
 
 type oracle_counters
-(** Warm-start accounting shared between the driver and the bound
-    oracle.  The driver cannot see {e how} an oracle solved a node, so an
-    oracle that warm-starts reports it here; the driver merges the
-    counts (plus its own oracle wall-time measurement) into {!stats} and
-    persists them across checkpoints.  Counters are atomic — safe to
-    bump from any worker domain. *)
+(** State shared between the driver and the bound oracle: the live
+    incumbent cost, and the counters.  The driver cannot see {e how} an
+    oracle solved a node, so an oracle that warm-starts reports it here;
+    the driver merges the counts (plus its own oracle wall-time and
+    containment counts) into {!stats} and persists them across
+    checkpoints.  Everything is atomic — safe to touch from any worker
+    domain. *)
 
 val oracle_counters : unit -> oracle_counters
 (** Fresh zeroed counters.  Pass the same value to [?counters] and to
@@ -252,6 +264,12 @@ val count_cert_verified : oracle_counters -> unit
 val count_cert_repaired : oracle_counters -> unit
 (** Record one bound whose certificate verified after the closed-form
     multiplier repair. *)
+
+val incumbent_cost : oracle_counters -> float
+(** The search's incumbent cost as it stands ([infinity] before there is
+    one): the search's own, so it only ever falls during a search.  An
+    oracle bounding a region may use it as a cap: anything in the region
+    costing more is pruned anyway. *)
 
 val mark_uncertified : oracle_counters -> unit
 (** Clear the sticky [certified_sound] flag: the oracle is about to
@@ -310,12 +328,15 @@ val minimize :
   ?interrupt:(unit -> bool) ->
   ?counters:oracle_counters ->
   ?progress:Obs.Progress.t ->
+  ?incumbent:'sol * float ->
   ('region, 'sol) oracle ->
   'region ->
   'sol result
-(** Explore from the root region, on [params.domains] domains.  The
-    root is always bounded on the calling domain before the other
-    workers spawn.  Termination semantics (gap, node budget, wall-clock
+(** Explore from the root region, on [params.domains] domains.
+    [?incumbent] (a feasible solution and its exact cost, e.g. from a
+    heuristic) is installed first, like any candidate: counted in
+    [incumbent_updates] and reported to the probes.  Then the root is
+    bounded on the calling domain before the other workers spawn.  Termination semantics (gap, node budget, wall-clock
     limit) are identical across domain counts.  The gap test uses the
     exact minimum bound over queued {e and} in-flight regions, read
     under the frontier lock, so it is never optimistic at any domain

@@ -267,19 +267,17 @@ let warm_start_params ?(levels = 5) params =
 (* How many rungs a solve seeded near an optimum certified at
    [tau_final] may skip.  Integer rungs of the same geometric ladder, so
    the terminal tau — and with it the certified gap — is exactly the
-   cold solve's; [back] extra rungs of headroom for starts that were
-   repaired rather than inherited verbatim.  The clamp to >= 1 remaining
-   rung matters: a ladder that starts at or beyond the parent's terminal
-   tau would run zero centering steps and return the (parent's!) start
-   unrefined. *)
-let restart_levels ?(back = 1) params ~tau_final =
+   cold solve's.  One rung always remains: a ladder that starts at or
+   beyond the parent's terminal tau would run zero centering steps and
+   return the (parent's!) start unrefined. *)
+let restart_levels params ~tau_final =
   if
     (not (Float.is_finite tau_final))
     || tau_final <= params.tau0 || params.mu <= 1.0
   then 0
   else
     let rungs = floor (log (tau_final /. params.tau0) /. log params.mu) in
-    max 0 (int_of_float rungs - max 1 back)
+    max 0 (int_of_float rungs - 1)
 
 type status = Optimal | Suboptimal
 
@@ -570,8 +568,8 @@ let phase1_problem pb =
     ~cones:(phase1_cones pb.cones socs ~n:(n + 1))
     (n + 1)
 
-let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
-    ~start =
+let find_strictly_feasible ?(params = default_params) pb ~start =
+  let margin = 1e-9 in
   if Vec.dim start <> pb.n then
     invalid_arg "Socp.find_strictly_feasible: start dimension";
   let v0 = max_violation pb start in
@@ -654,7 +652,10 @@ let find_strictly_feasible ?(params = default_params) ?(margin = 1e-9) pb
    scales are likewise bounded by their endpoint maxima (|aᵀ·|, |u| and
    ‖v‖ are convex).  [None] when the target itself does not clear the
    margin — the caller then solves cold. *)
-let pull_to_interior ?(margin = 1e-8) pb ~target x =
+let warm_margin = 1e-8
+
+let pull_to_interior pb ~target x =
+  let margin = warm_margin in
   if Vec.dim x <> pb.n || Vec.dim target <> pb.n then None
   else begin
     let alpha = ref 0.0 in
@@ -702,14 +703,15 @@ type warm_prep = Warm_interior | Warm_pulled
 (* The warm-start decision tree (doc/solver.mld): accept a certifiably
    interior start as-is; otherwise pull it toward the caller's interior
    target.  [None] means the caller must solve cold (phase-I). *)
-let prepare_warm_start ?(margin = 1e-8) ?target pb x =
+let prepare_warm_start ?target pb x =
   if Vec.dim x <> pb.n then None
-  else if is_strictly_interior ~margin pb x then Some (x, Warm_interior)
+  else if is_strictly_interior ~margin:warm_margin pb x then
+    Some (x, Warm_interior)
   else
     match target with
     | None -> None
     | Some t -> (
-        match pull_to_interior ~margin pb ~target:t x with
+        match pull_to_interior pb ~target:t x with
         | Some y ->
             Obs.Probe.hit p_warm_pull;
             Some (y, Warm_pulled)

@@ -154,20 +154,17 @@ val warm_start_params : ?levels:int -> params -> params
     solve is merely slower (damped Newton still converges), never less
     certified. *)
 
-val restart_levels : ?back:int -> params -> tau_final:float -> int
+val restart_levels : params -> tau_final:float -> int
 (** The [levels] to hand {!warm_start_params} when the warm point comes
     from a solve that terminated at barrier weight [tau_final] (its
     {!solution.tau_final}): the largest whole number of rungs the
-    ladder can skip while still running at least [back] (default 1,
-    clamped >= 1) centering rungs below the producing solve's terminal
-    tau.  Integer rungs of the same geometric ladder, so the terminal
-    tau — and the certified gap — is exactly what a cold solve reaches;
-    a start that skipped {e too} far would run zero centering steps and
-    return the parent's point unrefined, which the clamp rules out.
-    Callers may pass a larger [back] for starts that were repaired
-    ({!prepare_warm_start}) rather than inherited verbatim.  0 when
-    [tau_final] is not finite (no ladder ran) or does not exceed
-    [tau0]. *)
+    ladder can skip while still running one centering rung below the
+    producing solve's terminal tau.  Integer rungs of the same
+    geometric ladder, so the terminal tau — and the certified gap — is
+    exactly what a cold solve reaches; a start that skipped {e too} far
+    would run zero centering steps and return the parent's point
+    unrefined, which the remaining rung rules out.  0 when [tau_final]
+    is not finite (no ladder ran) or does not exceed [tau0]. *)
 
 (** {2 Warm-start interiority repair}
 
@@ -179,18 +176,17 @@ val restart_levels : ?back:int -> params -> tau_final:float -> int
     guide in {!page-solver}. *)
 
 val pull_to_interior :
-  ?margin:float ->
   problem ->
   target:Linalg.Vec.t ->
   Linalg.Vec.t ->
   Linalg.Vec.t option
 (** Blend [x] toward [target] by the smallest α ∈ [0, 1] such that every
-    constraint clears [margin] (default [1e-8]) × its residual scale —
-    certified, not searched: half-space slacks are affine in α and cone
-    slacks [σ = u − ‖v‖] are concave (affine minus convex), so the
-    chord bound [(1−α)σ(x) + ασ(target)] under-estimates the true slack
-    and the per-constraint safe α is closed-form.  [None] when [target]
-    itself does not clear the margin (it must be strictly interior with
+    constraint clears [1e-8] × its residual scale — certified, not
+    searched: half-space slacks are affine in α and cone slacks
+    [σ = u − ‖v‖] are concave (affine minus convex), so the chord bound
+    [(1−α)σ(x) + ασ(target)] under-estimates the true slack and the
+    per-constraint safe α is closed-form.  [None] when [target]
+    itself does not clear that margin (it must be strictly interior with
     room to spare) or the blend fails the final rounding re-check.  The
     result is within the segment [x]–[target], so any convex constraint
     set containing both contains it. *)
@@ -200,13 +196,12 @@ type warm_prep =
   | Warm_pulled  (** repaired by {!pull_to_interior} *)
 
 val prepare_warm_start :
-  ?margin:float ->
   ?target:Linalg.Vec.t ->
   problem ->
   Linalg.Vec.t ->
   (Linalg.Vec.t * warm_prep) option
 (** The warm-start decision tree: [x] if it is already certifiably
-    interior ([margin] relative, default [1e-8]); else the
+    interior (relative margin [1e-8], as {!pull_to_interior}); else the
     analytic-center pull-in toward [?target]; else [None] — solve cold.
     The returned point is safe to pass to {!solve} as [start] with a
     {!warm_start_params} schedule advance ({!restart_levels}).  Emits
@@ -253,10 +248,10 @@ type feasibility =
   | Unknown of Linalg.Vec.t  (** best point found; violation within noise *)
 
 val find_strictly_feasible :
-  ?params:params -> ?margin:float -> problem -> start:Linalg.Vec.t -> feasibility
+  ?params:params -> problem -> start:Linalg.Vec.t -> feasibility
 (** Phase-I: minimise the auxiliary slack [s] with every constraint relaxed
     by [s], from an arbitrary [start].  Succeeds as soon as an iterate
-    clears [margin] (default [1e-9]) × each constraint's residual scale
+    clears [1e-9] × each constraint's residual scale
     (the relative-slack convention of {!is_strictly_interior}). *)
 
 (** {2 Independent dual certificates}

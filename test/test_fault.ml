@@ -76,20 +76,6 @@ let temp_checkpoint () =
   Filename.temp_file "ldafp-test-checkpoint" ".bnb"
 
 (* ------------------------------------------------------------------ *)
-(* Fault classification                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_fault_containable () =
-  checkb "ordinary exception contained" true
-    (Fault.containable (Failure "solver"));
-  checkb "Invalid_argument contained" true
-    (Fault.containable (Invalid_argument "x"));
-  checkb "Out_of_memory not contained" false (Fault.containable Out_of_memory);
-  checkb "Stack_overflow not contained" false
-    (Fault.containable Stack_overflow);
-  checkb "Sys.Break not contained" false (Fault.containable Sys.Break)
-
-(* ------------------------------------------------------------------ *)
 (* Containment in the driver                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -133,29 +119,45 @@ let test_nan_bound_degraded () =
   | None -> Alcotest.fail "no incumbent");
   checki "degraded once" 1 r.Bnb.stats.Bnb.degraded_bounds
 
-let test_drop_policy_counts () =
-  (* No retries, no fallback: the poisoned region is dropped and the
-     search continues on the rest of the tree.  The optimum lives at 7,
-     far from the poisoned leaf, so it must still be found. *)
+let test_drop_counts () =
+  (* No fallback: the poisoned region fails, is retried (and fails
+     again), then is dropped, and the search continues on the rest of
+     the tree.  The optimum lives at 7, far from the poisoned leaf, so
+     it must still be found. *)
   let oracle = poisoned_oracle ~poison:(1, 13) ~mode:`Raise 7.3 in
-  let faults =
-    { Bnb.default_faults with
-      policy = { Fault.propagate with reraise = false } }
-  in
-  let r = Bnb.minimize ~faults oracle (-25, 25) in
+  let r = Bnb.minimize oracle (-25, 25) in
   (match r.Bnb.best with
   | Some (x, _) -> checki "optimal integer" 7 x
   | None -> Alcotest.fail "no incumbent");
   checki "dropped once" 1 r.Bnb.stats.Bnb.dropped_regions;
-  checki "one failure" 1 r.Bnb.stats.Bnb.oracle_failures
+  checki "retried once" 1 r.Bnb.stats.Bnb.retries;
+  checki "two failures" 2 r.Bnb.stats.Bnb.oracle_failures
 
-let test_propagate_policy_reraises () =
-  let oracle = poisoned_oracle ~poison:(1, 13) ~mode:`Raise 7.3 in
-  let faults = { Bnb.default_faults with policy = Fault.propagate } in
-  checkb "exception escapes under propagate" true
-    (match Bnb.minimize ~faults oracle (-25, 25) with
-    | exception Failure _ -> true
-    | _ -> false)
+(* Resource exhaustion and interrupts escape the search; anything else
+   an oracle raises is contained. *)
+let test_containable () =
+  let raising e =
+    let base = integer_quadratic_oracle 7.3 in
+    {
+      base with
+      Bnb.bound =
+        (fun region -> if region = (1, 13) then raise e else base.Bnb.bound region);
+    }
+  in
+  List.iter
+    (fun (name, e) ->
+      checkb (name ^ " escapes") true
+        (match Bnb.minimize ~faults:retrying_faults (raising e) (-25, 25) with
+        | exception e' -> e' == e
+        | _ -> false))
+    [ ("Stack_overflow", Stack_overflow); ("Out_of_memory", Out_of_memory);
+      ("Sys.Break", Sys.Break) ];
+  List.iter
+    (fun (name, e) ->
+      let r = Bnb.minimize ~faults:retrying_faults (raising e) (-25, 25) in
+      checki (name ^ " contained: failures") 2 r.Bnb.stats.Bnb.oracle_failures;
+      checki (name ^ " contained: degraded") 1 r.Bnb.stats.Bnb.degraded_bounds)
+    [ ("Failure", Failure "solver"); ("Invalid_argument", Invalid_argument "x") ]
 
 let test_branch_failure_contained () =
   let base = integer_quadratic_oracle 7.3 in
@@ -243,7 +245,7 @@ let test_corrupt_primal_trusting_misprunes () =
       Bnb.bound =
         (fun region ->
           if region = poison then
-            raise (Fault.Certificate_error "primal-dual slack excessive")
+            raise (Bnb.Certificate_error "primal-dual slack excessive")
           else base.Bnb.bound region);
     }
   in
@@ -1171,8 +1173,7 @@ let prop_resume_reaches_same_incumbent =
    unrecoverable), which legitimately changes the reachable tree. *)
 let recovering_faults (clean : (int * int, int) Bnb.oracle) =
   {
-    Bnb.default_faults with
-    retry_bound = Some (fun ~attempt:_ region -> clean.Bnb.bound region);
+    Bnb.retry_bound = Some (fun ~attempt:_ region -> clean.Bnb.bound region);
     fallback_bound = Some weak_fallback;
   }
 
@@ -1356,17 +1357,14 @@ let () =
   Alcotest.run "fault"
     [
       ( "classify",
-        [ Alcotest.test_case "containable" `Quick test_fault_containable ] );
+        [ Alcotest.test_case "containable" `Quick test_containable ] );
       ( "containment",
         [
           Alcotest.test_case "exception degraded, optimum kept" `Quick
             test_contained_exception_still_optimal;
           Alcotest.test_case "NaN bound degraded" `Quick
             test_nan_bound_degraded;
-          Alcotest.test_case "drop policy counts" `Quick
-            test_drop_policy_counts;
-          Alcotest.test_case "propagate policy reraises" `Quick
-            test_propagate_policy_reraises;
+          Alcotest.test_case "drop policy counts" `Quick test_drop_counts;
           Alcotest.test_case "branch failure contained" `Quick
             test_branch_failure_contained;
         ] );

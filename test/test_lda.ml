@@ -721,13 +721,12 @@ let test_exact_solve_matches_bruteforce_warm_and_cold () =
     [ 1; 2; 3 ]
 
 (* Run to drain, one domain; [None] when the search finds nothing. *)
-let drain ?(seed_incumbent = true) ?(fault_policy = Optim.Fault.default_policy) pb =
+let drain ?(seed_incumbent = true) pb =
   Lda_fp.solve
     ~config:
       {
         Lda_fp.default_config with
         seed_incumbent;
-        fault_policy;
         bnb_params =
           { Optim.Bnb.default_params with
             max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0 };
@@ -803,8 +802,8 @@ let test_unseeded_search_keeps_capped_boxes () =
    16 trials a class, so S_W is exactly singular and exactly positive
    semidefinite): no λ̲ exists over the distinct coordinates, nothing
    caps z, and every node takes the certified interval bound at once —
-   no failed program, no retry, so even a propagating fault policy runs
-   to drain on the brute-force optimum. *)
+   no failed program and no retry on the way to a drain on the
+   brute-force optimum. *)
 let test_no_verified_lambda_takes_interval_bounds () =
   let rng = Stats.Rng.create 5 in
   let draw off =
@@ -820,7 +819,7 @@ let test_no_verified_lambda_takes_interval_bounds () =
   List.iter
     (fun seed_incumbent ->
       let tag = if seed_incumbent then "seeded" else "unseeded" in
-      let o = drain ~seed_incumbent ~fault_policy:Optim.Fault.propagate pb in
+      let o = drain ~seed_incumbent pb in
       check_bruteforce_optimum tag pb fmt o;
       Option.iter
         (fun o ->
@@ -1389,94 +1388,153 @@ let test_ecog_fold_costs_pinned () =
    every node takes the interval bound), class means a hair apart, means
    so large that the projection cones (20) bind inside the box (the
    center point of a box may violate them), and a range so wide that
-   every weight rounds to 0 (no feasible classifier).  Every exact
-   search, seeded and unseeded (the node program's z cap then comes from
-   the center point's cost, not an incumbent), on one domain and on
-   two, agrees with brute force ([bruteforce_verdict]), fully
-   certified. *)
-let prop_exact_search_matches_bruteforce =
+   every weight rounds to 0 (no feasible classifier).  [None] when the
+   format leaves no feasible box. *)
+let arb_small_problem =
   let shape =
     QCheck.Gen.oneofl [ `Plain; `Collinear; `Sum; `Close_means; `Tight; `Wide ]
   in
+  QCheck.make
+    ~print:(fun (seed, m, f, sh) ->
+      Printf.sprintf "seed %d, m %d, Q2.%d, %s" seed m f
+        (match sh with
+        | `Plain -> "plain"
+        | `Collinear -> "collinear"
+        | `Sum -> "sum"
+        | `Close_means -> "close means"
+        | `Tight -> "tight"
+        | `Wide -> "wide"))
+    QCheck.Gen.(quad (int_range 0 1_000_000) (int_range 1 3) (int_range 1 2) shape)
+
+let small_problem (seed, m, f, sh) =
+  let rng = Stats.Rng.create seed in
+  let gap = match sh with `Close_means -> 1e-7 | _ -> 0.6 in
+  let spread = match sh with `Wide -> 1e6 | _ -> 0.5 in
+  let common = match sh with `Tight -> 1.5 | _ -> 0.0 in
+  (* The sum shape draws multiples of 1/8, 16 trials a class: every
+     step of the scatter is then exact, so S_W is singular but exactly
+     positive semidefinite.  Rounded, a sum of features leaves S_W
+     indefinite by an ulp, and grid points near its null space have
+     costs of -2^49. *)
+  let draw off =
+    Array.init 16 (fun _ ->
+        let row =
+          Array.init m (fun j ->
+              let x =
+                common
+                +. (if j = 0 then off else 0.1 *. float_of_int j)
+                +. (spread *. Stats.Sampler.std_normal rng)
+              in
+              if sh = `Sum then Float.round (8.0 *. x) /. 8.0 else x)
+        in
+        if sh = `Collinear && m >= 2 then row.(m - 1) <- row.(0);
+        if sh = `Sum && m = 3 then row.(2) <- row.(0) +. row.(1);
+        row)
+  in
+  let scatter = Stats.Scatter.of_data (draw gap) (draw (-.gap)) in
+  let fmt = Qformat.make ~k:2 ~f in
+  match Ldafp_problem.build ~fmt scatter with
+  | exception Ldafp_problem.No_feasible_box _ -> None
+  | pb -> Some (pb, fmt)
+
+let exact_config ?(max_nodes = 200_000) ?(domains = 1) seed_incumbent =
+  {
+    Lda_fp.default_config with
+    seed_incumbent;
+    bnb_params =
+      { Optim.Bnb.default_params with
+        max_nodes; rel_gap = 0.0; abs_gap = 0.0; domains };
+  }
+
+(* An exact search's end against brute force ([bruteforce_verdict]): a
+   proved optimum (a zero certified gap proves it as a drain does),
+   fully certified, nothing dropped. *)
+let check_exact_end tag pb fmt result =
+  match (bruteforce_verdict pb fmt result, result) with
+  | Error msg, _ -> QCheck.Test.fail_reportf "%s: %s" tag msg
+  | Ok (), None -> true
+  | Ok (), Some o ->
+      let d = o.Lda_fp.diagnostics in
+      let s = d.Lda_fp.search in
+      ((d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal
+       || (d.Lda_fp.stop_reason = Optim.Bnb.Gap_reached && d.Lda_fp.gap = 0.0))
+      && s.Optim.Bnb.certified_sound
+      && s.Optim.Bnb.dropped_regions = 0)
+      || QCheck.Test.fail_reportf "%s: stop %s, certified_sound %b, %d dropped"
+           tag
+           (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
+           s.Optim.Bnb.certified_sound s.Optim.Bnb.dropped_regions
+
+(* Every exact search, seeded and unseeded (the node program's z cap
+   then comes from the center point's cost, not an incumbent), on one
+   domain and on two, agrees with brute force. *)
+let prop_exact_search_matches_bruteforce =
   QCheck.Test.make ~name:"exact search matches brute force on small problems"
-    ~count:40
-    QCheck.(
-      make
-        ~print:(fun (seed, m, f, sh) ->
-          Printf.sprintf "seed %d, m %d, Q2.%d, %s" seed m f
-            (match sh with
-            | `Plain -> "plain"
-            | `Collinear -> "collinear"
-            | `Sum -> "sum"
-            | `Close_means -> "close means"
-            | `Tight -> "tight"
-            | `Wide -> "wide"))
-        Gen.(quad (int_range 0 1_000_000) (int_range 1 3) (int_range 1 2) shape))
-    (fun (seed, m, f, sh) ->
-      let rng = Stats.Rng.create seed in
-      let gap = match sh with `Close_means -> 1e-7 | _ -> 0.6 in
-      let spread = match sh with `Wide -> 1e6 | _ -> 0.5 in
-      let common = match sh with `Tight -> 1.5 | _ -> 0.0 in
-      (* The sum shape draws multiples of 1/8, 16 trials a class: every
-         step of the scatter is then exact, so S_W is singular but
-         exactly positive semidefinite.  Rounded, a sum of features
-         leaves S_W indefinite by an ulp, and grid points near its null
-         space have costs of -2^49. *)
-      let draw off =
-        Array.init 16 (fun _ ->
-            let row =
-              Array.init m (fun j ->
-                  let x =
-                    common
-                    +. (if j = 0 then off else 0.1 *. float_of_int j)
-                    +. (spread *. Stats.Sampler.std_normal rng)
-                  in
-                  if sh = `Sum then Float.round (8.0 *. x) /. 8.0 else x)
-            in
-            if sh = `Collinear && m >= 2 then row.(m - 1) <- row.(0);
-            if sh = `Sum && m = 3 then row.(2) <- row.(0) +. row.(1);
-            row)
-      in
-      let scatter = Stats.Scatter.of_data (draw gap) (draw (-.gap)) in
-      let fmt = Qformat.make ~k:2 ~f in
-      match Ldafp_problem.build ~fmt scatter with
-      | exception Ldafp_problem.No_feasible_box _ -> true
-      | pb ->
+    ~count:40 arb_small_problem (fun instance ->
+      match small_problem instance with
+      | None -> true
+      | Some (pb, fmt) ->
           List.for_all
             (fun (seed_incumbent, domains) ->
               let tag =
                 Printf.sprintf "domains %d, %s" domains
                   (if seed_incumbent then "seeded" else "unseeded")
               in
-              let config =
-                {
-                  Lda_fp.default_config with
-                  seed_incumbent;
-                  bnb_params =
-                    { Optim.Bnb.default_params with
-                      max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0;
-                      domains };
-                }
-              in
-              let result = Lda_fp.solve ~config pb in
-              match (bruteforce_verdict pb fmt result, result) with
-              | Error msg, _ -> QCheck.Test.fail_reportf "%s: %s" tag msg
-              | Ok (), None -> true
-              | Ok (), Some o ->
-                  let d = o.Lda_fp.diagnostics in
-                  let s = d.Lda_fp.search in
-                  (* A zero certified gap proves the optimum as a drain
-                     does. *)
-                  ((d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal
-                   || (d.Lda_fp.stop_reason = Optim.Bnb.Gap_reached
-                      && d.Lda_fp.gap = 0.0))
-                  && s.Optim.Bnb.certified_sound
-                  && s.Optim.Bnb.dropped_regions = 0)
-                  || QCheck.Test.fail_reportf
-                       "%s: stop %s, certified_sound %b, %d dropped" tag
-                       (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
-                       s.Optim.Bnb.certified_sound s.Optim.Bnb.dropped_regions)
+              check_exact_end tag pb fmt
+                (Lda_fp.solve ~config:(exact_config ~domains seed_incumbent) pb))
             [ (true, 1); (true, 2); (false, 1); (false, 2) ])
+
+(* The same instances with every first bound call failing, by an
+   exception or by a NaN bound (branch calls stay clean), straight and
+   through one kill/resume (a node budget of 2, then a drain).  Each
+   failure is retried once, jittered and clean, so every search still
+   ends on the brute-force optimum, sound and with nothing dropped; and
+   the search counts exactly the injected failures: one per first
+   bound call, the root's plus one per child, across the chain. *)
+let prop_faulty_exact_search_matches_bruteforce =
+  QCheck.Test.make
+    ~name:"exact search under bound faults and kill/resume matches brute force"
+    ~count:40
+    (QCheck.pair arb_small_problem QCheck.bool)
+    (fun (instance, nan) ->
+      match small_problem instance with
+      | None -> true
+      | Some (pb, fmt) ->
+          let inject =
+            if nan then Optim.Fault_inject.config ~seed:1 ~bound_nan_prob:1.0 ()
+            else Optim.Fault_inject.config ~seed:1 ~bound_exn_prob:1.0 ()
+          in
+          let path = Filename.temp_file "ldafp-test-brute" ".ck" in
+          Sys.remove path;
+          let solve ?checkpoint max_nodes =
+            Lda_fp.solve
+              ~config:
+                { (exact_config ~max_nodes true) with
+                  inject_faults = Some inject; checkpoint }
+              pb
+          in
+          let counted tag = function
+            | None -> true
+            | Some o ->
+                let s = o.Lda_fp.diagnostics.Lda_fp.search in
+                let injected = 1 + s.Optim.Bnb.children_generated in
+                s.Optim.Bnb.oracle_failures = injected
+                || QCheck.Test.fail_reportf "%s: %d failures, %d injected" tag
+                     s.Optim.Bnb.oracle_failures injected
+          in
+          let straight = solve 200_000 in
+          let resumed =
+            Fun.protect
+              ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+              (fun () ->
+                let checkpoint = Lda_fp.checkpoint_spec ~resume:true path in
+                ignore (solve ~checkpoint 2);
+                solve ~checkpoint 200_000)
+          in
+          check_exact_end "faulted" pb fmt straight
+          && counted "faulted" straight
+          && check_exact_end "faulted, resumed" pb fmt resumed
+          && counted "faulted, resumed" resumed)
 
 (* ------------------------------------------------------------------ *)
 (* The exact linear-fractional relaxation                              *)
@@ -1627,6 +1685,7 @@ let qcheck_tests =
       prop_parallel_solver_matches_sequential;
       prop_warm_cold_same_search;
       prop_exact_search_matches_bruteforce;
+      prop_faulty_exact_search_matches_bruteforce;
     ]
 
 let () =

@@ -378,10 +378,12 @@ let events_named events name =
   List.filter (fun e -> e.Obs.Trace.name = name) events
 
 (* A 2-domain LDA-FP solve tuned so every containment path fires:
-   injected bound faults (a failing retry degrades or drops its region)
-   and a barrier tolerance loose enough that some dual certificates
-   fail.  [killed] first runs 12 nodes and checkpoints, then resumes. *)
-let fault_heavy_solve ~degrade ~killed =
+   injected bound faults (a failing retry degrades its region), with
+   [branch_faults] injected branch faults too (a failing retry drops
+   the region), and a barrier tolerance loose enough that some dual
+   certificates fail.  [killed] first runs 12 nodes and checkpoints,
+   then resumes. *)
+let fault_heavy_solve ~branch_faults ~killed =
   let open Ldafp_core in
   let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
   let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
@@ -400,12 +402,12 @@ let fault_heavy_solve ~degrade ~killed =
             domains = 2;
           };
         socp_params = { Optim.Socp.default_params with gap_tol = 0.05 };
-        fault_policy =
-          { Optim.Fault.default_policy with degrade };
         inject_faults =
           Some
             (Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3
-               ~bound_nan_prob:0.1 ());
+               ~bound_nan_prob:0.1
+               ~branch_exn_prob:(if branch_faults then 0.3 else 0.0)
+               ());
         checkpoint =
           (if killed then Some (Lda_fp.checkpoint_spec ~resume:true path)
            else None);
@@ -454,7 +456,7 @@ let trace_count events name = List.length (events_named events name)
 let test_cross_sink_consistency () =
   let fired = Hashtbl.create 16 in
   List.iter
-    (fun (degrade, killed) ->
+    (fun (branch_faults, killed) ->
       Obs.Metrics.reset Obs.Metrics.default;
       Obs.Metrics.set_enabled true;
       let d, events =
@@ -462,7 +464,7 @@ let test_cross_sink_consistency () =
           ~finally:(fun () -> Obs.Metrics.set_enabled false)
           (fun () ->
             with_collector (fun c ->
-                let d = fault_heavy_solve ~degrade ~killed in
+                let d = fault_heavy_solve ~branch_faults ~killed in
                 checki "trace dropped nothing" 0 (Obs.Trace.dropped c);
                 (d, Obs.Trace.events c)))
       in
@@ -481,7 +483,8 @@ let test_cross_sink_consistency () =
       List.iter
         (fun (what, name, stat) ->
           let tag =
-            Printf.sprintf "%s (degrade=%b, killed=%b)" what degrade killed
+            Printf.sprintf "%s (branch_faults=%b, killed=%b)" what
+              branch_faults killed
           in
           checki (tag ^ ": trace = stats") stat (trace_count events name);
           Option.iter
@@ -489,7 +492,7 @@ let test_cross_sink_consistency () =
             (probe_metric (probe_named name));
           if stat > 0 then Hashtbl.replace fired what ())
         (stats_rows d))
-    [ (true, false); (false, false); (true, true) ];
+    [ (false, false); (true, false); (false, true) ];
   List.iter
     (fun what ->
       checkb (Printf.sprintf "%s fired" what) true (Hashtbl.mem fired what))
@@ -503,7 +506,7 @@ let test_one_sink_at_a_time () =
   let before = Obs.Metrics.to_prometheus Obs.Metrics.default in
   let traced =
     with_collector (fun c ->
-        ignore (fault_heavy_solve ~degrade:true ~killed:false);
+        ignore (fault_heavy_solve ~branch_faults:false ~killed:false);
         List.length (Obs.Trace.events c))
   in
   checkb "tracing alone wrote events" true (traced > 0);
@@ -518,7 +521,7 @@ let test_one_sink_at_a_time () =
   let d =
     Fun.protect
       ~finally:(fun () -> Obs.Metrics.set_enabled false)
-      (fun () -> fault_heavy_solve ~degrade:true ~killed:false)
+      (fun () -> fault_heavy_solve ~branch_faults:false ~killed:false)
   in
   checki "metrics alone write no event" 0 (List.length (Obs.Trace.events c));
   List.iter
