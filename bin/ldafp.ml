@@ -439,7 +439,8 @@ let train_cmd =
                 | Optim.Bnb.Gap_reached -> "gap tolerance"
                 | Optim.Bnb.Node_budget -> "node budget"
                 | Optim.Bnb.Time_budget -> "time budget"
-                | Optim.Bnb.Interrupted -> "interrupted");
+                | Optim.Bnb.Interrupted -> "interrupted"
+                | Optim.Bnb.Exhausted -> "exhausted: regions dropped");
               let s = d.Lda_fp.search in
               let misses =
                 s.Optim.Bnb.warm_miss_no_parent
@@ -1093,35 +1094,7 @@ let runs_diff_cmd =
       & info [ "candidate" ] ~docv:"N"
           ~doc:"1-based candidate record (default: the last).")
   in
-  let rel_tol =
-    Arg.(
-      value
-      & opt float 0.25
-      & info [ "rel-tol" ] ~docv:"FRAC"
-          ~doc:
-            "Noise band for the advisory timing comparisons \
-             (preds/sec, ns_per_run).  Timing findings never affect \
-             the exit code unless $(b,--fail-on-timing).")
-  in
-  let warm_drop =
-    Arg.(
-      value
-      & opt float 0.1
-      & info [ "warm-drop" ] ~docv:"FRAC"
-          ~doc:
-            "Absolute warm_hit_rate drop flagged as a correctness \
-             regression.")
-  in
-  let fail_on_timing =
-    Arg.(
-      value
-      & flag
-      & info [ "fail-on-timing" ]
-          ~doc:
-            "Also exit non-zero on timing findings (local tuning only \
-             — CI gates correctness, never timing).")
-  in
-  let run verbose ledger baseline candidate rel_tol warm_drop fail_on_timing =
+  let run verbose ledger baseline candidate =
     setup_logs verbose;
     let records = load_ledger ledger in
     let n = List.length records in
@@ -1133,40 +1106,29 @@ let runs_diff_cmd =
     let bi = Option.value baseline ~default:(n - 1) in
     let ci = Option.value candidate ~default:n in
     let b = nth_record records bi and c = nth_record records ci in
-    let findings =
-      Obs.Run_ledger.diff ~rel_tol ~warm_drop ~baseline:b ~candidate:c ()
-    in
+    let findings = Obs.Run_ledger.diff ~baseline:b ~candidate:c in
     (* Machine-readable JSON on stdout (what CI parses); the human
        summary goes to stderr. *)
     print_endline
       (Obs.Json.to_string (Obs.Run_ledger.findings_json findings));
     List.iter
       (fun f ->
-        Fmt.epr "%s: %s: %s@."
-          (Obs.Run_ledger.severity_name f.Obs.Run_ledger.severity)
-          f.Obs.Run_ledger.path f.Obs.Run_ledger.message)
+        Fmt.epr "correctness: %s: %s@." f.Obs.Run_ledger.path
+          f.Obs.Run_ledger.message)
       findings;
-    let correctness =
-      List.exists
-        (fun f -> f.Obs.Run_ledger.severity = Obs.Run_ledger.Correctness)
-        findings
-    in
-    if correctness then begin
+    if findings <> [] then begin
       Fmt.epr "regression: certified invariants changed (#%d vs #%d)@." bi ci;
       exit 1
-    end;
-    if fail_on_timing && findings <> [] then exit 1
+    end
   in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two ledger records and flag regressions: certified \
-          invariants (certified_sound, cert_fallbacks, warm_hit_rate) \
-          exit non-zero; throughput deltas beyond the noise band are \
-          advisory.")
+         "Compare two ledger records and flag regressions of the \
+          certified invariants (certified_sound, cert_fallbacks, \
+          warm_hit_rate dropping by more than 0.1); any exits non-zero.")
     Term.(
-      const run $ verbose_arg $ ledger_file_arg $ baseline $ candidate
-      $ rel_tol $ warm_drop $ fail_on_timing)
+      const run $ verbose_arg $ ledger_file_arg $ baseline $ candidate)
 
 let runs_cmd =
   Cmd.group

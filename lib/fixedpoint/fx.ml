@@ -24,7 +24,6 @@ let format t = t.fmt
 let zero fmt = { raw = 0; fmt }
 let one ?(ov = Rounding.Wrap) fmt = of_float ~ov fmt 1.0
 let min_val fmt = { raw = Qformat.min_raw fmt; fmt }
-let max_val fmt = { raw = Qformat.max_raw fmt; fmt }
 
 let add ?(ov = Rounding.Wrap) a b =
   check_same_format "add" a b;
@@ -69,7 +68,6 @@ let compare a b =
 
 let equal a b = Qformat.equal a.fmt b.fmt && a.raw = b.raw
 let sign a = Stdlib.compare a.raw 0
-let is_zero a = a.raw = 0
 
 let quantization_error fmt x =
   to_float (of_float ~ov:Rounding.Saturate fmt x) -. x

@@ -26,7 +26,6 @@ val one : ?ov:Rounding.overflow -> Qformat.t -> t
 (** The value [1.0]; saturates/wraps per [ov] if [k = 1] cannot hold it. *)
 
 val min_val : Qformat.t -> t
-val max_val : Qformat.t -> t
 
 val add : ?ov:Rounding.overflow -> t -> t -> t
 val sub : ?ov:Rounding.overflow -> t -> t -> t
@@ -51,7 +50,6 @@ val shift_right : ?mode:Rounding.mode -> t -> int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
-val is_zero : t -> bool
 
 val quantization_error : Qformat.t -> float -> float
 (** [quantization_error fmt x] = [to_float (of_float fmt x) -. x] under

@@ -36,15 +36,15 @@ let check_compatible op a b =
   if Array.length a.raws <> Array.length b.raws then
     invalid_arg (Printf.sprintf "Fx_vector.%s: length mismatch" op)
 
-let dot ?(mode = Rounding.Nearest) ?(product_ov = Rounding.Wrap) a b =
+let dot a b =
   check_compatible "dot" a b;
   let fmt = a.fmt in
   let f = fmt.Qformat.f in
   let acc = ref 0 in
   for i = 0 to Array.length a.raws - 1 do
     let p = a.raws.(i) * b.raws.(i) in
-    let p = Rounding.shift_right_rounded mode p f in
-    let p = Rounding.apply_overflow product_ov fmt ~what:"Fx_vector.dot" p in
+    let p = Rounding.shift_right_rounded Rounding.Nearest p f in
+    let p = Qformat.wrap_raw fmt p in
     acc := Qformat.wrap_raw fmt (!acc + p)
   done;
   Fx.create fmt !acc

@@ -27,10 +27,9 @@ val get : t -> int -> Fx.t
 val set : t -> int -> Fx.t -> unit
 val map : (Fx.t -> Fx.t) -> t -> t
 
-val dot :
-  ?mode:Rounding.mode -> ?product_ov:Rounding.overflow -> t -> t -> Fx.t
-(** Hardware MAC: products rounded to the common format (overflowing per
-    [product_ov], default wrap), accumulated with wrapping adds.  This is
+val dot : t -> t -> Fx.t
+(** Hardware MAC: products rounded half to even into the common format
+    and wrapped, accumulated with wrapping adds.  This is
     the datapath whose overflow behaviour the LDA-FP constraints (18) and
     (20) are designed to keep safe. *)
 

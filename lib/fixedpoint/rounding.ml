@@ -76,14 +76,3 @@ let apply_overflow ov fmt ~what r =
                 (Qformat.to_string fmt) (Qformat.min_raw fmt)
                 (Qformat.max_raw fmt)))
 
-let pp_mode ppf = function
-  | Nearest -> Format.pp_print_string ppf "nearest-even"
-  | Nearest_away -> Format.pp_print_string ppf "nearest-away"
-  | Toward_zero -> Format.pp_print_string ppf "toward-zero"
-  | Floor -> Format.pp_print_string ppf "floor"
-  | Ceil -> Format.pp_print_string ppf "ceil"
-
-let pp_overflow ppf = function
-  | Wrap -> Format.pp_print_string ppf "wrap"
-  | Saturate -> Format.pp_print_string ppf "saturate"
-  | Error -> Format.pp_print_string ppf "error"

@@ -37,6 +37,3 @@ val shift_right_rounded : mode -> int -> int -> int
 val apply_overflow : overflow -> Qformat.t -> what:string -> int -> int
 (** Resolve an out-of-range raw code according to the overflow policy.
     [what] names the operation for the {!Error} message. *)
-
-val pp_mode : Format.formatter -> mode -> unit
-val pp_overflow : Format.formatter -> overflow -> unit

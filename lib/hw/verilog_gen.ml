@@ -8,14 +8,13 @@ type spec = {
   polarity : bool;
 }
 
-let spec_of_weights ?(module_name = "ldafp_classifier") ?(polarity = true)
-    ~fmt ~weights ~threshold () =
+let spec_of_weights ~fmt ~weights ~threshold () =
   {
-    module_name;
+    module_name = "ldafp_classifier";
     fmt;
     weights = Fx_vector.of_floats ~ov:Rounding.Saturate fmt weights;
     threshold = Fx.of_float ~ov:Rounding.Saturate fmt threshold;
-    polarity;
+    polarity = true;
   }
 
 let binary_of_raw fmt raw =

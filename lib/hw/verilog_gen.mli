@@ -18,14 +18,13 @@ type spec = {
 }
 
 val spec_of_weights :
-  ?module_name:string ->
-  ?polarity:bool ->
   fmt:Fixedpoint.Qformat.t ->
   weights:Linalg.Vec.t ->
   threshold:float ->
   unit ->
   spec
-(** Quantise a float solution into a hardware spec. *)
+(** Quantise a float solution into a hardware spec: module
+    [ldafp_classifier], class A when [y >= threshold]. *)
 
 val module_source : spec -> string
 (** The classifier module: ports [clk], [rst], [start], [x_in] (one

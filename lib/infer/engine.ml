@@ -57,7 +57,6 @@ let n_features t = t.features
 let capacity t = t.capacity
 let format t = t.fmt
 let polarity t = t.polarity
-let threshold_raw t = t.thr_raw
 let make_batch t = Batch.create ~fmt:t.fmt ~features:t.features ~capacity:t.capacity
 
 let check_format what t batch =

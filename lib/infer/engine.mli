@@ -32,7 +32,6 @@ val format : t -> Fixedpoint.Qformat.t
     it. *)
 
 val polarity : t -> bool
-val threshold_raw : t -> int
 
 val make_batch : t -> Batch.t
 (** A fresh batch in the engine's input format and capacity. *)

@@ -33,7 +33,7 @@ let default_config =
     certify = true;
     socp_params =
       { Socp.default_params with gap_tol = 1e-7;
-        newton = { Newton.default_params with tol = 1e-9; max_iter = 60 } };
+        newton = { Newton.tol = 1e-9; max_iter = 60 } };
     bnb_params =
       { Bnb.default_params with max_nodes = 2000; rel_gap = 1e-3 };
     checkpoint = None;
@@ -62,15 +62,15 @@ type outcome = { w : Vec.t; cost : float; diagnostics : diagnostics }
 
 (* The warm state a node inherits from its parent: the relaxation
    optimum as a full (y, z) point (primal side) and the barrier weight
-   its solve ended at (the dual side — what {!Socp.restart_levels} turns
-   into a ladder-rung skip).  Plain floats and arrays, so it marshals
+   its solve ended at (the dual side — what {!Socp.warm_start_params}
+   turns into a ladder-rung skip).  Plain floats and arrays, so it marshals
    through {!Bnb.snapshot}s to whichever worker domain takes the
    child. *)
 type warm_info = {
   point : Vec.t;
   tau_final : float;
       (* [Float.nan] when the point came from a phase-I [Unknown]
-         (never centered on any ladder): restart_levels maps it to 0,
+         (never centered on any ladder): warm_start_params skips no rung,
          a full ladder with only phase-I skipped *)
 }
 
@@ -149,10 +149,9 @@ let solve_program cfg pb ~counters ~z_cap node (r : Ldafp_problem.relaxation) =
   in
   match warm with
   | Some (x0, tau_final) ->
-      let levels = Socp.restart_levels cfg.socp_params ~tau_final in
       Warm
-        (Socp.solve ~params:(Socp.warm_start_params ~levels cfg.socp_params) socp
-           ~start:x0)
+        (Socp.solve ~params:(Socp.warm_start_params cfg.socp_params ~tau_final)
+           socp ~start:x0)
   | None -> (
       match Socp.find_strictly_feasible ~params:cfg.socp_params socp ~start:center with
       | Socp.Infeasible _ -> Phase1_infeasible
@@ -220,7 +219,7 @@ let bound_node cfg pb counters node =
         | Phase1_unknown x ->
             (* Nothing better than cost >= 0 is proved, but the box may
                hold the optimum: keep exploring.  The point was never
-               centered (NaN: restart_levels 0 in the children). *)
+               centered (NaN: no rung skipped in the children). *)
             finish x ~tau_final:Float.nan (fun () -> 0.0)
         | Warm sol | Cold sol ->
             (* Prunes compare the verified dual certificate, never the
@@ -293,7 +292,6 @@ let jittered_config cfg k =
     cfg with
     socp_params =
       {
-        sp with
         Socp.tau0 = sp.Socp.tau0 *. (1.0 +. (0.37 *. s));
         gap_tol = sp.Socp.gap_tol *. decade;
         newton =

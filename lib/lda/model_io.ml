@@ -108,7 +108,8 @@ let of_string text =
   let w = Fx_vector.of_fx (Array.of_list (List.map (code fmt) weights)) in
   Fixed_classifier.create ~polarity ~w ~threshold:(code fmt threshold) ~scaling ()
 
-let c_header_of ?(guard = "LDAFP_MODEL_FIXED_H") clf =
+let c_header_of clf =
+  let guard = "LDAFP_MODEL_FIXED_H" in
   let fmt = Fixed_classifier.format clf in
   let wl = Qformat.word_length fmt in
   (* Products are computed in plain int64_t in the generated code; the

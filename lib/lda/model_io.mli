@@ -25,7 +25,7 @@ val save : string -> Fixed_classifier.t -> unit
 val load : string -> Fixed_classifier.t
 (** @raise Parse_error / [Sys_error]. *)
 
-val c_header_of : ?guard:string -> Fixed_classifier.t -> string
+val c_header_of : Fixed_classifier.t -> string
 (** A self-contained C header ([lda_model_fixed.h] style, alongside the
     Verilog backend) carrying the same baked tables the hardware holds:
     feature count, Q-format, polarity, raw threshold, per-feature scale
@@ -33,9 +33,8 @@ val c_header_of : ?guard:string -> Fixed_classifier.t -> string
     [ldafp_project_raw] / [ldafp_predict_raw] functions that reproduce
     the wrapping MAC datapath bit-for-bit (round half to even on the
     fractional shift, two's-complement wrap into the word length on
-    every accumulate).  The header compiles standalone with [cc -c].
-    [guard] overrides the include guard (default
-    [LDAFP_MODEL_FIXED_H]).
+    every accumulate).  The header compiles standalone with [cc -c];
+    its include guard is [LDAFP_MODEL_FIXED_H].
     @raise Invalid_argument when the word length exceeds 31 bits — the
     generated [int64_t] products would overflow where the OCaml
     datapath wraps modulo [2^63]. *)

@@ -26,7 +26,7 @@ let perturbed clf pattern =
     ~threshold:(Fixed_classifier.threshold_value clf)
     ()
 
-let sweep ?(exhaustive_limit = 8) ?(samples = 200) ?rng clf ds =
+let sweep clf ds =
   let m = Fixed_classifier.n_features clf in
   let nominal = Eval.error_fixed clf ds in
   let worst = ref nominal and sum = ref 0.0 and count = ref 0 in
@@ -36,7 +36,7 @@ let sweep ?(exhaustive_limit = 8) ?(samples = 200) ?rng clf ds =
     sum := !sum +. e;
     incr count
   in
-  let exhaustive = m <= exhaustive_limit in
+  let exhaustive = m <= 8 in
   if exhaustive then begin
     (* Enumerate all 3^m ternary patterns. *)
     let pattern = Array.make m (-1) in
@@ -51,8 +51,8 @@ let sweep ?(exhaustive_limit = 8) ?(samples = 200) ?rng clf ds =
     go 0
   end
   else begin
-    let rng = match rng with Some r -> r | None -> Stats.Rng.create 0 in
-    for _ = 1 to samples do
+    let rng = Stats.Rng.create 0 in
+    for _ = 1 to 200 do
       eval (Array.init m (fun _ -> Stats.Rng.int rng 3 - 1))
     done
   end;

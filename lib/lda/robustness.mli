@@ -7,8 +7,8 @@
     weight by about one ulp.  A robust boundary keeps its error under
     every such perturbation; LDA-FP optimises for exactly this regime.
 
-    [sweep] enumerates all [3^M] one-ulp perturbation patterns for small
-    [M] and falls back to random sampling beyond [exhaustive_limit]. *)
+    [sweep] enumerates all [3^M] one-ulp perturbation patterns for
+    [M <= 8] and falls back to random sampling beyond. *)
 
 type report = {
   nominal : float;  (** error of the unperturbed classifier *)
@@ -18,16 +18,9 @@ type report = {
   exhaustive : bool;  (** whether all 3^M patterns were enumerated *)
 }
 
-val sweep :
-  ?exhaustive_limit:int ->
-  ?samples:int ->
-  ?rng:Stats.Rng.t ->
-  Fixed_classifier.t ->
-  Datasets.Dataset.t ->
-  report
-(** [exhaustive_limit] (default 8) is the largest [M] enumerated fully;
-    above it [samples] (default 200) random ±1-ulp patterns are drawn
-    using [rng] (default seed 0).  Perturbed weights are clamped to the
+val sweep : Fixed_classifier.t -> Datasets.Dataset.t -> report
+(** Up to [M = 8] every pattern is evaluated; above it 200 random ±1-ulp
+    patterns are drawn (seed 0).  Perturbed weights are clamped to the
     representable range. *)
 
 val perturbed : Fixed_classifier.t -> int array -> Fixed_classifier.t

@@ -38,9 +38,10 @@ let lower_max_abs a =
   done;
   !s
 
-let factor_jittered_into ?(max_tries = 20) a ~dst =
+(* Up to 20 jittered attempts after the plain one. *)
+let factor_jittered_into a ~dst =
   let rec go jitter tries =
-    if tries > max_tries then raise (Not_positive_definite (-1))
+    if tries > 20 then raise (Not_positive_definite (-1))
     else
       match factor_into ~jitter a ~dst with
       | () -> jitter
@@ -53,9 +54,9 @@ let factor_jittered_into ?(max_tries = 20) a ~dst =
   in
   go 0.0 0
 
-let factor_jittered ?max_tries a =
+let factor_jittered a =
   let l = Mat.zeros (Mat.rows a) (Mat.cols a) in
-  let jitter = factor_jittered_into ?max_tries a ~dst:l in
+  let jitter = factor_jittered_into a ~dst:l in
   (l, jitter)
 
 let solve_factored_into l b ~dst =

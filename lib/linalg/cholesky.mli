@@ -21,7 +21,7 @@ val factor_into : ?jitter:float -> Mat.t -> dst:Mat.t -> unit
     [a] when the factorisation raises.
     @raise Not_positive_definite if a pivot is [<= 0]. *)
 
-val factor_jittered : ?max_tries:int -> Mat.t -> Mat.t * float
+val factor_jittered : Mat.t -> Mat.t * float
 (** [factor_jittered a] factors [a + jitter*I], growing [jitter] from 0 by
     powers of ten starting at [1e-12 * max_abs a] until the factorisation
     succeeds; returns the factor and the jitter used.  This regularises the
@@ -30,13 +30,13 @@ val factor_jittered : ?max_tries:int -> Mat.t -> Mat.t * float
     ([max_abs] over the lower triangle, computed only when the first
     attempt fails): for a symmetric [a] that is [Mat.max_abs a], and the
     strict upper triangle may hold anything, NaN included.
-    @raise Not_positive_definite after [max_tries] (default 20). *)
+    @raise Not_positive_definite after 20 jittered attempts. *)
 
-val factor_jittered_into : ?max_tries:int -> Mat.t -> dst:Mat.t -> float
+val factor_jittered_into : Mat.t -> dst:Mat.t -> float
 (** In-place {!factor_jittered}: writes the factor into [dst] and returns
     the jitter used, reading only [a]'s lower triangle.  [dst] must {b not} alias [a] — failed attempts leave
     partial factors in [dst] and retry from the pristine [a].
-    @raise Not_positive_definite after [max_tries] (default 20). *)
+    @raise Not_positive_definite after 20 jittered attempts. *)
 
 val solve : Mat.t -> Vec.t -> Vec.t
 (** [solve a b] solves [a x = b] for s.p.d. [a] via factorisation. *)

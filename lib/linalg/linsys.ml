@@ -1,27 +1,3 @@
-type report = {
-  solution : Vec.t;
-  residual_norm : float;
-  used : [ `Cholesky | `Lu ];
-}
-
-let solve_report a b =
-  let via_lu () =
-    let x = Lu.solve a b in
-    { solution = x; residual_norm = Vec.dist2 (Mat.mul_vec a x) b; used = `Lu }
-  in
-  if Mat.is_symmetric ~tol:1e-10 a then
-    match Cholesky.solve a b with
-    | x ->
-        {
-          solution = x;
-          residual_norm = Vec.dist2 (Mat.mul_vec a x) b;
-          used = `Cholesky;
-        }
-    | exception Cholesky.Not_positive_definite _ -> via_lu ()
-  else via_lu ()
-
-let solve a b = (solve_report a b).solution
-
 let solve_spd_regularized ?ridge a b =
   if not (Mat.is_square a) then
     invalid_arg "Linsys.solve_spd_regularized: not square";

@@ -1,18 +1,4 @@
-(** High-level linear-system interface used by the rest of the system.
-
-    Chooses a factorisation (Cholesky when symmetric positive definite,
-    pivoted LU otherwise) and reports solution quality. *)
-
-type report = {
-  solution : Vec.t;
-  residual_norm : float;  (** [‖A x − b‖₂] *)
-  used : [ `Cholesky | `Lu ];
-}
-
-val solve : Mat.t -> Vec.t -> Vec.t
-(** Best-effort solve; equivalent to [(solve_report a b).solution]. *)
-
-val solve_report : Mat.t -> Vec.t -> report
+(** The linear-system entry point the rest of the system uses. *)
 
 val solve_spd_regularized : ?ridge:float -> Mat.t -> Vec.t -> Vec.t
 (** Solve a symmetric system after adding a relative ridge

@@ -68,10 +68,6 @@ let normalize_inf a =
   if n = 0.0 then invalid_arg "Vec.normalize_inf: zero vector";
   scale (1.0 /. n) a
 
-let hadamard a b =
-  check_dims "hadamard" a b;
-  Array.mapi (fun i x -> x *. b.(i)) a
-
 let map = Array.map
 
 let map2 f a b =

@@ -44,9 +44,6 @@ val normalize : t -> t
 val normalize_inf : t -> t
 (** Unit infinity norm. @raise Invalid_argument on the zero vector. *)
 
-val hadamard : t -> t -> t
-(** Element-wise product. *)
-
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val sum : t -> float

@@ -1,9 +1,4 @@
-type counter = {
-  c_name : string;
-  c_help : string;
-  c_labels : (string * string) list;
-  c_value : int Atomic.t;
-}
+type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
 
 type gauge = {
   g_name : string;
@@ -22,11 +17,12 @@ type shard = {
   mutable s_overflow : int;
 }
 
+(* Buckets per histogram. *)
+let bins = 24
+
 type histogram = {
   h_name : string;
   h_help : string;
-  h_labels : (string * string) list;
-  h_bins : int;
   h_llo : float;  (** [log10 lo] *)
   h_lhi : float;  (** [log10 hi] *)
   h_lock : Mutex.t;  (** guards [h_shards] (registration only) *)
@@ -58,8 +54,8 @@ let register reg m =
   if dup then
     invalid_arg (Printf.sprintf "Metrics: duplicate metric %S" (metric_name m))
 
-let counter ?(help = "") ?(labels = []) reg name =
-  let c = { c_name = name; c_help = help; c_labels = labels; c_value = Atomic.make 0 } in
+let counter ?(help = "") reg name =
+  let c = { c_name = name; c_help = help; c_value = Atomic.make 0 } in
   register reg (C c);
   c
 
@@ -70,10 +66,9 @@ let gauge ?(help = "") ?(labels = []) ?(init = 0.0) reg name =
   register reg (G g);
   g
 
-let histogram ?(help = "") ?(labels = []) ?(bins = 24) ~lo ~hi reg name =
+let histogram ?(help = "") ~lo ~hi reg name =
   if not (lo > 0.0 && lo < hi) then
     invalid_arg "Metrics.histogram: need 0 < lo < hi";
-  if bins < 1 then invalid_arg "Metrics.histogram: bins must be >= 1";
   let shards = ref [] in
   let lock = Mutex.create () in
   let key =
@@ -90,8 +85,6 @@ let histogram ?(help = "") ?(labels = []) ?(bins = 24) ~lo ~hi reg name =
     {
       h_name = name;
       h_help = help;
-      h_labels = labels;
-      h_bins = bins;
       h_llo = log10 lo;
       h_lhi = log10 hi;
       h_lock = lock;
@@ -119,9 +112,9 @@ let record h x =
     else begin
       let i =
         int_of_float
-          (float_of_int h.h_bins *. (lx -. h.h_llo) /. (h.h_lhi -. h.h_llo))
+          (float_of_int bins *. (lx -. h.h_llo) /. (h.h_lhi -. h.h_llo))
       in
-      let i = min (h.h_bins - 1) (max 0 i) in
+      let i = min (bins - 1) (max 0 i) in
       s.s_counts.(i) <- s.s_counts.(i) + 1
     end
   end
@@ -136,7 +129,7 @@ let shards_of h =
 
 let snapshot h =
   let empty =
-    Stats.Histogram.create ~lo:h.h_llo ~hi:h.h_lhi ~bins:h.h_bins
+    Stats.Histogram.create ~lo:h.h_llo ~hi:h.h_lhi ~bins
   in
   List.fold_left
     (fun acc s ->
@@ -158,7 +151,7 @@ let histogram_quantile h p =
 (* --- export -------------------------------------------------------- *)
 
 let bucket_upper h i =
-  let w = (h.h_lhi -. h.h_llo) /. float_of_int h.h_bins in
+  let w = (h.h_lhi -. h.h_llo) /. float_of_int bins in
   10.0 ** (h.h_llo +. (float_of_int (i + 1) *. w))
 
 (* Cumulative bucket counts, Prometheus-style: bucket [i] counts every
@@ -178,22 +171,24 @@ let metrics_in reg =
   Mutex.unlock reg.r_lock;
   ms
 
-let json_labels = function
-  | [] -> []
-  | labels ->
-      [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)) ]
-
 let json_of_metric = function
   | C c ->
       ( c.c_name,
         Json.Obj
-          ([ ("type", Json.Str "counter"); ("value", Json.Int (counter_value c)) ]
-          @ json_labels c.c_labels) )
+          [ ("type", Json.Str "counter"); ("value", Json.Int (counter_value c)) ]
+      )
   | G g ->
       ( g.g_name,
         Json.Obj
           ([ ("type", Json.Str "gauge"); ("value", Json.Float (gauge_value g)) ]
-          @ json_labels g.g_labels) )
+          @
+          match g.g_labels with
+          | [] -> []
+          | labels ->
+              [
+                ( "labels",
+                  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels) );
+              ]) )
   | H h ->
       let count = histogram_count h in
       let q p =
@@ -208,16 +203,15 @@ let json_of_metric = function
       in
       ( h.h_name,
         Json.Obj
-          ([
-             ("type", Json.Str "histogram");
-             ("count", Json.Int count);
-             ("sum", Json.Float (histogram_sum h));
-             ("p50", q 0.5);
-             ("p90", q 0.9);
-             ("p99", q 0.99);
-             ("buckets", Json.List buckets);
-           ]
-          @ json_labels h.h_labels) )
+          [
+            ("type", Json.Str "histogram");
+            ("count", Json.Int count);
+            ("sum", Json.Float (histogram_sum h));
+            ("p50", q 0.5);
+            ("p90", q 0.9);
+            ("p99", q 0.99);
+            ("buckets", Json.List buckets);
+          ] )
 
 let to_json reg =
   Json.Obj
@@ -282,8 +276,7 @@ let to_prometheus reg =
       | C c ->
           prom_header buf c.c_name c.c_help "counter";
           Buffer.add_string buf
-            (Printf.sprintf "%s%s %d\n" c.c_name (render_labels c.c_labels)
-               (counter_value c))
+            (Printf.sprintf "%s %d\n" c.c_name (counter_value c))
       | G g ->
           prom_header buf g.g_name g.g_help "gauge";
           Buffer.add_string buf
@@ -291,9 +284,7 @@ let to_prometheus reg =
                (float_repr (gauge_value g)))
       | H h ->
           prom_header buf h.h_name h.h_help "histogram";
-          let with_le le =
-            render_labels (h.h_labels @ [ ("le", le) ])
-          in
+          let with_le le = render_labels [ ("le", le) ] in
           Array.iter
             (fun (le, c) ->
               Buffer.add_string buf
@@ -304,11 +295,10 @@ let to_prometheus reg =
             (Printf.sprintf "%s_bucket%s %d\n" h.h_name (with_le "+Inf")
                (histogram_count h));
           Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" h.h_name (render_labels h.h_labels)
+            (Printf.sprintf "%s_sum %s\n" h.h_name
                (float_repr (histogram_sum h)));
           Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" h.h_name
-               (render_labels h.h_labels) (histogram_count h)))
+            (Printf.sprintf "%s_count %d\n" h.h_name (histogram_count h)))
     (metrics_in reg);
   Buffer.contents buf
 

@@ -39,31 +39,24 @@ val set_enabled : bool -> unit
 (** {1 Registration}
 
     Registering a duplicate name in the same registry raises
-    [Invalid_argument].  [labels] are constant key/value pairs rendered
-    on every sample (Prometheus-style). *)
+    [Invalid_argument]. *)
 
-val counter :
-  ?help:string -> ?labels:(string * string) list -> t -> string -> counter
+val counter : ?help:string -> t -> string -> counter
 
 val gauge :
   ?help:string -> ?labels:(string * string) list -> ?init:float ->
   t -> string -> gauge
-(** [init] (default [0.]) is the value until the first {!set}. *)
+(** [labels] are constant key/value pairs rendered on the sample
+    (Prometheus-style; [ldafp_build_info] carries the build identity in
+    them).  [init] (default [0.]) is the value until the first
+    {!set}. *)
 
-val histogram :
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?bins:int ->
-  lo:float ->
-  hi:float ->
-  t ->
-  string ->
-  histogram
-(** Geometric buckets: [bins] (default [24]) buckets between [lo] and
-    [hi] (both [> 0]); observations below [lo] (or NaN / non-positive)
-    count as underflow, at/above [hi] as overflow — both included in
-    [count] and in the Prometheus [+Inf] bucket.
-    @raise Invalid_argument unless [0 < lo < hi] and [bins >= 1]. *)
+val histogram : ?help:string -> lo:float -> hi:float -> t -> string -> histogram
+(** Geometric buckets: 24 buckets between [lo] and [hi] (both [> 0]);
+    observations below [lo] (or NaN / non-positive) count as underflow,
+    at/above [hi] as overflow — both included in [count] and in the
+    Prometheus [+Inf] bucket.
+    @raise Invalid_argument unless [0 < lo < hi]. *)
 
 (** {1 Recording} *)
 

@@ -101,19 +101,12 @@ let load ~path =
 (* Regression diffing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type severity = Correctness | Timing
-
 type finding = {
-  severity : severity;
   path : string;
   baseline : Json.t;
   candidate : Json.t;
   message : string;
 }
-
-let severity_name = function
-  | Correctness -> "correctness"
-  | Timing -> "timing"
 
 (* Flatten a record into dotted leaf paths ("parallel.experiments[0]
    .warm_hit_rate").  Diffing walks exact path pairs, so the same key
@@ -135,7 +128,7 @@ let leaves j =
 
 let leaf_key path =
   (* Last dotted segment, list index stripped: "a.b[3].c" -> "c",
-     "micro[2].ns_per_run" -> "ns_per_run". *)
+     "experiments[2].warm_hit_rate" -> "warm_hit_rate". *)
   let seg =
     match String.rindex_opt path '.' with
     | Some i -> String.sub path (i + 1) (String.length path - i - 1)
@@ -155,19 +148,17 @@ let as_flag = function
   | Json.Int i -> Some (i <> 0)
   | _ -> None
 
-let ends_with ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
+(* An absolute warm_hit_rate drop larger than this is a regression. *)
+let warm_drop = 0.1
 
-let diff ?(rel_tol = 0.25) ?(warm_drop = 0.1) ~baseline ~candidate () =
+let diff ~baseline ~candidate =
   let base = Hashtbl.create 64 in
   List.iter (fun (p, v) -> Hashtbl.replace base p v) (leaves baseline);
   let findings = ref [] in
-  let emit severity path b c fmt =
+  let emit path b c fmt =
     Printf.ksprintf
       (fun message ->
-        findings :=
-          { severity; path; baseline = b; candidate = c; message } :: !findings)
+        findings := { path; baseline = b; candidate = c; message } :: !findings)
       fmt
   in
   List.iter
@@ -175,69 +166,39 @@ let diff ?(rel_tol = 0.25) ?(warm_drop = 0.1) ~baseline ~candidate () =
       match Hashtbl.find_opt base path with
       | None -> () (* schemas may grow; only shared leaves are compared *)
       | Some b -> (
-          let key = leaf_key path in
-          match key with
+          match leaf_key path with
           | "certified_sound" -> (
               match (as_flag b, as_flag cand) with
               | Some true, Some false ->
-                  emit Correctness path b cand
-                    "certified_sound regressed true -> false"
+                  emit path b cand "certified_sound regressed true -> false"
               | _ -> ())
           | "cert_fallbacks" -> (
               match (as_number b, as_number cand) with
               | Some vb, Some vc when vc > vb ->
-                  emit Correctness path b cand
-                    "cert_fallbacks increased %g -> %g" vb vc
+                  emit path b cand "cert_fallbacks increased %g -> %g" vb vc
               | _ -> ())
           | "warm_hit_rate" -> (
               match (as_number b, as_number cand) with
               | Some vb, Some vc when vb -. vc > warm_drop ->
-                  emit Correctness path b cand
+                  emit path b cand
                     "warm_hit_rate dropped %.3f -> %.3f (more than %g)" vb vc
                     warm_drop
               | _ -> ())
-          | "ns_per_run" -> (
-              match (as_number b, as_number cand) with
-              | Some vb, Some vc
-                when vb > 0. && vc > vb *. (1. +. rel_tol) ->
-                  emit Timing path b cand
-                    "ns_per_run %.4g -> %.4g (+%.0f%%, tolerance %.0f%%)" vb
-                    vc
-                    ((vc /. vb -. 1.) *. 100.)
-                    (rel_tol *. 100.)
-              | _ -> ())
-          | k when ends_with ~suffix:"preds_per_sec" k -> (
-              match (as_number b, as_number cand) with
-              | Some vb, Some vc
-                when vb > 0. && vc < vb *. (1. -. rel_tol) ->
-                  emit Timing path b cand
-                    "%s %.4g -> %.4g (-%.0f%%, tolerance %.0f%%)" k vb vc
-                    ((1. -. (vc /. vb)) *. 100.)
-                    (rel_tol *. 100.)
-              | _ -> ())
           | _ -> ()))
     (leaves candidate);
-  (* Correctness first, then file order within each severity. *)
-  let ordered = List.rev !findings in
-  List.filter (fun f -> f.severity = Correctness) ordered
-  @ List.filter (fun f -> f.severity = Timing) ordered
+  List.rev !findings
 
 let findings_json findings =
-  let count sev =
-    List.length (List.filter (fun f -> f.severity = sev) findings)
-  in
   Json.Obj
     [
       ("schema", Json.Str "ldafp-diff/1");
-      ("correctness_regressions", Json.Int (count Correctness));
-      ("timing_regressions", Json.Int (count Timing));
+      ("correctness_regressions", Json.Int (List.length findings));
       ( "findings",
         Json.List
           (List.map
              (fun f ->
                Json.Obj
                  [
-                   ("severity", Json.Str (severity_name f.severity));
                    ("path", Json.Str f.path);
                    ("baseline", f.baseline);
                    ("candidate", f.candidate);

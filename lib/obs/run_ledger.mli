@@ -10,12 +10,12 @@
      "timestamp_utc": "...", "argv": [...],
      "environment": {"cores_detected": ..., "ocaml_version": ...,
                      "hostname": ..., "word_size": ..., "os": ...},
-     <caller sections: "config", "stats", "metrics", "bench", ...>}
+     <caller sections: "config", "stats", "metrics", ...>}
     v}
 
     The environment block exists so the ROADMAP single-core caveat is
-    machine-checkable: a bench number is only comparable to another
-    bench number taken with the same [cores_detected].
+    machine-checkable: a timing is only comparable to another taken
+    with the same [cores_detected].
 
     {b Durability.} {!append} never writes in place: it rewrites the
     whole ledger to a temp file ([path ^ ".tmp"]), [fsync]s, and
@@ -35,7 +35,7 @@ val environment : unit -> Json.t
 val record :
   kind:string -> ?argv:string list -> (string * Json.t) list -> Json.t
 (** [record ~kind sections] builds a ledger record: schema, [kind]
-    (["train"] / ["classify"] / ["bench"]), timestamps, [argv]
+    (["train"] / ["classify"]), timestamps, [argv]
     (default [Sys.argv]), {!environment}, then the caller [sections]
     appended as top-level keys. *)
 
@@ -53,45 +53,26 @@ val load : path:string -> (Json.t list * int, string) result
 
 (** {1 Regression diffing} *)
 
-type severity =
-  | Correctness  (** certified invariants; CI exits non-zero *)
-  | Timing  (** throughput/latency noise band; advisory only *)
-
 type finding = {
-  severity : severity;
   path : string;  (** dotted leaf path, e.g. ["parallel.experiments[0].warm_hit_rate"] *)
   baseline : Json.t;
   candidate : Json.t;
   message : string;
 }
+(** A certified invariant that changed between two records. *)
 
-val severity_name : severity -> string
-(** ["correctness"] / ["timing"]. *)
-
-val diff :
-  ?rel_tol:float ->
-  ?warm_drop:float ->
-  baseline:Json.t ->
-  candidate:Json.t ->
-  unit ->
-  finding list
+val diff : baseline:Json.t -> candidate:Json.t -> finding list
 (** Compare two ledger records leaf-by-leaf (paths must match exactly)
-    and return regressions, correctness first:
+    and return the regressions, in the candidate's leaf order:
 
-    - [certified_sound] [true -> false] — Correctness;
-    - [cert_fallbacks] increased (in particular [0 -> >0]) —
-      Correctness;
-    - [warm_hit_rate] dropped by more than [warm_drop] (default
-      [0.1], absolute) — Correctness;
-    - any [*preds_per_sec] below [baseline * (1 - rel_tol)], or
-      [ns_per_run] above [baseline * (1 + rel_tol)] (default
-      [rel_tol = 0.25]) — Timing.
+    - [certified_sound] [true -> false];
+    - [cert_fallbacks] increased (in particular [0 -> >0]);
+    - [warm_hit_rate] dropped by more than [0.1] (absolute).
 
     Leaves present in only one record are ignored (schemas may grow).
-    Timing findings never gate CI — the ROADMAP rule is correctness
-    and agreement only, never timing. *)
+    Timing is not compared: no record kind carries a timing leaf. *)
 
 val findings_json : finding list -> Json.t
 (** Machine-readable diff output:
     [{schema: "ldafp-diff/1", correctness_regressions: n,
-      timing_regressions: n, findings: [...]}]. *)
+      findings: [{path, baseline, candidate, message}, ...]}]. *)

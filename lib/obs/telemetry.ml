@@ -147,15 +147,15 @@ let write_all fd s =
   in
   go 0
 
-let serve_client registry fd =
+let serve_client fd =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0 with _ -> ());
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0 with _ -> ());
   let line = read_request_line fd in
-  if line <> "" then write_all fd (handle_request registry line);
+  if line <> "" then write_all fd (handle_request Metrics.default line);
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
   try Unix.close fd with _ -> ()
 
-let accept_loop registry sock stop_flag () =
+let accept_loop sock stop_flag () =
   let rec loop () =
     if not (Atomic.get stop_flag) then begin
       (* Select with a short timeout so a stop request is honoured
@@ -164,7 +164,7 @@ let accept_loop registry sock stop_flag () =
       | [], _, _ -> ()
       | _ :: _, _, _ -> (
           match Unix.accept sock with
-          | fd, _ -> serve_client registry fd
+          | fd, _ -> serve_client fd
           | exception Unix.Unix_error _ -> ())
       | exception Unix.Unix_error _ -> ());
       loop ()
@@ -197,7 +197,7 @@ let parse_addr addr =
                   Error (Printf.sprintf "telemetry: cannot resolve %S" h)
               | { Unix.h_addr_list; _ } -> Ok (h_addr_list.(0), p))))
 
-let start ?(registry = Metrics.default) ~addr () =
+let start ~addr () =
   match parse_addr addr with
   | Error _ as e -> e
   | Ok (ip, port) -> (
@@ -219,7 +219,7 @@ let start ?(registry = Metrics.default) ~addr () =
             | _ -> (Unix.string_of_inet_addr ip, port)
           in
           let stop_flag = Atomic.make false in
-          let dom = Domain.spawn (accept_loop registry sock stop_flag) in
+          let dom = Domain.spawn (accept_loop sock stop_flag) in
           Sink.set Sink.telemetry true;
           Ok { sock; bound_host; bound_port; stop_flag; dom; stopped = false })
 

@@ -4,7 +4,7 @@
     {!start} binds a listening socket and runs a single-threaded accept
     loop on its own domain, answering
 
-    - [GET /metrics] — the registry's Prometheus text exposition
+    - [GET /metrics] — {!Metrics.default}'s Prometheus text exposition
       ({!Metrics.to_prometheus}),
     - [GET /metrics.json] — the JSON export ({!Metrics.to_json}),
     - [GET /healthz] — a small JSON object with the current search
@@ -21,8 +21,7 @@
 
 type server
 
-val start :
-  ?registry:Metrics.t -> addr:string -> unit -> (server, string) result
+val start : addr:string -> unit -> (server, string) result
 (** [start ~addr ()] parses [addr] as [HOST:PORT] (or [:PORT] /
     [PORT] for all interfaces), binds, listens, spawns the accept-loop
     domain, and flips {!enabled} on.  [PORT] may be [0] to bind an

@@ -35,6 +35,7 @@ type stop_reason =
   | Node_budget
   | Time_budget
   | Interrupted
+  | Exhausted
 
 let stop_reason_name = function
   | Proved_optimal -> "proved_optimal"
@@ -42,6 +43,7 @@ let stop_reason_name = function
   | Node_budget -> "node_budget"
   | Time_budget -> "time_budget"
   | Interrupted -> "interrupted"
+  | Exhausted -> "exhausted"
 
 type stats = {
   infeasible_regions : int;
@@ -56,6 +58,7 @@ type stats = {
   retries : int;
   degraded_bounds : int;
   dropped_regions : int;
+  dropped_bound : float;
   warm_start_hits : int;
   phase1_skipped : int;
   warm_pull_ins : int;
@@ -93,6 +96,7 @@ let stats_to_json (s : stats) =
       ("retries", Int s.retries);
       ("degraded_bounds", Int s.degraded_bounds);
       ("dropped_regions", Int s.dropped_regions);
+      ("dropped_bound", Float s.dropped_bound);
       ("warm_start_hits", Int s.warm_start_hits);
       ("phase1_skipped", Int s.phase1_skipped);
       ("warm_pull_ins", Int s.warm_pull_ins);
@@ -390,18 +394,18 @@ let timed_guarded_bound ?cell ~faults ~(oc : oracle_counters) oracle region =
     (fun () -> guarded_bound ~faults ~oc oracle region)
 
 (* A split has no fallback: a region whose [branch] fails twice is
-   treated as atomic (its own candidate was already surfaced by
+   dropped ([None]; its own candidate was already surfaced by
    [bound]). *)
 let guarded_branch ~(oc : oracle_counters) oracle region =
   let rec attempt k =
     match oracle.branch region with
-    | children -> children
+    | children -> Some children
     | exception e when containable e ->
         let reason = Printexc.to_string e in
         if note_failure oc ~attempt:k "branch" reason then attempt (k + 1)
         else begin
           note_drop oc "unsplittable region" reason;
-          []
+          None
         end
   in
   attempt 0
@@ -449,7 +453,7 @@ let try_save ck snapshot =
 
 let stop_wants_save = function
   | Node_budget | Time_budget | Interrupted -> true
-  | Proved_optimal | Gap_reached -> false
+  | Proved_optimal | Gap_reached | Exhausted -> false
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -469,9 +473,11 @@ let stop_wants_save = function
 
    Termination.  [drained] is exact (children are pushed before their
    parent's in-flight slot is released) and is tested before the gap so
-   an exhausted search reports Proved_optimal, not Gap_reached against
-   an infinite frontier bound.  The gap test reads Frontier.bound, the
-   exact minimum over queued and in-flight regions.  The node budget is
+   a drained search reports Proved_optimal, not Gap_reached against an
+   infinite frontier bound — or Exhausted when a dropped region's key
+   lies below the incumbent, so the drained frontier proves nothing.
+   The gap test reads Frontier.bound, the exact minimum over queued and
+   in-flight regions, capped by that key.  The node budget is
    checked before claiming a node; workers already mid-expansion finish,
    so the budget can overshoot by at most [domains - 1] nodes — the
    price of not serializing the hot path.
@@ -518,6 +524,20 @@ let run : type region sol.
     (match !incumbent with Some (_, c) -> c | None -> Float.infinity);
   let nodes =
     Atomic.make (Option.fold ~none:0 ~some:(fun s -> s.nodes_explored) carried)
+  in
+  (* The lowest key of any region whose branch, or one of whose
+     children's bounds, was dropped: every point the search lost costs
+     at least this much.  +infinity while nothing was dropped. *)
+  let dropped_bound =
+    Atomic.make
+      (Option.fold ~none:Float.infinity
+         ~some:(fun s -> s.stats.dropped_bound)
+         carried)
+  in
+  let rec note_dropped lb =
+    let cur = Atomic.get dropped_bound in
+    if lb < cur && not (Atomic.compare_and_set dropped_bound cur lb) then
+      note_dropped lb
   in
   let start_time = now () in
   let run_t0_ns = Obs.Clock.now_ns () in
@@ -590,6 +610,7 @@ let run : type region sol.
       retries = Atomic.get oc.retries;
       degraded_bounds = Atomic.get oc.degraded;
       dropped_regions = Atomic.get oc.dropped;
+      dropped_bound = Atomic.get dropped_bound;
       warm_start_hits;
       (* A warm hit is exactly a phase-I solve skipped. *)
       phase1_skipped = warm_start_hits;
@@ -676,17 +697,39 @@ let run : type region sol.
     let inc = Atomic.get incumbent_cost in
     inc < Float.infinity
     &&
-    let gap = inc -. Frontier.bound frontier in
+    let gap =
+      inc -. Float.min (Frontier.bound frontier) (Atomic.get dropped_bound)
+    in
     gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
   in
   (* The certified global bound: the frontier minimum, or — once the
      frontier has drained, everything explored or pruned — the
-     incumbent, which is then optimal.  What the result, the progress
-     line and the telemetry gap all report. *)
+     incumbent; never above a dropped region's key.  What the result,
+     the progress line and the telemetry gap all report. *)
   let global_bound () =
     let fb = Frontier.bound frontier in
-    if Frontier.drained frontier then Float.min (Atomic.get incumbent_cost) fb
-    else fb
+    Float.min (Atomic.get dropped_bound)
+      (if Frontier.drained frontier then
+         Float.min (Atomic.get incumbent_cost) fb
+       else fb)
+  in
+  let gap () =
+    let inc = Atomic.get incumbent_cost in
+    if inc = Float.infinity then Float.infinity else inc -. global_bound ()
+  in
+  (* The /healthz view of the search: set when it starts and stops, and
+     after every node while a sink is on. *)
+  let publish () =
+    Obs.Telemetry.set_nodes (Atomic.get nodes);
+    Obs.Telemetry.set_incumbent (Atomic.get incumbent_cost);
+    Obs.Telemetry.set_gap (gap ())
+  in
+  (* A drained frontier proves the incumbent optimal only if nothing
+     dropped could have held a better point. *)
+  let drained_reason () =
+    if Atomic.get dropped_bound >= Atomic.get incumbent_cost then
+      Proved_optimal
+    else Exhausted
   in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
   (* First halt wins the stop reason; close is idempotent and wakes any
@@ -714,19 +757,21 @@ let run : type region sol.
         Fun.protect
           ~finally:(fun () -> Frontier.release frontier ~worker:i)
           (fun () ->
-            let children = guarded_branch ~oc oracle region in
-            w.W.children <- w.W.children + List.length children;
-            (* Bound each child outside any lock and push it at once, so
-               idle siblings get fresh work. *)
-            List.iter
-              (fun child ->
-                match
-                  timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~oc oracle
-                    child
-                with
-                | Dropped_bound -> ()
-                | Bounded info -> record_bounded w child info)
-              children);
+            match guarded_branch ~oc oracle region with
+            | None -> note_dropped lb
+            | Some children ->
+                w.W.children <- w.W.children + List.length children;
+                (* Bound each child outside any lock and push it at
+                   once, so idle siblings get fresh work. *)
+                List.iter
+                  (fun child ->
+                    match
+                      timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~oc
+                        oracle child
+                    with
+                    | Dropped_bound -> note_dropped lb
+                    | Bounded info -> record_bounded w child info)
+                  children);
         (* Exactly one node-seconds observation per explored node (the CI
            schema gate compares the histogram count against the reported
            node counts). *)
@@ -734,8 +779,7 @@ let run : type region sol.
         if Obs.Probe.on () then begin
           Obs.Probe.span p_node ~t0_ns:t_node ~dur_ns:node_ns
             ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
-          Obs.Telemetry.set_nodes (Atomic.get nodes);
-          Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. global_bound ())
+          publish ()
         end;
         (match progress with
         | Some p when Obs.Progress.due p ->
@@ -750,7 +794,7 @@ let run : type region sol.
     in
     let rec loop () =
       if Frontier.is_closed frontier then ()
-      else if Frontier.drained frontier then halt Proved_optimal
+      else if Frontier.drained frontier then halt (drained_reason ())
       else if gap_ok () then halt Gap_reached
       else if Atomic.get nodes >= params.max_nodes then halt Node_budget
       else if
@@ -768,7 +812,7 @@ let run : type region sol.
             (* Nothing queued: park until a sibling pushes, the search
                drains, or someone halts. *)
             match Frontier.park frontier ~worker:i with
-            | `Drained -> halt Proved_optimal
+            | `Drained -> halt (drained_reason ())
             | `Closed -> ()
             | `Work -> loop ())
     in
@@ -788,10 +832,11 @@ let run : type region sol.
       match
         timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~oc oracle root
       with
-      | Dropped_bound -> ()
+      | Dropped_bound -> note_dropped Float.neg_infinity
       | Bounded info -> record_bounded ws.(0) root info)
   | Restored s ->
       Array.iter (fun (lb, region) -> Frontier.push frontier lb region) s.frontier);
+  publish ();
   Obs.Telemetry.set_phase "searching";
   let spawned =
     Array.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
@@ -799,9 +844,9 @@ let run : type region sol.
   worker 0 ();
   Array.iter Domain.join spawned;
   let stop_reason =
-    match Atomic.get stop with Some r -> r | None -> Proved_optimal
+    match Atomic.get stop with Some r -> r | None -> drained_reason ()
   in
-  Obs.Telemetry.set_nodes (Atomic.get nodes);
+  publish ();
   Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason);
   (match checkpointing with
   | Some ck when stop_wants_save stop_reason ->
@@ -809,14 +854,10 @@ let run : type region sol.
          complete frontier. *)
       save ck
   | _ -> ());
-  let bound = global_bound () in
-  let incumbent_cost = Atomic.get incumbent_cost in
   {
     best = !incumbent;
-    bound;
-    gap =
-      (if incumbent_cost = Float.infinity then Float.infinity
-       else incumbent_cost -. bound);
+    bound = global_bound ();
+    gap = gap ();
     nodes_explored = Atomic.get nodes;
     stop_reason;
     stats = stats ();

@@ -29,9 +29,12 @@
     retried once (through [faults.retry_bound] when given), then the
     region is degraded to [faults.fallback_bound], and as a recorded
     last resort dropped.  A failing [branch] is retried once, then the
-    region is treated as atomic (dropped).  Every step is counted in
-    {!stats}.  [Out_of_memory], [Stack_overflow] and [Sys.Break] are
-    never contained: they escape {!minimize}.  A worker domain always
+    region is dropped.  Every step is counted in {!stats}, and the
+    lowest key a drop lost caps the global bound
+    ([stats.dropped_bound]): a drained search that dropped a region
+    below its incumbent stops [Exhausted], never [Proved_optimal].
+    [Out_of_memory], [Stack_overflow] and [Sys.Break] are never
+    contained: they escape {!minimize}.  A worker domain always
     releases its in-flight slot in a finaliser and closes the scheduler
     before an exception escapes, so one poisoned region can neither
     hang parked siblings nor corrupt the live-work count.
@@ -110,11 +113,17 @@ exception Certificate_error of string
     {!stats}[.cert_fallbacks] when the retry fails too. *)
 
 type stop_reason =
-  | Proved_optimal  (** queue exhausted or bound met incumbent *)
+  | Proved_optimal
+      (** frontier drained, and no dropped region's key
+          ([stats.dropped_bound]) lies below the incumbent *)
   | Gap_reached
   | Node_budget
   | Time_budget
   | Interrupted  (** the [?interrupt] poll returned [true] *)
+  | Exhausted
+      (** frontier drained, but a dropped region could hold a point
+          cheaper than the incumbent: the result's [bound] is
+          [stats.dropped_bound], not the incumbent *)
 
 val stop_reason_name : stop_reason -> string
 (** Stable snake-case name (["proved_optimal"], ["gap_reached"], ...)
@@ -147,6 +156,12 @@ type stats = {
       (** regions abandoned after the containment rule ran out of
           options — each one weakens the optimality claim, which is why
           they are counted rather than silent *)
+  dropped_bound : float;
+      (** the lowest key of any region whose branch, or one of whose
+          children's bounds, was dropped — a lower bound on every point
+          the search lost, and so a cap on [result.bound] and on the gap
+          test.  [neg_infinity] when the root's own bound was dropped,
+          [infinity] while nothing was dropped *)
   warm_start_hits : int;
       (** bound solves started from an inherited (parent) optimum — see
           {!oracle_counters}; 0 unless the oracle reports them.  With the

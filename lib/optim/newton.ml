@@ -2,9 +2,9 @@ open Linalg
 
 type oracle = Vec.t -> (float * Vec.t * Mat.t) option
 
-type params = { tol : float; max_iter : int; alpha : float; beta : float }
+type params = { tol : float; max_iter : int }
 
-let default_params = { tol = 1e-9; max_iter = 80; alpha = 0.25; beta = 0.5 }
+let default_params = { tol = 1e-9; max_iter = 80 }
 
 type status = Converged | Iteration_limit | Stalled | Diverged
 
@@ -43,8 +43,6 @@ let workspace n =
     xb = Vec.zeros n;
   }
 
-let workspace_dim ws = ws.n
-
 (* Newton direction H d = -g at the point of the last [derivs] call, via
    jittered Cholesky into scratch (the barrier Hessian is positive
    definite in the domain interior but may be numerically semidefinite
@@ -60,8 +58,9 @@ let direction ws =
 (* Backtracking line search on f with domain rejection, from ws.xa along
    ws.dir: value-only trials, so a rejected one costs no derivatives.
    On acceptance the candidate is in ws.xb, and it was the oracle's last
-   [value] call; returns its value. *)
-let line_search params ws oracle ~f0 ~gd =
+   [value] call; returns its value.  Sufficient-decrease fraction 1/4,
+   backtracking factor 1/2. *)
+let line_search ws oracle ~f0 ~gd =
   let t = ref 1.0 in
   let accepted = ref None in
   let tries = ref 0 in
@@ -70,9 +69,9 @@ let line_search params ws oracle ~f0 ~gd =
     Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
     match oracle.value ws.xb with
     | Some fc
-      when fc <= f0 +. (params.alpha *. !t *. gd) && not (Float.is_nan fc) ->
+      when fc <= f0 +. (0.25 *. !t *. gd) && not (Float.is_nan fc) ->
         accepted := Some fc
-    | _ -> t := params.beta *. !t
+    | _ -> t := 0.5 *. !t
   done;
   !accepted
 
@@ -106,7 +105,7 @@ let minimize_into ?(params = default_params) ws oracle x0 =
           continue := false
         end
         else
-          match line_search params ws oracle ~f0:!fx ~gd with
+          match line_search ws oracle ~f0:!fx ~gd with
           | Some fc ->
               let tmp = ws.xa in
               ws.xa <- ws.xb;

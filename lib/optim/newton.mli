@@ -11,12 +11,12 @@ type oracle = Linalg.Vec.t -> (float * Linalg.Vec.t * Linalg.Mat.t) option
 type params = {
   tol : float;  (** stop when the Newton decrement λ²/2 falls below this *)
   max_iter : int;
-  alpha : float;  (** line-search sufficient-decrease fraction, in (0, ½) *)
-  beta : float;  (** line-search backtracking factor, in (0, 1) *)
 }
+(** The backtracking line search asks for a decrease of at least ¼ of
+    the linear prediction and halves the step on each rejection. *)
 
 val default_params : params
-(** [tol = 1e-9], [max_iter = 80], [alpha = 0.25], [beta = 0.5]. *)
+(** [tol = 1e-9], [max_iter = 80]. *)
 
 type status = Converged | Iteration_limit | Stalled | Diverged
 (** [Stalled]: the line search could not make progress (typically at the
@@ -73,8 +73,6 @@ type workspace
 
 val workspace : int -> workspace
 (** [workspace n] allocates scratch for [n]-dimensional problems. *)
-
-val workspace_dim : workspace -> int
 
 val minimize_into : ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> result
 (** Same algorithm and same results as {!minimize}, but all inner-loop

@@ -5,7 +5,7 @@ open Linalg
 let p_solve =
   Obs.Probe.v "socp.solve" ~count:"barrier SOCP solves (warm or cold)"
     ~seconds:
-      (1e-7, 100.0, "wall time of one Socp.solve call (incl. any interior nudge)")
+      (1e-7, 100.0, "wall time of one Socp.solve call")
 
 let p_phase1 =
   Obs.Probe.v "socp.phase1"
@@ -245,39 +245,35 @@ let is_feasible ?(tol = 1e-9) pb x = max_violation pb x <= tol
 
 type params = {
   tau0 : float;
-  mu : float;
   gap_tol : float;
   newton : Newton.params;
-  max_outer : int;
-  start_margin : float;
 }
 
+(* Barrier growth factor per outer iteration, and the outer-iteration
+   cap of every ladder (the solve's and phase-I's). *)
+let mu = 15.0
+let max_outer = 60
+
 let default_params =
-  { tau0 = 1.0; mu = 15.0; gap_tol = 1e-8;
-    newton = { Newton.default_params with tol = 1e-10 }; max_outer = 60;
-    start_margin = 1e-6 }
+  { tau0 = 1.0; gap_tol = 1e-8;
+    newton = { Newton.default_params with tol = 1e-10 } }
 
 (* Warm-start schedule advance: from a near-optimal start the early
    low-tau centerings are redundant, and because the tau sequence is the
    same geometric ladder, the final tau (hence the certified gap) is
-   unchanged — only the number of rungs climbed differs. *)
-let warm_start_params ?(levels = 5) params =
-  { params with tau0 = params.tau0 *. (params.mu ** float_of_int levels) }
-
-(* How many rungs a solve seeded near an optimum certified at
-   [tau_final] may skip.  Integer rungs of the same geometric ladder, so
-   the terminal tau — and with it the certified gap — is exactly the
-   cold solve's.  One rung always remains: a ladder that starts at or
-   beyond the parent's terminal tau would run zero centering steps and
-   return the (parent's!) start unrefined. *)
-let restart_levels params ~tau_final =
-  if
-    (not (Float.is_finite tau_final))
-    || tau_final <= params.tau0 || params.mu <= 1.0
-  then 0
-  else
-    let rungs = floor (log (tau_final /. params.tau0) /. log params.mu) in
-    max 0 (int_of_float rungs - 1)
+   unchanged — only the number of rungs climbed differs.  The rungs
+   skipped are the whole ones below the producing solve's terminal
+   [tau_final], less one: a ladder that starts at or beyond the parent's
+   terminal tau would run zero centering steps and return the (parent's!)
+   start unrefined. *)
+let warm_start_params params ~tau_final =
+  let levels =
+    if (not (Float.is_finite tau_final)) || tau_final <= params.tau0 then 0
+    else
+      let rungs = floor (log (tau_final /. params.tau0) /. log mu) in
+      max 0 (int_of_float rungs - 1)
+  in
+  { params with tau0 = params.tau0 *. (mu ** float_of_int levels) }
 
 type status = Optimal | Suboptimal
 
@@ -490,8 +486,7 @@ let centering_into pb sc tau : Newton.oracle_into =
    numbers whose difference is the slack.  Dividing a slack by it turns
    an absolute margin into a scale-free one, so a problem with its
    coefficients multiplied by 1e6 accepts exactly the same warm starts
-   as the original (the absolute 1e-6 [start_margin] used to reject
-   them). *)
+   as the original. *)
 let lin_scale b ax = 1.0 +. Float.abs b +. Float.abs ax
 
 let soc_scale u nv = 1.0 +. Float.abs u +. nv
@@ -593,7 +588,7 @@ let find_strictly_feasible ?(params = default_params) pb ~start =
     let tau = ref params.tau0 in
     let result = ref None in
     let outer = ref 0 in
-    while !result = None && !outer < params.max_outer do
+    while !result = None && !outer < max_outer do
       incr outer;
       let r =
         Newton.minimize_into ~params:params.newton sc.ws
@@ -616,7 +611,7 @@ let find_strictly_feasible ?(params = default_params) pb ~start =
           if s -. gap > margin then result := Some (Infeasible (s -. gap))
           else result := Some (Unknown x)
         end
-        else tau := params.mu *. !tau
+        else tau := mu *. !tau
       end
     done;
     let fr =
@@ -703,113 +698,78 @@ type warm_prep = Warm_interior | Warm_pulled
 (* The warm-start decision tree (doc/solver.mld): accept a certifiably
    interior start as-is; otherwise pull it toward the caller's interior
    target.  [None] means the caller must solve cold (phase-I). *)
-let prepare_warm_start ?target pb x =
+let prepare_warm_start ~target pb x =
   if Vec.dim x <> pb.n then None
   else if is_strictly_interior ~margin:warm_margin pb x then
     Some (x, Warm_interior)
   else
-    match target with
+    match pull_to_interior pb ~target x with
+    | Some y ->
+        Obs.Probe.hit p_warm_pull;
+        Some (y, Warm_pulled)
     | None -> None
-    | Some t -> (
-        match pull_to_interior pb ~target:t x with
-        | Some y ->
-            Obs.Probe.hit p_warm_pull;
-            Some (y, Warm_pulled)
-        | None -> None)
 
 let solve ?(params = default_params) pb ~start =
   if Vec.dim start <> pb.n then invalid_arg "Socp.solve: start dimension";
-  (* The span covers the whole solve including any interior nudge, so a
-     phase-I span nested inside it shows up as exactly the overhead the
-     warm path avoids. *)
-  let t0 = Obs.Clock.now_ns () in
-  let finish sol =
-    let dns = Obs.Clock.now_ns () - t0 in
-    if Obs.Probe.on () then begin
-      Obs.Metrics.observe m_newton_iterations
-        (float_of_int sol.newton_iterations);
-      Obs.Probe.span p_solve ~t0_ns:t0 ~dur_ns:dns
-        ~args:
-          [
-            ("outer", Obs.Trace.Int sol.outer_iterations);
-            ("newton", Obs.Trace.Int sol.newton_iterations);
-            ( "status",
-              Obs.Trace.Str
-                (match sol.status with
-                | Optimal -> "optimal"
-                | Suboptimal -> "suboptimal") );
-          ]
-    end;
-    sol
-  in
-  let start =
-    if is_strictly_interior pb start then start
-    else begin
-      (* The start sits on (or within roundoff of) the constraint
-         boundary — common when a caller clips a warm start to the box.
-         Relative test: a start violating every constraint by at most
-         start_margin × its residual scale is repairable regardless of
-         how the problem is scaled, so nudge it into the interior with a
-         phase-I solve rather than rejecting it. *)
-      if min_relative_slack pb start >= -.params.start_margin then
-        match find_strictly_feasible ~params pb ~start with
-        | Strictly_feasible x -> x
-        | Infeasible _ | Unknown _ ->
-            invalid_arg "Socp.solve: start point not strictly feasible"
-      else invalid_arg "Socp.solve: start point not strictly feasible"
-    end
-  in
-  let sc = scratch_for pb in
+  if not (is_strictly_interior pb start) then
+    invalid_arg "Socp.solve: start point not strictly feasible";
   let nu = float_of_int (barrier_nu pb) in
-  if nu = 0.0 then begin
-    (* Unconstrained QP: single Newton solve. *)
+  if nu = 0.0 then invalid_arg "Socp.solve: no constraints";
+  let t0 = Obs.Clock.now_ns () in
+  let sc = scratch_for pb in
+  let x = ref start in
+  let tau = ref params.tau0 in
+  let outer = ref 0 in
+  let newton_total = ref 0 in
+  let stalled = ref false in
+  (* At least one centering step, so the point returned is never the
+     caller's start unrefined. *)
+  while
+    !outer = 0
+    || (nu /. !tau > params.gap_tol && !outer < max_outer && not !stalled)
+  do
+    incr outer;
     let r =
       Newton.minimize_into ~params:params.newton sc.ws
-        (centering_into pb sc 1.0) start
+        (centering_into pb sc !tau) !x
     in
-    let diverged = r.status = Newton.Diverged in
-    finish
-      { x = r.x; objective = objective_value pb r.x;
-        gap_bound = (if diverged then Float.infinity else 0.0);
-        tau_final = Float.infinity;
-        outer_iterations = 0; newton_iterations = r.iterations;
-        status = (if diverged then Suboptimal else Optimal) }
-  end
-  else begin
-    let x = ref start in
-    let tau = ref params.tau0 in
-    let outer = ref 0 in
-    let newton_total = ref 0 in
-    let stalled = ref false in
-    while nu /. !tau > params.gap_tol && !outer < params.max_outer
-          && not !stalled do
-      incr outer;
-      let r =
-        Newton.minimize_into ~params:params.newton sc.ws
-          (centering_into pb sc !tau) !x
-      in
-      newton_total := !newton_total + r.iterations;
-      x := r.x;
-      (match r.status with
-      | Newton.Stalled | Newton.Diverged -> stalled := true
-      | Newton.Converged | Newton.Iteration_limit -> ());
-      tau := params.mu *. !tau
-    done;
-    let gap = nu /. !tau *. params.mu (* gap before the last multiply *) in
-    let status =
-      if nu /. !tau <= params.gap_tol || gap <= params.gap_tol then Optimal
-      else Suboptimal
-    in
-    (* If the loop never ran, !x still aliases the caller's start. *)
-    let x = if !x == start then Vec.copy start else !x in
-    finish
-      { x; objective = objective_value pb x; gap_bound = gap;
-        (* The tau the point was last centered at: !tau was multiplied
-           once more after the final centering, so divide it back.
-           gap_bound = ν / tau_final by construction. *)
-        tau_final = !tau /. params.mu;
-        outer_iterations = !outer; newton_iterations = !newton_total; status }
-  end
+    newton_total := !newton_total + r.iterations;
+    x := r.x;
+    (match r.status with
+    | Newton.Stalled | Newton.Diverged -> stalled := true
+    | Newton.Converged | Newton.Iteration_limit -> ());
+    tau := mu *. !tau
+  done;
+  let gap = nu /. !tau *. mu (* gap before the last multiply *) in
+  let status =
+    if nu /. !tau <= params.gap_tol || gap <= params.gap_tol then Optimal
+    else Suboptimal
+  in
+  let x = !x in
+  let sol =
+    { x; objective = objective_value pb x; gap_bound = gap;
+      (* The tau the point was last centered at: !tau was multiplied
+         once more after the final centering, so divide it back.
+         gap_bound = ν / tau_final by construction. *)
+      tau_final = !tau /. mu;
+      outer_iterations = !outer; newton_iterations = !newton_total; status }
+  in
+  if Obs.Probe.on () then begin
+    Obs.Metrics.observe m_newton_iterations
+      (float_of_int sol.newton_iterations);
+    Obs.Probe.span p_solve ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0)
+      ~args:
+        [
+          ("outer", Obs.Trace.Int sol.outer_iterations);
+          ("newton", Obs.Trace.Int sol.newton_iterations);
+          ( "status",
+            Obs.Trace.Str
+              (match sol.status with
+              | Optimal -> "optimal"
+              | Suboptimal -> "suboptimal") );
+        ]
+  end;
+  sol
 
 let centering_for_tests pb tau = centering_into pb (scratch_for pb) tau
 

@@ -131,40 +131,27 @@ val is_strictly_interior : ?margin:float -> problem -> Linalg.Vec.t -> bool
 
 type params = {
   tau0 : float;  (** initial barrier weight on the objective *)
-  mu : float;  (** barrier growth factor per outer iteration *)
   gap_tol : float;  (** stop when [ν/τ] (suboptimality bound) is below *)
   newton : Newton.params;
-  max_outer : int;
-  start_margin : float;
-      (** starts violating each constraint by at most this fraction of
-          its residual scale (see {!is_strictly_interior}) are nudged
-          into the interior (phase-I) instead of rejected *)
 }
+(** The barrier weight grows by a factor 15 per outer iteration, for at
+    most 60 outer iterations. *)
 
 val default_params : params
 
-val warm_start_params : ?levels:int -> params -> params
-(** [tau0 ← tau0 · mu^levels] (default 5): the interior-point warm-start
-    schedule advance.  Starting {!solve} from a point near the optimum —
-    a parent node's relaxation optimum, a previous solve over the same
-    constraints — makes the early low-[τ] centering steps redundant;
-    skipping them changes neither the final [τ] the schedule reaches nor
-    the certified [ν/τ] gap bound, only how many Newton iterations the
-    path spends getting there.  From a badly-centered start the boosted
-    solve is merely slower (damped Newton still converges), never less
-    certified. *)
-
-val restart_levels : params -> tau_final:float -> int
-(** The [levels] to hand {!warm_start_params} when the warm point comes
+val warm_start_params : params -> tau_final:float -> params
+(** The interior-point warm-start schedule advance for a start taken
     from a solve that terminated at barrier weight [tau_final] (its
-    {!solution.tau_final}): the largest whole number of rungs the
-    ladder can skip while still running one centering rung below the
-    producing solve's terminal tau.  Integer rungs of the same
-    geometric ladder, so the terminal tau — and the certified gap — is
-    exactly what a cold solve reaches; a start that skipped {e too} far
-    would run zero centering steps and return the parent's point
-    unrefined, which the remaining rung rules out.  0 when [tau_final]
-    is not finite (no ladder ran) or does not exceed [tau0]. *)
+    {!solution.tau_final}): [tau0 ← tau0 · 15^levels], where [levels]
+    is the largest whole number of rungs the ladder can skip while
+    still running one centering rung below the producing solve's
+    terminal tau.  Starting {!solve} from a point near the optimum — a
+    parent node's relaxation optimum — makes the early low-[τ]
+    centering steps redundant; skipping whole rungs of the same
+    geometric ladder changes neither the final [τ] nor the certified
+    [ν/τ] gap bound, only how many Newton iterations the path spends
+    getting there.  [levels] is 0 (the params are returned unchanged)
+    when [tau_final] is not finite or does not exceed [tau0]. *)
 
 (** {2 Warm-start interiority repair}
 
@@ -196,15 +183,15 @@ type warm_prep =
   | Warm_pulled  (** repaired by {!pull_to_interior} *)
 
 val prepare_warm_start :
-  ?target:Linalg.Vec.t ->
+  target:Linalg.Vec.t ->
   problem ->
   Linalg.Vec.t ->
   (Linalg.Vec.t * warm_prep) option
 (** The warm-start decision tree: [x] if it is already certifiably
     interior (relative margin [1e-8], as {!pull_to_interior}); else the
-    analytic-center pull-in toward [?target]; else [None] — solve cold.
+    analytic-center pull-in toward [target]; else [None] — solve cold.
     The returned point is safe to pass to {!solve} as [start] with a
-    {!warm_start_params} schedule advance ({!restart_levels}).  Emits
+    {!warm_start_params} schedule advance.  Emits
     the [socp.warm_pull] trace instant and bumps its metrics counter
     when the pull-in repairs a start. *)
 
@@ -219,9 +206,8 @@ type solution = {
   gap_bound : float;  (** certified bound on suboptimality, [ν/τ] *)
   tau_final : float;
       (** the barrier weight the point was last centered at, so
-          [gap_bound = ν / tau_final]; [infinity] for an unconstrained
-          problem (no ladder).  The dual-side warm information a child
-          solve feeds to {!restart_levels} — carrying it with the point
+          [gap_bound = ν / tau_final].  The dual-side warm information
+          a child solve feeds to {!warm_start_params} — carrying it with the point
           is what lets checkpoint-restored nodes skip the early rungs
           too, whichever worker domain solves them. *)
   outer_iterations : int;
@@ -234,13 +220,13 @@ val solve :
   problem ->
   start:Linalg.Vec.t ->
   solution
-(** Path-following from a strictly feasible [start].  A start that is
-    feasible only up to roundoff — violating no constraint by more than
-    [params.start_margin] × its residual scale — is first nudged into
-    the interior via {!find_strictly_feasible} (a full phase-I solve).
-    [start] is never mutated and not copied up front.
-    @raise Invalid_argument if [start] violates a constraint by more
-    than [params.start_margin], or the phase-I nudge fails. *)
+(** Path-following from a strictly interior [start] (every slack
+    positive: {!is_strictly_interior} at margin 0), with at least one
+    centering step.  [start] is never mutated.
+    @raise Invalid_argument if [start] is not strictly interior — a
+    start on the boundary included: repair it with
+    {!prepare_warm_start} or {!find_strictly_feasible} first — or the
+    problem has no constraint (no barrier to follow). *)
 
 type feasibility =
   | Strictly_feasible of Linalg.Vec.t

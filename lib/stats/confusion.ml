@@ -39,11 +39,6 @@ let specificity t =
   let n = t.tn + t.fp in
   if n = 0 then Float.nan else float_of_int t.tn /. float_of_int n
 
-let balanced_error t =
-  let miss = 1.0 -. sensitivity t in
-  let fall = 1.0 -. specificity t in
-  0.5 *. (miss +. fall)
-
 let pp ppf t =
   Format.fprintf ppf "{tp=%d fp=%d tn=%d fn=%d err=%.2f%%}" t.tp t.fp t.tn t.fn
     (100.0 *. error_rate t)

@@ -23,7 +23,4 @@ val sensitivity : t -> float
 (** True-positive rate; [nan] when there are no positives. *)
 
 val specificity : t -> float
-val balanced_error : t -> float
-(** Mean of the two class-conditional error rates. *)
-
 val pp : Format.formatter -> t -> unit

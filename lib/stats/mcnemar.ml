@@ -61,4 +61,4 @@ let compare ~truth ~a ~b =
        else `Tie);
   }
 
-let significant ?(alpha = 0.05) r = r.p_value < alpha
+let significant r = r.p_value < 0.05

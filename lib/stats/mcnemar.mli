@@ -30,5 +30,5 @@ val compare :
 (** [a]/[b] are the two classifiers' predictions.
     @raise Invalid_argument on length mismatch or empty input. *)
 
-val significant : ?alpha:float -> result -> bool
-(** [p_value < alpha] (default 0.05). *)
+val significant : result -> bool
+(** [p_value < 0.05]. *)

@@ -53,5 +53,3 @@ let column_fold name f init x =
 let column_min x = column_fold "Moments.column_min" Float.min Float.infinity x
 let column_max x =
   column_fold "Moments.column_max" Float.max Float.neg_infinity x
-
-let max_abs_value = Mat.max_abs

@@ -18,4 +18,3 @@ val variances : Linalg.Mat.t -> Linalg.Vec.t
 val std_devs : Linalg.Mat.t -> Linalg.Vec.t
 val column_min : Linalg.Mat.t -> Linalg.Vec.t
 val column_max : Linalg.Mat.t -> Linalg.Vec.t
-val max_abs_value : Linalg.Mat.t -> float

@@ -26,5 +26,3 @@ let mvn_draw { mean; factor } rng =
   Vec.add mean (Mat.mul_vec factor z)
 
 let mvn_draws t rng n = Array.init n (fun _ -> mvn_draw t rng)
-let mvn_mean t = Vec.copy t.mean
-let mvn_dim t = Vec.dim t.mean

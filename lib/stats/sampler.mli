@@ -22,6 +22,3 @@ val mvn : mean:Linalg.Vec.t -> cov:Linalg.Mat.t -> mvn
 val mvn_draw : mvn -> Rng.t -> Linalg.Vec.t
 val mvn_draws : mvn -> Rng.t -> int -> Linalg.Mat.t
 (** [n] draws as rows of an [n × m] matrix. *)
-
-val mvn_mean : mvn -> Linalg.Vec.t
-val mvn_dim : mvn -> int

@@ -131,7 +131,57 @@ let test_drop_counts () =
   | None -> Alcotest.fail "no incumbent");
   checki "dropped once" 1 r.Bnb.stats.Bnb.dropped_regions;
   checki "retried once" 1 r.Bnb.stats.Bnb.retries;
-  checki "two failures" 2 r.Bnb.stats.Bnb.oracle_failures
+  checki "two failures" 2 r.Bnb.stats.Bnb.oracle_failures;
+  (* The drop lost part of (1, 25), whose key is 0: the drained search
+     proves nothing below that, so it is exhausted, not proved. *)
+  Alcotest.(check string) "stop reason" "exhausted"
+    (Bnb.stop_reason_name r.Bnb.stop_reason);
+  checkf 0.0 "bound is the dropped parent's key" 0.0 r.Bnb.bound;
+  checkf 0.0 "dropped_bound" 0.0 r.Bnb.stats.Bnb.dropped_bound
+
+(* A dropped region must cap the certified bound.  The cost (x-5)^2 + 1
+   over the integers [0, 15]; the region [0, 7], which holds the
+   optimum x = 5, always raises and there is no fallback.  What is left
+   finds x = 8 at cost 10, but the search may only claim the root's
+   key, 1: bound 1, gap 9, exhausted. *)
+let test_drop_caps_bound () =
+  let cost x = ((float_of_int x -. 5.0) ** 2.0) +. 1.0 in
+  let oracle =
+    {
+      Bnb.bound =
+        (fun (lo, hi) ->
+          if (lo, hi) = (0, 7) then failwith "poisoned"
+          else
+            (* Candidates come from single points only. *)
+            let x = max lo (min hi 5) in
+            Some
+              {
+                Bnb.lower = cost x;
+                candidate = (if lo = hi then Some (lo, cost lo) else None);
+              });
+      branch =
+        (fun (lo, hi) ->
+          if lo >= hi then []
+          else
+            let mid = (lo + hi) asr 1 in
+            [ (lo, mid); (mid + 1, hi) ]);
+    }
+  in
+  let r = Bnb.minimize oracle (0, 15) in
+  (match r.Bnb.best with
+  | Some (x, c) ->
+      checki "incumbent x" 8 x;
+      checkf 0.0 "incumbent cost" 10.0 c
+  | None -> Alcotest.fail "no incumbent");
+  checkf 0.0 "bound" 1.0 r.Bnb.bound;
+  checkf 0.0 "gap" 9.0 r.Bnb.gap;
+  Alcotest.(check string) "stop reason" "exhausted"
+    (Bnb.stop_reason_name r.Bnb.stop_reason);
+  checki "dropped once" 1 r.Bnb.stats.Bnb.dropped_regions;
+  (* A dropped root leaves no bound at all. *)
+  let r = Bnb.minimize oracle (0, 7) in
+  checkb "dropped root: bound -inf" true (r.Bnb.bound = Float.neg_infinity);
+  checkb "dropped root: exhausted" true (r.Bnb.stop_reason = Bnb.Exhausted)
 
 (* Resource exhaustion and interrupts escape the search; anything else
    an oracle raises is contained. *)
@@ -311,6 +361,7 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
         retries = 9;
         degraded_bounds = 10;
         dropped_regions = 11;
+        dropped_bound = 1.25;
         warm_start_hits = 14;
         phase1_skipped = 14;
         warm_pull_ins = 16;
@@ -364,12 +415,13 @@ let test_checkpoint_rejects_garbage () =
 
 (* There is one schema: a file under any other format version — here the
    v1 layout, with the right fingerprint and a well-formed payload — is
-   refused rather than migrated.  A v2, v3, v4 or v5 file (the snapshot
-   layouts before the scheduler's seed counters, then the frontier-cap
-   and warm-correction fields, were dropped, before the search region
-   lost its t-interval, and before the snapshot stored [Bnb.stats]
-   itself) is complete and digest-valid, so only the header can refuse
-   it: it must, rather than unmarshal into the v6 type. *)
+   refused rather than migrated.  A v2, v3, v4, v5 or v6 file (the
+   snapshot layouts before the scheduler's seed counters, then the
+   frontier-cap and warm-correction fields, were dropped, before the
+   search region lost its t-interval, before the snapshot stored
+   [Bnb.stats] itself, and before the stats carried [dropped_bound]) is
+   complete and digest-valid, so only the header can refuse it: it
+   must, rather than unmarshal into the v7 type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -395,7 +447,7 @@ let test_checkpoint_rejects_old_version () =
               checkb (version ^ " refused at the header") true
                 (String.starts_with ~prefix:(path ^ ": bad header") msg)
           | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
-        [ "v2"; "v3"; "v4"; "v5" ])
+        [ "v2"; "v3"; "v4"; "v5"; "v6" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -1365,6 +1417,7 @@ let () =
           Alcotest.test_case "NaN bound degraded" `Quick
             test_nan_bound_degraded;
           Alcotest.test_case "drop policy counts" `Quick test_drop_counts;
+          Alcotest.test_case "drop caps the bound" `Quick test_drop_caps_bound;
           Alcotest.test_case "branch failure contained" `Quick
             test_branch_failure_contained;
         ] );

@@ -449,7 +449,9 @@ let test_warm_prepare_repairs_branch_cut () =
           (prep <> Optim.Socp.Warm_interior);
         let warm =
           Optim.Socp.solve
-            ~params:(Optim.Socp.warm_start_params Optim.Socp.default_params)
+            ~params:
+              (Optim.Socp.warm_start_params Optim.Socp.default_params
+                 ~tau_final:root.Optim.Socp.tau_final)
             child ~start:y
         in
         let tol =
@@ -589,7 +591,9 @@ let test_solver_time_budget () =
         (match o.Lda_fp.diagnostics.Lda_fp.stop_reason with
         | Optim.Bnb.Time_budget | Optim.Bnb.Proved_optimal
         | Optim.Bnb.Gap_reached -> true
-        | Optim.Bnb.Node_budget | Optim.Bnb.Interrupted -> false)
+        | Optim.Bnb.Node_budget | Optim.Bnb.Interrupted | Optim.Bnb.Exhausted
+          ->
+            false)
 
 let test_solver_respects_node_budget () =
   let fmt = Qformat.make ~k:2 ~f:6 in

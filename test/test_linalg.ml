@@ -352,18 +352,6 @@ let test_lu_residual () =
 (* Linsys                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_linsys_dispatch () =
-  let rng = Stats.Rng.create 6 in
-  let spd = random_spd rng 4 in
-  let b = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let r = Linsys.solve_report spd b in
-  checkb "spd uses cholesky" true (r.Linsys.used = `Cholesky);
-  checkb "small residual" true (r.Linsys.residual_norm < 1e-8);
-  let gen = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let r = Linsys.solve_report gen [| 1.0; 2.0 |] in
-  checkb "indefinite symmetric falls back to LU" true (r.Linsys.used = `Lu);
-  checkfa "swap solve" [| 2.0; 1.0 |] r.Linsys.solution
-
 let test_linsys_regularized () =
   let a = Mat.outer [| 1.0; 1.0 |] [| 1.0; 1.0 |] in
   let x = Linsys.solve_spd_regularized ~ridge:1e-8 a [| 2.0; 2.0 |] in
@@ -487,7 +475,6 @@ let () =
         ] );
       ( "linsys",
         [
-          Alcotest.test_case "dispatch" `Quick test_linsys_dispatch;
           Alcotest.test_case "regularized" `Quick test_linsys_regularized;
         ] );
       ("properties", qcheck_tests);

@@ -181,13 +181,13 @@ let with_metrics f =
 let test_prometheus_escaping_and_buckets () =
   let reg = Obs.Metrics.create () in
   let c =
-    Obs.Metrics.counter reg ~help:"line one\nline two"
-      ~labels:[ ("path", "a\\b\"c\nd") ]
-      "test_requests_total"
+    Obs.Metrics.counter reg ~help:"line one\nline two" "test_requests_total"
+  in
+  let (_ : Obs.Metrics.gauge) =
+    Obs.Metrics.gauge reg ~labels:[ ("path", "a\\b\"c\nd") ] "test_labelled"
   in
   let h =
-    Obs.Metrics.histogram reg ~lo:1e-3 ~hi:10.0 ~bins:8
-      "test_latency_seconds"
+    Obs.Metrics.histogram reg ~lo:1e-3 ~hi:10.0 "test_latency_seconds"
   in
   with_metrics (fun () ->
       Obs.Metrics.incr c;
@@ -226,7 +226,7 @@ let test_prometheus_escaping_and_buckets () =
              | None -> None
            else None)
   in
-  checki "8 finite buckets plus +Inf" 9 (List.length bucket_counts);
+  checki "24 finite buckets plus +Inf" 25 (List.length bucket_counts);
   let rec non_decreasing = function
     | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
     | _ -> true
@@ -243,7 +243,7 @@ let test_prometheus_escaping_and_buckets () =
 
 let test_metrics_json_schema () =
   let reg = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram reg ~lo:1e-3 ~hi:10.0 ~bins:4 "test_h" in
+  let h = Obs.Metrics.histogram reg ~lo:1e-3 ~hi:10.0 "test_h" in
   let g = Obs.Metrics.gauge reg "test_g" in
   with_metrics (fun () ->
       Obs.Metrics.set g 0.5;
@@ -263,7 +263,7 @@ let test_metrics_json_schema () =
   | _ -> Alcotest.fail "histogram count in JSON");
   (match member_exn "buckets" hj with
   | Obs.Json.List buckets ->
-      checki "bucket entries" 4 (List.length buckets);
+      checki "bucket entries" 24 (List.length buckets);
       List.iter
         (fun b ->
           checkb "bucket has le" true (Obs.Json.member "le" b <> None);

@@ -346,9 +346,12 @@ let test_socp_unconstrained () =
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = [| -2.0; -4.0 |] in
   let problem = Socp.problem ~p ~q 2 in
-  let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
-  checkb "analytic optimum" true
-    (Vec.approx_equal ~tol:1e-6 [| 1.0; 2.0 |] sol.Socp.x)
+  (* No constraint, no barrier ladder: refused rather than returned
+     from one Newton solve. *)
+  checkb "unconstrained problem raises" true
+    (match Socp.solve problem ~start:[| 0.0; 0.0 |] with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let test_socp_cone_projection () =
   (* min ||x - c||² s.t. ||x|| <= 1 with c outside the ball: optimum is
@@ -509,26 +512,21 @@ let test_socp_rejects_infeasible_start () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_socp_boundary_start_nudged () =
-  (* A start exactly on the constraint boundary (violation 0, within
-     [start_margin]) used to raise; it must now be nudged into the
-     interior by phase-I and solved.  min (x-3)² over [0, 1] from the
-     boundary start x = 1: optimum stays at the boundary. *)
-  let p = Mat.scale 2.0 (Mat.identity 1) in
-  let q = [| -6.0 |] in
+let test_socp_boundary_start_rejected () =
+  (* The barrier needs a strictly interior start: one on the constraint
+     boundary, one a roundoff past it and one far outside are all
+     refused.  Callers repair starts first (prepare_warm_start,
+     find_strictly_feasible). *)
   let lins = box_constraints [| 0.0 |] [| 1.0 |] in
-  let problem = Socp.problem ~p ~q ~lins 1 in
-  let sol = Socp.solve problem ~start:[| 1.0 |] in
-  checkf 1e-3 "optimum at the bound" 1.0 sol.Socp.x.(0);
-  checkb "feasible" true (Socp.is_feasible ~tol:1e-7 problem sol.Socp.x);
-  (* Roundoff past the boundary is tolerated too... *)
-  let sol' = Socp.solve problem ~start:[| 1.0 +. 1e-9 |] in
-  checkf 1e-3 "roundoff-infeasible start solved" 1.0 sol'.Socp.x.(0);
-  (* ...but a genuinely infeasible start is still rejected. *)
-  checkb "far start still raises" true
-    (match Socp.solve problem ~start:[| 5.0 |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  let problem = Socp.problem ~lins 1 in
+  List.iter
+    (fun (name, x) ->
+      checkb (name ^ " raises") true
+        (match Socp.solve problem ~start:[| x |] with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ ("boundary start", 1.0); ("roundoff-infeasible start", 1.0 +. 1e-9);
+      ("far start", 5.0) ]
 
 let test_phase1_finds_feasible () =
   (* Feasible region: a small box away from the start. *)
@@ -1631,7 +1629,8 @@ let prop_admm_agrees_with_barrier =
 (* Warm-started barrier solves (schedule advance from a near-optimal
    start) must return the same certified answer as a cold solve: random
    box QPs with a cone, solved cold from scratch and then warm from the
-   cold optimum with [warm_start_params]. *)
+   cold optimum with [warm_start_params] on the cold solve's terminal
+   tau. *)
 let prop_warm_start_agrees_with_cold =
   QCheck.Test.make ~name:"warm-started barrier agrees with cold solve"
     ~count:40
@@ -1664,7 +1663,9 @@ let prop_warm_start_agrees_with_cold =
           QCheck.assume (Socp.is_strictly_interior pb cold.Socp.x);
           let warm =
             Socp.solve
-              ~params:(Socp.warm_start_params Socp.default_params)
+              ~params:
+                (Socp.warm_start_params Socp.default_params
+                   ~tau_final:cold.Socp.tau_final)
               pb ~start:cold.Socp.x
           in
           Socp.is_feasible ~tol:1e-7 pb warm.Socp.x
@@ -1674,12 +1675,19 @@ let prop_warm_start_agrees_with_cold =
 
 let test_warm_start_params () =
   let p = Socp.default_params in
-  let w = Socp.warm_start_params p in
-  checkf 1e-9 "tau0 advanced 5 levels" (p.Socp.tau0 *. (p.Socp.mu ** 5.0))
+  (* A start from a solve that ended 6.5 rungs up the ladder skips 5,
+     keeping one centering rung below the producing solve's tau. *)
+  let w =
+    Socp.warm_start_params p ~tau_final:(p.Socp.tau0 *. (15.0 ** 6.5))
+  in
+  checkf 1e-9 "tau0 advanced 5 levels" (p.Socp.tau0 *. (15.0 ** 5.0))
     w.Socp.tau0;
-  let w2 = Socp.warm_start_params ~levels:2 p in
-  checkf 1e-9 "custom levels" (p.Socp.tau0 *. (p.Socp.mu ** 2.0)) w2.Socp.tau0;
-  checkf 1e-12 "gap_tol unchanged" p.Socp.gap_tol w2.Socp.gap_tol
+  checkf 1e-12 "gap_tol unchanged" p.Socp.gap_tol w.Socp.gap_tol;
+  let skipped tau_final = (Socp.warm_start_params p ~tau_final).Socp.tau0 in
+  checkf 0.0 "no ladder ran: nothing skipped" p.Socp.tau0 (skipped Float.nan);
+  checkf 0.0 "below tau0: nothing skipped" p.Socp.tau0 (skipped 0.5);
+  checkf 0.0 "one rung: nothing skipped" p.Socp.tau0
+    (skipped (p.Socp.tau0 *. 15.0 *. 1.5))
 
 (* A shared 3-variable test problem: coupled quadratic, unit box, and a
    ball of radius 2 around the origin. *)
@@ -1855,8 +1863,8 @@ let () =
             `Quick test_socp_certificate_survives_corrupt_primal;
           Alcotest.test_case "rejects infeasible start" `Quick
             test_socp_rejects_infeasible_start;
-          Alcotest.test_case "boundary start nudged" `Quick
-            test_socp_boundary_start_nudged;
+          Alcotest.test_case "boundary start rejected" `Quick
+            test_socp_boundary_start_rejected;
           Alcotest.test_case "phase1 feasible" `Quick
             test_phase1_finds_feasible;
           Alcotest.test_case "phase1 infeasible" `Quick

@@ -154,7 +154,7 @@ let test_mvn_moments () =
   checkf 0.06 "cov 01" 0.8 c.(0).(1);
   checkf 0.05 "cov 11" 1.0 c.(1).(1)
 
-let test_mvn_dim_mismatch () =
+let test_mvn_wrong_dimension () =
   checkb "rejects mismatch" true
     (match Sampler.mvn ~mean:[| 0.0 |] ~cov:(Linalg.Mat.identity 2) with
     | exception Invalid_argument _ -> true
@@ -527,7 +527,7 @@ let () =
           Alcotest.test_case "std normal moments" `Slow
             test_std_normal_moments;
           Alcotest.test_case "mvn moments" `Slow test_mvn_moments;
-          Alcotest.test_case "mvn dim mismatch" `Quick test_mvn_dim_mismatch;
+          Alcotest.test_case "mvn dim mismatch" `Quick test_mvn_wrong_dimension;
         ] );
       ( "moments",
         [
