@@ -86,13 +86,6 @@ let fmt_of ?(flag = "--wl") ~wl ~k () =
   end;
   Fixedpoint.Format_policy.fixed_k ~k wl
 
-let nodes_arg =
-  Arg.(
-    value
-    & opt int 500
-    & info [ "nodes" ] ~docv:"N"
-        ~doc:"Branch-and-bound node budget for LDA-FP training.")
-
 (* Single-flag ranges: a value outside one is a usage error (cmdliner's
    exit 124) before any work starts. *)
 let int_at_least lo =
@@ -103,6 +96,13 @@ let int_at_least lo =
         Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let nodes_arg =
+  Arg.(
+    value
+    & opt (int_at_least 0) 500
+    & info [ "nodes" ] ~docv:"N"
+        ~doc:"Branch-and-bound node budget for LDA-FP training.")
 
 (* A confidence level in [0, 1); NaN is outside every range. *)
 let confidence =
@@ -241,7 +241,7 @@ let generate_cmd =
   let n =
     Arg.(
       value
-      & opt int 1000
+      & opt (int_at_least 1) 1000
       & info [ "trials"; "n" ] ~docv:"N"
           ~doc:"Trials per class (synthetic only).")
   in
@@ -302,7 +302,7 @@ let train_cmd =
   let checkpoint_every_arg =
     Arg.(
       value
-      & opt int 0
+      & opt (int_at_least 0) 0
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Also snapshot every $(docv) explored nodes (0 = only when \
@@ -798,16 +798,12 @@ let classify_cmd =
   let batch =
     Arg.(
       value
-      & opt int 1024
+      & opt (int_at_least 1) 1024
       & info [ "batch" ] ~docv:"N"
           ~doc:"Rows streamed through the engine per batched MAC call.")
   in
   let run verbose model data batch ledger out =
     setup_logs verbose;
-    if batch < 1 then begin
-      Fmt.epr "--batch must be >= 1@.";
-      exit 2
-    end;
     Option.iter writable ledger;
     Option.iter writable out;
     let clf = reading model Model_io.load in

@@ -27,9 +27,6 @@ val class_split : t -> Linalg.Mat.t * Linalg.Mat.t
 val of_class_matrices : name:string -> a:Linalg.Mat.t -> b:Linalg.Mat.t -> t
 (** Concatenate per-class matrices into a dataset (A first). *)
 
-val subset : t -> int array -> t
-(** Select trials by index. *)
-
 val shuffle : Stats.Rng.t -> t -> t
 
 val split : t -> train_fraction:float -> Stats.Rng.t -> t * t

@@ -32,14 +32,12 @@ val array_multiplier : width:int -> counts
 val register : width:int -> counts
 val comparator : width:int -> counts
 
-val mac_datapath : width:int -> counts
-(** One serial MAC slice: multiplier + accumulator adder + accumulator
-    register (the paper's classifier computes [wᵀx] with one such slice
-    over [M] cycles). *)
-
 val classifier : width:int -> n_features:int -> counts
-(** Full classifier: MAC slice, weight ROM modelled as registers
-    ([n_features] words), threshold register, final comparator. *)
+(** Full classifier: one serial MAC slice (multiplier + accumulator
+    adder + accumulator register; the paper's classifier computes [wᵀx]
+    with one such slice over [M] cycles), weight ROM modelled as
+    registers ([n_features] words), threshold register, final
+    comparator. *)
 
 val gate_equivalents : counts -> float
 (** Scalar complexity: FA = 5 gates, AND = 1, FF = 6, comparator slice =

@@ -54,9 +54,6 @@ val project : t -> Linalg.Vec.t -> Fixedpoint.Fx.t
 val predict : t -> Linalg.Vec.t -> bool
 (** [project x >= threshold]. *)
 
-val predict_quantized : t -> Fixedpoint.Fx_vector.t -> bool
-(** Prediction from an already-quantised (scaled) input. *)
-
 val margin : t -> Linalg.Vec.t -> float
 (** Signed decision margin toward class A: [(y − θ)] under normal
     polarity, [(θ − y) − ulp] when inverted (so that [margin >= 0] iff

@@ -2,10 +2,6 @@ open Linalg
 open Fixedpoint
 open Optim
 
-(* The parts of a node program fixed by its pins: P, the direction of
-   dᵀy >= κ and the cones. *)
-type folded = { fp : Mat.t; fdt : Vec.t; fcones : Socp.cones }
-
 type t = {
   fmt : Qformat.t;
   rho : float;
@@ -14,12 +10,12 @@ type t = {
   sw : Mat.t;
   d : Vec.t;
   elem_box : Fx_interval.t array;
-  cones : Socp.cones;
+  cones : Socp.soc array;
   p_base : Mat.t;
   lambda_min : float;
   lambda_grid : float;
   norm : float;
-  unpinned : folded;
+  unpinned : Mat.t * Vec.t * Socp.soc array;
 }
 
 exception No_feasible_box of string
@@ -55,7 +51,8 @@ let elem_range ~beta ~lo_bound ~hi_bound stats =
    copied bit for bit), dᵀy = dᵀM·(y_F, z), and each cone
    β‖Lᵀw‖ <= cᵀw + R becomes β‖LᵀM·‖ <= (Mᵀc + R·e_z)ᵀ·, its offset R
    moved into z's coefficient.  The cones of one class keep sharing one
-   [l], and their Grams the free block ({!Socp.cones} [~share]). *)
+   [l], so the program forms two Grams, not four.  Returns P, the
+   direction of dᵀy >= κ and the cones. *)
 let fold_pins ~p_base ~d ~cones ~free ~v =
   let nf = Array.length free in
   let n = nf + 1 in
@@ -83,14 +80,9 @@ let fold_pins ~p_base ~d ~cones ~free ~v =
     Array.map
       (fun { Socp.l; g; c; d } ->
         { Socp.l = fold_l l; g; c = col c ~z:(fold c +. d); d = 0.0 })
-      (Socp.cone_socs cones)
+      cones
   in
-  {
-    fp;
-    fdt = Vec.neg (col d ~z:(fold d));
-    fcones =
-      Socp.cones ~share:(cones, Array.init n (fun i -> if i < nf then free.(i) else -1)) socs;
-  }
+  (fp, Vec.neg (col d ~z:(fold d)), socs)
 
 let build ?(rho = 0.99) ~fmt scatter =
   let beta = Stats.Gaussian.beta_of_confidence rho in
@@ -135,11 +127,9 @@ let build ?(rho = 0.99) ~fmt scatter =
       { Socp.l; g = zero_g; c = Vec.neg mu; d = hi_bound +. slack };
     ]
   in
-  (* Each class's two cones share one [l], so two Grams serve all four,
-     computed here once and shared by every node's relaxation. *)
-  let cones =
-    Socp.cones (Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b))
-  in
+  (* Each class's two cones share one [l], which every fold keeps
+     shared. *)
+  let cones = Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b) in
   let p_base = Mat.scale 2.0 sw in
   (* The node programs' scale: 1/(√c*·t_hi) at the root, with the
      float-LDA floor c* = 1/(dᵀS_W⁻¹d) = 1/(2·dᵀ(2S_W)⁻¹d), puts the
@@ -281,7 +271,7 @@ let relaxation t ~wbox ~z_cap =
       Vec.init m (fun j ->
           if Fx_interval.is_singleton wbox.(j) then Fx_interval.lo wbox.(j) else 0.0)
     in
-    let f =
+    let p, dt, socs =
       if nf = m then t.unpinned
       else fold_pins ~p_base:t.p_base ~d:t.d ~cones:t.cones ~free ~v:pinned
     in
@@ -302,12 +292,12 @@ let relaxation t ~wbox ~z_cap =
                     [| row i ~y:1.0 ~z:(-.Fx_interval.hi wbox.(j)) 0.0;
                        row i ~y:(-1.0) ~z:(Fx_interval.lo wbox.(j)) 0.0 |])
                   free));
-          [| { Socp.a = f.fdt; b = -.kappa }; row nf ~y:0.0 ~z:(-1.0) (-.z_lo) |];
+          [| { Socp.a = dt; b = -.kappa }; row nf ~y:0.0 ~z:(-1.0) (-.z_lo) |];
           (if z_max < Float.infinity then [| row nf ~y:0.0 ~z:1.0 z_max |] else [||]);
         ]
     in
     Some
-      { socp = Socp.of_parts ~p:f.fp ~q:(Vec.zeros n) ~lins ~cones:f.fcones n;
+      { socp = Socp.of_parts ~p ~q:(Vec.zeros n) ~lins ~socs n;
         free; pinned; kappa }
   end
 

@@ -13,10 +13,6 @@
     (computed here in closed form); the projection constraints (20) are the
     four second-order cones handed to the relaxation solver. *)
 
-type folded
-(** The parts of a node program fixed by its pinned coordinates: the
-    quadratic term, the direction of [dᵀy >= κ] and the cones. *)
-
 type t = private {
   fmt : Fixedpoint.Qformat.t;
   rho : float;  (** confidence level *)
@@ -26,12 +22,11 @@ type t = private {
   d : Linalg.Vec.t;  (** μ_A − μ_B *)
   elem_box : Fixedpoint.Fx_interval.t array;
       (** per-element grid interval: (13) ∩ (18) ∩ (28) *)
-  cones : Optim.Socp.cones;
+  cones : Optim.Socp.soc array;
       (** the four cones of (20), with a slack compensating the Cholesky
           jitter so the relaxation never cuts off an exactly-feasible
-          grid point; each class's pair shares one [l], so two Grams
-          ({!Optim.Socp.val-cones}), computed once here, serve every
-          node's relaxation *)
+          grid point; each class's pair shares one [l], so a node's
+          program forms two Grams, not four *)
   p_base : Linalg.Mat.t;  (** [2 S_W], the quadratic term of every node *)
   lambda_min : float;
       (** verified [λ̲ <= λ_min(2 S_W)] ({!Optim.Psd.verified_lambda_min}),
@@ -42,7 +37,9 @@ type t = private {
   norm : float;
       (** [1/(√c*·t_hi)] at the root, [c* = 1/(dᵀS_W⁻¹d)]: the root
           program's optimum is near 1 *)
-  unpinned : folded;  (** shared by every node without pins *)
+  unpinned : Linalg.Mat.t * Linalg.Vec.t * Optim.Socp.soc array;
+      (** [P], [dᵀy]'s direction and the cones of every node without
+          pins, built once: per-node copies raise the peak heap *)
 }
 
 exception No_feasible_box of string
@@ -110,8 +107,9 @@ type relaxation = private {
 
 val relaxation :
   t -> wbox:Fixedpoint.Fx_interval.t array -> z_cap:float -> relaxation option
-(** The program of a box with a free coordinate, sharing [P]'s and the
-    Grams' free blocks with [t].  [None] when no point of the box has
+(** The program of a box with a free coordinate, its pins folded into
+    [z]'s column ([unpinned] without pins), its Grams formed by
+    {!Optim.Socp.of_parts}.  [None] when no point of the box has
     [t >= 1/z_cap > 0]; [z_cap = infinity] drops [z]'s upper row.
     @raise Invalid_argument when every coordinate is pinned. *)
 

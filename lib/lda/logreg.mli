@@ -6,9 +6,8 @@
     generic to linear classifiers trained in floating point; this module
     answers it by training logistic regression (Newton/IRLS on the convex
     log-loss, reusing {!Optim.Newton}) and deploying it through the same
-    fixed-point pipeline, either by plain rounding or by the
-    scale-swept rounding of {!to_fixed_swept} (the quantisation-aware-lite
-    treatment).  The benches show the same cliff at short word lengths —
+    fixed-point pipeline, either by plain rounding or by scale-swept
+    rounding (the quantisation-aware-lite treatment).  The benches show the same cliff at short word lengths —
     the failure mode is the float-train/round-later flow, not LDA. *)
 
 type model = private {
@@ -39,25 +38,14 @@ val loss_oracle :
 (** The training objective over [θ = (w, bias)] — exposed so tests can
     finite-difference it (see [test/gradcheck.ml]). *)
 
-val to_fixed :
-  fmt:Fixedpoint.Qformat.t -> scaling:Scaling.t -> model -> Fixed_classifier.t
-(** Conventional flow: unit-normalise [(w, bias)] by [‖w‖₂] and round. *)
-
-val to_fixed_swept :
-  fmt:Fixedpoint.Qformat.t ->
-  scaling:Scaling.t ->
-  validate:(Fixed_classifier.t -> float) ->
-  model ->
-  Fixed_classifier.t
-(** Scale-swept rounding: try ~100 joint scalings of [(w, bias)], round
-    each, keep the one with the lowest [validate] score (typically
-    training error) — quantisation-aware deployment without retraining. *)
-
 val train_pipeline :
   ?lambda:float ->
   fmt:Fixedpoint.Qformat.t ->
   swept:bool ->
   Datasets.Dataset.t ->
   Fixed_classifier.t
-(** Shared front end (fit scaling, train on scaled floats), then
-    {!to_fixed} or {!to_fixed_swept} (validated on training error). *)
+(** Shared front end (fit scaling, train on scaled floats), then the
+    conventional flow — unit-normalise [(w, bias)] by [‖w‖₂] and round —
+    or, with [~swept:true], scale-swept rounding: try ~100 joint scalings
+    of [(w, bias)], round each and keep the one with the lowest training
+    error (quantisation-aware deployment without retraining). *)

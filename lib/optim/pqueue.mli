@@ -12,7 +12,6 @@ val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-key element. *)
 
-val peek_key : 'a t -> float option
 val filter_in_place : 'a t -> (float -> 'a -> bool) -> unit
 (** Drop entries not satisfying the predicate, restoring heap order —
     used to prune queued boxes whose lower bound exceeds a new incumbent.

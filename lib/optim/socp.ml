@@ -44,135 +44,67 @@ type lin = { a : Vec.t; b : float }
 type soc = { l : Mat.t; g : Vec.t; c : Vec.t; d : float }
 
 (* The barrier Hessian of a cone needs LᵀL, which never changes for the
-   life of a problem, so it is computed once here instead of on every
+   life of a problem, so [of_parts] computes it once instead of on every
    oracle call (O(n²) per cone per call instead of O(rows·n²)).
-   [grams.(k)] is the Gram of cone k's source [l]; cones built from one
-   physically shared [l] share one matrix.  [gidx] maps each variable of
-   the problem the cones belong to onto a Gram row/column: the identity
-   for {!cones} without [~share], the kept-coordinate map with it, and
-   −1 outside the Gram.  At most one variable outside it, [own], has a
-   nonzero Gram column, stored per cone over every variable in
-   [own_cols] (the folded column of a node program); every other −1
-   variable (the phase-I slack) has a Gram row of exactly 0. *)
-type cones = {
-  socs : soc array;
-  grams : Mat.t array;
-  gidx : int array;
-  own : int;
-  own_cols : Vec.t array;
-}
-
+   [grams.(k)] is the lower triangle of the Gram of cone k's [l]; cones
+   built from one physically shared [l] share one. *)
 type problem = {
   n : int;
   p : Mat.t;
   q : Vec.t;
   lins : lin array;
   socs : soc array;
-  cones : cones;
+  grams : Mat.t array;
   lin_support : int array;
   lin_support2 : int array;
 }
 
-(* G = LᵀL, each entry summed r-ascending from +0: the order of the
-   textbook Σ_r l(r)(i)·l(r)(j), so barrier Hessians match it bit for
-   bit.  Row-contiguous over the upper triangle, then mirrored; a skipped
-   l(r)(i) = 0 would only have added a ±0 product to a running sum that
-   is never −0, so no bit changes — and a triangular L costs ≈ n³/6. *)
+(* The lower triangle of G = LᵀL, row i holding G(i, 0..i): all the
+   barrier Hessian reads.  Each entry is summed r-ascending from +0, the
+   order of the textbook Σ_r l(r)(i)·l(r)(j), so barrier Hessians match
+   it bit for bit.  A product with l(r)(i) = 0 or l(r)(j) = 0, skipped
+   here (row r of a triangular l starts at its first nonzero), would
+   only have added ±0 to a running sum that is never −0, so no bit
+   changes — and a triangular L costs ≈ n³/6. *)
 let gram l =
   let n = Mat.cols l in
   if Array.exists (fun lr -> Array.length lr <> n) l then
-    invalid_arg "Socp.cones: ragged cone matrix";
-  let g = Mat.zeros n n in
+    invalid_arg "Socp.of_parts: ragged cone matrix";
+  let g = Array.init n (fun i -> Array.make (i + 1) 0.0) in
   Array.iter
     (fun lr ->
-      for i = 0 to n - 1 do
+      let first = ref 0 in
+      while !first < n && lr.(!first) = 0.0 do
+        incr first
+      done;
+      for i = !first to n - 1 do
         let lri = lr.(i) in
         if lri <> 0.0 then begin
           let gi = g.(i) in
-          (* i <= j < n = length of [gi] and of [lr], checked above: the
-             unchecked accesses halve the build, which is set-up time. *)
-          for j = i to n - 1 do
+          (* j <= i < n, the lengths of [gi] (i + 1) and of [lr], checked
+             above: the unchecked accesses halve the build. *)
+          for j = !first to i do
             Array.unsafe_set gi j
-              (Array.unsafe_get gi j +. (lri *. Array.unsafe_get lr j))
+              (Array.unsafe_get gi j +. (Array.unsafe_get lr j *. lri))
           done
         end
       done)
     l;
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      g.(i).(j) <- g.(j).(i)
-    done
-  done;
   g
 
-(* One value per physically distinct [l], in cone order. *)
-let per_distinct_l socs f =
+(* [f] of each physically distinct element of [xs], in order: equal
+   elements share one result. *)
+let per_distinct f xs =
   let seen = ref [] in
   Array.map
-    (fun { l; _ } ->
-      match List.assq_opt l !seen with
+    (fun x ->
+      match List.assq_opt x !seen with
       | Some v -> v
       | None ->
-          let v = f l in
-          seen := (l, v) :: !seen;
+          let v = f x in
+          seen := (x, v) :: !seen;
           v)
-    socs
-
-(* Column [e] of LᵀL over every variable, r-ascending from +0 like
-   [gram]: O(rows·n). *)
-let gram_column l e =
-  let n = Mat.cols l in
-  if Array.exists (fun lr -> Array.length lr <> n) l then
-    invalid_arg "Socp.cones: ragged cone matrix";
-  Vec.init n (fun i ->
-      let s = ref 0.0 in
-      Array.iter (fun lr -> s := !s +. (lr.(i) *. lr.(e))) l;
-      !s)
-
-let cones ?share socs =
-  let n = if Array.length socs = 0 then 0 else Mat.cols socs.(0).l in
-  match share with
-  | None ->
-      {
-        socs; grams = per_distinct_l socs gram; gidx = Array.init n Fun.id;
-        own = -1; own_cols = [||];
-      }
-  | Some ((parent : cones), gidx) ->
-      if Array.length socs <> Array.length parent.socs then
-        invalid_arg "Socp.cones: ~share needs one cone per parent cone";
-      if parent.own >= 0 then
-        invalid_arg "Socp.cones: ~share needs a parent without an own column";
-      if Array.length gidx <> n then
-        invalid_arg "Socp.cones: ~share map has the wrong length";
-      let gidx =
-        Array.map (fun g -> if g < 0 then -1 else parent.gidx.(g)) gidx
-      in
-      let own =
-        match List.filter (fun i -> gidx.(i) < 0) (List.init n Fun.id) with
-        | [] -> -1
-        | [ i ] -> i
-        | _ -> invalid_arg "Socp.cones: ~share leaves several own columns"
-      in
-      {
-        socs; grams = parent.grams; gidx; own;
-        own_cols =
-          (if own < 0 then [||]
-           else per_distinct_l socs (fun l -> gram_column l own));
-      }
-
-let cone_socs (cs : cones) = cs.socs
-
-(* The cones [socs] of the phase-I problem derived from [cs]: same
-   Grams and own column, the slack variable [n − 1] outside both. *)
-let phase1_cones cs socs ~n =
-  {
-    socs;
-    grams = cs.grams;
-    gidx = (if Array.length socs = 0 then [||]
-            else Array.init n (fun i -> if i < n - 1 then cs.gidx.(i) else -1));
-    own = cs.own;
-    own_cols = Array.map (fun col -> Array.append col [| 0.0 |]) cs.own_cols;
-  }
+    xs
 
 (* The indices of [a]'s nonzero entries when it has one or two
    ([(i, −1)] or [(i, j)] with i < j), else [(−1, −1)]: the ±eᵢ box
@@ -190,15 +122,15 @@ let support a =
     a;
   if !count = 1 || !count = 2 then (!first, !second) else (-1, -1)
 
-let make ~p ~q ~lins ~(cones : cones) n =
+let make ~p ~q ~lins ~socs ~grams n =
   let sup = Array.map (fun { a; _ } -> support a) lins in
   {
-    n; p; q; lins; socs = cones.socs; cones;
+    n; p; q; lins; socs; grams;
     lin_support = Array.map fst sup;
     lin_support2 = Array.map snd sup;
   }
 
-let of_parts ~p ~q ~lins ~(cones : cones) n =
+let of_parts ~p ~q ~lins ~socs n =
   if n <= 0 then invalid_arg "Socp.of_parts: n must be positive";
   if Mat.dims p <> (n, n) then invalid_arg "Socp.of_parts: P must be n x n";
   if not (Mat.is_symmetric ~tol:0.0 p) then
@@ -213,10 +145,10 @@ let of_parts ~p ~q ~lins ~(cones : cones) n =
     (fun { l; g; c; _ } ->
       if Mat.cols l <> n || Vec.dim c <> n || Vec.dim g <> Mat.rows l then
         invalid_arg "Socp.of_parts: cone constraint dimension mismatch")
-    cones.socs;
-  if Array.length cones.socs > 0 && Array.length cones.gidx <> n then
-    invalid_arg "Socp.of_parts: cone Gram map dimension mismatch";
-  make ~p ~q ~lins ~cones n
+    socs;
+  make ~p ~q ~lins ~socs
+    ~grams:(per_distinct gram (Array.map (fun { l; _ } -> l) socs))
+    n
 
 let problem ?p ?q ?(lins = []) ?(socs = []) n =
   if n <= 0 then invalid_arg "Socp.problem: n must be positive";
@@ -226,7 +158,7 @@ let problem ?p ?q ?(lins = []) ?(socs = []) n =
   if not (Mat.is_symmetric ~tol:1e-8 p) then
     invalid_arg "Socp.problem: P must be symmetric";
   of_parts ~p:(Mat.symmetrize p) ~q ~lins:(Array.of_list lins)
-    ~cones:(cones (Array.of_list socs)) n
+    ~socs:(Array.of_list socs) n
 
 let objective_value pb x =
   (0.5 *. Mat.quadratic_form pb.p x) +. Vec.dot pb.q x
@@ -434,7 +366,6 @@ let centering_into pb sc tau : Newton.oracle_into =
               done
           done)
       pb.lins;
-    let gidx = pb.cones.gidx and own = pb.cones.own in
     let off = ref 0 in
     Array.iteri
       (fun k { l; c; _ } ->
@@ -458,24 +389,16 @@ let centering_into pb sc tau : Newton.oracle_into =
           grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
         done;
         (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
-           the precomputed Gram and the own column *)
-        let gram = pb.cones.grams.(k) and gh = sc.gh in
-        let own_col = if own < 0 then [||] else pb.cones.own_cols.(k) in
+           the precomputed Gram *)
+        let gram = pb.grams.(k) and gh = sc.gh in
         for i = 0 to n - 1 do
-          let gi = gidx.(i) and hi = hess.(i) in
+          let gri = gram.(i) and hi = hess.(i) in
           let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
           for j = 0 to i do
-            let gj = gidx.(j) in
-            let ltl =
-              if gi >= 0 && gj >= 0 then gram.(gi).(gj)
-              else if i = own then own_col.(j)
-              else if j = own then own_col.(i)
-              else 0.0
-            in
             hi.(j) <-
               hi.(j)
               +. (ghi *. gh.(j) *. inv_h *. inv_h)
-              -. (((c2i *. c.(j)) -. (2.0 *. ltl)) *. inv_h)
+              -. (((c2i *. c.(j)) -. (2.0 *. gri.(j))) *. inv_h)
           done
         done)
       pb.socs
@@ -542,7 +465,9 @@ type feasibility =
   | Unknown of Vec.t
 
 (* Augment with a slack variable s (index n): every half-space becomes
-   aᵀx − s <= b and every cone ‖Lx+g‖ <= cᵀx + d + s; minimise s. *)
+   aᵀx − s <= b and every cone ‖Lx+g‖ <= cᵀx + d + s; minimise s.  The
+   slack's column of every [l] is 0, so each distinct Gram's lower
+   triangle gains a zero row and keeps the original's rows. *)
 let phase1_problem pb =
   let n = pb.n in
   let extend v extra = Array.append v [| extra |] in
@@ -559,8 +484,9 @@ let phase1_problem pb =
   make
     ~p:(Mat.zeros (n + 1) (n + 1))
     ~q:(extend (Vec.zeros n) 1.0)
-    ~lins
-    ~cones:(phase1_cones pb.cones socs ~n:(n + 1))
+    ~lins ~socs
+    ~grams:
+      (per_distinct (fun g -> Array.append g [| Vec.zeros (n + 1) |]) pb.grams)
     (n + 1)
 
 let find_strictly_feasible ?(params = default_params) pb ~start =

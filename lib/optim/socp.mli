@@ -9,7 +9,9 @@
             ‖Lⱼx + gⱼ‖₂ ≤ cⱼᵀx + dⱼ       (projection overflow, eq. 20) v}
 
     with [P] positive semidefinite.  The barrier for a second-order cone is
-    the standard self-concordant [−log((cᵀx+d)² − ‖Lx+g‖²)]. *)
+    the standard self-concordant [−log((cᵀx+d)² − ‖Lx+g‖²)].  Each
+    problem forms its cones' Grams [LᵀL] once, in its constructor, so
+    the barrier Hessian costs O(n²) per cone per Newton step. *)
 
 type lin = { a : Linalg.Vec.t; b : float }
 (** The half-space [aᵀx <= b]. *)
@@ -22,43 +24,17 @@ type soc = {
 }
 (** The cone [‖l x + g‖₂ <= cᵀx + d]. *)
 
-type cones
-(** A cone array with the Gram matrix [LᵀL] of each cone's [l], computed
-    once: the barrier Hessian reads it instead of re-forming [LᵀL] on
-    every oracle call.  Problems built from one [cones] value — and the
-    derived ([~share]) and phase-I problems, through an index map rather
-    than copied sub-matrices — share the matrices. *)
-
-val cones : ?share:cones * int array -> soc array -> cones
-(** One Gram per {e physically} distinct [l] (cones built from the same
-    [l] share it), each entry summed over the rows of [l] in ascending
-    order from +0, so the barrier Hessians are bit-identical to the
-    textbook [Σ_r l(r)(i)·l(r)(j)].  O(rows·n²) per distinct [l]
-    (≈ n³/6 for a triangular one).  {b Shares} the array: callers must
-    not mutate it or its cones afterwards.  Dimensions against the
-    problem are checked by {!of_parts}.
-
-    [~share:(parent, map)] builds no Gram: cone [k] of [socs] reads cone
-    [k]'s Gram of [parent] (which must have no own column itself), its
-    variable [i] at index [map.(i)].  The caller promises that column
-    [i] of each [l] equals column [map.(i)] of the parent's.  At most
-    one variable may have [map.(i) < 0]; its Gram column is computed
-    here from [l], O(rows·n) per distinct [l] — the folded column of a
-    node program whose pinned coordinates ride on one variable.
-    @raise Invalid_argument when some [l] has rows of unequal length,
-    or on a [~share] whose cone count or map length does not match, or
-    that leaves more than one variable outside the parent's Grams. *)
-
-val cone_socs : cones -> soc array
-(** The cones themselves (shared, not copied). *)
-
 type problem = private {
   n : int;  (** number of variables *)
   p : Linalg.Mat.t;  (** quadratic term; symmetric PSD, [n × n] *)
   q : Linalg.Vec.t;
   lins : lin array;
   socs : soc array;
-  cones : cones;  (** [socs] with their Grams *)
+  grams : Linalg.Mat.t array;
+      (** per cone, the lower triangle of the Gram [LᵀL] of its [l] (row
+          [i] holds columns [0..i], all the barrier Hessian reads),
+          computed once by {!of_parts}; cones built from one physically
+          shared [l] share one *)
   lin_support : int array;
       (** per half-space: the index of the first nonzero entry of its
           [a] when it has one or two, or [−1] when it has more or none.
@@ -76,29 +52,33 @@ val problem :
   ?socs:soc list ->
   int ->
   problem
-(** [problem n] with omitted pieces defaulting to zero.  Copies and symmetrises [P]; computes the cone
-    Grams ({!val-cones}).
+(** [problem n] with omitted pieces defaulting to zero.  Copies and
+    symmetrises [P], then {!of_parts}.
     @raise Invalid_argument on any dimension mismatch. *)
 
 val of_parts :
   p:Linalg.Mat.t ->
   q:Linalg.Vec.t ->
   lins:lin array ->
-  cones:cones ->
+  socs:soc array ->
   int ->
   problem
 (** Allocation-lean constructor for callers assembling many problems from
     shared pieces (the branch-and-bound bound oracle): checks dimensions
     and that [p] is {e exactly} symmetric, then {b shares} the given
-    arrays and the cones' Grams instead of copying or recomputing them.
-    The barrier Hessian reads only [p]'s lower triangle, while the
-    gradient and the certificate's tangent step use [P x], so a [p] off
-    by one ulp across the diagonal would give a wrong optimum and an
-    overstated bound.  The symmetry test is O(n²); the one
-    O(constraints·n) pass records {!field-lin_support}.  Callers must not
-    mutate the parts afterwards.
-    @raise Invalid_argument on any dimension mismatch or an asymmetric
-    [p]. *)
+    arrays instead of copying them.  The barrier Hessian reads only
+    [p]'s lower triangle, while the gradient and the certificate's
+    tangent step use [P x], so a [p] off by one ulp across the diagonal
+    would give a wrong optimum and an overstated bound.  The symmetry
+    test is O(n²); the one O(constraints·n) pass records
+    {!field-lin_support}.  Computes one {!field-grams} entry per
+    {e physically} distinct [l], each summed over the rows of [l] in
+    ascending order from +0, so the barrier Hessians are bit-identical
+    to the textbook [Σ_r l(r)(i)·l(r)(j)]: O(rows·n²) per distinct [l]
+    (≈ n³/6 for a triangular one), n²/2 words.  Callers must not mutate the parts
+    afterwards.
+    @raise Invalid_argument on any dimension mismatch, a cone [l] with
+    rows of unequal length, or an asymmetric [p]. *)
 
 val objective_value : problem -> Linalg.Vec.t -> float
 
@@ -324,4 +304,5 @@ val phase1_problem_for_tests : problem -> problem
 (** The phase-I augmented problem {!find_strictly_feasible} solves:
     variable [n] is the slack [s], every half-space becomes
     [aᵀx − s <= b], every cone [‖Lx+g‖ <= cᵀx + d + s], minimise [s].
-    Its cones share the original's Grams and own column. *)
+    Each Gram is the original's lower triangle, its rows shared, with a
+    zero row for [s]. *)

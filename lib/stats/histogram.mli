@@ -16,7 +16,6 @@ val create : lo:float -> hi:float -> bins:int -> t
 (** @raise Invalid_argument if [lo >= hi] or [bins < 1]. *)
 
 val add : t -> float -> t
-val add_all : t -> float array -> t
 val of_values : lo:float -> hi:float -> bins:int -> float array -> t
 
 val of_counts :

@@ -9,8 +9,6 @@ val std_normal : Rng.t -> float
 
 val normal : Rng.t -> mean:float -> sigma:float -> float
 
-val std_normal_vec : Rng.t -> int -> Linalg.Vec.t
-
 type mvn
 (** A prepared multivariate normal sampler (mean + covariance factor). *)
 
@@ -19,6 +17,5 @@ val mvn : mean:Linalg.Vec.t -> cov:Linalg.Mat.t -> mvn
     jitter if needed.
     @raise Invalid_argument on dimension mismatch. *)
 
-val mvn_draw : mvn -> Rng.t -> Linalg.Vec.t
 val mvn_draws : mvn -> Rng.t -> int -> Linalg.Mat.t
 (** [n] draws as rows of an [n × m] matrix. *)

@@ -359,17 +359,16 @@ let test_relative_margins_scale_invariant () =
            (fun { Optim.Socp.a; b } ->
              { Optim.Socp.a = Linalg.Vec.scale s a; b = s *. b })
            relax.Optim.Socp.lins)
-      ~cones:
-        (Optim.Socp.cones
-           (Array.map
-              (fun { Optim.Socp.l; g; c; d } ->
-                {
-                  Optim.Socp.l = Linalg.Mat.scale s l;
-                  g = Linalg.Vec.scale s g;
-                  c = Linalg.Vec.scale s c;
-                  d = s *. d;
-                })
-              relax.Optim.Socp.socs))
+      ~socs:
+        (Array.map
+           (fun { Optim.Socp.l; g; c; d } ->
+             {
+               Optim.Socp.l = Linalg.Mat.scale s l;
+               g = Linalg.Vec.scale s g;
+               c = Linalg.Vec.scale s c;
+               d = s *. d;
+             })
+           relax.Optim.Socp.socs)
       relax.Optim.Socp.n
   in
   let agree label x =

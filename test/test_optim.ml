@@ -598,7 +598,7 @@ let test_socp_of_parts_rejects_asymmetric_p () =
   let build p =
     Socp.of_parts ~p ~q:(Vec.zeros 3)
       ~lins:(Array.of_list (box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0)))
-      ~cones:(Socp.cones [||]) 3
+      ~socs:[||] 3
   in
   checkb "symmetric P accepted" true
     (match build p with _ -> true | exception Invalid_argument _ -> false);
@@ -1343,10 +1343,8 @@ let interior_point problem =
 
 (* [problem] with coordinate [j] folded onto a new last variable s,
    x_j = v·s, the others kept: x = M·x' for M = [kept unit columns |
-   v·e_j], so P' = MᵀPM, q' = Mᵀq, a' = Mᵀa, l' = lM, c' = Mᵀc.  The
-   folded cones read the parent's Grams for the kept coordinates and
-   compute s's column ({!Socp.cones} [~share]), as a node program's
-   pinned coordinates fold into z. *)
+   v·e_j], so P' = MᵀPM, q' = Mᵀq, a' = Mᵀa, l' = lM, c' = Mᵀc, as a
+   node program's pinned coordinates fold into z. *)
 let fold_toy problem ~j ~v =
   let n = problem.Socp.n in
   let keep = Array.of_list (List.filter (( <> ) j) (List.init n Fun.id)) in
@@ -1366,13 +1364,7 @@ let fold_toy problem ~j ~v =
       (fun { Socp.l; g; c; d } -> { Socp.l = Array.map mt l; g; c = mt c; d })
       problem.Socp.socs
   in
-  let cones =
-    Socp.cones
-      ~share:
-        (problem.Socp.cones, Array.init (nk + 1) (fun i -> if i < nk then keep.(i) else -1))
-      socs
-  in
-  Socp.of_parts ~p ~q:(mt problem.Socp.q) ~lins ~cones (nk + 1)
+  Socp.of_parts ~p ~q:(mt problem.Socp.q) ~lins ~socs (nk + 1)
 
 (* The toy problem with coordinate 1 folded at its interior value, and
    the folded interior point (s = 1). *)
@@ -1401,8 +1393,7 @@ let centering_oracle pb tau : Newton.oracle =
 let test_socp_barrier_derivatives () =
   (* The hand-derived gradient/Hessian of the log-barrier (half-spaces +
      second-order cones) against finite differences, via the centering
-     oracle at tau = 1 — on the full problem and on a fold, whose
-     cones read the parent's Grams through the free-coordinate map.
+     oracle at tau = 1 — on the full problem and on a fold of it.
      This is the calculus every Newton step relies on. *)
   let problem = oracle_toy_problem () in
   let x0 = interior_point problem in
@@ -1484,15 +1475,52 @@ let reference_centering pb tau x =
     pb.Socp.socs;
   (!value, grad, hess)
 
+(* A node program of the Table-1 synthetic problem (seed 42, 200 per
+   class, Q2.4): the root box with coordinate 0 pinned to the end that
+   raises dᵀw, so its cones' [l] carry a nonzero folded z column, and a
+   strictly interior point of it. *)
+let table1_node () =
+  let module P = Ldafp_core.Ldafp_problem in
+  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:4 in
+  let ds =
+    Datasets.Synthetic.generate ~n_per_class:200 (Stats.Rng.create 42)
+  in
+  let pb =
+    P.build ~fmt (Ldafp_core.Pipeline.prepare ~fmt ds).Ldafp_core.Pipeline.scatter
+  in
+  let wbox = Array.copy pb.P.elem_box in
+  let lo = Fixedpoint.Fx_interval.lo wbox.(0)
+  and hi = Fixedpoint.Fx_interval.hi wbox.(0) in
+  let v = if pb.P.d.(0) >= 0.0 then hi else lo in
+  wbox.(0) <- Fixedpoint.Fx_interval.of_values fmt ~lo:v ~hi:v;
+  let z_cap = Float.infinity in
+  match P.relaxation pb ~wbox ~z_cap with
+  | None -> Alcotest.fail "the pinned Table-1 box has no relaxation"
+  | Some r -> (
+      let node = r.P.socp in
+      let start = P.project r (P.center_point pb ~wbox ~z_cap) in
+      match Socp.find_strictly_feasible node ~start with
+      | Socp.Strictly_feasible x -> (node, x)
+      | Socp.Unknown _ | Socp.Infeasible _ ->
+          Alcotest.fail "the pinned Table-1 node program is feasible")
+
 let test_socp_oracle_bitwise () =
-  (* The oracle reads each cone's precomputed Gram (shared, through an
-     index map, by restricted and phase-I problems) and takes an O(1)
-     path for single-nonzero half-spaces.  Neither may move a bit. *)
+  (* The oracle reads each cone's Gram, formed once by the problem's
+     constructor (padded with the slack's zero row and column in a
+     phase-I problem), and takes an O(1) path for single-nonzero
+     half-spaces.  Neither may move a bit, on the toy problem, its
+     fold, a real node program with a pin and their phase-I problems. *)
   let problem = oracle_toy_problem () in
   let x0 = interior_point problem in
   let reduced, y0 = folded_toy problem x0 in
   let phase1 = Socp.phase1_problem_for_tests problem in
   let phase1_r = Socp.phase1_problem_for_tests reduced in
+  let node, xn = table1_node () in
+  checkb "the pin folds into z's column of every cone" true
+    (Array.for_all
+       (fun { Socp.l; _ } -> Array.exists (fun lr -> lr.(node.Socp.n - 1) <> 0.0) l)
+       node.Socp.socs);
+  let phase1_n = Socp.phase1_problem_for_tests node in
   let bits = Int64.bits_of_float in
   let same label a b = checkb label true (bits a = bits b) in
   (* The split oracle the solver runs: the value pass alone, then the
@@ -1552,7 +1580,9 @@ let test_socp_oracle_bitwise () =
   check "full" problem x0;
   check "folded" reduced y0;
   check "phase-I" phase1 (Array.append x0 [| 0.5 |]);
-  check "folded phase-I" phase1_r (Array.append y0 [| 0.5 |])
+  check "folded phase-I" phase1_r (Array.append y0 [| 0.5 |]);
+  check "Table-1 node" node xn;
+  check "Table-1 node phase-I" phase1_n (Array.append xn [| 0.5 |])
 
 (* ------------------------------------------------------------------ *)
 (* Admm_qp                                                             *)
@@ -1727,7 +1757,7 @@ let test_socp_fold_substitution () =
         (Array.append folded.Socp.lins
            [| { Socp.a = [| 0.0; 0.0; 1.0 |]; b = 1.0 +. 1e-6 };
               { Socp.a = [| 0.0; 0.0; -1.0 |]; b = -1.0 +. 1e-6 } |])
-      ~cones:folded.Socp.cones 3
+      ~socs:folded.Socp.socs 3
   in
   match Socp.find_strictly_feasible slice ~start:[| 0.0; 0.0; 1.0 |] with
   | Socp.Strictly_feasible y0 ->
@@ -1737,22 +1767,6 @@ let test_socp_fold_substitution () =
       checkf 1e-5 "embedded optimum on the slice" v x.(1)
   | Socp.Infeasible _ | Socp.Unknown _ ->
       Alcotest.fail "the slice has an interior"
-
-let test_socp_shared_cones_validation () =
-  let pb = fold_test_problem () in
-  let socs = Array.map (fun c -> c) pb.Socp.socs in
-  let raises f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
-  in
-  checkb "cone count must match" true (raises (fun () ->
-      Socp.cones ~share:(pb.Socp.cones, [| 0; 1; 2 |]) [||]));
-  checkb "map length must match" true (raises (fun () ->
-      Socp.cones ~share:(pb.Socp.cones, [| 0; 1 |]) socs));
-  checkb "at most one own column" true (raises (fun () ->
-      Socp.cones ~share:(pb.Socp.cones, [| 0; -1; -1 |]) socs));
-  let folded = fold_toy pb ~j:1 ~v:0.5 in
-  checkb "no share of a folded parent" true (raises (fun () ->
-      Socp.cones ~share:(folded.Socp.cones, [| 0; 1; 2 |]) folded.Socp.socs))
 
 (* The tentpole property: pulling a clipped parent optimum toward a
    strictly interior target always lands certifiably inside — on random
@@ -1873,8 +1887,6 @@ let () =
           Alcotest.test_case "warm-start params" `Quick test_warm_start_params;
           Alcotest.test_case "restrict substitutes exactly" `Quick
             test_socp_fold_substitution;
-          Alcotest.test_case "restrict validation" `Quick
-            test_socp_shared_cones_validation;
           Alcotest.test_case "dimension checks" `Quick
             test_socp_dimension_checks;
           Alcotest.test_case "of_parts rejects asymmetric P" `Quick
