@@ -52,6 +52,54 @@ let writable path =
         Sys.remove path
       end)
 
+(* [check_features ~model clf ~data ?line n] accepts rows of [data] with
+   [n] features only if the model [clf] takes [n].  A mismatch is
+   malformed input like any other: one line naming the data file (and
+   the row, when [line] is given) and exit 1, never
+   [Scaling.apply_vec]'s Invalid_argument. *)
+let check_features ~model clf ~data ?line n =
+  let m = Fixed_classifier.n_features clf in
+  if n <> m then begin
+    let where =
+      match line with Some l -> Printf.sprintf "%s:%d" data l | None -> data
+    in
+    Fmt.epr "%s: expected %d features (model %s), found %d@." where m model n;
+    exit 1
+  end
+
+(* [load_for ~model clf data] loads the dataset [clf] is run on. *)
+let load_for ~model clf data =
+  let ds = reading data Datasets.Dataset_io.load in
+  check_features ~model clf ~data (Datasets.Dataset.n_features ds);
+  ds
+
+(* [check_classes ~data ?fold ds] and [check_trainable ~data ?fold ds]
+   accept a dataset only if it has trials of both classes and, to be
+   trained on, class means that differ and some feature varying within
+   a class: LDA is undefined otherwise.  Anything else is malformed
+   input too: one line naming the file (and the cross-validation fold)
+   and exit 1, before any work. *)
+let reject ~data ?fold reason =
+  (match fold with
+  | Some (i, k) -> Fmt.epr "%s (fold %d of %d): %s@." data i k reason
+  | None -> Fmt.epr "%s: %s@." data reason);
+  exit 1
+
+let check_classes ~data ?fold ds =
+  let na, nb = Datasets.Dataset.class_counts ds in
+  if na = 0 || nb = 0 then
+    reject ~data ?fold
+      (Printf.sprintf "needs trials of both classes, found A=%d, B=%d" na nb)
+
+let check_trainable ~data ?fold ds =
+  check_classes ~data ?fold ds;
+  let a, b = Datasets.Dataset.class_split ds in
+  let s = Stats.Scatter.of_data a b in
+  if Array.for_all (( = ) 0.0) (Stats.Scatter.mean_difference s) then
+    reject ~data ?fold "the two classes have identical feature means"
+  else if Linalg.Mat.max_abs (Stats.Scatter.within_class s) = 0.0 then
+    reject ~data ?fold "no feature varies within a class"
+
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
@@ -361,6 +409,7 @@ let train_cmd =
     let fmt = fmt_of ~wl ~k () in
     List.iter writable (out :: List.filter_map Fun.id [ metrics; trace; ledger ]);
     let ds = reading data Datasets.Dataset_io.load in
+    check_trainable ~data ds;
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
       exit 2
@@ -428,10 +477,13 @@ let train_cmd =
             (fun r ->
               let d = r.Pipeline.outcome.Lda_fp.diagnostics in
               ledger_search := Some (r.Pipeline.outcome.Lda_fp.cost, d);
+              let cost = r.Pipeline.outcome.Lda_fp.cost in
+              (* The stop rule tests the gap relative to the cost. *)
               Fmt.pr
-                "LDA-FP: cost %.6g, %d nodes, gap %.3g, %.2fs on %d \
-                 domain(s) (%s)@."
-                r.Pipeline.outcome.Lda_fp.cost d.Lda_fp.nodes d.Lda_fp.gap
+                "LDA-FP: cost %.6g, %d nodes, gap %.3g (relative %.2e), \
+                 %.2fs on %d domain(s) (%s)@."
+                cost d.Lda_fp.nodes d.Lda_fp.gap
+                (d.Lda_fp.gap /. Float.abs cost)
                 d.Lda_fp.train_seconds
                 d.Lda_fp.search.Optim.Bnb.domains_used
                 (match d.Lda_fp.stop_reason with
@@ -586,27 +638,6 @@ let model_arg =
     & opt (some file) None
     & info [ "model" ] ~docv:"FILE" ~doc:"Trained model file.")
 
-(* [check_features ~model clf ~data ?line n] accepts rows of [data] with
-   [n] features only if the model [clf] takes [n].  A mismatch is
-   malformed input like any other: one line naming the data file (and
-   the row, when [line] is given) and exit 1, never
-   [Scaling.apply_vec]'s Invalid_argument. *)
-let check_features ~model clf ~data ?line n =
-  let m = Fixed_classifier.n_features clf in
-  if n <> m then begin
-    let where =
-      match line with Some l -> Printf.sprintf "%s:%d" data l | None -> data
-    in
-    Fmt.epr "%s: expected %d features (model %s), found %d@." where m model n;
-    exit 1
-  end
-
-(* [load_for ~model clf data] loads the dataset [clf] is run on. *)
-let load_for ~model clf data =
-  let ds = reading data Datasets.Dataset_io.load in
-  check_features ~model clf ~data (Datasets.Dataset.n_features ds);
-  ds
-
 let eval_cmd =
   let run verbose model data =
     setup_logs verbose;
@@ -645,17 +676,22 @@ let sweep_cmd =
     setup_logs verbose;
     let fmts = List.map (fun wl -> (wl, fmt_of ~flag:"--wls" ~wl ~k ())) wls in
     let ds = reading data Datasets.Dataset_io.load in
-    let a, b = Datasets.Dataset.class_split ds in
-    if Array.length a < folds || Array.length b < folds then begin
+    check_trainable ~data ds;
+    let na, nb = Datasets.Dataset.class_counts ds in
+    if na < folds || nb < folds then begin
       Fmt.epr "--folds %d: %s has a class with fewer than %d trials@." folds
         data folds;
       exit 2
     end;
+    (* Eval.kfold_error_fixed deals these same folds from this rng. *)
+    let cv_rng () = Stats.Rng.create (seed + 1) in
+    Array.iteri
+      (fun i (train, _) -> check_trainable ~data ~fold:(i + 1, folds) train)
+      (Datasets.Dataset.stratified_folds (cv_rng ()) ~k:folds ds);
     let config = config_of_nodes ~domains nodes in
     let rows =
       List.map
         (fun (wl, fmt) ->
-          let cv_rng () = Stats.Rng.create (seed + 1) in
           let lda =
             Eval.kfold_error_fixed ~rng:(cv_rng ()) ~k:folds
               ~train:(fun tr -> Some (Pipeline.train_conventional ~fmt tr))
@@ -927,6 +963,7 @@ let analyze_cmd =
     setup_logs verbose;
     let clf = reading model Model_io.load in
     let ds = load_for ~model clf data in
+    check_classes ~data ds;
     let fmt = Fixed_classifier.format clf in
     (* Quantisation-noise accounting against the dataset's statistics in
        the classifier's own scaled space. *)
@@ -974,6 +1011,7 @@ let info_cmd =
   let run verbose data =
     setup_logs verbose;
     let ds = reading data Datasets.Dataset_io.load in
+    check_trainable ~data ds;
     Fmt.pr "%a@." Datasets.Dataset.pp_summary ds;
     let a, b = Datasets.Dataset.class_split ds in
     let scatter = Stats.Scatter.of_data a b in

@@ -15,7 +15,6 @@ type t = {
   lambda_min : float;
   lambda_grid : float;
   norm : float;
-  unpinned : Mat.t * Vec.t * Socp.soc array;
 }
 
 exception No_feasible_box of string
@@ -168,7 +167,6 @@ let build ?(rho = 0.99) ~fmt scatter =
       (if nk = m then lambda_min
        else if nk = 0 then 0.0
        else Psd.verified_lambda_min (Mat.init nk nk (fun i k -> p_base.(kept.(i)).(kept.(k)))));
-    unpinned = fold_pins ~p_base ~d ~cones ~free:(Array.init m Fun.id) ~v:(Vec.zeros m);
   }
 
 let dim t = Vec.dim t.d
@@ -271,10 +269,7 @@ let relaxation t ~wbox ~z_cap =
       Vec.init m (fun j ->
           if Fx_interval.is_singleton wbox.(j) then Fx_interval.lo wbox.(j) else 0.0)
     in
-    let p, dt, socs =
-      if nf = m then t.unpinned
-      else fold_pins ~p_base:t.p_base ~d:t.d ~cones:t.cones ~free ~v:pinned
-    in
+    let p, dt, socs = fold_pins ~p_base:t.p_base ~d:t.d ~cones:t.cones ~free ~v:pinned in
     let row i ~y ~z b =
       let a = Vec.zeros n in
       if i < nf then a.(i) <- y;

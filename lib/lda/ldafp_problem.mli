@@ -37,9 +37,6 @@ type t = private {
   norm : float;
       (** [1/(√c*·t_hi)] at the root, [c* = 1/(dᵀS_W⁻¹d)]: the root
           program's optimum is near 1 *)
-  unpinned : Linalg.Mat.t * Linalg.Vec.t * Optim.Socp.soc array;
-      (** [P], [dᵀy]'s direction and the cones of every node without
-          pins, built once: per-node copies raise the peak heap *)
 }
 
 exception No_feasible_box of string
@@ -108,9 +105,9 @@ type relaxation = private {
 val relaxation :
   t -> wbox:Fixedpoint.Fx_interval.t array -> z_cap:float -> relaxation option
 (** The program of a box with a free coordinate, its pins folded into
-    [z]'s column ([unpinned] without pins), its Grams formed by
-    {!Optim.Socp.of_parts}.  [None] when no point of the box has
-    [t >= 1/z_cap > 0]; [z_cap = infinity] drops [z]'s upper row.
+    [z]'s column, its Grams formed by {!Optim.Socp.of_parts}.  [None]
+    when no point of the box has [t >= 1/z_cap > 0]; [z_cap = infinity]
+    drops [z]'s upper row.
     @raise Invalid_argument when every coordinate is pinned. *)
 
 val project : relaxation -> Linalg.Vec.t -> Linalg.Vec.t

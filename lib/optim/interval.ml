@@ -11,12 +11,6 @@ let point x = make ~lo:x ~hi:x
 let lo t = t.lo
 let hi t = t.hi
 
-let scale c t =
-  if c >= 0.0 then { lo = c *. t.lo; hi = c *. t.hi }
-  else { lo = c *. t.hi; hi = c *. t.lo }
-
-let shift d t = { lo = t.lo +. d; hi = t.hi +. d }
-
 (* ------------------------------------------------------------------ *)
 (* Directed ("outward") rounding                                       *)
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,10 @@
 (** Closed real intervals [[lo, hi]].
 
-    Rigorous enclosures for the dual certificate
-    ({!Socp.certify_lower_bound}) and the verified eigenvalue bound
-    ({!Psd.verified_lambda_min}): the directed-rounding operations
-    below. *)
+    Rigorous enclosures for the verified eigenvalue bound
+    ({!Psd.verified_lambda_min}) and the LDA-FP box bounds: the
+    directed-rounding operations below.  The dual certificate
+    ({!Socp.certify_lower_bound}) takes the same steps on bare lo/hi
+    endpoints, so it boxes no [t] per step. *)
 
 type t = private { lo : float; hi : float }
 
@@ -14,13 +15,9 @@ val point : float -> t
 val lo : t -> float
 val hi : t -> float
 
-val scale : float -> t -> t
-val shift : float -> t -> t
-
 (** {2 Directed (outward) rounding}
 
-    Rigorous enclosures for the dual-certificate evaluation
-    ({!Socp.certify_lower_bound}): every operation widens its result by
+    Every operation widens its result by
     one representable float on each side, so the true real-arithmetic
     result is guaranteed to lie inside the returned interval whatever
     the rounding mode did.  This over-approximates slightly (correctly
@@ -28,14 +25,10 @@ val shift : float -> t -> t
     needs no FPU mode switching and composes freely.  Infinite
     endpoints are preserved, never stepped inward.  An operation whose
     endpoint arithmetic produces NaN (e.g. [∞ − ∞]) raises
-    [Invalid_argument] via {!make} — callers computing certificates
-    treat that as a certification failure, never as a bound. *)
+    [Invalid_argument] via {!make}, never a bound. *)
 
 val wide : t -> t
 (** Step both endpoints one float outward. *)
-
-val neg : t -> t
-(** Exact negation (no widening needed: negation is exact in IEEE). *)
 
 val wide_add : t -> t -> t
 val wide_sub : t -> t -> t

@@ -782,11 +782,32 @@ let describe_cert_failure = function
       Printf.sprintf "primal-dual slack %.3g exceeds the trust threshold"
         slack
 
-(* Directed-rounding scalar helpers (the interval ops live in
-   {!Interval}; these cover the two places a bare float bound is
-   needed: the cone-norm test and the box extraction). *)
-let dir_up x = if x = Float.infinity then x else Float.succ x
-let dir_down x = if x = Float.neg_infinity then x else Float.pred x
+(* Directed-rounding helpers.  The certificate runs its interval
+   arithmetic on bare lo/hi endpoints: the steps of the {!Interval}
+   operations in the same order, so every bound keeps its bits, with no
+   [Interval.t] boxed per step.  As {!Interval.make} does, a NaN endpoint
+   or an empty box raises [Invalid_argument].  Without [@inline], ocamlopt
+   (no flambda) calls them and boxes every float passing through. *)
+let[@inline] dir_up x = if x = Float.infinity then x else Float.succ x
+let[@inline] dir_down x = if x = Float.neg_infinity then x else Float.pred x
+let[@inline] no_nan x = if Float.is_nan x then invalid_arg "Interval.make: NaN bound"
+let[@inline] check_box lo hi =
+  no_nan lo; no_nan hi;
+  if lo > hi then invalid_arg (Printf.sprintf "Interval.make: lo %g > hi %g" lo hi)
+
+(* Kahan: 0 · ±∞ = 0.  A product p of two points is in [dir_down p, dir_up p]. *)
+let[@inline] prod x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+let[@inline] point_prod x y = no_nan x; no_nan y; prod x y
+
+(* The lower and upper ends of a sum (from its terms' like ends) and of [alo, ahi]·[blo, bhi]. *)
+let[@inline] add_lo a b = let v = dir_down (a +. b) in no_nan v; v
+let[@inline] add_hi a b = let v = dir_up (a +. b) in no_nan v; v
+let[@inline] mul_lo alo ahi blo bhi =
+  let p1 = prod alo blo and p2 = prod alo bhi and p3 = prod ahi blo and p4 = prod ahi bhi in
+  let v = dir_down (Float.min (Float.min p1 p2) (Float.min p3 p4)) in no_nan v; v
+let[@inline] mul_hi alo ahi blo bhi =
+  let p1 = prod alo blo and p2 = prod alo bhi and p3 = prod ahi blo and p4 = prod ahi bhi in
+  let v = dir_up (Float.max (Float.max p1 p2) (Float.max p3 p4)) in no_nan v; v
 
 (* Upper bound on the Euclidean norm of a float vector: upward-rounded
    sum of upward-rounded squares, then an upward step over the
@@ -827,10 +848,7 @@ let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
           let sl = b -. Vec.dot a x in
           let lam = 1.0 /. (tau *. sl) in
           if sl > 0.0 && Float.is_finite lam && lam > 0.0 then lam
-          else begin
-            repaired := true;
-            0.0
-          end)
+          else (repaired := true; 0.0))
         pb.lins
     in
     (* Cone multiplier pairs; [None] = pair zeroed by the repair. *)
@@ -841,10 +859,7 @@ let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
           let vv = soc_vv soc x in
           let h = (u *. u) -. vv in
           let w = 2.0 *. u /. (tau *. h) in
-          if not (u > 0.0 && h > 0.0 && Float.is_finite w && w > 0.0) then begin
-            repaired := true;
-            None
-          end
+          if not (u > 0.0 && h > 0.0 && Float.is_finite w && w > 0.0) then (repaired := true; None)
           else begin
             let rows = Mat.rows l in
             let z =
@@ -876,65 +891,69 @@ let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
         pb.socs
     in
     (* Everything from here on is a rigorous enclosure: outward-rounded
-       interval ops over {!Interval}, NaN surfacing as Invalid_argument
-       (caught below and reported as a certification failure, never as
-       a bound). *)
+       interval arithmetic on lo/hi endpoints (the helpers above), NaN
+       and empty boxes surfacing as Invalid_argument (caught below and
+       reported as a certification failure, never as a bound). *)
     match
-      let ip = Interval.point in
-      (* r = q + Σ λᵢaᵢ + Σ (Lⱼᵀzⱼ − wⱼcⱼ) *)
-      let r = Array.init n (fun i -> ip pb.q.(i)) in
-      let kappa = ref (ip 0.0) in
-      Array.iteri
-        (fun k { a; b } ->
-          let lam = lambda.(k) in
-          if lam <> 0.0 then begin
+      (* r = q + Σ λᵢaᵢ + Σ (Lⱼᵀzⱼ − wⱼcⱼ) and κ *)
+      Array.iter no_nan pb.q;
+      let r_lo = Array.copy pb.q and r_hi = Array.copy pb.q in
+      let k_lo = ref 0.0 and k_hi = ref 0.0 in
+      for k = 0 to Array.length pb.lins - 1 do
+        let { a; b } = pb.lins.(k) and lam = lambda.(k) in
+        if lam <> 0.0 then begin
+          for i = 0 to n - 1 do
+            if a.(i) <> 0.0 then begin
+              let p = point_prod lam a.(i) in
+              r_lo.(i) <- add_lo r_lo.(i) (dir_down p); r_hi.(i) <- add_hi r_hi.(i) (dir_up p)
+            end
+          done;
+          let p = point_prod lam b in
+          k_lo := add_lo !k_lo (dir_down p); k_hi := add_hi !k_hi (dir_up p)
+        end
+      done;
+      for k = 0 to Array.length pb.socs - 1 do
+        match cone_mult.(k) with
+        | None -> ()
+        | Some (w, z) ->
+            let { l; g; c; d } = pb.socs.(k) in
             for i = 0 to n - 1 do
-              if a.(i) <> 0.0 then
-                r.(i) <-
-                  Interval.wide_add r.(i) (Interval.wide_mul (ip lam) (ip a.(i)))
-            done;
-            kappa := Interval.wide_add !kappa (Interval.wide_mul (ip lam) (ip b))
-          end)
-        pb.lins;
-      Array.iteri
-        (fun k { l; g; c; d } ->
-          match cone_mult.(k) with
-          | None -> ()
-          | Some (w, z) ->
-              let rows = Mat.rows l in
-              for i = 0 to n - 1 do
-                let acc = ref (Interval.wide_mul (Interval.neg (ip w)) (ip c.(i))) in
-                for rr = 0 to rows - 1 do
-                  if z.(rr) <> 0.0 && l.(rr).(i) <> 0.0 then
-                    acc :=
-                      Interval.wide_add !acc
-                        (Interval.wide_mul (ip z.(rr)) (ip l.(rr).(i)))
-                done;
-                r.(i) <- Interval.wide_add r.(i) !acc
+              let p = point_prod (-.w) c.(i) in
+              let acc_lo = ref (dir_down p) and acc_hi = ref (dir_up p) in
+              for rr = 0 to Mat.rows l - 1 do
+                if z.(rr) <> 0.0 && l.(rr).(i) <> 0.0 then begin
+                  let p = point_prod z.(rr) l.(rr).(i) in
+                  acc_lo := add_lo !acc_lo (dir_down p); acc_hi := add_hi !acc_hi (dir_up p)
+                end
               done;
-              kappa := Interval.wide_add !kappa (Interval.wide_mul (ip w) (ip d));
-              for rr = 0 to rows - 1 do
-                if z.(rr) <> 0.0 && g.(rr) <> 0.0 then
-                  kappa :=
-                    Interval.wide_sub !kappa
-                      (Interval.wide_mul (ip z.(rr)) (ip g.(rr)))
-              done)
-        pb.socs;
+              r_lo.(i) <- add_lo r_lo.(i) !acc_lo; r_hi.(i) <- add_hi r_hi.(i) !acc_hi
+            done;
+            let p = point_prod w d in
+            k_lo := add_lo !k_lo (dir_down p); k_hi := add_hi !k_hi (dir_up p);
+            for rr = 0 to Mat.rows l - 1 do
+              if z.(rr) <> 0.0 && g.(rr) <> 0.0 then begin
+                (* κ − zᵣgᵣ: negation swaps the endpoints *)
+                let p = point_prod z.(rr) g.(rr) in
+                k_lo := add_lo !k_lo (-.dir_up p); k_hi := add_hi !k_hi (-.dir_down p)
+              end
+            done
+      done;
       (* ρ = Px* + r and the tangent offset ½x*ᵀPx*, sharing the Px*
          enclosures. *)
-      let quad = ref (ip 0.0) in
-      let rho =
-        Array.init n (fun i ->
-            let pxi = ref (ip 0.0) in
-            for j = 0 to n - 1 do
-              if pb.p.(i).(j) <> 0.0 && x.(j) <> 0.0 then
-                pxi :=
-                  Interval.wide_add !pxi
-                    (Interval.wide_mul (ip pb.p.(i).(j)) (ip x.(j)))
-            done;
-            quad := Interval.wide_add !quad (Interval.wide_mul (ip x.(i)) !pxi);
-            Interval.wide_add !pxi r.(i))
-      in
+      let q_lo = ref 0.0 and q_hi = ref 0.0 in
+      let rho_lo = Array.make n 0.0 and rho_hi = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        let px_lo = ref 0.0 and px_hi = ref 0.0 in
+        for j = 0 to n - 1 do
+          if pb.p.(i).(j) <> 0.0 && x.(j) <> 0.0 then begin
+            let p = point_prod pb.p.(i).(j) x.(j) in
+            px_lo := add_lo !px_lo (dir_down p); px_hi := add_hi !px_hi (dir_up p)
+          end
+        done;
+        q_lo := add_lo !q_lo (mul_lo x.(i) x.(i) !px_lo !px_hi);
+        q_hi := add_hi !q_hi (mul_hi x.(i) x.(i) !px_lo !px_hi);
+        rho_lo.(i) <- add_lo !px_lo r_lo.(i); rho_hi.(i) <- add_hi !px_hi r_hi.(i)
+      done;
       (* Coordinate box containing the feasible set, harvested from the
          single-nonzero half-space rows (the ±eᵢ box rows), then carried
          once through the two-nonzero rows: aᵢxᵢ + aⱼxⱼ <= b with xⱼ
@@ -955,84 +974,84 @@ let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
       Array.iteri
         (fun k { a; b } ->
           let i = pb.lin_support.(k) and j = pb.lin_support2.(k) in
+          (* b − aⱼ·[lo0ⱼ, hi0ⱼ], the lower end only checked *)
           let through i j =
-            if Float.is_finite lo0.(j) && Float.is_finite hi0.(j) then
-              cut i a.(i)
-                (Interval.hi
-                   (Interval.wide_sub (ip b)
-                      (Interval.wide_mul (ip a.(j))
-                         (Interval.make ~lo:lo0.(j) ~hi:hi0.(j)))))
+            if Float.is_finite lo0.(j) && Float.is_finite hi0.(j) then begin
+              check_box lo0.(j) hi0.(j); no_nan a.(j); no_nan b;
+              no_nan (b -. mul_hi a.(j) a.(j) lo0.(j) hi0.(j));
+              cut i a.(i) (add_hi b (-.mul_lo a.(j) a.(j) lo0.(j) hi0.(j)))
+            end
           in
-          if i >= 0 && j >= 0 then begin
-            through i j;
-            through j i
-          end)
+          if i >= 0 && j >= 0 then (through i j; through j i))
         pb.lins;
+      (* − ½x*ᵀPx* − κ: negation swaps the endpoints. *)
+      let off_lo = add_lo (-.(0.5 *. !q_hi)) (-. !k_hi)
+      and off_hi = add_hi (-.(0.5 *. !q_lo)) (-. !k_lo) in
       (* Σ min over the box of resᵢ·xᵢ on the coordinates outside
          [block], plus [extra], − ½x*ᵀPx* − κ. *)
-      let charge ~block ~res extra =
-        let lower =
-          ref (Interval.wide_add extra
-                 (Interval.wide_sub (Interval.neg (Interval.scale 0.5 !quad)) !kappa))
-        in
+      let charge ~block ~res_lo ~res_hi extra_lo extra_hi =
+        let lower_lo = ref (add_lo extra_lo off_lo) and lower_hi = ref (add_hi extra_hi off_hi) in
         for i = 0 to n - 1 do
-          if not block.(i) then
-            lower :=
-              Interval.wide_add !lower
-                (Interval.wide_mul res.(i) (Interval.make ~lo:xlo.(i) ~hi:xhi.(i)))
+          if not block.(i) then begin
+            check_box xlo.(i) xhi.(i);
+            lower_lo := add_lo !lower_lo (mul_lo res_lo.(i) res_hi.(i) xlo.(i) xhi.(i));
+            lower_hi := add_hi !lower_hi (mul_hi res_lo.(i) res_hi.(i) xlo.(i) xhi.(i))
+          end
         done;
-        Interval.lo !lower
+        !lower_lo
       in
-      let box_charge = charge ~block:(Array.make n false) ~res:rho (ip 0.0) in
+      let box_charge = charge ~block:(Array.make n false) ~res_lo:rho_lo ~res_hi:rho_hi 0.0 0.0 in
       match psd_block with
       | None -> box_charge
       | Some (idx, lambda) ->
           (* The curvature charge, u = 0 when the solve fails; ‖e_B‖²
              sums upward-rounded squares of each enclosure's larger
              magnitude. *)
+          let nb = Array.length idx in
           let block = Array.make n false in
           Array.iter (fun i -> block.(i) <- true) idx;
-          let mid r = 0.5 *. (Interval.lo r +. Interval.hi r) in
           let u =
             match
               Cholesky.solve
-                (Mat.init (Array.length idx) (Array.length idx) (fun a b ->
-                     pb.p.(idx.(a)).(idx.(b))))
-                (Array.map (fun i -> mid rho.(i)) idx)
+                (Mat.init nb nb (fun a b -> pb.p.(idx.(a)).(idx.(b))))
+                (Array.map (fun i -> 0.5 *. (rho_lo.(i) +. rho_hi.(i))) idx)
             with
             | u when Array.for_all Float.is_finite u -> u
-            | _ | (exception Cholesky.Not_positive_definite _) -> Vec.zeros (Array.length idx)
+            | _ | (exception Cholesky.Not_positive_definite _) -> Vec.zeros nb
           in
-          let pu =
-            Array.init n (fun i ->
-                let acc = ref (ip 0.0) in
-                Array.iteri
-                  (fun a j ->
-                    acc := Interval.wide_add !acc (Interval.wide_mul (ip pb.p.(i).(j)) (ip u.(a))))
-                  idx;
-                !acc)
-          in
-          let e = Array.init n (fun i -> Interval.wide_sub rho.(i) pu.(i)) in
-          let lin = ref (ip 0.0) and sq = ref 0.0 in
-          Array.iteri
-            (fun a i ->
-              let ua = ip u.(a) in
-              lin :=
-                Interval.wide_add !lin
-                  (Interval.wide_add (Interval.wide_mul rho.(i) (ip x.(i)))
-                     (Interval.wide_sub (Interval.scale 0.5 (Interval.wide_mul ua pu.(i)))
-                        (Interval.wide_mul rho.(i) ua)));
-              let mag = Float.max (Float.abs (Interval.lo e.(i))) (Float.abs (Interval.hi e.(i))) in
-              sq := dir_up (!sq +. dir_up (mag *. mag)))
-            idx;
+          (* Pu, then e = ρ − Pu *)
+          let pu_lo = Array.make n 0.0 and pu_hi = Array.make n 0.0 in
           for i = 0 to n - 1 do
-            if not block.(i) then
-              lin := Interval.wide_add !lin (Interval.wide_mul pu.(i) (ip x.(i)))
+            for a = 0 to nb - 1 do
+              let p = point_prod pb.p.(i).(idx.(a)) u.(a) in
+              pu_lo.(i) <- add_lo pu_lo.(i) (dir_down p); pu_hi.(i) <- add_hi pu_hi.(i) (dir_up p)
+            done
           done;
-          let inv = dir_up (1.0 /. (2.0 *. lambda)) in
+          let e_lo = Array.init n (fun i -> add_lo rho_lo.(i) (-.pu_hi.(i)))
+          and e_hi = Array.init n (fun i -> add_hi rho_hi.(i) (-.pu_lo.(i))) in
+          (* lin = Σ_B (ρᵢx*ᵢ + (½uᵢ(Pu)ᵢ − ρᵢuᵢ)) + Σ_N (Pu)ᵢx*ᵢ *)
+          let lin_lo = ref 0.0 and lin_hi = ref 0.0 and sq = ref 0.0 in
+          for a = 0 to nb - 1 do
+            let i = idx.(a) and ua = u.(a) in
+            let rl = rho_lo.(i) and rh = rho_hi.(i) and pl = pu_lo.(i) and ph = pu_hi.(i) in
+            let t_lo = add_lo (0.5 *. mul_lo ua ua pl ph) (-.mul_hi rl rh ua ua)
+            and t_hi = add_hi (0.5 *. mul_hi ua ua pl ph) (-.mul_lo rl rh ua ua) in
+            lin_lo := add_lo !lin_lo (add_lo (mul_lo rl rh x.(i) x.(i)) t_lo);
+            lin_hi := add_hi !lin_hi (add_hi (mul_hi rl rh x.(i) x.(i)) t_hi);
+            let mag = Float.max (Float.abs e_lo.(i)) (Float.abs e_hi.(i)) in
+            sq := dir_up (!sq +. dir_up (mag *. mag))
+          done;
+          for i = 0 to n - 1 do
+            if not block.(i) then begin
+              lin_lo := add_lo !lin_lo (mul_lo pu_lo.(i) pu_hi.(i) x.(i) x.(i));
+              lin_hi := add_hi !lin_hi (mul_hi pu_lo.(i) pu_hi.(i) x.(i) x.(i))
+            end
+          done;
+          (* extra = lin − [0, ‖e_B‖²/(2λ̲)] *)
+          let s = dir_up (!sq *. dir_up (1.0 /. (2.0 *. lambda))) in
+          check_box 0.0 s;
           Float.max box_charge
-            (charge ~block ~res:e
-               (Interval.wide_sub !lin (Interval.make ~lo:0.0 ~hi:(dir_up (!sq *. inv)))))
+            (charge ~block ~res_lo:e_lo ~res_hi:e_hi (add_lo !lin_lo (-.s)) (add_hi !lin_hi (-0.0)))
     with
     | exception Invalid_argument msg ->
         fail (Printf.sprintf "interval evaluation: %s" msg)

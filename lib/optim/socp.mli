@@ -232,7 +232,8 @@ val find_strictly_feasible :
     (clipping negative half-space multipliers, shrinking cone
     multiplier pairs onto the cone against an upward-rounded norm), and
     evaluates the resulting dual objective in outward-rounded interval
-    arithmetic ({!Interval.wide_add} and friends) with the Lagrangian
+    arithmetic (the steps of {!Interval.wide_add} and friends, taken on
+    bare lo/hi endpoints so no interval is boxed) with the Lagrangian
     stationarity residual absorbed over the problem's coordinate box
     (Neumaier–Shcherbina) or, on a block where the caller vouches for
     the curvature of [P], through that curvature.  Weak duality then makes the result a true
@@ -252,9 +253,9 @@ type cert_failure =
   | Cert_repair_failed of string
       (** no dual-feasible point could be built (unusable terminal
           barrier weight, non-finite iterate, …) or the interval
-          evaluation did not produce a finite value (a nonzero
-          stationarity residual on a coordinate the constraints leave
-          unbounded) *)
+          evaluation did not produce a finite value (a NaN endpoint, an
+          empty harvested box, or a nonzero stationarity residual on a
+          coordinate the constraints leave unbounded) *)
   | Cert_gap_excessive of float
       (** a valid bound was produced but its primal-dual slack (the
           payload) exceeds [max_rel_slack × (1 + |objective|)] — the
@@ -286,7 +287,9 @@ val certify_lower_bound :
     triggers {!Cert_gap_excessive}, relative to [1 + |objective|].
     Emits the [socp.cert*] probes and observes the slack histogram.
     Cost: O(n² + constraints·n) in interval arithmetic, plus one
-    Cholesky factorisation of [P_BB] with [~psd_block]. *)
+    Cholesky factorisation of [P_BB] with [~psd_block].  On a
+    43-variable LDA-FP node program one call allocates about 4k minor
+    words, 12k with [~psd_block] (the copy and factor of [P_BB]). *)
 
 (**/**)
 

@@ -1680,6 +1680,59 @@ let test_rows_close_at_the_root () =
   List.iter (fun wl -> check (Printf.sprintf "ECoG WL %d" wl) (ecog_problem ~fold:(-1) wl))
     [ 8; 10 ]
 
+(* A problem's root program, solved cold at its seeded incumbent's z
+   cap, with its [~psd_block]. *)
+let root_program pb =
+  let theta = snd (Option.get (Ldafp_heuristics.seed_incumbent pb)) in
+  let r, sol =
+    solve_relaxation pb ~wbox:pb.Ldafp_problem.elem_box
+      ~z_cap:(Ldafp_problem.z_cap pb ~theta)
+  in
+  (r.Ldafp_problem.socp, sol, Ldafp_problem.psd_block pb r)
+
+let ecog_root = lazy (root_program (ecog_problem ~fold:(-1) 6))
+
+(* The certified root bounds, bit for bit: with [~psd_block] the
+   curvature charge wins, without it the box charge is the bound.  The
+   certificate's outward rounding takes fixed steps in a fixed order,
+   so any change to them moves these bits. *)
+let test_root_certificate_bits () =
+  let check name (socp, sol, psd_block) ~curvature ~box =
+    List.iter
+      (fun (charge, psd_block, want) ->
+        match Optim.Socp.certify_lower_bound ?psd_block socp sol with
+        | Ok c ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, %s charge" name charge)
+              want
+              (Printf.sprintf "%Lx" (Int64.bits_of_float c.Optim.Socp.dual_value))
+        | Error f -> Alcotest.fail (Optim.Socp.describe_cert_failure f))
+      [ ("curvature", psd_block, curvature); ("box", None, box) ]
+  in
+  check "small scatter Q2.2"
+    (root_program (Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:2) (small_scatter ())))
+    ~curvature:"3feffffd6c196f13" ~box:"3fefff146866b119";
+  check "ECoG WL 6" (Lazy.force ecog_root) ~curvature:"3feffffed8979840"
+    ~box:"3fefc0374fc78c0a"
+
+(* The certificate runs its interval arithmetic on unboxed endpoints:
+   over 43 variables a call allocates the multipliers, the enclosure
+   arrays and the copy and factor of P_BB, not one box per step (428k
+   words when every step boxed an interval). *)
+let test_certificate_allocation () =
+  let socp, sol, psd_block = Lazy.force ecog_root in
+  let cert () = ignore (Optim.Socp.certify_lower_bound ?psd_block socp sol) in
+  cert ();
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    cert ()
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb
+    (Printf.sprintf "%.0f minor words per ECoG WL 6 root certificate <= 20000" per_call)
+    true (per_call <= 20000.0)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1820,6 +1873,10 @@ let () =
             test_pinned_fold_dominates_widened;
           Alcotest.test_case "Table-1 and ECoG rows close in 5 nodes" `Quick
             test_rows_close_at_the_root;
+          Alcotest.test_case "root certificate bits" `Quick
+            test_root_certificate_bits;
+          Alcotest.test_case "certificate allocation" `Quick
+            test_certificate_allocation;
         ] );
       ("properties", qcheck_tests);
     ]
