@@ -76,9 +76,10 @@ let load_for ~model clf data =
 (* [check_classes ~data ?fold ds] and [check_trainable ~data ?fold ds]
    accept a dataset only if it has trials of both classes and, to be
    trained on, class means that differ and some feature varying within
-   a class: LDA is undefined otherwise.  Anything else is malformed
-   input too: one line naming the file (and the cross-validation fold)
-   and exit 1, before any work. *)
+   a class: LDA is undefined otherwise.  LDA-FP trains on the data
+   quantised to its format, so [~fmts] checks those too, in each
+   format.  Anything else is malformed input too: one line naming the
+   file (and the cross-validation fold) and exit 1, before any work. *)
 let reject ~data ?fold reason =
   (match fold with
   | Some (i, k) -> Fmt.epr "%s (fold %d of %d): %s@." data i k reason
@@ -91,14 +92,21 @@ let check_classes ~data ?fold ds =
     reject ~data ?fold
       (Printf.sprintf "needs trials of both classes, found A=%d, B=%d" na nb)
 
-let check_trainable ~data ?fold ds =
+let check_trainable ~data ?fold ?(fmts = []) ds =
   check_classes ~data ?fold ds;
+  let check s ~what =
+    if Array.for_all (( = ) 0.0) (Stats.Scatter.mean_difference s) then
+      reject ~data ?fold ("the two classes have identical feature means" ^ what)
+    else if Linalg.Mat.max_abs (Stats.Scatter.within_class s) = 0.0 then
+      reject ~data ?fold ("no feature varies within a class" ^ what)
+  in
   let a, b = Datasets.Dataset.class_split ds in
-  let s = Stats.Scatter.of_data a b in
-  if Array.for_all (( = ) 0.0) (Stats.Scatter.mean_difference s) then
-    reject ~data ?fold "the two classes have identical feature means"
-  else if Linalg.Mat.max_abs (Stats.Scatter.within_class s) = 0.0 then
-    reject ~data ?fold "no feature varies within a class"
+  check (Stats.Scatter.of_data a b) ~what:"";
+  List.iter
+    (fun fmt ->
+      check (Pipeline.prepare ~fmt ds).Pipeline.scatter
+        ~what:(" once quantised to " ^ Fixedpoint.Qformat.to_string fmt))
+    fmts
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
@@ -409,7 +417,7 @@ let train_cmd =
     let fmt = fmt_of ~wl ~k () in
     List.iter writable (out :: List.filter_map Fun.id [ metrics; trace; ledger ]);
     let ds = reading data Datasets.Dataset_io.load in
-    check_trainable ~data ds;
+    check_trainable ~data ~fmts:(if method_ = `Ldafp then [ fmt ] else []) ds;
     if resume && checkpoint = None then begin
       Fmt.epr "--resume requires --checkpoint@.";
       exit 2
@@ -686,7 +694,8 @@ let sweep_cmd =
     (* Eval.kfold_error_fixed deals these same folds from this rng. *)
     let cv_rng () = Stats.Rng.create (seed + 1) in
     Array.iteri
-      (fun i (train, _) -> check_trainable ~data ~fold:(i + 1, folds) train)
+      (fun i (train, _) ->
+        check_trainable ~data ~fold:(i + 1, folds) ~fmts:(List.map snd fmts) train)
       (Datasets.Dataset.stratified_folds (cv_rng ()) ~k:folds ds);
     let config = config_of_nodes ~domains nodes in
     let rows =
@@ -1008,10 +1017,11 @@ let analyze_cmd =
 (* ---------------- info ---------------- *)
 
 let info_cmd =
-  let run verbose data =
+  let run verbose data wl k =
     setup_logs verbose;
+    let fmt = fmt_of ~wl ~k () in
     let ds = reading data Datasets.Dataset_io.load in
-    check_trainable ~data ds;
+    check_trainable ~data ~fmts:[ fmt ] ds;
     Fmt.pr "%a@." Datasets.Dataset.pp_summary ds;
     let a, b = Datasets.Dataset.class_split ds in
     let scatter = Stats.Scatter.of_data a b in
@@ -1026,8 +1036,9 @@ let info_cmd =
       (Lda.fisher_cost scatter model)
   in
   Cmd.v
-    (Cmd.info "info" ~doc:"Summarise a dataset.")
-    Term.(const run $ verbose_arg $ data_arg)
+    (Cmd.info "info"
+       ~doc:"Summarise a dataset; it must be trainable at the $(b,--wl) format.")
+    Term.(const run $ verbose_arg $ data_arg $ wl_arg $ k_arg)
 
 (* ---------------- runs ---------------- *)
 

@@ -97,12 +97,19 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let is_atomic node = Array.for_all Fx_interval.is_singleton node.wbox
 
+let p_candidate =
+  Obs.Probe.v "lda.candidate"
+    ~count:"node candidates generated (round, evaluate, H2 polish)"
+    ~seconds:(1e-7, 10.0, "wall time of one node's candidate generation")
+
 (* Candidate generation: round a continuous point into the node box,
    evaluate exactly, then polish by H2.  A point with a non-finite
    entry (a program point with z = 0) yields none. *)
 let candidate_of_point cfg pb node point =
   if not (Array.for_all Float.is_finite point) then None
   else
+  let observed = Obs.Probe.on () in
+  let t0 = if observed then Obs.Clock.now_ns () else 0 in
   let rounded = Ldafp_heuristics.round_into pb ~wbox:node.wbox point in
   let cand =
     match Ldafp_heuristics.evaluate pb rounded with
@@ -112,10 +119,15 @@ let candidate_of_point cfg pb node point =
         Ldafp_heuristics.evaluate pb (Ldafp_heuristics.round_into pb point)
     | some -> some
   in
-  Option.map
-    (fun (w, _) ->
-      Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
-    cand
+  let polished =
+    Option.map
+      (fun (w, _) ->
+        Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
+      cand
+  in
+  if observed then
+    Obs.Probe.span p_candidate ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0);
+  polished
 
 (* How the node program was solved. *)
 type program_solve =

@@ -12,7 +12,8 @@
       even though the exact cost is not, so different λ reach genuinely
       different grid points.
     - H2 {!coordinate_polish}: first-improvement local search moving one
-      element by ±1 ulp at a time.
+      element by ±1 ulp at a time, each trial screened in O(1) and only
+      the survivors evaluated exactly.
     - {!round_into}: plain nearest-grid rounding clamped into a box, used
       on relaxation solutions. *)
 
@@ -42,15 +43,40 @@ val scaled_rounding_sweep :
   (Linalg.Vec.t * float) option
 (** H1 over the direction (L∞-normalised internally); [steps] scalings
     (default 200) spread geometrically from one ulp up to the format
-    maximum. Returns the best feasible rounded point. *)
+    maximum. Returns the best feasible rounded point.  A step is not
+    checked for feasibility when it rounds to the previous step's point
+    or costs no less than the best so far: a tie keeps the first, so
+    neither could change the result. *)
 
 val coordinate_polish :
   ?max_rounds:int ->
   Ldafp_problem.t ->
   Linalg.Vec.t ->
   Linalg.Vec.t * float
-(** H2 from a feasible start; returns a point at least as good.
-    [max_rounds] (default 6) full passes over the coordinates.
+(** H2 from a feasible start; returns a point at least as good, with
+    its exact cost.  [max_rounds] (default 6) full passes over the
+    coordinates; a trial [w + δe_j] (δ = ±1 ulp, inside element [j]'s
+    interval) is accepted when {!evaluate} finds it feasible at a cost
+    below the current one by more than [1e-15].
+
+    Each trial is first screened in O(1) from sums kept for the current
+    point: [g = S_W w], [|S_W||w|], [q = wᵀg], [t = dᵀw],
+    [a = |w|ᵀ|S_W||w|] and [|d|ᵀ|w|].  The trial's cost is
+    [c' = q'/t'²] with [q' = q + 2δg_j + δ²S_jj] and [t' = t + δd_j],
+    and the screen rejects it only when [c' − err >= cost − 1e-15],
+    where [err] bounds [|c' − cost(w')|] by the dot-product rounding
+    bound [|fl(xᵀy) − xᵀy| <= γ_n|x|ᵀ|y|]: with
+    [B = a + 2|δ|(|S_W||w|)_j + δ²|S_jj|] and [D = |d|ᵀ|w| + |δ||d_j|],
+    [E_Q = 4γ_{2m+3}B], [E_T = 4γ_{m+2}D] and
+    [Δ = (E_Q + |q'|E_T(2|t'| + E_T)/t'²)/(|t'| − E_T)²],
+    [err = 2(Δ + 4u|c'|)] ([u = 2⁻⁵³]; screening needs [|t'| > 2E_T]).
+    The terms are absolute, so the bound holds for an S_W that rounding
+    left indefinite.  A rejected trial is one {!evaluate} would reject
+    too; every other one goes through {!evaluate}, which decides, and
+    an accepted move recomputes the sums in O(m²).  The accept/reject
+    sequence, and so the returned [(w, cost)], is bit for bit that of
+    evaluating every trial.  The sums live in the call: nothing is
+    shared between domains.
     @raise Invalid_argument if the start is infeasible. *)
 
 val seed_incumbent :
@@ -59,4 +85,5 @@ val seed_incumbent :
   Ldafp_problem.t ->
   (Linalg.Vec.t * float) option
 (** The full seeding pipeline: float LDA on the problem's scatter, H1
-    sweep, then H2 polish. *)
+    sweep, then H2 polish.  [None] when nothing feasible is found, and
+    when the class means coincide (the LDA direction is zero). *)

@@ -184,34 +184,45 @@ let on_grid t w =
       && Float.abs (x -. Qformat.nearest_on_grid t.fmt x) < 1e-12)
     w
 
+(* The larger violation of [lo_bound <= c − spread] and
+   [c + spread <= hi_bound]. *)
+let[@inline] band_violation ~lo_bound ~hi_bound c spread =
+  Float.max (lo_bound -. (c -. spread)) (c +. spread -. hi_bound)
+
+(* Element constraint (18) of a weight [wj] for one class: mean [mu],
+   variance [var]. *)
+let[@inline] elem_violation ~beta ~lo_bound ~hi_bound wj mu var =
+  band_violation ~lo_bound ~hi_bound (wj *. mu)
+    (beta *. Float.abs wj *. sqrt (Float.max var 0.0))
+
+(* Float.max is associative and commutative, NaN and signed zeros
+   included, so the order of the folds does not change the bits. *)
 let constraint_violation t w =
   let lo_bound = Qformat.min_value t.fmt in
   let hi_bound = Qformat.max_value t.fmt in
-  let s = t.scatter in
-  let worst = ref Float.neg_infinity in
-  let push v = worst := Float.max !worst v in
-  (* Element constraints (18), exact. *)
-  Array.iteri
-    (fun j wj ->
-      let check mu sigma =
-        let spread = t.beta *. Float.abs wj *. sigma in
-        push (lo_bound -. ((wj *. mu) -. spread));
-        push ((wj *. mu) +. spread -. hi_bound)
-      in
-      check s.Stats.Scatter.mu_a.(j)
-        (sqrt (Float.max s.Stats.Scatter.sigma_a.(j).(j) 0.0));
-      check s.Stats.Scatter.mu_b.(j)
-        (sqrt (Float.max s.Stats.Scatter.sigma_b.(j).(j) 0.0)))
-    w;
+  let s = t.scatter and beta = t.beta in
   (* Projection constraints (20), exact quadratic forms. *)
-  let check_proj mu sigma =
-    let m = Vec.dot mu w in
-    let spread = t.beta *. sqrt (Float.max (Mat.quadratic_form sigma w) 0.0) in
-    push (lo_bound -. (m -. spread));
-    push (m +. spread -. hi_bound)
+  let proj mu sigma =
+    band_violation ~lo_bound ~hi_bound (Vec.dot mu w)
+      (beta *. sqrt (Float.max (Mat.quadratic_form sigma w) 0.0))
   in
-  check_proj s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a;
-  check_proj s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b;
+  let worst =
+    ref
+      (Float.max
+         (proj s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a)
+         (proj s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b))
+  in
+  (* Element constraints (18), exact. *)
+  for j = 0 to Vec.dim w - 1 do
+    let wj = w.(j) in
+    worst :=
+      Float.max !worst
+        (Float.max
+           (elem_violation ~beta ~lo_bound ~hi_bound wj s.Stats.Scatter.mu_a.(j)
+              s.Stats.Scatter.sigma_a.(j).(j))
+           (elem_violation ~beta ~lo_bound ~hi_bound wj s.Stats.Scatter.mu_b.(j)
+              s.Stats.Scatter.sigma_b.(j).(j)))
+  done;
   !worst
 
 let feasible ?(tol = 1e-9) t w =

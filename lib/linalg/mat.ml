@@ -118,7 +118,23 @@ let tmul_vec a x =
 
 let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
 
-let quadratic_form a x = Vec.dot x (mul_vec a x)
+(* Σ_i x_i·(a_i·x) summed in the order of [Vec.dot x (mul_vec a x)],
+   so the bits are the same, without the [mul_vec] array. *)
+let quadratic_form a x =
+  let n = Array.length x in
+  if rows a <> n || cols a <> n then
+    invalid_arg "Mat.quadratic_form: dimension mismatch";
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    let ai = a.(i) in
+    if Array.length ai <> n then invalid_arg "Mat.quadratic_form: ragged rows";
+    let r = ref 0.0 in
+    for k = 0 to n - 1 do
+      r := !r +. (ai.(k) *. x.(k))
+    done;
+    s := !s +. (x.(i) *. !r)
+  done;
+  !s
 
 let add_scaled_identity c a =
   if rows a <> cols a then invalid_arg "Mat.add_scaled_identity: not square";

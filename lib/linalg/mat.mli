@@ -53,7 +53,8 @@ val outer : Vec.t -> Vec.t -> t
 (** [outer u v] is [u vᵀ]. *)
 
 val quadratic_form : t -> Vec.t -> float
-(** [quadratic_form a x] is [xᵀ a x]. *)
+(** [quadratic_form a x] is [xᵀ a x], bit for bit
+    [Vec.dot x (mul_vec a x)], with no intermediate array. *)
 
 val add_scaled_identity : float -> t -> t
 (** [add_scaled_identity c a] is [a + cI] (square matrices). *)

@@ -22,6 +22,7 @@ let m_newton_iterations =
 
 let p_cert =
   Obs.Probe.v "socp.cert" ~count:"dual-certificate evaluations attempted"
+    ~seconds:(1e-7, 100.0, "wall time of one dual-certificate evaluation")
 
 let p_cert_repaired =
   Obs.Probe.v "socp.cert_repaired"
@@ -816,8 +817,7 @@ let norm2_up z =
   let s = Array.fold_left (fun acc zi -> dir_up (acc +. dir_up (zi *. zi))) 0.0 z in
   dir_up (sqrt s)
 
-let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
-  Obs.Probe.hit p_cert;
+let certify ~max_rel_slack ?psd_block pb sol =
   let fail reason =
     Obs.Probe.hit p_cert_failed;
     Error (Cert_repair_failed reason)
@@ -1074,3 +1074,12 @@ let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
           end
         end
   end
+
+(* The span covers every outcome, so its time is the certificate's
+   share of a trace or of [--metrics]. *)
+let certify_lower_bound ?(max_rel_slack = 0.1) ?psd_block pb sol =
+  let observed = Obs.Probe.on () in
+  let t0 = if observed then Obs.Clock.now_ns () else 0 in
+  let r = certify ~max_rel_slack ?psd_block pb sol in
+  if observed then Obs.Probe.span p_cert ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0);
+  r

@@ -285,7 +285,8 @@ val certify_lower_bound :
     is about [ν/τ], typically {e tighter} than the heuristic
     [objective − 2·gap_bound].  [max_rel_slack] (default [0.1])
     triggers {!Cert_gap_excessive}, relative to [1 + |objective|].
-    Emits the [socp.cert*] probes and observes the slack histogram.
+    Emits the [socp.cert*] probes ([socp.cert] a span over the whole
+    call, whatever its outcome) and observes the slack histogram.
     Cost: O(n² + constraints·n) in interval arithmetic, plus one
     Cholesky factorisation of [P_BB] with [~psd_block].  On a
     43-variable LDA-FP node program one call allocates about 4k minor

@@ -508,6 +508,22 @@ let test_polish_never_worsens () =
       checkb "polish monotone" true (c2 <= c +. 1e-15);
       checkb "polished feasible" true (Ldafp_problem.feasible pb w2)
 
+(* Raw class means that differ but quantise identically at Q2.2: the
+   LDA direction of the data LDA-FP sees is zero, and the seed is none
+   (the float LDA used to raise on normalising it). *)
+let test_seed_none_on_zero_direction () =
+  let ds =
+    Datasets.Dataset.of_class_matrices ~name:"quantised means"
+      ~a:[| [| 0.0; 1.0 |]; [| 0.01; 0.0 |]; [| 0.02; 0.5 |] |]
+      ~b:[| [| 0.011; 0.5 |]; [| 0.012; 0.6 |]; [| 0.01; 0.4 |] |]
+  in
+  let fmt = Format_policy.default 4 in
+  let scatter = (Pipeline.prepare ~fmt ds).Pipeline.scatter in
+  checkb "quantised means equal" true
+    (Array.for_all (( = ) 0.0) (Stats.Scatter.mean_difference scatter));
+  checkb "no seed" true
+    (Ldafp_heuristics.seed_incumbent (Ldafp_problem.build ~fmt scatter) = None)
+
 (* ------------------------------------------------------------------ *)
 (* Lda_fp solver: exhaustive global-optimality check                   *)
 (* ------------------------------------------------------------------ *)
@@ -1560,6 +1576,161 @@ let ecog_problem ~fold wl =
   in
   Ldafp_problem.build ~fmt (Pipeline.prepare ~fmt train).Pipeline.scatter
 
+(* ------------------------------------------------------------------ *)
+(* H1 and H2 against the versions that evaluated every trial          *)
+(* ------------------------------------------------------------------ *)
+
+(* The ±1-ulp coordinate polish as it was before the O(1) screen: every
+   trial in the element interval goes through [evaluate]. *)
+let reference_polish ?(max_rounds = 6) (pb : Ldafp_problem.t) start =
+  (match Ldafp_heuristics.evaluate pb start with
+  | None -> invalid_arg "coordinate_polish: start point infeasible"
+  | Some _ -> ());
+  let ulp = Qformat.ulp pb.Ldafp_problem.fmt in
+  let w = Linalg.Vec.copy start in
+  let cost = ref (Ldafp_problem.cost pb w) in
+  let improved = ref true in
+  let rounds = ref 0 in
+  while !improved && !rounds < max_rounds do
+    improved := false;
+    incr rounds;
+    for j = 0 to Linalg.Vec.dim w - 1 do
+      let original = w.(j) in
+      let try_move delta =
+        let cand = original +. delta in
+        if Fx_interval.mem (Ldafp_problem.elem_interval pb j) cand then begin
+          w.(j) <- cand;
+          match Ldafp_heuristics.evaluate pb w with
+          | Some (_, c) when c < !cost -. 1e-15 ->
+              cost := c;
+              improved := true
+          | _ -> w.(j) <- original
+        end
+      in
+      try_move ulp;
+      if w.(j) = original then try_move (-.ulp)
+    done
+  done;
+  (w, !cost)
+
+(* The H1 sweep as it was before it skipped steps: every rounded point
+   through [evaluate]. *)
+let reference_sweep ~steps (pb : Ldafp_problem.t) direction =
+  let n = Linalg.Vec.norm_inf direction in
+  if n = 0.0 then None
+  else begin
+    let dir = Linalg.Vec.scale (1.0 /. n) direction in
+    let fmt = pb.Ldafp_problem.fmt in
+    let lo = Qformat.ulp fmt in
+    let hi = Qformat.max_value fmt in
+    let ratio = (hi /. lo) ** (1.0 /. float_of_int (max 1 (steps - 1))) in
+    let best = ref None in
+    let lambda = ref lo in
+    for _ = 1 to steps do
+      let w = Ldafp_heuristics.round_into pb (Linalg.Vec.scale !lambda dir) in
+      best := Ldafp_heuristics.better !best (Ldafp_heuristics.evaluate pb w);
+      lambda := !lambda *. ratio
+    done;
+    !best
+  end
+
+let bits = Int64.bits_of_float
+
+let same_point (w1, c1) (w2, c2) =
+  bits c1 = bits c2 && Array.for_all2 (fun a b -> bits a = bits b) w1 w2
+
+(* The screened polish and the reference from one start: the same
+   weights and cost, bit for bit. *)
+let polish_matches tag pb ~max_rounds start =
+  let got = Ldafp_heuristics.coordinate_polish ~max_rounds pb start
+  and want = reference_polish ~max_rounds pb start in
+  same_point got want
+  || QCheck.Test.fail_reportf "%s, %d rounds: cost %h, reference %h" tag
+       max_rounds (snd got) (snd want)
+
+(* The sweep along a direction and the reference: the same best point,
+   bit for bit, or none from both. *)
+let sweep_matches tag pb ~steps dir =
+  match (Ldafp_heuristics.scaled_rounding_sweep ~steps pb dir, reference_sweep ~steps pb dir) with
+  | None, None -> true
+  | Some got, Some want when same_point got want -> true
+  | got, want ->
+      let cost = function Some (_, c) -> Printf.sprintf "%h" c | None -> "none" in
+      QCheck.Test.fail_reportf "%s, %d steps: sweep %s, reference %s" tag steps
+        (cost got) (cost want)
+
+(* A direction near the float-LDA one: its weights times log-normal
+   noise, some signs flipped. *)
+let random_direction pb rng =
+  Array.map
+    (fun x ->
+      let x = x *. exp (0.7 *. Stats.Sampler.std_normal rng) in
+      if Stats.Rng.int rng 8 = 0 then -.x else x)
+    (Lda.weights (Lda.train_scatter pb.Ldafp_problem.scatter))
+
+(* A feasible start along a random direction, at a random scale,
+   rounded into the element boxes and halved until exactly feasible. *)
+let random_start pb rng =
+  let dir = random_direction pb rng in
+  let dir = Linalg.Vec.scale (1.0 /. Linalg.Vec.norm_inf dir) dir in
+  let rec go lambda k =
+    if k = 0 then None
+    else
+      match
+        Ldafp_heuristics.evaluate pb
+          (Ldafp_heuristics.round_into pb (Linalg.Vec.scale lambda dir))
+      with
+      | Some (w, _) -> Some w
+      | None -> go (lambda /. 2.0) (k - 1)
+  in
+  go (Qformat.max_value pb.Ldafp_problem.fmt *. (2.0 ** -.Stats.Rng.uniform rng ~lo:0.0 ~hi:6.0)) 16
+
+let ecog_problems = Hashtbl.create 25
+
+let prop_heuristics_match_references_ecog =
+  QCheck.Test.make
+    ~name:"sweep and screened polish match the references on ECoG folds"
+    ~count:40
+    QCheck.(quad (int_range 0 4) (int_range 4 8) (int_range 0 1_000_000) (int_range 1 6))
+    (fun (fold, wl, seed, max_rounds) ->
+      let pb =
+        match Hashtbl.find_opt ecog_problems (fold, wl) with
+        | Some pb -> pb
+        | None ->
+            let pb = ecog_problem ~fold wl in
+            Hashtbl.add ecog_problems (fold, wl) pb;
+            pb
+      in
+      let rng = Stats.Rng.create seed in
+      let tag = Printf.sprintf "fold %d, WL %d" fold wl in
+      sweep_matches tag pb ~steps:(40 * max_rounds) (random_direction pb rng)
+      &&
+      match random_start pb rng with
+      | None -> QCheck.assume_fail ()
+      | Some start -> polish_matches tag pb ~max_rounds start)
+
+(* On the brute-force generator's instances, from any feasible grid
+   point: S_W singular, indefinite by an ulp, or with means a hair
+   apart. *)
+let prop_heuristics_match_references_small =
+  QCheck.Test.make ~name:"sweep and screened polish match the references on small problems"
+    ~count:150
+    (QCheck.pair arb_small_problem QCheck.(pair (int_range 0 1_000_000) (int_range 1 6)))
+    (fun (inst, (seed, max_rounds)) ->
+      match small_problem inst with
+      | None -> true
+      | Some (pb, fmt) -> (
+          match Array.of_list (enumerate_feasible pb fmt) with
+          | [||] -> true
+          | points ->
+              let rng = Stats.Rng.create seed in
+              sweep_matches "small" pb ~steps:(40 * max_rounds) (random_direction pb rng)
+              && List.for_all
+                   (fun _ ->
+                     let start, _ = points.(Stats.Rng.int rng (Array.length points)) in
+                     polish_matches "small" pb ~max_rounds start)
+                   (List.init 8 Fun.id)))
+
 (* λ_min by bisection on whether a float Cholesky of a − s·I succeeds. *)
 let bisect_lambda_min a =
   let n = Linalg.Mat.rows a in
@@ -1742,6 +1913,8 @@ let qcheck_tests =
       prop_warm_cold_same_search;
       prop_exact_search_matches_bruteforce;
       prop_faulty_exact_search_matches_bruteforce;
+      prop_heuristics_match_references_ecog;
+      prop_heuristics_match_references_small;
     ]
 
 let () =
@@ -1795,6 +1968,8 @@ let () =
             test_evaluate_rejects_infeasible;
           Alcotest.test_case "sweep feasible" `Quick test_sweep_finds_feasible;
           Alcotest.test_case "polish monotone" `Quick test_polish_never_worsens;
+          Alcotest.test_case "no seed on a zero LDA direction" `Quick
+            test_seed_none_on_zero_direction;
         ] );
       ( "solver",
         [

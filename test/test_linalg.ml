@@ -73,6 +73,36 @@ let test_mat_outer_quadratic () =
   let s = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
   checkf "quadratic form" 18.0 (Mat.quadratic_form s [| 1.0; 2.0 |])
 
+(* The in-place quadratic form sums in the order of the mul_vec form
+   it replaced, so the bits agree, on square matrices of any sign
+   pattern; a call allocates only the box of its float result. *)
+let test_quadratic_form_in_place () =
+  let rng = Stats.Rng.create 5 in
+  let draw () = Stats.Sampler.std_normal rng *. (10.0 ** float_of_int (Stats.Rng.int rng 7 - 3)) in
+  for n = 0 to 42 do
+    let a = Mat.init n n (fun _ _ -> draw ()) in
+    let x = Array.init n (fun _ -> draw ()) in
+    checkb
+      (Printf.sprintf "n = %d: bits of Vec.dot x (mul_vec a x)" n)
+      true
+      (Int64.bits_of_float (Mat.quadratic_form a x)
+      = Int64.bits_of_float (Vec.dot x (Mat.mul_vec a x)))
+  done;
+  let a = Mat.init 42 42 (fun _ _ -> draw ()) and x = Array.init 42 (fun _ -> draw ()) in
+  let acc = ref 0.0 in
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    acc := !acc +. Mat.quadratic_form a x
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb (Printf.sprintf "%.2f minor words per 42-dim call <= 2 (the result box)" per_call)
+    true (per_call <= 2.0);
+  checkb "finite" true (Float.is_finite !acc);
+  Alcotest.check_raises "rows <> dim"
+    (Invalid_argument "Mat.quadratic_form: dimension mismatch") (fun () ->
+      ignore (Mat.quadratic_form (Mat.zeros 3 2) [| 1.0; 2.0 |]))
+
 let test_mat_props () =
   let s = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
   checkb "symmetric" true (Mat.is_symmetric s);
@@ -440,6 +470,8 @@ let () =
           Alcotest.test_case "mul" `Quick test_mat_mul;
           Alcotest.test_case "mat-vec" `Quick test_mat_vec;
           Alcotest.test_case "outer/quadratic" `Quick test_mat_outer_quadratic;
+          Alcotest.test_case "quadratic form in place" `Quick
+            test_quadratic_form_in_place;
           Alcotest.test_case "properties" `Quick test_mat_props;
         ] );
       ( "cholesky",
