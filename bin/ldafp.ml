@@ -197,19 +197,6 @@ let no_warm_start_arg =
            parent's optimum (cold phase-I on every node; slower, same \
            certified bounds).")
 
-let no_certify_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-certify" ]
-        ~doc:
-          "Trust the primal solver: prune on objective − 2·gap_bound \
-           instead of the independently verified dual certificate.  \
-           Bounds are then only as good as the barrier solve that \
-           produced them — a stalled or corrupted solve can silently \
-           prune the optimum.  Escape hatch for benchmarking the \
-           certificate overhead; never use it for results you keep.")
-
 let telemetry_addr_arg =
   Arg.(
     value
@@ -254,15 +241,14 @@ let append_ledger ~kind ~path sections =
   | Ok () -> Fmt.pr "appended %s record to %s@." kind path
   | Error msg -> Fmt.epr "warning: %s@." msg
 
-let config_of_nodes ?(domains = 1) ?(warm_start = true) ?(certify = true)
-    ?checkpoint ?progress nodes =
+let config_of_nodes ?(domains = 1) ?(warm_start = true) ?checkpoint ?progress
+    nodes =
   {
     Lda_fp.default_config with
     bnb_params =
       { Optim.Bnb.default_params with max_nodes = nodes; rel_gap = 1e-3;
         domains };
     warm_start;
-    certify;
     checkpoint;
     progress;
   }
@@ -405,15 +391,9 @@ let train_cmd =
              line to stderr: incumbent, certified bound, gap, node \
              rate and oracle utilisation.")
   in
-  let run verbose data wl k method_ nodes domains no_warm_start no_certify rho
-      checkpoint checkpoint_every resume trace metrics progress telemetry_addr
-      ledger out =
+  let run verbose data wl k method_ nodes domains no_warm_start rho checkpoint
+      checkpoint_every resume trace metrics progress telemetry_addr ledger out =
     setup_logs verbose;
-    if no_certify then
-      Fmt.epr
-        "WARNING: --no-certify prunes on the solver's primal objective \
-         without independent verification — a bad solve can prune the \
-         optimum.  Results are NOT certified.@.";
     let fmt = fmt_of ~wl ~k () in
     List.iter writable (out :: List.filter_map Fun.id [ metrics; trace; ledger ]);
     let ds = reading data Datasets.Dataset_io.load in
@@ -472,7 +452,7 @@ let train_cmd =
             Pipeline.train_ldafp
               ~config:
                 (config_of_nodes ~domains ~warm_start:(not no_warm_start)
-                   ~certify:(not no_certify) ?checkpoint ?progress nodes)
+                   ?checkpoint ?progress nodes)
               ~interrupt ~rho ~fmt ds
           in
           let outcome =
@@ -541,13 +521,6 @@ let train_cmd =
                    fallback(s) to the interval bound@."
                   s.Optim.Bnb.cert_verified s.Optim.Bnb.cert_repaired
                   s.Optim.Bnb.cert_fallbacks;
-              if not s.Optim.Bnb.certified_sound then
-                Fmt.pr
-                  "warning: at least one pruning decision trusted an \
-                   unverified primal objective (--no-certify, in this run \
-                   or an earlier slice of the resume chain) — the \
-                   reported bound and gap are NOT independently \
-                   certified@.";
               r.Pipeline.classifier)
             outcome
     in
@@ -583,7 +556,6 @@ let train_cmd =
                   ("nodes", Int nodes);
                   ("domains", Int domains);
                   ("warm_start", Bool (not no_warm_start));
-                  ("certify", Bool (not no_certify));
                   ("rho", Float rho);
                 ]
             in
@@ -633,10 +605,9 @@ let train_cmd =
     (Cmd.info "train" ~doc:"Train a fixed-point classifier.")
     Term.(
       const run $ verbose_arg $ data_arg $ wl_arg $ k_arg $ method_
-      $ nodes_arg $ domains_arg $ no_warm_start_arg $ no_certify_arg
-      $ rho_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ trace_arg $ metrics_arg $ progress_arg $ telemetry_addr_arg
-      $ ledger_arg $ out)
+      $ nodes_arg $ domains_arg $ no_warm_start_arg $ rho_arg $ checkpoint_arg
+      $ checkpoint_every_arg $ resume_arg $ trace_arg $ metrics_arg
+      $ progress_arg $ telemetry_addr_arg $ ledger_arg $ out)
 
 (* ---------------- eval ---------------- *)
 

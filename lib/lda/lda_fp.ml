@@ -16,11 +16,9 @@ type config = {
   sweep_steps : int;
   polish_rounds : int;
   warm_start : bool;
-  certify : bool;
   socp_params : Socp.params;
   bnb_params : Bnb.params;
   checkpoint : checkpoint_spec option;
-  inject_faults : Fault_inject.config option;
   progress : Obs.Progress.t option;
 }
 
@@ -30,14 +28,12 @@ let default_config =
     sweep_steps = 200;
     polish_rounds = 2;
     warm_start = true;
-    certify = true;
     socp_params =
       { Socp.default_params with gap_tol = 1e-7;
         newton = { Newton.tol = 1e-9; max_iter = 60 } };
     bnb_params =
       { Bnb.default_params with max_nodes = 2000; rel_gap = 1e-3 };
     checkpoint = None;
-    inject_faults = None;
     progress = None;
   }
 
@@ -120,10 +116,7 @@ let candidate_of_point cfg pb node point =
     | some -> some
   in
   let polished =
-    Option.map
-      (fun (w, _) ->
-        Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb w)
-      cand
+    Option.map (Ldafp_heuristics.coordinate_polish ~max_rounds:cfg.polish_rounds pb) cand
   in
   if observed then
     Obs.Probe.span p_candidate ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0);
@@ -237,23 +230,18 @@ let bound_node cfg pb counters node =
             (* Prunes compare the verified dual certificate, never the
                primal objective; a failed one raises
                {!Bnb.Certificate_error} (retried, then degraded to the
-               interval fallback).  [certify = false] keeps the trusting
-               formula and clears {!Bnb.stats.certified_sound}. *)
+               interval fallback). *)
             finish sol.Socp.x ~tau_final:sol.Socp.tau_final (fun () ->
-                if not cfg.certify then
-                  Ldafp_problem.cost_bound relax
-                    (sol.Socp.objective -. (2.0 *. sol.Socp.gap_bound))
-                else
-                  match
-                    Socp.certify_lower_bound
-                      ?psd_block:(Ldafp_problem.psd_block pb relax)
-                      relax.Ldafp_problem.socp sol
-                  with
-                  | Ok cert ->
-                      if cert.Socp.repaired then Bnb.count_cert_repaired counters
-                      else Bnb.count_cert_verified counters;
-                      Ldafp_problem.cost_bound relax cert.Socp.dual_value
-                  | Error f -> raise (Bnb.Certificate_error (Socp.describe_cert_failure f))))
+                match
+                  Socp.certify_lower_bound
+                    ?psd_block:(Ldafp_problem.psd_block pb relax)
+                    relax.Ldafp_problem.socp sol
+                with
+                | Ok cert ->
+                    if cert.Socp.repaired then Bnb.count_cert_repaired counters
+                    else Bnb.count_cert_verified counters;
+                    Ldafp_problem.cost_bound relax cert.Socp.dual_value
+                | Error f -> raise (Bnb.Certificate_error (Socp.describe_cert_failure f))))
 
 (* Branching rule: most relative width among the splittable dimensions,
    cut at the cached relaxation optimum's w = y/z. *)
@@ -312,7 +300,7 @@ let jittered_config cfg k =
       };
   }
 
-let solve ?(config = default_config) ?interrupt pb =
+let solve ?(config = default_config) ?interrupt ?(wrap_oracle = Fun.id) pb =
   (* Monotonic: [train_seconds] must be immune to NTP steps mid-run. *)
   let started = Obs.Clock.now () in
   (* Only checkpointing needs it. *)
@@ -353,16 +341,8 @@ let solve ?(config = default_config) ?interrupt pb =
     }
   in
   let counters = Bnb.oracle_counters () in
-  (* Running trusting-mode is a conscious, recorded choice: the result's
-     [certified_sound] flag (and every checkpoint in the chain) says so. *)
-  if not config.certify then Bnb.mark_uncertified counters;
   let oracle =
-    { Bnb.bound = bound_node config pb counters; branch = branch_node pb }
-  in
-  let oracle =
-    match config.inject_faults with
-    | None -> oracle
-    | Some inj -> fst (Fault_inject.wrap inj oracle)
+    wrap_oracle { Bnb.bound = bound_node config pb counters; branch = branch_node pb }
   in
   let faults =
     {

@@ -5,9 +5,16 @@
     - {e lower bound}: the exact linear-fractional relaxation
       ({!Ldafp_problem.relaxation}), one SOCP whose optimum is the
       minimum of the cost over the relaxed region (it replaces eq. 26's
-      frozen denominator [η = sup t²]), certified by its dual; prune
-      when infeasible (phase-I certificate) or when the bound beats the
-      incumbent;
+      frozen denominator [η = sup t²]); prune when infeasible (phase-I
+      certificate) or when the bound beats the incumbent.  Every pruning
+      bound comes from an independently verified dual certificate
+      ({!Optim.Socp.certify_lower_bound}), never the solver's primal
+      objective: approximate dual multipliers are extracted from the
+      terminal barrier iterate, repaired onto the dual-feasible set, and
+      the dual objective is evaluated in outward-rounded interval
+      arithmetic, so the bound is true {e whatever} the primal solve
+      did — a stalled or corrupted solve can cost nodes, never the
+      optimum;
     - {e upper bound}: round the relaxation optimum onto the grid, check
       (18)/(20) exactly and polish by ±1-ulp coordinate descent (H2);
       the paper's [η = inf t²] re-solve (eq. 27) is not implemented;
@@ -24,7 +31,8 @@
     bound, a certificate that cannot be established) is contained by
     {!Optim.Bnb}'s one rule: one retry with jittered barrier parameters
     (perturbed [tau0], tolerances loosened a decade), then the certified
-    {!Ldafp_problem.interval_lower_bound}. *)
+    {!Ldafp_problem.interval_lower_bound}; certificate failures are
+    counted in {!Optim.Bnb.stats}[.cert_fallbacks]. *)
 
 type checkpoint_spec = {
   path : string;  (** checkpoint file (written atomically, tmp + rename) *)
@@ -54,30 +62,12 @@ type config = {
           entirely.  Bounds stay certified either way (the barrier solve
           runs to the same tolerances from any interior start); disable
           to reproduce cold-start behaviour exactly (default true) *)
-  certify : bool;
-      (** derive every pruning bound from an independently verified dual
-          certificate ({!Optim.Socp.certify_lower_bound}) instead of the
-          solver's primal objective: approximate dual multipliers are
-          extracted from the terminal barrier iterate, repaired onto the
-          dual-feasible set, and the dual objective is evaluated in
-          outward-rounded interval arithmetic, so the bound is true
-          {e whatever} the primal solve did — a stalled or corrupted
-          solve can cost nodes, never the optimum.  Certificate
-          failures are contained like any failed solve (retry with
-          jitter, then degrade to the certified
-          {!Ldafp_problem.interval_lower_bound}) and are counted in
-          {!Optim.Bnb.stats}[.cert_fallbacks].  Disabling restores the
-          trusting [objective − 2·gap_bound] formula and clears the
-          {!Optim.Bnb.stats}[.certified_sound] flag (default true) *)
   socp_params : Optim.Socp.params;
   bnb_params : Optim.Bnb.params;
       (** includes [domains]: set it above 1 to explore the tree on
           several OCaml 5 domains — [bound_node]/[branch_node] are pure
           per node, so the oracle is safe to call concurrently *)
   checkpoint : checkpoint_spec option;  (** periodic snapshots + resume *)
-  inject_faults : Optim.Fault_inject.config option;
-      (** deterministic fault injection on the oracle — test/bench
-          harness, [None] in production *)
   progress : Obs.Progress.t option;
       (** throttled live progress reporter (incumbent / bound / gap /
           node rate), forwarded to {!Optim.Bnb.minimize}; [None]
@@ -107,8 +97,18 @@ type outcome = {
   diagnostics : diagnostics;
 }
 
+type node
+(** A search region: a grid-aligned box for [w] and the warm-start
+    state its bound solve inherits.  Abstract: only a [?wrap_oracle]
+    handed to {!solve} sees one. *)
+
 val solve :
-  ?config:config -> ?interrupt:(unit -> bool) -> Ldafp_problem.t ->
+  ?config:config ->
+  ?interrupt:(unit -> bool) ->
+  ?wrap_oracle:
+    ((node, Linalg.Vec.t) Optim.Bnb.oracle ->
+    (node, Linalg.Vec.t) Optim.Bnb.oracle) ->
+  Ldafp_problem.t ->
   outcome option
 (** [None] when no feasible grid point was found (pathological formats);
     in particular [w = 0] is excluded because its cost is infinite.
@@ -119,6 +119,13 @@ val solve :
     handlers.  [train_seconds] counts this run only; across a
     checkpoint/resume chain the {e cumulative} wall clock governs
     [bnb_params.time_limit].
+
+    [?wrap_oracle] is a test hook with no behaviour of its own: it
+    receives the trainer's bound/branch oracle and returns the one the
+    search calls (absent, the trainer's own).  Tests inject faults
+    through it and keep the injector's failure counter themselves.  The
+    fault retry and the fallback bound call the trainer's bound
+    directly, never the wrapped one.
     @raise Optim.Checkpoint.Corrupt when [config.checkpoint] requests a
     resume and the file exists but fails validation (wrong problem,
     older format version, torn write, flipped bytes, garbage). *)

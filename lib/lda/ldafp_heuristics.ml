@@ -118,12 +118,7 @@ let[@inline] rejects (pb : Ldafp_problem.t) ~g ~ag s ~gq ~gt j delta =
   let err = 2.0 *. (dev +. (4.0 *. u *. Float.abs c')) in
   c' -. err >= s.cost -. 1e-15
 
-let coordinate_polish ?(max_rounds = 6) (pb : Ldafp_problem.t) start =
-  let w, cost =
-    match evaluate pb start with
-    | None -> invalid_arg "coordinate_polish: start point infeasible"
-    | Some p -> p
-  in
+let coordinate_polish ?(max_rounds = 6) (pb : Ldafp_problem.t) (w, cost) =
   let m = Vec.dim w in
   let ulp = Qformat.ulp pb.Ldafp_problem.fmt in
   let box = pb.Ldafp_problem.elem_box in
@@ -167,6 +162,5 @@ let seed_incumbent ?steps ?max_rounds (pb : Ldafp_problem.t) =
   if Array.for_all (fun x -> x = 0.0) pb.Ldafp_problem.d then None
   else
     let model = Lda.train_scatter pb.Ldafp_problem.scatter in
-    match scaled_rounding_sweep ?steps pb (Lda.weights model) with
-    | None -> None
-    | Some (w, _) -> Some (coordinate_polish ?max_rounds pb w)
+    Option.map (coordinate_polish ?max_rounds pb)
+      (scaled_rounding_sweep ?steps pb (Lda.weights model))

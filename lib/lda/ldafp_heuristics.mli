@@ -51,10 +51,12 @@ val scaled_rounding_sweep :
 val coordinate_polish :
   ?max_rounds:int ->
   Ldafp_problem.t ->
-  Linalg.Vec.t ->
+  Linalg.Vec.t * float ->
   Linalg.Vec.t * float
-(** H2 from a feasible start; returns a point at least as good, with
-    its exact cost.  [max_rounds] (default 6) full passes over the
+(** H2 from a feasible start [(w, cost)] as {!evaluate} returned it;
+    returns a point at least as good, with its exact cost.  The start's
+    [w] is taken over: it is moved in place and returned, so the caller
+    must not hold on to it.  [max_rounds] (default 6) full passes over the
     coordinates; a trial [w + δe_j] (δ = ±1 ulp, inside element [j]'s
     interval) is accepted when {!evaluate} finds it feasible at a cost
     below the current one by more than [1e-15].
@@ -76,8 +78,7 @@ val coordinate_polish :
     an accepted move recomputes the sums in O(m²).  The accept/reject
     sequence, and so the returned [(w, cost)], is bit for bit that of
     evaluating every trial.  The sums live in the call: nothing is
-    shared between domains.
-    @raise Invalid_argument if the start is infeasible. *)
+    shared between domains. *)
 
 val seed_incumbent :
   ?steps:int ->

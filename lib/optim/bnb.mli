@@ -195,17 +195,15 @@ type stats = {
       (** bound calls whose certificate could not be established even
           after retries, so the region was degraded to the certified
           interval fallback (or dropped).  The search never pruned on
-          the unverified value, so this does {e not} clear
-          [certified_sound] — it measures how often the expensive bound
-          had to be distrusted. *)
+          the unverified value; this measures how often the expensive
+          bound had to be distrusted. *)
   certified_sound : bool;
-      (** every pruning decision of the search — across the whole resume
-          chain — compared the incumbent against a verified dual
-          certificate or a certified interval fallback, never a raw
-          primal objective.  [false] when the oracle ran with
-          certification disabled ({!mark_uncertified}) in this run or
-          in any earlier run of the resume chain.  Sticky once cleared;
-          persisted through checkpoints. *)
+      (** always [true]: no search of this build prunes on an
+          unverified bound (the LDA-FP trainer prunes on verified dual
+          certificates or the certified fallback and has no trusting
+          mode).  The field stays so that ledger records keep the key:
+          [ldafp runs diff] flags a [false] in a record written by an
+          older build's trusting mode. *)
   oracle_seconds : float;
       (** cumulative wall-clock time spent inside [oracle.bound] calls
           (including retries and fallbacks), summed across domains and
@@ -231,7 +229,8 @@ type stats = {
     fields — [domains_used] and the per-domain arrays
     ([domain_oracle_seconds], [domain_first_node_seconds]) — are saved
     but never restored: they describe the run that reports them.
-    [phase1_skipped] is derived from [warm_start_hits]. *)
+    [phase1_skipped] is derived from [warm_start_hits], and
+    [certified_sound] is a constant. *)
 
 val stats_to_json : stats -> Obs.Json.t
 (** Every {!stats} field as a flat JSON object (per-domain arrays as
@@ -286,11 +285,6 @@ val incumbent_cost : oracle_counters -> float
     oracle bounding a region may use it as a cap: anything in the region
     costing more is pruned anyway. *)
 
-val mark_uncertified : oracle_counters -> unit
-(** Clear the sticky [certified_sound] flag: the oracle is about to
-    prune on unverified primal objectives (certification explicitly
-    disabled).  There is deliberately no way to set it back. *)
-
 type 'sol result = {
   best : ('sol * float) option;  (** incumbent and its cost *)
   bound : float;  (** greatest certified global lower bound *)
@@ -323,10 +317,7 @@ type ('region, 'sol) snapshot = {
   nodes_explored : int;
   stats : stats;
       (** the search's statistics at snapshot time;
-          [stats.wall_seconds] is the wall-clock consumed so far.
-          {!resume} can only clear the live [certified_sound] flag from
-          this, never set it: a chain is sound only if every run in it
-          was *)
+          [stats.wall_seconds] is the wall-clock consumed so far *)
 }
 (** The one checkpoint schema: everything {!resume} needs to continue a
     search.  The driver writes one through {!Checkpoint.save} under

@@ -7,7 +7,7 @@
 
     A checkpoint file is three text lines followed by a [Marshal] blob:
 
-    {v ldafp-bnb-checkpoint v7
+    {v ldafp-bnb-checkpoint v8
        <fingerprint>
        <MD5 hex of (fingerprint ^ "\n" ^ MD5 of payload)>
        <marshalled payload> v}

@@ -419,9 +419,10 @@ let test_checkpoint_rejects_garbage () =
    snapshot layouts before the scheduler's seed counters, then the
    frontier-cap and warm-correction fields, were dropped, before the
    search region lost its t-interval, before the snapshot stored
-   [Bnb.stats] itself, and before the stats carried [dropped_bound]) is
-   complete and digest-valid, so only the header can refuse it: it
-   must, rather than unmarshal into the v7 type. *)
+   [Bnb.stats] itself, and before the stats carried [dropped_bound]) or
+   a v7 file (whose frontier a search without certificates may have
+   keyed) is complete and digest-valid, so only the header can refuse
+   it: it must, rather than unmarshal into the v8 type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -447,7 +448,7 @@ let test_checkpoint_rejects_old_version () =
               checkb (version ^ " refused at the header") true
                 (String.starts_with ~prefix:(path ^ ": bad header") msg)
           | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
-        [ "v2"; "v3"; "v4"; "v5"; "v6" ])
+        [ "v2"; "v3"; "v4"; "v5"; "v6"; "v7" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -538,7 +539,8 @@ let test_bnb_kill_and_resume () =
    resumed search whose node budget is already spent saves a snapshot
    equal to the one it started from (up to frontier order, the clock and
    the per-run fields), so no counter is dropped or crossed with
-   another. *)
+   another.  [certified_sound] is not restored: the driver builds it
+   [true], whatever the snapshot holds. *)
 let test_bnb_resume_restores_every_field () =
   let snapshot = sample_snapshot () in
   let path = temp_checkpoint () in
@@ -581,7 +583,7 @@ let test_bnb_resume_restores_every_field () =
                domain_oracle_seconds = s0.Bnb.domain_oracle_seconds;
              };
          }
-        = snapshot))
+        = { snapshot with Bnb.stats = { s0 with Bnb.certified_sound = true } }))
 
 let test_bnb_periodic_checkpoint () =
   (* [every_nodes = 2] on a search run to completion: a proved-optimal
@@ -729,17 +731,13 @@ let test_ldafp_faults_invalidate_warm_starts () =
   let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
   let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
   let solve warm_start =
-    let config =
-      {
-        (exact_lda_config 400) with
-        Lda_fp.warm_start;
-        inject_faults =
-          Some
-            (Fault_inject.config ~seed:11 ~bound_exn_prob:0.10
-               ~bound_nan_prob:0.10 ());
-      }
+    let inject =
+      Fault_inject.config ~seed:11 ~bound_exn_prob:0.10 ~bound_nan_prob:0.10 ()
     in
-    Lda_fp.solve ~config pb
+    Lda_fp.solve
+      ~config:{ (exact_lda_config 400) with Lda_fp.warm_start }
+      ~wrap_oracle:(fun o -> fst (Fault_inject.wrap inject o))
+      pb
   in
   match (solve true, solve false) with
   | Some warm, Some cold ->
@@ -845,44 +843,6 @@ let test_ldafp_cert_counters_survive_resume () =
         rs.Bnb.cert_fallbacks;
       checkb "chain stays certified sound" true rs.Bnb.certified_sound)
 
-(* [certified_sound] only ever clears across a resume chain: a slice run
-   with certification disabled pruned on unverified bounds, and its
-   frontier keys carry that into every later slice, so a certified
-   resume of it must still report the whole search as unsound. *)
-let test_ldafp_uncertified_slice_taints_chain () =
-  let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
-  let path = temp_checkpoint () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Sys.remove path;
-      let slice ~certify budget =
-        let config =
-          {
-            (exact_lda_config budget) with
-            Lda_fp.certify;
-            checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path);
-          }
-        in
-        match Lda_fp.solve ~config pb with
-        | Some o -> o
-        | None -> Alcotest.fail "slice found no incumbent"
-      in
-      let first = slice ~certify:false 6 in
-      checkb "first slice stopped on the node budget" true
-        (first.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget);
-      checkb "uncertified slice is flagged" false
-        first.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound;
-      let second = slice ~certify:true 4000 in
-      checkb "certified resume completed" true
-        (second.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Proved_optimal);
-      checkb "certified resume did verify bounds" true
-        (second.Lda_fp.diagnostics.Lda_fp.search.Bnb.cert_verified > 0);
-      checkb "chain through an uncertified slice stays unsound" false
-        second.Lda_fp.diagnostics.Lda_fp.search.Bnb.certified_sound)
-
 (* A real LDA-FP snapshot with any single byte damaged must fail with
    [Corrupt] — never a crash inside the unmarshaller, never a resume of
    an ill-typed frontier.  Every offset, with one bit and with all eight
@@ -930,29 +890,6 @@ let test_checkpoint_every_byte_flip () =
       checki "offsets that loaded despite the flip" 0
         (List.length !survivors))
 
-(* The --no-certify escape hatch: same incumbent on a healthy solver,
-   but the run is flagged as trusting. *)
-let test_ldafp_no_certify_flags_unsound () =
-  let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
-  let solve certify =
-    match
-      Lda_fp.solve ~config:{ (exact_lda_config 4000) with Lda_fp.certify } pb
-    with
-    | Some o -> o
-    | None -> Alcotest.fail "no solution"
-  in
-  let certified = solve true and trusting = solve false in
-  checkf 1e-12 "same incumbent from a healthy solver"
-    certified.Lda_fp.cost trusting.Lda_fp.cost;
-  let cs = certified.Lda_fp.diagnostics.Lda_fp.search in
-  let ts = trusting.Lda_fp.diagnostics.Lda_fp.search in
-  checkb "certified run verifies bounds" true (cs.Bnb.cert_verified > 0);
-  checkb "certified run is sound" true cs.Bnb.certified_sound;
-  checki "trusting run verifies nothing" 0 ts.Bnb.cert_verified;
-  checkb "trusting run is flagged" false ts.Bnb.certified_sound
-
 (* Certificates under injected faults and a kill/resume chain: whatever
    the injection does, a run that ends with [certified_sound] must have
    certified (or certifiably degraded) every pruning decision, and the
@@ -975,16 +912,19 @@ let test_ldafp_cert_with_faults_and_resume () =
         {
           (exact_lda_config budget) with
           Lda_fp.checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path);
-          inject_faults =
-            Some
-              (Fault_inject.config ~seed:23 ~bound_exn_prob:0.08
-                 ~bound_nan_prob:0.08 ());
         }
+      in
+      let inject =
+        Fault_inject.config ~seed:23 ~bound_exn_prob:0.08 ~bound_nan_prob:0.08 ()
       in
       let rec train_in_slices budget guard =
         if guard = 0 then Alcotest.fail "resume loop did not converge"
         else
-          match Lda_fp.solve ~config:(faulty budget) pb with
+          match
+            Lda_fp.solve ~config:(faulty budget)
+              ~wrap_oracle:(fun o -> fst (Fault_inject.wrap inject o))
+              pb
+          with
           | None -> Alcotest.fail "killed run lost the incumbent"
           | Some o
             when o.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget ->
@@ -1019,20 +959,23 @@ let prop_ldafp_warm_cold_agree =
           c with
           Lda_fp.warm_start;
           bnb_params = { c.Lda_fp.bnb_params with Bnb.domains };
-          inject_faults =
-            (* injection seeds are per-run, so a killed/resumed chain
-               would see a different fault sequence than the reference —
-               keep the two dimensions separate *)
-            (if inject && not resume then
-               Some
-                 (Fault_inject.config ~seed ~bound_exn_prob:0.05
-                    ~bound_nan_prob:0.05 ())
-             else None);
         }
       in
-      let cold = Lda_fp.solve ~config:(base false) pb in
+      (* injection seeds are per-run, so a killed/resumed chain would see
+         a different fault sequence than the reference — keep the two
+         dimensions separate *)
+      let wrap_oracle o =
+        if inject && not resume then
+          fst
+            (Fault_inject.wrap
+               (Fault_inject.config ~seed ~bound_exn_prob:0.05
+                  ~bound_nan_prob:0.05 ())
+               o)
+        else o
+      in
+      let cold = Lda_fp.solve ~config:(base false) ~wrap_oracle pb in
       let warm =
-        if not resume then Lda_fp.solve ~config:(base true) pb
+        if not resume then Lda_fp.solve ~config:(base true) ~wrap_oracle pb
         else begin
           let path = temp_checkpoint () in
           Fun.protect
@@ -1475,10 +1418,6 @@ let () =
             test_ldafp_warm_counters_survive_resume;
           Alcotest.test_case "cert counters survive resume" `Quick
             test_ldafp_cert_counters_survive_resume;
-          Alcotest.test_case "uncertified slice taints the chain" `Quick
-            test_ldafp_uncertified_slice_taints_chain;
-          Alcotest.test_case "no-certify flags the run as trusting" `Quick
-            test_ldafp_no_certify_flags_unsound;
           Alcotest.test_case "certificates under faults and resume" `Quick
             test_ldafp_cert_with_faults_and_resume;
         ] );

@@ -402,18 +402,21 @@ let fault_heavy_solve ~branch_faults ~killed =
             domains = 2;
           };
         socp_params = { Optim.Socp.default_params with gap_tol = 0.05 };
-        inject_faults =
-          Some
-            (Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3
-               ~bound_nan_prob:0.1
-               ~branch_exn_prob:(if branch_faults then 0.3 else 0.0)
-               ());
         checkpoint =
           (if killed then Some (Lda_fp.checkpoint_spec ~resume:true path)
            else None);
       }
     in
-    match Lda_fp.solve ~config pb with
+    let inject =
+      Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3 ~bound_nan_prob:0.1
+        ~branch_exn_prob:(if branch_faults then 0.3 else 0.0)
+        ()
+    in
+    match
+      Lda_fp.solve ~config
+        ~wrap_oracle:(fun o -> fst (Optim.Fault_inject.wrap inject o))
+        pb
+    with
     | Some o -> o.Lda_fp.diagnostics
     | None -> Alcotest.fail "fault-heavy solve found no solution"
   in
