@@ -177,12 +177,23 @@ let cost t w =
   if tt = 0.0 then Float.infinity
   else Mat.quadratic_form t.sw w /. (tt *. tt)
 
+(* In the format's range and within 1e-12 of the nearest grid point,
+   the verdicts of {!Qformat.in_range} and {!Qformat.nearest_on_grid}
+   (rounding a tie away from zero instead of to even moves no distance),
+   in a loop over unboxed floats: the cross-module calls box every float
+   they take or return. *)
 let on_grid t w =
-  Array.for_all
-    (fun x ->
-      Qformat.in_range t.fmt x
-      && Float.abs (x -. Qformat.nearest_on_grid t.fmt x) < 1e-12)
-    w
+  let { Qformat.k; f } = t.fmt in
+  let lo = -.ldexp 1.0 (k - 1) and hi = ldexp 1.0 (k - 1) -. ldexp 1.0 (-f) in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length w do
+    let x = w.(!j) in
+    ok :=
+      x >= lo && x <= hi
+      && Float.abs (x -. ldexp (Float.round (ldexp x f)) (-f)) < 1e-12;
+    incr j
+  done;
+  !ok
 
 (* The larger violation of [lo_bound <= c − spread] and
    [c + spread <= hi_bound]. *)
@@ -225,10 +236,24 @@ let constraint_violation t w =
   done;
   !worst
 
+(* {!Fx_interval.mem} of every element's box, on the endpoints' raw
+   codes (in range, so {!Qformat.value_of_raw} wraps none): no float
+   boxed. *)
+let in_elem_box t w =
+  if Array.length w <> Array.length t.elem_box then
+    invalid_arg "Ldafp_problem.feasible: dimension mismatch";
+  let f = t.fmt.Qformat.f in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length w do
+    let { Fx_interval.lo_raw; hi_raw; _ } = t.elem_box.(!j) and x = w.(!j) in
+    ok :=
+      x >= ldexp (float_of_int lo_raw) (-f) && x <= ldexp (float_of_int hi_raw) (-f);
+    incr j
+  done;
+  !ok
+
 let feasible ?(tol = 1e-9) t w =
-  on_grid t w
-  && Array.for_all2 (fun iv x -> Fx_interval.mem iv x) t.elem_box w
-  && constraint_violation t w <= tol
+  on_grid t w && in_elem_box t w && constraint_violation t w <= tol
 
 let t_of t w = Vec.dot t.d w
 

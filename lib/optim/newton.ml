@@ -12,6 +12,7 @@ type result = {
   x : Vec.t;
   value : float;
   iterations : int;
+  trials : int;
   decrement : float;
   status : status;
 }
@@ -19,6 +20,7 @@ type result = {
 type oracle_into = {
   value : Vec.t -> float option;
   derivs : grad:Vec.t -> hess:Mat.t -> unit;
+  ray : Vec.t -> Vec.t -> float -> float option;
 }
 
 type workspace = {
@@ -56,24 +58,32 @@ let direction ws =
   Vec.dot ws.grad ws.dir
 
 (* Backtracking line search on f with domain rejection, from ws.xa along
-   ws.dir: value-only trials, so a rejected one costs no derivatives.
-   On acceptance the candidate is in ws.xb, and it was the oracle's last
-   [value] call; returns its value.  Sufficient-decrease fraction 1/4,
-   backtracking factor 1/2. *)
-let line_search ws oracle ~f0 ~gd =
+   ws.dir.  Each trial asks the oracle's ray for the decrease
+   f(xa + t·dir) − f(xa) itself, so the test does not compare two nearly
+   equal values of f (whose difference is rounding noise near the
+   optimum).  Only a trial that passes runs the value pass, at ws.xb,
+   which refreshes the caches [derivs] reads; a refresh that finds the
+   point outside the domain (a rounding edge the trial did not see)
+   rejects it.  On acceptance returns ws.xb's value, and the trial
+   count either way.  Sufficient-decrease fraction 1/4, backtracking
+   factor 1/2. *)
+let line_search ws oracle ~gd =
+  let decrease = oracle.ray ws.xa ws.dir in
   let t = ref 1.0 in
   let accepted = ref None in
   let tries = ref 0 in
   while Option.is_none !accepted && !tries < 60 do
     incr tries;
-    Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
-    match oracle.value ws.xb with
-    | Some fc
-      when fc <= f0 +. (0.25 *. !t *. gd) && not (Float.is_nan fc) ->
-        accepted := Some fc
-    | _ -> t := 0.5 *. !t
+    (match decrease !t with
+    | Some dt when dt <= 0.25 *. !t *. gd -> (
+        Vec.axpy_into !t ws.dir ws.xa ~dst:ws.xb;
+        match oracle.value ws.xb with
+        | Some fc when not (Float.is_nan fc) -> accepted := Some fc
+        | _ -> ())
+    | _ -> ());
+    if Option.is_none !accepted then t := 0.5 *. !t
   done;
-  !accepted
+  (!accepted, !tries)
 
 let minimize_into ?(params = default_params) ws oracle x0 =
   if Vec.dim x0 <> ws.n then
@@ -85,6 +95,7 @@ let minimize_into ?(params = default_params) ws oracle x0 =
       oracle.derivs ~grad:ws.grad ~hess:ws.hess;
       let fx = ref f0 in
       let iter = ref 0 in
+      let trials = ref 0 in
       let dec = ref Float.infinity in
       let status = ref Iteration_limit in
       let continue = ref true in
@@ -105,7 +116,9 @@ let minimize_into ?(params = default_params) ws oracle x0 =
           continue := false
         end
         else
-          match line_search ws oracle ~f0:!fx ~gd with
+          let accepted, tries = line_search ws oracle ~gd in
+          trials := !trials + tries;
+          match accepted with
           | Some fc ->
               let tmp = ws.xa in
               ws.xa <- ws.xb;
@@ -116,25 +129,26 @@ let minimize_into ?(params = default_params) ws oracle x0 =
               status := Stalled;
               continue := false
       done;
-      { x = Vec.copy ws.xa; value = !fx; iterations = !iter; decrement = !dec;
-        status = !status }
+      { x = Vec.copy ws.xa; value = !fx; iterations = !iter; trials = !trials;
+        decrement = !dec; status = !status }
 
 (* The combined oracle's last in-domain evaluation, handed out by
    [derivs] with the Hessian symmetrised as it is copied (the loop
-   factors the lower triangle as given). *)
+   factors the lower triangle as given).  Its ray evaluates each trial
+   point in full and subtracts the value at the ray's base. *)
 let oracle_into_of_oracle oracle =
   let last = ref None in
   let value x =
     match oracle x with
     | None -> None
     | Some (f, g, h) ->
-        last := Some (g, h);
+        last := Some (f, g, h);
         Some f
   in
   let derivs ~grad ~hess =
     match !last with
     | None -> invalid_arg "Newton: derivs before an in-domain value"
-    | Some (g, h) ->
+    | Some (_, g, h) ->
         Array.blit g 0 grad 0 (Vec.dim grad);
         for i = 0 to Vec.dim grad - 1 do
           hess.(i).(i) <- h.(i).(i);
@@ -143,7 +157,14 @@ let oracle_into_of_oracle oracle =
           done
         done
   in
-  { value; derivs }
+  let ray x d =
+    let f0 = match !last with Some (f, _, _) -> f | None -> Float.nan in
+    fun t ->
+      match oracle (Vec.axpy t d x) with
+      | Some (f, _, _) -> Some (f -. f0)
+      | None -> None
+  in
+  { value; derivs; ray }
 
 let minimize ?params oracle x0 =
   let n = Vec.dim x0 in

@@ -20,6 +20,11 @@ let m_newton_iterations =
     ~help:"Newton iterations per Socp.solve (summed over the tau ladder)"
     "ldafp_socp_newton_iterations"
 
+let m_line_search_trials =
+  Obs.Metrics.histogram Obs.Metrics.default ~lo:1.0 ~hi:1e5
+    ~help:"Newton line-search trials per Socp.solve (summed over the tau ladder)"
+    "ldafp_socp_line_search_trials"
+
 let p_cert =
   Obs.Probe.v "socp.cert" ~count:"dual-certificate evaluations attempted"
     ~seconds:(1e-7, 100.0, "wall time of one dual-certificate evaluation")
@@ -58,6 +63,8 @@ type problem = {
   grams : Mat.t array;
   lin_support : int array;
   lin_support2 : int array;
+  cone_src : int array;
+  cone_off : int array;
 }
 
 (* The lower triangle of G = LᵀL, row i holding G(i, 0..i): all the
@@ -123,12 +130,37 @@ let support a =
     a;
   if !count = 1 || !count = 2 then (!first, !second) else (-1, -1)
 
+(* Cone k's residual Lx + g depends on its (l, g) alone: [cone_src.(k)]
+   is the first cone built from the same physical pair, and
+   [cone_off.(k)] where that cone's residual starts in the oracle's
+   scratch.  The oracle forms each distinct residual once. *)
 let make ~p ~q ~lins ~socs ~grams n =
   let sup = Array.map (fun { a; _ } -> support a) lins in
+  let cone_src =
+    Array.map
+      (fun { l; g; _ } ->
+        let j = ref 0 in
+        while socs.(!j).l != l || socs.(!j).g != g do
+          incr j
+        done;
+        !j)
+      socs
+  in
+  let cone_off = Array.make (Array.length socs) 0 in
+  let rows = ref 0 in
+  Array.iteri
+    (fun k { l; _ } ->
+      if cone_src.(k) = k then begin
+        cone_off.(k) <- !rows;
+        rows := !rows + Mat.rows l
+      end
+      else cone_off.(k) <- cone_off.(cone_src.(k)))
+    socs;
   {
     n; p; q; lins; socs; grams;
     lin_support = Array.map fst sup;
     lin_support2 = Array.map snd sup;
+    cone_src; cone_off;
   }
 
 let of_parts ~p ~q ~lins ~socs n =
@@ -228,79 +260,99 @@ let barrier_nu pb = Array.length pb.lins + (2 * Array.length pb.socs)
    the parallel B&B driver never share buffers, whichever worker takes a
    region from the shared frontier; the phase-I augmented problem has
    dimension n+1 and therefore its own entry, so phase-I and phase-II
-   never clobber each other either.  [slack], [u], [h] and [v] carry the
-   value pass's per-constraint results over to the derivative pass. *)
+   never clobber each other either.  [slack], [u], [h], [vv] and [v]
+   carry the value pass's per-constraint results over to the derivative
+   pass and the ray; the ray's own coefficients live apart from them, so
+   a value pass between two trials does not disturb the ray. *)
 type scratch = {
   ws : Newton.workspace;
   px : Vec.t;  (* P x *)
-  mutable slack : Vec.t;  (* per half-space: b − aᵀx *)
-  mutable u : Vec.t;  (* per cone: cᵀx + d *)
-  mutable h : Vec.t;  (* per cone: u² − ‖v‖² *)
-  mutable v : Vec.t;  (* every cone's residual Lx + g, cone after cone *)
-  ltv : Vec.t;  (* Lᵀ v *)
+  pd : Vec.t;  (* P d *)
+  slack : Vec.t;  (* per half-space: b − aᵀx *)
+  lin_rate : Vec.t;  (* per half-space: aᵀd / s *)
+  u : Vec.t;  (* per cone: cᵀx + d *)
+  h : Vec.t;  (* per cone: u² − ‖v‖² *)
+  vv : Vec.t;  (* per cone: ‖v‖² *)
+  vld : Vec.t;  (* per cone: vᵀLd *)
+  ldd : Vec.t;  (* per cone: ‖Ld‖² *)
+  u_rate : Vec.t;  (* per cone: cᵀd / u *)
+  h_rate1 : Vec.t;  (* per cone: 2(u·cᵀd − vᵀLd) / h *)
+  h_rate2 : Vec.t;  (* per cone: ((cᵀd)² − ‖Ld‖²) / h *)
+  v : Vec.t;  (* each distinct residual Lx + g, at its cone_off *)
+  ltv : Mat.t;  (* per cone: Lᵀ v *)
   gh : Vec.t;  (* gradient of the cone slack h *)
 }
 
 let scratch_key : (int, scratch) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 7)
 
+(* The domain's scratch for dimension [pb.n], replaced by one of
+   [pb]'s sizes when it is too small for [pb]. *)
 let scratch_for pb =
   let tbl = Domain.DLS.get scratch_key in
   let n_lins = Array.length pb.lins and n_socs = Array.length pb.socs in
   let rows = Array.fold_left (fun m { l; _ } -> m + Mat.rows l) 0 pb.socs in
-  let sc =
-    match Hashtbl.find_opt tbl pb.n with
-    | Some sc -> sc
-    | None ->
-        let sc =
-          {
-            ws = Newton.workspace pb.n;
-            px = Vec.zeros pb.n;
-            slack = Vec.zeros n_lins;
-            u = Vec.zeros n_socs;
-            h = Vec.zeros n_socs;
-            v = Vec.zeros rows;
-            ltv = Vec.zeros pb.n;
-            gh = Vec.zeros pb.n;
-          }
-        in
-        Hashtbl.replace tbl pb.n sc;
-        sc
-  in
-  if Vec.dim sc.slack < n_lins then sc.slack <- Vec.zeros n_lins;
-  if Vec.dim sc.u < n_socs then begin
-    sc.u <- Vec.zeros n_socs;
-    sc.h <- Vec.zeros n_socs
-  end;
-  if Vec.dim sc.v < rows then sc.v <- Vec.zeros rows;
-  sc
+  match Hashtbl.find_opt tbl pb.n with
+  | Some sc
+    when Vec.dim sc.slack >= n_lins && Vec.dim sc.u >= n_socs
+         && Vec.dim sc.v >= rows ->
+      sc
+  | _ ->
+      let per_cone () = Vec.zeros n_socs in
+      let sc =
+        {
+          ws = Newton.workspace pb.n;
+          px = Vec.zeros pb.n;
+          pd = Vec.zeros pb.n;
+          slack = Vec.zeros n_lins;
+          lin_rate = Vec.zeros n_lins;
+          u = per_cone (); h = per_cone (); vv = per_cone ();
+          vld = per_cone (); ldd = per_cone ();
+          u_rate = per_cone (); h_rate1 = per_cone (); h_rate2 = per_cone ();
+          v = Vec.zeros rows;
+          ltv = Mat.zeros n_socs pb.n;
+          gh = Vec.zeros pb.n;
+        }
+      in
+      Hashtbl.replace tbl pb.n sc;
+      sc
+
+(* aₖᵀx.  A row with one or two nonzeros (the box rows) costs O(1): off
+   its support the dense terms are ±0 products, which change no value
+   for a finite x. *)
+let[@inline] lin_dot pb k x =
+  let a = pb.lins.(k).a and sk = pb.lin_support.(k) in
+  let sk2 = pb.lin_support2.(k) in
+  if sk < 0 then Vec.dot a x
+  else if sk2 < 0 then a.(sk) *. x.(sk)
+  else (a.(sk) *. x.(sk)) +. (a.(sk2) *. x.(sk2))
 
 (* In-place oracle for tau * f(x) + phi(x), split for the Newton line
    search.  [value] is the domain test and the barrier value, O(1) per
-   box row and O(rows·n) per cone; it leaves the slacks and each cone's
-   u, v, h in [sc].  [derivs] reads them back — no second Lx — and adds
-   the P, half-space and cone terms to the Hessian's lower triangle
-   only, each entry in the order the full matrix used to be summed in. *)
+   box row and O(rows·n) per distinct cone residual; it leaves the
+   slacks and each cone's u, v, ‖v‖², h in [sc].  [derivs] reads them
+   back — no second Lx — and adds the P, half-space and cone terms to
+   the Hessian's lower triangle only, each entry in the order the full
+   matrix used to be summed in.  Cones sharing (l, g) share v and Lᵀv,
+   formed once.  [ray] restricts the function to x + t·d: every term is
+   a polynomial of degree 1 or 2 in t, so one O(n² + rows·n) pass forms
+   the coefficients and a trial is O(constraints) scalar work,
+     Δ(t) = τ(t·(Px+q)ᵀd + ½t²·dᵀPd) − Σ log1p(−t·aₖᵀd/sₖ)
+            − Σ log1p(t·2(uⱼcⱼᵀd − vⱼᵀLⱼd)/hⱼ + t²((cⱼᵀd)² − ‖Lⱼd‖²)/hⱼ),
+   in the domain iff every log1p argument and t·cⱼᵀd/uⱼ exceed −1.  Each
+   term is relative to its constraint's own slack, so Δ is accurate to a
+   few ulps of its largest term, not of f. *)
 let centering_into pb sc tau : Newton.oracle_into =
   let n = pb.n in
+  let n_lins = Array.length pb.lins and n_socs = Array.length pb.socs in
   let value x =
     Mat.mul_vec_into pb.p x ~dst:sc.px;
     let fx = (0.5 *. Vec.dot x sc.px) +. Vec.dot pb.q x in
     let value = ref (tau *. fx) in
     let ok = ref true in
-    for k = 0 to Array.length pb.lins - 1 do
+    for k = 0 to n_lins - 1 do
       if !ok then begin
-        (* A row with one or two nonzeros (the box rows) costs O(1):
-           off its support the dense terms are ±0 products, which change
-           no value for a finite iterate. *)
-        let { a; b } = pb.lins.(k) and sk = pb.lin_support.(k) in
-        let sk2 = pb.lin_support2.(k) in
-        let ax =
-          if sk < 0 then Vec.dot a x
-          else if sk2 < 0 then a.(sk) *. x.(sk)
-          else (a.(sk) *. x.(sk)) +. (a.(sk2) *. x.(sk2))
-        in
-        let s = b -. ax in
+        let s = pb.lins.(k).b -. lin_dot pb k x in
         if s <= 0.0 then ok := false
         else begin
           sc.slack.(k) <- s;
@@ -308,25 +360,25 @@ let centering_into pb sc tau : Newton.oracle_into =
         end
       end
     done;
-    let off = ref 0 in
-    for k = 0 to Array.length pb.socs - 1 do
+    for k = 0 to n_socs - 1 do
       if !ok then begin
-        let { l; g; c; d } = pb.socs.(k) in
+        let { l; g; c; d } = pb.socs.(k) and src = pb.cone_src.(k) in
         let u = Vec.dot c x +. d in
-        let rows_l = Mat.rows l in
-        let vv = ref 0.0 in
-        for r = 0 to rows_l - 1 do
-          let vr = Vec.dot l.(r) x +. g.(r) in
-          sc.v.(!off + r) <- vr;
-          vv := !vv +. (vr *. vr)
-        done;
-        let h = (u *. u) -. !vv in
+        if src = k then begin
+          let off = pb.cone_off.(k) and vv = ref 0.0 in
+          for r = 0 to Mat.rows l - 1 do
+            let vr = Vec.dot l.(r) x +. g.(r) in
+            sc.v.(off + r) <- vr;
+            vv := !vv +. (vr *. vr)
+          done;
+          sc.vv.(k) <- !vv
+        end;
+        let h = (u *. u) -. sc.vv.(src) in
         if u <= 0.0 || h <= 0.0 then ok := false
         else begin
           sc.u.(k) <- u;
           sc.h.(k) <- h;
-          value := !value -. log h;
-          off := !off + rows_l
+          value := !value -. log h
         end
       end
     done;
@@ -367,23 +419,25 @@ let centering_into pb sc tau : Newton.oracle_into =
               done
           done)
       pb.lins;
-    let off = ref 0 in
     Array.iteri
       (fun k { l; c; _ } ->
-        let u = sc.u.(k) and rows_l = Mat.rows l in
+        let u = sc.u.(k) and src = pb.cone_src.(k) in
         (* grad h = 2u c - 2 Lᵀ v *)
-        Array.fill sc.ltv 0 n 0.0;
-        for r = 0 to rows_l - 1 do
-          let vr = sc.v.(!off + r) in
-          if vr <> 0.0 then
-            let lr = l.(r) in
-            for j = 0 to n - 1 do
-              sc.ltv.(j) <- sc.ltv.(j) +. (vr *. lr.(j))
-            done
-        done;
-        off := !off + rows_l;
+        let ltv = sc.ltv.(src) in
+        if src = k then begin
+          let off = pb.cone_off.(k) in
+          Array.fill ltv 0 n 0.0;
+          for r = 0 to Mat.rows l - 1 do
+            let vr = sc.v.(off + r) in
+            if vr <> 0.0 then
+              let lr = l.(r) in
+              for j = 0 to n - 1 do
+                ltv.(j) <- ltv.(j) +. (vr *. lr.(j))
+              done
+          done
+        end;
         for i = 0 to n - 1 do
-          sc.gh.(i) <- (2.0 *. u *. c.(i)) -. (2.0 *. sc.ltv.(i))
+          sc.gh.(i) <- (2.0 *. u *. c.(i)) -. (2.0 *. ltv.(i))
         done;
         let inv_h = 1.0 /. sc.h.(k) in
         for i = 0 to n - 1 do
@@ -404,7 +458,55 @@ let centering_into pb sc tau : Newton.oracle_into =
         done)
       pb.socs
   in
-  { Newton.value; derivs }
+  let ray _ d =
+    Mat.mul_vec_into pb.p d ~dst:sc.pd;
+    let slope = ref 0.0 and curv = ref 0.0 in
+    for i = 0 to n - 1 do
+      slope := !slope +. ((sc.px.(i) +. pb.q.(i)) *. d.(i));
+      curv := !curv +. (d.(i) *. sc.pd.(i))
+    done;
+    for k = 0 to n_lins - 1 do
+      sc.lin_rate.(k) <- lin_dot pb k d /. sc.slack.(k)
+    done;
+    for k = 0 to n_socs - 1 do
+      let { l; c; _ } = pb.socs.(k) and src = pb.cone_src.(k) in
+      if src = k then begin
+        let off = pb.cone_off.(k) in
+        let vld = ref 0.0 and ldd = ref 0.0 in
+        for r = 0 to Mat.rows l - 1 do
+          let ldr = Vec.dot l.(r) d in
+          vld := !vld +. (sc.v.(off + r) *. ldr);
+          ldd := !ldd +. (ldr *. ldr)
+        done;
+        sc.vld.(k) <- !vld;
+        sc.ldd.(k) <- !ldd
+      end;
+      let cd = Vec.dot c d and u = sc.u.(k) and h = sc.h.(k) in
+      sc.u_rate.(k) <- cd /. u;
+      sc.h_rate1.(k) <- 2.0 *. ((u *. cd) -. sc.vld.(src)) /. h;
+      sc.h_rate2.(k) <- ((cd *. cd) -. sc.ldd.(src)) /. h
+    done;
+    let slope = tau *. !slope and curv = 0.5 *. tau *. !curv in
+    fun t ->
+      let delta = ref (t *. (slope +. (t *. curv))) in
+      let ok = ref true in
+      for k = 0 to n_lins - 1 do
+        if !ok then begin
+          let e = -.t *. sc.lin_rate.(k) in
+          if e > -1.0 then delta := !delta -. Float.log1p e else ok := false
+        end
+      done;
+      for k = 0 to n_socs - 1 do
+        if !ok then begin
+          let e = t *. (sc.h_rate1.(k) +. (t *. sc.h_rate2.(k))) in
+          if e > -1.0 && t *. sc.u_rate.(k) > -1.0 then
+            delta := !delta -. Float.log1p e
+          else ok := false
+        end
+      done;
+      if !ok && not (Float.is_nan !delta) then Some !delta else None
+  in
+  { Newton.value; derivs; ray }
 
 (* Residual scale of one half-space at x: the natural size of the
    numbers whose difference is the slack.  Dividing a slack by it turns
@@ -468,19 +570,19 @@ type feasibility =
 (* Augment with a slack variable s (index n): every half-space becomes
    aᵀx − s <= b and every cone ‖Lx+g‖ <= cᵀx + d + s; minimise s.  The
    slack's column of every [l] is 0, so each distinct Gram's lower
-   triangle gains a zero row and keeps the original's rows. *)
+   triangle gains a zero row and keeps the original's rows, and cones
+   that shared an [l] share its extension. *)
 let phase1_problem pb =
   let n = pb.n in
   let extend v extra = Array.append v [| extra |] in
   let lins = Array.map (fun { a; b } -> { a = extend a (-1.0); b }) pb.lins in
+  let ls =
+    per_distinct
+      (fun l -> Array.map (fun lr -> extend lr 0.0) l)
+      (Array.map (fun { l; _ } -> l) pb.socs)
+  in
   let socs =
-    Array.map
-      (fun { l; g; c; d } ->
-        let l' = Mat.init (Mat.rows l) (n + 1) (fun i j ->
-            if j < n then l.(i).(j) else 0.0)
-        in
-        { l = l'; g; c = extend c 1.0; d })
-      pb.socs
+    Array.mapi (fun k { g; c; d; _ } -> { l = ls.(k); g; c = extend c 1.0; d }) pb.socs
   in
   make
     ~p:(Mat.zeros (n + 1) (n + 1))
@@ -648,6 +750,7 @@ let solve ?(params = default_params) pb ~start =
   let tau = ref params.tau0 in
   let outer = ref 0 in
   let newton_total = ref 0 in
+  let trials = ref 0 in
   let stalled = ref false in
   (* At least one centering step, so the point returned is never the
      caller's start unrefined. *)
@@ -661,6 +764,7 @@ let solve ?(params = default_params) pb ~start =
         (centering_into pb sc !tau) !x
     in
     newton_total := !newton_total + r.iterations;
+    trials := !trials + r.trials;
     x := r.x;
     (match r.status with
     | Newton.Stalled | Newton.Diverged -> stalled := true
@@ -684,11 +788,13 @@ let solve ?(params = default_params) pb ~start =
   if Obs.Probe.on () then begin
     Obs.Metrics.observe m_newton_iterations
       (float_of_int sol.newton_iterations);
+    Obs.Metrics.observe m_line_search_trials (float_of_int !trials);
     Obs.Probe.span p_solve ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0)
       ~args:
         [
           ("outer", Obs.Trace.Int sol.outer_iterations);
           ("newton", Obs.Trace.Int sol.newton_iterations);
+          ("trials", Obs.Trace.Int !trials);
           ( "status",
             Obs.Trace.Str
               (match sol.status with

@@ -43,6 +43,12 @@ type problem = private {
       (** per half-space: the index of the second nonzero entry when
           there are exactly two, else [−1].  The rows with one nonzero
           bound the coordinate box of {!certify_lower_bound}. *)
+  cone_src : int array;
+      (** per cone: the first cone built from the same physical [l] and
+          [g], whose residual [Lx + g] it shares (itself when none) *)
+  cone_off : int array;
+      (** per cone: where its residual starts in the barrier oracle's
+          scratch, shared cones at one offset *)
 }
 
 val problem :
@@ -297,12 +303,16 @@ val certify_lower_bound :
 val centering_for_tests : problem -> float -> Newton.oracle_into
 (** The split centering oracle of [τ·f + barrier] that every barrier
     solve runs, in the per-domain scratch.  Not part of the stable
-    API.  [value]: O(n²) for [P x],
-    O(rows·n) per cone (the residual [Lx+g]), O(1) per single-nonzero
-    half-space, O(n) per other half-space.  [derivs]: the gradient and
-    the Hessian's lower triangle, O(n²) per cone (reading the cone's
-    Gram; [Lᵀv] is O(rows·n)), O(1) per single-nonzero half-space,
-    O(n²) per other half-space. *)
+    API.  [value]: O(n²) for [P x], O(rows·n) per distinct cone
+    residual [Lx+g], O(1) per single-nonzero half-space, O(n) per other
+    half-space.  [derivs]: the gradient and the Hessian's lower
+    triangle, O(n²) per cone (reading the cone's Gram; [Lᵀv] is
+    O(rows·n) per distinct residual), O(1) per single-nonzero
+    half-space, O(n²) per other half-space.  [ray]: O(n²) for [P d],
+    O(rows·n) per distinct residual for [Ld], O(1) or O(n) per
+    half-space as [value]; each trial is then O(constraints), [Δ(t)]
+    formed from per-constraint ratios ([log1p] of the relative change
+    of each slack), accurate to a few ulps of its largest term. *)
 
 val phase1_problem_for_tests : problem -> problem
 (** The phase-I augmented problem {!find_strictly_feasible} solves:

@@ -1339,12 +1339,12 @@ let check_pinned tag o ~nodes ~bits =
 let test_exact_search_domain_invariant () =
   check_pinned "Q2.5, 200 per class"
     (exact_search ~domains:1 (synthetic_problem ~n_per_class:200 ~f:5))
-    ~nodes:613 ~bits:"3fe1254547599450";
+    ~nodes:605 ~bits:"3fe1254547599450";
   let pb = synthetic_problem ~n_per_class:1000 ~f:9 in
   let seq = exact_search ~domains:1 pb in
   checkb ">= 10^4 nodes on one domain" true
     (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
-  check_pinned "Q2.9, 1000 per class" seq ~nodes:10_625 ~bits:"3fe46cdfd09faf13";
+  check_pinned "Q2.9, 1000 per class" seq ~nodes:10_585 ~bits:"3fe46cdfd09faf13";
   List.iter
     (fun domains ->
       let o = if domains = 1 then seq else exact_search ~domains pb in
@@ -1909,6 +1909,63 @@ let test_certificate_allocation () =
     (Printf.sprintf "%.0f minor words per ECoG WL 6 root certificate <= 20000" per_call)
     true (per_call <= 20000.0)
 
+(* One exact evaluation of an ECoG WL 6 grid point (the seed
+   incumbent): [on_grid] and the element-box test allocate nothing, and
+   [evaluate] its result — the copy (43 words), its tuple and option (5)
+   and the boxed cost (2) — plus 30 words of floats the Linalg calls of
+   [constraint_violation] and [cost] box on return in the dev profile
+   (the grid test alone used to box 605).  [on_grid] keeps the verdicts
+   of [Qformat.in_range] and [Qformat.nearest_on_grid] on grid points,
+   points off the grid by a fraction of an ulp or by less than 1e-12,
+   and points beyond either end of the range. *)
+let test_evaluate_allocation () =
+  let pb = ecog_problem ~fold:(-1) 6 in
+  let fmt = pb.Ldafp_problem.fmt in
+  let w =
+    match Ldafp_heuristics.seed_incumbent pb with
+    | Some (w, _) -> w
+    | None -> Alcotest.fail "no ECoG seed incumbent"
+  in
+  let words f =
+    ignore (f ());
+    let calls = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  checkf 0.0 "on_grid allocates nothing" 0.0
+    (words (fun () -> Ldafp_problem.on_grid pb w));
+  let per_eval = words (fun () -> Ldafp_heuristics.evaluate pb w) in
+  let result = float_of_int (Array.length w + 1 + 5 + 2) in
+  checkb
+    (Printf.sprintf "%.0f minor words per evaluate <= %.0f (result) + 30" per_eval result)
+    true
+    (per_eval <= result +. 30.0);
+  let ulp = Qformat.ulp fmt and lo = Qformat.min_value fmt and hi = Qformat.max_value fmt in
+  let reference x =
+    Qformat.in_range fmt x && Float.abs (x -. Qformat.nearest_on_grid fmt x) < 1e-12
+  in
+  let points =
+    List.concat_map
+      (fun r ->
+        let x = Qformat.value_of_raw fmt r in
+        [ x; x +. (0.5 *. ulp); x -. (0.3 *. ulp); x +. 1e-13; x -. 5e-13; x +. 2e-12 ])
+      (List.init (Qformat.max_raw fmt - Qformat.min_raw fmt + 1) (fun i -> Qformat.min_raw fmt + i))
+    @ [ lo -. ulp; hi +. ulp; lo -. 1e-13; hi +. 1e-13; 100.0; Float.nan; Float.infinity ]
+  in
+  List.iter
+    (fun x ->
+      checkb (Printf.sprintf "on_grid %h" x) (reference x) (Ldafp_problem.on_grid pb [| x |]))
+    points;
+  checkb "the incumbent is on the grid" true (Ldafp_problem.on_grid pb w);
+  let off = Array.copy w in
+  off.(0) <- off.(0) +. (0.5 *. ulp);
+  checkb "half an ulp off" false (Ldafp_problem.on_grid pb off);
+  off.(0) <- hi +. ulp;
+  checkb "beyond the range" false (Ldafp_problem.on_grid pb off)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -2057,6 +2114,8 @@ let () =
             test_root_certificate_bits;
           Alcotest.test_case "certificate allocation" `Quick
             test_certificate_allocation;
+          Alcotest.test_case "evaluate allocation and grid verdicts" `Quick
+            test_evaluate_allocation;
         ] );
       ("properties", qcheck_tests);
     ]

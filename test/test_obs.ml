@@ -494,7 +494,29 @@ let test_cross_sink_consistency () =
             (checki (tag ^ ": metric = stats") stat)
             (probe_metric (probe_named name));
           if stat > 0 then Hashtbl.replace fired what ())
-        (stats_rows d))
+        (stats_rows d);
+      (* Line-search trials: the histogram's sum is the trials the
+         socp.solve spans count. *)
+      let traced_trials =
+        List.fold_left
+          (fun n e ->
+            match List.assoc_opt "trials" e.Obs.Trace.args with
+            | Some (Obs.Trace.Int t) -> n + t
+            | _ -> Alcotest.fail "a socp.solve span without its trials")
+          0 (events_named events "socp.solve")
+      in
+      checkb "solves made line-search trials" true (traced_trials > 0);
+      (match
+         Obs.Json.member "ldafp_socp_line_search_trials"
+           (member_exn "metrics" (Obs.Metrics.to_json Obs.Metrics.default))
+       with
+      | Some h -> (
+          match Obs.Json.member "sum" h with
+          | Some (Obs.Json.Float sum) ->
+              checkf 0.0 "trials histogram sum = trials over the spans"
+                (float_of_int traced_trials) sum
+          | _ -> Alcotest.fail "trials histogram has no sum")
+      | None -> Alcotest.fail "no trials histogram"))
     [ (false, false); (true, false); (false, true) ];
   List.iter
     (fun what ->

@@ -229,21 +229,25 @@ let test_newton_nan_decrement_is_diverged () =
   checkf 1e-12 "last finite iterate returned" 3.0 r.Newton.x.(0)
 
 (* f(x) = x − log x on x > 0 (minimum at 1) as a split oracle that logs
-   every call: [`Value (x, in_domain)] and [`Derivs x], where [derivs]
-   works at the most recent in-domain [value] point.  From x0 = 3 the
-   full Newton step lands near −3 and the half step near 0, outside the
-   domain or far uphill, and from 1.5 the full step to 0.75 is in the
-   domain but fails the sufficient-decrease test: rejected trials of
-   both kinds. *)
+   every call: [`Value (x, in_domain)], [`Derivs x], [`Ray x] and
+   [`Trial (t, decrease)], where [derivs] and [ray] work at the most
+   recent in-domain [value] point.  The ray's evaluator misjudges
+   (−1, 0] as inside the domain, the rounding edge the value pass
+   catches.  From x0 = 3 the Newton direction is −6: the full step to −3
+   is outside (the trial says so), the half step to 0 passes the trial
+   and fails the value pass, and the quarter step to 1.5 is accepted.
+   From 1.5 the full step to 0.75 is in the domain but fails the
+   sufficient-decrease test.  Every kind of rejection occurs. *)
 let logged_oracle () =
   let events = ref [] and last = ref Float.nan in
+  let f v = v -. log v in
   let value x =
     let v = x.(0) in
     let inside = v > 0.0 in
     events := `Value (v, inside) :: !events;
     if inside then begin
       last := v;
-      Some (v -. log v)
+      Some (f v)
     end
     else None
   in
@@ -252,7 +256,20 @@ let logged_oracle () =
     grad.(0) <- 1.0 -. (1.0 /. !last);
     hess.(0).(0) <- 1.0 /. (!last *. !last)
   in
-  ({ Newton.value; derivs }, fun () -> List.rev !events)
+  let ray x d =
+    let base = x.(0) and d = d.(0) in
+    events := `Ray base :: !events;
+    fun t ->
+      let v = base +. (t *. d) in
+      let dv =
+        if v > 0.0 then Some (f v -. f base)
+        else if v > -1.0 then Some (-1.0)
+        else None
+      in
+      events := `Trial (t, dv) :: !events;
+      dv
+  in
+  ({ Newton.value; derivs; ray }, fun () -> List.rev !events)
 
 (* Each [`Derivs] directly follows an in-domain [`Value] at its point. *)
 let derivs_follow_values events =
@@ -270,6 +287,7 @@ let test_newton_split_oracle_calls () =
   let oracle, events = logged_oracle () in
   let r = Newton.minimize_into (Newton.workspace 1) oracle [| 3.0 |] in
   let ev = events () in
+  let count p = List.length (List.filter p ev) in
   checkb "converged" true (r.Newton.status = Newton.Converged);
   checkf 1e-4 "minimum at 1" 1.0 r.Newton.x.(0);
   checkb "starts with value then derivs at x0" true
@@ -283,39 +301,50 @@ let test_newton_split_oracle_calls () =
     (List.length derivs);
   checkb "last derivs at the returned iterate" true
     (List.nth derivs (List.length derivs - 1) = r.Newton.x.(0));
-  (* One value call per trial: within a step the trial points are
-     x + t·d for t = 1, β, β², …, so each offset halves the last. *)
-  let rec segments base acc = function
-    | `Derivs x :: rest -> (base, List.rev acc) :: segments x [] rest
-    | `Value (v, _) :: rest -> segments base (v :: acc) rest
-    | [] -> [ (base, List.rev acc) ]
+  (* The value pass runs at x0, at each accepted point and at each trial
+     the ray passed but the domain test refused. *)
+  let refreshes_rejected = count (function `Value (_, false) -> true | _ -> false) in
+  checki "one value refresh rejected (the rounding edge at 0)" 1 refreshes_rejected;
+  checki "value calls = x0 + accepted steps + rejected refreshes"
+    (List.length derivs + refreshes_rejected)
+    (count (function `Value _ -> true | _ -> false));
+  (* One ray per step, after the derivatives at its base; within it the
+     trial offsets are 1, ½, ¼, … *)
+  let rec steps = function
+    | `Ray base :: rest ->
+        let rec trials acc = function
+          | `Trial (t, dv) :: rest -> trials ((t, dv) :: acc) rest
+          | (`Value _ :: rest) -> trials acc rest
+          | rest -> (List.rev acc, rest)
+        in
+        let ts, rest = trials [] rest in
+        (base, ts) :: steps rest
+    | _ :: rest -> steps rest
+    | [] -> []
   in
-  let steps = List.tl (segments 3.0 [] (List.tl ev)) in
+  let steps = steps ev in
+  checki "one ray per accepted step"
+    (r.Newton.iterations - 1) (List.length steps);
   List.iter
-    (fun (base, trials) ->
-      ignore
-        (List.fold_left
-           (fun prev v ->
-             let off = v -. base in
-             (match prev with
-             | Some p ->
-                 checkf 1e-9 "trial offset halves" 0.5 (off /. p)
-             | None -> ());
-             Some off)
-           None trials))
+    (fun (_, ts) ->
+      List.iteri
+        (fun i (t, _) -> checkf 0.0 "trial offset halves" (0.5 ** float_of_int i) t)
+        ts)
     steps;
-  checki "first step: two rejected trials, then 1.5" 3
-    (List.length (snd (List.hd steps)));
-  checkb "a trial outside the domain was rejected" true
-    (List.exists (function `Value (_, false) -> true | _ -> false) ev);
-  let values = List.length (List.filter (function `Value _ -> true | _ -> false) ev) in
-  checki "value calls = x0 + trials"
-    (1 + List.fold_left (fun n (_, t) -> n + List.length t) 0 steps)
-    values;
-  checkb "an in-domain trial was rejected (sufficient decrease)" true
-    (values - 1 > (List.length derivs - 1)
-                  + List.length
-                      (List.filter (function `Value (_, false) -> true | _ -> false) ev))
+  checki "trials counted in the result" r.Newton.trials
+    (List.fold_left (fun n (_, ts) -> n + List.length ts) 0 steps);
+  checkb "first step: two rejected trials, then 1.5" true
+    (match steps with
+    | (3.0, [ (1.0, None); (0.5, Some _); (0.25, Some _) ]) :: (b, _) :: _ ->
+        Float.abs (b -. 1.5) < 1e-12
+    | _ -> false);
+  (* From 1.5: d = −0.75, gᵀd = −0.25, and Δ(1) = log 2 − 0.75 ≈ −0.057
+     is above ¼·gᵀd. *)
+  checkb "second step: the full step fails sufficient decrease" true
+    (match steps with
+    | _ :: (_, (1.0, Some dv) :: (0.5, _) :: _) :: _ ->
+        dv < 0.0 && dv > 0.25 *. -0.25
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Socp                                                                *)
@@ -1579,6 +1608,194 @@ let test_socp_oracle_bitwise () =
   check "Table-1 node" node xn;
   check "Table-1 node phase-I" phase1_n (Array.append xn [| 0.5 |])
 
+(* The first-order rounding scale of the value pass at [y] (Higham's
+   γ_k = kε/(1 − kε) argument): the magnitudes every term of f is summed
+   from, plus each slack's condition number, its data's magnitude over
+   the slack, so that kε·scale bounds the value pass's error with k the
+   longest sum in it. *)
+let value_rounding_scale pb tau y =
+  let open Socp in
+  let absdot a y = Array.fold_left ( +. ) 0.0 (Array.mapi (fun i ai -> Float.abs (ai *. y.(i))) a) in
+  let ay = Array.map Float.abs y in
+  let quad = 0.5 *. Vec.dot ay (Mat.mul_vec (Array.map (Array.map Float.abs) pb.p) ay) in
+  let scale = ref (tau *. (quad +. absdot pb.q y)) in
+  Array.iter
+    (fun { a; b } ->
+      let s = b -. Vec.dot a y in
+      scale := !scale +. Float.abs (log s) +. ((Float.abs b +. absdot a y) /. s))
+    pb.lins;
+  Array.iter
+    (fun { l; g; c; d } ->
+      let u = Vec.dot c y +. d in
+      let eu = absdot c y +. Float.abs d in
+      let vv = ref 0.0 and ev = ref 0.0 in
+      Array.iteri
+        (fun r lr ->
+          let vr = Vec.dot lr y +. g.(r) in
+          vv := !vv +. (vr *. vr);
+          ev := !ev +. (Float.abs vr *. (absdot lr y +. Float.abs g.(r))))
+        l;
+      let h = (u *. u) -. !vv in
+      scale :=
+        !scale +. Float.abs (log h)
+        +. (((2.0 *. Float.abs u *. eu) +. (2.0 *. !ev) +. (u *. u) +. !vv) /. h))
+    pb.socs;
+  !scale
+
+let test_socp_ray_decrease () =
+  (* The ray's trial evaluator against the value pass, on the bitwise
+     test's problems (box rows, a dense half-space, cones sharing one [l]
+     with and without one [g]), the pinned node program and the phase-I
+     problems, along the Newton direction and two random directions, at
+     step lengths from 16 down to 2⁻³⁰: Δ(t) is f(x + t·d) − f(x) within
+     the value passes' own rounding, and the two agree on the domain
+     wherever every slack clears a 1e-8 relative margin. *)
+  let problem = oracle_toy_problem () in
+  let x0 = interior_point problem in
+  let reduced, y0 = folded_toy problem x0 in
+  let node, xn = table1_node () in
+  let rng = Stats.Rng.create 5 in
+  let eps = epsilon_float in
+  let checked = ref 0 and outside = ref 0 in
+  let check label pb x tau =
+    let n = pb.Socp.n in
+    let oracle = Socp.centering_for_tests pb tau in
+    let f0 =
+      match oracle.Newton.value x with
+      | Some f -> f
+      | None -> Alcotest.fail (label ^ ": interior point rejected")
+    in
+    let grad = Vec.zeros n and hess = Mat.zeros n n in
+    oracle.Newton.derivs ~grad ~hess;
+    let newton_dir =
+      (* the solver's own jittered factorisation of the lower triangle *)
+      let chol = Mat.zeros n n in
+      ignore (Cholesky.factor_jittered_into hess ~dst:chol);
+      Cholesky.solve_factored chol (Vec.neg grad)
+    in
+    let random_dir () =
+      let d = Vec.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+      Vec.scale (0.5 *. (1.0 +. Vec.norm2 x) /. Vec.norm2 d) d
+    in
+    (* the longest sum in a value pass, and the ray's own few ulps *)
+    let k = float_of_int (n + Array.length pb.Socp.lins + Array.length pb.Socp.socs + 16) in
+    List.iteri
+      (fun di d ->
+        (* the ray reads the value pass's caches at its base *)
+        ignore (oracle.Newton.value x);
+        let trial = oracle.Newton.ray x d in
+        for e = -30 to 4 do
+          let t = Float.ldexp 1.0 e in
+          let y = Vec.init n (fun i -> x.(i) +. (t *. d.(i))) in
+          let tag what = Printf.sprintf "%s, tau %g, dir %d, t 2^%d: %s" label tau di e what in
+          let by_ray = trial t in
+          let by_value = oracle.Newton.value y in
+          if Socp.is_strictly_interior ~margin:1e-8 pb y then begin
+            incr checked;
+            match (by_ray, by_value) with
+            | Some dt, Some fy ->
+                let bound =
+                  2.0 *. k *. eps
+                  *. (value_rounding_scale pb tau x +. value_rounding_scale pb tau y)
+                in
+                let err = Float.abs (dt -. (fy -. f0)) in
+                if err > bound then
+                  Alcotest.failf "%s" (tag (Printf.sprintf "|Δ − diff| = %.3g > %.3g" err bound))
+            | _ -> Alcotest.fail (tag "inside, but a pass says outside")
+          end
+          else if not (Socp.is_strictly_interior ~margin:(-1e-8) pb y) then begin
+            incr outside;
+            checkb (tag "outside: the ray says so") true (by_ray = None);
+            checkb (tag "outside: the value pass says so") true (by_value = None)
+          end
+        done)
+      [ newton_dir; random_dir (); random_dir () ]
+  in
+  List.iter
+    (fun (label, pb, x) ->
+      List.iter (fun tau -> check label pb x tau) [ 1e-6; 1.0; 37.5 ])
+    [
+      ("full", problem, x0);
+      ("folded", reduced, y0);
+      ("phase-I", Socp.phase1_problem_for_tests problem, Array.append x0 [| 0.5 |]);
+      ("folded phase-I", Socp.phase1_problem_for_tests reduced, Array.append y0 [| 0.5 |]);
+      ("Table-1 node", node, xn);
+      ("Table-1 node phase-I", Socp.phase1_problem_for_tests node, Array.append xn [| 0.5 |]);
+    ];
+  checkb "points inside compared" true (!checked > 100);
+  checkb "points outside compared" true (!outside > 20)
+
+(* The ECoG WL 6 root program (Ecog_sim seed 7, all trials) as the
+   search first solves it, z capped by the seeded incumbent, and a
+   strictly interior start. *)
+let ecog_root () =
+  let module P = Ldafp_core.Ldafp_problem in
+  let fmt = Fixedpoint.Format_policy.default 6 in
+  let ds = Datasets.Ecog_sim.generate (Stats.Rng.create 7) in
+  let pb =
+    P.build ~fmt (Ldafp_core.Pipeline.prepare ~fmt ds).Ldafp_core.Pipeline.scatter
+  in
+  let theta =
+    match
+      Ldafp_core.Ldafp_heuristics.seed_incumbent
+        ~steps:Ldafp_core.Lda_fp.default_config.Ldafp_core.Lda_fp.sweep_steps
+        ~max_rounds:4 pb
+    with
+    | Some (_, c) -> c
+    | None -> Alcotest.fail "no ECoG seed incumbent"
+  in
+  let wbox = pb.P.elem_box and z_cap = P.z_cap pb ~theta in
+  match P.relaxation pb ~wbox ~z_cap with
+  | None -> Alcotest.fail "the ECoG root box has no relaxation"
+  | Some r -> (
+      let root = r.P.socp in
+      match
+        Socp.find_strictly_feasible root
+          ~start:(P.project r (P.center_point pb ~wbox ~z_cap))
+      with
+      | Socp.Strictly_feasible x -> (root, x)
+      | Socp.Unknown _ | Socp.Infeasible _ ->
+          Alcotest.fail "the ECoG root program is feasible")
+
+let test_socp_trials_per_step () =
+  (* The ECoG WL 6 root program under the solver's default parameters
+     ends its τ ladder at τ ≈ 2.6e9, where the barrier's value is ≈ 1e9
+     and a Newton decrease of 1e-10 is below its ulp.  A line search
+     testing f(x + t·d) <= f(x) + ¼t·gᵀd halved its steps on rounding
+     noise there: the last rung ran into the 80-iteration cap at 14.5
+     trials per iteration.  The ray's difference converges in a few.
+     The test reruns the solve's ladder (factor 15 per rung) with the
+     same Newton parameters, checks that it lands on the solve's own
+     point, and counts the last rung's trials per Newton iteration. *)
+  let root, start = ecog_root () in
+  let params = Socp.default_params in
+  let sol = Socp.solve ~params root ~start in
+  let ws = Newton.workspace root.Socp.n in
+  let center tau x =
+    Newton.minimize_into ~params:params.Socp.newton ws
+      (Socp.centering_for_tests root tau) x
+  in
+  let x = ref start and tau = ref params.Socp.tau0 in
+  for _ = 2 to sol.Socp.outer_iterations do
+    x := (center !tau !x).Newton.x;
+    tau := 15.0 *. !tau
+  done;
+  checkb "the ladder reaches the solve's final tau" true
+    (Int64.bits_of_float !tau = Int64.bits_of_float sol.Socp.tau_final);
+  let r = center !tau !x in
+  checkb "the last rung lands on the solve's point" true
+    (Array.for_all2
+       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       r.Newton.x sol.Socp.x);
+  checkb "the last rung converges" true (r.Newton.status = Newton.Converged);
+  let per_iteration =
+    float_of_int r.Newton.trials /. float_of_int r.Newton.iterations
+  in
+  checkb
+    (Printf.sprintf "trials per Newton iteration at the final tau: %.2f <= 2"
+       per_iteration)
+    true (per_iteration <= 2.0)
+
 (* ------------------------------------------------------------------ *)
 (* Admm_qp                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1892,6 +2109,10 @@ let () =
             test_socp_barrier_derivatives;
           Alcotest.test_case "SOC oracle bitwise vs per-call LᵀL" `Quick
             test_socp_oracle_bitwise;
+          Alcotest.test_case "ray decrease matches the value difference" `Quick
+            test_socp_ray_decrease;
+          Alcotest.test_case "ECoG root: trials per Newton iteration" `Quick
+            test_socp_trials_per_step;
         ] );
       ( "admm",
         [
