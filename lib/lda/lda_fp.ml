@@ -129,29 +129,53 @@ type program_solve =
   | Phase1_unknown of Vec.t  (* no interior point found, nothing proved *)
   | Phase1_infeasible
 
-(* The node program's one solve path.  A warm start is the parent's
-   optimum clipped into the box: accepted as-is when margin-interior,
-   else pulled toward the center point (the branch rule cuts at the
-   parent optimum, so the clipped point lands on the cut); the parent
-   ended on the same terminal τ (same ν, same [gap_tol]), so its
-   [tau_final] says which rungs to skip — the final τ and the certified
-   gap are unchanged.  A point that defeats the pull-in goes cold:
-   phase-I from the center point, then the whole ladder. *)
-let solve_program cfg pb ~counters ~z_cap node (r : Ldafp_problem.relaxation) =
-  let socp = r.Ldafp_problem.socp and project = Ldafp_problem.project r in
-  let center = project (Ldafp_problem.center_point pb ~wbox:node.wbox ~z_cap) in
-  let warm =
-    if not cfg.warm_start then None
-    else
-      Option.bind node.warm (fun wi ->
-          Option.bind (Ldafp_problem.clip_into_box pb ~wbox:node.wbox wi.point)
-            (fun yz ->
-              Option.map
-                (fun (x, prep) ->
-                  if prep = Socp.Warm_pulled then Bnb.count_warm_pull_in counters;
-                  (x, wi.tau_final))
-                (Socp.prepare_warm_start ~target:center socp (project yz))))
+let p_program =
+  Obs.Probe.v "lda.program"
+    ~count:"node programs built (relaxation, center point, warm start)"
+    ~seconds:
+      (1e-7, 10.0, "wall time of one node program's build, center point and warm start")
+
+(* The node program and its start, built under one [lda.program] span:
+   the relaxation of the box, its center point and, from the parent's
+   optimum, the warm start.  A warm start is the parent's optimum
+   clipped into the box: accepted as-is when margin-interior, else
+   pulled toward the center point (the branch rule cuts at the parent
+   optimum, so the clipped point lands on the cut).  [None] when the
+   program is empty. *)
+let build_program cfg pb ~counters ~z_cap node =
+  let observed = Obs.Probe.on () in
+  let t0 = if observed then Obs.Clock.now_ns () else 0 in
+  let program =
+    match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap with
+    | None -> None
+    | Some r ->
+        let socp = r.Ldafp_problem.socp and project = Ldafp_problem.project r in
+        let center = project (Ldafp_problem.center_point pb ~wbox:node.wbox ~z_cap) in
+        let warm =
+          if not cfg.warm_start then None
+          else
+            Option.bind node.warm (fun wi ->
+                Option.bind (Ldafp_problem.clip_into_box pb ~wbox:node.wbox wi.point)
+                  (fun yz ->
+                    Option.map
+                      (fun (x, prep) ->
+                        if prep = Socp.Warm_pulled then Bnb.count_warm_pull_in counters;
+                        (x, wi.tau_final))
+                      (Socp.prepare_warm_start ~target:center socp (project yz))))
+        in
+        Some (r, center, warm)
   in
+  if observed then
+    Obs.Probe.span p_program ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0);
+  program
+
+(* The node program's one solve path.  The parent ended on the same
+   terminal τ (same ν, same [gap_tol]), so a warm start's [tau_final]
+   says which rungs to skip — the final τ and the certified gap are
+   unchanged.  Without a warm start it goes cold: phase-I from the
+   center point, then the whole ladder. *)
+let solve_program cfg (r : Ldafp_problem.relaxation) ~center warm =
+  let socp = r.Ldafp_problem.socp in
   match warm with
   | Some (x0, tau_final) ->
       Warm
@@ -199,10 +223,10 @@ let bound_node cfg pb counters node =
        <= θ: that prunes against the incumbent, but a θ from the center
        point (which need not meet the cones) bounds the box by θ. *)
     let empty () = if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None } in
-    match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap with
+    match build_program cfg pb ~counters ~z_cap node with
     | None -> empty ()
-    | Some relax -> (
-        let result = solve_program cfg pb ~counters ~z_cap node relax in
+    | Some (relax, center, warm) -> (
+        let result = solve_program cfg relax ~center warm in
         (* Hits and misses partition a warm-start run's solves. *)
         (match (result, node.warm) with
         | Warm _, _ -> Bnb.count_warm_start_hit counters

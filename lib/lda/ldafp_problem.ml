@@ -172,10 +172,38 @@ let build ?(rho = 0.99) ~fmt scatter =
 let dim t = Vec.dim t.d
 let elem_interval t j = t.elem_box.(j)
 
+(* [Vec.dot a x] and [Mat.quadratic_form a x], summed in their order so
+   the bits are theirs, as loops inlined into the callers here: the
+   cross-module calls box the float each returns. *)
+let[@inline] check_dim a x =
+  if Array.length a <> Array.length x then
+    invalid_arg "Ldafp_problem: dimension mismatch"
+
+let[@inline] dot a x =
+  check_dim a x;
+  let s = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    s := !s +. (a.(i) *. x.(i))
+  done;
+  !s
+
+let[@inline] quadratic_form a x =
+  check_dim a x;
+  let s = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    let ai = a.(i) in
+    check_dim ai x;
+    let r = ref 0.0 in
+    for k = 0 to Array.length x - 1 do
+      r := !r +. (ai.(k) *. x.(k))
+    done;
+    s := !s +. (x.(i) *. !r)
+  done;
+  !s
+
 let cost t w =
-  let tt = Vec.dot t.d w in
-  if tt = 0.0 then Float.infinity
-  else Mat.quadratic_form t.sw w /. (tt *. tt)
+  let tt = dot t.d w in
+  if tt = 0.0 then Float.infinity else quadratic_form t.sw w /. (tt *. tt)
 
 (* In the format's range and within 1e-12 of the nearest grid point,
    the verdicts of {!Qformat.in_range} and {!Qformat.nearest_on_grid}
@@ -206,22 +234,25 @@ let[@inline] elem_violation ~beta ~lo_bound ~hi_bound wj mu var =
   band_violation ~lo_bound ~hi_bound (wj *. mu)
     (beta *. Float.abs wj *. sqrt (Float.max var 0.0))
 
+(* Projection constraint (20) of one class, mean [mu] and covariance
+   [sigma]. *)
+let[@inline] proj_violation ~beta ~lo_bound ~hi_bound mu sigma w =
+  band_violation ~lo_bound ~hi_bound (dot mu w)
+    (beta *. sqrt (Float.max (quadratic_form sigma w) 0.0))
+
 (* Float.max is associative and commutative, NaN and signed zeros
-   included, so the order of the folds does not change the bits. *)
-let constraint_violation t w =
-  let lo_bound = Qformat.min_value t.fmt in
-  let hi_bound = Qformat.max_value t.fmt in
+   included, so the order of the folds does not change the bits.  The
+   bounds are {!Qformat.min_value} and {!Qformat.max_value}, formed here
+   unboxed; inlined into [feasible], the result is never boxed either. *)
+let[@inline] constraint_violation t w =
+  let { Qformat.k; f } = t.fmt in
+  let lo_bound = -.ldexp 1.0 (k - 1) and hi_bound = ldexp 1.0 (k - 1) -. ldexp 1.0 (-f) in
   let s = t.scatter and beta = t.beta in
-  (* Projection constraints (20), exact quadratic forms. *)
-  let proj mu sigma =
-    band_violation ~lo_bound ~hi_bound (Vec.dot mu w)
-      (beta *. sqrt (Float.max (Mat.quadratic_form sigma w) 0.0))
-  in
   let worst =
     ref
       (Float.max
-         (proj s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a)
-         (proj s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b))
+         (proj_violation ~beta ~lo_bound ~hi_bound s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a w)
+         (proj_violation ~beta ~lo_bound ~hi_bound s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b w))
   in
   (* Element constraints (18), exact. *)
   for j = 0 to Vec.dim w - 1 do

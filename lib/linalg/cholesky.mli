@@ -19,6 +19,14 @@ val factor_into : ?jitter:float -> Mat.t -> dst:Mat.t -> unit
     triangle.  [dst] may alias [a] (classical in-place Cholesky), but on
     failure [dst] is left partially overwritten — aliasing callers lose
     [a] when the factorisation raises.
+
+    Rows are factored left-looking in blocks of four: for each column
+    left of a block, the four rows' sums run side by side (interleaved,
+    to hide the latency of each subtraction).  Each entry is still the
+    row-by-row sum [a(i)(j) (+ jitter) − Σ_{k<j} l(i)(k)·l(j)(k)], from
+    the same start, in ascending [k], so the factor is bit for bit the
+    one the row-by-row loop gives, and a failing pivot raises the same
+    index.
     @raise Not_positive_definite if a pivot is [<= 0]. *)
 
 val factor_jittered : Mat.t -> Mat.t * float

@@ -84,14 +84,52 @@ let mul_vec a x =
     invalid_arg "Mat.mul_vec: dimension mismatch";
   Array.map (fun r -> Vec.dot r x) a
 
+(* Row i of [a x] into [dst.(pos + i)], each the sum of [Vec.dot a.(i) x]:
+   from +0, k ascending.  Four rows' sums run side by side and share the
+   loads of x, so no sum waits on another's previous addition; the
+   rows a block of four leaves over go one at a time.  The sums are
+   written out here, not taken from [Vec.dot]: a call to it boxes the
+   float it returns. *)
+let mul_vec_into_at a x ~dst ~pos =
+  let m = rows a and n = Array.length x in
+  if cols a <> n then invalid_arg "Mat.mul_vec_into: dimension mismatch";
+  if pos < 0 || pos + m > Array.length dst then
+    invalid_arg "Mat.mul_vec_into_at: dst too short";
+  let i0 = ref 0 in
+  while !i0 + 4 <= m do
+    let i = !i0 in
+    let r0 = a.(i) and r1 = a.(i + 1) and r2 = a.(i + 2) and r3 = a.(i + 3) in
+    if Array.length r0 <> n || Array.length r1 <> n || Array.length r2 <> n
+       || Array.length r3 <> n
+    then invalid_arg "Mat.mul_vec_into: ragged rows";
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for k = 0 to n - 1 do
+      let xk = x.(k) in
+      s0 := !s0 +. (r0.(k) *. xk);
+      s1 := !s1 +. (r1.(k) *. xk);
+      s2 := !s2 +. (r2.(k) *. xk);
+      s3 := !s3 +. (r3.(k) *. xk)
+    done;
+    dst.(pos + i) <- !s0;
+    dst.(pos + i + 1) <- !s1;
+    dst.(pos + i + 2) <- !s2;
+    dst.(pos + i + 3) <- !s3;
+    i0 := i + 4
+  done;
+  for i = !i0 to m - 1 do
+    let r = a.(i) in
+    if Array.length r <> n then invalid_arg "Mat.mul_vec_into: ragged rows";
+    let s = ref 0.0 in
+    for k = 0 to n - 1 do
+      s := !s +. (r.(k) *. x.(k))
+    done;
+    dst.(pos + i) <- !s
+  done
+
 let mul_vec_into a x ~dst =
-  if cols a <> Array.length x then
-    invalid_arg "Mat.mul_vec_into: dimension mismatch";
   if rows a <> Array.length dst then
     invalid_arg "Mat.mul_vec_into: dst dimension mismatch";
-  for i = 0 to rows a - 1 do
-    dst.(i) <- Vec.dot a.(i) x
-  done
+  mul_vec_into_at a x ~dst ~pos:0
 
 let tmul_vec_into a x ~dst =
   if rows a <> Array.length x then

@@ -40,7 +40,16 @@ val mul_vec : t -> Vec.t -> Vec.t
 
 val mul_vec_into : t -> Vec.t -> dst:Vec.t -> unit
 (** [mul_vec_into a x ~dst] writes [a x] into [dst] without allocating.
-    [dst] must not alias [x]. *)
+    [dst] must not alias [x].  Entry [i] is [Vec.dot a.(i) x] bit for
+    bit: the sums of four rows run side by side (interleaved, to hide
+    the latency of each addition), but each sum starts from [+0] and
+    adds its terms in ascending column order. *)
+
+val mul_vec_into_at : t -> Vec.t -> dst:Vec.t -> pos:int -> unit
+(** [mul_vec_into_at a x ~dst ~pos] writes [a x] into
+    [dst.(pos) .. dst.(pos + rows a - 1)], with the sums of
+    {!mul_vec_into}, and leaves the rest of [dst] alone.
+    @raise Invalid_argument if that range does not fit in [dst]. *)
 
 val tmul_vec : t -> Vec.t -> Vec.t
 (** [tmul_vec a x] is [aᵀ x]. *)

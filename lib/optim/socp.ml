@@ -279,6 +279,7 @@ type scratch = {
   h_rate1 : Vec.t;  (* per cone: 2(u·cᵀd − vᵀLd) / h *)
   h_rate2 : Vec.t;  (* per cone: ((cᵀd)² − ‖Ld‖²) / h *)
   v : Vec.t;  (* each distinct residual Lx + g, at its cone_off *)
+  ld : Vec.t;  (* each distinct L d of the ray, at its cone_off *)
   ltv : Mat.t;  (* per cone: Lᵀ v *)
   gh : Vec.t;  (* gradient of the cone slack h *)
 }
@@ -310,6 +311,7 @@ let scratch_for pb =
           vld = per_cone (); ldd = per_cone ();
           u_rate = per_cone (); h_rate1 = per_cone (); h_rate2 = per_cone ();
           v = Vec.zeros rows;
+          ld = Vec.zeros rows;
           ltv = Mat.zeros n_socs pb.n;
           gh = Vec.zeros pb.n;
         }
@@ -366,8 +368,9 @@ let centering_into pb sc tau : Newton.oracle_into =
         let u = Vec.dot c x +. d in
         if src = k then begin
           let off = pb.cone_off.(k) and vv = ref 0.0 in
+          Mat.mul_vec_into_at l x ~dst:sc.v ~pos:off;
           for r = 0 to Mat.rows l - 1 do
-            let vr = Vec.dot l.(r) x +. g.(r) in
+            let vr = sc.v.(off + r) +. g.(r) in
             sc.v.(off + r) <- vr;
             vv := !vv +. (vr *. vr)
           done;
@@ -473,8 +476,9 @@ let centering_into pb sc tau : Newton.oracle_into =
       if src = k then begin
         let off = pb.cone_off.(k) in
         let vld = ref 0.0 and ldd = ref 0.0 in
+        Mat.mul_vec_into_at l d ~dst:sc.ld ~pos:off;
         for r = 0 to Mat.rows l - 1 do
-          let ldr = Vec.dot l.(r) d in
+          let ldr = sc.ld.(off + r) in
           vld := !vld +. (sc.v.(off + r) *. ldr);
           ldd := !ldd +. (ldr *. ldr)
         done;

@@ -316,6 +316,199 @@ let test_factor_jittered_into_reads_lower () =
   let rank1 = Mat.outer [| 1.0; -3.0; 2.0 |] [| 1.0; -3.0; 2.0 |] in
   checkb "rank-deficient: jittered" true (check "rank-deficient" rank1 > 0.0)
 
+(* Reference copies of the row-at-a-time kernels the blocked ones
+   replaced: every entry of the blocked [Cholesky.factor_into] and
+   [Mat.mul_vec_into] must equal these bit for bit (NaN payloads
+   included: the same operations on the same operands). *)
+let reference_factor_into ?(jitter = 0.0) a ~dst =
+  let n = Mat.rows a in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let s = ref (a.(i).(j) +. if i = j then jitter else 0.0) in
+      for k = 0 to j - 1 do
+        s := !s -. (dst.(i).(k) *. dst.(j).(k))
+      done;
+      if i = j then begin
+        if !s <= 0.0 then raise (Cholesky.Not_positive_definite i);
+        dst.(i).(i) <- sqrt !s
+      end
+      else dst.(i).(j) <- !s /. dst.(j).(j)
+    done;
+    for j = i + 1 to n - 1 do
+      dst.(i).(j) <- 0.0
+    done
+  done
+
+let reference_factor_jittered a =
+  let dst = Mat.zeros (Mat.rows a) (Mat.cols a) in
+  let rec go jitter tries =
+    if tries > 20 then raise (Cholesky.Not_positive_definite (-1))
+    else
+      match reference_factor_into ~jitter a ~dst with
+      | () -> (dst, jitter)
+      | exception Cholesky.Not_positive_definite _ ->
+          let lower = ref 0.0 in
+          Array.iteri
+            (fun i r ->
+              for j = 0 to i do
+                lower := Float.max !lower (Float.abs r.(j))
+              done)
+            a;
+          go (if jitter = 0.0 then 1e-12 *. Float.max !lower 1e-300 else 10.0 *. jitter)
+            (tries + 1)
+  in
+  go 0.0 0
+
+let reference_mul_vec a x =
+  Array.map
+    (fun r ->
+      let s = ref 0.0 in
+      for k = 0 to Array.length x - 1 do
+        s := !s +. (r.(k) *. x.(k))
+      done;
+      !s)
+    a
+
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+let same_vec_bits u v = Array.length u = Array.length v && Array.for_all2 same_bits u v
+let same_mat_bits a b = Array.length a = Array.length b && Array.for_all2 same_vec_bits a b
+
+(* The pivot a factorisation fails at, or -2 when it succeeds. *)
+let failing_pivot f = match f () with () -> -2 | exception Cholesky.Not_positive_definite i -> i
+
+let test_cholesky_blocked_bits () =
+  let rng = Stats.Rng.create 35 and retried = ref 0 in
+  for n = 0 to 50 do
+    let a = random_spd rng n in
+    (* the upper triangle is never read: poison it *)
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        a.(i).(j) <- Float.nan
+      done
+    done;
+    let expect = Mat.zeros n n in
+    reference_factor_into a ~dst:expect;
+    let dst = Mat.init n n (fun _ _ -> Float.nan) in
+    Cholesky.factor_into a ~dst;
+    checkb (Printf.sprintf "n = %d: factor bits" n) true (same_mat_bits expect dst);
+    let a' = Mat.copy a in
+    Cholesky.factor_into a' ~dst:a';
+    checkb (Printf.sprintf "n = %d: aliased factor bits" n) true (same_mat_bits expect a');
+    (* −0 off the diagonal: each sum starts at a(i)(j) + 0 = +0 *)
+    let signed = Mat.init n n (fun i j -> if i = j then float_of_int (i + 1) else -0.0) in
+    reference_factor_into signed ~dst:expect;
+    Cholesky.factor_into signed ~dst;
+    checkb (Printf.sprintf "n = %d: signed-zero factor bits" n) true (same_mat_bits expect dst);
+    let jitter = 0.25 *. Stats.Rng.uniform rng ~lo:0.0 ~hi:1.0 in
+    reference_factor_into ~jitter a ~dst:expect;
+    Cholesky.factor_into ~jitter a ~dst;
+    checkb (Printf.sprintf "n = %d: jittered factor bits" n) true (same_mat_bits expect dst);
+    (* Rank at most n/2 + 1 < n from n = 3 on, so an attempt that
+       rounding does not rescue fails and the retry loop runs. *)
+    let b = Mat.init n (n / 2 + 1) (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+    let low_rank = Mat.mul b (Mat.transpose b) in
+    let expect_l, expect_j = reference_factor_jittered low_rank in
+    let j = Cholesky.factor_jittered_into low_rank ~dst in
+    if j > 0.0 then incr retried;
+    checkb (Printf.sprintf "n = %d: jitter bits" n) true (same_bits expect_j j);
+    checkb (Printf.sprintf "n = %d: jittered retry factor bits" n) true
+      (same_mat_bits expect_l dst)
+  done;
+  checkb (Printf.sprintf "%d of 51 sizes retried with jitter" !retried) true (!retried >= 25)
+
+(* Make pivot [p] of an s.p.d. [a] negative: a(p)(p) below the sum of
+   squares the reference subtracts from it.  Rows before p and row p's
+   off-diagonal entries are unchanged, so the reference fails exactly
+   at p; so must the blocked kernel, wherever p sits in a block of four
+   (n runs through every residue mod 4). *)
+let test_cholesky_blocked_failing_pivot () =
+  let rng = Stats.Rng.create 36 in
+  for n = 1 to 13 do
+    let a = random_spd rng n in
+    let l = Cholesky.factor a in
+    for p = 0 to n - 1 do
+      let bad = Mat.copy a in
+      let sq = ref 0.0 in
+      for k = 0 to p - 1 do
+        sq := !sq +. (l.(p).(k) *. l.(p).(k))
+      done;
+      bad.(p).(p) <- !sq -. 1.0;
+      let want = failing_pivot (fun () -> reference_factor_into bad ~dst:(Mat.zeros n n)) in
+      checki (Printf.sprintf "n = %d: reference fails at %d" n p) p want;
+      checki (Printf.sprintf "n = %d: pivot %d" n p) want
+        (failing_pivot (fun () -> Cholesky.factor_into bad ~dst:(Mat.zeros n n)));
+      checki (Printf.sprintf "n = %d: aliased pivot %d" n p) want
+        (failing_pivot (fun () -> let c = Mat.copy bad in Cholesky.factor_into c ~dst:c));
+      (* a zero pivot fails too, and a NaN one passes the test *)
+      bad.(p).(p) <- 0.0;
+      for k = 0 to p - 1 do bad.(p).(k) <- 0.0; bad.(k).(p) <- 0.0 done;
+      checki (Printf.sprintf "n = %d: zero pivot %d" n p)
+        (failing_pivot (fun () -> reference_factor_into bad ~dst:(Mat.zeros n n)))
+        (failing_pivot (fun () -> Cholesky.factor_into bad ~dst:(Mat.zeros n n)));
+      bad.(p).(p) <- Float.nan;
+      let expect = Mat.zeros n n and dst = Mat.zeros n n in
+      let want = failing_pivot (fun () -> reference_factor_into bad ~dst:expect) in
+      checki (Printf.sprintf "n = %d: NaN pivot %d" n p) want
+        (failing_pivot (fun () -> Cholesky.factor_into bad ~dst));
+      if want = -2 then
+        checkb (Printf.sprintf "n = %d: NaN pivot %d bits" n p) true (same_mat_bits expect dst)
+    done
+  done
+
+let test_mat_vec_blocked_bits () =
+  let rng = Stats.Rng.create 37 in
+  let special =
+    [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; 1e-300; -1e300; 1.5 |]
+  in
+  let entry () =
+    if Stats.Rng.uniform rng ~lo:0.0 ~hi:1.0 < 0.3 then
+      special.(int_of_float (Stats.Rng.uniform rng ~lo:0.0 ~hi:8.0) mod 8)
+    else Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0
+  in
+  for m = 0 to 50 do
+    List.iter
+      (fun n ->
+        let plain = Mat.init m n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
+        let mixed = Mat.init m n (fun _ _ -> entry ()) in
+        (* all-negative-zero products: each sum must stay +0 *)
+        let zeros = Mat.make m n (-0.0) in
+        List.iter
+          (fun (label, a, x) ->
+            let expect = reference_mul_vec a x in
+            let dst = Array.make m Float.nan in
+            Mat.mul_vec_into a x ~dst;
+            checkb (Printf.sprintf "%s %dx%d: mul_vec_into bits" label m n) true
+              (same_vec_bits expect dst);
+            checkb (Printf.sprintf "%s %dx%d: mul_vec bits" label m n) true
+              (same_vec_bits expect (Mat.mul_vec a x));
+            let wide = Array.make (m + 5) 7.0 in
+            Mat.mul_vec_into_at a x ~dst:wide ~pos:3;
+            checkb (Printf.sprintf "%s %dx%d: mul_vec_into_at bits" label m n) true
+              (same_vec_bits expect (Array.sub wide 3 m));
+            checkb (Printf.sprintf "%s %dx%d: mul_vec_into_at leaves the rest" label m n)
+              true
+              (Array.for_all (( = ) 7.0) (Array.sub wide 0 3)
+              && Array.for_all (( = ) 7.0) (Array.sub wide (m + 3) 2)))
+          [ ("plain", plain, random_vec rng n);
+            ("mixed", mixed, Array.init n (fun _ -> entry ()));
+            ("zeros", zeros, Array.make n 1.0) ]
+      )
+      (* a matrix without rows has no columns either *)
+      (if m = 0 then [ 0 ] else [ 0; 1; 5; 43 ])
+  done;
+  checkb "mul_vec_into_at past the end raises" true
+    (match Mat.mul_vec_into_at (Mat.zeros 4 2) [| 1.0; 2.0 |] ~dst:(Array.make 5 0.0) ~pos:2 with
+    | exception Invalid_argument _ -> true
+    | () -> false);
+  checkb "mul_vec_into ragged raises" true
+    (match
+       Mat.mul_vec_into
+         [| [| 1.0; 2.0 |]; [| 1.0; 2.0 |]; [| 1.0 |]; [| 1.0; 2.0 |] |]
+         [| 1.0; 2.0 |] ~dst:(Array.make 4 0.0)
+     with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 (* ------------------------------------------------------------------ *)
 (* LU                                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -495,6 +688,12 @@ let () =
             test_factor_jittered_into_rank_deficient;
           Alcotest.test_case "jittered reads the lower triangle" `Quick
             test_factor_jittered_into_reads_lower;
+          Alcotest.test_case "blocked cholesky bits" `Quick
+            test_cholesky_blocked_bits;
+          Alcotest.test_case "blocked cholesky failing pivot" `Quick
+            test_cholesky_blocked_failing_pivot;
+          Alcotest.test_case "blocked mat-vec bits" `Quick
+            test_mat_vec_blocked_bits;
         ] );
       ( "lu",
         [

@@ -495,6 +495,34 @@ let test_cross_sink_consistency () =
             (probe_metric (probe_named name));
           if stat > 0 then Hashtbl.replace fired what ())
         (stats_rows d);
+      (* Node programs: a span for every relaxation built (at least one
+         per program solved: warm hits and misses partition those), each
+         inside its bound-oracle call and apart from every solve on its
+         domain, so [lda.program] time is never also [socp.solve] time. *)
+      let programs = events_named events "lda.program" in
+      let s = d.Ldafp_core.Lda_fp.search in
+      let solved =
+        Optim.Bnb.(
+          s.warm_start_hits + s.warm_miss_no_parent + s.warm_miss_not_interior
+          + s.warm_miss_fault_cleared)
+      in
+      checkb "programs solved" true (solved > 0);
+      checkb "a program span per program solved" true (List.length programs >= solved);
+      let on_tid (p : Obs.Trace.event) name =
+        List.filter (fun (e : Obs.Trace.event) -> e.tid = p.tid) (events_named events name)
+      in
+      let stop (e : Obs.Trace.event) = e.ts_ns + e.dur_ns in
+      List.iter
+        (fun (p : Obs.Trace.event) ->
+          checkb "program inside a bound call" true
+            (List.exists
+               (fun (b : Obs.Trace.event) -> b.ts_ns <= p.ts_ns && stop p <= stop b)
+               (on_tid p "bnb.bound"));
+          checkb "program apart from the solves" true
+            (List.for_all
+               (fun (e : Obs.Trace.event) -> e.ts_ns >= stop p || stop e <= p.ts_ns)
+               (on_tid p "socp.solve" @ on_tid p "socp.phase1")))
+        programs;
       (* Line-search trials: the histogram's sum is the trials the
          socp.solve spans count. *)
       let traced_trials =
