@@ -500,6 +500,9 @@ let train_cmd =
                   s.Optim.Bnb.warm_miss_not_interior
                   s.Optim.Bnb.warm_miss_fault_cleared
               end;
+              if s.Optim.Bnb.cone_resolves > 0 then
+                Fmt.pr "cones added at %d node(s), each solved again@."
+                  s.Optim.Bnb.cone_resolves;
               if s.Optim.Bnb.domains_used > 1 then
                 Fmt.pr
                   "scheduler: %d domains shared one frontier heap, %d idle \

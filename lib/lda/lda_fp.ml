@@ -85,6 +85,11 @@ type node = {
       (* true iff [warm] was deliberately cleared by the fault retry
          hook — distinguishes "never had a parent point" from "had one
          and discarded it" in the warm-miss accounting *)
+  mutable cones : int;
+      (* the eq. 20 cones this node's program carries
+         ({!Ldafp_problem.all_cones} mask): empty at the root, grown by
+         [bound] when an optimum violates a cone left out, inherited by
+         the children and kept by the fault retry *)
 }
 
 let src = Logs.Src.create "ldafp.solver" ~doc:"LDA-FP trainer"
@@ -129,6 +134,10 @@ type program_solve =
   | Phase1_unknown of Vec.t  (* no interior point found, nothing proved *)
   | Phase1_infeasible
 
+let p_cones =
+  Obs.Probe.v "lda.cones"
+    ~count:"node programs solved again with the eq. 20 cones their optimum violated"
+
 let p_program =
   Obs.Probe.v "lda.program"
     ~count:"node programs built (relaxation, center point, warm start)"
@@ -146,7 +155,7 @@ let build_program cfg pb ~counters ~z_cap node =
   let observed = Obs.Probe.on () in
   let t0 = if observed then Obs.Clock.now_ns () else 0 in
   let program =
-    match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap with
+    match Ldafp_problem.relaxation pb ~wbox:node.wbox ~z_cap ~cones:node.cones with
     | None -> None
     | Some r ->
         let socp = r.Ldafp_problem.socp and project = Ldafp_problem.project r in
@@ -223,18 +232,43 @@ let bound_node cfg pb counters node =
        <= θ: that prunes against the incumbent, but a θ from the center
        point (which need not meet the cones) bounds the box by θ. *)
     let empty () = if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None } in
-    match build_program cfg pb ~counters ~z_cap node with
+    (* One solve of the node's program; hits and misses partition a
+       warm-start run's solves, a cone re-solve included. *)
+    let solve () =
+      Option.map
+        (fun (relax, center, warm) ->
+          let result = solve_program cfg relax ~center warm in
+          (match (result, node.warm) with
+          | Warm _, _ -> Bnb.count_warm_start_hit counters
+          | _ when not cfg.warm_start -> ()
+          | _, Some _ -> Bnb.count_warm_miss_not_interior counters
+          | _, None ->
+              if node.warm_tainted then Bnb.count_warm_miss_fault_cleared counters
+              else Bnb.count_warm_miss_no_parent counters);
+          (relax, result))
+        (build_program cfg pb ~counters ~z_cap node)
+    in
+    (* Cones on demand: an optimum whose w = y/z violates a cone the
+       program left out is solved again with those cones added, and the
+       node keeps them for its children.  Either program relaxes the
+       box's feasible points, so both bounds are sound. *)
+    let solved =
+      match solve () with
+      | Some (relax, (Warm sol | Cold sol)) as first ->
+          let w = Ldafp_problem.weights_of (Ldafp_problem.embed relax sol.Socp.x) in
+          let added = Ldafp_problem.violated_cones pb w land lnot node.cones in
+          if added = 0 then first
+          else begin
+            node.cones <- node.cones lor added;
+            Obs.Probe.hit p_cones;
+            Bnb.count_cone_resolve counters;
+            solve ()
+          end
+      | first -> first
+    in
+    match solved with
     | None -> empty ()
-    | Some (relax, center, warm) -> (
-        let result = solve_program cfg relax ~center warm in
-        (* Hits and misses partition a warm-start run's solves. *)
-        (match (result, node.warm) with
-        | Warm _, _ -> Bnb.count_warm_start_hit counters
-        | _ when not cfg.warm_start -> ()
-        | _, Some _ -> Bnb.count_warm_miss_not_interior counters
-        | _, None ->
-            if node.warm_tainted then Bnb.count_warm_miss_fault_cleared counters
-            else Bnb.count_warm_miss_no_parent counters);
+    | Some (relax, result) -> (
         let finish x ~tau_final lower =
           let yz = Ldafp_problem.embed relax x in
           node.relax_w <- Some { point = yz; tau_final };
@@ -301,7 +335,8 @@ let branch_node pb node =
           (fun iv ->
             let wbox = Array.copy node.wbox in
             wbox.(j) <- iv;
-            { wbox; relax_w = None; warm = node.relax_w; warm_tainted = false })
+            { wbox; relax_w = None; warm = node.relax_w; warm_tainted = false;
+              cones = node.cones })
           [ lo; hi ]
 
 (* Retry attempt [k >= 1] of a failed relaxation: perturb the barrier
@@ -362,6 +397,7 @@ let solve ?(config = default_config) ?interrupt ?(wrap_oracle = Fun.id) pb =
       relax_w = None;
       warm = None;
       warm_tainted = false;
+      cones = 0;
     }
   in
   let counters = Bnb.oracle_counters () in
@@ -374,7 +410,9 @@ let solve ?(config = default_config) ?interrupt ?(wrap_oracle = Fun.id) pb =
         Some
           (fun ~attempt node ->
             (* The previous attempt failed mid-solve: any cached point on
-               the node is tainted — never warm-start a retry from it. *)
+               the node is tainted — never warm-start a retry from it.
+               Its cone mask stays: a cone only tightens a sound
+               relaxation. *)
             if node.warm <> None then node.warm_tainted <- true;
             node.warm <- None;
             node.relax_w <- None;

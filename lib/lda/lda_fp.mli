@@ -5,7 +5,10 @@
     - {e lower bound}: the exact linear-fractional relaxation
       ({!Ldafp_problem.relaxation}), one SOCP whose optimum is the
       minimum of the cost over the relaxed region (it replaces eq. 26's
-      frozen denominator [η = sup t²]); prune when infeasible (phase-I
+      frozen denominator [η = sup t²]).  It carries the eq. 20 cones on
+      demand: the root's program has none, a node whose optimum
+      violates a cone left out is solved again with those cones, and
+      its children inherit them; prune when infeasible (phase-I
       certificate) or when the bound beats the incumbent.  Every pruning
       bound comes from an independently verified dual certificate
       ({!Optim.Socp.certify_lower_bound}), never the solver's primal
@@ -98,9 +101,9 @@ type outcome = {
 }
 
 type node
-(** A search region: a grid-aligned box for [w] and the warm-start
-    state its bound solve inherits.  Abstract: only a [?wrap_oracle]
-    handed to {!solve} sees one. *)
+(** A search region: a grid-aligned box for [w], the eq. 20 cones its
+    program carries and the warm-start state its bound solve inherits.
+    Abstract: only a [?wrap_oracle] handed to {!solve} sees one. *)
 
 val solve :
   ?config:config ->

@@ -312,7 +312,26 @@ let z_cap t ~theta =
 
 type relaxation = { socp : Socp.problem; free : int array; pinned : Vec.t; kappa : float }
 
-let relaxation t ~wbox ~z_cap =
+let all_cones = 0b1111
+
+(* The bit of each cone of {!build}'s array whose side of (20) [w]
+   violates by more than the 1e-9 {!feasible} allows, by the test of
+   {!constraint_violation}: per class, the lower side is its even cone,
+   the upper its odd one. *)
+let violated_cones t w =
+  let tol = 1e-9 in
+  let { Qformat.k; f } = t.fmt in
+  let lo_bound = -.ldexp 1.0 (k - 1) and hi_bound = ldexp 1.0 (k - 1) -. ldexp 1.0 (-f) in
+  let s = t.scatter and beta = t.beta in
+  let sides bit mu sigma =
+    let c = dot mu w and spread = beta *. sqrt (Float.max (quadratic_form sigma w) 0.0) in
+    (if lo_bound -. (c -. spread) > tol then bit else 0)
+    lor if c +. spread -. hi_bound > tol then bit lsl 1 else 0
+  in
+  sides 0b0001 s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a
+  lor sides 0b0100 s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b
+
+let relaxation t ~wbox ~z_cap ~cones =
   let m = dim t in
   let free =
     Array.of_list
@@ -336,7 +355,10 @@ let relaxation t ~wbox ~z_cap =
       Vec.init m (fun j ->
           if Fx_interval.is_singleton wbox.(j) then Fx_interval.lo wbox.(j) else 0.0)
     in
-    let p, dt, socs = fold_pins ~p_base:t.p_base ~d:t.d ~cones:t.cones ~free ~v:pinned in
+    let cones =
+      Array.of_list (List.filteri (fun i _ -> cones land (1 lsl i) <> 0) (Array.to_list t.cones))
+    in
+    let p, dt, socs = fold_pins ~p_base:t.p_base ~d:t.d ~cones ~free ~v:pinned in
     let row i ~y ~z b =
       let a = Vec.zeros n in
       if i < nf then a.(i) <- y;

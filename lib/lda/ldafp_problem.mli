@@ -10,8 +10,9 @@
 
     with [β = Φ⁻¹(0.5 + 0.5 ρ)].  The per-element constraints (18) are
     piecewise linear in [w_m] and reduce to one closed interval per element
-    (computed here in closed form); the projection constraints (20) are the
-    four second-order cones handed to the relaxation solver. *)
+    (computed here in closed form); the projection constraints (20) are
+    four second-order cones, which a node's relaxation carries only where
+    its mask asks for them. *)
 
 type t = private {
   fmt : Fixedpoint.Qformat.t;
@@ -23,10 +24,11 @@ type t = private {
   elem_box : Fixedpoint.Fx_interval.t array;
       (** per-element grid interval: (13) ∩ (18) ∩ (28) *)
   cones : Optim.Socp.soc array;
-      (** the four cones of (20), with a slack compensating the Cholesky
-          jitter so the relaxation never cuts off an exactly-feasible
-          grid point; each class's pair shares one [l], so a node's
-          program forms two Grams, not four *)
+      (** the four cones of (20), class A's lower and upper side then
+          class B's, with a slack compensating the Cholesky jitter so
+          the relaxation never cuts off an exactly-feasible grid point;
+          each class's pair shares one [l], so a node's program forms
+          at most two Grams, not four *)
   p_base : Linalg.Mat.t;  (** [2 S_W], the quadratic term of every node *)
   lambda_min : float;
       (** verified [λ̲ <= λ_min(2 S_W)] ({!Optim.Psd.verified_lambda_min}),
@@ -64,6 +66,15 @@ val feasible : ?tol:float -> t -> Linalg.Vec.t -> bool
 (** Grid membership, element intervals, and [constraint_violation <= tol]
     (default [1e-9]). *)
 
+val all_cones : int
+(** The cone mask of every cone of (20): bit [i] stands for
+    [cones.(i)], so [0] is the cone-free program. *)
+
+val violated_cones : t -> Linalg.Vec.t -> int
+(** The mask of the cones of (20) that [w] violates by more than the
+    [1e-9] {!feasible} allows, under the exact test of
+    {!constraint_violation}: [0] iff its (20) part is [<= 1e-9]. *)
+
 val t_of : t -> Linalg.Vec.t -> float
 (** [t = (μ_A − μ_B)ᵀ w], eq. (22). *)
 
@@ -91,11 +102,14 @@ type relaxation = private {
 
     {v minimize  yᵀ S_W y
        s.t.      lo·z <= y <= hi·z,   dᵀy >= κ,
-                 β‖Lᵀy‖ <= ±μᵀy + R·z   (the four cones of (20)),
+                 β‖Lᵀy‖ <= ±μᵀy + R·z   (the masked cones of (20)),
                  κ/t_hi <= z <= κ·z_cap v}
 
     whose optimum is κ² times the minimum cost over the region's points
-    with [t >= 1/z_cap] ([dᵀy >= κ] is heuristic H3).  A pinned
+    with [t >= 1/z_cap] that meet the masked cones ([dᵀy >= κ] is
+    heuristic H3).  Dropping a cone only enlarges that set, so the
+    program with any mask lower-bounds the cost over the box's feasible
+    points.  A pinned
     coordinate [y_j = v_j·z] folds into [z]'s column, so the program has
     [free + 1] variables, no constant term and no cone offsets; its
     quadratic term is [Mᵀ(2S_W)M] for the orthogonal columns
@@ -103,9 +117,14 @@ type relaxation = private {
     curvature on the [y] block at every node ({!psd_block}). *)
 
 val relaxation :
-  t -> wbox:Fixedpoint.Fx_interval.t array -> z_cap:float -> relaxation option
-(** The program of a box with a free coordinate, its pins folded into
-    [z]'s column, its Grams formed by {!Optim.Socp.of_parts}.  [None]
+  t ->
+  wbox:Fixedpoint.Fx_interval.t array ->
+  z_cap:float ->
+  cones:int ->
+  relaxation option
+(** The program of a box with a free coordinate and the cones of
+    [cones] (a mask as {!all_cones}), its pins folded into [z]'s column,
+    its Grams formed by {!Optim.Socp.of_parts}.  [None]
     when no point of the box has [t >= 1/z_cap > 0]; [z_cap = infinity]
     drops [z]'s upper row.
     @raise Invalid_argument when every coordinate is pinned. *)

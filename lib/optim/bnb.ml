@@ -65,6 +65,7 @@ type stats = {
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
+  cone_resolves : int;
   cert_verified : int;
   cert_repaired : int;
   cert_fallbacks : int;
@@ -103,6 +104,7 @@ let stats_to_json (s : stats) =
       ("warm_miss_no_parent", Int s.warm_miss_no_parent);
       ("warm_miss_not_interior", Int s.warm_miss_not_interior);
       ("warm_miss_fault_cleared", Int s.warm_miss_fault_cleared);
+      ("cone_resolves", Int s.cone_resolves);
       ("cert_verified", Int s.cert_verified);
       ("cert_repaired", Int s.cert_repaired);
       ("cert_fallbacks", Int s.cert_fallbacks);
@@ -127,6 +129,7 @@ type oracle_counters = {
   miss_no_parent : int Atomic.t;
   miss_not_interior : int Atomic.t;
   miss_fault_cleared : int Atomic.t;
+  cone_resolves : int Atomic.t;
   oracle_time_us : int Atomic.t;
   cert_verified : int Atomic.t;
   cert_repaired : int Atomic.t;
@@ -145,6 +148,7 @@ let oracle_counters () =
     miss_no_parent = Atomic.make 0;
     miss_not_interior = Atomic.make 0;
     miss_fault_cleared = Atomic.make 0;
+    cone_resolves = Atomic.make 0;
     oracle_time_us = Atomic.make 0;
     cert_verified = Atomic.make 0;
     cert_repaired = Atomic.make 0;
@@ -156,6 +160,7 @@ let count_warm_pull_in oc = Atomic.incr oc.pull_ins
 let count_warm_miss_no_parent oc = Atomic.incr oc.miss_no_parent
 let count_warm_miss_not_interior oc = Atomic.incr oc.miss_not_interior
 let count_warm_miss_fault_cleared oc = Atomic.incr oc.miss_fault_cleared
+let count_cone_resolve oc = Atomic.incr oc.cone_resolves
 let count_cert_verified oc = Atomic.incr oc.cert_verified
 let count_cert_repaired oc = Atomic.incr oc.cert_repaired
 let incumbent_cost oc = Atomic.get oc.incumbent_cost
@@ -426,6 +431,7 @@ let restore (oc : oracle_counters) (s : stats) =
   Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
   Atomic.set oc.miss_not_interior s.warm_miss_not_interior;
   Atomic.set oc.miss_fault_cleared s.warm_miss_fault_cleared;
+  Atomic.set oc.cone_resolves s.cone_resolves;
   Atomic.set oc.oracle_time_us
     (int_of_float (Float.round (s.oracle_seconds *. 1e6)));
   Atomic.set oc.cert_verified s.cert_verified;
@@ -606,6 +612,7 @@ let run : type region sol.
       warm_miss_no_parent = Atomic.get oc.miss_no_parent;
       warm_miss_not_interior = Atomic.get oc.miss_not_interior;
       warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
+      cone_resolves = Atomic.get oc.cone_resolves;
       cert_verified = Atomic.get oc.cert_verified;
       cert_repaired = Atomic.get oc.cert_repaired;
       cert_fallbacks = Atomic.get oc.cert_fallbacks;

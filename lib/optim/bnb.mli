@@ -183,6 +183,11 @@ type stats = {
   warm_miss_fault_cleared : int;
       (** bound solves that went cold because a fault retry had
           deliberately discarded a tainted warm point *)
+  cone_resolves : int;
+      (** bound solves repeated because the first solve's optimum
+          violated a constraint its program had left out (the LDA-FP
+          trainer's eq. 20 cones on demand), one per [lda.cones] event;
+          each repeat is one more solve in the warm-start partition *)
   cert_verified : int;
       (** bound solves whose dual certificate verified without repair —
           see {!Socp.certify_lower_bound}; 0 unless the oracle reports
@@ -271,6 +276,10 @@ val count_warm_miss_not_interior : oracle_counters -> unit
 val count_warm_miss_fault_cleared : oracle_counters -> unit
 (** Record one cold bound solve whose inherited optimum had been
     discarded by a fault retry. *)
+
+val count_cone_resolve : oracle_counters -> unit
+(** Record one bound solve repeated with constraints its first solve's
+    optimum violated. *)
 
 val count_cert_verified : oracle_counters -> unit
 (** Record one bound whose dual certificate verified as extracted. *)

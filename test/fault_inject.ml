@@ -43,7 +43,7 @@ let uniform ~seed ~call ~salt =
   let bits = Int64.shift_right_logical (mix64 z) 11 in
   Int64.to_float bits /. 9007199254740992.0 (* 2^53 *)
 
-let wrap cfg (oracle : _ Bnb.oracle) =
+let wrap cfg (oracle : _ Optim.Bnb.oracle) =
   let calls = Atomic.make 0 in
   let injected = Atomic.make 0 in
   let maybe_delay call =
@@ -59,9 +59,9 @@ let wrap cfg (oracle : _ Bnb.oracle) =
     end
     else if uniform ~seed:cfg.seed ~call ~salt:2 < cfg.bound_nan_prob then begin
       Atomic.incr injected;
-      Some { Bnb.lower = Float.nan; candidate = None }
+      Some { Optim.Bnb.lower = Float.nan; candidate = None }
     end
-    else oracle.Bnb.bound region
+    else oracle.Optim.Bnb.bound region
   in
   let branch region =
     let call = Atomic.fetch_and_add calls 1 in
@@ -70,6 +70,6 @@ let wrap cfg (oracle : _ Bnb.oracle) =
       Atomic.incr injected;
       raise (Injected (Printf.sprintf "branch call %d" call))
     end
-    else oracle.Bnb.branch region
+    else oracle.Optim.Bnb.branch region
   in
-  ({ Bnb.bound; branch }, fun () -> Atomic.get injected)
+  ({ Optim.Bnb.bound; branch }, fun () -> Atomic.get injected)

@@ -1,12 +1,12 @@
 (** Deterministic fault injection for branch-and-bound oracles.
 
-    Wraps a {!Bnb.oracle} so that individual [bound]/[branch] calls
-    fail — raise {!Injected}, return a NaN lower bound, or stall in a
-    short sleep — with configured probabilities.  This is the test
+    Wraps a {!Optim.Bnb.oracle} so that individual [bound]/[branch]
+    calls fail — raise {!Injected}, return a NaN lower bound, or stall
+    in a short sleep — with configured probabilities.  This is the test
     harness for the driver's containment guarantees: under injected
     faults the search must still terminate, never deadlock across
-    domain counts, report every failure in {!Bnb.stats}, and return a
-    valid incumbent.
+    domain counts, report every failure in {!Optim.Bnb.stats}, and
+    return a valid incumbent.
 
     Randomness is a counter-hashed SplitMix64 stream: each oracle
     invocation draws from an atomic call counter, so the combinator is
@@ -43,10 +43,10 @@ val config :
 (** Unspecified probabilities default to 0; [delay_seconds] to 1 ms. *)
 
 val wrap :
-  config -> ('region, 'sol) Bnb.oracle ->
-  ('region, 'sol) Bnb.oracle * (unit -> int)
+  config -> ('region, 'sol) Optim.Bnb.oracle ->
+  ('region, 'sol) Optim.Bnb.oracle * (unit -> int)
 (** [wrap cfg oracle] is the faulty oracle plus a live counter of
     injected {e failures} (exceptions and NaN bounds; delays are not
     failures).  Tests assert the counter equals
-    {!Bnb.stats}[.oracle_failures] — every injection must be observed,
-    none double-counted. *)
+    {!Optim.Bnb.stats}[.oracle_failures] — every injection must be
+    observed, none double-counted. *)

@@ -368,6 +368,7 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
         warm_miss_no_parent = 18;
         warm_miss_not_interior = 19;
         warm_miss_fault_cleared = 20;
+        cone_resolves = 17;
         cert_verified = 22;
         cert_repaired = 23;
         cert_fallbacks = 24;
@@ -419,10 +420,12 @@ let test_checkpoint_rejects_garbage () =
    snapshot layouts before the scheduler's seed counters, then the
    frontier-cap and warm-correction fields, were dropped, before the
    search region lost its t-interval, before the snapshot stored
-   [Bnb.stats] itself, and before the stats carried [dropped_bound]) or
-   a v7 file (whose frontier a search without certificates may have
-   keyed) is complete and digest-valid, so only the header can refuse
-   it: it must, rather than unmarshal into the v8 type. *)
+   [Bnb.stats] itself, and before the stats carried [dropped_bound]), a
+   v7 file (whose frontier a search without certificates may have
+   keyed) or a v8 file (whose regions carried no cone mask and whose
+   stats had no [cone_resolves]) is complete and digest-valid, so only
+   the header can refuse it: it must, rather than unmarshal into the v9
+   type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
   Fun.protect
@@ -448,7 +451,7 @@ let test_checkpoint_rejects_old_version () =
               checkb (version ^ " refused at the header") true
                 (String.starts_with ~prefix:(path ^ ": bad header") msg)
           | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
-        [ "v2"; "v3"; "v4"; "v5"; "v6"; "v7" ])
+        [ "v2"; "v3"; "v4"; "v5"; "v6"; "v7"; "v8" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -798,6 +801,52 @@ let test_ldafp_warm_counters_survive_resume () =
       checki "phase-I skips survive the chain"
         full.Lda_fp.diagnostics.Lda_fp.search.Bnb.phase1_skipped
         resumed.Lda_fp.diagnostics.Lda_fp.search.Bnb.phase1_skipped)
+
+(* A node's cone mask rides the checkpoint with it: on an
+   ECoG-WL-3-like instance (ECoG features 10–14 at Q2.1, where the
+   eq. 20 cones bind and the snapshots hold regions with masks) a chain
+   killed every 3 nodes re-solves the same nodes with cones as the
+   uninterrupted run and ends on the same incumbent, bound and node
+   count.  A frontier restored without its masks would solve its regions
+   cone-free again and re-solve them (15 re-solves instead of 3). *)
+let test_ldafp_cone_masks_survive_resume () =
+  let open Ldafp_core in
+  let pb, _ = Ecog_subset.problem [| 10; 11; 12; 13; 14 |] in
+  let full =
+    match Lda_fp.solve ~config:(exact_lda_config 4000) pb with
+    | Some o -> o
+    | None -> Alcotest.fail "uninterrupted run found no solution"
+  in
+  let fd = full.Lda_fp.diagnostics in
+  checkb "reference run re-solves with cones" true
+    (fd.Lda_fp.search.Bnb.cone_resolves > 0);
+  let path = temp_checkpoint () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Sys.remove path;
+      let sliced_config budget =
+        { (exact_lda_config budget) with
+          Lda_fp.checkpoint = Some (Lda_fp.checkpoint_spec ~resume:true path) }
+      in
+      let rec train_in_slices budget guard =
+        if guard = 0 then Alcotest.fail "resume loop did not converge"
+        else
+          match Lda_fp.solve ~config:(sliced_config budget) pb with
+          | None -> Alcotest.fail "killed run lost the incumbent"
+          | Some o
+            when o.Lda_fp.diagnostics.Lda_fp.stop_reason = Bnb.Node_budget ->
+              train_in_slices (budget + 3) (guard - 1)
+          | Some o -> o
+      in
+      let resumed = train_in_slices 3 2000 in
+      let rd = resumed.Lda_fp.diagnostics in
+      let bits = Int64.bits_of_float in
+      checkb "same incumbent bits" true (bits full.Lda_fp.cost = bits resumed.Lda_fp.cost);
+      checkb "same bound bits" true (bits fd.Lda_fp.bound = bits rd.Lda_fp.bound);
+      checki "same node count" fd.Lda_fp.nodes rd.Lda_fp.nodes;
+      checki "same cone re-solves" fd.Lda_fp.search.Bnb.cone_resolves
+        rd.Lda_fp.search.Bnb.cone_resolves)
 
 (* Certificate counters (and the soundness flag) ride the same
    checkpoint schema: a kill/resume chain must report the same
@@ -1416,6 +1465,8 @@ let () =
             test_ldafp_faults_invalidate_warm_starts;
           Alcotest.test_case "warm counters survive resume" `Quick
             test_ldafp_warm_counters_survive_resume;
+          Alcotest.test_case "LDA-FP cone masks survive resume" `Quick
+            test_ldafp_cone_masks_survive_resume;
           Alcotest.test_case "cert counters survive resume" `Quick
             test_ldafp_cert_counters_survive_resume;
           Alcotest.test_case "certificates under faults and resume" `Quick

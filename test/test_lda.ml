@@ -281,10 +281,11 @@ let bruteforce_optima pb fmt =
     (Float.infinity, Float.infinity)
     (enumerate_feasible pb fmt)
 
-(* The root program of a problem, solved the way the trainer solves a
-   cold node: phase-I from the center point, then the barrier. *)
-let solve_relaxation pb ~wbox ~z_cap =
-  match Ldafp_problem.relaxation pb ~wbox ~z_cap with
+(* The program of a box, solved the way the trainer solves a cold node:
+   phase-I from the center point, then the barrier.  With every cone of
+   eq. 20 unless [cones] masks some out. *)
+let solve_relaxation ?(cones = Ldafp_problem.all_cones) pb ~wbox ~z_cap =
+  match Ldafp_problem.relaxation pb ~wbox ~z_cap ~cones with
   | None -> Alcotest.fail "relaxation empty"
   | Some r -> (
       let socp = r.Ldafp_problem.socp in
@@ -349,7 +350,9 @@ let test_relative_margins_scale_invariant () =
     Ldafp_problem.z_cap pb
       ~theta:(snd (Option.get (Ldafp_heuristics.seed_incumbent pb)))
   in
-  let r = Option.get (Ldafp_problem.relaxation pb ~wbox ~z_cap) in
+  let r =
+    Option.get (Ldafp_problem.relaxation pb ~wbox ~z_cap ~cones:Ldafp_problem.all_cones)
+  in
   let relax = r.Ldafp_problem.socp in
   let s = 1e6 in
   let scaled =
@@ -1330,7 +1333,7 @@ let check_pinned tag o ~nodes ~bits =
     (tag ^ ": pinned cost bits") bits
     (Printf.sprintf "%Lx" (Int64.bits_of_float o.Lda_fp.cost))
 
-(* An exact run-to-drain search of more than 10^4 nodes (Q2.9, 1000 per
+(* An exact run-to-drain search of more than 10^4 nodes (Q2.10, 1000 per
    class) at 1, 2 and 4 domains.  However the workers interleave on the
    shared frontier, every domain count proves the same optimum with a
    zero certified gap, bit for bit, fully certified, and every worker
@@ -1339,12 +1342,12 @@ let check_pinned tag o ~nodes ~bits =
 let test_exact_search_domain_invariant () =
   check_pinned "Q2.5, 200 per class"
     (exact_search ~domains:1 (synthetic_problem ~n_per_class:200 ~f:5))
-    ~nodes:605 ~bits:"3fe1254547599450";
-  let pb = synthetic_problem ~n_per_class:1000 ~f:9 in
+    ~nodes:286 ~bits:"3fe1254547599450";
+  let pb = synthetic_problem ~n_per_class:1000 ~f:10 in
   let seq = exact_search ~domains:1 pb in
   checkb ">= 10^4 nodes on one domain" true
     (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
-  check_pinned "Q2.9, 1000 per class" seq ~nodes:10_585 ~bits:"3fe46cdfd09faf13";
+  check_pinned "Q2.10, 1000 per class" seq ~nodes:15_539 ~bits:"3fe325be928d116b";
   List.iter
     (fun domains ->
       let o = if domains = 1 then seq else exact_search ~domains pb in
@@ -1516,8 +1519,8 @@ let prop_faulty_exact_search_matches_bruteforce =
       | None -> true
       | Some (pb, fmt) ->
           let inject =
-            if nan then Optim.Fault_inject.config ~seed:1 ~bound_nan_prob:1.0 ()
-            else Optim.Fault_inject.config ~seed:1 ~bound_exn_prob:1.0 ()
+            if nan then Fault_inject.config ~seed:1 ~bound_nan_prob:1.0 ()
+            else Fault_inject.config ~seed:1 ~bound_exn_prob:1.0 ()
           in
           let path = Filename.temp_file "ldafp-test-brute" ".ck" in
           Sys.remove path;
@@ -1528,7 +1531,7 @@ let prop_faulty_exact_search_matches_bruteforce =
               Lda_fp.solve
                 ~config:{ (exact_config ~max_nodes true) with checkpoint }
                 ~wrap_oracle:(fun o ->
-                  let o, count = Optim.Fault_inject.wrap inject o in
+                  let o, count = Fault_inject.wrap inject o in
                   injected := count;
                   o)
                 pb
@@ -1834,6 +1837,84 @@ let test_pinned_fold_dominates_widened () =
         (Printf.sprintf "w_%d = %g: pinned %.12g >= widened %.12g" j v bp bw)
         true (bp >= bw))
     [ 0; 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Cones on demand                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* An ECoG-WL-3-like instance small enough for brute force: [m] of the
+   42 features of the Ecog_sim draw of [seed], picked at random by it. *)
+let ecog_wl3_like ~seed ~m =
+  let rng = Stats.Rng.create (seed + 1) in
+  let cols = Array.init 42 Fun.id in
+  for i = 0 to m - 1 do
+    let k = i + Stats.Rng.int rng (Array.length cols - i) in
+    let c = cols.(i) in
+    cols.(i) <- cols.(k);
+    cols.(k) <- c
+  done;
+  Ecog_subset.problem ~seed (Array.sub cols 0 m)
+
+(* Node programs start without the cones and take back the ones their
+   optimum violates.  On instances where the cones bind, exact searches
+   (seeded on one domain, unseeded on two) still end on the brute-force
+   optimum with a feasible model and a certified bound no higher, and
+   some node re-solved with cones. *)
+let test_cones_on_demand_match_bruteforce () =
+  let resolves = ref 0 in
+  List.iter
+    (fun seed ->
+      let pb, fmt = ecog_wl3_like ~seed ~m:5 in
+      let best, _ = bruteforce_optima pb fmt in
+      List.iter
+        (fun (seed_incumbent, domains) ->
+          let tag what = Printf.sprintf "seed %d, %d domain(s): %s" seed domains what in
+          let result = Lda_fp.solve ~config:(exact_config ~domains seed_incumbent) pb in
+          (match bruteforce_verdict pb fmt result with
+          | Ok () -> ()
+          | Error msg -> Alcotest.fail (tag msg));
+          match result with
+          | None -> Alcotest.fail (tag "no model")
+          | Some o ->
+              let d = o.Lda_fp.diagnostics in
+              checkb (tag "model feasible") true (Ldafp_problem.feasible pb o.Lda_fp.w);
+              checkb
+                (tag (Printf.sprintf "bound %h <= optimum %h" d.Lda_fp.bound best))
+                true (d.Lda_fp.bound <= best);
+              checkb (tag "certified sound") true
+                d.Lda_fp.search.Optim.Bnb.certified_sound;
+              resolves := !resolves + d.Lda_fp.search.Optim.Bnb.cone_resolves)
+        [ (true, 1); (false, 2) ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  checkb (Printf.sprintf "cone re-solves fired (%d)" !resolves) true (!resolves > 0)
+
+(* The root program without cones relaxes the one with all four, so its
+   certified bound is at most the full program's optimum, which the full
+   program's objective at its strictly feasible terminal iterate bounds
+   from above.  (Against the full program's certified bound the
+   comparison is no theorem: where the cones do not bind, the two
+   optima are equal and each certificate sits its own ν/τ below.) *)
+let test_cone_free_root_bound () =
+  List.iter
+    (fun (name, pb) ->
+      let wbox = pb.Ldafp_problem.elem_box in
+      let z_cap =
+        Ldafp_problem.z_cap pb ~theta:(snd (Option.get (Ldafp_heuristics.seed_incumbent pb)))
+      in
+      let free = certified_bound pb (solve_relaxation ~cones:0 pb ~wbox ~z_cap) in
+      let r, sol = solve_relaxation pb ~wbox ~z_cap in
+      let kappa = r.Ldafp_problem.kappa in
+      let full = sol.Optim.Socp.objective /. (kappa *. kappa) in
+      checkb (Printf.sprintf "%s: cone-free bound %h <= full optimum %h" name free full) true
+        (free <= full))
+    [
+      ("ECoG WL 3", ecog_problem ~fold:(-1) 3);
+      ("ECoG WL 6", ecog_problem ~fold:(-1) 6);
+      ("Table-1 WL 6", table1_problem 6);
+      ("ECoG subset WL 3", fst (ecog_wl3_like ~seed:1 ~m:5));
+      ("ECoG subset WL 3 b", fst (ecog_wl3_like ~seed:2 ~m:5));
+      ("ECoG subset WL 3 c", fst (ecog_wl3_like ~seed:3 ~m:5));
+    ]
 
 (* The Table-1 rows the η-bound search left open on time (WL 10–16,
    and WL 8 after 16,119 nodes), and the ECoG WL 8 and 10 rows, close to
@@ -2152,6 +2233,10 @@ let () =
             test_rows_close_at_the_root;
           Alcotest.test_case "root certificate bits" `Quick
             test_root_certificate_bits;
+          Alcotest.test_case "cones on demand match brute force" `Quick
+            test_cones_on_demand_match_bruteforce;
+          Alcotest.test_case "cone-free root bound below the full one" `Quick
+            test_cone_free_root_bound;
           Alcotest.test_case "certificate allocation" `Quick
             test_certificate_allocation;
           Alcotest.test_case "evaluate allocation and grid verdicts" `Quick

@@ -510,68 +510,6 @@ let test_mat_vec_blocked_bits () =
     | () -> false)
 
 (* ------------------------------------------------------------------ *)
-(* LU                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_lu_solve () =
-  let rng = Stats.Rng.create 3 in
-  for n = 1 to 10 do
-    let a =
-      Mat.init n n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
-    in
-    let a = Mat.add_scaled_identity 0.1 a in
-    let b = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
-    match Lu.solve a b with
-    | x ->
-        checkb
-          (Printf.sprintf "residual (n=%d)" n)
-          true
-          (Vec.dist2 (Mat.mul_vec a x) b < 1e-7)
-    | exception Tri.Singular _ -> ()
-  done
-
-let test_lu_pivoting_example () =
-  (* The paper's §1 motivation: pivoting rescues the tiny-pivot system. *)
-  let a = [| [| 1e-20; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let b = [| 1.0; 2.0 |] in
-  let x = Lu.solve a b in
-  checkb "pivoted solve accurate" true (Vec.dist2 (Mat.mul_vec a x) b < 1e-12)
-
-let test_lu_det () =
-  checkf "det 2x2" (-2.0) (Lu.det [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |]);
-  checkf "det identity" 1.0 (Lu.det (Mat.identity 4));
-  checkf "det singular" 0.0 (Lu.det [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |]);
-  checkf "det swap" 2.0 (Lu.det [| [| 3.0; 4.0 |]; [| 1.0; 2.0 |] |])
-
-let test_lu_inverse_condition () =
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |] in
-  let inv = Lu.inverse a in
-  checkb "inverse" true
-    (Mat.approx_equal ~tol:1e-9 (Mat.identity 2) (Mat.mul a inv));
-  checkb "condition >= 1" true (Lu.condition_estimate a >= 1.0);
-  checkb "cond of identity is 1" true
-    (Float.abs (Lu.condition_estimate (Mat.identity 3) -. 1.0) < 1e-9)
-
-(* Backward-stable solve: the residual of the computed solution is small
-   relative to the data, ‖A·x − b‖∞ ≤ 1e-9 (‖A‖∞‖x‖∞ + ‖b‖∞). *)
-let test_lu_residual () =
-  let rng = Stats.Rng.create 8 in
-  for n = 1 to 8 do
-    let a =
-      Mat.add_scaled_identity 0.3
-        (Mat.init n n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
-    in
-    let b = Array.init n (fun i -> float_of_int (i - 2)) in
-    let x = Lu.solve a b in
-    let a_inf = Array.fold_left (fun m row -> Float.max m (Vec.norm1 row)) 0.0 a in
-    let residual = Vec.norm_inf (Vec.sub (Mat.mul_vec a x) b) in
-    checkb
-      (Printf.sprintf "LU residual (n=%d)" n)
-      true
-      (residual <= 1e-9 *. ((a_inf *. Vec.norm_inf x) +. Vec.norm_inf b))
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Linsys                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -622,15 +560,6 @@ let prop_cholesky_roundtrip =
       let l = Cholesky.factor a in
       Mat.approx_equal ~tol:1e-7 a (Mat.mul l (Mat.transpose l)))
 
-let prop_solve_consistent =
-  QCheck.Test.make ~name:"cholesky and LU agree on s.p.d. systems" ~count:100
-    arb_spd (fun a ->
-      let n = Mat.rows a in
-      let b = Array.init n (fun i -> float_of_int (i + 1)) in
-      let x1 = Cholesky.solve a b in
-      let x2 = Lu.solve a b in
-      Vec.approx_equal ~tol:1e-6 x1 x2)
-
 let prop_quadratic_form_nonneg =
   QCheck.Test.make ~name:"s.p.d. quadratic form positive" ~count:100
     (QCheck.pair arb_spd (arb_vec 6)) (fun (a, x) ->
@@ -645,7 +574,6 @@ let qcheck_tests =
       prop_cauchy_schwarz;
       prop_triangle_inequality;
       prop_cholesky_roundtrip;
-      prop_solve_consistent;
       prop_quadratic_form_nonneg;
     ]
 
@@ -694,15 +622,6 @@ let () =
             test_cholesky_blocked_failing_pivot;
           Alcotest.test_case "blocked mat-vec bits" `Quick
             test_mat_vec_blocked_bits;
-        ] );
-      ( "lu",
-        [
-          Alcotest.test_case "solve" `Quick test_lu_solve;
-          Alcotest.test_case "pivoting" `Quick test_lu_pivoting_example;
-          Alcotest.test_case "determinant" `Quick test_lu_det;
-          Alcotest.test_case "inverse/condition" `Quick
-            test_lu_inverse_condition;
-          Alcotest.test_case "residual" `Quick test_lu_residual;
         ] );
       ( "linsys",
         [

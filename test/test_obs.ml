@@ -408,13 +408,13 @@ let fault_heavy_solve ~branch_faults ~killed =
       }
     in
     let inject =
-      Optim.Fault_inject.config ~seed:5 ~bound_exn_prob:0.3 ~bound_nan_prob:0.1
+      Fault_inject.config ~seed:5 ~bound_exn_prob:0.3 ~bound_nan_prob:0.1
         ~branch_exn_prob:(if branch_faults then 0.3 else 0.0)
         ()
     in
     match
       Lda_fp.solve ~config
-        ~wrap_oracle:(fun o -> fst (Optim.Fault_inject.wrap inject o))
+        ~wrap_oracle:(fun o -> fst (Fault_inject.wrap inject o))
         pb
     with
     | Some o -> o.Lda_fp.diagnostics
@@ -439,6 +439,7 @@ let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
       ("drops", "fault.drop", s.dropped_regions);
       ("cert fallbacks", "fault.cert_fallback", s.cert_fallbacks);
       ("warm pulls", "socp.warm_pull", s.warm_pull_ins);
+      ("cone re-solves", "lda.cones", s.cone_resolves);
     ]
 
 (* What a probe's metric says happened: its counter, else its
@@ -552,6 +553,41 @@ let test_cross_sink_consistency () =
     [
       "retries"; "degrades"; "drops"; "cert fallbacks"; "warm pulls";
     ]
+
+(* A node whose optimum violates an eq. 20 cone its program left out is
+   solved again with that cone.  On an ECoG-WL-3-like instance (five
+   ECoG features at Q2.1, where the cones bind) some re-solves fire, and
+   the trace, the metric and the stats field count the same ones.  The
+   warm-start hits and misses partition the solves, a re-solve counted
+   as one more: no program of this search is empty, so each program
+   built is one solve. *)
+let test_cone_resolves_across_sinks () =
+  let open Ldafp_core in
+  let pb, _ = Ecog_subset.problem [| 0; 1; 2; 3; 4 |] in
+  let config =
+    { Lda_fp.default_config with
+      bnb_params = { Optim.Bnb.default_params with rel_gap = 0.0; abs_gap = 0.0 } }
+  in
+  Obs.Metrics.reset Obs.Metrics.default;
+  Obs.Metrics.set_enabled true;
+  let s, events =
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled false)
+      (fun () ->
+        with_collector (fun c ->
+            match Lda_fp.solve ~config pb with
+            | None -> Alcotest.fail "no model"
+            | Some o -> (o.Lda_fp.diagnostics.Lda_fp.search, Obs.Trace.events c)))
+  in
+  let resolves = s.Optim.Bnb.cone_resolves in
+  checkb "cone re-solves fired" true (resolves > 0);
+  checki "trace = stats" resolves (trace_count events "lda.cones");
+  checki "metric = stats" resolves (Option.get (probe_metric (probe_named "lda.cones")));
+  checki "hits and misses: one per program built, re-solves included"
+    (trace_count events "lda.program")
+    Optim.Bnb.(
+      s.warm_start_hits + s.warm_miss_no_parent + s.warm_miss_not_interior
+      + s.warm_miss_fault_cleared)
 
 let test_one_sink_at_a_time () =
   (* Only tracing: no metric moves. *)
@@ -679,6 +715,8 @@ let () =
             test_solve_traces_all_layers;
           Alcotest.test_case "cross-sink consistency" `Quick
             test_cross_sink_consistency;
+          Alcotest.test_case "cone re-solves across sinks" `Quick
+            test_cone_resolves_across_sinks;
           Alcotest.test_case "one sink at a time" `Quick
             test_one_sink_at_a_time;
         ] );

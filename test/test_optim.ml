@@ -947,7 +947,7 @@ let test_bnb_domains_one_pinned () =
   | Some o ->
       let d = o.Ldafp_core.Lda_fp.diagnostics in
       check_pinned "LDA-FP" ~nodes:30 ~stop:Bnb.Gap_reached
-        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac29b9117702L
+        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac2aa414e05eL
         ~counts:
           [ ("infeasible_regions", 1); ("bound_pruned", 26);
             ("incumbent_updates", 1); ("children_generated", 60);
@@ -1518,7 +1518,7 @@ let table1_node () =
   let v = if pb.P.d.(0) >= 0.0 then hi else lo in
   wbox.(0) <- Fixedpoint.Fx_interval.of_values fmt ~lo:v ~hi:v;
   let z_cap = Float.infinity in
-  match P.relaxation pb ~wbox ~z_cap with
+  match P.relaxation pb ~wbox ~z_cap ~cones:P.all_cones with
   | None -> Alcotest.fail "the pinned Table-1 box has no relaxation"
   | Some r -> (
       let node = r.P.socp in
@@ -1725,9 +1725,9 @@ let test_socp_ray_decrease () =
   checkb "points inside compared" true (!checked > 100);
   checkb "points outside compared" true (!outside > 20)
 
-(* The ECoG WL 6 root program (Ecog_sim seed 7, all trials) as the
-   search first solves it, z capped by the seeded incumbent, and a
-   strictly interior start. *)
+(* The ECoG WL 6 root program (Ecog_sim seed 7, all trials) with every
+   cone of eq. 20, z capped by the seeded incumbent, and a strictly
+   interior start. *)
 let ecog_root () =
   let module P = Ldafp_core.Ldafp_problem in
   let fmt = Fixedpoint.Format_policy.default 6 in
@@ -1745,7 +1745,7 @@ let ecog_root () =
     | None -> Alcotest.fail "no ECoG seed incumbent"
   in
   let wbox = pb.P.elem_box and z_cap = P.z_cap pb ~theta in
-  match P.relaxation pb ~wbox ~z_cap with
+  match P.relaxation pb ~wbox ~z_cap ~cones:P.all_cones with
   | None -> Alcotest.fail "the ECoG root box has no relaxation"
   | Some r -> (
       let root = r.P.socp in
