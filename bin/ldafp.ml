@@ -153,6 +153,17 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let int_in lo hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let nodes_arg =
   Arg.(
     value
@@ -178,14 +189,21 @@ let rho_arg =
           "Confidence level of the overflow constraints (eq. 16), in \
            [0, 1).")
 
+(* OCaml 5.1 runs at most 128 domains in a process, the main domain and
+   the telemetry server's among them; past that [Domain.spawn] fails
+   mid-search. *)
+let max_domains = 64
+
 let domains_arg =
   Arg.(
     value
-    & opt (int_at_least 1) 1
+    & opt (int_in 1 max_domains) 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the branch-and-bound search (OCaml 5 \
-           multicore); 1 = sequential.")
+          (Printf.sprintf
+             "Worker domains for the branch-and-bound search (OCaml 5 \
+              multicore); 1 = sequential, at most %d."
+             max_domains))
 
 let no_warm_start_arg =
   Arg.(
@@ -471,7 +489,7 @@ let train_cmd =
                 "LDA-FP: cost %.6g, %d nodes, gap %.3g (relative %.2e), \
                  %.2fs on %d domain(s) (%s)@."
                 cost d.Lda_fp.nodes d.Lda_fp.gap
-                (d.Lda_fp.gap /. Float.abs cost)
+                (Optim.Bnb.relative_gap ~gap:d.Lda_fp.gap ~incumbent:cost)
                 d.Lda_fp.train_seconds
                 d.Lda_fp.search.Optim.Bnb.domains_used
                 (match d.Lda_fp.stop_reason with
@@ -578,6 +596,10 @@ let train_cmd =
                       ("cost", Float cost);
                       ("nodes", Int d.Lda_fp.nodes);
                       ("gap", Float d.Lda_fp.gap);
+                      ( "rel_gap",
+                        Float
+                          (Optim.Bnb.relative_gap ~gap:d.Lda_fp.gap
+                             ~incumbent:cost) );
                       ("train_seconds", Float d.Lda_fp.train_seconds);
                       ( "stop_reason",
                         Str (Optim.Bnb.stop_reason_name d.Lda_fp.stop_reason)
@@ -804,6 +826,10 @@ let rtl_cmd =
 
 (* ---------------- classify ---------------- *)
 
+(* The batch buffer holds features x batch quantised inputs, allocated
+   up front: 2^16 rows of 42 features is 22 MB. *)
+let max_batch = 65536
+
 let classify_cmd =
   let out =
     Arg.(
@@ -817,9 +843,13 @@ let classify_cmd =
   let batch =
     Arg.(
       value
-      & opt (int_at_least 1) 1024
+      & opt (int_in 1 max_batch) 1024
       & info [ "batch" ] ~docv:"N"
-          ~doc:"Rows streamed through the engine per batched MAC call.")
+          ~doc:
+            (Printf.sprintf
+               "Rows streamed through the engine per batched MAC call, at \
+                most %d."
+               max_batch))
   in
   let run verbose model data batch ledger out =
     setup_logs verbose;

@@ -9,11 +9,20 @@
     A feature is any field that [float_of_string] accepts once trimmed
     of [String.trim]'s whitespace, and whose value is finite: decimals,
     exponent forms, [_] separators and hex floats alike.  Every value is
-    bit-identical to [float_of_string]'s.  Plain decimals with at most 18
-    significant digits and 22 fractional digits (what {!to_lines}
-    writes) are converted exactly in one pass over the line; any field
-    outside that subset, or too close to a rounding tie to decide
-    quickly, goes to [float_of_string] itself. *)
+    bit-identical to [float_of_string]'s.
+
+    One scan per field, eight digits at a time, reads the common field
+    straight into the row: [[+-]digits[.digits][(e|E)[+-]digits]] with
+    at most 18 significant digits and a value w / 10^k, 0 <= k <= 22,
+    that ends exactly at its comma or at the line's end (trailing
+    whitespace and a CRLF's [\r] are trimmed from the line first).
+    {!to_lines}' [%.17g] takes this path for zero and every magnitude
+    in (1e-6, 1e17).  Any other field falls back: it is cut at its
+    comma, trimmed, and read by [float_of_string].  That covers
+    whitespace around a field, [_], hex, [nan]/[inf], more digits, a net
+    positive exponent or one past 10^-22 (the [%.17g] of magnitudes
+    up to 1e-6 or from 1e17), and values too close to a rounding tie to
+    decide quickly. *)
 
 exception Parse_error of { line : int; message : string }
 

@@ -60,6 +60,9 @@ let health_json () =
       ("nodes_expanded", Json.Int (Atomic.get nodes));
       ("incumbent", Json.Float (Atomic.get incumbent));
       ("certified_gap", Json.Float (Atomic.get gap));
+      (* [Optim.Bnb.relative_gap], which this layer cannot see. *)
+      ( "certified_rel_gap",
+        Json.Float (Atomic.get gap /. Float.abs (Atomic.get incumbent)) );
       ("uptime_seconds", Json.Float (uptime_seconds ()));
       ("pid", Json.Int (Unix.getpid ()));
     ]

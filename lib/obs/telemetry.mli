@@ -60,8 +60,10 @@ val set_gap : float -> unit
 
 val health_json : unit -> Json.t
 (** The [/healthz] body: [{status, phase, nodes_expanded, incumbent,
-    certified_gap, uptime_seconds, pid}].  Non-finite floats render as
-    [null] (no incumbent yet). *)
+    certified_gap, certified_rel_gap, uptime_seconds, pid}].
+    [certified_gap] is absolute (incumbent − bound), [certified_rel_gap]
+    is it over |incumbent|, the quantity the stop rule tests.
+    Non-finite floats render as [null] (no incumbent yet). *)
 
 (**/**)
 

@@ -37,6 +37,8 @@ type stop_reason =
   | Interrupted
   | Exhausted
 
+let relative_gap ~gap ~incumbent = gap /. Float.abs incumbent
+
 let stop_reason_name = function
   | Proved_optimal -> "proved_optimal"
   | Gap_reached -> "gap_reached"

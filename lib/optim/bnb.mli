@@ -125,6 +125,11 @@ type stop_reason =
           cheaper than the incumbent: the result's [bound] is
           [stats.dropped_bound], not the incumbent *)
 
+val relative_gap : gap:float -> incumbent:float -> float
+(** [gap /. |incumbent|]: the relative gap, which the stop rule compares
+    with [params.rel_gap].  [result.gap] is absolute.  NaN without an
+    incumbent (both infinite). *)
+
 val stop_reason_name : stop_reason -> string
 (** Stable snake-case name (["proved_optimal"], ["gap_reached"], ...)
     used by the bench records, the run ledger and the [/healthz]

@@ -454,12 +454,52 @@ let gen_decimal =
     in
     return (sign ^ int_part ^ (if with_dot then "." ^ frac else frac)))
 
+(* A digit run of 1-20 digits, then 0-9 more bytes before the field
+   ends, so the parser's eight-byte window meets the run's end, the
+   comma and the line end at every offset.  The tail continues the
+   number (fraction, exponent) or breaks it with a byte next to '0'..'9'
+   ('/', ':') or a non-ASCII one. *)
+let gen_digit_run =
+  QCheck.Gen.(
+    let* sign = oneofl [ ""; ""; "-"; "+" ] in
+    let* run = int_range 1 20 >>= gen_digits in
+    let* tail_len = int_range 0 9 in
+    let* tail =
+      frequency
+        [
+          (3, map (fun d -> if tail_len = 0 then "" else "." ^ d)
+                (gen_digits (max 0 (tail_len - 1))));
+          ( 2,
+            let* e = oneofl [ "e"; "E"; "e-"; "e+"; "E-" ] in
+            let* d = gen_digits (max 1 (tail_len - String.length e)) in
+            return (e ^ d) );
+          ( 2,
+            let* at = int_range 0 (max 0 (tail_len - 1)) in
+            let* c = oneofl [ '/'; ':'; '\x80'; '\xB0'; '\xB9'; '\xFF' ] in
+            let* d = gen_digits (max 0 (tail_len - 1)) in
+            let cut = min at (String.length d) in
+            return (String.sub d 0 cut ^ String.make 1 c
+                    ^ String.sub d cut (String.length d - cut)) );
+        ]
+    in
+    return (sign ^ run ^ tail))
+
+(* A non-digit byte inside the eight-byte window of a digit run. *)
+let gen_broken_window =
+  QCheck.Gen.(
+    let* a = int_range 0 7 >>= gen_digits in
+    let* c = oneofl [ '/'; ':'; '\x80'; '\xB0'; '\xB9'; '\xFF'; '.' ] in
+    let* b = int_range 0 9 >>= gen_digits in
+    return (a ^ String.make 1 c ^ b))
+
 let gen_field =
   QCheck.Gen.(
     let* body =
       frequency
         [
           (4, gen_decimal);
+          (3, gen_digit_run);
+          (1, gen_broken_window);
           (3, map (Printf.sprintf "%.17g") (float_range (-3.0) 3.0));
           (1, map (Printf.sprintf "%.17g") float);
           (1, map (Printf.sprintf "%.17e") (float_range (-1e6) 1e6));
@@ -487,9 +527,15 @@ let gen_row_line =
               [ "A"; "B"; "a"; "b"; "1"; "0"; "true"; "false"; "X"; ""; " A";
                 "A "; "TRUE"; "label"; "LABEL"; "Label"; " label" ]
           in
-          let* fields = list_size (int_range 0 4) gen_field in
+          (* Up to 42 fields: the ECoG width. *)
+          let* fields =
+            list_size
+              (frequency [ (3, int_range 0 4); (1, int_range 5 42) ])
+              gen_field
+          in
           let* trailing = oneofl [ ""; ""; ""; ","; " " ] in
-          return (String.concat "," (label :: fields) ^ trailing) );
+          let* ending = oneofl [ ""; ""; "\r"; "\r\n" ] in
+          return (String.concat "," (label :: fields) ^ trailing ^ ending) );
         ( 1,
           oneofl
             [ ""; " "; "\t\r"; "A"; "label"; "label,x1,x2"; "Label, x1";
@@ -533,6 +579,63 @@ let test_csv_tie_corpus () =
             Alcotest.failf "%S differs from float_of_string" line)
         [ "A," ^ tie; "B,-" ^ tie ])
     !ties
+
+(* [to_lines] rows: a 10k-row Table-1 draw and the 42-feature ECoG set. *)
+let generated_rows () =
+  List.concat_map
+    (fun ds -> List.tl (Dataset_io.to_lines ds))
+    [
+      Synthetic.generate ~n_per_class:5_000 (Stats.Rng.create 5);
+      Ecog_sim.generate (Stats.Rng.create 7);
+    ]
+
+let row_bits line =
+  match Dataset_io.parse_row 2 line with
+  | Some (label, feats) -> Some (label, Array.map Int64.bits_of_float feats)
+  | None -> None
+
+(* The parser keeps no state between calls, so domains parsing the same
+   rows at once agree with each other and with a sequential pass. *)
+let test_csv_domains_agree () =
+  let rows = Array.of_list (generated_rows ()) in
+  let parse_all () = Array.map row_bits rows in
+  let expected = parse_all () in
+  let domains = List.init 2 (fun _ -> Domain.spawn parse_all) in
+  List.iteri
+    (fun d dom ->
+      checkb (Printf.sprintf "domain %d bit-identical" d) true
+        (Domain.join dom = expected))
+    domains
+
+(* A [to_lines] row allocates only the row: its float array, the pair
+   and the option — m + 6 words, so no field reached [float_of_string].
+   %.17g writes zero and magnitudes in (1e-6, 1e17) as decimals of 17
+   significant digits at scale 10^-22 or coarser, the one-scan path;
+   smaller and larger magnitudes (exponents below -6 or above 16) go to
+   [float_of_string] and are not pinned. *)
+let test_csv_row_allocation () =
+  let one_scan v =
+    v = 0.0 || (Float.abs v > 1e-6 && Float.abs v < 1e17)
+  in
+  let rows = generated_rows () in
+  let pinned = ref 0 in
+  List.iter
+    (fun line ->
+      let before = Gc.minor_words () in
+      let row = Sys.opaque_identity (Dataset_io.parse_row 2 line) in
+      let words = Gc.minor_words () -. before in
+      match row with
+      | Some (_, feats) when Array.for_all one_scan feats ->
+          incr pinned;
+          let m = Array.length feats in
+          if words <> float_of_int (m + 6) then
+            Alcotest.failf "%S allocated %.0f words, expected %d" line words
+              (m + 6)
+      | Some _ -> ()
+      | None -> Alcotest.failf "%S parsed to no row" line)
+    rows;
+  checkb "nearly every row pinned" true
+    (!pinned * 100 >= List.length rows * 99)
 
 let test_csv_byte_order_mark () =
   let bom = "\xEF\xBB\xBF" in
@@ -658,6 +761,8 @@ let () =
             test_csv_rejects_non_finite;
           Alcotest.test_case "every byte flip" `Quick test_csv_byte_flips;
           Alcotest.test_case "tie corpus" `Quick test_csv_tie_corpus;
+          Alcotest.test_case "domains agree" `Quick test_csv_domains_agree;
+          Alcotest.test_case "row allocation" `Quick test_csv_row_allocation;
           Alcotest.test_case "byte-order mark" `Quick test_csv_byte_order_mark;
           Alcotest.test_case "load line numbers" `Quick
             test_csv_load_line_numbers;

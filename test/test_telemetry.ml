@@ -125,7 +125,9 @@ let test_health_setters () =
           Obs.Telemetry.set_gap Float.infinity;
           let s = Obs.Json.to_string (Obs.Telemetry.health_json ()) in
           checkb "non-finite gap renders null" true
-            (contains ~sub:"\"certified_gap\":null" s))
+            (contains ~sub:"\"certified_gap\":null" s);
+          checkb "non-finite relative gap renders null" true
+            (contains ~sub:"\"certified_rel_gap\":null" s))
 
 (* ------------------------------------------------------------------ *)
 (* Live server over real sockets                                       *)
@@ -223,6 +225,12 @@ let test_healthz_matches_result () =
     in
     checkb (name ^ ": incumbent") true (number "incumbent" = best);
     checkb (name ^ ": gap") true (number "certified_gap" = r.Optim.Bnb.gap);
+    (* The relative gap is the one [train]'s summary and the ledger's
+       [rel_gap] print, from the same helper. *)
+    checkb (name ^ ": relative gap") true
+      (Int64.bits_of_float (number "certified_rel_gap")
+      = Int64.bits_of_float
+          (Optim.Bnb.relative_gap ~gap:r.Optim.Bnb.gap ~incumbent:best));
     Alcotest.(check string)
       (name ^ ": phase")
       ("done:" ^ Optim.Bnb.stop_reason_name r.Optim.Bnb.stop_reason)
@@ -369,7 +377,10 @@ let test_disabled_setters_no_alloc () =
     let h = Obs.Telemetry.health_json () in
     List.map
       (fun k -> Obs.Json.to_string (member_exn k h))
-      [ "phase"; "nodes_expanded"; "incumbent"; "certified_gap" ]
+      [
+        "phase"; "nodes_expanded"; "incumbent"; "certified_gap";
+        "certified_rel_gap";
+      ]
   in
   let before_health = health () in
   let before = Gc.minor_words () in
