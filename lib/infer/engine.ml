@@ -8,7 +8,8 @@ type t = {
   w : Batch.ba1; (* weight raw codes *)
   thr_raw : int;
   polarity : bool;
-  quant : Quantizer.t; (* front-end scaling x_j / 2^e_j and quantisation *)
+  scales : float array; (* 2^(f - e_j), or 0.0 if that is not a normal double *)
+  neg_exponents : int array; (* -e_j, for the specification's ldexps *)
   proj : Batch.ba1; (* scratch projections, one per batch column *)
   capacity : int;
   features : int;
@@ -38,16 +39,23 @@ let of_fixed ?(capacity = 1024) (clf : Fixed_classifier.t) =
   in
   let proj = Bigarray.Array1.create Bigarray.int Bigarray.c_layout capacity in
   Bigarray.Array1.fill proj 0;
+  let exponents =
+    Array.init features (Scaling.exponent clf.Fixed_classifier.scaling)
+  in
+  let f = fmt.Qformat.f in
+  let scale e =
+    (* 2^k is a normal double for k in [-1022, 1023]; tested on [e] so
+       that [f - e] cannot overflow. *)
+    if e >= f - 1023 && e <= f + 1022 then ldexp 1.0 (f - e) else 0.0
+  in
   {
     fmt;
     bits = Qformat.word_length fmt;
     w;
     thr_raw = Fx.raw clf.Fixed_classifier.threshold;
     polarity = clf.Fixed_classifier.polarity;
-    quant =
-      Quantizer.create fmt
-        ~exponents:
-          (Array.init features (Scaling.exponent clf.Fixed_classifier.scaling));
+    scales = Array.map scale exponents;
+    neg_exponents = Array.map (fun e -> -e) exponents;
     proj;
     capacity;
     features;
@@ -63,9 +71,23 @@ let check_format what t batch =
   if not (Qformat.equal (Batch.format batch) t.fmt) then
     invalid_arg (what ^ ": batch format differs from the engine's")
 
+(* One column through the C quantiser; the checks run once per call. *)
+let quantize what t batch ~col x =
+  if Array.length x <> t.features then
+    invalid_arg (what ^ ": dimension mismatch");
+  if Batch.n_features batch <> t.features then
+    invalid_arg (what ^ ": batch feature count mismatch");
+  if col < 0 || col >= Batch.capacity batch then
+    invalid_arg (what ^ ": column outside [0, capacity)");
+  let j =
+    Kernels.quantize t.scales t.neg_exponents x (Batch.data batch) col
+      t.fmt.Qformat.f t.bits
+  in
+  if j >= 0 then invalid_arg (Printf.sprintf "%s: NaN in feature %d" what j)
+
 let load t batch ~col x =
   check_format "Engine.load" t batch;
-  Quantizer.into t.quant ~what:"Engine.load" x (Batch.data batch) ~col
+  quantize "Engine.load" t batch ~col x
 
 let load_rows t batch ?(start = 0) ?n rows =
   check_format "Engine.load_rows" t batch;
@@ -73,9 +95,8 @@ let load_rows t batch ?(start = 0) ?n rows =
   let avail = max 0 (Array.length rows - start) in
   let fit = min avail (Batch.capacity batch) in
   let n = match n with Some n -> min (max n 0) fit | None -> fit in
-  let data = Batch.data batch in
   for c = 0 to n - 1 do
-    Quantizer.into t.quant ~what:"Engine.load_rows" rows.(start + c) data ~col:c
+    quantize "Engine.load_rows" t batch ~col:c rows.(start + c)
   done;
   Batch.set_length batch n;
   n

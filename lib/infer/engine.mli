@@ -1,11 +1,15 @@
 (** Batched, allocation-free inference over a trained classifier.
 
-    An engine bakes a {!Ldafp_core.Fixed_classifier} into Bigarray
-    tables (weight codes, threshold code, scaling exponents) plus one
-    scratch projection row, and serves predictions over {!Batch}es
-    through the C MAC kernel.  The batched path is bit-for-bit
-    identical to the scalar [predict]: same front-end quantisation, same
-    wrapping multiply-accumulate, same threshold comparison.
+    An engine bakes a {!Ldafp_core.Fixed_classifier} into tables
+    (weight codes, threshold code, per-feature scales [2^(f - e_j)] and
+    scaling exponents) plus one scratch projection row, and serves
+    predictions over {!Batch}es through two C kernels: the front-end
+    quantiser and the MAC.  The batched path is bit-for-bit identical
+    to the scalar [predict]: same front-end quantisation, same wrapping
+    multiply-accumulate, same threshold comparison.  The MAC rounds
+    each product half to even without a branch and wraps each column's
+    sum into the word length once, at the end, which equals the scalar
+    path's wrap after every step.
 
     The steady state allocates nothing: {!load}, {!load_rows},
     {!project_into} and {!predict_into} on a warm batch perform zero
@@ -40,8 +44,8 @@ val load : t -> Batch.t -> col:int -> float array -> unit
 (** Front-end conversion of one raw (unscaled) feature vector into
     column [col]: apply the model's power-of-two scaling, round to
     nearest (ties to even), saturate into the engine format — bit for
-    bit [Fixed_classifier.quantize_input], through the allocation-free
-    {!Fixedpoint.Quantizer}.  Does not touch the batch length.
+    bit [Fixed_classifier.quantize_input], through one allocation-free
+    C loop over the features.  Does not touch the batch length.
     @raise Invalid_argument if the batch's format is not the engine's,
     if [x] or the batch has the wrong feature count, if [col] is outside
     [\[0, capacity)], or if a feature is NaN (the message names the

@@ -540,142 +540,9 @@ let prop_nearest_on_grid_is_nearest =
       let u = Qformat.ulp fmt in
       Float.abs (g -. x) <= (u /. 2.0) +. 1e-12)
 
-(* ------------------------------------------------------------------ *)
-(* Front-end quantiser vs the scalar specification                     *)
-(* ------------------------------------------------------------------ *)
-
-let spec_raw fmt e x =
-  Fx.raw (Fx.of_float ~ov:Rounding.Saturate fmt (ldexp x (-e)))
-
-let quantize_column fmt ~exponents x =
-  let m = Array.length x in
-  let data = Bigarray.Array2.create Bigarray.int Bigarray.c_layout m 1 in
-  Quantizer.into (Quantizer.create fmt ~exponents) ~what:"test" x data ~col:0;
-  Array.init m (fun j -> data.{j, 0})
-
-(* Narrow formats, plus wide ones whose codes reach past 2^51 (where
-   doubles are multiples of 1/2 and the rounding changes method). *)
-let quant_fmt_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, fmt_gen);
-        ( 1,
-          let* n = int_range 48 62 in
-          let* f = int_range 0 (n - 1) in
-          return (Qformat.make ~k:(n - f) ~f) );
-      ])
-
-(* Small exponents, the whole +-1100 range, the edges of the range where
-   2^(f - e) is a normal double, and exponents [ldexp] truncates to 32
-   bits. *)
-let exponent_gen fmt =
-  let f = fmt.Qformat.f in
-  QCheck.Gen.(
-    frequency
-      [
-        (4, int_range (-4) 4);
-        (2, int_range (-1100) 1100);
-        ( 1,
-          oneofl
-            [ f - 1023; f - 1024; f + 1022; f + 1023; f - 1100; f + 1100;
-              1 lsl 32; -(1 lsl 32); (1 lsl 31) + 3; max_int; min_int ] );
-      ])
-
-(* Raw values biased toward exact ties (k + 1/2) 2^-f, the saturation
-   bounds +- 1/2 ulp (and one double either side), signed zeros,
-   subnormals, +-max_float, +-infinity and arbitrary bit patterns.  The
-   tie and bound values are generated already scaled, so they are ties
-   and bounds after the division by 2^e. *)
-let raw_input_gen fmt e =
-  let f = fmt.Qformat.f in
-  let unscale s = ldexp s (e - f) in
-  let lo = float_of_int (Qformat.min_raw fmt)
-  and hi = float_of_int (Qformat.max_raw fmt) in
-  QCheck.Gen.(
-    frequency
-      [
-        (3, map unscale (float_range (-2.0 *. hi) (2.0 *. hi)));
-        ( 3,
-          let* u = float_range (-1.0) 1.0 in
-          return (unscale (Float.round (u *. (hi +. 2.0)) +. 0.5)) );
-        ( 1,
-          (* ties where the spacing of doubles is 1/2 *)
-          let* k = int_range (1 lsl 51) ((1 lsl 52) - 1) in
-          let* sign = oneofl [ 1.0; -1.0 ] in
-          return (unscale (sign *. (float_of_int k +. 0.5))) );
-        ( 2,
-          let* b =
-            oneofl [ lo -. 0.5; lo +. 0.5; hi -. 0.5; hi +. 0.5; lo; hi ]
-          in
-          let* nudge = oneofl [ Fun.id; Float.succ; Float.pred ] in
-          return (unscale (nudge b)) );
-        ( 2,
-          oneofl
-            [ 0.0; -0.0; 4.9e-324; -4.9e-324; Float.min_float /. 3.0;
-              Float.max_float; -.Float.max_float; Float.infinity;
-              Float.neg_infinity ] );
-        ( 1,
-          map
-            (fun b ->
-              let x = Int64.float_of_bits b in
-              if Float.is_nan x then 0.0 else x)
-            ui64 );
-      ])
-
-let arb_quant_case =
-  QCheck.make
-    ~print:(fun (fmt, es, xs) ->
-      let list f a = String.concat ";" (Array.to_list (Array.map f a)) in
-      Printf.sprintf "%s e=[%s] x=[%s]" (Qformat.to_string fmt)
-        (list string_of_int es)
-        (list (Printf.sprintf "%h") xs))
-    QCheck.Gen.(
-      let* fmt = quant_fmt_gen in
-      let* m = int_range 1 6 in
-      let* es = array_size (return m) (exponent_gen fmt) in
-      let* xs = flatten_a (Array.map (raw_input_gen fmt) es) in
-      return (fmt, es, xs))
-
-let prop_quantizer_matches_spec =
-  QCheck.Test.make ~name:"quantizer == Fx.of_float ~ov:Saturate (ldexp x (-e))"
-    ~count:3000 arb_quant_case (fun (fmt, es, xs) ->
-      quantize_column fmt ~exponents:es xs
-      = Array.mapi (fun j x -> spec_raw fmt es.(j) x) xs)
-
-let test_quantizer_nan () =
-  let fmt = Qformat.make ~k:2 ~f:4 in
-  List.iter
-    (fun e ->
-      match
-        quantize_column fmt ~exponents:[| 0; e; 0 |] [| 1.0; 2.0; Float.nan |]
-      with
-      | exception Invalid_argument msg ->
-          Alcotest.(check string) "names the feature" "test: NaN in feature 2"
-            msg
-      | _ -> Alcotest.fail "NaN must be rejected")
-    [ 0; 2000 (* fallback path *) ]
-
-(* The column range is checked through [Engine.load] in test_infer. *)
-let test_quantizer_shape () =
-  let q = Quantizer.create (Qformat.make ~k:2 ~f:4) ~exponents:[| 0; 1 |] in
-  let data rows =
-    Bigarray.Array2.create Bigarray.int Bigarray.c_layout rows 4
-  in
-  let rejects label expected x data =
-    match Quantizer.into q ~what:"t" x data ~col:0 with
-    | exception Invalid_argument msg ->
-        Alcotest.(check string) label expected msg
-    | () -> Alcotest.failf "%s: expected Invalid_argument" label
-  in
-  rejects "short vector" "t: dimension mismatch" [| 1.0 |] (data 2);
-  rejects "wrong row count" "t: batch feature count mismatch" [| 1.0; 2.0 |]
-    (data 3)
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_quantizer_matches_spec;
       prop_quantize_idempotent;
       prop_quantize_error_half_ulp;
       prop_wrap_add_congruent;
@@ -752,10 +619,5 @@ let () =
         ] );
       ( "format_policy",
         [ Alcotest.test_case "policies" `Quick test_policies ] );
-      ( "quantizer",
-        [
-          Alcotest.test_case "NaN names the feature" `Quick test_quantizer_nan;
-          Alcotest.test_case "shape checks" `Quick test_quantizer_shape;
-        ] );
       ("properties", qcheck_tests);
     ]

@@ -70,11 +70,21 @@ let exponent_gen =
 let row_gen fmt es =
   QCheck.Gen.flatten_a (Array.map (fun e -> input_gen ~e fmt) es)
 
+(* Narrow formats, and word lengths 13 to 62, where products wrap
+   modulo 2^63 (from 32 bits) and sums wrap in the accumulator. *)
 let fmt_gen =
   QCheck.Gen.(
-    let* k = int_range 1 4 in
-    let* f = int_range 0 8 in
-    return (Qformat.make ~k ~f))
+    frequency
+      [
+        ( 3,
+          let* k = int_range 1 4 in
+          let* f = int_range 0 8 in
+          return (Qformat.make ~k ~f) );
+        ( 2,
+          let* n = int_range 13 62 in
+          let* f = int_range 0 (n - 1) in
+          return (Qformat.make ~k:(n - f) ~f) );
+      ])
 
 (* A uniform classifier plus a batch of raw input rows. *)
 let arb_uniform_case ~rows =
@@ -108,6 +118,146 @@ let prop_uniform_bit_exact =
           Bytes.get preds i = '\001' = Fixed_classifier.predict clf x
           && Infer.Engine.margin engine i = Fixed_classifier.margin clf x)
         (Array.init n Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Front end vs the scalar specification                               *)
+(* ------------------------------------------------------------------ *)
+
+let spec_raw fmt e x =
+  Fx.raw (Fx.of_float ~ov:Rounding.Saturate fmt (ldexp x (-e)))
+
+(* Quantise [x] through [Engine.load] into the last column of a
+   three-column batch, so the codes land past the first row's stride. *)
+let quantize_column fmt ~exponents x =
+  let m = Array.length x in
+  let clf = clf_of_raws fmt ~w_raws:(Array.make m 0) ~thr_raw:0 ~exponents in
+  let engine = Infer.Engine.of_fixed ~capacity:3 clf in
+  let batch = Infer.Engine.make_batch engine in
+  Infer.Engine.load engine batch ~col:2 x;
+  let data = Infer.Batch.data batch in
+  Array.init m (fun j -> data.{j, 2})
+
+(* Narrow formats, plus wide ones whose codes reach past 2^51 (where
+   doubles are multiples of 1/2 and the rounding changes method). *)
+let quant_fmt_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          let* k = int_range 1 6 in
+          let* f = int_range 0 10 in
+          return (Qformat.make ~k ~f) );
+        ( 1,
+          let* n = int_range 48 62 in
+          let* f = int_range 0 (n - 1) in
+          return (Qformat.make ~k:(n - f) ~f) );
+      ])
+
+(* Small exponents, the whole +-1100 range, the edges of the range where
+   2^(f - e) is a normal double, and exponents [ldexp] truncates to 32
+   bits. *)
+let quant_exponent_gen fmt =
+  let f = fmt.Qformat.f in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-4) 4);
+        (2, int_range (-1100) 1100);
+        ( 1,
+          oneofl
+            [ f - 1023; f - 1024; f + 1022; f + 1023; f - 1100; f + 1100;
+              1 lsl 32; -(1 lsl 32); (1 lsl 31) + 3; max_int; min_int ] );
+      ])
+
+(* Raw values biased toward exact ties (k + 1/2) 2^-f, the saturation
+   bounds +- 1/2 ulp (and one double either side), signed zeros,
+   subnormals, +-max_float, +-infinity and arbitrary bit patterns.  The
+   tie and bound values are generated already scaled, so they are ties
+   and bounds after the division by 2^e. *)
+let raw_input_gen fmt e =
+  let f = fmt.Qformat.f in
+  let unscale s = ldexp s (e - f) in
+  let lo = float_of_int (Qformat.min_raw fmt)
+  and hi = float_of_int (Qformat.max_raw fmt) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map unscale (float_range (-2.0 *. hi) (2.0 *. hi)));
+        ( 3,
+          let* u = float_range (-1.0) 1.0 in
+          return (unscale (Float.round (u *. (hi +. 2.0)) +. 0.5)) );
+        ( 1,
+          (* ties where the spacing of doubles is 1/2 *)
+          let* k = int_range (1 lsl 51) ((1 lsl 52) - 1) in
+          let* sign = oneofl [ 1.0; -1.0 ] in
+          return (unscale (sign *. (float_of_int k +. 0.5))) );
+        ( 2,
+          let* b =
+            oneofl [ lo -. 0.5; lo +. 0.5; hi -. 0.5; hi +. 0.5; lo; hi ]
+          in
+          let* nudge = oneofl [ Fun.id; Float.succ; Float.pred ] in
+          return (unscale (nudge b)) );
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; 4.9e-324; -4.9e-324; Float.min_float /. 3.0;
+              Float.max_float; -.Float.max_float; Float.infinity;
+              Float.neg_infinity ] );
+        ( 1,
+          map
+            (fun b ->
+              let x = Int64.float_of_bits b in
+              if Float.is_nan x then 0.0 else x)
+            ui64 );
+      ])
+
+let arb_quant_case =
+  QCheck.make
+    ~print:(fun (fmt, es, xs) ->
+      let list f a = String.concat ";" (Array.to_list (Array.map f a)) in
+      Printf.sprintf "%s e=[%s] x=[%s]" (Qformat.to_string fmt)
+        (list string_of_int es)
+        (list (Printf.sprintf "%h") xs))
+    QCheck.Gen.(
+      let* fmt = quant_fmt_gen in
+      let* m = int_range 1 6 in
+      let* es = array_size (return m) (quant_exponent_gen fmt) in
+      let* xs = flatten_a (Array.map (raw_input_gen fmt) es) in
+      return (fmt, es, xs))
+
+let prop_quantizer_matches_spec =
+  QCheck.Test.make ~name:"load == Fx.of_float ~ov:Saturate (ldexp x (-e))"
+    ~count:3000 arb_quant_case (fun (fmt, es, xs) ->
+      quantize_column fmt ~exponents:es xs
+      = Array.mapi (fun j x -> spec_raw fmt es.(j) x) xs)
+
+let test_quantizer_nan () =
+  let fmt = Qformat.make ~k:2 ~f:4 in
+  List.iter
+    (fun e ->
+      match
+        quantize_column fmt ~exponents:[| 0; e; 0 |] [| 1.0; 2.0; Float.nan |]
+      with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "names the feature"
+            "Engine.load: NaN in feature 2" msg
+      | _ -> Alcotest.fail "NaN must be rejected")
+    [ 0; 2000 (* two-ldexp path *) ]
+
+let test_quantizer_shape () =
+  let fmt = Qformat.make ~k:2 ~f:4 in
+  let clf = clf_of_raws fmt ~w_raws:[| 1; 2 |] ~thr_raw:0 ~exponents:[| 0; 1 |] in
+  let engine = Infer.Engine.of_fixed ~capacity:4 clf in
+  let rejects label expected x batch =
+    match Infer.Engine.load engine batch ~col:0 x with
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) label expected msg
+    | () -> Alcotest.failf "%s: expected Invalid_argument" label
+  in
+  rejects "short vector" "Engine.load: dimension mismatch" [| 1.0 |]
+    (Infer.Engine.make_batch engine);
+  rejects "wrong row count" "Engine.load: batch feature count mismatch"
+    [| 1.0; 2.0 |]
+    (Infer.Batch.create ~fmt ~features:3 ~capacity:4)
 
 (* ------------------------------------------------------------------ *)
 (* Directed adversarial cases                                          *)
@@ -221,6 +371,30 @@ let test_steady_state_no_alloc () =
        delta)
     true (delta < 256.0)
 
+(* Loading alone, one column at a time and by rows, with no
+   Gc.minor_words slack: the probe itself is unboxed. *)
+let test_load_no_alloc () =
+  let fmt = Qformat.make ~k:2 ~f:6 in
+  let clf =
+    clf_of_raws fmt ~w_raws:[| 31; -17; 5 |] ~thr_raw:7
+      ~exponents:[| 0; 1; 2000 |]
+  in
+  let engine = Infer.Engine.of_fixed ~capacity:64 clf in
+  let batch = Infer.Engine.make_batch engine in
+  let rows = Array.init 64 (fun i -> [| float_of_int i; -0.3; 1e300 |]) in
+  let load () =
+    ignore (Infer.Engine.load_rows engine batch rows : int);
+    for c = 0 to 63 do
+      Infer.Engine.load engine batch ~col:c rows.(c)
+    done
+  in
+  load ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    load ()
+  done;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* Front-end validation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -275,6 +449,33 @@ let test_load_nan_names_feature () =
       Infer.Engine.load engine batch ~col:0 [| 0.5; Float.nan; 1.0 |]);
   raises_invalid "load_rows" "Engine.load_rows: NaN in feature 2" (fun () ->
       ignore (Infer.Engine.load_rows engine batch [| [| 0.5; 0.0; Float.nan |] |]))
+
+(* The capacity is the one asked for; the storage behind it is padded
+   to an odd number of 64-byte lines per row, and the padding is out of
+   [load]'s reach. *)
+let test_batch_layout () =
+  let fmt = Qformat.make ~k:2 ~f:6 in
+  let clf =
+    clf_of_raws fmt ~w_raws:[| 3; -5; 7 |] ~thr_raw:1 ~exponents:[| 0; 2; -1 |]
+  in
+  let x = [| 0.5; 0.25; -1.0 |] in
+  List.iter
+    (fun (capacity, stride) ->
+      let engine = Infer.Engine.of_fixed ~capacity clf in
+      let batch = Infer.Engine.make_batch engine in
+      let label = Printf.sprintf "capacity %d" capacity in
+      checki label capacity (Infer.Batch.capacity batch);
+      checki (label ^ ": stride") stride
+        (Bigarray.Array2.dim2 (Infer.Batch.data batch));
+      raises_invalid (label ^ ": col = capacity")
+        "Engine.load: column outside [0, capacity)" (fun () ->
+          Infer.Engine.load engine batch ~col:capacity x);
+      Infer.Engine.load engine batch ~col:(capacity - 1) x;
+      Infer.Batch.set_length batch capacity;
+      raises_invalid (label ^ ": length past capacity")
+        "Batch.set_length: out of range" (fun () ->
+          Infer.Batch.set_length batch (capacity + 1)))
+    [ (1, 8); (1000, 1000); (1024, 1032) ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -491,10 +692,23 @@ let () =
           Alcotest.test_case "saturation boundary" `Quick
             test_saturation_boundary;
         ] );
+      ( "quantizer",
+        [
+          QCheck_alcotest.to_alcotest prop_quantizer_matches_spec;
+          Alcotest.test_case "NaN names the feature" `Quick test_quantizer_nan;
+          Alcotest.test_case "shape checks" `Quick test_quantizer_shape;
+        ] );
       ( "steady state",
         [
           Alcotest.test_case "batched predict allocates nothing" `Quick
             test_steady_state_no_alloc;
+          Alcotest.test_case "load and load_rows allocate nothing" `Quick
+            test_load_no_alloc;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "capacity is the request, rows padded" `Quick
+            test_batch_layout;
         ] );
       ( "validation",
         [
