@@ -58,8 +58,8 @@ type outcome = { w : Vec.t; cost : float; diagnostics : diagnostics }
 
 (* The warm state a node inherits from its parent: the relaxation
    optimum as a full (y, z) point (primal side) and the barrier weight
-   its solve ended at (the dual side — what {!Socp.warm_start_params}
-   turns into a ladder-rung skip).  Plain floats and arrays, so it marshals
+   its solve ended at (the dual side — where {!Socp.prepare_warm_start}
+   restarts the child's ladder).  Plain floats and arrays, so it marshals
    through {!Bnb.snapshot}s to whichever worker domain takes the
    child. *)
 type warm_info = {
@@ -129,7 +129,7 @@ let candidate_of_point cfg pb node point =
 
 (* How the node program was solved. *)
 type program_solve =
-  | Warm of Socp.solution  (* from the parent optimum, rungs skipped *)
+  | Warm of Socp.solution  (* from the parent optimum, at its terminal τ *)
   | Cold of Socp.solution  (* phase-I, then the whole barrier ladder *)
   | Phase1_unknown of Vec.t  (* no interior point found, nothing proved *)
   | Phase1_infeasible
@@ -146,11 +146,12 @@ let p_program =
 
 (* The node program and its start, built under one [lda.program] span:
    the relaxation of the box, its center point and, from the parent's
-   optimum, the warm start.  A warm start is the parent's optimum
-   clipped into the box: accepted as-is when margin-interior, else
-   pulled toward the center point (the branch rule cuts at the parent
-   optimum, so the clipped point lands on the cut).  [None] when the
-   program is empty. *)
+   optimum, the warm start and its ladder, which restarts at the
+   parent's terminal τ.  A warm start is the parent's optimum clipped
+   into the box: accepted as-is when margin-interior, else pulled toward
+   the center point by the duality margin of that ladder (the branch
+   rule cuts at the parent optimum, so the clipped point lands on the
+   cut).  [None] when the program is empty. *)
 let build_program cfg pb ~counters ~z_cap node =
   let observed = Obs.Probe.on () in
   let t0 = if observed then Obs.Clock.now_ns () else 0 in
@@ -167,10 +168,11 @@ let build_program cfg pb ~counters ~z_cap node =
                 Option.bind (Ldafp_problem.clip_into_box pb ~wbox:node.wbox wi.point)
                   (fun yz ->
                     Option.map
-                      (fun (x, prep) ->
+                      (fun (x, prep, params) ->
                         if prep = Socp.Warm_pulled then Bnb.count_warm_pull_in counters;
-                        (x, wi.tau_final))
-                      (Socp.prepare_warm_start ~target:center socp (project yz))))
+                        (x, params))
+                      (Socp.prepare_warm_start ~params:cfg.socp_params ~tau_final:wi.tau_final
+                         ~target:center socp (project yz))))
         in
         Some (r, center, warm)
   in
@@ -178,18 +180,15 @@ let build_program cfg pb ~counters ~z_cap node =
     Obs.Probe.span p_program ~t0_ns:t0 ~dur_ns:(Obs.Clock.now_ns () - t0);
   program
 
-(* The node program's one solve path.  The parent ended on the same
-   terminal τ (same ν, same [gap_tol]), so a warm start's [tau_final]
-   says which rungs to skip — the final τ and the certified gap are
-   unchanged.  Without a warm start it goes cold: phase-I from the
-   center point, then the whole ladder. *)
+(* The node program's one solve path.  A warm start re-centres once at
+   its parent's terminal τ, which the same ν and [gap_tol] make this
+   solve's too: the final τ and the certified gap are unchanged.
+   Without a warm start it goes cold: phase-I from the center point,
+   then the whole ladder. *)
 let solve_program cfg (r : Ldafp_problem.relaxation) ~center warm =
   let socp = r.Ldafp_problem.socp in
   match warm with
-  | Some (x0, tau_final) ->
-      Warm
-        (Socp.solve ~params:(Socp.warm_start_params cfg.socp_params ~tau_final)
-           socp ~start:x0)
+  | Some (x0, params) -> Warm (Socp.solve ~params socp ~start:x0)
   | None -> (
       match Socp.find_strictly_feasible ~params:cfg.socp_params socp ~start:center with
       | Socp.Infeasible _ -> Phase1_infeasible

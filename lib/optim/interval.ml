@@ -19,9 +19,23 @@ let hi t = t.hi
    +, −, × is strictly within one ulp of the computed value; stepping
    one representable float outward therefore encloses it.  [Float.pred
    infinity = max_float] would *shrink* an infinite endpoint, hence the
-   guards. *)
-let down x = if x = Float.neg_infinity then x else Float.pred x
-let up x = if x = Float.infinity then x else Float.succ x
+   guards.  For a finite |x| > 2⁻¹⁰²⁰ the step is x ± (φ·|x| + η) with
+   φ = 2⁻⁵³ + 2⁻¹⁰⁵ and η = 2⁻¹⁰⁷⁴, the same float as [Float.succ]/[pred]
+   under round-to-nearest (Rump, Zimmermann, Boldo & Melquiond, BIT
+   2009) without their libm [nextafter] call; at 2⁻¹⁰²⁰ itself it would
+   step two floats down.  Below that, at ±∞ and at NaN the library
+   functions serve.  [Socp]'s certificate keeps its own inlined copy:
+   nothing is inlined across modules in the dev profile. *)
+let[@inline] down x =
+  let a = Float.abs x in
+  if a > 0x1p-1020 && a < Float.infinity then x -. ((0x1.0000000000001p-53 *. a) +. 0x1p-1074)
+  else if x = Float.neg_infinity then x
+  else Float.pred x
+let[@inline] up x =
+  let a = Float.abs x in
+  if a > 0x1p-1020 && a < Float.infinity then x +. ((0x1.0000000000001p-53 *. a) +. 0x1p-1074)
+  else if x = Float.infinity then x
+  else Float.succ x
 
 let wide t = { lo = down t.lo; hi = up t.hi }
 

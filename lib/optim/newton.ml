@@ -85,7 +85,7 @@ let line_search ws oracle ~gd =
   done;
   (!accepted, !tries)
 
-let minimize_into ?(params = default_params) ws oracle x0 =
+let minimize_into ?(params = default_params) ?(finish = false) ws oracle x0 =
   if Vec.dim x0 <> ws.n then
     invalid_arg "Newton.minimize_into: dimension mismatch";
   Array.blit x0 0 ws.xa 0 ws.n;
@@ -113,7 +113,20 @@ let minimize_into ?(params = default_params) ws oracle x0 =
         end
         else if !dec <= params.tol then begin
           status := Converged;
-          continue := false
+          continue := false;
+          (* The step this decrement was measured on, taken in full:
+             inside the quadratic region it squares the decrement, at
+             the cost of one value pass. *)
+          if finish then begin
+            Vec.axpy_into 1.0 ws.dir ws.xa ~dst:ws.xb;
+            match oracle.value ws.xb with
+            | Some fc when not (Float.is_nan fc) ->
+                let tmp = ws.xa in
+                ws.xa <- ws.xb;
+                ws.xb <- tmp;
+                fx := fc
+            | _ -> ()
+          end
         end
         else
           let accepted, tries = line_search ws oracle ~gd in

@@ -92,14 +92,20 @@ type workspace
 val workspace : int -> workspace
 (** [workspace n] allocates scratch for [n]-dimensional problems. *)
 
-val minimize_into : ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> result
+val minimize_into :
+  ?params:params -> ?finish:bool -> workspace -> oracle_into -> Linalg.Vec.t -> result
 (** Same algorithm and same results as {!minimize}, but all inner-loop
     temporaries live in the workspace, so each iteration allocates O(1)
     words.  Calls [value] and [derivs] at [x0] and once per accepted
     step, [value] also at a trial the ray accepted but the value pass
     finds outside the domain (a rounding edge: the trial is rejected
     and the step halved); [ray] once per step and its evaluator once per
-    trial.  [x0] is not mutated; the returned iterate is freshly
+    trial.  With [~finish:true] (default [false]) a converged run also
+    takes the full step whose decrement met [tol], with no line search,
+    and returns that point (its [value] called, not [derivs]; the
+    reported [decrement] is still the one before it) when it is in the
+    domain, so the point is centred to about the square of that
+    decrement.  [x0] is not mutated; the returned iterate is freshly
     allocated.
     @raise Invalid_argument if the starting point is outside the domain
     or its dimension does not match the workspace. *)

@@ -223,22 +223,21 @@ let default_params =
   { tau0 = 1.0; gap_tol = 1e-8;
     newton = { Newton.default_params with tol = 1e-10 } }
 
-(* Warm-start schedule advance: from a near-optimal start the early
-   low-tau centerings are redundant, and because the tau sequence is the
-   same geometric ladder, the final tau (hence the certified gap) is
-   unchanged — only the number of rungs climbed differs.  The rungs
-   skipped are the whole ones below the producing solve's terminal
-   [tau_final], less one: a ladder that starts at or beyond the parent's
-   terminal tau would run zero centering steps and return the (parent's!)
-   start unrefined. *)
+(* Warm-start schedule advance: from a near-optimal start the low-tau
+   centerings are redundant, and because the tau sequence is the same
+   geometric ladder, the final tau (hence the certified gap) is
+   unchanged — only the number of rungs climbed differs.  The ladder
+   restarts at the producing solve's terminal [tau_final] itself, found
+   by the ladder's own products so that it is that tau to the bit; the
+   solve's mandatory centering step then re-centres the start once at
+   it, and the stop test ends the ladder there on the same ν.  At most
+   [max_outer] rungs, as the producing ladder climbed. *)
 let warm_start_params params ~tau_final =
-  let levels =
-    if (not (Float.is_finite tau_final)) || tau_final <= params.tau0 then 0
-    else
-      let rungs = floor (log (tau_final /. params.tau0) /. log mu) in
-      max 0 (int_of_float rungs - 1)
+  let rec climb tau rungs =
+    let next = mu *. tau in
+    if rungs < max_outer && next <= tau_final then climb next (rungs + 1) else tau
   in
-  { params with tau0 = params.tau0 *. (mu ** float_of_int levels) }
+  if Float.is_finite tau_final then { params with tau0 = climb params.tau0 0 } else params
 
 type status = Optimal | Suboptimal
 
@@ -679,11 +678,10 @@ let find_strictly_feasible ?(params = default_params) pb ~start =
    a blend clearing the chord bound clears the true slack.  The residual
    scales are likewise bounded by their endpoint maxima (|aᵀ·|, |u| and
    ‖v‖ are convex).  [None] when the target itself does not clear the
-   margin — the caller then solves cold. *)
+   margin. *)
 let warm_margin = 1e-8
 
-let pull_to_interior pb ~target x =
-  let margin = warm_margin in
+let pull_to_interior ?(margin = warm_margin) pb ~target x =
   if Vec.dim x <> pb.n || Vec.dim target <> pb.n then None
   else begin
     let alpha = ref 0.0 in
@@ -728,19 +726,32 @@ let pull_to_interior pb ~target x =
 
 type warm_prep = Warm_interior | Warm_pulled
 
-(* The warm-start decision tree (doc/solver.mld): accept a certifiably
-   interior start as-is; otherwise pull it toward the caller's interior
-   target.  [None] means the caller must solve cold (phase-I). *)
-let prepare_warm_start ~target pb x =
-  if Vec.dim x <> pb.n then None
-  else if is_strictly_interior ~margin:warm_margin pb x then
-    Some (x, Warm_interior)
+(* The warm-start decision tree (doc/solver.mld), with the ladder it
+   starts: the [warm_start_params] one, at the producing solve's
+   [tau_final].  Accept a start that clears [warm_margin] as-is;
+   otherwise pull it toward the caller's interior target, by the
+   duality measure ν/τ of the rung below that ladder's start where the
+   target clears that, else by [warm_margin].  A point centred at that
+   rung sits about that far inside its constraints, so a parent optimum
+   on a child's branch cut, pulled that far in, re-centres in the one
+   rung; one left [warm_margin] inside costs many damped Newton steps
+   there.  [None] means the caller must solve cold (phase-I). *)
+let prepare_warm_start ?(params = default_params) ~tau_final ~target pb x =
+  let params = warm_start_params params ~tau_final in
+  if is_strictly_interior ~margin:warm_margin pb x then Some (x, Warm_interior, params)
   else
-    match pull_to_interior pb ~target x with
-    | Some y ->
+    let pull margin = pull_to_interior ~margin pb ~target x in
+    let duality = mu *. float_of_int (barrier_nu pb) /. params.tau0 in
+    let pulled =
+      match if duality > warm_margin then pull duality else None with
+      | None -> pull warm_margin
+      | some -> some
+    in
+    Option.map
+      (fun y ->
         Obs.Probe.hit p_warm_pull;
-        Some (y, Warm_pulled)
-    | None -> None
+        (y, Warm_pulled, params))
+      pulled
 
 let solve ?(params = default_params) pb ~start =
   if Vec.dim start <> pb.n then invalid_arg "Socp.solve: start dimension";
@@ -756,28 +767,38 @@ let solve ?(params = default_params) pb ~start =
   let newton_total = ref 0 in
   let trials = ref 0 in
   let stalled = ref false in
+  let centred = ref false in
   (* At least one centering step, so the point returned is never the
-     caller's start unrefined. *)
+     caller's start unrefined.  Each rung also takes the full Newton
+     step its stopping test computed ([~finish]): the certificate charges
+     the stationarity residual over the box, and a point centred only
+     to the decrement [tol] leaves it far above ν/τ (2.9e-4 against
+     1.5e-6 on a Table-1 node program), where one more step squares
+     the decrement. *)
   while
     !outer = 0
     || (nu /. !tau > params.gap_tol && !outer < max_outer && not !stalled)
   do
     incr outer;
     let r =
-      Newton.minimize_into ~params:params.newton sc.ws
+      Newton.minimize_into ~params:params.newton ~finish:true sc.ws
         (centering_into pb sc !tau) !x
     in
     newton_total := !newton_total + r.iterations;
     trials := !trials + r.trials;
     x := r.x;
+    centred := r.status = Newton.Converged;
     (match r.status with
     | Newton.Stalled | Newton.Diverged -> stalled := true
     | Newton.Converged | Newton.Iteration_limit -> ());
     tau := mu *. !tau
   done;
   let gap = nu /. !tau *. mu (* gap before the last multiply *) in
+  (* Optimal needs the last rung centred: a stalled or iteration-limited
+     last centering returns a point off the central path, whose
+     certificate may be loose or fail. *)
   let status =
-    if nu /. !tau <= params.gap_tol || gap <= params.gap_tol then Optimal
+    if !centred && (nu /. !tau <= params.gap_tol || gap <= params.gap_tol) then Optimal
     else Suboptimal
   in
   let x = !x in
@@ -898,9 +919,21 @@ let describe_cert_failure = function
    operations in the same order, so every bound keeps its bits, with no
    [Interval.t] boxed per step.  As {!Interval.make} does, a NaN endpoint
    or an empty box raises [Invalid_argument].  Without [@inline], ocamlopt
-   (no flambda) calls them and boxes every float passing through. *)
-let[@inline] dir_up x = if x = Float.infinity then x else Float.succ x
-let[@inline] dir_down x = if x = Float.neg_infinity then x else Float.pred x
+   (no flambda) calls them and boxes every float passing through.
+   [dir_up]/[dir_down] are [Interval]'s outward steps: [Float.succ]/
+   [Float.pred] as [c ± (φ·|c| + η)] without a libm call for a finite
+   |c| > 2⁻¹⁰²⁰, the library functions elsewhere. *)
+let[@inline] dir_up x =
+  let a = Float.abs x in
+  if a > 0x1p-1020 && a < Float.infinity then x +. ((0x1.0000000000001p-53 *. a) +. 0x1p-1074)
+  else if x = Float.infinity then x
+  else Float.succ x
+let[@inline] dir_down x =
+  let a = Float.abs x in
+  if a > 0x1p-1020 && a < Float.infinity then x -. ((0x1.0000000000001p-53 *. a) +. 0x1p-1074)
+  else if x = Float.neg_infinity then x
+  else Float.pred x
+let outward_for_tests x = (dir_down x, dir_up x)
 let[@inline] no_nan x = if Float.is_nan x then invalid_arg "Interval.make: NaN bound"
 let[@inline] check_box lo hi =
   no_nan lo; no_nan hi;

@@ -128,16 +128,15 @@ val default_params : params
 val warm_start_params : params -> tau_final:float -> params
 (** The interior-point warm-start schedule advance for a start taken
     from a solve that terminated at barrier weight [tau_final] (its
-    {!solution.tau_final}): [tau0 ← tau0 · 15^levels], where [levels]
-    is the largest whole number of rungs the ladder can skip while
-    still running one centering rung below the producing solve's
-    terminal tau.  Starting {!solve} from a point near the optimum — a
-    parent node's relaxation optimum — makes the early low-[τ]
-    centering steps redundant; skipping whole rungs of the same
-    geometric ladder changes neither the final [τ] nor the certified
-    [ν/τ] gap bound, only how many Newton iterations the path spends
-    getting there.  [levels] is 0 (the params are returned unchanged)
-    when [tau_final] is not finite or does not exceed [tau0]. *)
+    {!solution.tau_final}): [tau0] climbs the ladder's own products
+    [tau0 · 15 · 15 · …] to the last rung not above [tau_final] — the
+    producing solve's terminal tau itself, to the bit, when that solve
+    climbed the same ladder.  {!solve}'s mandatory centering step then
+    re-centres the start once at that tau, and on the same [ν] the
+    ladder stops there: the final [τ] and the certified [ν/τ] gap bound
+    are unchanged, only the Newton iterations spent getting there
+    differ.  The params are returned unchanged when [tau_final] is not
+    finite or is below [tau0 · 15]. *)
 
 (** {2 Warm-start interiority repair}
 
@@ -149,42 +148,55 @@ val warm_start_params : params -> tau_final:float -> params
     guide in {!page-solver}. *)
 
 val pull_to_interior :
+  ?margin:float ->
   problem ->
   target:Linalg.Vec.t ->
   Linalg.Vec.t ->
   Linalg.Vec.t option
 (** Blend [x] toward [target] by the smallest α ∈ [0, 1] such that every
-    constraint clears [1e-8] × its residual scale — certified, not
-    searched: half-space slacks are affine in α and cone slacks
-    [σ = u − ‖v‖] are concave (affine minus convex), so the chord bound
-    [(1−α)σ(x) + ασ(target)] under-estimates the true slack and the
-    per-constraint safe α is closed-form.  [None] when [target]
+    constraint clears [margin] (default [1e-8]) × its residual scale —
+    certified, not searched: half-space slacks are affine in α and cone
+    slacks [σ = u − ‖v‖] are concave (affine minus convex), so the chord
+    bound [(1−α)σ(x) + ασ(target)] under-estimates the true slack and
+    the per-constraint safe α is closed-form.  [None] when [target]
     itself does not clear that margin (it must be strictly interior with
-    room to spare) or the blend fails the final rounding re-check.  The
-    result is within the segment [x]–[target], so any convex constraint
-    set containing both contains it. *)
+    room to spare) or the blend fails the final rounding re-check at
+    [margin / 4].  The result is within the segment [x]–[target], so
+    any convex constraint set containing both contains it. *)
 
 type warm_prep =
   | Warm_interior  (** accepted as-is: already margin-interior *)
   | Warm_pulled  (** repaired by {!pull_to_interior} *)
 
 val prepare_warm_start :
+  ?params:params ->
+  tau_final:float ->
   target:Linalg.Vec.t ->
   problem ->
   Linalg.Vec.t ->
-  (Linalg.Vec.t * warm_prep) option
-(** The warm-start decision tree: [x] if it is already certifiably
-    interior (relative margin [1e-8], as {!pull_to_interior}); else the
-    analytic-center pull-in toward [target]; else [None] — solve cold.
-    The returned point is safe to pass to {!solve} as [start] with a
-    {!warm_start_params} schedule advance.  Emits
-    the [socp.warm_pull] trace instant and bumps its metrics counter
-    when the pull-in repairs a start. *)
+  (Linalg.Vec.t * warm_prep * params) option
+(** The warm start of [x], taken from a solve that terminated at barrier
+    weight [tau_final], and its ladder: the start, how it was prepared,
+    and [warm_start_params params ~tau_final] (default
+    {!default_params}), whose [tau0] we call τ₀ here.  The decision
+    tree: [x] if it is already certifiably interior (relative margin
+    [1e-8], as {!pull_to_interior}); else its pull-in toward [target] by
+    the relative margin [15·ν/τ₀] — the duality measure of the rung
+    below τ₀ — where [target] clears that margin, else by [1e-8]; else
+    [None]: solve cold.  A point centred on that rung lies about that
+    far inside its constraints, so a parent optimum on a branch cut
+    pulled that far in re-centres in the one rung at τ₀, where one left
+    [1e-8] inside costs many damped Newton steps.  The fallback returns
+    [Some] wherever the [1e-8] tree alone does.  Pass the point to
+    {!solve} as [start] with the returned params.  Emits the
+    [socp.warm_pull] trace instant and bumps its metrics counter when a
+    pull-in repairs a start. *)
 
 type status = Optimal | Suboptimal
-(** [Suboptimal]: an outer-iteration limit, a stalled centering step, or
-    a diverged (NaN) Newton solve; the returned point is feasible but
-    the gap bound may exceed [gap_tol]. *)
+(** [Suboptimal]: an outer-iteration limit, or a last centering that
+    stalled, hit Newton's iteration limit or diverged (NaN); the
+    returned point is feasible but the gap bound may exceed [gap_tol]
+    or the point may sit off the central path. *)
 
 type solution = {
   x : Linalg.Vec.t;
@@ -313,6 +325,11 @@ val centering_for_tests : problem -> float -> Newton.oracle_into
     half-space as [value]; each trial is then O(constraints), [Δ(t)]
     formed from per-constraint ratios ([log1p] of the relative change
     of each slack), accurate to a few ulps of its largest term. *)
+
+val outward_for_tests : float -> float * float
+(** The certificate's one-float outward steps of [x], down and up: the
+    [(Float.pred x, Float.succ x)] of every [x] but [+∞] (kept up) and
+    [−∞] (kept down). *)
 
 val phase1_problem_for_tests : problem -> problem
 (** The phase-I augmented problem {!find_strictly_feasible} solves:

@@ -65,6 +65,58 @@ let test_interval_directed_rounding () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The outward steps of {!Interval} and of the certificate are
+   [Float.pred]/[Float.succ] to the bit on every float: the inline
+   formula where it applies, the library call elsewhere, +∞ kept up and
+   −∞ kept down.  Checked on every power of two (where the step halves
+   below), the band just above the subnormals, the extremes, and random
+   bit patterns weighted toward the edges. *)
+let outward_steps_match x =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let down = if x = Float.neg_infinity then x else Float.pred x
+  and up = if x = Float.infinity then x else Float.succ x in
+  let d, u = Socp.outward_for_tests x in
+  let certificate =
+    if Float.is_nan x then Float.is_nan d && Float.is_nan u else same d down && same u up
+  in
+  certificate
+  && (Float.is_nan x
+     ||
+     let w = Interval.wide (Interval.point x) in
+     same (Interval.lo w) down && same (Interval.hi w) up)
+
+let test_outward_step_edges () =
+  let edges =
+    [ 0.0; 4e-324; ldexp 1.0 (-1022) -. 4e-324; Float.min_float; ldexp 1.0 (-1021);
+      Float.pred (ldexp 1.0 (-1020)); ldexp 1.0 (-1020); Float.succ (ldexp 1.0 (-1020));
+      1.0; Float.pred 1.0; Float.succ 1.0; 3.0; Float.max_float; Float.infinity; Float.nan ]
+  in
+  let powers = List.init 2098 (fun k -> ldexp 1.0 (k - 1074)) in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun v ->
+          if not (outward_steps_match v) then Alcotest.failf "outward steps of %h" v)
+        [ x; -.x ])
+    (edges @ powers)
+
+let prop_outward_steps_match =
+  QCheck.Test.make ~name:"outward steps are Float.pred/succ" ~count:20_000
+    QCheck.(pair (int_range 0 3) int64)
+    (fun (kind, bits) ->
+      let sign = Int64.logand bits Int64.min_int
+      and mant = Int64.logand bits 0xF_FFFF_FFFF_FFFFL in
+      let with_exp e = Int64.logor sign (Int64.logor (Int64.shift_left (Int64.of_int e) 52) mant) in
+      let x =
+        Int64.float_of_bits
+          (match kind with
+          | 0 -> bits (* anything: NaNs and infinities too *)
+          | 1 -> with_exp (Int64.to_int (Int64.logand bits 3L)) (* subnormal, ±0, [2⁻¹⁰²², 2⁻¹⁰²⁰) *)
+          | 2 -> with_exp (3 + Int64.to_int (Int64.logand bits 1L)) (* the formula's first binades *)
+          | _ -> with_exp (2046 - Int64.to_int (Int64.logand bits 1L)) (* up to ±max_float *))
+      in
+      outward_steps_match x || QCheck.Test.fail_reportf "outward steps of %h" x)
+
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -432,7 +484,7 @@ let test_socp_certificate_analytic () =
         (sol.Socp.objective -. cert.Socp.dual_value)
         cert.Socp.slack;
       (* The outward rounding takes fixed steps in a fixed order. *)
-      Alcotest.(check string) "dual value bits" "c014001bf8896ab2"
+      Alcotest.(check string) "dual value bits" "c01400000b4be488"
         (Printf.sprintf "%Lx" (Int64.bits_of_float cert.Socp.dual_value))
 
 let test_socp_certificate_survives_corrupt_primal () =
@@ -946,14 +998,14 @@ let test_bnb_domains_one_pinned () =
   | None -> Alcotest.fail "LDA-FP found no classifier"
   | Some o ->
       let d = o.Ldafp_core.Lda_fp.diagnostics in
-      check_pinned "LDA-FP" ~nodes:30 ~stop:Bnb.Gap_reached
-        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac2aa414e05eL
+      check_pinned "LDA-FP" ~nodes:28 ~stop:Bnb.Gap_reached
+        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac16a1e2b691L
         ~counts:
-          [ ("infeasible_regions", 1); ("bound_pruned", 26);
-            ("incumbent_updates", 1); ("children_generated", 60);
-            ("domains_used", 1); ("warm_start_hits", 49);
-            ("phase1_skipped", 49); ("warm_pull_ins", 31);
-            ("warm_miss_no_parent", 1); ("cert_verified", 50) ]
+          [ ("infeasible_regions", 1); ("bound_pruned", 24);
+            ("incumbent_updates", 1); ("children_generated", 56);
+            ("domains_used", 1); ("warm_start_hits", 47);
+            ("phase1_skipped", 47); ("warm_pull_ins", 30);
+            ("warm_miss_no_parent", 1); ("cert_verified", 48) ]
         ( d.Ldafp_core.Lda_fp.nodes, d.Ldafp_core.Lda_fp.stop_reason,
           o.Ldafp_core.Lda_fp.cost, d.Ldafp_core.Lda_fp.bound,
           d.Ldafp_core.Lda_fp.search )
@@ -1765,14 +1817,15 @@ let test_socp_trials_per_step () =
      noise there: the last rung ran into the 80-iteration cap at 14.5
      trials per iteration.  The ray's difference converges in a few.
      The test reruns the solve's ladder (factor 15 per rung) with the
-     same Newton parameters, checks that it lands on the solve's own
-     point, and counts the last rung's trials per Newton iteration. *)
+     same Newton parameters and the same final step per rung, checks
+     that it lands on the solve's own point, and counts the last rung's
+     trials per Newton iteration. *)
   let root, start = ecog_root () in
   let params = Socp.default_params in
   let sol = Socp.solve ~params root ~start in
   let ws = Newton.workspace root.Socp.n in
   let center tau x =
-    Newton.minimize_into ~params:params.Socp.newton ws
+    Newton.minimize_into ~params:params.Socp.newton ~finish:true ws
       (Socp.centering_for_tests root tau) x
   in
   let x = ref start and tau = ref params.Socp.tau0 in
@@ -1917,19 +1970,49 @@ let prop_warm_start_agrees_with_cold =
 
 let test_warm_start_params () =
   let p = Socp.default_params in
-  (* A start from a solve that ended 6.5 rungs up the ladder skips 5,
-     keeping one centering rung below the producing solve's tau. *)
-  let w =
-    Socp.warm_start_params p ~tau_final:(p.Socp.tau0 *. (15.0 ** 6.5))
+  let bits = Alcotest.(check int64) in
+  let rec rungs k tau = if k = 0 then tau else rungs (k - 1) (15.0 *. tau) in
+  let start tau_final = (Socp.warm_start_params p ~tau_final).Socp.tau0 in
+  (* The ladder restarts on the last rung at or below the producing
+     solve's terminal tau, that rung's own product to the bit. *)
+  bits "on a rung: that rung" (Int64.bits_of_float (rungs 6 p.Socp.tau0))
+    (Int64.bits_of_float (start (rungs 6 p.Socp.tau0)));
+  bits "between rungs: the one below" (Int64.bits_of_float (rungs 6 p.Socp.tau0))
+    (Int64.bits_of_float (start (p.Socp.tau0 *. (15.0 ** 6.5))));
+  checkf 0.0 "one rung up" (15.0 *. p.Socp.tau0) (start (p.Socp.tau0 *. 15.0 *. 1.5));
+  checkf 1e-12 "gap_tol unchanged" p.Socp.gap_tol
+    (Socp.warm_start_params p ~tau_final:1e6).Socp.gap_tol;
+  checkf 0.0 "no ladder ran: nothing skipped" p.Socp.tau0 (start Float.nan);
+  checkf 0.0 "infinite: nothing skipped" p.Socp.tau0 (start Float.infinity);
+  checkf 0.0 "below tau0: nothing skipped" p.Socp.tau0 (start 0.5);
+  checkf 0.0 "below one rung: nothing skipped" p.Socp.tau0 (start (p.Socp.tau0 *. 14.0));
+  (* No further than a ladder climbs. *)
+  checkf 0.0 "at most 60 rungs" (rungs 60 p.Socp.tau0) (start Float.max_float);
+  (* A solve's own terminal tau comes back to the bit, so a start
+     re-centred there ends on that tau: one rung, the same gap bound. *)
+  let pb = Socp.problem ~q:[| 1.0; -1.0 |] ~lins:(box_constraints (Vec.make 2 (-1.0)) (Vec.make 2 1.0)) 2 in
+  let cold = Socp.solve pb ~start:(Vec.zeros 2) in
+  bits "a solve's tau_final" (Int64.bits_of_float cold.Socp.tau_final)
+    (Int64.bits_of_float (start cold.Socp.tau_final));
+  let warm =
+    Socp.solve ~params:(Socp.warm_start_params p ~tau_final:cold.Socp.tau_final) pb
+      ~start:(Vec.make 2 0.5)
   in
-  checkf 1e-9 "tau0 advanced 5 levels" (p.Socp.tau0 *. (15.0 ** 5.0))
-    w.Socp.tau0;
-  checkf 1e-12 "gap_tol unchanged" p.Socp.gap_tol w.Socp.gap_tol;
-  let skipped tau_final = (Socp.warm_start_params p ~tau_final).Socp.tau0 in
-  checkf 0.0 "no ladder ran: nothing skipped" p.Socp.tau0 (skipped Float.nan);
-  checkf 0.0 "below tau0: nothing skipped" p.Socp.tau0 (skipped 0.5);
-  checkf 0.0 "one rung: nothing skipped" p.Socp.tau0
-    (skipped (p.Socp.tau0 *. 15.0 *. 1.5))
+  checki "one rung" 1 warm.Socp.outer_iterations;
+  bits "same terminal tau" (Int64.bits_of_float cold.Socp.tau_final)
+    (Int64.bits_of_float warm.Socp.tau_final);
+  bits "same gap bound" (Int64.bits_of_float cold.Socp.gap_bound)
+    (Int64.bits_of_float warm.Socp.gap_bound);
+  checkb "a centred rung is Optimal" true (warm.Socp.status = Socp.Optimal);
+  (* The same rung cut off after one Newton step ends on the same tau,
+     but off the central path: Suboptimal. *)
+  let short = { p with Socp.newton = { p.Socp.newton with Newton.max_iter = 1 } } in
+  let short =
+    Socp.solve ~params:(Socp.warm_start_params short ~tau_final:cold.Socp.tau_final) pb
+      ~start:(Vec.make 2 0.5)
+  in
+  checki "one short rung" 1 short.Socp.outer_iterations;
+  checkb "an uncentred last rung is Suboptimal" true (short.Socp.status = Socp.Suboptimal)
 
 (* A shared 3-variable test problem: coupled quadratic, unit box, and a
    ball of radius 2 around the origin. *)
@@ -2015,11 +2098,47 @@ let prop_pull_in_strictly_interior =
             QCheck.Test.fail_reportf "pulled point has slack %.3g"
               (Socp.min_relative_slack pb y)
           else begin
-            match Socp.prepare_warm_start pb x0 ~target:(Vec.zeros n) with
+            match Socp.prepare_warm_start ~tau_final:1.0 pb x0 ~target:(Vec.zeros n) with
             | None ->
                 QCheck.Test.fail_report "prepare refused a repairable point"
-            | Some (z, _) -> Socp.min_relative_slack pb z > 0.0
+            | Some (z, _, _) -> Socp.min_relative_slack pb z > 0.0
           end)
+
+(* The duality-margin pull never costs a warm start: wherever the plain
+   [1e-8] tree (accept, else pull at [1e-8]) repairs a start,
+   [prepare_warm_start] does too, at any ladder start — on box-and-ball
+   problems with the start on or just past a face and a target anywhere
+   from deep inside to a hair from a face, so that the duality margin
+   is often out of the target's reach. *)
+let prop_prepare_keeps_every_old_repair =
+  QCheck.Test.make ~name:"prepare_warm_start repairs what the 1e-8 pull did"
+    ~count:300
+    QCheck.(pair (int_range 1 6) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Stats.Rng.create seed in
+      let u lo hi = Stats.Rng.uniform rng ~lo ~hi in
+      let lo = Array.init n (fun _ -> u (-2.0) (-0.1)) in
+      let hi = Array.init n (fun _ -> u 0.1 2.0) in
+      let cone =
+        { Socp.l = Mat.identity n; g = Vec.zeros n; c = Vec.zeros n; d = u 1.0 4.0 }
+      in
+      let pb = Socp.problem ~lins:(box_constraints lo hi) ~socs:[ cone ] n in
+      let x0 = Array.init n (fun i -> u lo.(i) hi.(i)) in
+      let j = Stats.Rng.int rng n in
+      x0.(j) <- hi.(j) +. (u (-1e-9) 1e-9 *. (hi.(j) -. lo.(j)));
+      let target = Array.init n (fun i -> 0.5 *. u lo.(i) hi.(i)) in
+      let k = Stats.Rng.int rng n in
+      target.(k) <- hi.(k) -. ((10.0 ** u (-10.0) 0.0) *. (hi.(k) -. lo.(k)));
+      let tau_final = 10.0 ** u 0.0 12.0 in
+      let old =
+        Socp.is_strictly_interior ~margin:1e-8 pb x0
+        || Socp.pull_to_interior pb ~target x0 <> None
+      in
+      match Socp.prepare_warm_start ~tau_final ~target pb x0 with
+      | Some (y, _, _) ->
+          Socp.min_relative_slack pb y > 0.0
+          || QCheck.Test.fail_reportf "prepared start has slack %g" (Socp.min_relative_slack pb y)
+      | None -> (not old) || QCheck.Test.fail_report "a start the 1e-8 pull repaired went cold")
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -2031,6 +2150,8 @@ let qcheck_tests =
       prop_warm_start_agrees_with_cold;
       prop_pull_in_strictly_interior;
       prop_bnb_parallel_incumbent;
+      prop_outward_steps_match;
+      prop_prepare_keeps_every_old_repair;
     ]
 
 let () =
@@ -2041,6 +2162,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_interval_basics;
           Alcotest.test_case "directed rounding" `Quick
             test_interval_directed_rounding;
+          Alcotest.test_case "outward steps at the edges" `Quick
+            test_outward_step_edges;
         ] );
       ( "pqueue",
         [
