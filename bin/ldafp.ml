@@ -134,12 +134,12 @@ let k_arg =
 (* The QK.F format of a word length ([flag], default [--wl]) and [-k].
    The two are only valid together (1 <= k < wl <= 31), so a bad pair is
    a usage error checked here, before any work starts: one line, exit
-   2.  The bound is the one [Fx.mul_exact_raw] enforces: the datapath
-   forms each product [w * x] in a native int, which wraps modulo 2^63
-   once 2 wl > 62, where a 2 wl-bit hardware multiplier would not. *)
+   2.  The bound is the one [Fx.mul_exact_raw] enforces and model files
+   are held to ([Model_io.max_word_length]). *)
 let fmt_of ?(flag = "--wl") ~wl ~k () =
-  if k < 1 || wl <= k || wl > 31 then begin
-    Fmt.epr "%s %d with -k %d: need 1 <= k < wl <= 31@." flag wl k;
+  let max_wl = Model_io.max_word_length in
+  if k < 1 || wl <= k || wl > max_wl then begin
+    Fmt.epr "%s %d with -k %d: need 1 <= k < wl <= %d@." flag wl k max_wl;
     exit 2
   end;
   Fixedpoint.Format_policy.fixed_k ~k wl

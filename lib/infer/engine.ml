@@ -10,6 +10,7 @@ type t = {
   polarity : bool;
   scales : float array; (* 2^(f - e_j), or 0.0 if that is not a normal double *)
   neg_exponents : int array; (* -e_j, for the specification's ldexps *)
+  fast : bool; (* the quantiser's fast loop: every scale normal, bits <= 52 *)
   proj : Batch.ba1; (* scratch projections, one per batch column *)
   capacity : int;
   features : int;
@@ -48,14 +49,17 @@ let of_fixed ?(capacity = 1024) (clf : Fixed_classifier.t) =
        that [f - e] cannot overflow. *)
     if e >= f - 1023 && e <= f + 1022 then ldexp 1.0 (f - e) else 0.0
   in
+  let bits = Qformat.word_length fmt in
+  let scales = Array.map scale exponents in
   {
     fmt;
-    bits = Qformat.word_length fmt;
+    bits;
     w;
     thr_raw = Fx.raw clf.Fixed_classifier.threshold;
     polarity = clf.Fixed_classifier.polarity;
-    scales = Array.map scale exponents;
+    scales;
     neg_exponents = Array.map (fun e -> -e) exponents;
+    fast = bits <= 52 && Array.for_all (fun s -> s > 0.0) scales;
     proj;
     capacity;
     features;
@@ -71,33 +75,39 @@ let check_format what t batch =
   if not (Qformat.equal (Batch.format batch) t.fmt) then
     invalid_arg (what ^ ": batch format differs from the engine's")
 
-(* One column through the C quantiser; the checks run once per call. *)
-let quantize what t batch ~col x =
+(* A kernel's verdict on a row: -1, the index of its first NaN
+   feature, or [features] for a row of the wrong length. *)
+let check_row what t r =
+  if r = t.features then invalid_arg (what ^ ": dimension mismatch");
+  if r >= 0 then invalid_arg (Printf.sprintf "%s: NaN in feature %d" what r)
+
+let load t batch ~col x =
+  let what = "Engine.load" in
+  check_format what t batch;
   if Array.length x <> t.features then
     invalid_arg (what ^ ": dimension mismatch");
   if Batch.n_features batch <> t.features then
     invalid_arg (what ^ ": batch feature count mismatch");
   if col < 0 || col >= Batch.capacity batch then
     invalid_arg (what ^ ": column outside [0, capacity)");
-  let j =
-    Kernels.quantize t.scales t.neg_exponents x (Batch.data batch) col
-      t.fmt.Qformat.f t.bits
-  in
-  if j >= 0 then invalid_arg (Printf.sprintf "%s: NaN in feature %d" what j)
-
-let load t batch ~col x =
-  check_format "Engine.load" t batch;
-  quantize "Engine.load" t batch ~col x
+  check_row what t
+    (Kernels.quantize t.scales t.neg_exponents x (Batch.data batch) col
+       t.fmt.Qformat.f t.bits t.fast)
 
 let load_rows t batch ?(start = 0) ?n rows =
-  check_format "Engine.load_rows" t batch;
-  if start < 0 then invalid_arg "Engine.load_rows: negative start";
+  let what = "Engine.load_rows" in
+  check_format what t batch;
+  if start < 0 then invalid_arg (what ^ ": negative start");
   let avail = max 0 (Array.length rows - start) in
   let fit = min avail (Batch.capacity batch) in
   let n = match n with Some n -> min (max n 0) fit | None -> fit in
-  for c = 0 to n - 1 do
-    quantize "Engine.load_rows" t batch ~col:c rows.(start + c)
-  done;
+  if n > 0 then begin
+    if Batch.n_features batch <> t.features then
+      invalid_arg (what ^ ": batch feature count mismatch");
+    check_row what t
+      (Kernels.quantize_rows t.scales t.neg_exponents rows start n
+         (Batch.data batch) t.fmt.Qformat.f t.bits t.fast)
+  end;
   Batch.set_length batch n;
   n
 

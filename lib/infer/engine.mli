@@ -44,18 +44,24 @@ val load : t -> Batch.t -> col:int -> float array -> unit
 (** Front-end conversion of one raw (unscaled) feature vector into
     column [col]: apply the model's power-of-two scaling, round to
     nearest (ties to even), saturate into the engine format — bit for
-    bit [Fixed_classifier.quantize_input], through one allocation-free
-    C loop over the features.  Does not touch the batch length.
+    bit [Fixed_classifier.quantize_input], through the C row body that
+    {!load_rows} shares.  Does not touch the batch length.
     @raise Invalid_argument if the batch's format is not the engine's,
     if [x] or the batch has the wrong feature count, if [col] is outside
     [\[0, capacity)], or if a feature is NaN (the message names the
-    feature index). *)
+    feature index; the column's codes are then unspecified). *)
 
 val load_rows : t -> Batch.t -> ?start:int -> ?n:int -> float array array -> int
-(** Load rows [start .. start+n-1] (clamped to what fits the batch
-    capacity and the array), set the batch length, return the count
-    loaded.  Checks as {!load}, per row.
-    @raise Invalid_argument also if [start < 0]. *)
+(** Load rows [start .. start+n-1] into columns [0 .. n-1] (clamped to
+    what fits the batch capacity and the array), set the batch length,
+    return the count loaded.  One C call per batch, which prefetches
+    the rows ahead of the one it quantises.  Checks as {!load}, per
+    row: the first bad row in row order raises {!load}'s message for it
+    (prefixed [Engine.load_rows]); the rows before it are loaded, the
+    columns after it are untouched and the batch length is left as it
+    was.
+    @raise Invalid_argument also if [start < 0], or, when any row would
+    be loaded, if the batch has the wrong feature count. *)
 
 val project_into : t -> Batch.t -> unit
 (** Run the MAC kernel over the live columns; results are readable via

@@ -25,10 +25,22 @@ let to_string clf =
        (Fx.raw clf.Fixed_classifier.threshold));
   Buffer.contents buf
 
+(* The datapath forms each product [w * x] in a native int, which wraps
+   modulo 2^63 once 2 wl > 62, where a 2 wl-bit hardware multiplier
+   would not. *)
+let max_word_length = 31
+
 let parse_format s =
-  try Scanf.sscanf s "Q%d.%d%!" (fun k f -> Qformat.make ~k ~f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _ ->
-    raise (Parse_error (Printf.sprintf "bad format %S" s))
+  match Scanf.sscanf s "Q%d.%d%!" (fun k f -> Qformat.make ~k ~f) with
+  | fmt when Qformat.word_length fmt <= max_word_length -> fmt
+  | fmt ->
+      raise
+        (Parse_error
+           (Printf.sprintf "format %s: word length %d, need wl <= %d" s
+              (Qformat.word_length fmt) max_word_length))
+  | exception
+      (Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _) ->
+      raise (Parse_error (Printf.sprintf "bad format %S" s))
 
 (* A code outside the format's range is refused, never wrapped. *)
 let code fmt r =
@@ -115,12 +127,12 @@ let c_header_of clf =
   (* Products are computed in plain int64_t in the generated code; the
      OCaml datapath wraps them modulo 2^63, so the two agree only while
      a product cannot exceed 62 bits. *)
-  if wl > 31 then
+  if wl > max_word_length then
     invalid_arg
       (Printf.sprintf
-         "Model_io.c_header_of: word length %d > 31 (product would overflow \
+         "Model_io.c_header_of: word length %d > %d (product would overflow \
           the generated int64 accumulator)"
-         wl);
+         wl max_word_length);
   let m = Fixed_classifier.n_features clf in
   let scaling = clf.Fixed_classifier.scaling in
   let w = clf.Fixed_classifier.w in

@@ -13,10 +13,17 @@
 
 exception Parse_error of string
 
+val max_word_length : int
+(** [31]: the widest format a model file may carry, and the widest
+    [ldafp train] produces.  Past it a product [w * x] no longer fits
+    the native int the datapath forms it in, so it would wrap modulo
+    [2^63] where a [2 wl]-bit hardware multiplier would not. *)
+
 val to_string : Fixed_classifier.t -> string
 val of_string : string -> Fixed_classifier.t
 (** @raise Parse_error on malformed input, including a format
-    {!Fixedpoint.Qformat.make} refuses, a raw code outside the format's
+    {!Fixedpoint.Qformat.make} refuses or wider than
+    {!max_word_length}, a raw code outside the format's
     range, and a scaling exponent outside [[-1100, 1100]] (wider than
     any finite double needs; past ±2{^31} the C [ldexp] would silently
     truncate it). *)

@@ -230,6 +230,81 @@ let prop_quantizer_matches_spec =
       quantize_column fmt ~exponents:es xs
       = Array.mapi (fun j x -> spec_raw fmt es.(j) x) xs)
 
+(* [load_rows] against [load], one row at a time, over the whole
+   storage: capacities from 1 to 70 and blocks of 0 to 70 rows, so
+   blocks shorter than, equal to and past the kernel's prefetch distance
+   (8 rows) all occur.  Both batches start from the same non-zero fill,
+   so a stray write past the loaded columns shows too.  Each case is
+   counted under the quantiser path its engine takes: the fast one
+   (every scale 2^(f - e_j) a normal double and WL <= 52) or the general
+   one. *)
+let fast_cases = ref 0
+let general_cases = ref 0
+
+let fast_front_end fmt es =
+  let f = fmt.Qformat.f in
+  Qformat.word_length fmt <= 52
+  && Array.for_all (fun e -> e >= f - 1023 && e <= f + 1022) es
+
+let arb_rows_case =
+  QCheck.make
+    ~print:(fun (fmt, es, capacity, rows, start, n) ->
+      let list f a = String.concat ";" (Array.to_list (Array.map f a)) in
+      Printf.sprintf "%s e=[%s] capacity=%d start=%d n=%s rows=[%s]"
+        (Qformat.to_string fmt) (list string_of_int es) capacity start
+        (match n with Some n -> string_of_int n | None -> "-")
+        (list (fun x -> "[" ^ list (Printf.sprintf "%h") x ^ "]") rows))
+    QCheck.Gen.(
+      let* fmt = quant_fmt_gen in
+      let* m = int_range 1 6 in
+      let* es = array_size (return m) (quant_exponent_gen fmt) in
+      let* capacity = int_range 1 70 in
+      let* len = int_range 0 80 in
+      let* rows =
+        array_size (return len) (flatten_a (Array.map (raw_input_gen fmt) es))
+      in
+      let* start = int_range 0 (len + 2) in
+      let* n = opt (int_range (-1) 75) in
+      return (fmt, es, capacity, rows, start, n))
+
+let prop_load_rows_matches_load =
+  QCheck.Test.make ~name:"load_rows == load, row by row" ~count:1500
+    arb_rows_case (fun (fmt, es, capacity, rows, start, n) ->
+      if fast_front_end fmt es then incr fast_cases else incr general_cases;
+      let m = Array.length es in
+      let clf =
+        clf_of_raws fmt ~w_raws:(Array.make m 0) ~thr_raw:0 ~exponents:es
+      in
+      let engine = Infer.Engine.of_fixed ~capacity clf in
+      let by_rows = Infer.Engine.make_batch engine
+      and by_load = Infer.Engine.make_batch engine in
+      Bigarray.Array2.fill (Infer.Batch.data by_rows) 0x5a5a;
+      Bigarray.Array2.fill (Infer.Batch.data by_load) 0x5a5a;
+      let k = Infer.Engine.load_rows engine by_rows ~start ?n rows in
+      for c = 0 to k - 1 do
+        Infer.Engine.load engine by_load ~col:c rows.(start + c)
+      done;
+      let fit = min (max 0 (Array.length rows - start)) capacity in
+      k = (match n with Some n -> min (max n 0) fit | None -> fit)
+      && Infer.Batch.length by_rows = k
+      && Infer.Batch.data by_rows = Infer.Batch.data by_load)
+
+let test_load_rows_matches_load =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest prop_load_rows_matches_load
+  in
+  ( name,
+    speed,
+    fun () ->
+      fast_cases := 0;
+      general_cases := 0;
+      run ();
+      checkb (Printf.sprintf "fast path reached (%d cases)" !fast_cases) true
+        (!fast_cases > 0);
+      checkb
+        (Printf.sprintf "general path reached (%d cases)" !general_cases)
+        true (!general_cases > 0) )
+
 let test_quantizer_nan () =
   let fmt = Qformat.make ~k:2 ~f:4 in
   List.iter
@@ -372,28 +447,39 @@ let test_steady_state_no_alloc () =
     true (delta < 256.0)
 
 (* Loading alone, one column at a time and by rows, with no
-   Gc.minor_words slack: the probe itself is unboxed. *)
+   Gc.minor_words slack: the probe itself is unboxed.  On both quantiser
+   paths: the fast one (Q2.6, normal scales) and the general one (a
+   scale that is not a normal double; WL 56). *)
 let test_load_no_alloc () =
-  let fmt = Qformat.make ~k:2 ~f:6 in
-  let clf =
-    clf_of_raws fmt ~w_raws:[| 31; -17; 5 |] ~thr_raw:7
-      ~exponents:[| 0; 1; 2000 |]
-  in
-  let engine = Infer.Engine.of_fixed ~capacity:64 clf in
-  let batch = Infer.Engine.make_batch engine in
-  let rows = Array.init 64 (fun i -> [| float_of_int i; -0.3; 1e300 |]) in
-  let load () =
-    ignore (Infer.Engine.load_rows engine batch rows : int);
-    for c = 0 to 63 do
-      Infer.Engine.load engine batch ~col:c rows.(c)
-    done
-  in
-  load ();
-  let before = Gc.minor_words () in
-  for _ = 1 to 100 do
-    load ()
-  done;
-  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+  List.iter
+    (fun (fmt, exponents) ->
+      let clf =
+        clf_of_raws fmt ~w_raws:[| 31; -17; 5 |] ~thr_raw:7 ~exponents
+      in
+      let engine = Infer.Engine.of_fixed ~capacity:64 clf in
+      let batch = Infer.Engine.make_batch engine in
+      let rows = Array.init 64 (fun i -> [| float_of_int i; -0.3; 1e300 |]) in
+      let load () =
+        ignore (Infer.Engine.load_rows engine batch rows : int);
+        for c = 0 to 63 do
+          Infer.Engine.load engine batch ~col:c rows.(c)
+        done
+      in
+      load ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        load ()
+      done;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s, last exponent %d: minor words"
+           (Qformat.to_string fmt) exponents.(2))
+        0.0
+        (Gc.minor_words () -. before))
+    [
+      (Qformat.make ~k:2 ~f:6, [| 0; 1; 2 |]);
+      (Qformat.make ~k:2 ~f:6, [| 0; 1; 2000 |]);
+      (Qformat.make ~k:3 ~f:53, [| 0; 1; 2 |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Front-end validation                                                *)
@@ -449,6 +535,71 @@ let test_load_nan_names_feature () =
       Infer.Engine.load engine batch ~col:0 [| 0.5; Float.nan; 1.0 |]);
   raises_invalid "load_rows" "Engine.load_rows: NaN in feature 2" (fun () ->
       ignore (Infer.Engine.load_rows engine batch [| [| 0.5; 0.0; Float.nan |] |]))
+
+(* The first bad row of a block, in row order, raises its own message:
+   a NaN in row [i] and a short (or empty) row at [k] raise for row
+   min(i, k).  The rows before it are loaded, the columns after it keep
+   what they held and the batch length is left as it was.  Run on a
+   fast-path engine and on two general-path ones (a scale that is not a
+   normal double, and WL 56). *)
+let test_load_rows_first_bad_row () =
+  let engines =
+    List.map
+      (fun (fmt, exponents) ->
+        Infer.Engine.of_fixed ~capacity:32
+          (clf_of_raws fmt ~w_raws:[| 3; -5; 7 |] ~thr_raw:1 ~exponents))
+      [
+        (Qformat.make ~k:2 ~f:6, [| 0; 2; -1 |]);
+        (Qformat.make ~k:2 ~f:6, [| 0; 2000; -1 |]);
+        (Qformat.make ~k:3 ~f:53, [| 0; 2; -1 |]);
+      ]
+  in
+  let clean = Array.init 24 (fun i -> [| 0.1 *. float_of_int i; -0.3; 1.5 |]) in
+  let row i = [| 0.05 *. float_of_int i; 0.25; -1.0 |] in
+  let with_bad bad =
+    Array.init 24 (fun i ->
+        Option.value (List.assoc_opt i bad) ~default:(row i))
+  in
+  let nan_row = [| 0.5; Float.nan; Float.nan |] in
+  let cases =
+    [
+      ("NaN at 5, short row at 11", [ (5, nan_row); (11, [| 1.0 |]) ], 5,
+       "Engine.load_rows: NaN in feature 1");
+      ("short row at 5, NaN at 11", [ (5, [| 1.0; 2.0 |]); (11, nan_row) ], 5,
+       "Engine.load_rows: dimension mismatch");
+      ("empty row at 9, NaN at 10", [ (9, [||]); (10, nan_row) ], 9,
+       "Engine.load_rows: dimension mismatch");
+      ("NaN in the last row", [ (23, [| 0.5; 0.0; Float.nan |]) ], 23,
+       "Engine.load_rows: NaN in feature 2");
+    ]
+  in
+  List.iteri
+    (fun e engine ->
+      List.iter
+        (fun (label, bad, first, msg) ->
+          let label = Printf.sprintf "engine %d, %s" e label in
+          let rows = with_bad bad in
+          let batch = Infer.Engine.make_batch engine
+          and expected = Infer.Engine.make_batch engine in
+          ignore (Infer.Engine.load_rows engine batch clean : int);
+          ignore (Infer.Engine.load_rows engine expected clean : int);
+          for c = 0 to first - 1 do
+            Infer.Engine.load engine expected ~col:c rows.(c)
+          done;
+          raises_invalid label msg (fun () ->
+              Infer.Engine.load_rows engine batch rows);
+          checki (label ^ ": length") 24 (Infer.Batch.length batch);
+          let got = Infer.Batch.data batch
+          and want = Infer.Batch.data expected in
+          for c = 0 to 31 do
+            if c <> first then
+              for j = 0 to 2 do
+                checki (Printf.sprintf "%s: code %d of column %d" label j c)
+                  want.{j, c} got.{j, c}
+              done
+          done)
+        cases)
+    engines
 
 (* The capacity is the one asked for; the storage behind it is padded
    to an odd number of 64-byte lines per row, and the padding is out of
@@ -695,6 +846,7 @@ let () =
       ( "quantizer",
         [
           QCheck_alcotest.to_alcotest prop_quantizer_matches_spec;
+          test_load_rows_matches_load;
           Alcotest.test_case "NaN names the feature" `Quick test_quantizer_nan;
           Alcotest.test_case "shape checks" `Quick test_quantizer_shape;
         ] );
@@ -720,6 +872,8 @@ let () =
             test_load_rows_rejects_negative_start;
           Alcotest.test_case "NaN names the feature" `Quick
             test_load_nan_names_feature;
+          Alcotest.test_case "first bad row raises" `Quick
+            test_load_rows_first_bad_row;
         ] );
       ( "metrics",
         [

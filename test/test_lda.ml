@@ -1125,8 +1125,9 @@ let test_model_io_exponent_range () =
         | _ -> false))
     [ -1101; 1101; min_int; max_int; 1 lsl 31 ]
 
-(* A raw code outside the format's range, or a format [Qformat.make]
-   refuses, is a malformed file, not a model to wrap into range. *)
+(* A raw code outside the format's range, a format [Qformat.make]
+   refuses, or one wider than the 31 bits [train] produces, is a
+   malformed file, not a model to wrap into range. *)
 let test_model_io_code_range () =
   let model ~fmt ~weights ~threshold =
     Printf.sprintf
@@ -1152,7 +1153,19 @@ let test_model_io_code_range () =
     (fun fmt ->
       checkb ("format " ^ fmt) true
         (refused (model ~fmt ~weights:"-7 1 3" ~threshold:5)))
-    [ "Q0.4"; "Q2.-1"; "Q40.40"; "Q2.4x" ]
+    [ "Q0.4"; "Q2.-1"; "Q40.40"; "Q2.4x"; "Q2.30"; "Q2.40" ];
+  (match
+     Model_io.of_string (model ~fmt:"Q2.40" ~weights:"-7 1 3" ~threshold:5)
+   with
+  | exception Model_io.Parse_error msg ->
+      Alcotest.(check string) "Q2.40 message"
+        "format Q2.40: word length 42, need wl <= 31" msg
+  | _ -> Alcotest.fail "Q2.40 must be refused");
+  let clf =
+    Model_io.of_string (model ~fmt:"Q16.15" ~weights:"-7 1 3" ~threshold:5)
+  in
+  checki "Q16.15 (WL 31) loads" 31
+    (Qformat.word_length (Fixed_classifier.format clf))
 
 (* Every byte of a model file XORed with every mask 0x01..0xff: each
    result must be refused with [Parse_error] or load as a model whose
