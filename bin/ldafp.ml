@@ -436,7 +436,9 @@ let train_cmd =
           c)
         trace
     in
-    if metrics <> None then Obs.Metrics.set_enabled true;
+    (* The ledger record carries a metrics snapshot, which must count
+       the run's work, not read zero. *)
+    if metrics <> None || ledger <> None then Obs.Metrics.set_enabled true;
     let telemetry = start_telemetry telemetry_addr in
     let progress = if progress then Some (Obs.Progress.create ()) else None in
     (* Export sinks once the search is done (worker domains joined, so
@@ -502,11 +504,7 @@ let train_cmd =
                 | Optim.Bnb.Interrupted -> "interrupted"
                 | Optim.Bnb.Exhausted -> "exhausted: regions dropped");
               let s = d.Lda_fp.search in
-              let misses =
-                s.Optim.Bnb.warm_miss_no_parent
-                + s.Optim.Bnb.warm_miss_not_interior
-                + s.Optim.Bnb.warm_miss_fault_cleared
-              in
+              let misses = Optim.Bnb.warm_misses s in
               if s.Optim.Bnb.warm_start_hits > 0 || misses > 0 then begin
                 Fmt.pr
                   "warm starts: %d hit(s), %d phase-I solve(s) skipped, %d \
@@ -515,10 +513,12 @@ let train_cmd =
                   s.Optim.Bnb.warm_pull_ins s.Optim.Bnb.oracle_seconds;
                 Fmt.pr
                   "warm misses: %d (no parent point %d, irreparably not \
-                   interior %d, cleared after fault %d)@."
+                   interior %d, cleared after fault %d, stalled and solved \
+                   again cold %d)@."
                   misses s.Optim.Bnb.warm_miss_no_parent
                   s.Optim.Bnb.warm_miss_not_interior
                   s.Optim.Bnb.warm_miss_fault_cleared
+                  s.Optim.Bnb.warm_miss_stalled
               end;
               if s.Optim.Bnb.cone_resolves > 0 then
                 Fmt.pr "cones added at %d node(s), each solved again@."
@@ -588,11 +588,7 @@ let train_cmd =
               | Some (cost, d) ->
                   let s = d.Lda_fp.search in
                   let hits = s.Optim.Bnb.warm_start_hits in
-                  let misses =
-                    s.Optim.Bnb.warm_miss_no_parent
-                    + s.Optim.Bnb.warm_miss_not_interior
-                    + s.Optim.Bnb.warm_miss_fault_cleared
-                  in
+                  let misses = Optim.Bnb.warm_misses s in
                   let result =
                     [
                       ("cost", Float cost);

@@ -40,10 +40,8 @@ let split ?at t =
       match at with
       | None -> half_raw_sum t
       | Some x ->
-          let r = Rounding.round_scaled Rounding.Nearest (ldexp x t.fmt.Qformat.f) in
-          (* Left half is [lo, cut]; ensure both halves non-empty. *)
-          let r = max t.lo_raw (min r (t.hi_raw - 1)) in
-          r
+          (* Left half is [lo, ⌊x⌋]. *)
+          Rounding.round_scaled Rounding.Floor (ldexp x t.fmt.Qformat.f)
     in
     let cut = max t.lo_raw (min cut (t.hi_raw - 1)) in
     Some

@@ -38,9 +38,10 @@ val mid : t -> float
 
 val split : ?at:float -> t -> (t * t) option
 (** [split iv] cuts the interval into two disjoint, non-empty grid-aligned
-    halves; [None] when the interval is a singleton.  [?at] biases the cut
-    toward the grid point nearest [at] (it is clamped so both halves remain
-    non-empty). *)
+    halves; [None] when the interval is a singleton.  [?at] cuts at the
+    grid point at or below [at], so the left half is [[lo, ⌊at⌋]] and an
+    off-grid [at] lies in neither half (the cut is clamped so both halves
+    remain non-empty). *)
 
 val clamp_value : t -> float -> float
 (** Nearest grid point of the interval to a real number. *)

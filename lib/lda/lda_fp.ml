@@ -138,6 +138,10 @@ let p_cones =
   Obs.Probe.v "lda.cones"
     ~count:"node programs solved again with the eq. 20 cones their optimum violated"
 
+let p_warm_stall =
+  Obs.Probe.v "lda.warm_stall"
+    ~count:"warm node solves that stalled (Suboptimal) and were solved again cold"
+
 let p_program =
   Obs.Probe.v "lda.program"
     ~count:"node programs built (relaxation, center point, warm start)"
@@ -150,8 +154,9 @@ let p_program =
    parent's terminal τ.  A warm start is the parent's optimum clipped
    into the box: accepted as-is when margin-interior, else pulled toward
    the center point by the duality margin of that ladder (the branch
-   rule cuts at the parent optimum, so the clipped point lands on the
-   cut).  [None] when the program is empty. *)
+   rule cuts at the floor of the parent optimum's w*_j, so the clipped
+   point lands on the child's face at the cut).  [None] when the
+   program is empty. *)
 let build_program cfg pb ~counters ~z_cap node =
   let observed = Obs.Probe.on () in
   let t0 = if observed then Obs.Clock.now_ns () else 0 in
@@ -232,18 +237,30 @@ let bound_node cfg pb counters node =
        point (which need not meet the cones) bounds the box by θ. *)
     let empty () = if theta = incumbent then None else Some { Bnb.lower = theta; candidate = None } in
     (* One solve of the node's program; hits and misses partition a
-       warm-start run's solves, a cone re-solve included. *)
+       warm-start run's programs, a cone re-solve included.  A warm
+       solve that ends [Suboptimal] (its one centering stalled) is a
+       miss, not a fault: the program is solved again cold, here. *)
     let solve () =
       Option.map
         (fun (relax, center, warm) ->
-          let result = solve_program cfg relax ~center warm in
-          (match (result, node.warm) with
-          | Warm _, _ -> Bnb.count_warm_start_hit counters
-          | _ when not cfg.warm_start -> ()
-          | _, Some _ -> Bnb.count_warm_miss_not_interior counters
-          | _, None ->
-              if node.warm_tainted then Bnb.count_warm_miss_fault_cleared counters
-              else Bnb.count_warm_miss_no_parent counters);
+          let result =
+            match (solve_program cfg relax ~center warm, node.warm) with
+            | Warm { Socp.status = Socp.Suboptimal; _ }, _ ->
+                Obs.Probe.hit p_warm_stall;
+                Bnb.count_warm_miss_stalled counters;
+                solve_program cfg relax ~center None
+            | (Warm _ as r), _ ->
+                Bnb.count_warm_start_hit counters;
+                r
+            | r, _ when not cfg.warm_start -> r
+            | r, Some _ ->
+                Bnb.count_warm_miss_not_interior counters;
+                r
+            | r, None ->
+                if node.warm_tainted then Bnb.count_warm_miss_fault_cleared counters
+                else Bnb.count_warm_miss_no_parent counters;
+                r
+          in
           (relax, result))
         (build_program cfg pb ~counters ~z_cap node)
     in
@@ -300,43 +317,71 @@ let bound_node cfg pb counters node =
                     Ldafp_problem.cost_bound relax cert.Socp.dual_value
                 | Error f -> raise (Bnb.Certificate_error (Socp.describe_cert_failure f))))
 
-(* Branching rule: most relative width among the splittable dimensions,
-   cut at the cached relaxation optimum's w = y/z. *)
-let branch_node pb node =
-  let m = Array.length node.wbox in
+(* Branching rule (H4, H5): the product rule of Achterberg, Koch &
+   Martin, "Branching rules revisited" (2005).  Splitting coordinate j
+   at ⌊w*_j⌋ moves y_j = w_j·z by f·2^−F·z down and by (1 − f)·2^−F·z
+   up, and on dᵀy = 1 a move δ raises yᵀS_W y by about δ²/M_jj.  The
+   estimate ignores the box rows and cones: it orders the coordinates
+   and bounds nothing. *)
+let branch_rule pb ~m_diag ~wbox point =
+  let m = Array.length wbox in
+  let f = pb.Ldafp_problem.fmt.Qformat.f in
   let root = pb.Ldafp_problem.elem_box in
-  let best_dim = ref (-1) in
-  let best_score = ref 0.0 in
+  let point =
+    Option.bind point (fun p ->
+        let z = p.(m) in
+        if Float.is_finite z && z > 0.0 then Some p else None)
+  in
+  let score j =
+    match (point, m_diag) with
+    | Some p, Some md ->
+        let z = p.(m) in
+        let x = ldexp (p.(j) /. z) f in
+        let fr = x -. Float.floor x and step = ldexp z (-f) in
+        let inc g = Float.max 1e-12 (g *. step *. (g *. step) /. md.(j)) in
+        inc fr *. inc (1.0 -. fr)
+    | _ -> Fx_interval.width wbox.(j) /. Float.max (Fx_interval.width root.(j)) 1e-300
+  in
+  (* The first free coordinate stands until one scores more: a NaN
+     score (a non-finite M_jj or w*_j) never wins, and a box with a
+     free coordinate is always split. *)
+  let best_dim = ref (-1) and best_score = ref Float.neg_infinity in
   for j = 0 to m - 1 do
-    if not (Fx_interval.is_singleton node.wbox.(j)) then begin
-      let rw = Float.max (Fx_interval.width root.(j)) 1e-300 in
-      let score = Fx_interval.width node.wbox.(j) /. rw in
-      if score > !best_score then begin
-        best_score := score;
+    if not (Fx_interval.is_singleton wbox.(j)) then begin
+      let s = score j in
+      if !best_dim < 0 then best_dim := j;
+      if s > !best_score then begin
+        best_score := s;
         best_dim := j
       end
     end
   done;
-  if !best_dim < 0 then []
+  if !best_dim < 0 then None
   else
     let j = !best_dim in
     let at =
-      Option.bind node.relax_w (fun wi ->
-          let w = wi.point.(j) /. wi.point.(m) in
+      Option.bind point (fun p ->
+          let w = p.(j) /. p.(m) in
           if Float.is_finite w then Some w else None)
     in
-    match Fx_interval.split ?at node.wbox.(j) with
-    | None -> []
-    | Some (lo, hi) ->
-        (* Children inherit the parent's relaxation optimum as their
-           warm start (clipped into the child box at bound time). *)
-        List.map
-          (fun iv ->
-            let wbox = Array.copy node.wbox in
-            wbox.(j) <- iv;
-            { wbox; relax_w = None; warm = node.relax_w; warm_tainted = false;
-              cones = node.cones })
-          [ lo; hi ]
+    Option.map (fun (lo, hi) -> (j, lo, hi)) (Fx_interval.split ?at wbox.(j))
+
+(* Children inherit the parent's relaxation optimum as their warm start
+   (clipped into the child box at bound time). *)
+let branch_node pb node =
+  match
+    branch_rule pb ~m_diag:pb.Ldafp_problem.m_diag ~wbox:node.wbox
+      (Option.map (fun wi -> wi.point) node.relax_w)
+  with
+  | None -> []
+  | Some (j, lo, hi) ->
+      List.map
+        (fun iv ->
+          let wbox = Array.copy node.wbox in
+          wbox.(j) <- iv;
+          { wbox; relax_w = None; warm = node.relax_w; warm_tainted = false;
+            cones = node.cones })
+        [ lo; hi ]
 
 (* Retry attempt [k >= 1] of a failed relaxation: perturb the barrier
    start weight and loosen the tolerances by a decade per attempt —

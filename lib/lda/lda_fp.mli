@@ -105,6 +105,28 @@ type node
     program carries and the warm-start state its bound solve inherits.
     Abstract: only a [?wrap_oracle] handed to {!solve} sees one. *)
 
+val branch_rule :
+  Ldafp_problem.t ->
+  m_diag:Linalg.Vec.t option ->
+  wbox:Fixedpoint.Fx_interval.t array ->
+  Linalg.Vec.t option ->
+  (int * Fixedpoint.Fx_interval.t * Fixedpoint.Fx_interval.t) option
+(** The branching rule (H4, H5) of a box, given its node's relaxation
+    optimum as a full [(y, z)] point at [κ = 1] (see
+    {!Ldafp_problem.embed}) and the diagonal of M (the search passes
+    the [m_diag] of {!Ldafp_problem.t}): the coordinate [j] to split
+    and its two halves.  With a point and M, [j] has the largest
+    [max(1e-12, inc_down)·max(1e-12, inc_up)], the estimated rises of
+    the program's optimum when [y_j] moves down and up to the grid,
+    [((f·2^−F·z)²/M_jj] and [((1 − f)·2^−F·z)²/M_jj] for [f] the
+    fractional part of [w_j = y_j/z] in grid units; the cut is at
+    [⌊w_j⌋], so an off-grid [w_j] lies in neither half.  Without a point
+    (or one with no positive [z]), or without M, [j] is the widest
+    coordinate relative to the problem's element box, and without a
+    point the cut is at the middle.  A NaN score never wins, so the
+    rule splits some free coordinate of every box that has one: [None]
+    only when every coordinate is pinned. *)
+
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->

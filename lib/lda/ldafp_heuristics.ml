@@ -18,27 +18,52 @@ let better a b =
 
 (* [better] keeps the first of equal costs, so a step needs no
    feasibility check when its rounded point repeats the previous one
-   (it would cost the same) or costs no less than the best so far. *)
+   (it would cost the same) or costs no less than the best so far.
+   Each step is [round_into] of λ·dir, inline over two reused buffers:
+   scaled by 2^F, clamped to the raw box (the same as clamping after
+   rounding, the bounds being integers), rounded half to even by adding
+   and subtracting 1.5·2^52 (exact for magnitudes up to 2^51, which
+   raw codes of a word length up to 52 keep to) and scaled back, so
+   the points are those of {!Fx_interval.clamp_value}, bit for bit, and
+   only [evaluate]'s copy of a winner allocates.  A wider format rounds
+   through [clamp_value] itself. *)
 let scaled_rounding_sweep ?(steps = 200) (pb : Ldafp_problem.t) direction =
   if steps < 1 then invalid_arg "scaled_rounding_sweep: steps < 1";
   let n = Vec.norm_inf direction in
   if n = 0.0 then None
   else begin
     let dir = Vec.scale (1.0 /. n) direction in
+    let m = Vec.dim dir in
     let fmt = pb.Ldafp_problem.fmt in
     let lo = Qformat.ulp fmt in
     let hi = Qformat.max_value fmt in
     let ratio = (hi /. lo) ** (1.0 /. float_of_int (max 1 (steps - 1))) in
+    let up = ldexp 1.0 fmt.Qformat.f and wide = Qformat.word_length fmt > 52 in
+    let box = pb.Ldafp_problem.elem_box in
+    let lo_raw = Array.map (fun iv -> float_of_int iv.Fx_interval.lo_raw) box
+    and hi_raw = Array.map (fun iv -> float_of_int iv.Fx_interval.hi_raw) box in
     let best = ref None in
-    let prev = ref [||] in
+    let cur = ref (Array.make m 0.0) and prev = ref (Array.make m 0.0) in
     let lambda = ref lo in
-    for _ = 1 to steps do
-      let w = round_into pb (Vec.scale !lambda dir) in
-      let repeat = Array.length w = Array.length !prev && Array.for_all2 Float.equal w !prev in
+    for step = 1 to steps do
+      let w = !cur and p = !prev in
+      let repeat = ref (step > 1) in
+      for j = 0 to m - 1 do
+        let x =
+          if wide then Fx_interval.clamp_value box.(j) (!lambda *. dir.(j))
+          else
+            let s = !lambda *. dir.(j) *. up in
+            let s = if s < lo_raw.(j) then lo_raw.(j) else if s > hi_raw.(j) then hi_raw.(j) else s in
+            ((s +. 0x1.8p52) -. 0x1.8p52) *. lo
+        in
+        if not (Float.equal x p.(j)) then repeat := false;
+        w.(j) <- x
+      done;
       (match !best with
-      | _ when repeat -> ()
+      | _ when !repeat -> ()
       | Some (_, cb) when not (Ldafp_problem.cost pb w < cb) -> ()
       | _ -> best := better !best (evaluate pb w));
+      cur := p;
       prev := w;
       lambda := !lambda *. ratio
     done;

@@ -15,6 +15,7 @@ type t = {
   lambda_min : float;
   lambda_grid : float;
   norm : float;
+  m_diag : Vec.t option;
 }
 
 exception No_feasible_box of string
@@ -161,8 +162,33 @@ let build ?(rho = 0.99) ~fmt scatter =
   let kept = Array.of_list (List.filter (fun j -> keep.(j)) (List.init m Fun.id)) in
   let nk = Array.length kept in
   let lambda_min = match factor with Some factor -> Psd.verified_lambda_min ~factor p_base | None -> 0.0 in
+  (* M = A⁻¹ − A⁻¹ddᵀA⁻¹/(dᵀA⁻¹d) for A = 2S_W, half the inverse
+     Hessian of yᵀS_W y on dᵀy = 1: with A = LLᵀ and c column j of L⁻¹
+     (zero above row j), A⁻¹_jj = ‖c‖² and (A⁻¹d)_j = cᵀ(L⁻¹d).  The
+     columns are formed one at a time in one buffer, rows j.. only. *)
+  let m_diag =
+    Option.map
+      (fun l ->
+        let v = Tri.solve_lower l d in
+        let vv = Vec.dot v v in
+        let c = Array.make m 0.0 in
+        Vec.init m (fun j ->
+            c.(j) <- 1.0 /. l.(j).(j);
+            let cc = ref (c.(j) *. c.(j)) and cv = ref (c.(j) *. v.(j)) in
+            for i = j + 1 to m - 1 do
+              let s = ref 0.0 in
+              for k = j to i - 1 do
+                s := !s +. (l.(i).(k) *. c.(k))
+              done;
+              c.(i) <- -. !s /. l.(i).(i);
+              cc := !cc +. (c.(i) *. c.(i));
+              cv := !cv +. (c.(i) *. v.(i))
+            done;
+            !cc -. (!cv *. !cv /. vv)))
+      factor
+  in
   {
-    fmt; rho; beta; scatter; sw; d; elem_box; cones; p_base; lambda_min; norm;
+    fmt; rho; beta; scatter; sw; d; elem_box; cones; p_base; lambda_min; norm; m_diag;
     lambda_grid =
       (if nk = m then lambda_min
        else if nk = 0 then 0.0
@@ -454,7 +480,8 @@ let center_point t ~wbox ~z_cap =
   lift t w ~ratio:(Float.min 2.0 (sqrt (Vec.dot t.d w *. z_cap)))
 
 (* An inherited full point clipped into a child's box.  The branch rule
-   cuts at the point's own w_j, so the clipped point lands on the cut —
+   cuts at the floor of the point's own w_j, which lies in neither
+   child, so the clipped point lands on the child's face at the cut —
    not strictly interior, which the pull-in toward the center point
    repairs (Socp.prepare_warm_start).  The lift keeps the point's dᵀy,
    at least 1 + 10⁻⁶: a barrier optimum leaves the normalisation row

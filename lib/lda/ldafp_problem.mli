@@ -39,6 +39,13 @@ type t = private {
   norm : float;
       (** [1/(√c*·t_hi)] at the root, [c* = 1/(dᵀS_W⁻¹d)]: the root
           program's optimum is near 1 *)
+  m_diag : Linalg.Vec.t option;
+      (** the diagonal of [M = S_W⁻¹ − S_W⁻¹ddᵀS_W⁻¹/(dᵀS_W⁻¹d)], the
+          inverse Hessian of [yᵀS_W y] on [dᵀy = 1], up to a uniform
+          factor: moving [y_j] by [δ] there raises the objective by
+          about [δ²/M_jj], the branching score's estimate.  Formed from
+          the factor of [2 S_W]; [None] when that factor does not exist
+          (every node then branches on width). *)
 }
 
 exception No_feasible_box of string

@@ -67,6 +67,7 @@ type stats = {
   warm_miss_no_parent : int;
   warm_miss_not_interior : int;
   warm_miss_fault_cleared : int;
+  warm_miss_stalled : int;
   cone_resolves : int;
   cert_verified : int;
   cert_repaired : int;
@@ -106,6 +107,7 @@ let stats_to_json (s : stats) =
       ("warm_miss_no_parent", Int s.warm_miss_no_parent);
       ("warm_miss_not_interior", Int s.warm_miss_not_interior);
       ("warm_miss_fault_cleared", Int s.warm_miss_fault_cleared);
+      ("warm_miss_stalled", Int s.warm_miss_stalled);
       ("cone_resolves", Int s.cone_resolves);
       ("cert_verified", Int s.cert_verified);
       ("cert_repaired", Int s.cert_repaired);
@@ -116,6 +118,10 @@ let stats_to_json (s : stats) =
         List (floats (Array.to_list s.domain_oracle_seconds)) );
       ("wall_seconds", Float s.wall_seconds);
     ]
+
+let warm_misses s =
+  s.warm_miss_no_parent + s.warm_miss_not_interior + s.warm_miss_fault_cleared
+  + s.warm_miss_stalled
 
 type oracle_counters = {
   incumbent_cost : float Atomic.t;
@@ -131,6 +137,7 @@ type oracle_counters = {
   miss_no_parent : int Atomic.t;
   miss_not_interior : int Atomic.t;
   miss_fault_cleared : int Atomic.t;
+  miss_stalled : int Atomic.t;
   cone_resolves : int Atomic.t;
   oracle_time_us : int Atomic.t;
   cert_verified : int Atomic.t;
@@ -150,6 +157,7 @@ let oracle_counters () =
     miss_no_parent = Atomic.make 0;
     miss_not_interior = Atomic.make 0;
     miss_fault_cleared = Atomic.make 0;
+    miss_stalled = Atomic.make 0;
     cone_resolves = Atomic.make 0;
     oracle_time_us = Atomic.make 0;
     cert_verified = Atomic.make 0;
@@ -162,6 +170,7 @@ let count_warm_pull_in oc = Atomic.incr oc.pull_ins
 let count_warm_miss_no_parent oc = Atomic.incr oc.miss_no_parent
 let count_warm_miss_not_interior oc = Atomic.incr oc.miss_not_interior
 let count_warm_miss_fault_cleared oc = Atomic.incr oc.miss_fault_cleared
+let count_warm_miss_stalled oc = Atomic.incr oc.miss_stalled
 let count_cone_resolve oc = Atomic.incr oc.cone_resolves
 let count_cert_verified oc = Atomic.incr oc.cert_verified
 let count_cert_repaired oc = Atomic.incr oc.cert_repaired
@@ -433,6 +442,7 @@ let restore (oc : oracle_counters) (s : stats) =
   Atomic.set oc.miss_no_parent s.warm_miss_no_parent;
   Atomic.set oc.miss_not_interior s.warm_miss_not_interior;
   Atomic.set oc.miss_fault_cleared s.warm_miss_fault_cleared;
+  Atomic.set oc.miss_stalled s.warm_miss_stalled;
   Atomic.set oc.cone_resolves s.cone_resolves;
   Atomic.set oc.oracle_time_us
     (int_of_float (Float.round (s.oracle_seconds *. 1e6)));
@@ -614,6 +624,7 @@ let run : type region sol.
       warm_miss_no_parent = Atomic.get oc.miss_no_parent;
       warm_miss_not_interior = Atomic.get oc.miss_not_interior;
       warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
+      warm_miss_stalled = Atomic.get oc.miss_stalled;
       cone_resolves = Atomic.get oc.cone_resolves;
       cert_verified = Atomic.get oc.cert_verified;
       cert_repaired = Atomic.get oc.cert_repaired;

@@ -170,7 +170,9 @@ type stats = {
   warm_start_hits : int;
       (** bound solves started from an inherited (parent) optimum — see
           {!oracle_counters}; 0 unless the oracle reports them.  With the
-          three [warm_miss_*] counters it partitions the bound solves *)
+          four [warm_miss_*] counters ({!warm_misses}) it partitions
+          the bound programs solved, a stalled warm solve and its cold
+          repeat counted once *)
   phase1_skipped : int;
       (** main bound phase-I feasibility solves avoided because a warm
           start was strictly interior (as-is or after repair): one per
@@ -188,6 +190,10 @@ type stats = {
   warm_miss_fault_cleared : int;
       (** bound solves that went cold because a fault retry had
           deliberately discarded a tainted warm point *)
+  warm_miss_stalled : int;
+      (** warm bound solves that ended [Suboptimal] (a stalled
+          centering) and were solved again cold in the same oracle
+          call, one per [lda.warm_stall] event: a miss, not a fault *)
   cone_resolves : int;
       (** bound solves repeated because the first solve's optimum
           violated a constraint its program had left out (the LDA-FP
@@ -249,6 +255,10 @@ val stats_to_json : stats -> Obs.Json.t
     leaf names [ldafp runs diff] keys its regression heuristics on
     ([certified_sound], [cert_fallbacks], ...). *)
 
+val warm_misses : stats -> int
+(** The four [warm_miss_*] counters summed: the bound programs that
+    could not keep a warm start. *)
+
 type oracle_counters
 (** State shared between the driver and the bound oracle: the live
     incumbent cost, and the counters.  The driver cannot see {e how} an
@@ -281,6 +291,10 @@ val count_warm_miss_not_interior : oracle_counters -> unit
 val count_warm_miss_fault_cleared : oracle_counters -> unit
 (** Record one cold bound solve whose inherited optimum had been
     discarded by a fault retry. *)
+
+val count_warm_miss_stalled : oracle_counters -> unit
+(** Record one warm bound solve that stalled and was solved again
+    cold. *)
 
 val count_cone_resolve : oracle_counters -> unit
 (** Record one bound solve repeated with constraints its first solve's

@@ -1,6 +1,6 @@
 exception Corrupt of string
 
-let magic = "ldafp-bnb-checkpoint v9"
+let magic = "ldafp-bnb-checkpoint v10"
 
 let p_save =
   Obs.Probe.v "ckpt.save"

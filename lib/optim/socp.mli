@@ -142,8 +142,9 @@ val warm_start_params : params -> tau_final:float -> params
 
     A parent optimum clipped into a child's box almost always lands
     {e on} the child's new half-space boundary (the branch cut passes
-    through it), so the plain interiority test rejects it and the solve
-    pays a full phase-I.  These helpers repair such a start instead —
+    through it or just beside it, and clipping moves it there), so the
+    plain interiority test rejects it and the solve pays a full
+    phase-I.  These helpers repair such a start instead —
     the decision tree is {!prepare_warm_start}; taxonomy and measurement
     guide in {!page-solver}. *)
 

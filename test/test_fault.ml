@@ -368,6 +368,7 @@ let sample_snapshot () : (int * int, int) Bnb.snapshot =
         warm_miss_no_parent = 18;
         warm_miss_not_interior = 19;
         warm_miss_fault_cleared = 20;
+        warm_miss_stalled = 25;
         cone_resolves = 17;
         cert_verified = 22;
         cert_repaired = 23;
@@ -422,9 +423,10 @@ let test_checkpoint_rejects_garbage () =
    search region lost its t-interval, before the snapshot stored
    [Bnb.stats] itself, and before the stats carried [dropped_bound]), a
    v7 file (whose frontier a search without certificates may have
-   keyed) or a v8 file (whose regions carried no cone mask and whose
-   stats had no [cone_resolves]) is complete and digest-valid, so only
-   the header can refuse it: it must, rather than unmarshal into the v9
+   keyed), a v8 file (whose regions carried no cone mask and whose
+   stats had no [cone_resolves]) or a v9 file (whose stats had no
+   [warm_miss_stalled]) is complete and digest-valid, so only the
+   header can refuse it: it must, rather than unmarshal into the v10
    type. *)
 let test_checkpoint_rejects_old_version () =
   let path = temp_checkpoint () in
@@ -451,7 +453,7 @@ let test_checkpoint_rejects_old_version () =
               checkb (version ^ " refused at the header") true
                 (String.starts_with ~prefix:(path ^ ": bad header") msg)
           | _ -> Alcotest.failf "a %s checkpoint was loaded" version)
-        [ "v2"; "v3"; "v4"; "v5"; "v6"; "v7"; "v8" ])
+        [ "v2"; "v3"; "v4"; "v5"; "v6"; "v7"; "v8"; "v9" ])
 
 let test_checkpoint_rejects_truncation () =
   let path = temp_checkpoint () in
@@ -657,10 +659,15 @@ let exact_lda_config max_nodes =
       { Optim.Bnb.default_params with max_nodes; rel_gap = 0.0; abs_gap = 0.0 };
   }
 
+(* The instance of the tests that stop a search on a small node budget:
+   [small_scatter] at Q2.4 drains in 13 nodes, so a 6-node slice stops
+   on the budget with a frontier to save (at Q2.3 it drains in 6). *)
+let sliced_problem () =
+  Ldafp_core.Ldafp_problem.build ~fmt:(Fixedpoint.Qformat.make ~k:2 ~f:4) (small_scatter ())
+
 let test_ldafp_kill_and_resume () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let pb = sliced_problem () in
   let uninterrupted =
     match Lda_fp.solve ~config:(exact_lda_config 4000) pb with
     | Some o -> o
@@ -683,6 +690,7 @@ let test_ldafp_kill_and_resume () =
          budget by another slice ([max_nodes] counts the restored nodes
          too — the budget spans the whole search) and continues where
          the previous run was killed, until the search completes. *)
+      let kills = ref 0 in
       let rec train_in_slices budget guard =
         if guard = 0 then Alcotest.fail "resume loop did not converge"
         else
@@ -693,10 +701,12 @@ let test_ldafp_kill_and_resume () =
                  = Optim.Bnb.Node_budget ->
               checkb "checkpoint written on budget stop" true
                 (Sys.file_exists path);
+              incr kills;
               train_in_slices (budget + 6) (guard - 1)
           | Some o -> o
       in
       let resumed = train_in_slices 6 2000 in
+      checkb "the chain was killed and resumed" true (!kills > 0);
       checkb "resumed run completed" true
         (resumed.Lda_fp.diagnostics.Lda_fp.stop_reason
          = Optim.Bnb.Proved_optimal);
@@ -705,7 +715,7 @@ let test_ldafp_kill_and_resume () =
 
 let test_ldafp_resume_rejects_other_problem () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
+  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:4 in
   let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
   let other = Ldafp_problem.build ~rho:0.95 ~fmt (small_scatter ()) in
   let path = temp_checkpoint () in
@@ -762,8 +772,7 @@ let test_ldafp_faults_invalidate_warm_starts () =
    survive a checkpoint/resume chain as fields of the snapshot. *)
 let test_ldafp_warm_counters_survive_resume () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let pb = sliced_problem () in
   let full =
     match Lda_fp.solve ~config:(exact_lda_config 4000) pb with
     | Some o -> o
@@ -854,8 +863,7 @@ let test_ldafp_cone_masks_survive_resume () =
    marked sound. *)
 let test_ldafp_cert_counters_survive_resume () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let pb = sliced_problem () in
   let full =
     match Lda_fp.solve ~config:(exact_lda_config 4000) pb with
     | Some o -> o
@@ -898,8 +906,7 @@ let test_ldafp_cert_counters_survive_resume () =
    bits flipped. *)
 let test_checkpoint_every_byte_flip () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let pb = sliced_problem () in
   let path = temp_checkpoint () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -945,8 +952,7 @@ let test_checkpoint_every_byte_flip () =
    incumbent must match the fault-free reference. *)
 let test_ldafp_cert_with_faults_and_resume () =
   let open Ldafp_core in
-  let fmt = Fixedpoint.Qformat.make ~k:2 ~f:3 in
-  let pb = Ldafp_problem.build ~fmt (small_scatter ()) in
+  let pb = sliced_problem () in
   let reference =
     match Lda_fp.solve ~config:(exact_lda_config 4000) pb with
     | Some o -> o

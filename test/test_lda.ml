@@ -408,7 +408,8 @@ let test_relative_margins_scale_invariant () =
 
 let test_warm_prepare_repairs_branch_cut () =
   (* The search's hot case, in miniature: split a coordinate at the
-     parent optimum's own w_j.  Clipped into the child on the far side,
+     floor of the parent optimum's own w_j, as the branching rule does,
+     so that the optimum lies in neither child.  Clipped into a child,
      the inherited point lands on the child's branch-cut half-space —
      not strictly interior — and [prepare_warm_start] must repair it
      (pull-in toward the center point) rather than go cold.  The warm
@@ -429,7 +430,8 @@ let test_warm_prepare_repairs_branch_cut () =
     let w = Ldafp_problem.weights_of yz in
     let j = 0 in
     let lo, hi = Option.get (Fx_interval.split ~at:w.(j) wbox.(j)) in
-    (* the child on the far side of w_j *)
+    (* the child that does not hold w_j (either, when it is off the
+       grid) *)
     let child_box = Array.copy wbox in
     child_box.(j) <- (if w.(j) <= Fx_interval.hi lo then hi else lo);
     let rc, cold = solve_relaxation pb ~wbox:child_box ~z_cap in
@@ -865,6 +867,172 @@ let test_no_verified_lambda_takes_interval_bounds () =
           checki (tag ^ ": no retries") 0 s.Optim.Bnb.retries)
         o)
     [ true; false ]
+
+(* ------------------------------------------------------------------ *)
+(* Branching rule                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [m_diag] against M = S_W⁻¹ − S_W⁻¹ddᵀS_W⁻¹/(dᵀS_W⁻¹d) formed from
+   the explicit inverse: it is half M's diagonal, being formed for
+   2S_W. *)
+let test_m_diag_matches_inverse () =
+  let pb = synthetic_problem ~n_per_class:1000 ~f:4 in
+  let sinv = Linalg.Cholesky.inverse pb.Ldafp_problem.sw in
+  let u = Linalg.Mat.mul_vec sinv pb.Ldafp_problem.d in
+  let dud = Linalg.Vec.dot pb.Ldafp_problem.d u in
+  match pb.Ldafp_problem.m_diag with
+  | None -> Alcotest.fail "no M for a definite S_W"
+  | Some md ->
+      checki "one entry per coordinate" (Ldafp_problem.dim pb) (Array.length md);
+      Array.iteri
+        (fun j mj ->
+          let want = 0.5 *. (sinv.(j).(j) -. (u.(j) *. u.(j) /. dud)) in
+          checkf (1e-9 *. Float.abs want) (Printf.sprintf "M_%d%d / 2" j j) want mj)
+        md
+
+(* The two halves of [iv] hold each of its grid points once. *)
+let check_halves tag iv (lo, hi) =
+  checkb (tag ^ ": left half starts at lo") true (Fx_interval.lo lo = Fx_interval.lo iv);
+  checkb (tag ^ ": right half ends at hi") true (Fx_interval.hi hi = Fx_interval.hi iv);
+  checkb (tag ^ ": halves disjoint") true (Fx_interval.hi lo < Fx_interval.lo hi);
+  checki (tag ^ ": every point once") (Fx_interval.count iv)
+    (Fx_interval.count lo + Fx_interval.count hi)
+
+(* [branch_rule] splits every box that has a free coordinate, whatever
+   its scores: with no point, with a point whose z is 0, NaN or so small
+   that every estimated increase underflows to 0, and with an M whose
+   diagonal is 0, negative, NaN or infinite.  A rule that kept only a
+   score above 0 returned no children for such a box, and the search
+   lost the region. *)
+let test_branch_rule_always_splits () =
+  let pb = synthetic_problem ~n_per_class:200 ~f:4 in
+  let m = Ldafp_problem.dim pb in
+  let fmt = pb.Ldafp_problem.fmt in
+  let root = pb.Ldafp_problem.elem_box in
+  let pin j box =
+    let b = Array.copy box in
+    let r = b.(j).Fx_interval.lo_raw in
+    b.(j) <- Fx_interval.of_raw fmt ~lo:r ~hi:r;
+    b
+  in
+  let boxes =
+    [ ("root", root); ("first pinned", pin 0 root);
+      ("one free", List.fold_left (fun b j -> pin j b) root (List.init (m - 1) Fun.id)) ]
+  in
+  let points box =
+    let p = Ldafp_problem.center_point pb ~wbox:box ~z_cap:Float.infinity in
+    let with_z z = Array.mapi (fun i x -> if i = m then z else x) p in
+    [ ("no point", None); ("center point", Some p);
+      ("underflowing z", Some (Array.map (fun x -> x *. 1e-300) p));
+      ("z = 0", Some (with_z 0.0)); ("z NaN", Some (with_z Float.nan));
+      ("NaN point", Some (Array.make (m + 1) Float.nan)) ]
+  in
+  let diags =
+    [ ("no M", None); ("the problem's M", pb.Ldafp_problem.m_diag);
+      ("M_jj = 0", Some (Array.make m 0.0)); ("M_jj < 0", Some (Array.make m (-1.0)));
+      ("M_jj NaN", Some (Array.make m Float.nan));
+      ("M_jj infinite", Some (Array.make m Float.infinity));
+      ("mixed", Some (Array.init m (fun j -> [| Float.nan; 0.0; 1e300 |].(j mod 3)))) ]
+  in
+  List.iter
+    (fun (bt, box) ->
+      List.iter
+        (fun (pt, point) ->
+          List.iter
+            (fun (mt, m_diag) ->
+              let tag = String.concat ", " [ bt; pt; mt ] in
+              match Lda_fp.branch_rule pb ~m_diag ~wbox:box point with
+              | None -> Alcotest.failf "%s: a box with a free coordinate unsplit" tag
+              | Some (j, lo, hi) ->
+                  checkb (tag ^ ": a free coordinate") false
+                    (Fx_interval.is_singleton box.(j));
+                  check_halves tag box.(j) (lo, hi))
+            diags)
+        (points box))
+    boxes;
+  let atomic = List.fold_left (fun b j -> pin j b) root (List.init m Fun.id) in
+  checkb "an atomic box is not split" true
+    (Lda_fp.branch_rule pb ~m_diag:pb.Ldafp_problem.m_diag ~wbox:atomic None = None)
+
+(* The floor cut and the product score on random points of the root box:
+   the split coordinate has the largest product of the two estimated
+   increases, and its off-grid w*_j lies in neither half. *)
+let test_branch_rule_floor_cut () =
+  let pb = synthetic_problem ~n_per_class:200 ~f:4 in
+  let m = Ldafp_problem.dim pb and f = pb.Ldafp_problem.fmt.Qformat.f in
+  let root = pb.Ldafp_problem.elem_box in
+  let md = Option.get pb.Ldafp_problem.m_diag in
+  let rng = Stats.Rng.create 3 in
+  for _ = 1 to 200 do
+    let z = 0.5 +. Stats.Rng.float rng in
+    let w =
+      Array.map
+        (fun iv ->
+          Fx_interval.lo iv +. (Stats.Rng.float rng *. Fx_interval.width iv))
+        root
+    in
+    let point = Array.append (Array.map (fun x -> x *. z) w) [| z |] in
+    match Lda_fp.branch_rule pb ~m_diag:(Some md) ~wbox:root (Some point) with
+    | None -> Alcotest.fail "root box unsplit"
+    | Some (j, lo, hi) ->
+        let score k =
+          let x = ldexp (point.(k) /. z) f in
+          let fr = x -. Float.floor x and step = ldexp z (-f) in
+          let inc g = Float.max 1e-12 ((g *. step) ** 2.0 /. md.(k)) in
+          inc fr *. inc (1.0 -. fr)
+        in
+        for k = 0 to m - 1 do
+          checkb "the largest product score" true (score k <= score j)
+        done;
+        let wj = point.(j) /. z in
+        if Float.round (ldexp wj f) <> ldexp wj f then
+          checkb
+            (Printf.sprintf "off-grid w_%d = %h in neither half" j wj)
+            true
+            (Fx_interval.hi lo < wj && wj < Fx_interval.lo hi)
+  done
+
+(* M is the problem's own: two problems of different dimension solved
+   in turn, on one domain and on two, each drain to its brute-force
+   optimum with no region dropped.  An M kept from an earlier problem
+   raised inside [branch], and the search dropped the region. *)
+let test_branch_m_per_problem () =
+  let two_features =
+    let ds = Datasets.Synthetic.generate ~n_per_class:100 (Stats.Rng.create 1) in
+    let a, b = Datasets.Dataset.class_split ds in
+    let first_two = Array.map (fun row -> Array.sub row 0 2) in
+    let fmt = Qformat.make ~k:2 ~f:3 in
+    ("2 features, Q2.3", Ldafp_problem.build ~fmt (Stats.Scatter.of_data (first_two a) (first_two b)), fmt)
+  in
+  let three_features =
+    let fmt = Qformat.make ~k:2 ~f:2 in
+    let ds = Datasets.Synthetic.generate ~n_per_class:50 (Stats.Rng.create 2) in
+    ("3 features, Q2.2", Ldafp_problem.build ~fmt (Pipeline.prepare ~fmt ds).Pipeline.scatter, fmt)
+  in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (name, pb, fmt) ->
+          let tag = Printf.sprintf "%s, %d domain(s)" name domains in
+          let o =
+            Lda_fp.solve
+              ~config:
+                { Lda_fp.default_config with
+                  seed_incumbent = false;
+                  bnb_params =
+                    { Optim.Bnb.default_params with
+                      max_nodes = 200_000; rel_gap = 0.0; abs_gap = 0.0; domains } }
+              pb
+          in
+          check_bruteforce_optimum tag pb fmt o;
+          Option.iter
+            (fun o ->
+              let d = o.Lda_fp.diagnostics in
+              checki (tag ^ ": dropped regions") 0 d.Lda_fp.search.Optim.Bnb.dropped_regions;
+              checkb (tag ^ ": drained") true (d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal))
+            o)
+        [ two_features; three_features; two_features; three_features ])
+    [ 1; 2 ]
 
 let prop_warm_cold_same_search =
   QCheck.Test.make ~name:"warm and cold searches coincide on fixed seeds"
@@ -1318,10 +1486,7 @@ let test_quick_search_warm_and_certified () =
   let cold = solve_exn (config false) pb in
   let s = warm.Lda_fp.diagnostics.Lda_fp.search in
   let hits = s.Optim.Bnb.warm_start_hits in
-  let misses =
-    s.Optim.Bnb.warm_miss_no_parent + s.Optim.Bnb.warm_miss_not_interior
-    + s.Optim.Bnb.warm_miss_fault_cleared
-  in
+  let misses = Optim.Bnb.warm_misses s in
   checkb "S_W singular" true (pb.Ldafp_problem.lambda_min = 0.0);
   checkb "z capped" true (pb.Ldafp_problem.lambda_grid > 0.0);
   checkb "warm hit rate >= 0.5" true
@@ -1361,7 +1526,7 @@ let check_pinned tag o ~nodes ~bits =
     (tag ^ ": pinned cost bits") bits
     (Printf.sprintf "%Lx" (Int64.bits_of_float o.Lda_fp.cost))
 
-(* An exact run-to-drain search of more than 10^4 nodes (Q2.10, 1000 per
+(* An exact run-to-drain search of more than 10^4 nodes (Q2.11, 1000 per
    class) at 1, 2 and 4 domains.  However the workers interleave on the
    shared frontier, every domain count proves the same optimum with a
    zero certified gap, bit for bit, fully certified, and every worker
@@ -1370,12 +1535,12 @@ let check_pinned tag o ~nodes ~bits =
 let test_exact_search_domain_invariant () =
   check_pinned "Q2.5, 200 per class"
     (exact_search ~domains:1 (synthetic_problem ~n_per_class:200 ~f:5))
-    ~nodes:233 ~bits:"3fe1254547599450";
-  let pb = synthetic_problem ~n_per_class:1000 ~f:10 in
+    ~nodes:191 ~bits:"3fe1254547599450";
+  let pb = synthetic_problem ~n_per_class:1000 ~f:11 in
   let seq = exact_search ~domains:1 pb in
   checkb ">= 10^4 nodes on one domain" true
     (seq.Lda_fp.diagnostics.Lda_fp.nodes >= 10_000);
-  check_pinned "Q2.10, 1000 per class" seq ~nodes:13_681 ~bits:"3fe325be928d116b";
+  check_pinned "Q2.11, 1000 per class" seq ~nodes:18_043 ~bits:"3fe030b62b72c9ce";
   List.iter
     (fun domains ->
       let o = if domains = 1 then seq else exact_search ~domains pb in
@@ -1422,8 +1587,8 @@ let test_ecog_fold_costs_pinned () =
   Alcotest.(check (array string))
     "fold cost bits"
     [|
-      "3fb624a8135c1f9d"; "3fb739298792f391"; "3fb95a2ef3248ee8";
-      "3fb6f6712e7a4225"; "3fb452e0463e87ec";
+      "3fb624a8135c1f9d"; "3fb77658e0c9db73"; "3fb9672547d2fca1";
+      "3fb6fdde56cf47a2"; "3fb452e0463e87ec";
     |]
     bits
 
@@ -2200,6 +2365,16 @@ let () =
             test_unseeded_search_keeps_capped_boxes;
           Alcotest.test_case "no verified λ̲ takes interval bounds" `Quick
             test_no_verified_lambda_takes_interval_bounds;
+        ] );
+      ( "branching",
+        [
+          Alcotest.test_case "M is half the inverse's projection" `Quick
+            test_m_diag_matches_inverse;
+          Alcotest.test_case "every box with a free coordinate splits" `Quick
+            test_branch_rule_always_splits;
+          Alcotest.test_case "floor cut and product score" `Quick
+            test_branch_rule_floor_cut;
+          Alcotest.test_case "M per problem" `Quick test_branch_m_per_problem;
         ] );
       ( "classifier",
         [

@@ -440,6 +440,7 @@ let stats_rows (d : Ldafp_core.Lda_fp.diagnostics) =
       ("cert fallbacks", "fault.cert_fallback", s.cert_fallbacks);
       ("warm pulls", "socp.warm_pull", s.warm_pull_ins);
       ("cone re-solves", "lda.cones", s.cone_resolves);
+      ("warm stalls", "lda.warm_stall", s.warm_miss_stalled);
     ]
 
 (* What a probe's metric says happened: its counter, else its
@@ -502,11 +503,7 @@ let test_cross_sink_consistency () =
          domain, so [lda.program] time is never also [socp.solve] time. *)
       let programs = events_named events "lda.program" in
       let s = d.Ldafp_core.Lda_fp.search in
-      let solved =
-        Optim.Bnb.(
-          s.warm_start_hits + s.warm_miss_no_parent + s.warm_miss_not_interior
-          + s.warm_miss_fault_cleared)
-      in
+      let solved = s.Optim.Bnb.warm_start_hits + Optim.Bnb.warm_misses s in
       checkb "programs solved" true (solved > 0);
       checkb "a program span per program solved" true (List.length programs >= solved);
       let on_tid (p : Obs.Trace.event) name =
@@ -557,10 +554,10 @@ let test_cross_sink_consistency () =
 (* A node whose optimum violates an eq. 20 cone its program left out is
    solved again with that cone.  On an ECoG-WL-3-like instance (five
    ECoG features at Q2.1, where the cones bind) some re-solves fire, and
-   the trace, the metric and the stats field count the same ones.  The
-   warm-start hits and misses partition the solves, a re-solve counted
-   as one more: no program of this search is empty, so each program
-   built is one solve. *)
+   the trace, the metric and the stats field count the same ones, as
+   they do the warm stalls.  The warm-start hits and misses partition
+   the programs, a re-solve counted as one more: no program of this
+   search is empty, so each program built is counted once. *)
 let test_cone_resolves_across_sinks () =
   let open Ldafp_core in
   let pb, _ = Ecog_subset.problem [| 0; 1; 2; 3; 4 |] in
@@ -583,11 +580,17 @@ let test_cone_resolves_across_sinks () =
   checkb "cone re-solves fired" true (resolves > 0);
   checki "trace = stats" resolves (trace_count events "lda.cones");
   checki "metric = stats" resolves (Option.get (probe_metric (probe_named "lda.cones")));
+  (* Warm solves that stall on these cone nodes are solved again cold
+     in the same call: a warm-miss class of its own, not a fault. *)
+  let stalls = s.Optim.Bnb.warm_miss_stalled in
+  checkb "warm stalls fired" true (stalls > 0);
+  checki "stalls: trace = stats" stalls (trace_count events "lda.warm_stall");
+  checki "stalls: metric = stats" stalls
+    (Option.get (probe_metric (probe_named "lda.warm_stall")));
+  checki "stalls are not oracle failures" 0 s.Optim.Bnb.oracle_failures;
   checki "hits and misses: one per program built, re-solves included"
     (trace_count events "lda.program")
-    Optim.Bnb.(
-      s.warm_start_hits + s.warm_miss_no_parent + s.warm_miss_not_interior
-      + s.warm_miss_fault_cleared)
+    (s.Optim.Bnb.warm_start_hits + Optim.Bnb.warm_misses s)
 
 let test_one_sink_at_a_time () =
   (* Only tracing: no metric moves. *)

@@ -998,14 +998,14 @@ let test_bnb_domains_one_pinned () =
   | None -> Alcotest.fail "LDA-FP found no classifier"
   | Some o ->
       let d = o.Ldafp_core.Lda_fp.diagnostics in
-      check_pinned "LDA-FP" ~nodes:28 ~stop:Bnb.Gap_reached
-        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac16a1e2b691L
+      check_pinned "LDA-FP" ~nodes:21 ~stop:Bnb.Gap_reached
+        ~cost:0x3fe2b0359306644fL ~bound:0x3fe2ac1438ca2b7eL
         ~counts:
-          [ ("infeasible_regions", 1); ("bound_pruned", 24);
-            ("incumbent_updates", 1); ("children_generated", 56);
-            ("domains_used", 1); ("warm_start_hits", 47);
-            ("phase1_skipped", 47); ("warm_pull_ins", 30);
-            ("warm_miss_no_parent", 1); ("cert_verified", 48) ]
+          [ ("bound_pruned", 16); ("incumbent_updates", 1);
+            ("children_generated", 42); ("domains_used", 1);
+            ("warm_start_hits", 41); ("phase1_skipped", 41);
+            ("warm_pull_ins", 29); ("warm_miss_no_parent", 1);
+            ("cert_verified", 42) ]
         ( d.Ldafp_core.Lda_fp.nodes, d.Ldafp_core.Lda_fp.stop_reason,
           o.Ldafp_core.Lda_fp.cost, d.Ldafp_core.Lda_fp.bound,
           d.Ldafp_core.Lda_fp.search )

@@ -518,6 +518,49 @@ let test_ledger_directory () =
    the unflipped record must return findings; no exception may escape.
    [load] parses each line on its own, so the 255 variants of one
    offset share one ledger file, one per line. *)
+(* [ldafp train --ledger] alone, with neither --metrics nor
+   --telemetry-addr: the record's metrics snapshot counts the same
+   certificates as its own search statistics, not zero.  The CLI is
+   staged beside the tests under dune runtest and under _build from the
+   workspace root. *)
+let test_train_ledger_metrics () =
+  let exe =
+    match List.find_opt Sys.file_exists [ "../bin/ldafp.exe"; "_build/default/bin/ldafp.exe" ] with
+    | Some exe -> exe
+    | None -> Alcotest.fail "ldafp.exe not built"
+  in
+  let csv = Filename.temp_file "ldafp-test-train" ".csv" in
+  let model = Filename.temp_file "ldafp-test-train" ".model" in
+  with_temp_ledger (fun ledger ->
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ csv; model ])
+        (fun () ->
+          let run args =
+            let cmd = Filename.quote_command exe ~stdout:Filename.null args in
+            checki cmd 0 (Sys.command cmd)
+          in
+          run [ "generate"; "-n"; "200"; "--seed"; "3"; "--out"; csv ];
+          run [ "train"; "--data"; csv; "--wl"; "3"; "-k"; "1"; "--nodes"; "60";
+                "--ledger"; ledger; "--out"; model ];
+          let record =
+            match load_exn ledger with
+            | [ r ], 0 -> r
+            | rs, bad -> Alcotest.failf "%d record(s), %d malformed" (List.length rs) bad
+          in
+          let int = function
+            | Obs.Json.Int n -> n
+            | Obs.Json.Float f -> int_of_float f
+            | j -> Alcotest.failf "not a count: %s" (Obs.Json.to_string j)
+          in
+          let stat name = int (member_exn name (member_exn "stats" record)) in
+          let metric name =
+            int (member_exn "value" (member_exn name (member_exn "metrics" (member_exn "metrics" record))))
+          in
+          checki "no oracle failure" 0 (stat "oracle_failures");
+          let certs = stat "cert_verified" + stat "cert_repaired" in
+          checkb "certificates counted" true (certs > 1);
+          checki "ldafp_socp_cert_total = stats certificates" certs (metric "ldafp_socp_cert_total")))
+
 let test_ledger_byte_flips () =
   let line =
     {|{"schema":"ldafp-run/1","kind":"train","argv":["ldafp","train"],"stats":{"certified_sound":true,"cert_fallbacks":0,"warm_hit_rate":0.9,"oracle_seconds":1.5e2,"wall_seconds":-2.5e6,"sharded":[{"domains":2},null]}}|}
@@ -659,6 +702,8 @@ let () =
           Alcotest.test_case "directory refused with its reason" `Quick
             test_ledger_directory;
           Alcotest.test_case "every byte flip" `Quick test_ledger_byte_flips;
+          Alcotest.test_case "train ledger metrics match its stats" `Quick
+            test_train_ledger_metrics;
         ] );
       ( "diff",
         [
