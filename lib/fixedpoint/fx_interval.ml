@@ -6,11 +6,16 @@ let of_raw fmt ~lo ~hi =
     invalid_arg "Fx_interval.of_raw: endpoints out of raw range";
   { fmt; lo_raw = lo; hi_raw = hi }
 
+(* From F = 53 on, [Qformat.max_value] (2^(k-1) − 2^−F) rounds up to
+   2^(k-1) as a double, so its scaled code lands one past [max_raw]: the
+   codes are clamped to the format's range as integers. *)
 let of_values fmt ~lo ~hi =
   let lo_g = Float.max lo (Qformat.min_value fmt) in
   let hi_g = Float.min hi (Qformat.max_value fmt) in
   let lo_r = int_of_float (Float.ceil (ldexp lo_g fmt.Qformat.f -. 1e-9)) in
   let hi_r = int_of_float (Float.floor (ldexp hi_g fmt.Qformat.f +. 1e-9)) in
+  let lo_r = max lo_r (Qformat.min_raw fmt)
+  and hi_r = min hi_r (Qformat.max_raw fmt) in
   if lo_r > hi_r then
     invalid_arg
       (Printf.sprintf "Fx_interval.of_values: no %s grid point in [%g, %g]"

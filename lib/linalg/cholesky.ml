@@ -1,75 +1,17 @@
 exception Not_positive_definite of int
 
-(* Row [i] of the factor from column [j0] on, the reference loop: each
-   entry sums s = a(i)(j) (+ jitter on the diagonal) − Σ_{k<j}
-   l(i)(k)·l(j)(k), k ascending, then takes the pivot's square root or
-   divides by l(j)(j); then the row's upper part is zeroed.  Columns
-   left of [j0] must already be done. *)
-let[@inline] row_from ~jitter a dst i j0 =
-  let ai = a.(i) and li = dst.(i) in
-  for j = j0 to i do
-    let lj = dst.(j) in
-    let s = ref (ai.(j) +. if i = j then jitter else 0.0) in
-    for k = 0 to j - 1 do
-      s := !s -. (li.(k) *. lj.(k))
-    done;
-    if i = j then begin
-      if !s <= 0.0 then raise (Not_positive_definite i);
-      li.(i) <- sqrt !s
-    end
-    else li.(j) <- !s /. lj.(j)
-  done;
-  for j = i + 1 to Array.length li - 1 do
-    li.(j) <- 0.0
-  done
-
-(* Left-looking over blocks of four rows.  Every entry keeps
-   [row_from]'s sum, term for term, so the factor is the same bit for
-   bit; but for each column j left of a block the four rows' sums are
-   independent, so they run side by side and share the loads of row j:
-   four subtractions in flight instead of one chain.  The block's own
-   4×4 triangle, which needs its pivots in turn, keeps [row_from].  The
-   n mod 4 rows that do not fill a block come first, where rows are
-   shortest.  A failing pivot raises the index the row-by-row order
-   would: rows finish in order, and a block checks its pivots in row
-   order after all earlier rows. *)
+(* The blocked C kernel (Kernels.factor): four rows per vector, each
+   entry summed as the row-by-row loop sums it, so the factor and a
+   failing pivot's index are that loop's.  The kernel checks every
+   row's length itself. *)
 let factor_into ?(jitter = 0.0) a ~dst =
-  if not (Mat.is_square a) then invalid_arg "Cholesky.factor: not square";
-  if Mat.dims a <> Mat.dims dst then
+  let n = Array.length a in
+  if n > 0 && Array.length a.(0) <> n then invalid_arg "Cholesky.factor: not square";
+  if Array.length dst <> n || (n > 0 && Array.length dst.(0) <> n) then
     invalid_arg "Cholesky.factor_into: dst dimension mismatch";
-  let n = Mat.rows a in
-  let lead = n mod 4 in
-  for i = 0 to lead - 1 do
-    row_from ~jitter a dst i 0
-  done;
-  let i0 = ref lead in
-  while !i0 < n do
-    let i = !i0 in
-    let a0 = a.(i) and a1 = a.(i + 1) and a2 = a.(i + 2) and a3 = a.(i + 3) in
-    let l0 = dst.(i) and l1 = dst.(i + 1) in
-    let l2 = dst.(i + 2) and l3 = dst.(i + 3) in
-    for j = 0 to i - 1 do
-      let lj = dst.(j) in
-      let s0 = ref (a0.(j) +. 0.0) and s1 = ref (a1.(j) +. 0.0) in
-      let s2 = ref (a2.(j) +. 0.0) and s3 = ref (a3.(j) +. 0.0) in
-      for k = 0 to j - 1 do
-        let ljk = lj.(k) in
-        s0 := !s0 -. (l0.(k) *. ljk);
-        s1 := !s1 -. (l1.(k) *. ljk);
-        s2 := !s2 -. (l2.(k) *. ljk);
-        s3 := !s3 -. (l3.(k) *. ljk)
-      done;
-      let ljj = lj.(j) in
-      l0.(j) <- !s0 /. ljj;
-      l1.(j) <- !s1 /. ljj;
-      l2.(j) <- !s2 /. ljj;
-      l3.(j) <- !s3 /. ljj
-    done;
-    for r = i to i + 3 do
-      row_from ~jitter a dst r i
-    done;
-    i0 := i + 4
-  done
+  match Kernels.factor a ~dst ~jitter with
+  | -1 -> ()
+  | i -> raise (Not_positive_definite i)
 
 let factor a =
   let l = Mat.zeros (Mat.rows a) (Mat.cols a) in

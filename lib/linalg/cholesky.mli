@@ -20,13 +20,12 @@ val factor_into : ?jitter:float -> Mat.t -> dst:Mat.t -> unit
     failure [dst] is left partially overwritten — aliasing callers lose
     [a] when the factorisation raises.
 
-    Rows are factored left-looking in blocks of four: for each column
-    left of a block, the four rows' sums run side by side (interleaved,
-    to hide the latency of each subtraction).  Each entry is still the
-    row-by-row sum [a(i)(j) (+ jitter) − Σ_{k<j} l(i)(k)·l(j)(k)], from
-    the same start, in ascending [k], so the factor is bit for bit the
-    one the row-by-row loop gives, and a failing pivot raises the same
-    index.
+    Rows are factored left-looking in blocks of four by a C kernel
+    ({!Kernels.factor}), one row per vector lane.  Each entry is still
+    the row-by-row sum [a(i)(j) (+ jitter) − Σ_{k<j} l(i)(k)·l(j)(k)],
+    from the same start, in ascending [k], so the factor is bit for bit
+    the one the row-by-row loop gives, and a failing pivot (a sum
+    [<= 0]; a NaN one passes) raises the same index.
     @raise Not_positive_definite if a pivot is [<= 0]. *)
 
 val factor_jittered : Mat.t -> Mat.t * float

@@ -5,20 +5,16 @@ let check_square_compatible name a b =
   if Mat.rows a <> Array.length b then
     invalid_arg (name ^ ": dimension mismatch")
 
+(* The blocked C kernel (Kernels.solve_lower): four rows per vector,
+   each row summed as the row-by-row loop sums it, [dst] written up to
+   the row of a zero diagonal.  The kernel checks the row lengths. *)
 let solve_lower_into l b ~dst =
   check_square_compatible "Tri.solve_lower" l b;
   let n = Array.length b in
   if Array.length dst <> n then
     invalid_arg "Tri.solve_lower_into: dst dimension mismatch";
-  for i = 0 to n - 1 do
-    let s = ref b.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (l.(i).(j) *. dst.(j))
-    done;
-    let d = l.(i).(i) in
-    if d = 0.0 then raise (Singular "Tri.solve_lower: zero diagonal");
-    dst.(i) <- !s /. d
-  done
+  if Kernels.solve_lower l b ~dst >= 0 then
+    raise (Singular "Tri.solve_lower: zero diagonal")
 
 let solve_lower l b =
   let y = Array.make (Array.length b) 0.0 in

@@ -23,11 +23,17 @@ let git_rev =
 (* Registered eagerly at module init, like every other metric in the
    repo (concurrent Lazy.force is unsafe on OCaml 5).  [ldafp_build_info]
    is the conventional constant-1 gauge whose labels carry the build
-   identity; [ldafp_uptime_seconds] is refreshed on every scrape. *)
+   identity, [linalg] the body the Newton-step kernels run ("avx2" or
+   "portable"); [ldafp_uptime_seconds] is refreshed on every scrape. *)
 let (_ : Metrics.gauge) =
   Metrics.gauge Metrics.default ~init:1.0
     ~labels:
-      [ ("version", version); ("ocaml", Sys.ocaml_version); ("git_rev", git_rev) ]
+      [
+        ("version", version);
+        ("ocaml", Sys.ocaml_version);
+        ("git_rev", git_rev);
+        ("linalg", Linalg.Kernels.(name dispatched));
+      ]
     ~help:"constant 1; labels identify the build" "ldafp_build_info"
 
 let m_uptime =

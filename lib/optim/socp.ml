@@ -388,12 +388,9 @@ let centering_into pb sc tau : Newton.oracle_into =
   in
   let derivs ~grad ~hess =
     for i = 0 to n - 1 do
-      grad.(i) <- tau *. (sc.px.(i) +. pb.q.(i));
-      let hi = hess.(i) and pi = pb.p.(i) in
-      for j = 0 to i do
-        hi.(j) <- tau *. pi.(j)
-      done
+      grad.(i) <- tau *. (sc.px.(i) +. pb.q.(i))
     done;
+    Kernels.scale_lower_into tau pb.p ~dst:hess n;
     Array.iteri
       (fun k { a; _ } ->
         let sk = pb.lin_support.(k) and sk2 = pb.lin_support2.(k) in
@@ -447,17 +444,7 @@ let centering_into pb sc tau : Newton.oracle_into =
         done;
         (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, LᵀL read from
            the precomputed Gram *)
-        let gram = pb.grams.(k) and gh = sc.gh in
-        for i = 0 to n - 1 do
-          let gri = gram.(i) and hi = hess.(i) in
-          let ghi = gh.(i) and c2i = 2.0 *. c.(i) in
-          for j = 0 to i do
-            hi.(j) <-
-              hi.(j)
-              +. (ghi *. gh.(j) *. inv_h *. inv_h)
-              -. (((c2i *. c.(j)) -. (2.0 *. gri.(j))) *. inv_h)
-          done
-        done)
+        Kernels.cone_hessian_lower hess ~gram:pb.grams.(k) ~gh:sc.gh ~c ~inv_h n)
       pb.socs
   in
   let ray _ d =

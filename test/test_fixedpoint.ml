@@ -363,6 +363,19 @@ let test_interval_empty_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* From F = 53 on, max_value = 2 - 2^-F rounds up to 2.0 as a double,
+   one code past max_raw once scaled: the interval clamps its codes to
+   the format's range instead of refusing the format. *)
+let test_interval_wide_formats () =
+  for f = 50 to 60 do
+    let fmt = Qformat.make ~k:2 ~f in
+    let tag what = Printf.sprintf "Q2.%d: %s" f what in
+    let iv = Fx_interval.of_values fmt ~lo:0.0 ~hi:(Qformat.max_value fmt) in
+    checki (tag "hi = max_value gives max_raw") (Qformat.max_raw fmt) (Fx_interval.count iv - 1);
+    let full = Fx_interval.of_values fmt ~lo:(-5.0) ~hi:5.0 in
+    checki (tag "clamped to the full range") (Qformat.cardinality fmt) (Fx_interval.count full)
+  done
+
 let test_interval_mid_floor_division () =
   (* Midpoints must use floor division of the raw sum: truncating
      [(lo + hi) / 2] rounds toward zero, which on negative-raw intervals
@@ -616,6 +629,8 @@ let () =
             test_interval_split_balance;
           Alcotest.test_case "clamp extreme magnitudes" `Quick
             test_interval_clamp_extreme_magnitudes;
+          Alcotest.test_case "formats past 52 fractional bits" `Quick
+            test_interval_wide_formats;
         ] );
       ( "format_policy",
         [ Alcotest.test_case "policies" `Quick test_policies ] );

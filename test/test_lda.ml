@@ -2003,6 +2003,34 @@ let test_root_bound_is_the_floor () =
   let z = Ldafp_problem.z_cap pb ~theta:(snd (Option.get (Ldafp_heuristics.seed_incumbent pb))) in
   check "synthetic WL 16" pb ~caps:[ z; 10.0 *. z ] ~tol:2e-6
 
+(* Word lengths 53 to 62 (Q2.51 to Q2.60), where [Qformat.max_value]
+   rounds up to 2.0 as a double: the problem builds, seeds an incumbent,
+   and its root program under that incumbent's z cap certifies a finite
+   positive bound, on the Table-1 synthetic set and on three ECoG
+   features. *)
+let test_long_word_lengths_build () =
+  let synthetic = Datasets.Synthetic.generate ~n_per_class:200 (Stats.Rng.create 42) in
+  for wl = 53 to 62 do
+    let fmt = Format_policy.default wl in
+    List.iter
+      (fun (name, pb) ->
+        let tag what = Printf.sprintf "%s WL %d: %s" name wl what in
+        let wbox = pb.Ldafp_problem.elem_box in
+        let theta =
+          match Ldafp_heuristics.seed_incumbent pb with
+          | Some (_, c) -> c
+          | None -> Alcotest.fail (tag "no seed incumbent")
+        in
+        let z_cap = Ldafp_problem.z_cap pb ~theta in
+        let b = certified_bound pb (solve_relaxation pb ~wbox ~z_cap) in
+        checkb (tag (Printf.sprintf "root bound %g finite and positive" b)) true
+          (Float.is_finite b && b > 0.0))
+      [
+        ("synthetic", Ldafp_problem.build ~fmt (Pipeline.prepare ~fmt synthetic).Pipeline.scatter);
+        ("ECoG subset", fst (Ecog_subset.problem ~wl [| 0; 5; 11 |]));
+      ]
+  done
+
 (* A pinned coordinate folds into z: its node's certified bound can only
    be above the bound of the same node with the pin widened by one ulp,
    a superset region. *)
@@ -2444,6 +2472,8 @@ let () =
             test_certificate_allocation;
           Alcotest.test_case "evaluate allocation and grid verdicts" `Quick
             test_evaluate_allocation;
+          Alcotest.test_case "word lengths 53-62 build and bound" `Quick
+            test_long_word_lengths_build;
         ] );
       ("properties", qcheck_tests);
     ]

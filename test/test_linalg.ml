@@ -376,8 +376,25 @@ let same_mat_bits a b = Array.length a = Array.length b && Array.for_all2 same_v
 (* The pivot a factorisation fails at, or -2 when it succeeds. *)
 let failing_pivot f = match f () with () -> -2 | exception Cholesky.Not_positive_definite i -> i
 
+(* Runs [check] on the dispatched kernel body and on the portable one
+   (the same body twice on a CPU without AVX2).  [check] calls [ran]
+   after each kernel result it compares; the test fails if either body
+   compared none, so neither can be skipped silently. *)
+let on_each_body check =
+  List.iter
+    (fun (role, body) ->
+      let runs = ref 0 in
+      Kernels.with_body_for_tests body (fun () ->
+          check ~body:(Kernels.name body) ~ran:(fun () -> incr runs));
+      checkb
+        (Printf.sprintf "%s body (%s): %d comparisons" role (Kernels.name body) !runs)
+        true (!runs > 0))
+    [ ("dispatched", Kernels.dispatched); ("portable", Kernels.Portable) ]
+
 let test_cholesky_blocked_bits () =
+  on_each_body @@ fun ~body ~ran ->
   let rng = Stats.Rng.create 35 and retried = ref 0 in
+  let check label ok = ran (); checkb (Printf.sprintf "%s: %s" body label) true ok in
   for n = 0 to 50 do
     let a = random_spd rng n in
     (* the upper triangle is never read: poison it *)
@@ -390,19 +407,19 @@ let test_cholesky_blocked_bits () =
     reference_factor_into a ~dst:expect;
     let dst = Mat.init n n (fun _ _ -> Float.nan) in
     Cholesky.factor_into a ~dst;
-    checkb (Printf.sprintf "n = %d: factor bits" n) true (same_mat_bits expect dst);
+    check (Printf.sprintf "n = %d: factor bits" n) (same_mat_bits expect dst);
     let a' = Mat.copy a in
     Cholesky.factor_into a' ~dst:a';
-    checkb (Printf.sprintf "n = %d: aliased factor bits" n) true (same_mat_bits expect a');
+    check (Printf.sprintf "n = %d: aliased factor bits" n) (same_mat_bits expect a');
     (* −0 off the diagonal: each sum starts at a(i)(j) + 0 = +0 *)
     let signed = Mat.init n n (fun i j -> if i = j then float_of_int (i + 1) else -0.0) in
     reference_factor_into signed ~dst:expect;
     Cholesky.factor_into signed ~dst;
-    checkb (Printf.sprintf "n = %d: signed-zero factor bits" n) true (same_mat_bits expect dst);
+    check (Printf.sprintf "n = %d: signed-zero factor bits" n) (same_mat_bits expect dst);
     let jitter = 0.25 *. Stats.Rng.uniform rng ~lo:0.0 ~hi:1.0 in
     reference_factor_into ~jitter a ~dst:expect;
     Cholesky.factor_into ~jitter a ~dst;
-    checkb (Printf.sprintf "n = %d: jittered factor bits" n) true (same_mat_bits expect dst);
+    check (Printf.sprintf "n = %d: jittered factor bits" n) (same_mat_bits expect dst);
     (* Rank at most n/2 + 1 < n from n = 3 on, so an attempt that
        rounding does not rescue fails and the retry loop runs. *)
     let b = Mat.init n (n / 2 + 1) (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
@@ -410,11 +427,12 @@ let test_cholesky_blocked_bits () =
     let expect_l, expect_j = reference_factor_jittered low_rank in
     let j = Cholesky.factor_jittered_into low_rank ~dst in
     if j > 0.0 then incr retried;
-    checkb (Printf.sprintf "n = %d: jitter bits" n) true (same_bits expect_j j);
-    checkb (Printf.sprintf "n = %d: jittered retry factor bits" n) true
+    check (Printf.sprintf "n = %d: jitter bits" n) (same_bits expect_j j);
+    check (Printf.sprintf "n = %d: jittered retry factor bits" n)
       (same_mat_bits expect_l dst)
   done;
-  checkb (Printf.sprintf "%d of 51 sizes retried with jitter" !retried) true (!retried >= 25)
+  checkb (Printf.sprintf "%s: %d of 51 sizes retried with jitter" body !retried) true
+    (!retried >= 25)
 
 (* Make pivot [p] of an s.p.d. [a] negative: a(p)(p) below the sum of
    squares the reference subtracts from it.  Rows before p and row p's
@@ -422,7 +440,9 @@ let test_cholesky_blocked_bits () =
    at p; so must the blocked kernel, wherever p sits in a block of four
    (n runs through every residue mod 4). *)
 let test_cholesky_blocked_failing_pivot () =
+  on_each_body @@ fun ~body ~ran ->
   let rng = Stats.Rng.create 36 in
+  let checki label want got = ran (); checki (Printf.sprintf "%s: %s" body label) want got in
   for n = 1 to 13 do
     let a = random_spd rng n in
     let l = Cholesky.factor a in
@@ -451,8 +471,125 @@ let test_cholesky_blocked_failing_pivot () =
       checki (Printf.sprintf "n = %d: NaN pivot %d" n p) want
         (failing_pivot (fun () -> Cholesky.factor_into bad ~dst));
       if want = -2 then
-        checkb (Printf.sprintf "n = %d: NaN pivot %d bits" n p) true (same_mat_bits expect dst)
+        checkb (Printf.sprintf "%s: n = %d: NaN pivot %d bits" body n p) true
+          (same_mat_bits expect dst)
     done
+  done
+
+(* The row-by-row forward substitution [Tri.solve_lower_into]'s kernel
+   replaced. *)
+let reference_solve_lower l b ~dst =
+  for i = 0 to Array.length b - 1 do
+    let s = ref b.(i) in
+    for j = 0 to i - 1 do
+      s := !s -. (l.(i).(j) *. dst.(j))
+    done;
+    let d = l.(i).(i) in
+    if d = 0.0 then raise (Tri.Singular "Tri.solve_lower: zero diagonal");
+    dst.(i) <- !s /. d
+  done
+
+(* The row a solve stops at ([Singular]), or -1 when it finishes. *)
+let singular_row dst f =
+  let sentinel = Int64.bits_of_float 1234.5 in
+  Array.fill dst 0 (Array.length dst) 1234.5;
+  match f () with
+  | () -> -1
+  | exception Tri.Singular _ ->
+      let rec first i =
+        if i = Array.length dst || Int64.bits_of_float dst.(i) = sentinel then i
+        else first (i + 1)
+      in
+      first 0
+
+let test_forward_solve_bits () =
+  on_each_body @@ fun ~body ~ran ->
+  let rng = Stats.Rng.create 38 in
+  let check label ok = ran (); checkb (Printf.sprintf "%s: %s" body label) true ok in
+  let special =
+    [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; 1e-300; -1e300; 1.5 |]
+  in
+  let uniform lo hi = Stats.Rng.uniform rng ~lo ~hi in
+  let entry p = if uniform 0.0 1.0 < p then special.(int_of_float (uniform 0.0 8.0) mod 8) else uniform (-2.0) 2.0 in
+  for n = 0 to 50 do
+    (* A lower triangle with a unit-sized diagonal, the upper triangle
+       poisoned: it is never read. *)
+    let lower p =
+      Mat.init n n (fun i j ->
+          if j > i then Float.nan
+          else if i = j then (if uniform 0.0 1.0 < 0.5 then 1.0 else -1.0) *. uniform 0.5 2.0
+          else entry p)
+    in
+    List.iter
+      (fun (label, l, b) ->
+        let expect = Array.make n Float.nan and dst = Array.make n Float.nan in
+        reference_solve_lower l b ~dst:expect;
+        Tri.solve_lower_into l b ~dst;
+        check (Printf.sprintf "%s n = %d: solve bits" label n) (same_vec_bits expect dst);
+        let aliased = Array.copy b in
+        Tri.solve_lower_into l aliased ~dst:aliased;
+        check (Printf.sprintf "%s n = %d: aliased solve bits" label n) (same_vec_bits expect aliased))
+      [
+        ("plain", lower 0.0, Array.init n (fun _ -> uniform (-2.0) 2.0));
+        ("special", lower 0.3, Array.init n (fun _ -> entry 0.3));
+        (* ±0 everywhere off the diagonal: each sum keeps b's sign of zero *)
+        ("signed zeros", Mat.init n n (fun i j -> if i = j then 2.0 else if j < i then -0.0 else Float.nan),
+         Array.init n (fun i -> if i mod 2 = 0 then 0.0 else -0.0));
+      ];
+    (* A zero diagonal (+0 or −0) at row p: both stop there, with the
+       same rows before it written and none after. *)
+    if n > 0 then
+      List.iter
+        (fun zero ->
+          let p = int_of_float (uniform 0.0 (float_of_int n)) mod n in
+          let l = lower 0.1 and b = Array.init n (fun _ -> entry 0.1) in
+          l.(p).(p) <- zero;
+          let expect = Array.make n 0.0 and dst = Array.make n 0.0 in
+          let want = singular_row expect (fun () -> reference_solve_lower l b ~dst:expect) in
+          check (Printf.sprintf "n = %d: reference stops at %d" n p) (want = p);
+          let got = singular_row dst (fun () -> Tri.solve_lower_into l b ~dst) in
+          check (Printf.sprintf "n = %d: zero diagonal %g at %d" n zero p) (got = want);
+          check (Printf.sprintf "n = %d: prefix bits before %d" n p) (same_vec_bits expect dst))
+        [ 0.0; -0.0 ]
+  done
+
+(* The C kernels read rows through raw pointers, so each checks the
+   lengths of the rows it reads before it writes anything: a short row
+   raises [Invalid_argument] and leaves the destination as it was. *)
+let test_kernels_reject_short_rows () =
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let untouched m = Array.for_all (Array.for_all Float.is_nan) m in
+  for n = 1 to 9 do
+    let short = n - 1 in
+    let a = random_spd (Stats.Rng.create n) n in
+    a.(short) <- Array.sub a.(short) 0 short;
+    let dst = Mat.make n n Float.nan in
+    checkb (Printf.sprintf "n = %d: factor_into refuses a short row" n) true
+      (raises (fun () -> Cholesky.factor_into a ~dst));
+    checkb (Printf.sprintf "n = %d: factor_into wrote nothing" n) true (untouched dst);
+    (* the forward solve reads the lower triangle only: row i needs i + 1 *)
+    let l = Mat.init n n (fun i j -> if i = j then 1.0 else 0.5) in
+    l.(short) <- Array.make short 1.0;
+    let x = Array.make n Float.nan in
+    checkb (Printf.sprintf "n = %d: solve_lower refuses a short row" n) true
+      (raises (fun () -> Tri.solve_lower_into l (Array.make n 1.0) ~dst:x));
+    checkb (Printf.sprintf "n = %d: solve_lower wrote nothing" n) true
+      (Array.for_all Float.is_nan x);
+    let lower = Array.init n (fun i -> Array.make (i + 1) 1.0) in
+    let hess = Mat.make n n Float.nan and v = Array.make n 1.0 in
+    let short_lower = Array.mapi (fun i r -> if i = short then Array.sub r 0 i else r) lower in
+    checkb (Printf.sprintf "n = %d: scale_lower_into refuses a short row" n) true
+      (raises (fun () -> Kernels.scale_lower_into 2.0 short_lower ~dst:hess n));
+    checkb (Printf.sprintf "n = %d: cone_hessian_lower refuses a short Gram row" n) true
+      (raises (fun () -> Kernels.cone_hessian_lower hess ~gram:short_lower ~gh:v ~c:v ~inv_h:1.0 n));
+    checkb (Printf.sprintf "n = %d: cone_hessian_lower refuses a short gh" n) true
+      (raises (fun () ->
+           Kernels.cone_hessian_lower hess ~gram:lower ~gh:(Array.make short 1.0) ~c:v ~inv_h:1.0 n));
+    checkb (Printf.sprintf "n = %d: the Hessian kernels wrote nothing" n) true (untouched hess);
+    (* a Gram holding its lower triangle only is whole *)
+    Kernels.cone_hessian_lower hess ~gram:lower ~gh:v ~c:v ~inv_h:1.0 n;
+    checkb (Printf.sprintf "n = %d: a lower-triangle Gram is accepted" n) true
+      (Float.is_nan hess.(0).(0))
   done
 
 let test_mat_vec_blocked_bits () =
@@ -622,6 +759,10 @@ let () =
             test_cholesky_blocked_failing_pivot;
           Alcotest.test_case "blocked mat-vec bits" `Quick
             test_mat_vec_blocked_bits;
+          Alcotest.test_case "forward solve bits" `Quick
+            test_forward_solve_bits;
+          Alcotest.test_case "kernels reject short rows" `Quick
+            test_kernels_reject_short_rows;
         ] );
       ( "linsys",
         [

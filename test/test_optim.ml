@@ -1580,12 +1580,46 @@ let table1_node () =
       | Socp.Unknown _ | Socp.Infeasible _ ->
           Alcotest.fail "the pinned Table-1 node program is feasible")
 
+(* The ECoG WL 6 root program (Ecog_sim seed 7, all trials) with the
+   cones of eq. 20 in [cones] (default every one), z capped by the seeded
+   incumbent, and a strictly interior start. *)
+let ecog_root ?(cones = Ldafp_core.Ldafp_problem.all_cones) () =
+  let module P = Ldafp_core.Ldafp_problem in
+  let fmt = Fixedpoint.Format_policy.default 6 in
+  let ds = Datasets.Ecog_sim.generate (Stats.Rng.create 7) in
+  let pb =
+    P.build ~fmt (Ldafp_core.Pipeline.prepare ~fmt ds).Ldafp_core.Pipeline.scatter
+  in
+  let theta =
+    match
+      Ldafp_core.Ldafp_heuristics.seed_incumbent
+        ~steps:Ldafp_core.Lda_fp.default_config.Ldafp_core.Lda_fp.sweep_steps
+        ~max_rounds:4 pb
+    with
+    | Some (_, c) -> c
+    | None -> Alcotest.fail "no ECoG seed incumbent"
+  in
+  let wbox = pb.P.elem_box and z_cap = P.z_cap pb ~theta in
+  match P.relaxation pb ~wbox ~z_cap ~cones with
+  | None -> Alcotest.fail "the ECoG root box has no relaxation"
+  | Some r -> (
+      let root = r.P.socp in
+      match
+        Socp.find_strictly_feasible root
+          ~start:(P.project r (P.center_point pb ~wbox ~z_cap))
+      with
+      | Socp.Strictly_feasible x -> (root, x)
+      | Socp.Unknown _ | Socp.Infeasible _ ->
+          Alcotest.fail "the ECoG root program is feasible")
+
 let test_socp_oracle_bitwise () =
   (* The oracle reads each cone's Gram, formed once by the problem's
      constructor (padded with the slack's zero row and column in a
      phase-I problem), and takes an O(1) path for single-nonzero
-     half-spaces.  Neither may move a bit, on the toy problem, its
-     fold, a real node program with a pin and their phase-I problems. *)
+     half-spaces.  Neither may move a bit, nor may the C kernels of the
+     τP fill and the cone update, on the toy problem, its fold, a real
+     node program with a pin, their phase-I problems and the ECoG WL 6
+     root program. *)
   let problem = oracle_toy_problem () in
   let x0 = interior_point problem in
   let reduced, y0 = folded_toy problem x0 in
@@ -1658,7 +1692,21 @@ let test_socp_oracle_bitwise () =
   check "phase-I" phase1 (Array.append x0 [| 0.5 |]);
   check "folded phase-I" phase1_r (Array.append y0 [| 0.5 |]);
   check "Table-1 node" node xn;
-  check "Table-1 node phase-I" phase1_n (Array.append xn [| 0.5 |])
+  check "Table-1 node phase-I" phase1_n (Array.append xn [| 0.5 |]);
+  (* A 43-variable node program, so each row of the vector Hessian
+     updates runs whole vectors and a tail: cone-free (the τP fill and
+     the half-spaces) and with all four cones. *)
+  let ecog, xe = ecog_root () and ecog_free, xf = ecog_root ~cones:0 () in
+  checkb "43 variables" true (ecog.Socp.n = 43 && ecog_free.Socp.n = 43);
+  checkb "four cones and none" true
+    (Array.length ecog.Socp.socs = 4 && Array.length ecog_free.Socp.socs = 0);
+  List.iter
+    (fun body ->
+      Kernels.with_body_for_tests body (fun () ->
+          let tag = Kernels.name body in
+          check ("ECoG WL 6 root, four cones, " ^ tag) ecog xe;
+          check ("ECoG WL 6 root, cone-free, " ^ tag) ecog_free xf))
+    [ Kernels.dispatched; Kernels.Portable ]
 
 (* The first-order rounding scale of the value pass at [y] (Higham's
    γ_k = kε/(1 − kε) argument): the magnitudes every term of f is summed
@@ -1776,38 +1824,6 @@ let test_socp_ray_decrease () =
     ];
   checkb "points inside compared" true (!checked > 100);
   checkb "points outside compared" true (!outside > 20)
-
-(* The ECoG WL 6 root program (Ecog_sim seed 7, all trials) with every
-   cone of eq. 20, z capped by the seeded incumbent, and a strictly
-   interior start. *)
-let ecog_root () =
-  let module P = Ldafp_core.Ldafp_problem in
-  let fmt = Fixedpoint.Format_policy.default 6 in
-  let ds = Datasets.Ecog_sim.generate (Stats.Rng.create 7) in
-  let pb =
-    P.build ~fmt (Ldafp_core.Pipeline.prepare ~fmt ds).Ldafp_core.Pipeline.scatter
-  in
-  let theta =
-    match
-      Ldafp_core.Ldafp_heuristics.seed_incumbent
-        ~steps:Ldafp_core.Lda_fp.default_config.Ldafp_core.Lda_fp.sweep_steps
-        ~max_rounds:4 pb
-    with
-    | Some (_, c) -> c
-    | None -> Alcotest.fail "no ECoG seed incumbent"
-  in
-  let wbox = pb.P.elem_box and z_cap = P.z_cap pb ~theta in
-  match P.relaxation pb ~wbox ~z_cap ~cones:P.all_cones with
-  | None -> Alcotest.fail "the ECoG root box has no relaxation"
-  | Some r -> (
-      let root = r.P.socp in
-      match
-        Socp.find_strictly_feasible root
-          ~start:(P.project r (P.center_point pb ~wbox ~z_cap))
-      with
-      | Socp.Strictly_feasible x -> (root, x)
-      | Socp.Unknown _ | Socp.Infeasible _ ->
-          Alcotest.fail "the ECoG root program is feasible")
 
 let test_socp_trials_per_step () =
   (* The ECoG WL 6 root program under the solver's default parameters

@@ -559,7 +559,34 @@ let test_train_ledger_metrics () =
           checki "no oracle failure" 0 (stat "oracle_failures");
           let certs = stat "cert_verified" + stat "cert_repaired" in
           checkb "certificates counted" true (certs > 1);
-          checki "ldafp_socp_cert_total = stats certificates" certs (metric "ldafp_socp_cert_total")))
+          checki "ldafp_socp_cert_total = stats certificates" certs (metric "ldafp_socp_cert_total");
+          let build_info = member_exn "ldafp_build_info" (member_exn "metrics" (member_exn "metrics" record)) in
+          Alcotest.(check string) "the record names the kernel body"
+            Linalg.Kernels.(name dispatched)
+            (json_str (member_exn "linalg" (member_exn "labels" build_info)))))
+
+(* [ldafp_build_info]'s [linalg] label is the body the Newton-step
+   kernels report running, in the exposition and in the JSON export;
+   and that body is the one they accept: AVX2 can be forced only when
+   it is the dispatched body. *)
+let test_build_info_linalg () =
+  let body = Linalg.Kernels.(name dispatched) in
+  checkb (Printf.sprintf "body %s is avx2 or portable" body) true
+    (body = "avx2" || body = "portable");
+  checkb "exposition label" true
+    (contains
+       ~sub:(Printf.sprintf "linalg=\"%s\"" body)
+       (Obs.Metrics.to_prometheus Obs.Metrics.default));
+  let labels =
+    member_exn "labels"
+      (member_exn "ldafp_build_info"
+         (member_exn "metrics" (Obs.Metrics.to_json Obs.Metrics.default)))
+  in
+  Alcotest.(check string) "JSON label" body (json_str (member_exn "linalg" labels));
+  checkb "AVX2 can be forced iff it is dispatched" (body = "avx2")
+    (match Linalg.Kernels.(with_body_for_tests Avx2 (fun () -> ())) with
+    | () -> true
+    | exception Invalid_argument _ -> false)
 
 let test_ledger_byte_flips () =
   let line =
@@ -690,6 +717,8 @@ let () =
             test_concurrent_scrapes;
           Alcotest.test_case "disabled setters allocate nothing" `Quick
             test_disabled_setters_no_alloc;
+          Alcotest.test_case "build_info names the kernel body" `Quick
+            test_build_info_linalg;
         ] );
       ( "ledger",
         [
